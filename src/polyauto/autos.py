@@ -83,23 +83,7 @@ def compose(phi: Endo, psi: Endo,
     return Endo(phi.field, phi.nvars, comps)
 
 
-def compose_all(endos: Sequence[Endo],
-                cap: Optional[int] = DEFAULT_DEGREE_CAP) -> Endo:
-    if not endos:
-        raise ValueError("empty composition")
-    out = endos[0]
-    for e in endos[1:]:
-        out = compose(out, e, cap=cap)
-    return out
-
-
 # -- matrices over the field (helpers for affine maps) -------------------
-
-def mat_mul(field: Field, A, B):
-    n = len(A)
-    return tuple(tuple(sum((A[i][k] * B[k][j] for k in range(n)),
-                           field.zero) for j in range(n)) for i in range(n))
-
 
 def mat_det(field: Field, A) -> FieldElement:
     n = len(A)

@@ -277,12 +277,17 @@ def parse_certificate(text: str) -> Certificate:
             head, _, rest = line.partition(" ")
             rest = rest.strip()
             if head == "NCT":
+                if rest != FORMAT_VERSION:
+                    raise ParseError(
+                        f"unsupported format version {rest!r}", lineno, 1)
                 saw_header = True
             elif head == "FIELD":
                 field = parse_field(rest)
             elif head == "VARS":
                 nvars = int(rest)
             elif head == "KIND":
+                if rest not in (KIND_COTAME, KIND_SLIN):
+                    raise ParseError(f"unknown kind {rest!r}", lineno, 1)
                 kind = rest
             elif head == "META":
                 key, _, val = rest.partition(" ")

@@ -107,15 +107,10 @@ def cmd_exp(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    from . import reduce_core
     obj = parse_automorphism(args.map)
     if isinstance(obj, Endo):
         obj = word_from_endo(obj)
-    reduce_core.PROBE_BOUND_OVERRIDE = args.probe_bound
-    try:
-        cert = certify_normally_cotame(obj, cap=args.cap)
-    finally:
-        reduce_core.PROBE_BOUND_OVERRIDE = None
+    cert = certify_normally_cotame(obj, cap=args.cap)
     text = serialize_certificate(cert)
     if args.out:
         with open(args.out, "w") as fh:
@@ -188,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit a normal co-tameness certificate")
     p.add_argument("map")
     p.add_argument("--out", help="output .nct path")
-    p.add_argument("--probe-bound", type=int, default=None,
-                   help="override the commutator probe search bound")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="independently verify a certificate")

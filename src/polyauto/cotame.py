@@ -16,8 +16,9 @@ from typing import List, Optional, Tuple
 
 from .autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
                     SignedPermutation, Translation, affine_parts, classify,
-                    compose, elementary, invert_endo, jacobian_det, mat_det,
-                    triangular_from_endo, triangular_parts, vector_degree)
+                    compose, dilation, elementary, invert_endo, jacobian_det,
+                    mat_det, triangular_from_endo, triangular_parts,
+                    vector_degree)
 from .certificates import KIND_COTAME, Certificate
 from .errors import (IdentityInput, InternalIdentityFailure, NotAlternating,
                      NotSpecial, NotStructured, UnsupportedCharacteristic,
@@ -26,8 +27,7 @@ from .fields import RATIONALS, Field
 from .poly import DEFAULT_DEGREE_CAP, Polynomial
 from .reduce_core import (CommutatorProbe, affine_terminal,
                           endo_translation_word, find_noncommuting_c,
-                          max_var_degree, reduce_parabolic_ref,
-                          reduce_triangular_ref)
+                          reduce_parabolic_ref, reduce_triangular_ref)
 from .wordbuild import CertBuilder
 
 __all__ = [
@@ -114,7 +114,7 @@ def _normalize_pieces(field: Field, n: int,
             det = one
             for a in scalars:
                 det = det * a
-            diag_fix = _diag_endo(field, n, det)
+            diag_fix = dilation(field, n, 1, det).expand()
             tau_sp = compose(invert_endo(diag_fix), conj)
             carry = compose(carry, diag_fix)
             if not tau_sp.is_identity():
@@ -123,14 +123,14 @@ def _normalize_pieces(field: Field, n: int,
             W = compose(val, carry)
             A, b = affine_parts(W)
             d = mat_det(field, A)
-            lam = _diag_endo(field, n, d)
+            lam = dilation(field, n, 1, d).expand()
             # W = T_b * L_A and A = Lambda * Msl (row scaling), so the Df
             # part T_b * L_Lambda moves into the carry
             msl_rows = [list(row) for row in A]
             for j in range(n):
                 msl_rows[0][j] = msl_rows[0][j] / d
-            msl = _linear_endo(field, n, msl_rows)
-            carry = compose(_translation_endo(field, n, b), lam)
+            msl = Linear(field, n, tuple(map(tuple, msl_rows))).expand()
+            carry = compose(Translation(field, n, b).expand(), lam)
             if not msl.is_identity():
                 slots.insert(0, ("alpha", msl))
     # fold the remaining Df carry into the suffix
@@ -138,13 +138,12 @@ def _normalize_pieces(field: Field, n: int,
     d = mat_det(field, A)
     if not d.is_one():
         raise NotSpecial("input word is not special")
-    lam = _linear_endo(field, n, [[A[i][j] for j in range(n)]
-                                  for i in range(n)])
+    lam = Linear(field, n, A).expand()
     tr_vec = _solve_leading_translation(field, n, A, b)
     if any(not x.is_zero() for x in tr_vec):
         # carry = T_b * L_A = L_A * T_{A^{-1}b}; absorb the right-hand
         # translation into the first tau before prepending the linear part
-        tr = _translation_endo(field, n, tr_vec)
+        tr = Translation(field, n, tr_vec).expand()
         _absorb_translation(field, n, slots, tr)
     if not lam.is_identity():
         slots.insert(0, ("alpha", lam))
@@ -221,30 +220,6 @@ def _assemble(field, n, slots, pieces) -> MTriangularForm:
     return form
 
 
-def _diag_endo(field, n, head) -> Endo:
-    comps = [Polynomial.variable(field, n, 1).scale(head)]
-    comps += [Polynomial.variable(field, n, i) for i in range(2, n + 1)]
-    return Endo(field, n, comps)
-
-
-def _linear_endo(field, n, rows) -> Endo:
-    comps = []
-    for i in range(n):
-        p = Polynomial.zero(field, n)
-        for j in range(n):
-            a = rows[i][j]
-            if not a.is_zero():
-                p = p + Polynomial.variable(field, n, j + 1).scale(a)
-        comps.append(p)
-    return Endo(field, n, comps)
-
-
-def _translation_endo(field, n, vec) -> Endo:
-    comps = [Polynomial.variable(field, n, i + 1)
-             + Polynomial.constant(field, n, b) for i, b in enumerate(vec)]
-    return Endo(field, n, comps)
-
-
 def normalize_m_triangular(word: FactoredAuto) -> MTriangularForm:
     """Alternating normal form of a word of affine/triangular factors."""
     val = word.expand()
@@ -296,8 +271,7 @@ def _engine_m1(builder, ref, form: MTriangularForm) -> str:
     if classify(val).triangular:
         return reduce_triangular_ref(builder, cur)
     beta0_word = _linear_word(field, n, beta0)
-    probe = find_noncommuting_c(val, beta0_word, n,
-                                bound=max_var_degree(val) + 1)
+    probe = find_noncommuting_c(val, beta0_word, n)
     if probe.witness is not None:
         return _parabolic_route(builder, cur, probe)
     gamma_word = endo_translation_word(probe.gamma)
@@ -360,8 +334,7 @@ def _engine_m2(builder, ref, form: MTriangularForm) -> str:
     alpha1 = form.alphas[1]
     val = builder.value(cur)
     beta0_word = _linear_word(field, n, beta0)
-    probe = find_noncommuting_c(val, beta0_word, n,
-                                bound=max_var_degree(val) + 1)
+    probe = find_noncommuting_c(val, beta0_word, n)
     if probe.witness is not None:
         return _parabolic_route(builder, cur, probe)
     c_el = field.from_int(probe.c)
@@ -398,8 +371,7 @@ def _engine_m3(builder, ref, form: MTriangularForm) -> str:
             return _dispatch_form(builder, cur, sub)
         val = builder.value(cur)
         beta0_word = _linear_word(field, n, beta0)
-        probe = find_noncommuting_c(val, beta0_word, n,
-                                    bound=max_var_degree(val) + 1)
+        probe = find_noncommuting_c(val, beta0_word, n)
         if probe.witness is not None:
             return _parabolic_route(builder, cur, probe)
         c_el = field.from_int(probe.c)
@@ -440,8 +412,7 @@ def _engine_m4(builder, ref, form: MTriangularForm) -> str:
     val = builder.value(cur)
     # symmetrization probe: gamma = alpha4^{-1} eps_{n,c} alpha4
     alpha4_word = _linear_word(field, n, alpha4)
-    probe = find_noncommuting_c(val, alpha4_word.inverse(), n,
-                                bound=max_var_degree(val) + 1)
+    probe = find_noncommuting_c(val, alpha4_word.inverse(), n)
     if probe.witness is not None:
         return _parabolic_route(builder, cur, probe)
     c_el = field.from_int(probe.c)
@@ -490,8 +461,7 @@ def _engine_m4_symmetric(builder, cur, sigma1, beta1, sigma2, beta2,
             return _dispatch_form(builder, cur, sub)
         val = builder.value(cur)
         beta1_word = _linear_word(field, n, beta1)
-        probe = find_noncommuting_c(val, beta1_word, n,
-                                    bound=max_var_degree(val) + 1)
+        probe = find_noncommuting_c(val, beta1_word, n)
         if probe.witness is not None:
             return _parabolic_route(builder, cur, probe)
         c_el = field.from_int(probe.c)

@@ -9,6 +9,7 @@ Polynomial code works on payloads directly through the Field's `_p*` ops.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterator, Optional, Union
 
 from .errors import DivisionByZero, FieldMismatch, NotPrime, ReducibleModulus
@@ -19,14 +20,14 @@ EXTENSION = "extension"
 
 # Shipped moduli, coefficient tuples in ascending order (c0, c1, ..., 1).
 # Chosen once so certificates name extension elements reproducibly.
-CANONICAL_MODULI = {
+CANONICAL_MODULI = MappingProxyType({
     (2, 2): (1, 1, 1),          # t^2 + t + 1
     (2, 3): (1, 1, 0, 1),       # t^3 + t + 1
     (2, 4): (1, 1, 0, 0, 1),    # t^4 + t + 1
     (3, 2): (1, 0, 1),          # t^2 + 1
     (3, 3): (1, 2, 0, 1),       # t^3 + 2t + 1
     (5, 2): (1, 1, 1),          # t^2 + t + 1
-}
+})
 
 
 def is_prime(p: int) -> bool:

@@ -17,21 +17,20 @@ reduction instead of failing.
 from __future__ import annotations
 
 from .autos import (Endo, ExpLND, FactoredAuto, classify, compose,
-                    elementary)
-from .certificates import KIND_COTAME, Certificate
+                    elementary, invert_endo, jacobian_det)
 from .derivations import (NILPOTENCY_CAP, TriDerivation, apply_derivation,
                           exp_images, kernel_check)
 from .errors import (DegenerateChain, IdentityInput, InternalIdentityFailure,
-                     KernelViolation, NotSpecial, UnsupportedCharacteristic)
+                     KernelViolation, UnsupportedCharacteristic)
 from .fields import RATIONALS
 from .poly import Polynomial
 from .reduce_core import (max_var_degree, reduce_parabolic_ref,
                           reduce_triangular_ref)
+from .slin import axis_shift
 from .wordbuild import CertBuilder
 
 __all__ = [
     "TriDerivation", "apply_derivation", "kernel_check", "exp_automorphism",
-    "reduce_exponential", "reduce_triangular_exponential",
     "reduce_exponential_ref", "reduce_triangular_exponential_ref",
 ]
 
@@ -40,18 +39,10 @@ def exp_automorphism(F: Polynomial, D: TriDerivation,
                      cap: int = NILPOTENCY_CAP) -> Endo:
     """The automorphism exp(FD); always special (checked on construction)."""
     endo = Endo(F.field, F.nvars, exp_images(F, D, cap=cap))
-    from .autos import jacobian_det
     if jacobian_det(endo) != Polynomial.one(F.field, F.nvars):
         raise InternalIdentityFailure(
             "exp(FD) produced a non-special map; this cannot happen")
     return endo
-
-
-def _axis_shift_poly(poly: Polynomial, axis: int, amount) -> Polynomial:
-    field, n = poly.field, poly.nvars
-    images = [Polynomial.variable(field, n, m + 1) for m in range(n)]
-    images[axis - 1] = images[axis - 1] + Polynomial.constant(field, n, amount)
-    return poly.substitute(images)
 
 
 def reduce_exponential_ref(builder: CertBuilder, ref: str,
@@ -71,7 +62,7 @@ def reduce_exponential_ref(builder: CertBuilder, ref: str,
     F_t = F
     eps_unit = elementary(field, n, n, field.one)
     while F_t.deg_in(n) > 0:
-        F_next = F_t - _axis_shift_poly(F_t, n, field.one)
+        F_next = F_t - axis_shift(F_t, n, field.one)
         if F_next.deg_in(n) != F_t.deg_in(n) - 1:
             raise InternalIdentityFailure(
                 "x_n-degree of F did not drop by one during the descent")
@@ -106,19 +97,6 @@ def reduce_exponential_ref(builder: CertBuilder, ref: str,
     return reduce_triangular_ref(builder, step)
 
 
-def reduce_exponential(F: Polynomial, D: TriDerivation) -> Certificate:
-    """Certificate that exp(FD) normally generates a nontrivial elementary."""
-    field, n = F.field, F.nvars
-    builder = CertBuilder(field, n, KIND_COTAME)
-    word = FactoredAuto(field, n, [ExpLND(field, n, F, D)])
-    if word.expand().is_identity():
-        raise IdentityInput("exp(FD) is the identity")
-    seed = builder.add_seed(word, label="theta")
-    terminal = reduce_exponential_ref(builder, seed, F, D)
-    builder.meta["path"] = "exponential"
-    return builder.to_certificate(terminal, cite="exponential-reduction")
-
-
 def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
                                       tau: Endo, alpha: Endo,
                                       F: Polynomial, D: TriDerivation) -> str:
@@ -145,8 +123,8 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
         return reduce_exponential_ref(builder, ref, F, D)
     exp_val = Endo(field, n, exp_images(F, D))
     exp_word_inv = FactoredAuto(field, n, [(ExpLND(field, n, F, D), -1)])
-    alpha_inv = _linear_inverse(alpha)
-    tau_inv = _structured_inverse(tau)
+    alpha_inv = invert_endo(alpha)
+    tau_inv = invert_endo(tau)
     B = max(max_var_degree(phi) + 1, 2)
     phi_inv = builder.inverse(ref)
     for c in range(1, B + 1):
@@ -161,7 +139,7 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
             [(eps_c, ref, -1), (None, ref, 1)],
             expect=phi0, note=f"exp chain commutator c={c}")
         # conjugate through exp(FD)
-        G = _axis_shift_poly(F, n, -c_el) - F
+        G = axis_shift(F, n, -c_el) - F
         passed = compose(compose(tau_inv, eps_val), tau)
         if not classify(passed).translation:
             raise InternalIdentityFailure(
@@ -184,7 +162,7 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
                     "chain collapsed but the intermediate value is not "
                     "parabolic; no reduction route remains")
             return reduce_parabolic_ref(builder, phi1, None)
-        H = G - _axis_shift_poly(G, n, c_el)
+        H = G - axis_shift(G, n, c_el)
         exp_H = Endo(field, n, exp_images(H, D))
         if exp_H.is_identity():
             raise DegenerateChain(
@@ -198,36 +176,3 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
         raise InternalIdentityFailure(
             "probe exhausted but the map is not parabolic")
     return reduce_parabolic_ref(builder, ref, None)
-
-
-def _linear_inverse(alpha: Endo) -> Endo:
-    from .autos import invert_endo
-    return invert_endo(alpha)
-
-
-def _structured_inverse(tau: Endo) -> Endo:
-    from .autos import invert_endo
-    return invert_endo(tau)
-
-
-def reduce_triangular_exponential(tau_word: FactoredAuto,
-                                  alpha_word: FactoredAuto,
-                                  F: Polynomial,
-                                  D: TriDerivation) -> Certificate:
-    """Certificate for tau * alpha * exp(FD), which must be special and
-    different from the identity."""
-    field, n = F.field, F.nvars
-    word = tau_word * alpha_word * FactoredAuto(
-        field, n, [ExpLND(field, n, F, D)])
-    builder = CertBuilder(field, n, KIND_COTAME)
-    val = word.expand()
-    if val.is_identity():
-        raise IdentityInput("the product is the identity")
-    from .autos import jacobian_det
-    if jacobian_det(val) != Polynomial.one(field, n):
-        raise NotSpecial("the product must have Jacobian determinant 1")
-    seed = builder.add_seed(word, label="theta")
-    terminal = reduce_triangular_exponential_ref(
-        builder, seed, tau_word.expand(), alpha_word.expand(), F, D)
-    builder.meta["path"] = "triangular-exponential"
-    return builder.to_certificate(terminal, cite="triangular-exponential-reduction")

@@ -188,13 +188,7 @@ class Polynomial:
             return NotImplemented
         field = self.field
         if field.kind == PRIME:
-            if field.p < 2 ** 31:
-                terms = kernels.mul_terms_fp(self.terms, other.terms, field.p)
-            else:
-                # compiled fast path assumes products fit a C long
-                from . import _kernels_py
-                terms = _kernels_py.mul_terms_fp(self.terms, other.terms,
-                                                 field.p)
+            terms = kernels.mul_terms_fp(self.terms, other.terms, field.p)
         elif field.kind == EXTENSION:
             terms = kernels.mul_terms_ext(self.terms, other.terms,
                                           field.p, field.modulus)

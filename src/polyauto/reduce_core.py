@@ -23,13 +23,6 @@ from .slin import translation_from_any, translation_from_special_affine
 from .wordbuild import CertBuilder
 
 
-# Optional global override for the probe search bound (a tuning knob, set by
-# the CLI); emitted certificates stay sound either way because every step is
-# re-verified by expansion, but a too-small bound can misroute to the
-# parabolic fallback and fail there.
-PROBE_BOUND_OVERRIDE = None
-
-
 def _require_char_zero(field: Field):
     if field.kind != RATIONALS:
         raise UnsupportedCharacteristic(
@@ -56,9 +49,10 @@ class CommutatorProbe:
 
 
 def find_noncommuting_c(phi: Endo, alpha: Optional[FactoredAuto],
-                        k: int, bound: Optional[int] = None) -> CommutatorProbe:
-    """Search c = 1..B for a conjugated axis translation that fails to
-    commute with phi; soundness of the bound comes from the entries of the
+                        k: int) -> CommutatorProbe:
+    """Search c = 1..B, B = max(largest per-variable degree of phi + 1, 2),
+    for a conjugated axis translation that fails to commute with phi;
+    soundness of the bound comes from the entries of the
     commutator being polynomials of degree < B in c, so vanishing at B
     points forces vanishing identically.
 
@@ -68,10 +62,7 @@ def find_noncommuting_c(phi: Endo, alpha: Optional[FactoredAuto],
     field = phi.field
     _require_char_zero(field)
     n = phi.nvars
-    if bound is None:
-        bound = PROBE_BOUND_OVERRIDE
-    B = bound if bound is not None else max_var_degree(phi) + 1
-    B = max(B, 2)
+    B = max(max_var_degree(phi) + 1, 2)
     alpha_val = alpha.expand() if alpha is not None else None
     alpha_inv = alpha.inverse().expand() if alpha is not None else None
     for c in range(1, B + 1):
@@ -107,10 +98,6 @@ def _parabolic_normalizer(field: Field, n: int, k: int) -> FactoredAuto:
     signs[0] = -field.one
     return FactoredAuto(field, n, [SignedPermutation(
         field, n, tuple(perm), tuple(signs))])
-
-
-def translation_word(field: Field, n: int, vector) -> FactoredAuto:
-    return translation(field, n, vector)
 
 
 def endo_translation_word(gamma: Endo) -> FactoredAuto:
@@ -158,8 +145,7 @@ def _axis_probe_translation(val: Endo, val_inv: Endo) -> Tuple[FactoredAuto, End
     whenever tau is outside the translation subgroup; the grid bound is
     per-variable-degree + 1 on each axis."""
     field, n = val.field, val.nvars
-    B = PROBE_BOUND_OVERRIDE if PROBE_BOUND_OVERRIDE is not None \
-        else max_var_degree(val) + 1
+    B = max_var_degree(val) + 1
     for k in range(1, n + 1):
         for c in range(1, B + 1):
             gamma = elementary(field, n, k, field.from_int(c))

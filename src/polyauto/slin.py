@@ -354,7 +354,7 @@ class _SlinEngine:
         M = Polynomial.monomial(field, n, field.one, exps)
         xjM = Polynomial.variable(field, n, j) * M
         h = xjM.scale(scale)
-        shift = _axis_shift(h, j, field.one)
+        shift = axis_shift(h, j, field.one)
         g = shift - h - M.scale(a)
         if g.deg() >= sum(exps):
             raise InternalIdentityFailure("case 2a residual degree did not drop")
@@ -397,7 +397,7 @@ class _SlinEngine:
         M = Polynomial.monomial(field, n, field.one, exps)
         xkp = Polynomial.variable(field, n, pick) ** p
         base_poly = xkp * M
-        f = _axis_shift(base_poly, pick, b) - base_poly
+        f = axis_shift(base_poly, pick, b) - base_poly
         conj = elementary(field, n, 1, base_poly)
         eps_f = elementary(field, n, 1, f).expand()
         f_label = self.builder.add_step(
@@ -417,7 +417,7 @@ def _payload_key(x: FieldElement):
     return x.payload
 
 
-def _axis_shift(poly: Polynomial, axis: int, amount: FieldElement) -> Polynomial:
+def axis_shift(poly: Polynomial, axis: int, amount: FieldElement) -> Polynomial:
     """(poly) eps_{axis, amount}: substitute x_axis -> x_axis + amount."""
     field, n = poly.field, poly.nvars
     images = [Polynomial.variable(field, n, m + 1) for m in range(n)]

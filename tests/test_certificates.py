@@ -169,3 +169,28 @@ def test_mutation_killing():
                 assert verify_certificate(mcert).verdict != "PASS", \
                     f"mutant survived at line {i} col {j}"
     assert mutants >= 4
+
+
+def corpus_certificate_text():
+    """Serialized certificate of the first acceptance-corpus word."""
+    from polyauto.cotame import certify_normally_cotame
+    from test_acceptance import corpus_words
+    _, word = corpus_words()[0]
+    text = serialize_certificate(certify_normally_cotame(word))
+    assert verify_certificate(parse_certificate(text)).verdict == "PASS"
+    return text
+
+
+def test_unknown_format_version_rejected():
+    text = corpus_certificate_text()
+    assert text.startswith("NCT 1\n")
+    with pytest.raises(ParseError, match="version"):
+        parse_certificate(text.replace("NCT 1\n", "NCT 99\n", 1))
+
+
+def test_unknown_kind_rejected():
+    text = corpus_certificate_text()
+    assert "\nKIND normal-cotame\n" in text
+    with pytest.raises(ParseError, match="kind"):
+        parse_certificate(text.replace("\nKIND normal-cotame\n",
+                                       "\nKIND bogus\n", 1))

@@ -1,15 +1,15 @@
 import pytest
 
 from gen import rand_triangular
-from polyauto.autos import Endo, FactoredAuto, compose, jacobian_det
+from polyauto.autos import Endo, ExpLND, FactoredAuto, compose, jacobian_det
 from polyauto.certificates import verify_certificate
+from polyauto.cotame import certify_normally_cotame
 from polyauto.derivations import TriDerivation
 from polyauto.errors import (IdentityInput, InvalidFactor, KernelViolation,
                              UnsupportedCharacteristic)
 from polyauto.fields import Field
 from polyauto.identities import random_kernel_pairs
-from polyauto.lnd import (apply_derivation, exp_automorphism, kernel_check,
-                          reduce_exponential, reduce_triangular_exponential)
+from polyauto.lnd import apply_derivation, exp_automorphism, kernel_check
 from polyauto.poly import Polynomial
 from polyauto.textio import parse_derivation, parse_endo
 
@@ -23,6 +23,17 @@ def vde_pair():
     zero = Polynomial.zero(Q, n)
     D = TriDerivation(Q, n, (zero, zero, -x[1], x[0]))
     return F, D
+
+
+def certify_exp(F, D, tau=None, alpha=None):
+    """Certify tau * alpha * exp(FD) through the dispatcher."""
+    n = F.nvars
+    word = FactoredAuto(Q, n, [ExpLND(Q, n, F, D)])
+    if alpha is not None:
+        word = alpha * word
+    if tau is not None:
+        word = tau * word
+    return certify_normally_cotame(word)
 
 
 def test_apply_derivation_basic():
@@ -96,9 +107,10 @@ def test_reduce_exponential_nagata_style():
     D = TriDerivation(Q, n, (zero, x[0], x[1].scale(Q.from_int(-2))))
     F = x[0] * x[2] + x[1] * x[1]
     assert kernel_check(D, F)
-    cert = reduce_exponential(F, D)
+    cert = certify_exp(F, D)
     rep = verify_certificate(cert)
     assert rep.verdict == "PASS", rep.format()
+    assert cert.meta["path"] == "exponential"
 
 
 def test_reduce_exponential_triangular_delegation():
@@ -108,7 +120,7 @@ def test_reduce_exponential_triangular_delegation():
     zero = Polynomial.zero(Q, n)
     D = TriDerivation(Q, n, (zero, zero, x1))
     F = Polynomial.variable(Q, n, 2)
-    cert = reduce_exponential(F, D)
+    cert = certify_exp(F, D)
     rep = verify_certificate(cert)
     assert rep.verdict == "PASS", rep.format()
 
@@ -116,7 +128,7 @@ def test_reduce_exponential_triangular_delegation():
 def test_reduce_exponential_identity_rejected():
     _, D = vde_pair()
     with pytest.raises(IdentityInput):
-        reduce_exponential(Polynomial.zero(Q, 4), D)
+        certify_exp(Polynomial.zero(Q, 4), D)
 
 
 def test_reduce_triangular_exponential_vde():
@@ -125,7 +137,7 @@ def test_reduce_triangular_exponential_vde():
     tau = FactoredAuto(Q, 4, [
         (Elementary(Q, 4, 2, Polynomial.variable(Q, 4, 1) ** 3), 1)])
     alpha = FactoredAuto.identity(Q, 4)
-    cert = reduce_triangular_exponential(tau, alpha, F, D)
+    cert = certify_exp(F, D, tau, alpha)
     rep = verify_certificate(cert)
     assert rep.verdict == "PASS", rep.format()
     assert cert.meta["path"] == "triangular-exponential"
@@ -143,7 +155,7 @@ def test_reduce_triangular_exponential_with_linear_part():
     tau = FactoredAuto(Q, n, [(rand_triangular(rng, n, 2, special=True), 1)])
     from polyauto.autos import linear_elementary
     alpha = linear_elementary(Q, n, 1, 2, 3)
-    cert = reduce_triangular_exponential(tau, alpha, F, D)
+    cert = certify_exp(F, D, tau, alpha)
     rep = verify_certificate(cert)
     assert rep.verdict == "PASS", rep.format()
 
@@ -160,8 +172,7 @@ def test_reduce_triangular_exponential_deep_chain():
     assert kernel_check(D, F) and F.deg_in(n) == 2
     from polyauto.autos import Elementary
     tau = FactoredAuto(Q, n, [(Elementary(Q, n, 2, x[0] ** 2), 1)])
-    cert = reduce_triangular_exponential(
-        tau, FactoredAuto.identity(Q, n), F, D)
+    cert = certify_exp(F, D, tau, FactoredAuto.identity(Q, n))
     rep = verify_certificate(cert)
     assert rep.verdict == "PASS", rep.format()
     assert any("exp descent" in s.note or "second commutator" in s.note
