@@ -419,11 +419,6 @@ def sl_dilation(field: Field, n: int, i: int, j: int, c) -> FactoredAuto:
                                           tuple(tuple(r) for r in rows))])
 
 
-def linear_from_rows(field: Field, n: int, rows) -> FactoredAuto:
-    mat = tuple(tuple(field.elem(x) for x in row) for row in rows)
-    return FactoredAuto(field, n, [Linear(field, n, mat)])
-
-
 def linear_elementary(field: Field, n: int, i: int, j: int, a) -> FactoredAuto:
     """epsilon_{i, a*x_j}, the elementary-matrix generator of SL_n."""
     if i == j:

@@ -210,6 +210,7 @@ def verify_certificate(cert: Certificate,
 # -- serialization -------------------------------------------------------------
 
 FORMAT_VERSION = "1"
+HEADER_DIRECTIVES = ("NCT", "FIELD", "VARS", "KIND")  # each exactly once
 
 
 def serialize_certificate(cert: Certificate) -> str:
@@ -241,7 +242,7 @@ def parse_certificate(text: str) -> Certificate:
     from .autos import Endo
     field = None
     nvars = None
-    kind = KIND_COTAME
+    kind = None
     meta: Dict[str, str] = {}
     seeds: List[Seed] = []
     steps: List[Step] = []
@@ -252,7 +253,7 @@ def parse_certificate(text: str) -> Certificate:
     cur_items: List[WordItem] = []
     cur_value = None
     cur_inverse = None
-    saw_header = False
+    headers = set()
     saw_end = False
 
     def flush_step(lineno):
@@ -276,11 +277,14 @@ def parse_certificate(text: str) -> Certificate:
         try:
             head, _, rest = line.partition(" ")
             rest = rest.strip()
+            if head in HEADER_DIRECTIVES:
+                if head in headers:
+                    raise ParseError(f"repeated {head} line", lineno, 1)
+                headers.add(head)
             if head == "NCT":
                 if rest != FORMAT_VERSION:
                     raise ParseError(
                         f"unsupported format version {rest!r}", lineno, 1)
-                saw_header = True
             elif head == "FIELD":
                 field = parse_field(rest)
             elif head == "VARS":
@@ -348,13 +352,14 @@ def parse_certificate(text: str) -> Certificate:
             raise
         except Exception as exc:
             raise ParseError(f"{exc}", lineno, 1)
-    if not saw_header:
+    if "NCT" not in headers:
         raise ParseError("missing NCT header", 1, 1)
     if not saw_end:
         raise ParseError("missing END line (truncated file?)",
                          text.count("\n") + 1, 1)
-    if field is None or nvars is None or terminal is None:
-        raise ParseError("certificate missing FIELD, VARS, or TERMINAL", 1, 1)
+    if field is None or nvars is None or kind is None or terminal is None:
+        raise ParseError(
+            "certificate missing FIELD, VARS, KIND, or TERMINAL", 1, 1)
     return Certificate(field, nvars, kind, seeds, steps, terminal, cite, meta)
 
 

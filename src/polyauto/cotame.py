@@ -12,13 +12,12 @@ triangular factor strictly decreases, which bounds the recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
                     SignedPermutation, Translation, affine_parts, classify,
-                    compose, dilation, elementary, invert_endo, jacobian_det,
-                    mat_det, triangular_from_endo, triangular_parts,
-                    vector_degree)
+                    compose, dilation, invert_endo, jacobian_det, mat_det,
+                    triangular_from_endo, triangular_parts, vector_degree)
 from .certificates import KIND_COTAME, Certificate
 from .errors import (IdentityInput, InternalIdentityFailure, NotAlternating,
                      NotSpecial, NotStructured, UnsupportedCharacteristic,
@@ -27,13 +26,12 @@ from .fields import RATIONALS, Field
 from .poly import DEFAULT_DEGREE_CAP, Polynomial
 from .reduce_core import (CommutatorProbe, affine_terminal,
                           endo_translation_word, find_noncommuting_c,
-                          reduce_parabolic_ref, reduce_triangular_ref)
+                          parabolic_route, reduce_triangular_ref)
 from .wordbuild import CertBuilder
 
 __all__ = [
     "MTriangularForm", "normalize_m_triangular", "find_noncommuting_c",
-    "CommutatorProbe", "reduce_triangular", "reduce_parabolic",
-    "reduce_m_triangular", "certify_normally_cotame",
+    "CommutatorProbe", "certify_normally_cotame",
 ]
 
 
@@ -245,39 +243,25 @@ def _triangular_word(field, n, endo: Endo) -> FactoredAuto:
     return FactoredAuto(field, n, [triangular_from_endo(endo)])
 
 
-def _xn_scalar(tau: Endo) -> "FieldElement":
-    parts = triangular_parts(tau)
-    return parts[0][-1]
-
-
 # -- the engines -----------------------------------------------------------------
-
-
-def _parabolic_route(builder, ref, probe: CommutatorProbe) -> str:
-    """probe.witness: pi with pi (alpha^{-1} phi alpha) pi^{-1} parabolic, so
-    phi = (alpha pi^{-1}) P (alpha pi^{-1})^{-1}."""
-    alpha = probe.alpha or FactoredAuto.identity(builder.field, builder.nvars)
-    conj_word = alpha * probe.witness.inverse()
-    return reduce_parabolic_ref(builder, ref, conj_word)
 
 
 def _engine_m1(builder, ref, form: MTriangularForm) -> str:
     """phi = alpha_0 tau_1 alpha_1: kill the trailing linear piece, then
     either the map is triangular or one probe produces a translation."""
     field, n = builder.field, builder.nvars
-    cur, form = _kill_trailing_alpha(builder, ref, form)
+    cur, form = _absorb_linear_slot(builder, ref, form, trailing=True)
     beta0, tau1 = form.alphas[0], form.taus[0]
     val = builder.value(cur)
     if classify(val).triangular:
         return reduce_triangular_ref(builder, cur)
     beta0_word = _linear_word(field, n, beta0)
     probe = find_noncommuting_c(val, beta0_word, n)
-    if probe.witness is not None:
-        return _parabolic_route(builder, cur, probe)
+    if probe.c is None:
+        return parabolic_route(builder, cur, probe)
     gamma_word = endo_translation_word(probe.gamma)
     # gamma^{-1} phi^{-1} gamma phi = gamma^{-1} tau1^{-1} eps tau1, a translation
-    c_el = field.from_int(probe.c)
-    eps = elementary(field, n, n, c_el).expand()
+    eps = probe.eps.expand()
     predicted = compose(
         invert_endo(probe.gamma),
         compose(compose(invert_endo(tau1), eps), tau1))
@@ -289,56 +273,42 @@ def _engine_m1(builder, ref, form: MTriangularForm) -> str:
     return affine_terminal(builder, step)
 
 
-def _kill_trailing_alpha(builder, ref, form: MTriangularForm):
-    """Conjugate by the trailing linear slot so the word ends in tau_m."""
+def _absorb_linear_slot(builder, ref, form: MTriangularForm, trailing: bool):
+    """Conjugate by the leading linear slot, or by the inverse of the
+    trailing one, so the word starts with tau_1 or ends in tau_m."""
     field, n = builder.field, builder.nvars
-    a_last = form.alphas[-1]
-    if a_last.is_identity():
+    a = form.alphas[-1 if trailing else 0]
+    if a.is_identity():
         return ref, form
-    word = _linear_word(field, n, a_last)
-    # a_last phi a_last^{-1} = conj(phi, a_last^{-1})
-    new = builder.add_step(
-        [(word.inverse(), ref, 1)], note="absorb trailing linear slot")
+    word = _linear_word(field, n, a)
+    side = "trailing" if trailing else "leading"
+    # a phi a^{-1} = conj(phi, a^{-1}) and a^{-1} phi a = conj(phi, a)
+    new = builder.add_step([(word.inverse() if trailing else word, ref, 1)],
+                           note=f"absorb {side} linear slot")
+    ident = Endo.identity(field, n)
     alphas = list(form.alphas)
-    alphas[0] = compose(a_last, alphas[0])
-    alphas[-1] = Endo.identity(field, n)
+    if trailing:
+        alphas[0], alphas[-1] = compose(a, alphas[0]), ident
+    else:
+        alphas[0], alphas[-1] = ident, compose(alphas[-1], a)
     new_form = MTriangularForm(alphas, list(form.taus))
     if new_form.expand() != builder.value(new):
-        raise InternalIdentityFailure("trailing-slot absorption failed")
-    return new, new_form
-
-
-def _kill_leading_alpha(builder, ref, form: MTriangularForm):
-    """Conjugate by the leading linear slot so the word starts with tau_1."""
-    field, n = builder.field, builder.nvars
-    a0 = form.alphas[0]
-    if a0.is_identity():
-        return ref, form
-    word = _linear_word(field, n, a0)
-    # a0^{-1} phi a0 = conj(phi, a0)
-    new = builder.add_step([(word, ref, 1)], note="absorb leading linear slot")
-    alphas = list(form.alphas)
-    alphas[0] = Endo.identity(field, n)
-    alphas[-1] = compose(alphas[-1], a0)
-    new_form = MTriangularForm(alphas, list(form.taus))
-    if new_form.expand() != builder.value(new):
-        raise InternalIdentityFailure("leading-slot absorption failed")
+        raise InternalIdentityFailure(f"{side}-slot absorption failed")
     return new, new_form
 
 
 def _engine_m2(builder, ref, form: MTriangularForm) -> str:
     field, n = builder.field, builder.nvars
-    cur, form = _kill_trailing_alpha(builder, ref, form)
+    cur, form = _absorb_linear_slot(builder, ref, form, trailing=True)
     beta0 = form.alphas[0]
     tau1, tau2 = form.taus
     alpha1 = form.alphas[1]
     val = builder.value(cur)
     beta0_word = _linear_word(field, n, beta0)
     probe = find_noncommuting_c(val, beta0_word, n)
-    if probe.witness is not None:
-        return _parabolic_route(builder, cur, probe)
-    c_el = field.from_int(probe.c)
-    eps = elementary(field, n, n, c_el).expand()
+    if probe.c is None:
+        return parabolic_route(builder, cur, probe)
+    eps = probe.eps.expand()
     passed = compose(compose(invert_endo(tau1), eps), tau1)
     if not classify(passed).translation:
         raise InternalIdentityFailure("axis translation failed to pass tau1")
@@ -357,7 +327,7 @@ def _engine_m2(builder, ref, form: MTriangularForm) -> str:
 
 def _engine_m3(builder, ref, form: MTriangularForm) -> str:
     field, n = builder.field, builder.nvars
-    cur, form = _kill_trailing_alpha(builder, ref, form)
+    cur, form = _absorb_linear_slot(builder, ref, form, trailing=True)
     while True:
         beta0 = form.alphas[0]
         tau1, tau2, tau3 = form.taus
@@ -372,10 +342,9 @@ def _engine_m3(builder, ref, form: MTriangularForm) -> str:
         val = builder.value(cur)
         beta0_word = _linear_word(field, n, beta0)
         probe = find_noncommuting_c(val, beta0_word, n)
-        if probe.witness is not None:
-            return _parabolic_route(builder, cur, probe)
-        c_el = field.from_int(probe.c)
-        eps = elementary(field, n, n, c_el).expand()
+        if probe.c is None:
+            return parabolic_route(builder, cur, probe)
+        eps = probe.eps.expand()
         passed = compose(compose(invert_endo(tau1), eps), tau1)
         gamma2 = compose(compose(invert_endo(alpha1), passed), alpha1)
         if not classify(gamma2).translation:
@@ -406,17 +375,16 @@ def _engine_m3(builder, ref, form: MTriangularForm) -> str:
 
 def _engine_m4(builder, ref, form: MTriangularForm) -> str:
     field, n = builder.field, builder.nvars
-    cur, form = _kill_leading_alpha(builder, ref, form)
+    cur, form = _absorb_linear_slot(builder, ref, form, trailing=False)
     tau1, tau2, tau3, tau4 = form.taus
     alpha1, alpha2, alpha3, alpha4 = form.alphas[1:]
     val = builder.value(cur)
     # symmetrization probe: gamma = alpha4^{-1} eps_{n,c} alpha4
     alpha4_word = _linear_word(field, n, alpha4)
     probe = find_noncommuting_c(val, alpha4_word.inverse(), n)
-    if probe.witness is not None:
-        return _parabolic_route(builder, cur, probe)
-    c_el = field.from_int(probe.c)
-    eps_inv = elementary(field, n, n, -c_el).expand()
+    if probe.c is None:
+        return parabolic_route(builder, cur, probe)
+    eps_inv = probe.eps.inverse().expand()
     eps_prime = compose(compose(tau4, eps_inv), invert_endo(tau4))
     if not classify(eps_prime).translation:
         raise InternalIdentityFailure("m=4 pass-through failed")
@@ -462,10 +430,9 @@ def _engine_m4_symmetric(builder, cur, sigma1, beta1, sigma2, beta2,
         val = builder.value(cur)
         beta1_word = _linear_word(field, n, beta1)
         probe = find_noncommuting_c(val, beta1_word, n)
-        if probe.witness is not None:
-            return _parabolic_route(builder, cur, probe)
-        c_el = field.from_int(probe.c)
-        eps = elementary(field, n, n, c_el).expand()
+        if probe.c is None:
+            return parabolic_route(builder, cur, probe)
+        eps = probe.eps.expand()
         eps2 = compose(compose(invert_endo(sigma2), eps), sigma2)
         if not classify(eps2).translation:
             raise InternalIdentityFailure("m=4 inner pass-through failed")
@@ -502,70 +469,27 @@ def _engine_m4_symmetric(builder, cur, sigma1, beta1, sigma2, beta2,
 
 
 def _dispatch_form(builder, ref, form: MTriangularForm) -> str:
-    val = builder.value(ref)
-    if val.is_identity():
-        raise IdentityInput("cannot reduce the identity")
+    """Run the engine for form.m; the caller has checked m <= 4."""
     m = form.m
     if m == 0:
         return affine_terminal(builder, ref)
     if m == 1:
-        if form.alphas[0].is_identity() and form.alphas[1].is_identity():
-            return reduce_triangular_ref(builder, ref)
         return _engine_m1(builder, ref, form)
     if m == 2:
         return _engine_m2(builder, ref, form)
     if m == 3:
         return _engine_m3(builder, ref, form)
-    if m == 4:
-        return _engine_m4(builder, ref, form)
-    raise UnsupportedM(
-        f"m = {m}: only m <= 4 is supported (nothing is proved beyond)")
+    return _engine_m4(builder, ref, form)
 
 
 # -- public surface ---------------------------------------------------------------
 
 
-def reduce_triangular(word: FactoredAuto, cap=None) -> Certificate:
-    """Certificate for a nontrivial special triangular automorphism."""
-    builder = CertBuilder(word.field, word.nvars, KIND_COTAME,
-                          cap=cap or DEFAULT_DEGREE_CAP)
-    seed = builder.add_seed(word, label="theta")
-    terminal = reduce_triangular_ref(builder, seed)
-    builder.meta["path"] = "triangular"
-    return builder.to_certificate(terminal, cite="triangular-descent")
-
-
-def reduce_parabolic(word: FactoredAuto,
-                     alpha: Optional[FactoredAuto] = None,
-                     cap=None) -> Certificate:
-    """Certificate for alpha * phi * alpha^{-1} with phi parabolic special."""
-    builder = CertBuilder(word.field, word.nvars, KIND_COTAME,
-                          cap=cap or DEFAULT_DEGREE_CAP)
-    seed = builder.add_seed(word, label="theta")
-    terminal = reduce_parabolic_ref(builder, seed, alpha)
-    builder.meta["path"] = "parabolic"
-    return builder.to_certificate(terminal, cite="parabolic-reduction")
-
-
-def reduce_m_triangular(word: FactoredAuto, cap=None) -> Certificate:
-    """Certificate for an m-triangular special word, m <= 4."""
-    builder = CertBuilder(word.field, word.nvars, KIND_COTAME,
-                          cap=cap or DEFAULT_DEGREE_CAP)
-    val = word.expand()
-    if val.is_identity():
-        raise IdentityInput("input is the identity")
-    form = normalize_m_triangular(word)
-    if form.m > 4:
-        raise UnsupportedM(f"m = {form.m} > 4 is not supported")
-    seed = builder.add_seed(word, label="theta")
-    terminal = _dispatch_form(builder, seed, form)
-    builder.meta["path"] = f"m-triangular-{form.m}"
-    return builder.to_certificate(terminal, cite="m-triangular-reduction")
-
-
 def certify_normally_cotame(word: FactoredAuto, cap=None) -> Certificate:
-    """Dispatcher: route a factored special automorphism to the applicable
-    reduction and return the finished certificate."""
+    """The certification entry point: route a factored special automorphism
+    to the applicable reduction (triangular descent, the m-triangular
+    engines for m <= 4, or the exponential chain) and return the finished
+    certificate."""
     field, n = word.field, word.nvars
     if field.kind != RATIONALS:
         raise UnsupportedCharacteristic(
@@ -575,6 +499,8 @@ def certify_normally_cotame(word: FactoredAuto, cap=None) -> Certificate:
         raise NotSpecial("input is not special (Jacobian determinant != 1)")
     if val.is_identity():
         raise IdentityInput("input is the identity")
+    builder = CertBuilder(field, n, KIND_COTAME,
+                          cap=cap or DEFAULT_DEGREE_CAP)
     exp_positions = [t for t, (f, _) in enumerate(word.factors)
                      if isinstance(f, ExpLND)]
     if exp_positions:
@@ -586,16 +512,24 @@ def certify_normally_cotame(word: FactoredAuto, cap=None) -> Certificate:
         D = factor.D
         prefix = FactoredAuto(field, n, word.factors[:-1])
         tau_word, alpha_word = _split_tau_alpha(prefix)
-        builder = CertBuilder(field, n, KIND_COTAME,
-                              cap=cap or DEFAULT_DEGREE_CAP)
         seed = builder.add_seed(word, label="theta")
         terminal = _route_exp(builder, seed, tau_word, alpha_word, F, D)
-        builder.meta["path"] = "exponential" if tau_word.is_identity_word() \
+        path = "exponential" if tau_word.is_identity_word() \
             and alpha_word.is_identity_word() else "triangular-exponential"
-        return builder.to_certificate(terminal, cite="exponential-reduction")
-    if classify(val).triangular:
-        return reduce_triangular(word, cap=cap)
-    return reduce_m_triangular(word, cap=cap)
+        cite = "exponential-reduction"
+    elif classify(val).triangular:
+        seed = builder.add_seed(word, label="theta")
+        terminal = reduce_triangular_ref(builder, seed)
+        path, cite = "triangular", "triangular-descent"
+    else:
+        form = normalize_m_triangular(word)
+        if form.m > 4:
+            raise UnsupportedM(f"m = {form.m} > 4 is not supported")
+        seed = builder.add_seed(word, label="theta")
+        terminal = _dispatch_form(builder, seed, form)
+        path, cite = f"m-triangular-{form.m}", "m-triangular-reduction"
+    builder.meta["path"] = path
+    return builder.to_certificate(terminal, cite=cite)
 
 
 def _route_exp(builder, seed, tau_word, alpha_word, F, D):

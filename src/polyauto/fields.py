@@ -212,7 +212,7 @@ class Field:
             return "Q"
         if self.kind == PRIME:
             return f"F{self.p}"
-        return f"F{self.order}/{_modulus_text(self.modulus)}"
+        return f"F{self.order}/{element_text(self, self.modulus)}"
 
     # -- payload arithmetic ----------------------------------------------
 
@@ -400,20 +400,6 @@ class Field:
             m += 1
 
 
-def _modulus_text(modulus) -> str:
-    parts = []
-    for e in range(len(modulus) - 1, -1, -1):
-        c = modulus[e]
-        if not c:
-            continue
-        if e == 0:
-            parts.append(str(c))
-        else:
-            t = "t" if e == 1 else f"t^{e}"
-            parts.append(t if c == 1 else f"{c}*{t}")
-    return "+".join(parts) if parts else "0"
-
-
 class FieldElement:
     """Immutable element of a Field; supports the usual operators."""
 
@@ -500,12 +486,14 @@ class FieldElement:
 
 
 def element_text(field: Field, payload) -> str:
+    """Text of an element payload; over an extension field any coefficient
+    tuple in t, the modulus included (`Field.tag`)."""
     if field.kind == RATIONALS:
         return str(payload)
     if field.kind == PRIME:
         return str(payload)
     parts = []
-    for e in range(field.s - 1, -1, -1):
+    for e in range(len(payload) - 1, -1, -1):
         c = payload[e]
         if not c:
             continue

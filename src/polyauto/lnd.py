@@ -11,7 +11,8 @@ For tau * alpha * exp(FD) the chain of the corresponding theorem is
 followed; when the descent invariant degenerates (F of x_n-degree <= 1
 makes the second commutator collapse to the identity) the intermediate
 value is itself parabolic and the engine hands over to the parabolic
-reduction instead of failing.
+reduction instead of failing.  The probe, the parabolic last-axis
+commutator and the triangular descent are the shared ones of reduce_core.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .errors import (DegenerateChain, IdentityInput, InternalIdentityFailure,
                      KernelViolation, UnsupportedCharacteristic)
 from .fields import RATIONALS
 from .poly import Polynomial
-from .reduce_core import (max_var_degree, reduce_parabolic_ref,
-                          reduce_triangular_ref)
+from .reduce_core import (find_noncommuting_c, parabolic_route,
+                          reduce_parabolic_ref, reduce_triangular_ref)
 from .slin import axis_shift
 from .wordbuild import CertBuilder
 
@@ -72,29 +73,9 @@ def reduce_exponential_ref(builder: CertBuilder, ref: str,
             expect=expected,
             note=f"exp descent deg_xn {F_t.deg_in(n)} -> {F_next.deg_in(n)}")
         F_t = F_next
-    # base: F_t is free of x_n and nonzero, so exp(F_t D) != id
-    val = builder.value(cur)
-    if classify(val).triangular:
-        return reduce_triangular_ref(builder, cur)
-    pick = None
-    for i in range(1, n):
-        diff = val.components[i - 1] - Polynomial.variable(field, n, i)
-        if not diff.is_zero():
-            pick = (i, diff)
-            break
-    if pick is None:
-        raise InternalIdentityFailure(
-            "exp base case moves only x_n but was not triangular")
-    i, q = pick
-    eps_xi = elementary(field, n, n, Polynomial.variable(field, n, i))
-    expected_comps = [Polynomial.variable(field, n, t)
-                      for t in range(1, n + 1)]
-    expected_comps[n - 1] = expected_comps[n - 1] + q
-    expected = Endo(field, n, expected_comps)
-    step = builder.add_step(
-        [(eps_xi, cur, -1), (None, cur, 1)],
-        expect=expected, note=f"exp base commutator with x{i}")
-    return reduce_triangular_ref(builder, step)
+    # base: F_t is free of x_n and nonzero, so exp(F_t D) != id and it is
+    # parabolic with x_n-coefficient 1
+    return reduce_parabolic_ref(builder, cur, note="exp base")
 
 
 def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
@@ -121,58 +102,46 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
     ta = compose(tau, alpha)
     if ta.is_identity():
         return reduce_exponential_ref(builder, ref, F, D)
-    exp_val = Endo(field, n, exp_images(F, D))
+    probe = find_noncommuting_c(phi, None, n)
+    if probe.c is None:
+        return parabolic_route(builder, ref, probe)
     exp_word_inv = FactoredAuto(field, n, [(ExpLND(field, n, F, D), -1)])
-    alpha_inv = invert_endo(alpha)
-    tau_inv = invert_endo(tau)
-    B = max(max_var_degree(phi) + 1, 2)
-    phi_inv = builder.inverse(ref)
-    for c in range(1, B + 1):
-        c_el = field.from_int(c)
-        eps_c = elementary(field, n, n, c_el)
-        eps_val = eps_c.expand()
-        phi0 = compose(compose(compose(eps_c.inverse().expand(), phi_inv),
-                               eps_val), phi)
-        if phi0.is_identity():
-            continue
-        step0 = builder.add_step(
-            [(eps_c, ref, -1), (None, ref, 1)],
-            expect=phi0, note=f"exp chain commutator c={c}")
-        # conjugate through exp(FD)
-        G = axis_shift(F, n, -c_el) - F
-        passed = compose(compose(tau_inv, eps_val), tau)
-        if not classify(passed).translation:
-            raise InternalIdentityFailure(
-                "axis translation did not pass through tau as a translation")
-        gamma = compose(compose(alpha_inv, passed), alpha)
-        if not classify(gamma).translation:
-            raise InternalIdentityFailure(
-                "conjugated translation is not a translation")
-        predicted = compose(compose(eps_c.inverse().expand(),
-                                    Endo(field, n, exp_images(G, D))), gamma)
-        phi1 = builder.add_step(
-            [(exp_word_inv, step0, 1)],
-            expect=predicted, note="conjugate the commutator through exp(FD)")
-        if builder.value(phi1).is_identity():
-            continue
-        if G.deg_in(n) == 0:
-            # exp(GD) and both translations are parabolic-shaped
-            if not classify(builder.value(phi1)).parabolic:
-                raise DegenerateChain(
-                    "chain collapsed but the intermediate value is not "
-                    "parabolic; no reduction route remains")
-            return reduce_parabolic_ref(builder, phi1, None)
-        H = G - axis_shift(G, n, c_el)
-        exp_H = Endo(field, n, exp_images(H, D))
-        if exp_H.is_identity():
-            raise DegenerateChain(
-                "exp(HD) degenerated to the identity with deg_xn G > 0")
-        step2 = builder.add_step(
-            [(eps_c.inverse(), phi1, 1), (None, phi1, -1)],
-            expect=exp_H, note="second commutator lands in exp form")
-        return reduce_exponential_ref(builder, step2, H, D)
-    # phi commutes with every eps_{n,c}: it is parabolic outright
-    if not classify(phi).parabolic:
+    c_el = field.from_int(probe.c)
+    eps_c, eps_val = probe.eps, probe.gamma
+    phi0 = compose(compose(compose(eps_c.inverse().expand(),
+                                   builder.inverse(ref)), eps_val), phi)
+    step0 = builder.add_step(
+        [(eps_c, ref, -1), (None, ref, 1)],
+        expect=phi0, note=f"exp chain commutator c={probe.c}")
+    # conjugate through exp(FD); a conjugate of phi0 != id is never the
+    # identity
+    G = axis_shift(F, n, -c_el) - F
+    passed = compose(compose(invert_endo(tau), eps_val), tau)
+    if not classify(passed).translation:
         raise InternalIdentityFailure(
-            "probe exhausted but the map is not parabolic")
-    return reduce_parabolic_ref(builder, ref, None)
+            "axis translation did not pass through tau as a translation")
+    gamma = compose(compose(invert_endo(alpha), passed), alpha)
+    if not classify(gamma).translation:
+        raise InternalIdentityFailure(
+            "conjugated translation is not a translation")
+    predicted = compose(compose(eps_c.inverse().expand(),
+                                Endo(field, n, exp_images(G, D))), gamma)
+    phi1 = builder.add_step(
+        [(exp_word_inv, step0, 1)],
+        expect=predicted, note="conjugate the commutator through exp(FD)")
+    if G.deg_in(n) == 0:
+        # exp(GD) and both translations are parabolic-shaped
+        if not classify(builder.value(phi1)).parabolic:
+            raise DegenerateChain(
+                "chain collapsed but the intermediate value is not "
+                "parabolic; no reduction route remains")
+        return reduce_parabolic_ref(builder, phi1)
+    H = G - axis_shift(G, n, c_el)
+    exp_H = Endo(field, n, exp_images(H, D))
+    if exp_H.is_identity():
+        raise DegenerateChain(
+            "exp(HD) degenerated to the identity with deg_xn G > 0")
+    step2 = builder.add_step(
+        [(eps_c.inverse(), phi1, 1), (None, phi1, -1)],
+        expect=exp_H, note="second commutator lands in exp form")
+    return reduce_exponential_ref(builder, step2, H, D)

@@ -1,10 +1,11 @@
 """Shared reduction machinery for the characteristic-zero engines: the
-commutator probe with its parabolic fallback witness, the triangular
-descent, the parabolic reduction, and the affine terminal chain.
+commutator probe and its parabolic witness route, the triangular descent,
+the parabolic last-axis commutator, and the affine terminal chain.
 
-Both the m-triangular engine (cotame) and the exponential engine (lnd) build
-on these; the functions append verified steps to a CertBuilder and return
-the label of the step holding the nontrivial elementary terminal.
+These are the only copies of the reduction moves; the m-triangular engine
+(cotame) and the exponential engine (lnd) call them.  The functions append
+verified steps to a CertBuilder and return the label of the step holding
+the nontrivial elementary terminal.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ class CommutatorProbe:
     alpha: Optional[FactoredAuto]
     k: int
     bound: int
-    c: Optional[int] = None
+    c: Optional[int] = None               # None: every c in 1..bound commutes
+    eps: Optional[FactoredAuto] = None    # eps_{k,c}, its expansion cached
     gamma: Optional[Endo] = None          # the translation alpha eps_{k,c} alpha^{-1}
-    witness: Optional[FactoredAuto] = None  # pi with pi (a^-1 phi a) pi^-1 parabolic
 
 
 def find_noncommuting_c(phi: Endo, alpha: Optional[FactoredAuto],
@@ -56,8 +57,8 @@ def find_noncommuting_c(phi: Endo, alpha: Optional[FactoredAuto],
     commutator being polynomials of degree < B in c, so vanishing at B
     points forces vanishing identically.
 
-    On failure returns a parabolic witness: pi in SL_n with
-    pi (alpha^{-1} phi alpha) pi^{-1} parabolic.
+    When every c commutes the probe comes back with c = None; then
+    `parabolic_witness` conjugates phi to a parabolic map.
     """
     field = phi.field
     _require_char_zero(field)
@@ -66,25 +67,39 @@ def find_noncommuting_c(phi: Endo, alpha: Optional[FactoredAuto],
     alpha_val = alpha.expand() if alpha is not None else None
     alpha_inv = alpha.inverse().expand() if alpha is not None else None
     for c in range(1, B + 1):
-        eps = elementary(field, n, k, field.from_int(c)).expand()
+        eps = elementary(field, n, k, field.from_int(c))
+        gamma = eps.expand()
         if alpha_val is not None:
-            gamma = compose(compose(alpha_val, eps), alpha_inv)
-        else:
-            gamma = eps
+            gamma = compose(compose(alpha_val, gamma), alpha_inv)
         if compose(gamma, phi) != compose(phi, gamma):
-            return CommutatorProbe(alpha, k, B, c=c, gamma=gamma)
-    # no c works: phi (conjugated back by alpha) is parabolic after the
-    # signed swap pushing axis k to the last slot
+            return CommutatorProbe(alpha, k, B, c=c, eps=eps, gamma=gamma)
+    return CommutatorProbe(alpha, k, B)
+
+
+def parabolic_witness(phi: Endo, probe: CommutatorProbe) -> FactoredAuto:
+    """For an exhausted probe, pi in SL_n with pi (alpha^{-1} phi alpha)
+    pi^{-1} parabolic: the signed swap pushing axis k to the last slot."""
+    field, n = phi.field, phi.nvars
     psi = phi
-    if alpha_val is not None:
-        psi = compose(compose(alpha_inv, phi), alpha_val)
-    pi = _parabolic_normalizer(field, n, k)
+    if probe.alpha is not None:
+        psi = compose(compose(probe.alpha.inverse().expand(), phi),
+                      probe.alpha.expand())
+    pi = _parabolic_normalizer(field, n, probe.k)
     conj_val = compose(compose(pi.expand(), psi), pi.inverse().expand())
     if not classify(conj_val).parabolic:
         raise InternalIdentityFailure(
             "probe exhausted but the parabolic witness failed; "
             "the degree bound argument was violated")
-    return CommutatorProbe(alpha, k, B, witness=pi)
+    return pi
+
+
+def parabolic_route(builder: CertBuilder, ref: str,
+                    probe: CommutatorProbe) -> str:
+    """The probe on `ref` is exhausted, so with pi its parabolic witness
+    phi = (alpha pi^{-1}) P (alpha pi^{-1})^{-1}; reduce P."""
+    pi = parabolic_witness(builder.value(ref), probe)
+    alpha = probe.alpha or FactoredAuto.identity(builder.field, builder.nvars)
+    return reduce_parabolic_ref(builder, ref, alpha * pi.inverse())
 
 
 def _parabolic_normalizer(field: Field, n: int, k: int) -> FactoredAuto:
@@ -142,19 +157,15 @@ def affine_terminal(builder: CertBuilder, ref: str) -> str:
 def _axis_probe_translation(val: Endo, val_inv: Endo) -> Tuple[FactoredAuto, Endo]:
     """Find an axis translation gamma with gamma^{-1} tau^{-1} gamma tau != id.
     Exists whenever tau is not itself a translation-commuting map, i.e.
-    whenever tau is outside the translation subgroup; the grid bound is
-    per-variable-degree + 1 on each axis."""
-    field, n = val.field, val.nvars
-    B = max_var_degree(val) + 1
-    for k in range(1, n + 1):
-        for c in range(1, B + 1):
-            gamma = elementary(field, n, k, field.from_int(c))
-            gval = gamma.expand()
-            if compose(gval, val) != compose(val, gval):
-                commutator = compose(
-                    compose(compose(gamma.inverse().expand(), val_inv), gval),
-                    val)
-                return gamma, commutator
+    whenever tau is outside the translation subgroup; the axes are probed
+    in order and an axis that commutes is skipped."""
+    for k in range(1, val.nvars + 1):
+        probe = find_noncommuting_c(val, None, k)
+        if probe.c is not None:
+            commutator = compose(
+                compose(compose(probe.eps.inverse().expand(), val_inv),
+                        probe.gamma), val)
+            return probe.eps, commutator
     raise InternalIdentityFailure(
         "no axis translation fails to commute with a non-affine triangular "
         "map; this contradicts the translation-centralizer lemma")
@@ -222,10 +233,12 @@ def _sl_diag_split(alpha: FactoredAuto):
 
 
 def reduce_parabolic_ref(builder: CertBuilder, ref: str,
-                         alpha: Optional[FactoredAuto] = None) -> str:
+                         alpha: Optional[FactoredAuto] = None,
+                         note: str = "parabolic") -> str:
     """The base value is alpha (phi) alpha^{-1} for a parabolic special phi;
     conjugate back by the SL part of alpha (the diagonal part preserves the
-    parabolic shape) and run the last-axis commutator reduction."""
+    parabolic shape) and run the last-axis commutator reduction.  `note`
+    opens the STEP note of the commutator."""
     val = builder.value(ref)
     _require_char_zero(val.field)
     field, n = val.field, val.nvars
@@ -262,5 +275,5 @@ def reduce_parabolic_ref(builder: CertBuilder, ref: str,
     step = builder.add_step(
         [(eps, cur, -1), (None, cur, 1)],
         expect=expected,
-        note=f"parabolic commutator with x{pick}")
+        note=f"{note} commutator with x{pick}")
     return reduce_triangular_ref(builder, step)

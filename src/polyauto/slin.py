@@ -27,12 +27,13 @@ from .fields import EXTENSION, PRIME, RATIONALS, Field, FieldElement
 from .poly import Polynomial
 from .wordbuild import CertBuilder
 
+UNIT_SEARCH_BOUND = 64  # units tried for b with b^(d+1) != 1 (proof case 1)
+
 
 @dataclass(frozen=True)
 class SlinContext:
     field: Field
     nvars: int
-    unit_search_bound: int = 64
 
     def __post_init__(self):
         if self.nvars < 2:
@@ -329,7 +330,7 @@ class _SlinEngine:
         self.cases_used.add("1")
         d = exps[pick - 1]
         b = None
-        for u in field.units(bound=self.ctx.unit_search_bound):
+        for u in field.units(bound=UNIT_SEARCH_BOUND):
             if u ** (d + 1) != field.one:
                 b = u
                 break

@@ -19,10 +19,6 @@ from .poly import Polynomial
 
 # -- field tags -------------------------------------------------------------
 
-def field_tag(field: Field) -> str:
-    return field.tag()
-
-
 def parse_field(text: str) -> Field:
     text = text.strip()
     if text == "Q":

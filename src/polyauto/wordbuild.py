@@ -49,13 +49,11 @@ class CertBuilder:
 
     # -- seeds ---------------------------------------------------------------
 
-    def add_seed(self, word: FactoredAuto, label: Optional[str] = None,
-                 require_special: bool = True) -> str:
+    def add_seed(self, word: FactoredAuto,
+                 label: Optional[str] = None) -> str:
         value = word.expand(cap=self.cap)
-        if require_special:
-            one = Polynomial.one(self.field, self.nvars)
-            if jacobian_det(value) != one:
-                raise NotSpecial("seed has Jacobian determinant != 1")
+        if jacobian_det(value) != Polynomial.one(self.field, self.nvars):
+            raise NotSpecial("seed has Jacobian determinant != 1")
         existing = self._seed_index.get(value)
         if existing is not None and label is None:
             return existing

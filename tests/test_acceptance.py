@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v` (add -s to stream the
 per-criterion lines).
 """
 
+import hashlib
 import random
 
 import pytest
@@ -187,23 +188,85 @@ def corpus_words():
     return words
 
 
+# SHA-256 of each corpus certificate's .nct bytes.  Engine refactors must
+# leave them unchanged; only a deliberate change of the engines' output or
+# of the format may rewrite this table.
+CORPUS_SHA256 = {
+    "00-triangular": "84b10c841b81ed00bee57811a5fc9ef3"
+        "28a8262790062f909754817bec5ff216",
+    "01-triangular": "2b9d08c19cfcfc96595b324716d66ca0"
+        "eea71e89b10b2df931e2f9eff402326f",
+    "02-triangular": "270faf2f69092c60d6e6a3d10140836d"
+        "e16fd6cd8dda895bc98fa94aeb0c1ce2",
+    "03-triangular": "dbe870b059598ee5e30f3a942037ecbc"
+        "08e604b7f1e00b255bb7e138b5de09bf",
+    "04-triangular": "6e1cf9eb756f06d61b45a3a56d8436a4"
+        "0450b8a2337bda1416d60772ff7ac13a",
+    "05-triangular": "9b68836f4dbfc2c6033258d3dce638de"
+        "a915231bee22e4edbdf32108a02544b7",
+    "06-triangular": "cd6fddbec85f59828dcb47072e3654dd"
+        "05052a7dbf43ac242f9269df053a2588",
+    "07-triangular": "4b59bc42eb7498c510972ef0c15e5db5"
+        "013c47009ee8681883ef42243e9573e5",
+    "08-triangular": "c93ae7d37f8689b53d873598b5cdf969"
+        "11a88b55b1221444d0f38e2536156a7b",
+    "09-triangular": "cb9c021bcd1526451cd002f96d769ca7"
+        "c1d91fb4085ca7bc67686121c7de919b",
+    "10-triangular": "7821d4173f699a3e944fea842d053cc7"
+        "f179d83da0c38896a770600140b3e490",
+    "11-triangular": "09d07c7cbfe9914879c1af5fede44a51"
+        "5b32e6b7fa80eca3d157f5bdd19925f5",
+    "12-2-triangular": "0a7fb33fb590bac5da93485a7b9c9563"
+        "d24e59f7930f555d72fa6bdbd5cff0d7",
+    "13-2-triangular": "7064c44cd98dfc994e38d2ee4a91c802"
+        "1fcb32a74ccbe2713a7b1fb0e0e61226",
+    "14-3-triangular": "f278baa86e234e81dbc77eb086ace3ed"
+        "0d4a7b76ad5834cccd092b42405ef72a",
+    "15-4-triangular": "036666e688dac438b53f92ee33869aa7"
+        "b42fb7ef73f9bc05e38bc8aea0bcc6fb",
+    "16-3-triangular": "079e8ba36388c5dbc7ca2fad25397449"
+        "0045f5104925b37206a676f6e6c7094b",
+    "17-2-triangular": "6a8709a9802f08d6e29ad798db42cb91"
+        "8b3d4db80c1990e70ba429173e3ac56e",
+    "18-4-triangular": "e9d64d1d5af4c56e9cf6c801682b53d6"
+        "21564b6d24ff1b90766e64f4c94894f6",
+    "19-phi2": "548e7a404e02e37dd5793c9ee98a379e"
+        "b62403573bef1f4850aa2db17f6f995b",
+    "20-phi4": "efa1ddee5fa7819da2b3edd963218de4"
+        "acd523d2161f62ebaa6f0d75d1bc17ee",
+    "21-vdE": "6421eec7c5d5004f738eb9d3a2a58339"
+        "c4bdbeee23c5d33da3fd123f107cc240",
+    "22-exp-type-0": "1a0caac5be4e37e3f9ca349d2910f4ed"
+        "8bfb1ba5caa35b82514040396ca6b90b",
+    "23-exp-type-1": "23dcbb5fb8d7c39eca16df8281ddfdf3"
+        "5118030761f9a965df3836c05de43c36",
+    "24-exp-type-2": "7f5d1c04a74d6eeba31d6e3dd78124c6"
+        "46377c68816a42bb75337367d8e0f007",
+}
+
+
 def test_criterion_4_certification_corpus():
     words = corpus_words()
     assert len(words) >= 25
     bad = []
-    for name, word in words:
+    for index, (name, word) in enumerate(words):
+        key = f"{index:02d}-{name}"
         try:
             cert = certify_normally_cotame(word)
             rep = verify_certificate(cert)
             if rep.verdict != "PASS":
-                bad.append((name, rep.verdict))
+                bad.append((key, rep.verdict))
                 continue
+            text = serialize_certificate(cert)
+            if hashlib.sha256(text.encode()).hexdigest() \
+                    != CORPUS_SHA256.get(key):
+                bad.append((key, "certificate bytes changed"))
             # serialization round trip preserves the verdict
-            again = parse_certificate(serialize_certificate(cert))
+            again = parse_certificate(text)
             if verify_certificate(again).verdict != "PASS":
-                bad.append((name, "round-trip verdict changed"))
+                bad.append((key, "round-trip verdict changed"))
         except Exception as exc:  # noqa: BLE001 - report below
-            bad.append((name, f"{type(exc).__name__}: {exc}"))
+            bad.append((key, f"{type(exc).__name__}: {exc}"))
     report(4, not bad or pytest.fail(f"corpus failures: {bad}"))
 
 

@@ -7,6 +7,7 @@ from polyauto.certificates import (KIND_COTAME, KIND_SLIN, Step, WordItem,
 from polyauto.errors import ParseError
 from polyauto.fields import Field
 from polyauto.poly import Polynomial
+from polyauto.textio import parse_factored
 from polyauto.wordbuild import CertBuilder
 
 Q = Field.rationals()
@@ -171,11 +172,11 @@ def test_mutation_killing():
     assert mutants >= 4
 
 
-def corpus_certificate_text():
-    """Serialized certificate of the first acceptance-corpus word."""
+def corpus_certificate_text(index=0):
+    """Serialized certificate of an acceptance-corpus word."""
     from polyauto.cotame import certify_normally_cotame
     from test_acceptance import corpus_words
-    _, word = corpus_words()[0]
+    _, word = corpus_words()[index]
     text = serialize_certificate(certify_normally_cotame(word))
     assert verify_certificate(parse_certificate(text)).verdict == "PASS"
     return text
@@ -194,3 +195,25 @@ def test_unknown_kind_rejected():
     with pytest.raises(ParseError, match="kind"):
         parse_certificate(text.replace("\nKIND normal-cotame\n",
                                        "\nKIND bogus\n", 1))
+
+
+def test_repeated_header_rejected():
+    # read over F5 from the second FIELD line on, this certificate over Q
+    # would still verify
+    text = corpus_certificate_text(2)
+    assert "\nFIELD Q\n" in text
+    with pytest.raises(ParseError, match="repeated FIELD"):
+        parse_certificate(
+            text.replace("\nFIELD Q\n", "\nFIELD Q\nFIELD F5\n", 1))
+
+
+def test_missing_kind_rejected():
+    # an slin certificate with a nonlinear seed fails; without its KIND line
+    # it must not be read as normal-cotame, where it would pass
+    b = CertBuilder(Q, 2, KIND_SLIN)
+    seed = b.add_seed(parse_factored("[Q,2] E(1; x2^2)"), label="s0")
+    text = serialize_certificate(b.to_certificate(b.passthrough(seed)))
+    assert verify_certificate(parse_certificate(text)).verdict == "FAIL"
+    assert f"\nKIND {KIND_SLIN}\n" in text
+    with pytest.raises(ParseError, match="KIND"):
+        parse_certificate(text.replace(f"\nKIND {KIND_SLIN}\n", "\n", 1))

@@ -7,17 +7,30 @@ from gen import (rand_m_triangular_word, rand_mixed_word, rand_sl_word,
 from polyauto.autos import (Endo, FactoredAuto, classify, compose,
                             elementary, jacobian_det, linear_elementary,
                             translation, vector_degree)
-from polyauto.certificates import verify_certificate
+from polyauto.certificates import KIND_COTAME, verify_certificate
 from polyauto.cotame import (certify_normally_cotame, find_noncommuting_c,
-                             normalize_m_triangular, reduce_m_triangular,
-                             reduce_parabolic, reduce_triangular)
+                             normalize_m_triangular)
 from polyauto.errors import (IdentityInput, NotSpecial, NotTriangular,
                              UnsupportedCharacteristic, UnsupportedM)
 from polyauto.fields import Field
 from polyauto.poly import Polynomial
+from polyauto.reduce_core import (parabolic_witness, reduce_parabolic_ref,
+                                  reduce_triangular_ref)
 from polyauto.textio import parse_factored
+from polyauto.wordbuild import CertBuilder
 
 Q = Field.rationals()
+
+
+def seeded_builder(word):
+    builder = CertBuilder(word.field, word.nvars, KIND_COTAME)
+    return builder, builder.add_seed(word, label="theta")
+
+
+def parabolic_cert(word):
+    """Certificate of the parabolic reduction run directly on `word`."""
+    builder, seed = seeded_builder(word)
+    return builder.to_certificate(reduce_parabolic_ref(builder, seed))
 
 
 # -- normalization ---------------------------------------------------------
@@ -74,18 +87,24 @@ def test_probe_finds_c_equal_one():
     phi = elementary(Q, 2, 1, Polynomial.variable(Q, 2, 2) ** 2).expand()
     probe = find_noncommuting_c(phi, None, 2)
     assert probe.c == 1
-    assert probe.witness is None
+    assert probe.gamma == elementary(Q, 2, 2, 1).expand()
+
+
+def assert_witness(phi, probe):
+    assert probe.c is None and probe.gamma is None
+    pi = parabolic_witness(phi, probe)
+    conj = compose(compose(pi.expand(), phi), pi.inverse().expand())
+    assert classify(conj).parabolic
 
 
 def test_probe_translation_gives_witness():
     phi = translation(Q, 3, [1, 2, 3]).expand()
-    probe = find_noncommuting_c(phi, None, 2)
-    assert probe.witness is not None
+    assert_witness(phi, find_noncommuting_c(phi, None, 2))
 
 
 def test_probe_identity_gives_witness():
-    probe = find_noncommuting_c(Endo.identity(Q, 2), None, 1)
-    assert probe.witness is not None
+    phi = Endo.identity(Q, 2)
+    assert_witness(phi, find_noncommuting_c(phi, None, 1))
 
 
 def test_probe_positive_characteristic_rejected(F5):
@@ -98,7 +117,7 @@ def test_probe_positive_characteristic_rejected(F5):
 
 def test_reduce_triangular_spec_example():
     word = parse_factored("[Q,2] E(2; x1^2)")
-    cert = reduce_triangular(word)
+    cert = certify_normally_cotame(word)
     rep = verify_certificate(cert)
     assert rep.verdict == "PASS", rep.format()
     # one vd-descent step from (0,2) to an affine value, then the affine tail
@@ -108,20 +127,23 @@ def test_reduce_triangular_spec_example():
 
 def test_reduce_triangular_df_base():
     word = parse_factored("[Q,2] T(2, 1; 1/2)")
-    cert = reduce_triangular(word)
+    cert = certify_normally_cotame(word)
     assert verify_certificate(cert).verdict == "PASS"
 
 
 def test_reduce_triangular_translation_input():
-    cert = reduce_triangular(translation(Q, 2, [0, 3]))
+    cert = certify_normally_cotame(translation(Q, 2, [0, 3]))
     assert verify_certificate(cert).verdict == "PASS"
 
 
 def test_reduce_triangular_errors():
     with pytest.raises(IdentityInput):
-        reduce_triangular(FactoredAuto.identity(Q, 2))
+        certify_normally_cotame(FactoredAuto.identity(Q, 2))
+    # the entry point routes a non-triangular word elsewhere, so the
+    # descent's own refusal is checked on the descent
+    builder, seed = seeded_builder(parse_factored("[Q,2] E(1; x2^2)"))
     with pytest.raises(NotTriangular):
-        reduce_triangular(parse_factored("[Q,2] E(1; x2^2)"))
+        reduce_triangular_ref(builder, seed)
 
 
 def test_reduce_triangular_random():
@@ -133,7 +155,7 @@ def test_reduce_triangular_random():
         word = FactoredAuto(Q, n, [(tau, 1)])
         if word.expand().is_identity():
             continue
-        cert = reduce_triangular(word)
+        cert = certify_normally_cotame(word)
         rep = verify_certificate(cert)
         assert rep.verdict == "PASS", rep.format()
         done += 1
@@ -148,20 +170,20 @@ def test_reduce_parabolic_direct():
         "[Q,3] S(2,1,3; 1,-1,1) * E(3; x1*x2)")
     val = word.expand()
     assert classify(val).parabolic and classify(val).special
-    cert = reduce_parabolic(word)
+    cert = parabolic_cert(word)
     rep = verify_certificate(cert)
     assert rep.verdict == "PASS", rep.format()
 
 
 def test_reduce_parabolic_triangular_delegation():
     word = parse_factored("[Q,3] E(3; x1^2+x2)")
-    cert = reduce_parabolic(word)
+    cert = parabolic_cert(word)
     assert verify_certificate(cert).verdict == "PASS"
 
 
 def test_reduce_parabolic_identity_rejected():
     with pytest.raises(IdentityInput):
-        reduce_parabolic(In := FactoredAuto.identity(Q, 3))
+        parabolic_cert(FactoredAuto.identity(Q, 3))
 
 
 # -- m-triangular -------------------------------------------------------------------------
@@ -172,7 +194,7 @@ def test_m2_engine_elementary_conjugates():
     lam = linear_elementary(Q, 2, 2, 1, 1)
     word = (parse_factored("[Q,2] E(1; x2^2)") * lam
             * parse_factored("[Q,2] E(2; x1^3)") * lam.inverse())
-    cert = reduce_m_triangular(word)
+    cert = certify_normally_cotame(word)
     rep = verify_certificate(cert)
     assert rep.verdict == "PASS", rep.format()
 
@@ -224,14 +246,14 @@ def test_m5_rejected():
     form = normalize_m_triangular(word)
     assert form.m == 5
     with pytest.raises(UnsupportedM):
-        reduce_m_triangular(word)
+        certify_normally_cotame(word)
 
 
 def test_identity_input_rejected():
     word = parse_factored("[Q,2] E(2; x1^2)") \
         * parse_factored("[Q,2] E(2; x1^2)").inverse()
     with pytest.raises(IdentityInput):
-        reduce_m_triangular(word)
+        certify_normally_cotame(word)
 
 
 def test_dispatcher_rejects_nonspecial():

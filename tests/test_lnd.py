@@ -189,3 +189,34 @@ def test_exp_descent_degree_invariant():
         images[n - 1] = images[n - 1] + Polynomial.one(Q, n)
         dropped = F - F.substitute(images)
         assert dropped.deg_in(n) == F.deg_in(n) - 1
+
+
+def test_reduce_exponential_parabolic_base():
+    # D = d/dx1 and F = x2 x3: one descent step ends at exp(-x2 D), which
+    # moves x1 by -x2, so the base is parabolic but not triangular and the
+    # shared last-axis commutator finishes it
+    n = 3
+    x = [Polynomial.variable(Q, n, i) for i in range(1, 4)]
+    zero = Polynomial.zero(Q, n)
+    D = TriDerivation(Q, n, (Polynomial.one(Q, n), zero, zero))
+    cert = certify_exp(x[1] * x[2], D)
+    rep = verify_certificate(cert)
+    assert rep.verdict == "PASS", rep.format()
+    notes = [s.note for s in cert.steps]
+    assert "exp base commutator with x1" in notes
+    assert any(note.startswith("exp descent") for note in notes)
+
+
+def test_reduce_triangular_exponential_exhausted_probe():
+    # alpha * exp(x2^2 d/dx1) commutes with every x3-translation, so the
+    # probe finds no c and the parabolic witness route takes over
+    from polyauto.autos import linear_elementary
+    n = 3
+    x2 = Polynomial.variable(Q, n, 2)
+    zero = Polynomial.zero(Q, n)
+    D = TriDerivation(Q, n, (Polynomial.one(Q, n), zero, zero))
+    cert = certify_exp(x2 ** 2, D, alpha=linear_elementary(Q, n, 2, 1, 1))
+    rep = verify_certificate(cert)
+    assert rep.verdict == "PASS", rep.format()
+    assert cert.meta["path"] == "triangular-exponential"
+    assert cert.steps[0].note == "parabolic commutator with x1"

@@ -60,8 +60,7 @@ def test_commutator_identity_errors():
 
 def test_transfer_inverse_case():
     b = builder()
-    src = b.add_seed(elementary(Q, 2, 1, 1), label="src",
-                     require_special=True)
+    src = b.add_seed(elementary(Q, 2, 1, 1), label="src")
     lbl = translation_transfer(b, src, 1, Q.from_int(-1))
     assert b.value(lbl) == elementary(Q, 2, 1, -1).expand()
     # a single inversion step
@@ -113,8 +112,7 @@ def test_translation_from_any_identity_rejected():
 
 def provide_factory(b):
     def provide(axis, const):
-        return b.add_seed(elementary(b.field, b.nvars, axis, const),
-                          require_special=True)
+        return b.add_seed(elementary(b.field, b.nvars, axis, const))
     return provide
 
 
