@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .derivations import TriDerivation, exp_images, kernel_check
-from .errors import (ArityMismatch, FieldMismatch, InvalidFactor,
-                     NotStructured, NotTriangular, Singular)
+from .errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
+                     InvalidFactor, NotStructured, NotTriangular, Singular)
 from .fields import Field, FieldElement
 from .poly import DEFAULT_DEGREE_CAP, Polynomial, identity_images
 
@@ -337,12 +337,20 @@ class FactoredAuto:
         return not self.factors
 
     def expand(self, cap: Optional[int] = DEFAULT_DEGREE_CAP) -> Endo:
+        """The expanded map.  A cached expansion is checked against `cap`
+        by its total degree, so a smaller cap than the first call's still
+        raises."""
         if self._expanded is None:
             out = Endo.identity(self.field, self.nvars)
             for factor, exp in self.factors:
                 piece = factor.expand() if exp == 1 else factor.inverted().expand()
                 out = compose(out, piece, cap=cap)
             self._expanded = out
+        elif cap is not None:
+            deg = max(c.deg() for c in self._expanded.components)
+            if deg > cap:
+                raise DegreeCapExceeded(
+                    f"expanded word degree {deg} exceeds cap {cap}")
         return self._expanded
 
     def inverse(self) -> "FactoredAuto":

@@ -197,6 +197,8 @@ class Field:
         return self._one
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, Field) and self.kind == other.kind
                 and self.p == other.p and self.s == other.s
                 and self.modulus == other.modulus)

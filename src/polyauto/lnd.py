@@ -108,13 +108,11 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
     exp_word_inv = FactoredAuto(field, n, [(ExpLND(field, n, F, D), -1)])
     c_el = field.from_int(probe.c)
     eps_c, eps_val = probe.eps, probe.gamma
-    phi0 = compose(compose(compose(eps_c.inverse().expand(),
-                                   builder.inverse(ref)), eps_val), phi)
     step0 = builder.add_step(
         [(eps_c, ref, -1), (None, ref, 1)],
-        expect=phi0, note=f"exp chain commutator c={probe.c}")
-    # conjugate through exp(FD); a conjugate of phi0 != id is never the
-    # identity
+        note=f"exp chain commutator c={probe.c}")
+    # conjugate through exp(FD); a conjugate of the commutator in step0,
+    # which is not the identity, is never the identity
     G = axis_shift(F, n, -c_el) - F
     passed = compose(compose(invert_endo(tau), eps_val), tau)
     if not classify(passed).translation:

@@ -6,16 +6,24 @@ the deg(0) = 0 convention used throughout the engine.
 
 Polynomials are immutable by contract: no method mutates `terms` after
 construction, so instances can be shared freely.
+
+Over Q, products and substitution run on integer numerators with one
+shared denominator (kernels.mul_terms_obj, _substitute_rational): the
+Fraction payloads are built once per output term, so the stored terms stay
+canonical Fractions.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterator, Optional, Sequence, Tuple
 
 from . import kernels
 from .errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
                      IndexOutOfRange)
-from .fields import EXTENSION, PRIME, Field, FieldElement
+from .fields import EXTENSION, PRIME, RATIONALS, Field, FieldElement
 
 # Commutator expansion of long words can square degrees; the cap turns an
 # explosion into a typed error rather than a hang.
@@ -290,8 +298,21 @@ class Polynomial:
                 raise FieldMismatch("image over a different field")
             if img.nvars != m:
                 raise ArityMismatch("images of mixed arity")
-        img_degs = [img.deg() for img in images]
-        img_zero = [img.is_zero() for img in images]
+        # a term involving a variable whose image is zero vanishes
+        zero_vars = [j for j, img in enumerate(images) if not img.terms]
+        live = [(e, c) for e, c in self.terms.items()
+                if not any(e[j] for j in zero_vars)]
+        if cap is not None:
+            # check every term before doing any work: a single over-cap term
+            # means the whole expansion is doomed, so fail fast
+            img_degs = [img.deg() for img in images]
+            for e, _ in live:
+                est = sum(map(mul, e, img_degs))
+                if est > cap:
+                    raise DegreeCapExceeded(
+                        f"substitution term degree {est} exceeds cap {cap}")
+        if field.kind == RATIONALS:
+            return _substitute_rational(live, images, m)
         powers = [dict() for _ in images]
 
         def img_pow(j: int, e: int) -> Polynomial:
@@ -308,20 +329,8 @@ class Polynomial:
                 memo[e] = got
             return got
 
-        if cap is not None:
-            # check every term before doing any work: a single over-cap term
-            # means the whole expansion is doomed, so fail fast
-            for e in self.terms:
-                if any(img_zero[j] and e[j] for j in range(self.nvars)):
-                    continue
-                est = sum(e[j] * img_degs[j] for j in range(self.nvars))
-                if est > cap:
-                    raise DegreeCapExceeded(
-                        f"substitution term degree {est} exceeds cap {cap}")
         result = Polynomial.zero(field, m)
-        for e, c in self.terms.items():
-            if any(img_zero[j] and e[j] for j in range(self.nvars)):
-                continue
+        for e, c in live:
             term = None
             for j in range(self.nvars):
                 if e[j]:
@@ -331,6 +340,57 @@ class Polynomial:
                 term = Polynomial.one(field, m)
             result = result + term.scale(FieldElement(field, c))
         return result
+
+
+def _int_product(a: dict, b: dict) -> dict:
+    return {e: v for e, v in kernels.mul_terms_int(a, b).items() if v}
+
+
+def _substitute_rational(live, images, m: int) -> Polynomial:
+    """sum of c * prod images[j]^e_j over the (e, c) in `live`, over Q.
+
+    Each image is P_j / d_j with P_j an integer term map, so the term (e, c)
+    is num(c) prod P_j^e_j / (den(c) prod d_j^e_j).  A first pass takes the
+    lcm D of those denominators; the second adds every term's integer
+    product, scaled to D, into one map, and each surviving sum becomes one
+    Fraction over D.
+    """
+    field = images[0].field
+    cleared = [kernels.clear_denominators(img.terms)
+               if any(e[j] for e, _ in live) else ({}, 1)
+               for j, img in enumerate(images)]
+    powers = [{1: P} for P, _ in cleared]
+
+    def img_pow(j: int, e: int) -> dict:
+        memo = powers[j]
+        got = memo.get(e)
+        if got is None:
+            half = img_pow(j, e // 2)
+            got = _int_product(half, half)
+            if e & 1:
+                got = _int_product(got, memo[1])
+            memo[e] = got
+        return got
+
+    dens = []
+    D = 1
+    for e, c in live:
+        t = c.denominator
+        for (_, d), k in zip(cleared, e):
+            if k:
+                t *= d ** k
+        dens.append(t)
+        D = lcm(D, t)
+    unit = {(0,) * m: 1}
+    acc = {}
+    for (e, c), t in zip(live, dens):
+        factors = [img_pow(j, k) for j, k in enumerate(e) if k] or [unit]
+        term = unit
+        for f in factors[:-1]:
+            term = f if term is unit else _int_product(term, f)
+        kernels.mul_terms_int(term, factors[-1], c.numerator * (D // t), acc)
+    return Polynomial(field, m, {e: Fraction(v, D)
+                                 for e, v in acc.items() if v})
 
 
 def poly_arith(p: Polynomial, q: Polynomial, op: str) -> Polynomial:

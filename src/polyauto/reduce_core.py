@@ -11,7 +11,7 @@ the nontrivial elementary terminal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from .autos import (Endo, FactoredAuto, Linear, SignedPermutation,
                     affine_parts, classify, compose, elementary,
@@ -154,7 +154,7 @@ def affine_terminal(builder: CertBuilder, ref: str) -> str:
 # -- triangular descent ------------------------------------------------------
 
 
-def _axis_probe_translation(val: Endo, val_inv: Endo) -> Tuple[FactoredAuto, Endo]:
+def _axis_probe_translation(val: Endo) -> FactoredAuto:
     """Find an axis translation gamma with gamma^{-1} tau^{-1} gamma tau != id.
     Exists whenever tau is not itself a translation-commuting map, i.e.
     whenever tau is outside the translation subgroup; the axes are probed
@@ -162,10 +162,7 @@ def _axis_probe_translation(val: Endo, val_inv: Endo) -> Tuple[FactoredAuto, End
     for k in range(1, val.nvars + 1):
         probe = find_noncommuting_c(val, None, k)
         if probe.c is not None:
-            commutator = compose(
-                compose(compose(probe.eps.inverse().expand(), val_inv),
-                        probe.gamma), val)
-            return probe.eps, commutator
+            return probe.eps
     raise InternalIdentityFailure(
         "no axis translation fails to commute with a non-affine triangular "
         "map; this contradicts the translation-centralizer lemma")
@@ -190,10 +187,9 @@ def reduce_triangular_ref(builder: CertBuilder, ref: str) -> str:
         if classify(val).affine:
             return affine_terminal(builder, cur)
         vd_before = vector_degree(val)
-        gamma, expected = _axis_probe_translation(val, builder.inverse(cur))
+        gamma = _axis_probe_translation(val)
         new = builder.add_step(
             [(gamma, cur, -1), (None, cur, 1)],
-            expect=expected,
             note=f"vd descent {vd_before}")
         vd_after = vector_degree(builder.value(new))
         if not vd_after < vd_before:

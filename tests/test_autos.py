@@ -10,7 +10,8 @@ from polyauto.autos import (Elementary, Endo, FactoredAuto, Linear,
                             compose, conj, dilation, elementary, invert_endo,
                             jacobian_det, make_basic, sl_dilation,
                             translation, triangular_from_endo, vector_degree)
-from polyauto.errors import InvalidFactor, NotStructured, NotTriangular
+from polyauto.errors import (DegreeCapExceeded, InvalidFactor, NotStructured,
+                             NotTriangular)
 from polyauto.poly import Polynomial
 from polyauto.textio import parse_endo
 
@@ -217,3 +218,14 @@ def test_triangular_roundtrip(Q):
     for _ in range(30):
         tau = rand_triangular(rng, 3)
         assert triangular_from_endo(tau.expand()).expand() == tau.expand()
+
+
+def test_cached_expansion_respects_a_smaller_cap(Q):
+    # the first expansion fills the cache under the default cap; a later
+    # call with a cap below the map's degree must still raise
+    word = elementary(Q, 2, 1, X(Q, 2, 2) ** 3)
+    assert word.expand().components[0].deg() == 3
+    with pytest.raises(DegreeCapExceeded):
+        word.expand(cap=2)
+    assert word.expand(cap=3) is word.expand()
+    assert word.expand(cap=None) is word.expand()

@@ -106,6 +106,51 @@ def test_ext_matches_sympy(sympy):
         assert kernels.mul_terms_ext(a, b, 3, F9.modulus) == want
 
 
+def fraction_product(a, b):
+    """Coefficient by coefficient Fraction arithmetic: the reference for the
+    shared-denominator Q kernel."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def test_obj_matches_fraction_arithmetic():
+    rng = random.Random(4)
+    for _ in range(200):
+        a = rand_terms_obj(rng, 3, rng.randint(0, 8))
+        b = rand_terms_obj(rng, 3, rng.randint(0, 8))
+        got = kernels.mul_terms_obj(a, b)
+        assert got == fraction_product(a, b)
+        assert all(type(c) is Fraction for c in got.values())
+
+
+def test_clear_denominators():
+    a = {(1, 0): Fraction(1, 6), (0, 1): Fraction(-3, 4), (0, 0): Fraction(2)}
+    P, d = kernels.clear_denominators(a)
+    assert d == 12
+    assert P == {(1, 0): 2, (0, 1): -9, (0, 0): 24}
+    assert kernels.clear_denominators({}) == ({}, 1)
+
+
+def test_int_kernel_accumulates_in_place():
+    rng = random.Random(5)
+    for _ in range(100):
+        a = {e: int(c * 100) for e, c in rand_terms_obj(rng, 2, 4).items()}
+        b = {e: int(c * 100) for e, c in rand_terms_obj(rng, 2, 4).items()}
+        k = rng.randint(-5, 5)
+        out = {(0, 0): 3}
+        got = kernels.mul_terms_int(a, b, k, out)
+        assert got is out
+        want = fraction_product(a, b)
+        want = {e: k * c for e, c in want.items()}
+        want[(0, 0)] = want.get((0, 0), 0) + 3
+        assert {e: v for e, v in got.items() if v} == \
+            {e: v for e, v in want.items() if v}
+
+
 def test_cancellation_removes_keys():
     # (x + 1)(x + 4) = x^2 + 5x + 4 = x^2 + 4 mod 5: the x key must vanish
     a = {(1,): 1, (0,): 1}

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polyauto import kernels
+from polyauto.autos import Endo, compose
 from polyauto.errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
                              IndexOutOfRange)
 from polyauto.fields import Field
@@ -103,6 +105,134 @@ def test_substitution_composition_associative(Q):
         lhs = p.substitute(v).substitute(w)
         rhs = p.substitute([vj.substitute(w) for vj in v])
         assert lhs == rhs
+
+
+# -- the integer-numerator substitution over Q against two references -------
+
+
+def rand_rational_poly(rng, n, count, max_deg):
+    """Random Q polynomial whose coefficients have denominators up to 12."""
+    p = Polynomial.zero(_Q, n)
+    for _ in range(count):
+        exps = tuple(rng.randint(0, max_deg) for _ in range(n))
+        c = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+        p = p + Polynomial.monomial(_Q, n, _Q.elem(c), exps)
+    return p
+
+
+def per_term_substitute(p, images):
+    """sum(c * prod(img ** e)) term by term, from Polynomial ops alone."""
+    m = images[0].nvars
+    out = Polynomial.zero(_Q, m)
+    for e, c in p.sorted_terms():
+        term = Polynomial.constant(_Q, m, c)
+        for img, k in zip(images, e):
+            term = term * img ** k
+        out = out + term
+    return out
+
+
+def assert_fraction_payloads(p):
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+def special_images(rng, n):
+    """Images mixing zero, constant and general polynomials."""
+    out = []
+    for _ in range(n):
+        kind = rng.randrange(4)
+        if kind == 0:
+            out.append(Polynomial.zero(_Q, n))
+        elif kind == 1:
+            out.append(Polynomial.constant(
+                _Q, n, _Q.elem(Fraction(rng.randint(-7, 7) or 1,
+                                        rng.randint(1, 9)))))
+        else:
+            out.append(rand_rational_poly(rng, n, rng.randint(1, 4), 2))
+    return out
+
+
+def test_substitute_matches_per_term_formula():
+    rng = random.Random(41)
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        p = rand_rational_poly(rng, n, rng.randint(0, 6), 3)
+        images = special_images(rng, n)
+        got = p.substitute(images)
+        assert got == per_term_substitute(p, images)
+        assert_fraction_payloads(got)
+
+
+def test_compose_matches_per_term_formula():
+    rng = random.Random(42)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        phi = Endo(_Q, n, [rand_rational_poly(rng, n, rng.randint(1, 4), 2)
+                           for _ in range(n)])
+        psi = Endo(_Q, n, special_images(rng, n))
+        got = compose(phi, psi)
+        for comp, want in zip(got.components, phi.components):
+            assert comp == per_term_substitute(want, psi.components)
+            assert_fraction_payloads(comp)
+
+
+def test_substitute_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    n = 3
+    gens = sympy.symbols("x1:4")
+
+    def expr(p):
+        return sympy.Add(*(sympy.Rational(c.payload.numerator,
+                                          c.payload.denominator)
+                           * sympy.Mul(*(g ** k for g, k in zip(gens, e)))
+                           for e, c in p.sorted_terms()))
+
+    for _ in range(40):
+        p = rand_rational_poly(rng, n, rng.randint(0, 5), 3)
+        images = special_images(rng, n)
+        want = sympy.expand(expr(p).xreplace(
+            {g: expr(img) for g, img in zip(gens, images)}))
+        terms = dict(sympy.Poly(want, *gens).terms()) if want != 0 else {}
+        got = p.substitute(images)
+        assert got.terms == {e: Fraction(int(c.p), int(c.q))
+                             for e, c in terms.items()}
+        assert_fraction_payloads(got)
+
+
+def test_substitute_edge_cases(Q):
+    x1, x2 = xvars(Q, 2)
+    half = Q.elem(Fraction(1, 2))
+    zero = Polynomial.zero(Q, 2)
+    # the zero polynomial stays zero, whatever the images
+    assert zero.substitute([x1 * half, x2]).is_zero()
+    # constant images give a constant
+    p = x1 ** 2 * x2 + Polynomial.constant(Q, 2, Q.elem(Fraction(1, 3)))
+    got = p.substitute([Polynomial.constant(Q, 2, half),
+                        Polynomial.constant(Q, 2, Q.elem(Fraction(2, 3)))])
+    assert got == Polynomial.constant(Q, 2, Q.elem(Fraction(1, 2)))
+    assert_fraction_payloads(got)
+    # a zero image kills exactly the terms that involve its variable, and
+    # a killed term is not held against the cap
+    assert p.substitute([zero, x2]) == \
+        Polynomial.constant(Q, 2, Q.elem(Fraction(1, 3)))
+    assert (x1 * x2 ** 40).substitute([zero, x2], cap=10).is_zero()
+    # terms that cancel leave an empty map: x1^2 - x2 at (y + 1/2, (y + 1/2)^2)
+    y = x1 + Polynomial.constant(Q, 2, half)
+    assert (x1 ** 2 - x2).substitute([y, y ** 2]).terms == {}
+
+
+def test_substitute_cap_raises_before_any_work(Q, monkeypatch):
+    x1, x2 = xvars(Q, 2)
+    p = x1 ** 3 + x2 ** 40
+    images = [x1 * Q.elem(Fraction(1, 3)) + 1, x2 ** 40]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("multiplied before the cap check")
+
+    monkeypatch.setattr(kernels, "mul_terms_int", no_work)
+    with pytest.raises(DegreeCapExceeded):
+        p.substitute(images, cap=1024)
 
 
 def test_degree_convention(Q):
