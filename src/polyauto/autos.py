@@ -255,6 +255,8 @@ class SignedPermutation:
     def __post_init__(self):
         if sorted(self.perm) != list(range(1, self.nvars + 1)):
             raise InvalidFactor("not a permutation of 1..n")
+        if len(self.signs) != self.nvars:
+            raise InvalidFactor("signed permutation needs n signs")
         if any(s.is_zero() for s in self.signs):
             raise InvalidFactor("signs must be units")
 

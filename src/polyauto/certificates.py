@@ -238,8 +238,10 @@ def serialize_certificate(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_certificate(text: str) -> Certificate:
-    from .autos import Endo
+def parse_certificate(text: str,
+                      cap: Optional[int] = DEFAULT_DEGREE_CAP) -> Certificate:
+    """Read a .nct text.  Malformed text raises ParseError at its line and
+    column; a power over `cap` raises DegreeCapExceeded before expanding."""
     field = None
     nvars = None
     kind = None
@@ -270,6 +272,15 @@ def parse_certificate(text: str) -> Certificate:
         cur_value = None
         cur_inverse = None
 
+    def read(parse, part, *args, **kwargs):
+        """Parse `part`, a suffix of the current line, and place its errors
+        in the file."""
+        try:
+            return parse(part, *args, **kwargs)
+        except ParseError as exc:
+            column = len(raw.rstrip()) - len(part) + exc.column
+            raise type(exc)(exc.reason, lineno, column) from None
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -286,9 +297,11 @@ def parse_certificate(text: str) -> Certificate:
                     raise ParseError(
                         f"unsupported format version {rest!r}", lineno, 1)
             elif head == "FIELD":
-                field = parse_field(rest)
+                field = read(parse_field, rest)
             elif head == "VARS":
                 nvars = int(rest)
+                if nvars < 1:
+                    raise ParseError("VARS must be positive", lineno, 1)
             elif head == "KIND":
                 if rest not in (KIND_COTAME, KIND_SLIN):
                     raise ParseError(f"unknown kind {rest!r}", lineno, 1)
@@ -301,8 +314,8 @@ def parse_certificate(text: str) -> Certificate:
                 label, _, wordtext = rest.partition(" ")
                 if field is None or nvars is None:
                     raise ParseError("SEED before FIELD/VARS", lineno, 1)
-                seeds.append(Seed(label, parse_factored(
-                    wordtext, field=field, nvars=nvars)))
+                seeds.append(Seed(label, read(
+                    parse_factored, wordtext, field, nvars, cap=cap)))
             elif head == "STEP":
                 flush_step(lineno)
                 label, _, notetext = rest.partition("#")
@@ -326,18 +339,19 @@ def parse_certificate(text: str) -> Certificate:
                     raise ParseError("EXP must be +1 or -1", lineno, 1)
                 conj = None
                 if conj_text.strip():
-                    conj = parse_factored(conj_text, field=field, nvars=nvars)
+                    conj = read(parse_factored, conj_text, field, nvars,
+                                cap=cap)
                 cur_items.append(WordItem(conj, base, exponent))
             elif head == "VALUE":
                 if cur_label is None:
                     raise ParseError("VALUE outside a STEP", lineno, 1)
-                cur_value = Endo(field, nvars,
-                                 parse_components(rest, field, nvars))
+                cur_value = Endo(field, nvars, read(
+                    parse_components, rest, field, nvars, cap=cap))
             elif head == "INV":
                 if cur_label is None:
                     raise ParseError("INV outside a STEP", lineno, 1)
-                cur_inverse = Endo(field, nvars,
-                                   parse_components(rest, field, nvars))
+                cur_inverse = Endo(field, nvars, read(
+                    parse_components, rest, field, nvars, cap=cap))
             elif head == "TERMINAL":
                 flush_step(lineno)
                 term_label, _, cite_part = rest.partition(" CITE ")
@@ -348,7 +362,7 @@ def parse_certificate(text: str) -> Certificate:
                 saw_end = True
             else:
                 raise ParseError(f"unknown directive {head!r}", lineno, 1)
-        except ParseError:
+        except (ParseError, DegreeCapExceeded):
             raise
         except Exception as exc:
             raise ParseError(f"{exc}", lineno, 1)

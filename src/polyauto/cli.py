@@ -16,10 +16,12 @@ import sys
 from .autos import (Endo, FactoredAuto, Linear, Translation, affine_parts,
                     classify, compose, invert_endo, jacobian_det,
                     vector_degree)
-from .certificates import (parse_certificate, serialize_certificate,
+from .certificates import (CheckRecord, VerificationReport,
+                           parse_certificate, serialize_certificate,
                            verify_certificate)
 from .cotame import certify_normally_cotame
-from .errors import AlgebraError, NotStructured
+from .errors import (AlgebraError, DegreeCapExceeded, NotStructured,
+                     ParseError)
 from .identities import run_identity_suite, summarize
 from .poly import DEFAULT_DEGREE_CAP
 from .textio import (endo_to_text, factored_to_text, parse_automorphism,
@@ -57,7 +59,7 @@ def word_from_endo(phi: Endo) -> FactoredAuto:
 
 
 def cmd_classify(args) -> int:
-    obj = parse_automorphism(args.map)
+    obj = parse_automorphism(args.map, cap=args.cap)
     phi = _as_endo(obj, args.cap)
     flags = classify(phi)
     for name in ("identity", "translation", "linear", "affine",
@@ -68,14 +70,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    a = _as_endo(parse_automorphism(args.left), args.cap)
-    b = _as_endo(parse_automorphism(args.right), args.cap)
+    a = _as_endo(parse_automorphism(args.left, cap=args.cap), args.cap)
+    b = _as_endo(parse_automorphism(args.right, cap=args.cap), args.cap)
     print(endo_to_text(compose(a, b, cap=args.cap)))
     return 0
 
 
 def cmd_invert(args) -> int:
-    obj = parse_automorphism(args.map)
+    obj = parse_automorphism(args.map, cap=args.cap)
     if isinstance(obj, FactoredAuto):
         inv = obj.inverse()
         print(f"[{inv.field.tag()},{inv.nvars}] {factored_to_text(inv)}")
@@ -85,13 +87,13 @@ def cmd_invert(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
-    phi = _as_endo(parse_automorphism(args.map), args.cap)
+    phi = _as_endo(parse_automorphism(args.map, cap=args.cap), args.cap)
     print(poly_to_text(jacobian_det(phi)))
     return 0
 
 
 def cmd_vd(args) -> int:
-    phi = _as_endo(parse_automorphism(args.map), args.cap)
+    phi = _as_endo(parse_automorphism(args.map, cap=args.cap), args.cap)
     vd = vector_degree(phi)
     print("(" + ",".join(str(d) for d in vd) + ")")
     return 0
@@ -100,14 +102,14 @@ def cmd_vd(args) -> int:
 def cmd_exp(args) -> int:
     from .lnd import exp_automorphism
     field = parse_field(args.field)
-    F = parse_polynomial(args.kernel, field, args.nvars)
-    D = parse_derivation(args.derivation, field, args.nvars)
+    F = parse_polynomial(args.kernel, field, args.nvars, cap=args.cap)
+    D = parse_derivation(args.derivation, field, args.nvars, cap=args.cap)
     print(endo_to_text(exp_automorphism(F, D)))
     return 0
 
 
 def cmd_certify(args) -> int:
-    obj = parse_automorphism(args.map)
+    obj = parse_automorphism(args.map, cap=args.cap)
     if isinstance(obj, Endo):
         obj = word_from_endo(obj)
     cert = certify_normally_cotame(obj, cap=args.cap)
@@ -124,9 +126,21 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.certificate) as fh:
-        cert = parse_certificate(fh.read())
-    report = verify_certificate(cert, cap=args.cap)
+    with open(args.certificate, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError("file is not UTF-8 text", line,
+                         exc.start - data.rfind(b"\n", 0, exc.start))
+    try:
+        report = verify_certificate(parse_certificate(text, cap=args.cap),
+                                    cap=args.cap)
+    except DegreeCapExceeded as exc:
+        # a power in the file is over the cap: undecided, like a check
+        report = VerificationReport("INDETERMINATE", [
+            CheckRecord(args.certificate, "parse", False, str(exc))])
     print(report.format())
     if report.verdict == "PASS":
         return 0

@@ -485,7 +485,8 @@ def _dispatch_form(builder, ref, form: MTriangularForm) -> str:
 # -- public surface ---------------------------------------------------------------
 
 
-def certify_normally_cotame(word: FactoredAuto, cap=None) -> Certificate:
+def certify_normally_cotame(word: FactoredAuto,
+                            cap=DEFAULT_DEGREE_CAP) -> Certificate:
     """The certification entry point: route a factored special automorphism
     to the applicable reduction (triangular descent, the m-triangular
     engines for m <= 4, or the exponential chain) and return the finished
@@ -499,8 +500,7 @@ def certify_normally_cotame(word: FactoredAuto, cap=None) -> Certificate:
         raise NotSpecial("input is not special (Jacobian determinant != 1)")
     if val.is_identity():
         raise IdentityInput("input is the identity")
-    builder = CertBuilder(field, n, KIND_COTAME,
-                          cap=cap or DEFAULT_DEGREE_CAP)
+    builder = CertBuilder(field, n, KIND_COTAME, cap=cap)
     exp_positions = [t for t, (f, _) in enumerate(word.factors)
                      if isinstance(f, ExpLND)]
     if exp_positions:

@@ -131,6 +131,7 @@ class NilpotencyCapExceeded(AlgebraError):
 
 class ParseError(AlgebraError):
     def __init__(self, message, line=None, column=None):
+        self.reason = message
         self.line = line
         self.column = column
         if line is not None:
@@ -138,5 +139,5 @@ class ParseError(AlgebraError):
         super().__init__(message)
 
 
-class ArityError(AlgebraError):
-    pass
+class ArityError(ParseError):
+    """A list in the text has the wrong number of entries."""

@@ -9,6 +9,7 @@ Polynomial code works on payloads directly through the Field's `_p*` ops.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from types import MappingProxyType
 from typing import Iterator, Optional, Union
 
@@ -41,6 +42,19 @@ def is_prime(p: int) -> bool:
             return False
         d += 2
     return True
+
+
+def prime_power(q: int):
+    """(p, s) with q = p^s for a prime p and s >= 1; NotPrime otherwise."""
+    if q >= 2:
+        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+        s, rest = 0, q
+        while rest % p == 0:
+            rest //= p
+            s += 1
+        if rest == 1:
+            return p, s
+    raise NotPrime(f"{q} is not a prime power")
 
 
 def _fp_polymul(a, b, p):
@@ -162,19 +176,8 @@ class Field:
     @staticmethod
     def of_order(q: int) -> "Field":
         """Finite field of order q with the canonical modulus."""
-        if is_prime(q):
-            return Field.prime(q)
-        for p in range(2, q):
-            if q % p == 0:
-                s = 0
-                m = q
-                while m % p == 0:
-                    m //= p
-                    s += 1
-                if m != 1:
-                    raise NotPrime(f"{q} is not a prime power")
-                return Field.extension(p, s)
-        raise NotPrime(f"{q} is not a prime power")
+        p, s = prime_power(q)
+        return Field.prime(p) if s == 1 else Field.extension(p, s)
 
     # -- descriptors ------------------------------------------------------
 

@@ -15,27 +15,6 @@ from operator import add
 BACKEND = "python"
 
 
-def mul_terms_fp(a, b, p):
-    """Multiply term maps with int-residue coefficients mod p."""
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            c = (ca * cb) % p
-            if not c:
-                continue
-            key = tuple(x + y for x, y in zip(ea, eb))
-            acc = out.get(key)
-            if acc is None:
-                out[key] = c
-            else:
-                acc = (acc + c) % p
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-    return out
-
-
 def clear_denominators(a):
     """(P, d) with a = P / d: P an integer term map, d the lcm of the
     coefficient denominators of the Fraction term map a."""
@@ -57,6 +36,12 @@ def mul_terms_int(a, b, k=1, out=None):
             key = tuple(map(add, ea, eb))
             out[key] = get(key, 0) + ca * cb
     return out
+
+
+def mul_terms_fp(a, b, p):
+    """Multiply term maps with int-residue coefficients mod p: the integer
+    product, then one reduction per output key."""
+    return {e: r for e, v in mul_terms_int(a, b).items() if (r := v % p)}
 
 
 def mul_terms_obj(a, b):

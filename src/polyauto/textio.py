@@ -2,229 +2,360 @@
 automorphisms, derivations.
 
 Printers emit a canonical form (graded-lex term order, fixed spacing) so
-that serialized objects are byte-stable; parsers accept the same grammar
-with arbitrary whitespace.
+that serialized objects are byte-stable.  Parsing is one recursive-descent
+`_Parser` over one token stream, one rule per production of the grammar in
+docs/formats.md; every syntax error is a ParseError at a line and column,
+and a power over the degree cap is refused before it is expanded.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import List, Optional, Tuple
+from operator import add
+from typing import Optional, Tuple
 
+from .autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
+                    SignedPermutation, Translation, Triangular)
 from .derivations import TriDerivation
-from .errors import ArityError, ParseError
-from .fields import EXTENSION, PRIME, RATIONALS, Field, element_text
-from .poly import Polynomial
+from .errors import ArityError, DegreeCapExceeded, ParseError
+from .fields import EXTENSION, RATIONALS, Field, element_text, prime_power
+from .poly import DEFAULT_DEGREE_CAP, Polynomial
 
-# -- field tags -------------------------------------------------------------
+# -- the token stream --------------------------------------------------------
+
+_TOKEN_RE = re.compile(r"\s*([0-9]+|x[0-9]+|[A-Za-z]+|\S)")
+
+
+class _Parser:
+    """The tokens of one text (digits, x<digits>, letters or one other
+    character, then "end of input") and the grammar rules that read them, in
+    a ring that is given or set by a '[field,n]' prefix."""
+
+    def __init__(self, text: str, field: Optional[Field], nvars: Optional[int],
+                 cap: Optional[int]):
+        self.text, self.cap, self.i = text, cap, 0
+        self.toks = _TOKEN_RE.findall(text) + ["end of input"]
+        self.set_ring(field, nvars)
+
+    def set_ring(self, field, nvars):
+        self.field, self.nvars, self.xvars = field, nvars, nvars
+        self.t = None
+
+    def fail(self, message: str, index: Optional[int] = None,
+             error=ParseError):
+        """Raise at the token `index` (default: the next one)."""
+        offset = ([m.start(1) for m in _TOKEN_RE.finditer(self.text)]
+                  + [len(self.text)])[self.i if index is None else index]
+        line = self.text.count("\n", 0, offset) + 1
+        raise error(message, line, offset - self.text.rfind("\n", 0, offset))
+
+    def at(self, tok: str) -> bool:
+        """Take the next token if it is `tok`."""
+        hit = self.toks[self.i] == tok
+        self.i += hit
+        return hit
+
+    def expect(self, tok: str):
+        if self.toks[self.i] != tok:
+            self.fail(f"expected {tok!r}, found {self.toks[self.i]!r}")
+        self.i += 1
+
+    def number(self, digits: Optional[str] = None) -> int:
+        """Take a number token, or read the digits of the token just taken."""
+        if digits is None:
+            digits = self.toks[self.i]
+            if not "0" <= digits[:1] <= "9":
+                self.fail(f"expected a number, found {self.toks[self.i]!r}")
+            self.i += 1
+        try:
+            return int(digits)
+        except ValueError:  # longer than int() reads
+            self.fail("number too long", self.i - 1)
+
+    def items(self, item, sep: str = ",", count: Optional[int] = None,
+              what: str = "entries", brackets: str = ""):
+        """[open] item {sep item} [close]: the one list rule; `count` fixes
+        its length."""
+        if brackets:
+            self.expect(brackets[0])
+        first = self.i
+        out = [item()]
+        while self.at(sep):
+            out.append(item())
+        if count is not None and len(out) != count:
+            self.fail(f"expected {count} {what}, got {len(out)}", first,
+                      ArityError)
+        if brackets:
+            self.expect(brackets[1])
+        return tuple(out)
+
+    def whole(self, rule, ring: bool = False):
+        """Run one rule over the whole text, after the ring when asked."""
+        try:
+            if ring:
+                self.ring()
+            value = rule()
+        except RecursionError:
+            self.fail("input nested too deeply")
+        if self.i + 1 < len(self.toks):
+            self.fail(f"unexpected {self.toks[self.i]!r} after the input")
+        return value
+
+    # -- fields and the ring --
+
+    def field_tag(self) -> Field:
+        if self.at("Q"):
+            return Field.rationals()
+        if not self.at("F"):
+            self.fail(f"bad field tag {self.toks[self.i]!r}")
+        q = self.number()
+        if not self.at("/"):
+            return Field.of_order(q)
+        # the modulus: a polynomial in the variable t over F_p, degree <= s
+        p, s = prime_power(q)
+        fp = Field.prime(p)
+        self.set_ring(fp, 1)
+        self.xvars, self.t = 0, Polynomial.variable(fp, 1, 1)
+        first, m = self.i, self.poly()
+        if m.deg() > s:
+            self.fail(f"modulus degree exceeds {s}", first)
+        return Field.extension(
+            p, s, tuple(m.coeff((e,)).payload for e in range(s + 1)))
+
+    def ring(self):
+        """Optional '[field,n]' prefix, which must agree with a given ring."""
+        given, first = (self.field, self.nvars), self.i
+        if self.at("["):
+            field = self.field_tag()
+            self.expect(",")
+            nvars = self.number()
+            self.expect("]")
+            if given[0] is not None and given != (field, nvars):
+                self.fail("prefix disagrees with the enclosing ring", first)
+            if nvars < 1:
+                self.fail("a ring needs at least one variable", first)
+            given = (field, nvars)
+        if given[0] is None or given[1] is None:
+            self.fail("missing [field,n] prefix")
+        self.set_ring(*given)
+
+    # -- polynomials --
+
+    def poly(self) -> Polynomial:
+        """{+|-} term {(+|-) {+|-} term}, summed into one term map."""
+        field, toks = self.field, self.toks
+        out = {}
+        while True:
+            negate = False
+            while toks[self.i] in ("+", "-"):
+                negate ^= toks[self.i] == "-"
+                self.i += 1
+            for e, c in self.term().terms.items():
+                if negate:
+                    c = field._pneg(c)
+                acc = out.get(e)
+                out[e] = c if acc is None else field._padd(acc, c)
+            if toks[self.i] not in ("+", "-"):
+                break
+        return Polynomial(field, self.nvars, {
+            e: c for e, c in out.items() if not field._pis_zero(c)})
+
+    def term(self) -> Polynomial:
+        """power {'*' power}; products of monomials skip the kernel."""
+        field, one = self.field, self.field.one.payload
+        p = self.power()
+        while self.at("*"):
+            q = self.power()
+            if len(p.terms) == 1 == len(q.terms):
+                (ea, ca), = p.terms.items()
+                (eb, cb), = q.terms.items()
+                c = (cb if ca == one else ca if cb == one
+                     else field._pmul(ca, cb))
+                p = Polynomial(field, self.nvars, {tuple(map(add, ea, eb)): c})
+            else:
+                p = p * q
+        return p
+
+    def power(self) -> Polynomial:
+        """atom ['^' number], refused before expanding when over the cap."""
+        base = self.atom()
+        if not self.at("^"):
+            return base
+        k = self.number()
+        degree = max(base.deg(), 1) * k
+        if self.cap is not None and degree > self.cap:
+            raise DegreeCapExceeded(
+                f"power of degree {degree} exceeds cap {self.cap}")
+        if len(base.terms) != 1:
+            return base ** k
+        (e, c), = base.terms.items()
+        if c != self.field.one.payload:
+            c = self.field._ppow(c, k)
+        return Polynomial(self.field, self.nvars, {tuple(k * x for x in e): c})
+
+    def atom(self) -> Polynomial:
+        tok = self.toks[self.i]
+        field, nvars = self.field, self.nvars
+        if "0" <= tok[:1] <= "9":
+            c = field.from_int(self.number())
+            if self.at("/"):
+                d = field.from_int(self.number())
+                if d.is_zero():
+                    self.fail("zero denominator", self.i - 1)
+                c = c / d
+            return Polynomial.constant(field, nvars, c)
+        self.i += 1
+        if tok[:1] == "x" and "0" <= tok[1:2] <= "9":
+            index = self.number(tok[1:])
+            if not 1 <= index <= self.xvars:
+                self.fail(f"variable {tok} out of range 1..{self.xvars}",
+                          self.i - 1)
+            return Polynomial.variable(field, nvars, index)
+        if tok == "t":
+            if self.t is None:
+                if field.kind != EXTENSION:
+                    self.fail("t is only valid over extension fields",
+                              self.i - 1)
+                self.t = Polynomial.constant(field, nvars, field.generator())
+            return self.t
+        if tok == "(":
+            p = self.poly()
+            self.expect(")")
+            return p
+        if tok == "-":
+            return -self.atom()
+        self.fail(f"unexpected {self.toks[self.i - 1]!r}", self.i - 1)
+
+    def const(self):
+        first = self.i
+        p = self.poly()
+        if not p.is_constant():
+            self.fail("expected a constant", first)
+        return p.constant_value()
+
+    # -- maps, derivations, factored words --
+
+    def components(self):
+        return self.items(self.poly, ",", self.nvars, "components", "()")
+
+    def endo(self):
+        return Endo(self.field, self.nvars, self.components())
+
+    def derivation(self) -> TriDerivation:
+        self.expect("D")
+        return TriDerivation(self.field, self.nvars, self.items(
+            self.poly, ",", self.nvars, "derivation images", "()"))
+
+    def word(self):
+        if self.at("id") or self.i + 1 == len(self.toks):
+            return FactoredAuto.identity(self.field, self.nvars)
+        return FactoredAuto(self.field, self.nvars,
+                            self.items(self.word_factor, "*"))
+
+    def word_factor(self):
+        """factor ['^' '-' '1']"""
+        factor = self.factor()
+        if not self.at("^"):
+            return factor, 1
+        self.expect("-")
+        self.expect("1")
+        return factor, -1
+
+    def factor(self):
+        name = self.toks[self.i]
+        field, n = self.field, self.nvars
+        if self.at("L"):
+            return Linear(field, n, self.items(self.row, ",", n, "rows", "[]"))
+        if name not in ("E", "Tr", "T", "S", "Exp"):
+            self.fail(f"unknown factor {self.toks[self.i]!r}")
+        self.i += 1
+        self.expect("(")
+        if name == "E":
+            i = self.number()
+            self.expect(";")
+            factor = Elementary(field, n, i, self.poly())
+        elif name == "Tr":
+            factor = Translation(field, n, self.items(self.const, ",", n))
+        elif name == "T":
+            groups = self.items(self.group, ";", n, "groups")
+            factor = Triangular(field, n, tuple(a for a, _ in groups),
+                                tuple(p for _, p in groups))
+        elif name == "S":
+            perm = self.items(self.number)
+            self.expect(";")
+            factor = SignedPermutation(field, n, perm, self.items(self.const))
+        else:
+            F = self.poly()
+            self.expect(";")
+            factor = ExpLND(field, n, F, self.derivation())
+        self.expect(")")
+        return factor
+
+    def row(self):
+        return self.items(self.const, ",", self.nvars, "row entries", "[]")
+
+    def group(self):
+        """a [',' P]: one row of a triangular factor."""
+        a = self.const()
+        if self.at(","):
+            return a, self.poly()
+        return a, Polynomial.zero(self.field, self.nvars)
+
+    def automorphism(self):
+        """A component tuple or a factored word, told apart by shape."""
+        return self.endo() if self.toks[self.i] == "(" else self.word()
+
+
+# -- parsing entry points ------------------------------------------------------
+
+def _parse(text, rule, field=None, nvars=None, cap=DEFAULT_DEGREE_CAP,
+           ring=False):
+    parser = _Parser(text, field, nvars, cap)
+    return parser.whole(getattr(parser, rule), ring)
+
 
 def parse_field(text: str) -> Field:
-    text = text.strip()
-    if text == "Q":
-        return Field.rationals()
-    m = re.fullmatch(r"F(\d+)(?:/(.+))?", text)
-    if not m:
-        raise ParseError(f"bad field tag {text!r}")
-    q = int(m.group(1))
-    modtext = m.group(2)
-    if modtext is None:
-        return Field.of_order(q)
-    # explicit modulus: find p, s from q
-    p = None
-    for d in range(2, q + 1):
-        if q % d == 0:
-            p = d
-            break
-    s = 0
-    mq = q
-    while mq % p == 0:
-        mq //= p
-        s += 1
-    if mq != 1:
-        raise ParseError(f"{q} is not a prime power")
-    modulus = _parse_modulus(modtext, p, s)
-    return Field.extension(p, s, modulus)
+    return _parse(text, "field_tag")
 
 
-def _parse_modulus(text: str, p: int, s: int) -> Tuple[int, ...]:
-    coeffs = [0] * (s + 1)
-    for sign, part in _signed_parts(text):
-        part = part.strip()
-        m = re.fullmatch(r"(?:(\d+)\*?)?(?:t(?:\^(\d+))?)?", part)
-        if not m or not part:
-            raise ParseError(f"bad modulus term {part!r}")
-        c = int(m.group(1)) if m.group(1) else 1
-        if "t" in part:
-            e = int(m.group(2)) if m.group(2) else 1
-        else:
-            e = 0
-        if e > s:
-            raise ParseError(f"modulus degree exceeds {s}")
-        coeffs[e] = (coeffs[e] + sign * c) % p
-    return tuple(coeffs)
+def parse_polynomial(text: str, field: Field, nvars: int,
+                     cap: Optional[int] = DEFAULT_DEGREE_CAP) -> Polynomial:
+    return _parse(text, "poly", field, nvars, cap)
 
 
-def _signed_parts(text: str):
-    parts = []
-    sign = 1
-    cur = ""
-    for ch in text:
-        if ch in "+-" and cur:
-            parts.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif ch == "-" and not cur:
-            sign = -sign
-        elif ch == "+" and not cur:
-            pass
-        else:
-            cur += ch
-    if cur:
-        parts.append((sign, cur))
-    return parts
+def parse_components(text: str, field: Field, nvars: int,
+                     cap: Optional[int] = DEFAULT_DEGREE_CAP):
+    return _parse(text, "components", field, nvars, cap)
 
 
-# -- tokenizer ---------------------------------------------------------------
-
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|(\^-1)|(.))")
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: List[Tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                break
-            if m.group(1):
-                self.items.append(("num", m.group(1), m.start(1)))
-            elif m.group(2):
-                self.items.append(("name", m.group(2), m.start(2)))
-            elif m.group(3):
-                self.items.append(("invexp", m.group(3), m.start(3)))
-            elif m.group(4) and not m.group(4).isspace():
-                self.items.append(("punct", m.group(4), m.start(4)))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        if self.i < len(self.items):
-            return self.items[self.i]
-        return ("eof", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}",
-                             1, pos + 1)
-        return val
-
-    def error(self, message: str):
-        _, val, pos = self.peek()
-        raise ParseError(f"{message} (at {val or 'end of input'!r})", 1, pos + 1)
+def parse_derivation(text: str, field: Field, nvars: int,
+                     cap: Optional[int] = DEFAULT_DEGREE_CAP) -> TriDerivation:
+    return _parse(text, "derivation", field, nvars, cap)
 
 
-# -- polynomial parsing -------------------------------------------------------
-
-def parse_polynomial(text: str, field: Field, nvars: int) -> Polynomial:
-    toks = _Tokens(text)
-    p = _parse_expr(toks, field, nvars)
-    if toks.peek()[0] != "eof":
-        toks.error("trailing input after polynomial")
-    return p
+def parse_endo(text: str, field: Optional[Field] = None,
+               nvars: Optional[int] = None,
+               cap: Optional[int] = DEFAULT_DEGREE_CAP):
+    return _parse(text, "endo", field, nvars, cap, ring=True)
 
 
-def _parse_expr(toks: _Tokens, field: Field, nvars: int) -> Polynomial:
-    sign = 1
-    while toks.peek()[1] in ("+", "-"):
-        if toks.next()[1] == "-":
-            sign = -sign
-    p = _parse_term(toks, field, nvars)
-    if sign < 0:
-        p = -p
-    while toks.peek()[1] in ("+", "-"):
-        op = toks.next()[1]
-        sign = 1 if op == "+" else -1
-        while toks.peek()[1] in ("+", "-"):
-            if toks.next()[1] == "-":
-                sign = -sign
-        q = _parse_term(toks, field, nvars)
-        p = p + q if sign > 0 else p - q
-    return p
+def parse_factored(text: str, field: Optional[Field] = None,
+                   nvars: Optional[int] = None,
+                   cap: Optional[int] = DEFAULT_DEGREE_CAP):
+    return _parse(text, "word", field, nvars, cap, ring=True)
 
 
-def _parse_term(toks: _Tokens, field: Field, nvars: int) -> Polynomial:
-    p = _parse_power(toks, field, nvars)
-    while toks.peek()[1] == "*":
-        toks.next()
-        p = p * _parse_power(toks, field, nvars)
-    return p
-
-
-def _parse_power(toks: _Tokens, field: Field, nvars: int) -> Polynomial:
-    p = _parse_atom(toks, field, nvars)
-    if toks.peek()[1] == "^":
-        toks.next()
-        kind, val, pos = toks.next()
-        if kind != "num":
-            raise ParseError("expected integer exponent", 1, pos + 1)
-        p = p ** int(val)
-    return p
-
-
-def _parse_atom(toks: _Tokens, field: Field, nvars: int) -> Polynomial:
-    kind, val, pos = toks.next()
-    if kind == "num":
-        value = int(val)
-        if toks.peek()[1] == "/":
-            toks.next()
-            k2, v2, p2 = toks.next()
-            if k2 != "num":
-                raise ParseError("expected denominator", 1, p2 + 1)
-            if field.kind == RATIONALS:
-                return Polynomial.constant(field, nvars,
-                                           Fraction(value, int(v2)))
-            return Polynomial.constant(
-                field, nvars, field.from_int(value) / field.from_int(int(v2)))
-        return Polynomial.constant(field, nvars, value)
-    if kind == "name":
-        if val == "t":
-            if field.kind != EXTENSION:
-                raise ParseError("t is only valid over extension fields",
-                                 1, pos + 1)
-            return Polynomial.constant(field, nvars, field.generator())
-        m = re.fullmatch(r"x(\d+)", val)
-        if m:
-            i = int(m.group(1))
-            if not 1 <= i <= nvars:
-                raise ParseError(f"variable x{i} out of range 1..{nvars}",
-                                 1, pos + 1)
-            return Polynomial.variable(field, nvars, i)
-        raise ParseError(f"unexpected name {val!r}", 1, pos + 1)
-    if val == "(":
-        p = _parse_expr(toks, field, nvars)
-        toks.expect(")")
-        return p
-    if val == "-":
-        return -_parse_atom(toks, field, nvars)
-    raise ParseError(f"unexpected token {val!r}", 1, pos + 1)
+def parse_automorphism(text: str, cap: Optional[int] = DEFAULT_DEGREE_CAP):
+    """Parse either an expanded tuple or a factored word, detected by shape.
+    The '[field,n]' prefix is required."""
+    return _parse(text, "automorphism", cap=cap, ring=True)
 
 
 # -- polynomial printing -------------------------------------------------------
 
 def _coeff_text(field: Field, payload) -> Tuple[str, bool]:
     """(text, needs_parens_when_multiplied)."""
-    if field.kind == RATIONALS:
-        return str(payload), False
-    if field.kind == PRIME:
+    if field.kind != EXTENSION:
         return str(payload), False
     nonzero = [e for e, c in enumerate(payload) if c]
     if nonzero == [0]:
@@ -265,7 +396,7 @@ def poly_to_text(p: Polynomial) -> str:
     return "".join(parts)
 
 
-# -- endomorphisms --------------------------------------------------------------
+# -- endomorphisms and derivations ---------------------------------------------
 
 def endo_to_text(phi) -> str:
     comps = ", ".join(poly_to_text(c) for c in phi.components)
@@ -276,80 +407,13 @@ def components_text(phi) -> str:
     return "(" + ", ".join(poly_to_text(c) for c in phi.components) + ")"
 
 
-_PREFIX_RE = re.compile(r"\s*\[([^\]]+),\s*(\d+)\]\s*(.*)", re.DOTALL)
-
-
-def split_prefix(text: str):
-    """Split an optional '[field,n]' prefix; returns (field, n, rest)."""
-    m = _PREFIX_RE.fullmatch(text)
-    if not m:
-        return None, None, text.strip()
-    field = parse_field(m.group(1))
-    return field, int(m.group(2)), m.group(3).strip()
-
-
-def parse_endo(text: str, field: Optional[Field] = None,
-               nvars: Optional[int] = None):
-    from .autos import Endo
-    f2, n2, rest = split_prefix(text)
-    field = f2 or field
-    nvars = n2 if n2 is not None else nvars
-    if field is None or nvars is None:
-        raise ParseError("missing [field,n] prefix")
-    return Endo(field, nvars, parse_components(rest, field, nvars))
-
-
-def parse_components(text: str, field: Field, nvars: int):
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError("component tuple must be parenthesized")
-    inner = text[1:-1]
-    parts = _split_top_level(inner, ",")
-    if len(parts) != nvars:
-        raise ArityError(f"expected {nvars} components, got {len(parts)}")
-    return tuple(parse_polynomial(part, field, nvars) for part in parts)
-
-
-def _split_top_level(text: str, sep: str) -> List[str]:
-    parts = []
-    depth = 0
-    cur = ""
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append(cur)
-            cur = ""
-        else:
-            cur += ch
-    parts.append(cur)
-    return parts
-
-
-# -- derivations ------------------------------------------------------------------
-
 def derivation_to_text(D: TriDerivation) -> str:
     return "D(" + ", ".join(poly_to_text(q) for q in D.images) + ")"
-
-
-def parse_derivation(text: str, field: Field, nvars: int) -> TriDerivation:
-    text = text.strip()
-    if not (text.startswith("D(") and text.endswith(")")):
-        raise ParseError("derivation must look like D(q1, ..., qn)")
-    parts = _split_top_level(text[2:-1], ",")
-    if len(parts) != nvars:
-        raise ArityError(f"expected {nvars} derivation images")
-    images = tuple(parse_polynomial(part, field, nvars) for part in parts)
-    return TriDerivation(field, nvars, images)
 
 
 # -- factored automorphisms ---------------------------------------------------------
 
 def factor_to_text(factor) -> str:
-    from .autos import (Elementary, ExpLND, Linear, SignedPermutation,
-                        Translation, Triangular)
     if isinstance(factor, Elementary):
         return f"E({factor.i}; {poly_to_text(factor.f)})"
     if isinstance(factor, Translation):
@@ -384,131 +448,3 @@ def factored_to_text(word) -> str:
         t = factor_to_text(factor)
         parts.append(t if exp == 1 else t + "^-1")
     return " * ".join(parts)
-
-
-def parse_factored(text: str, field: Optional[Field] = None,
-                   nvars: Optional[int] = None):
-    from .autos import FactoredAuto
-    f2, n2, rest = split_prefix(text)
-    field = f2 or field
-    nvars = n2 if n2 is not None else nvars
-    if field is None or nvars is None:
-        raise ParseError("missing [field,n] prefix for factored word")
-    rest = rest.strip()
-    if rest == "id" or not rest:
-        return FactoredAuto.identity(field, nvars)
-    factors = []
-    for piece in _split_top_level(rest, "*"):
-        piece = piece.strip()
-        exp = 1
-        if piece.endswith("^-1"):
-            exp = -1
-            piece = piece[:-3].strip()
-        factors.append((_parse_factor(piece, field, nvars), exp))
-    return FactoredAuto(field, nvars, factors)
-
-
-def _parse_constant(text: str, field: Field, nvars: int):
-    p = parse_polynomial(text, field, nvars)
-    if not p.is_constant():
-        raise ParseError(f"expected a constant, got {text.strip()!r}")
-    return p.constant_value()
-
-
-def _parse_factor(text: str, field: Field, nvars: int):
-    from .autos import (Elementary, ExpLND, Linear, SignedPermutation,
-                        Translation, Triangular)
-    m = re.fullmatch(r"(E|Tr|T|S|Exp)\((.*)\)", text, re.DOTALL)
-    if m:
-        kind, inner = m.group(1), m.group(2)
-        if kind == "E":
-            parts = _split_top_level(inner, ";")
-            if len(parts) != 2:
-                raise ParseError(f"E needs (i; f): {text!r}")
-            i = int(parts[0].strip())
-            f = parse_polynomial(parts[1], field, nvars)
-            return Elementary(field, nvars, i, f)
-        if kind == "Tr":
-            parts = _split_top_level(inner, ",")
-            if len(parts) != nvars:
-                raise ArityError(f"Tr needs {nvars} entries")
-            vec = tuple(_parse_constant(p, field, nvars) for p in parts)
-            return Translation(field, nvars, vec)
-        if kind == "T":
-            groups = _split_top_level(inner, ";")
-            if len(groups) != nvars:
-                raise ArityError(f"T needs {nvars} groups")
-            scalars = []
-            polys = []
-            for g in groups:
-                bits = _split_top_level(g, ",")
-                a = _parse_constant(bits[0], field, nvars)
-                if len(bits) == 1:
-                    p = Polynomial.zero(field, nvars)
-                elif len(bits) == 2:
-                    p = parse_polynomial(bits[1], field, nvars)
-                else:
-                    raise ParseError(f"bad triangular group {g!r}")
-                scalars.append(a)
-                polys.append(p)
-            return Triangular(field, nvars, tuple(scalars), tuple(polys))
-        if kind == "S":
-            parts = _split_top_level(inner, ";")
-            if len(parts) != 2:
-                raise ParseError(f"S needs (perm; signs): {text!r}")
-            perm = tuple(int(x) for x in _split_top_level(parts[0], ","))
-            signs = tuple(_parse_constant(x, field, nvars)
-                          for x in _split_top_level(parts[1], ","))
-            return SignedPermutation(field, nvars, perm, signs)
-        if kind == "Exp":
-            parts = _split_top_level(inner, ";")
-            if len(parts) != 2:
-                raise ParseError(f"Exp needs (F; D(...)): {text!r}")
-            F = parse_polynomial(parts[0], field, nvars)
-            D = parse_derivation(parts[1].strip(), field, nvars)
-            return ExpLND(field, nvars, F, D)
-    m = re.fullmatch(r"L\[(.*)\]", text, re.DOTALL)
-    if m:
-        matrix = _parse_matrix(m.group(1), field, nvars)
-        return Linear(field, nvars, matrix)
-    raise ParseError(f"unrecognized factor {text!r}")
-
-
-def _parse_matrix(text: str, field: Field, nvars: int):
-    rows = []
-    depth = 0
-    cur = ""
-    for ch in text:
-        if ch == "[":
-            depth += 1
-            if depth == 1:
-                cur = ""
-                continue
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                rows.append(cur)
-                continue
-        if depth >= 1:
-            cur += ch
-    if len(rows) != nvars:
-        raise ArityError(f"L needs {nvars} rows")
-    matrix = []
-    for row in rows:
-        entries = _split_top_level(row, ",")
-        if len(entries) != nvars:
-            raise ArityError(f"L row needs {nvars} entries")
-        matrix.append(tuple(_parse_constant(e, field, nvars)
-                            for e in entries))
-    return tuple(matrix)
-
-
-def parse_automorphism(text: str):
-    """Parse either an expanded tuple or a factored word, detected by shape.
-    The '[field,n]' prefix is required."""
-    field, nvars, rest = split_prefix(text)
-    if field is None:
-        raise ParseError("missing [field,n] prefix")
-    if rest.startswith("("):
-        return parse_endo(text)
-    return parse_factored(text)

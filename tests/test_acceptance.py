@@ -261,8 +261,10 @@ def test_criterion_4_certification_corpus():
             if hashlib.sha256(text.encode()).hexdigest() \
                     != CORPUS_SHA256.get(key):
                 bad.append((key, "certificate bytes changed"))
-            # serialization round trip preserves the verdict
+            # serialization round trip preserves the bytes and the verdict
             again = parse_certificate(text)
+            if serialize_certificate(again) != text:
+                bad.append((key, "round-trip bytes changed"))
             if verify_certificate(again).verdict != "PASS":
                 bad.append((key, "round-trip verdict changed"))
         except Exception as exc:  # noqa: BLE001 - report below

@@ -45,6 +45,13 @@ def test_invalid_factors(Q):
         Triangular(Q, 2, (Q.one, Q.zero), (Polynomial.zero(Q, 2),) * 2)
 
 
+def test_signed_permutation_needs_n_signs(Q):
+    with pytest.raises(InvalidFactor):
+        SignedPermutation(Q, 2, (1, 2), (Q.one,))
+    with pytest.raises(InvalidFactor):
+        SignedPermutation(Q, 2, (1, 2), (Q.one,) * 3)
+
+
 def test_compose_convention(Q):
     # (P) phi psi = ((P) phi) psi with phi = (x1, x2+x1^2), psi = (x1+1, x2)
     phi = parse_endo("[Q,2] (x1, x2+x1^2)")

@@ -1,10 +1,13 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyauto.autos import dilation, elementary, sl_dilation
 from polyauto.certificates import (KIND_COTAME, KIND_SLIN, Step, WordItem,
                                    certificates_equal, parse_certificate,
                                    serialize_certificate, verify_certificate)
-from polyauto.errors import ParseError
+from polyauto.errors import DegreeCapExceeded, ParseError
 from polyauto.fields import Field
 from polyauto.poly import Polynomial
 from polyauto.textio import parse_factored
@@ -217,3 +220,74 @@ def test_missing_kind_rejected():
     assert f"\nKIND {KIND_SLIN}\n" in text
     with pytest.raises(ParseError, match="KIND"):
         parse_certificate(text.replace(f"\nKIND {KIND_SLIN}\n", "\n", 1))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_slin_certificates_round_trip_bytes(q):
+    from polyauto.slin import SlinContext, slin_from_monomial_elementary
+    field = Field.of_order(q)
+    ctx = SlinContext(field, 2)
+    units = list(field.units())
+    for a in (units[0], units[-1]):
+        for exps in ((0, 1), (0, 2), (0, 5)):
+            text = serialize_certificate(
+                slin_from_monomial_elementary(ctx, 1, a, exps))
+            assert serialize_certificate(parse_certificate(text)) == text
+
+
+def test_parse_errors_point_into_the_file():
+    text = serialize_certificate(commutator_cert())
+    lines = text.splitlines()
+    row = next(i for i, line in enumerate(lines) if "VALUE" in line)
+    col = lines[row].index("(") + 1
+    lines[row] = lines[row][:col] + "x9+" + lines[row][col:]
+    with pytest.raises(ParseError) as info:
+        parse_certificate("\n".join(lines) + "\n")
+    assert (info.value.line, info.value.column) == (row + 1, col + 1)
+
+
+def test_power_over_the_cap_is_not_a_parse_error():
+    text = serialize_certificate(commutator_cert())
+    lines = text.splitlines()
+    row = next(i for i, line in enumerate(lines) if "VALUE" in line)
+    lines[row] = lines[row].replace("VALUE (", "VALUE ((x1+x2+1)^25+", 1)
+    bad = "\n".join(lines) + "\n"
+    with pytest.raises(DegreeCapExceeded):
+        parse_certificate(bad, cap=20)
+    assert verify_certificate(parse_certificate(bad)).verdict == "FAIL"
+
+
+@lru_cache(maxsize=None)
+def first_corpus_text():
+    return corpus_certificate_text(0)
+
+
+def mutate(text, edit):
+    kind, where, bit = edit
+    if kind == "flip":
+        data = bytearray(text.encode())
+        data[where % len(data)] ^= 1 << bit
+        return data.decode("utf-8", errors="replace")
+    lines = text.splitlines(keepends=True)
+    i = where % len(lines)
+    if kind == "drop":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return "".join(lines)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(("flip", "drop", "dup")),
+                          st.integers(0, 1 << 20), st.integers(0, 7)),
+                min_size=1, max_size=3))
+def test_mutated_certificate_ends_in_a_verdict_or_typed_error(edits):
+    text = first_corpus_text()
+    for edit in edits:
+        text = mutate(text, edit)
+    try:
+        cert = parse_certificate(text)
+    except (ParseError, DegreeCapExceeded):
+        return
+    assert verify_certificate(cert).verdict in ("PASS", "FAIL",
+                                                "INDETERMINATE")

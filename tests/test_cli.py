@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -101,3 +102,45 @@ def test_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(0,2)"
+
+
+def test_malformed_maps_exit_1_with_a_typed_error(capsys):
+    for text, error in (("[Q,2] E(x; 1)", "ParseError"),
+                        ("[Q,2] (1/0*x1, x2)", "ParseError"),
+                        ("[Q,2] S(1,2; 1)", "InvalidFactor")):
+        rc, _, err = run_cli(["classify", text], capsys)
+        assert rc == 1
+        assert err.startswith(f"error: {error}: ")
+        assert "Traceback" not in err
+
+
+def test_verify_cap_bounds_the_parse(tmp_path, capsys):
+    # one VALUE component of a corpus certificate becomes a power of degree
+    # 25: under --cap 20 the parse refuses it before anything is expanded
+    from test_certificates import corpus_certificate_text
+    lines = corpus_certificate_text().splitlines()
+    row = next(i for i, line in enumerate(lines)
+               if line.strip().startswith("VALUE"))
+    lines[row] = re.sub(r"VALUE \([^,]*,", "VALUE ((x1+x2+1)^25,", lines[row])
+    path = tmp_path / "cap.nct"
+    path.write_text("\n".join(lines) + "\n")
+    rc, out, _ = run_cli(["--cap", "20", "verify", str(path)], capsys)
+    assert rc == 2
+    assert out.rstrip().endswith("verdict: INDETERMINATE")
+    assert "inverse-pair" not in out  # no check ran
+
+
+def test_verify_rejects_bytes_that_are_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bin.nct"
+    path.write_bytes(b"NCT 1\nFIELD Q\xff\n")
+    rc, _, err = run_cli(["verify", str(path)], capsys)
+    assert rc == 1
+    assert err.startswith("error: ParseError: file is not UTF-8 text "
+                          "(line 2, column 8)")
+
+
+def test_certify_honours_cap_zero(capsys):
+    rc, _, err = run_cli(["--cap", "0", "certify", "[Q,2] E(1; x2^3)"],
+                         capsys)
+    assert rc == 1
+    assert "DegreeCapExceeded" in err

@@ -10,8 +10,9 @@ from polyauto.autos import (Endo, FactoredAuto, classify, compose,
 from polyauto.certificates import KIND_COTAME, verify_certificate
 from polyauto.cotame import (certify_normally_cotame, find_noncommuting_c,
                              normalize_m_triangular)
-from polyauto.errors import (IdentityInput, NotSpecial, NotTriangular,
-                             UnsupportedCharacteristic, UnsupportedM)
+from polyauto.errors import (DegreeCapExceeded, IdentityInput, NotSpecial,
+                             NotTriangular, UnsupportedCharacteristic,
+                             UnsupportedM)
 from polyauto.fields import Field
 from polyauto.poly import Polynomial
 from polyauto.reduce_core import (parabolic_witness, reduce_parabolic_ref,
@@ -280,3 +281,11 @@ def test_vd_descent_property():
         conj = compose(compose(invert_endo(tau), gamma), tau)
         assert vector_degree(conj) < vector_degree(tau)
         checked += 1
+
+
+def test_certify_passes_its_cap_through():
+    # cap 0 is a cap, not a request for the default
+    word = parse_factored("[Q,2] E(1; x2^3)")
+    with pytest.raises(DegreeCapExceeded):
+        certify_normally_cotame(word, cap=0)
+    assert verify_certificate(certify_normally_cotame(word)).verdict == "PASS"

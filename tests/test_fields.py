@@ -136,3 +136,12 @@ def test_tags_round_trip():
     for tag in ("Q", "F5", "F4/t^2+t+1", "F9/t^2+1"):
         f = parse_field(tag)
         assert parse_field(f.tag()) == f
+
+
+def test_prime_power_splits_q():
+    from polyauto.fields import prime_power
+    assert [prime_power(q) for q in (2, 4, 8, 9, 25, 27, 97)] == [
+        (2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (97, 1)]
+    for q in (-4, 0, 1, 6, 12, 100):
+        with pytest.raises(NotPrime):
+            prime_power(q)

@@ -87,3 +87,79 @@ def test_endo_text_round_trip(F9):
     phi = parse_endo("[F9/t^2+1,2] (x1+(2*t+1)*x2^2, 2*x2)")
     text = endo_to_text(phi)
     assert parse_endo(text) == phi
+
+
+MALFORMED = {
+    "index-not-a-number": ("[Q,2] E(x; 1)", 9),
+    "zero-denominator": ("[Q,2] (1/0*x1, x2)", 10),
+    "missing-term": ("[Q,2] (x1+, x2)", 11),
+    "trailing-input": ("[Q,2] (x1, x2) (x1)", 16),
+    "variable-out-of-range": ("[Q,2] (x1, x3)", 12),
+    "factor-exponent": ("[Q,2] E(1; x2)^-2", 17),
+    "short-matrix-row": ("[Q,2] L[[1,0],[0]]", 16),
+    "translation-not-constant": ("[Q,2] Tr(1, x1)", 13),
+    "unknown-factor": ("[Q,2] W(1; 1)", 7),
+    "bad-field-tag": ("[G7,2] (x1, x2)", 2),
+    "modulus-degree": ("[F9/t^3+1,2] (x1, x2)", 5),
+    "no-variables": ("[Q,0] id", 1),
+    "number-too-long": ("[Q,2] (x1, 2^" + "9" * 5000 + ")", 14),
+    "nested-too-deeply": ("[Q,1] (" + "(" * 2000 + "x1" + ")" * 2000 + ")",
+                          None),
+}
+
+
+@pytest.mark.parametrize("text, column", MALFORMED.values(),
+                         ids=MALFORMED.keys())
+def test_malformed_text_is_a_parse_error_at_a_column(text, column):
+    with pytest.raises(ParseError) as info:
+        parse_automorphism(text)
+    assert info.value.line == 1
+    if column is not None:
+        assert info.value.column == column, str(info.value)
+
+
+def test_parse_error_line_and_column_span_newlines(Q):
+    with pytest.raises(ParseError) as info:
+        parse_polynomial("x1\n  + *x2", Q, 2)
+    assert (info.value.line, info.value.column) == (2, 5)
+
+
+def test_power_over_the_cap_is_refused_before_expanding(Q, monkeypatch):
+    from polyauto.errors import DegreeCapExceeded
+
+    def no_expansion(*args):
+        raise AssertionError("expanded a power over the cap")
+
+    monkeypatch.setattr(Polynomial, "__pow__", no_expansion)
+    with pytest.raises(DegreeCapExceeded):
+        parse_polynomial("(x1+x2+x3+1)^30", Q, 3, cap=20)
+    with pytest.raises(DegreeCapExceeded):  # a constant's exponent counts too
+        parse_polynomial("2^100000", Q, 3, cap=1024)
+    monkeypatch.undo()
+    assert parse_polynomial("(x1+1)^20", Q, 3, cap=20).deg() == 20
+    assert parse_polynomial("(x1+1)^30", Q, 3, cap=None).deg() == 30
+
+
+def test_modulus_is_a_polynomial_in_t():
+    F9 = parse_field("F9")
+    assert parse_field("F9/t^2+1") == F9
+    assert parse_field("F9/(t+1)^2-2*t") == F9
+    assert parse_field("F9 / t ^ 2 + 1") == F9
+    with pytest.raises(ParseError):
+        parse_field("F9/x1^2+1")  # only t is a variable of a modulus
+
+
+def test_prefix_must_agree_with_the_given_ring(Q):
+    assert parse_factored("[Q,2] E(1; x2)", Q, 2).expand() == parse_factored(
+        "E(1; x2)", Q, 2).expand()
+    with pytest.raises(ParseError, match="disagrees"):
+        parse_factored("[F5,2] E(1; x2)", Q, 2)
+    with pytest.raises(ParseError, match="prefix"):
+        parse_factored("E(1; x2)")
+
+
+def test_wrong_arity_is_a_parse_error(Q):
+    with pytest.raises(ParseError):
+        parse_endo("[Q,3] (x1, x2)")
+    with pytest.raises(ArityError):
+        parse_factored("[Q,2] T(1; 1; 1)")
