@@ -5,19 +5,20 @@ Printers emit a canonical form (graded-lex term order, fixed spacing) so
 that serialized objects are byte-stable.  Parsing is one recursive-descent
 `_Parser` over one token stream, one rule per production of the grammar in
 docs/formats.md; every syntax error is a ParseError at a line and column,
-and a power over the degree cap is refused before it is expanded.
+and a power or product over the degree cap is refused before it is
+expanded.
 """
 
 from __future__ import annotations
 
 import re
-from operator import add
 from typing import Optional, Tuple
 
 from .autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
                     SignedPermutation, Translation, Triangular)
 from .derivations import TriDerivation
-from .errors import ArityError, DegreeCapExceeded, ParseError
+from .errors import (ArityError, DegreeCapExceeded, NotPrime, ParseError,
+                     ReducibleModulus)
 from .fields import EXTENSION, RATIONALS, Field, element_text, prime_power
 from .poly import DEFAULT_DEGREE_CAP, Polynomial
 
@@ -106,21 +107,25 @@ class _Parser:
     def field_tag(self) -> Field:
         if self.at("Q"):
             return Field.rationals()
+        first = self.i
         if not self.at("F"):
             self.fail(f"bad field tag {self.toks[self.i]!r}")
         q = self.number()
-        if not self.at("/"):
-            return Field.of_order(q)
-        # the modulus: a polynomial in the variable t over F_p, degree <= s
-        p, s = prime_power(q)
-        fp = Field.prime(p)
-        self.set_ring(fp, 1)
-        self.xvars, self.t = 0, Polynomial.variable(fp, 1, 1)
-        first, m = self.i, self.poly()
-        if m.deg() > s:
-            self.fail(f"modulus degree exceeds {s}", first)
-        return Field.extension(
-            p, s, tuple(m.coeff((e,)).payload for e in range(s + 1)))
+        try:
+            if not self.at("/"):
+                return Field.of_order(q)
+            # the modulus: a polynomial in the variable t over F_p, degree <= s
+            p, s = prime_power(q)
+            fp = Field.prime(p)
+            self.set_ring(fp, 1)
+            self.xvars, self.t = 0, Polynomial.variable(fp, 1, 1)
+            start, m = self.i, self.poly()
+            if m.deg() > s:
+                self.fail(f"modulus degree exceeds {s}", start)
+            return Field.extension(
+                p, s, tuple(m.coeff((e,)).payload for e in range(s + 1)))
+        except (NotPrime, ReducibleModulus) as e:
+            self.fail(str(e), first)
 
     def ring(self):
         """Optional '[field,n]' prefix, which must agree with a given ring."""
@@ -142,56 +147,39 @@ class _Parser:
     # -- polynomials --
 
     def poly(self) -> Polynomial:
-        """{+|-} term {(+|-) {+|-} term}, summed into one term map."""
-        field, toks = self.field, self.toks
-        out = {}
+        """{+|-} term {(+|-) {+|-} term}"""
+        p = Polynomial.zero(self.field, self.nvars)
         while True:
             negate = False
-            while toks[self.i] in ("+", "-"):
-                negate ^= toks[self.i] == "-"
+            while self.toks[self.i] in ("+", "-"):
+                negate ^= self.toks[self.i] == "-"
                 self.i += 1
-            for e, c in self.term().terms.items():
-                if negate:
-                    c = field._pneg(c)
-                acc = out.get(e)
-                out[e] = c if acc is None else field._padd(acc, c)
-            if toks[self.i] not in ("+", "-"):
-                break
-        return Polynomial(field, self.nvars, {
-            e: c for e, c in out.items() if not field._pis_zero(c)})
+            p = p - self.term() if negate else p + self.term()
+            if self.toks[self.i] not in ("+", "-"):
+                return p
 
     def term(self) -> Polynomial:
-        """power {'*' power}; products of monomials skip the kernel."""
-        field, one = self.field, self.field.one.payload
+        """power {'*' power}, refused before a product over the cap."""
         p = self.power()
         while self.at("*"):
             q = self.power()
-            if len(p.terms) == 1 == len(q.terms):
-                (ea, ca), = p.terms.items()
-                (eb, cb), = q.terms.items()
-                c = (cb if ca == one else ca if cb == one
-                     else field._pmul(ca, cb))
-                p = Polynomial(field, self.nvars, {tuple(map(add, ea, eb)): c})
-            else:
-                p = p * q
+            self.check_cap("product", p.deg() + q.deg())
+            p = p * q
         return p
 
     def power(self) -> Polynomial:
-        """atom ['^' number], refused before expanding when over the cap."""
+        """atom ['^' number], refused before a power over the cap."""
         base = self.atom()
         if not self.at("^"):
             return base
         k = self.number()
-        degree = max(base.deg(), 1) * k
+        self.check_cap("power", max(base.deg(), 1) * k)
+        return base ** k
+
+    def check_cap(self, what: str, degree: int):
         if self.cap is not None and degree > self.cap:
             raise DegreeCapExceeded(
-                f"power of degree {degree} exceeds cap {self.cap}")
-        if len(base.terms) != 1:
-            return base ** k
-        (e, c), = base.terms.items()
-        if c != self.field.one.payload:
-            c = self.field._ppow(c, k)
-        return Polynomial(self.field, self.nvars, {tuple(k * x for x in e): c})
+                f"{what} of degree {degree} exceeds cap {self.cap}")
 
     def atom(self) -> Polynomial:
         tok = self.toks[self.i]

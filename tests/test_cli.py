@@ -2,6 +2,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from polyauto.cli import main
 
 
@@ -114,14 +116,18 @@ def test_malformed_maps_exit_1_with_a_typed_error(capsys):
         assert "Traceback" not in err
 
 
-def test_verify_cap_bounds_the_parse(tmp_path, capsys):
-    # one VALUE component of a corpus certificate becomes a power of degree
-    # 25: under --cap 20 the parse refuses it before anything is expanded
+@pytest.mark.parametrize("value", ["(x1+x2+1)^25",
+                                   "(x1+x2+1)^15*(x1+x2+1)^15"])
+def test_verify_cap_bounds_the_parse(tmp_path, capsys, value):
+    # one VALUE component of a corpus certificate becomes a power or a
+    # product of degree over 20: under --cap 20 the parse refuses it before
+    # anything is expanded
     from test_certificates import corpus_certificate_text
     lines = corpus_certificate_text().splitlines()
     row = next(i for i, line in enumerate(lines)
                if line.strip().startswith("VALUE"))
-    lines[row] = re.sub(r"VALUE \([^,]*,", "VALUE ((x1+x2+1)^25,", lines[row])
+    lines[row] = re.sub(r"VALUE \([^,]*,", lambda _: f"VALUE ({value},",
+                        lines[row])
     path = tmp_path / "cap.nct"
     path.write_text("\n".join(lines) + "\n")
     rc, out, _ = run_cli(["--cap", "20", "verify", str(path)], capsys)

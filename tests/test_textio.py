@@ -101,6 +101,8 @@ MALFORMED = {
     "unknown-factor": ("[Q,2] W(1; 1)", 7),
     "bad-field-tag": ("[G7,2] (x1, x2)", 2),
     "modulus-degree": ("[F9/t^3+1,2] (x1, x2)", 5),
+    "not-a-prime-power": ("[F12,2] (x1, x2)", 2),
+    "reducible-modulus": ("[F9/t^2+2*t+1,2] (x1, x2)", 2),
     "no-variables": ("[Q,0] id", 1),
     "number-too-long": ("[Q,2] (x1, 2^" + "9" * 5000 + ")", 14),
     "nested-too-deeply": ("[Q,1] (" + "(" * 2000 + "x1" + ")" * 2000 + ")",
@@ -140,6 +142,22 @@ def test_power_over_the_cap_is_refused_before_expanding(Q, monkeypatch):
     assert parse_polynomial("(x1+1)^30", Q, 3, cap=None).deg() == 30
 
 
+def test_product_over_the_cap_is_refused_before_expanding(Q, monkeypatch):
+    from polyauto.errors import DegreeCapExceeded
+    mul = Polynomial.__mul__
+
+    def capped_mul(p, q):
+        assert p.deg() + q.deg() <= 20, "expanded a product over the cap"
+        return mul(p, q)
+
+    monkeypatch.setattr(Polynomial, "__mul__", capped_mul)
+    with pytest.raises(DegreeCapExceeded):
+        parse_polynomial("*".join(["(x1+x2+x3+1)^20"] * 4), Q, 3, cap=20)
+    with pytest.raises(DegreeCapExceeded):
+        parse_polynomial("x1^15*x2^15", Q, 3, cap=20)
+    assert parse_polynomial("(x1+1)^10*(x2+1)^10", Q, 3, cap=20).deg() == 20
+
+
 def test_modulus_is_a_polynomial_in_t():
     F9 = parse_field("F9")
     assert parse_field("F9/t^2+1") == F9
@@ -147,6 +165,8 @@ def test_modulus_is_a_polynomial_in_t():
     assert parse_field("F9 / t ^ 2 + 1") == F9
     with pytest.raises(ParseError):
         parse_field("F9/x1^2+1")  # only t is a variable of a modulus
+    with pytest.raises(ParseError):
+        parse_field("F6/t+1")  # 6 is not a prime power
 
 
 def test_prefix_must_agree_with_the_given_ring(Q):
