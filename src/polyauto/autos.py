@@ -18,7 +18,8 @@ from .derivations import TriDerivation, exp_images, kernel_check
 from .errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
                      InvalidFactor, NotStructured, NotTriangular, Singular)
 from .fields import Field, FieldElement
-from .poly import DEFAULT_DEGREE_CAP, Polynomial, identity_images
+from .poly import (DEFAULT_DEGREE_CAP, Polynomial, PreparedImages,
+                   identity_images)
 
 
 class Endo:
@@ -54,10 +55,6 @@ class Endo:
                 return False
         return True
 
-    def apply(self, P: Polynomial, cap: Optional[int] = DEFAULT_DEGREE_CAP) -> Polynomial:
-        """(P) phi."""
-        return P.substitute(self.components, cap=cap)
-
     def __eq__(self, other):
         if not isinstance(other, Endo):
             return NotImplemented
@@ -79,7 +76,8 @@ def compose(phi: Endo, psi: Endo,
         raise FieldMismatch("composing over different fields")
     if phi.nvars != psi.nvars:
         raise ArityMismatch("composing different arities")
-    comps = [c.substitute(psi.components, cap=cap) for c in phi.components]
+    images = PreparedImages(psi.components, psi.field)
+    comps = [c.substitute(images, cap=cap) for c in phi.components]
     return Endo(phi.field, phi.nvars, comps)
 
 

@@ -9,7 +9,7 @@ Polynomial code works on payloads directly through the Field's `_p*` ops.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import log, log2
 from types import MappingProxyType
 from typing import Iterator, Optional, Union
 
@@ -31,28 +31,40 @@ CANONICAL_MODULI = MappingProxyType({
 })
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+# Miller-Rabin bases: exact below 3.3e24 (Sorenson-Webster), a PRP test above.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r, d odd
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> r, n)
+        if x == 1:
+            continue
+        for _ in range(r):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
 
 
 def prime_power(q: int):
-    """(p, s) with q = p^s for a prime p and s >= 1; NotPrime otherwise."""
-    if q >= 2:
-        p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-        s, rest = 0, q
-        while rest % p == 0:
-            rest //= p
-            s += 1
-        if rest == 1:
+    """(p, s) with q = p^s for a prime p and s >= 1; NotPrime otherwise.
+    A prime factor b <= 41 of q leaves only p = b; any other p is > 2^5."""
+    b = next((b for b in _MR_BASES if q > 1 and q % b == 0), None)
+    if b is not None and b ** (s := round(log(q, b))) == q:
+        return b, s
+    for s in range(1, max(q, 1).bit_length() // 5 + 1 if b is None else 1):
+        # p = floor(q^(1/s)) by Newton steps down from just above 2^e
+        e = log2(q) / s
+        p = int(2.0 ** (e % 1 + 40) * (1 + 2 ** -20)) << int(e) >> 40
+        while (y := ((s - 1) * p + q // p ** (s - 1)) // s) < p:
+            p = y
+        if p ** s == q and is_prime(p):
             return p, s
     raise NotPrime(f"{q} is not a prime power")
 

@@ -2,10 +2,10 @@
 keyed by field kind.  Coefficients are Python ints, tuples of ints, or
 Fractions, so every kernel is exact for any characteristic.
 
-Over Q no Fraction arithmetic runs in the loop: each operand is written as
-an integer term map over one shared denominator (the lcm of its
-coefficient denominators), the integer maps are multiplied, and each
-output coefficient is normalised once, by one Fraction at the end.
+Over Q no Fraction arithmetic runs in the loop: operands are integer term
+maps over one shared denominator (the lcm of their denominators), and each
+output becomes one Fraction at the end.  mul_terms_int and mul_terms_ext add
+k * a * b into a map in place: one substitution accumulation for all fields.
 """
 
 from fractions import Fraction
@@ -55,35 +55,36 @@ def mul_terms_obj(a, b):
             for e, v in mul_terms_int(pa, pb).items() if v}
 
 
-def mul_terms_ext(a, b, p, modulus):
-    """Multiply term maps with F_{p^s} coefficients (tuples, ascending)."""
+def ext_mul(x, y, p, modulus):
+    """x * y in F_p[t]/(modulus): s-tuples of residues, ascending in t."""
     s = len(modulus) - 1
-    out = {}
+    prod = [0] * (2 * s - 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y, i):
+                prod[j] += xi * yj
+    for i in range(2 * s - 2, s - 1, -1):
+        c = prod[i] % p
+        if c:
+            for j in range(s):
+                prod[i - s + j] -= c * modulus[j]
+    return tuple([c % p for c in prod[:s]])
+
+
+def mul_terms_ext(a, b, p, modulus, k=1, out=None):
+    """mul_terms_int for F_{p^s} payloads (ext_mul tuples; the int 1 stands
+    for one): a cancelled sum stays in `out` as a zero tuple, and with no
+    `out` the product is returned without zero entries."""
+    fresh = out is None
+    out = {} if fresh else out
+    get = out.get
     for ea, ca in a.items():
+        if k != 1:
+            ca = ext_mul(ca, k, p, modulus)
         for eb, cb in b.items():
-            prod = [0] * (2 * s - 1)
-            for i in range(s):
-                ci = ca[i]
-                if ci:
-                    for j in range(s):
-                        prod[i + j] = (prod[i + j] + ci * cb[j]) % p
-            for i in range(2 * s - 2, s - 1, -1):
-                c = prod[i]
-                if c:
-                    prod[i] = 0
-                    for j in range(s):
-                        prod[i - s + j] = (prod[i - s + j] - c * modulus[j]) % p
-            c = tuple(prod[:s])
-            if not any(c):
-                continue
-            key = tuple(x + y for x, y in zip(ea, eb))
-            acc = out.get(key)
-            if acc is None:
-                out[key] = c
-            else:
-                acc = tuple((x + y) % p for x, y in zip(acc, c))
-                if any(acc):
-                    out[key] = acc
-                else:
-                    del out[key]
-    return out
+            c = ext_mul(ca, cb, p, modulus)
+            key = tuple(map(add, ea, eb))
+            acc = get(key)
+            out[key] = c if acc is None else tuple(
+                [(x + y) % p for x, y in zip(acc, c)])
+    return {e: c for e, c in out.items() if any(c)} if fresh else out

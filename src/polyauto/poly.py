@@ -7,16 +7,17 @@ the deg(0) = 0 convention used throughout the engine.
 Polynomials are immutable by contract: no method mutates `terms` after
 construction, so instances can be shared freely.
 
-Over Q, products and substitution run on integer numerators with one
-shared denominator (kernels.mul_terms_obj, _substitute_rational): the
-Fraction payloads are built once per output term, so the stored terms stay
-canonical Fractions.
+Substitution is one accumulation for every field (PreparedImages): each
+term's last product is added into one map by the field's kernel.  Over Q it
+runs, as products do, on integer numerators over one shared denominator, so
+each canonical Fraction payload is built once per output term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import reduce
+from math import lcm, prod
 from operator import mul
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -281,6 +282,7 @@ class Polynomial:
     def substitute(self, images: Sequence["Polynomial"],
                    cap: Optional[int] = DEFAULT_DEGREE_CAP) -> "Polynomial":
         """Replace x_j by images[j-1]; the result arity is the images' arity.
+        `images` may be a PreparedImages, shared by many substitutions.
 
         The optional cap bounds the total degree of every term's expansion.
         Over a field deg(prod) = sum of degs exactly, so the check fires iff
@@ -292,105 +294,100 @@ class Polynomial:
         field = self.field
         if not images:
             raise ArityMismatch("substitution needs at least one variable")
-        m = images[0].nvars
-        for img in images:
-            if img.field != field:
-                raise FieldMismatch("image over a different field")
-            if img.nvars != m:
-                raise ArityMismatch("images of mixed arity")
+        if not isinstance(images, PreparedImages):
+            images = PreparedImages(images, field)
+        elif images.field != field:
+            raise FieldMismatch("image over a different field")
         # a term involving a variable whose image is zero vanishes
-        zero_vars = [j for j, img in enumerate(images) if not img.terms]
         live = [(e, c) for e, c in self.terms.items()
-                if not any(e[j] for j in zero_vars)]
+                if not any(e[j] for j in images.zero_vars)]
         if cap is not None:
             # check every term before doing any work: a single over-cap term
             # means the whole expansion is doomed, so fail fast
-            img_degs = [img.deg() for img in images]
             for e, _ in live:
-                est = sum(map(mul, e, img_degs))
+                est = sum(map(mul, e, images.degs))
                 if est > cap:
                     raise DegreeCapExceeded(
                         f"substitution term degree {est} exceeds cap {cap}")
-        if field.kind == RATIONALS:
-            return _substitute_rational(live, images, m)
-        powers = [dict() for _ in images]
-
-        def img_pow(j: int, e: int) -> Polynomial:
-            memo = powers[j]
-            got = memo.get(e)
-            if got is None:
-                if e == 1:
-                    got = images[j]
-                else:
-                    half = img_pow(j, e // 2)
-                    got = half * half
-                    if e & 1:
-                        got = got * images[j]
-                memo[e] = got
-            return got
-
-        result = Polynomial.zero(field, m)
-        for e, c in live:
-            term = None
-            for j in range(self.nvars):
-                if e[j]:
-                    q = img_pow(j, e[j])
-                    term = q if term is None else term * q
-            if term is None:
-                term = Polynomial.one(field, m)
-            result = result + term.scale(FieldElement(field, c))
-        return result
+        if len(live) == 1:
+            e, c = live[0]
+            if sum(e) == 1 and c == field.one.payload:
+                return images[e.index(1)]  # a bare variable x_j
+        return images.accumulate(live)
 
 
-def _int_product(a: dict, b: dict) -> dict:
-    return {e: v for e, v in kernels.mul_terms_int(a, b).items() if v}
+class PreparedImages(tuple):
+    """Images checked once and shared by many substitutions (compose's), with
+    their degrees for the cap pre-check and a memo of their powers as term
+    maps of the accumulation's ring (over Q the numerators of P_j / d_j)."""
 
+    def __new__(cls, images: Sequence[Polynomial], field: Field):
+        self = super().__new__(cls, images)
+        self.field, self.nvars = field, images[0].nvars if images else 0
+        for img in images:
+            if img.field != field:
+                raise FieldMismatch("image over a different field")
+            if img.nvars != self.nvars:
+                raise ArityMismatch("images of mixed arity")
+        self.degs = [img.deg() for img in images]
+        self.zero_vars = [j for j, img in enumerate(images) if not img.terms]
+        self.powers, self.dens = [None] * len(self), [1] * len(self)
+        return self
 
-def _substitute_rational(live, images, m: int) -> Polynomial:
-    """sum of c * prod images[j]^e_j over the (e, c) in `live`, over Q.
+    def product(self, a: dict, b: dict, k=1, out=None) -> dict:
+        """a * b, or k * a * b added into `out` (zero sums may stay in it)."""
+        field = self.field
+        if field.kind == EXTENSION:
+            return kernels.mul_terms_ext(a, b, field.p, field.modulus, k, out)
+        if field.kind == PRIME and out is None:
+            return kernels.mul_terms_fp(a, b, field.p)
+        return kernels.mul_terms_int(a, b, k, out)
 
-    Each image is P_j / d_j with P_j an integer term map, so the term (e, c)
-    is num(c) prod P_j^e_j / (den(c) prod d_j^e_j).  A first pass takes the
-    lcm D of those denominators; the second adds every term's integer
-    product, scaled to D, into one map, and each surviving sum becomes one
-    Fraction over D.
-    """
-    field = images[0].field
-    cleared = [kernels.clear_denominators(img.terms)
-               if any(e[j] for e, _ in live) else ({}, 1)
-               for j, img in enumerate(images)]
-    powers = [{1: P} for P, _ in cleared]
-
-    def img_pow(j: int, e: int) -> dict:
-        memo = powers[j]
+    def power(self, j: int, e: int) -> dict:
+        """images[j] ** e as a term map of the accumulation's ring."""
+        memo = self.powers[j]
+        if memo is None:
+            terms = self[j].terms
+            if self.field.kind == RATIONALS:
+                terms, self.dens[j] = kernels.clear_denominators(terms)
+            memo = self.powers[j] = {1: terms}
         got = memo.get(e)
         if got is None:
-            half = img_pow(j, e // 2)
-            got = _int_product(half, half)
+            half = self.power(j, e // 2)
+            got = self.product(half, half)
             if e & 1:
-                got = _int_product(got, memo[1])
+                got = self.product(got, memo[1])
             memo[e] = got
         return got
 
-    dens = []
-    D = 1
-    for e, c in live:
-        t = c.denominator
-        for (_, d), k in zip(cleared, e):
-            if k:
-                t *= d ** k
-        dens.append(t)
-        D = lcm(D, t)
-    unit = {(0,) * m: 1}
-    acc = {}
-    for (e, c), t in zip(live, dens):
-        factors = [img_pow(j, k) for j, k in enumerate(e) if k] or [unit]
-        term = unit
-        for f in factors[:-1]:
-            term = f if term is unit else _int_product(term, f)
-        kernels.mul_terms_int(term, factors[-1], c.numerator * (D // t), acc)
-    return Polynomial(field, m, {e: Fraction(v, D)
-                                 for e, v in acc.items() if v})
+    def accumulate(self, live) -> Polynomial:
+        """sum of c * prod images[j]^e_j over (e, c) in `live`: each term's
+        last product adds into one map with c as multiplier, and each key is
+        normalised once.  Over Q, (e, c) is num(c) prod P_j^e_j over den(c)
+        prod d_j^e_j, scaled to the lcm D of those; each key is v / D."""
+        field, kind = self.field, self.field.kind
+        factors = [[self.power(j, k) for j, k in enumerate(e) if k]
+                   for e, _ in live]
+        ks = [c for _, c in live]
+        if kind == RATIONALS:
+            dens = [c.denominator * prod(self.dens[j] ** k
+                                         for j, k in enumerate(e) if k)
+                    for e, c in live]
+            D = lcm(*dens)
+            ks = [c.numerator * (D // t) for c, t in zip(ks, dens)]
+        one = {(0,) * self.nvars: 1 if kind == RATIONALS else field.one.payload}
+        acc = {}
+        for fs, k in zip(factors, ks):
+            *head, last = fs or [one]
+            self.product(reduce(self.product, head) if head else one,
+                         last, k, acc)
+        if kind == RATIONALS:
+            terms = {e: Fraction(v, D) for e, v in acc.items() if v}
+        elif kind == PRIME:
+            terms = {e: r for e, v in acc.items() if (r := v % field.p)}
+        else:
+            terms = {e: v for e, v in acc.items() if any(v)}
+        return Polynomial(field, self.nvars, terms)
 
 
 def poly_arith(p: Polynomial, q: Polynomial, op: str) -> Polynomial:

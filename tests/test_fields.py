@@ -140,8 +140,41 @@ def test_tags_round_trip():
 
 def test_prime_power_splits_q():
     from polyauto.fields import prime_power
-    assert [prime_power(q) for q in (2, 4, 8, 9, 25, 27, 97)] == [
-        (2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (97, 1)]
-    for q in (-4, 0, 1, 6, 12, 100):
+    m61 = 2 ** 61 - 1
+    assert [prime_power(q) for q in (2, 4, 8, 9, 25, 27, 97, 3 ** 40,
+                                     m61 ** 3, 43 ** 7, 2 ** 10000)] == [
+        (2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (97, 1), (3, 40),
+        (m61, 3), (43, 7), (2, 10000)]
+    # a 3,001-digit q with a small factor is refused at once
+    for q in (-4, 0, 1, 6, 12, 100, m61 - 2, m61 * 3, 6 ** 20,
+              10 ** 3000 + 1, 43 ** 7 * 47):
         with pytest.raises(NotPrime):
             prime_power(q)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    from polyauto.fields import is_prime
+    sieve = [False, False] + [True] * 19998
+    for d in range(2, 142):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    assert [n for n in range(-3, 20000) if is_prime(n)] == \
+        [n for n, prime in enumerate(sieve) if prime]
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265,
+                  321197185, 5394826801, 232250619601, 9746347772161)
+    assert not any(is_prime(n) for n in carmichael)
+    # a strong pseudoprime to every base below 41 is still caught
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2 ** 89 - 1) and not is_prime(2 ** 89 + 1)
+
+
+def test_large_field_tag_reads_fast():
+    from time import perf_counter
+    from polyauto.textio import parse_field
+    best = float("inf")
+    for _ in range(3):
+        start = perf_counter()
+        field = parse_field("F1000000000039")
+        best = min(best, perf_counter() - start)
+    assert field.kind == "prime" and field.p == 1000000000039
+    assert best < 0.01

@@ -151,6 +151,42 @@ def test_int_kernel_accumulates_in_place():
             {e: v for e, v in want.items() if v}
 
 
+def field_product(field, a, b):
+    """Pair by pair with the Field's payload operations: the reference for
+    the F_{p^s} kernel."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = field._padd(out.get(key, field._pzero()),
+                                   field._pmul(ca, cb))
+    return {e: c for e, c in out.items() if any(c)}
+
+
+def test_ext_kernel_accumulates_in_place():
+    rng = random.Random(6)
+    for q in (4, 8, 9, 25):
+        field = Field.of_order(q)
+        p, s, modulus = field.p, field.s, field.modulus
+        units = [u.payload for u in field.units()]
+        for _ in range(40):
+            a = rand_terms_ext(rng, 2, p, s, rng.randint(0, 6))
+            b = rand_terms_ext(rng, 2, p, s, rng.randint(0, 6))
+            assert kernels.mul_terms_ext(a, b, p, modulus) == \
+                field_product(field, a, b)
+            k = rng.choice(units)
+            start = rand_terms_ext(rng, 2, p, s, rng.randint(0, 4))
+            out = dict(start)
+            got = kernels.mul_terms_ext(a, b, p, modulus, k, out)
+            assert got is out
+            want = dict(start)
+            for e, c in field_product(field, a, b).items():
+                want[e] = field._padd(want.get(e, field._pzero()),
+                                      field._pmul(k, c))
+            assert {e: c for e, c in got.items() if any(c)} == \
+                {e: c for e, c in want.items() if any(c)}
+
+
 def test_cancellation_removes_keys():
     # (x + 1)(x + 4) = x^2 + 5x + 4 = x^2 + 4 mod 5: the x key must vanish
     a = {(1,): 1, (0,): 1}

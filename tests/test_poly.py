@@ -9,7 +9,8 @@ from polyauto.autos import Endo, compose
 from polyauto.errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
                              IndexOutOfRange)
 from polyauto.fields import Field
-from polyauto.poly import Polynomial, identity_images, poly_arith
+from polyauto.poly import (Polynomial, PreparedImages, identity_images,
+                           poly_arith)
 from polyauto.textio import parse_polynomial, poly_to_text
 
 _Q = Field.rationals()
@@ -233,6 +234,155 @@ def test_substitute_cap_raises_before_any_work(Q, monkeypatch):
     monkeypatch.setattr(kernels, "mul_terms_int", no_work)
     with pytest.raises(DegreeCapExceeded):
         p.substitute(images, cap=1024)
+
+
+# -- substitution and compose against sympy over Q, F_7 and F_9 -------------
+
+
+def rand_poly(rng, field, n, count, max_deg):
+    """Random polynomial over Q (denominators up to 9) or a finite field."""
+    units = None if field.order is None else list(field.units())
+    p = Polynomial.zero(field, n)
+    for _ in range(count):
+        exps = tuple(rng.randint(0, max_deg) for _ in range(n))
+        c = (Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+             if units is None else rng.choice(units))
+        p = p + Polynomial.monomial(field, n, field.elem(c), exps)
+    return p
+
+
+def shaped_images(rng, field, n):
+    """Images of every shape compose meets: zero, constant, a bare
+    variable, and a general polynomial."""
+    out = []
+    for _ in range(n):
+        kind = rng.randrange(4)
+        if kind == 0:
+            out.append(Polynomial.zero(field, n))
+        elif kind == 1:
+            out.append(rand_poly(rng, field, n, 1, 0))
+        elif kind == 2:
+            out.append(Polynomial.variable(field, n, rng.randint(1, n)))
+        else:
+            out.append(rand_poly(rng, field, n, rng.randint(1, 4), 2))
+    return out
+
+
+class SympyRing:
+    """The polynomial ring of sympy.polys.rings over the same field: QQ, or
+    GF(p) with t as one more generator for F_{p^s}, reduced by the modulus
+    in t with rem."""
+
+    def __init__(self, sympy, field, n):
+        from sympy.polys.rings import ring
+        self.field, self.modulus = field, None
+        names = ",".join(f"x{i}" for i in range(1, n + 1))
+        if field.order is None:
+            self.ring, *self.gens = ring(names, sympy.QQ)
+            return
+        extra = ",t" if field.modulus else ""
+        self.ring, *self.gens = ring(names + extra, sympy.GF(field.p))
+        if extra:
+            t = self.gens.pop()
+            self.modulus = sum(c * t ** i
+                               for i, c in enumerate(field.modulus))
+
+    def of(self, poly):
+        terms = {}
+        for e, c in poly.terms.items():
+            if self.field.order is None:
+                terms[e] = self.ring.domain(c.numerator, c.denominator)
+            elif self.modulus is None:
+                terms[e] = c
+            else:
+                terms.update({e + (i,): x for i, x in enumerate(c) if x})
+        return self.ring.from_dict(terms) if terms else self.ring.zero
+
+    def compose(self, poly, images):
+        got = self.of(poly).compose(
+            [(g, self.of(img)) for g, img in zip(self.gens, images)])
+        return got if self.modulus is None else got.rem(self.modulus)
+
+
+@pytest.mark.parametrize("order", [None, 7, 9])
+def test_substitute_and_compose_match_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    field = _Q if order is None else Field.of_order(order)
+    rng = random.Random(44 + (order or 0))
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        oracle = SympyRing(sympy, field, n)
+        p = rand_poly(rng, field, n, rng.randint(0, 5), 3)
+        images = shaped_images(rng, field, n)
+        assert oracle.of(p.substitute(images)) == oracle.compose(p, images)
+        phi = Endo(field, n, shaped_images(rng, field, n)[:-1]
+                   + [rand_poly(rng, field, n, rng.randint(1, 4), 2)])
+        psi = Endo(field, n, images)
+        for got, comp in zip(compose(phi, psi).components, phi.components):
+            assert oracle.of(got) == oracle.compose(comp, images)
+
+
+def test_bare_variable_does_no_work(Q, F4, monkeypatch):
+    cases = []
+    for field in (Q, F4):
+        x1, x2 = xvars(field, 2)
+        cases.append((x1, x2, [x1 * x2 + 1, Polynomial.zero(field, 2)]))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bare variable ran a kernel")
+
+    for name in ("mul_terms_int", "mul_terms_fp", "mul_terms_ext",
+                 "clear_denominators"):
+        monkeypatch.setattr(kernels, name, no_work)
+    for x1, x2, images in cases:
+        assert x1.substitute(images) == images[0]
+        # a zero image kills the bare variable too
+        assert x2.substitute(images).is_zero()
+        phi = Endo(x1.field, 2, [x2, x1])
+        assert compose(phi, Endo(x1.field, 2, images)).components == \
+            (images[1], images[0])
+
+
+def test_bare_variable_over_the_cap(Q):
+    x1, x2 = xvars(Q, 2)
+    with pytest.raises(DegreeCapExceeded,
+                       match="^substitution term degree 40 exceeds cap 10$"):
+        x1.substitute([x1 ** 40, x2], cap=10)
+    with pytest.raises(DegreeCapExceeded,
+                       match="^substitution term degree 40 exceeds cap 39$"):
+        compose(Endo(Q, 2, [x2, x1]), Endo(Q, 2, [x1, x2 ** 40]), cap=39)
+    assert x1.substitute([x1 ** 40, x2], cap=40) == x1 ** 40
+
+
+def test_zero_image_kills_exactly_its_terms_in_compose(Q, F9):
+    for field in (Q, F9):
+        x1, x2 = xvars(field, 2)
+        zero = Polynomial.zero(field, 2)
+        phi = Endo(field, 2, [x1 * x2 + x2 ** 2 + 1, x1 ** 3 + x2])
+        got = compose(phi, Endo(field, 2, [zero, x1 + x2]))
+        assert got.components == ((x1 + x2) ** 2 + 1, x1 + x2)
+
+
+def test_image_checks_fire_in_the_same_order(Q, F5):
+    x1, x2 = xvars(Q, 2)
+    y1 = Polynomial.variable(Q, 3, 1)
+    z1, z2 = xvars(F5, 2)
+    cases = [
+        (x1, [x1], ArityMismatch, "need 2 images, got 1"),
+        (x1, [x1, y1], ArityMismatch, "images of mixed arity"),
+        (x1, [z1, y1], FieldMismatch, "image over a different field"),
+        (z1, [x1, y1], FieldMismatch, "image over a different field"),
+        (x1, [x1, z2], FieldMismatch, "image over a different field"),
+        (z1, PreparedImages([x1, x2], Q), FieldMismatch,
+         "image over a different field"),
+    ]
+    for poly, images, error, message in cases:
+        with pytest.raises(error, match=f"^{message}$"):
+            poly.substitute(images)
+    with pytest.raises(ArityMismatch,
+                       match="^substitution needs at least one variable$"):
+        Polynomial.zero(Q, 0).substitute([])
+    assert compose(Endo(Q, 0, []), Endo(Q, 0, [])).components == ()
 
 
 def test_degree_convention(Q):
