@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from .autos import Endo, FactoredAuto, classify, compose, jacobian_det
 from .errors import DegreeCapExceeded, ParseError
 from .fields import Field
-from .poly import DEFAULT_DEGREE_CAP, Polynomial
+from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial
 from .textio import (components_text, factored_to_text, parse_components,
                      parse_factored, parse_field)
 
@@ -300,8 +300,9 @@ def parse_certificate(text: str,
                 field = read(parse_field, rest)
             elif head == "VARS":
                 nvars = int(rest)
-                if nvars < 1:
-                    raise ParseError("VARS must be positive", lineno, 1)
+                if not 1 <= nvars <= MAX_NVARS:
+                    raise ParseError(
+                        f"VARS must be between 1 and {MAX_NVARS}", lineno, 1)
             elif head == "KIND":
                 if rest not in (KIND_COTAME, KIND_SLIN):
                     raise ParseError(f"unknown kind {rest!r}", lineno, 1)

@@ -4,6 +4,8 @@ prime-power extensions F_{p^s} given by an explicit irreducible modulus.
 Element payloads are plain Python values (Fraction, int residue, or a tuple
 of residues for extension fields); FieldElement is a thin immutable wrapper.
 Polynomial code works on payloads directly through the Field's `_p*` ops.
+F_{p^s} payloads multiply with `kernels.ext_mul`, the one F_{p^s} element
+product, and invert by Fermat's a^(q-2), as F_p residues do with a^(p-2).
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from math import log, log2
 from types import MappingProxyType
 from typing import Iterator, Optional, Union
 
-from .errors import DivisionByZero, FieldMismatch, NotPrime, ReducibleModulus
+from . import kernels
+from .errors import (DivisionByZero, FieldMismatch, NotPrime,
+                     ReducibleModulus, UnsupportedField)
 
 RATIONALS = "rationals"
 PRIME = "prime"
@@ -30,6 +34,10 @@ CANONICAL_MODULI = MappingProxyType({
     (5, 2): (1, 1, 1),          # t^2 + t + 1
 })
 
+
+# The largest p^s of an extension field: the irreducibility test of its
+# modulus searches about p^(s/2) candidate factors.
+MAX_EXTENSION_ORDER = 1 << 16
 
 # Miller-Rabin bases: exact below 3.3e24 (Sorenson-Webster), a PRP test above.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -69,30 +77,6 @@ def prime_power(q: int):
     raise NotPrime(f"{q} is not a prime power")
 
 
-def _fp_polymul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
-
-
-def _fp_polymod(a, modulus, p):
-    """Reduce a (ascending coeffs) by a monic modulus over F_p."""
-    a = list(a)
-    dm = len(modulus) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * modulus[j]) % p
-    out = [x % p for x in a[:dm]]
-    while len(out) < dm:
-        out.append(0)
-    return tuple(out)
-
-
 def _fp_poly_divmod(a, b, p):
     """Quotient/remainder of polynomials (ascending coeffs) over F_p, b != 0."""
     a = [x % p for x in a]
@@ -118,7 +102,7 @@ def _fp_poly_divmod(a, b, p):
 
 
 def _is_irreducible(modulus, p) -> bool:
-    """Exhaustive factor search: correct and fast enough for p^s <= 2^16."""
+    """Exhaustive factor search: fast enough for p^s <= MAX_EXTENSION_ORDER."""
     s = len(modulus) - 1
     if s < 1 or modulus[-1] % p != 1:
         return False
@@ -172,6 +156,9 @@ class Field:
             raise NotPrime(f"{p} is not prime")
         if s < 2:
             raise ReducibleModulus("extension degree must be at least 2")
+        if s > 16 or p ** s > MAX_EXTENSION_ORDER:
+            raise UnsupportedField(
+                f"extension order {p}^{s} exceeds {MAX_EXTENSION_ORDER}")
         if modulus is None:
             modulus = CANONICAL_MODULI.get((p, s))
             if modulus is None:
@@ -283,7 +270,7 @@ class Field:
             return a * b
         if self.kind == PRIME:
             return (a * b) % self.p
-        return _fp_polymod(_fp_polymul(a, b, self.p), self.modulus, self.p)
+        return kernels.ext_mul(a, b, self.p, self.modulus)
 
     def _pinv(self, a):
         if self._pis_zero(a):
@@ -292,25 +279,7 @@ class Field:
             return 1 / a
         if self.kind == PRIME:
             return pow(a, self.p - 2, self.p)
-        # extended Euclid in F_p[t]
-        p = self.p
-        r0, r1 = list(self.modulus), [x for x in a]
-        s0, s1 = [0], [1]
-        while any(x % p for x in r1):
-            q, r = _fp_poly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            qs1 = _fp_polymul(q, s1, p)
-            news = [0] * max(len(s0), len(qs1))
-            for i, x in enumerate(s0):
-                news[i] = (news[i] + x) % p
-            for i, x in enumerate(qs1):
-                news[i] = (news[i] - x) % p
-            s0, s1 = s1, news
-        # r0 is now a nonzero constant gcd
-        c = next(x % p for x in r0 if x % p)
-        cinv = pow(c, p - 2, p)
-        inv = [(x * cinv) % p for x in s0]
-        return _fp_polymod(inv, self.modulus, p)
+        return self._ppow(a, self.order - 2)  # Fermat: a^(q-1) = 1
 
     def _pdiv(self, a, b):
         return self._pmul(a, self._pinv(b))
@@ -355,12 +324,9 @@ class Field:
             den = self._pfrom_int(value.denominator)
             return FieldElement(self, self._pdiv(num, den))
         if isinstance(value, tuple) and self.kind == EXTENSION:
-            vec = tuple(int(c) % self.p for c in value)
-            if len(vec) > self.s:
-                vec = _fp_polymod(list(vec), self.modulus, self.p)
-            else:
-                vec = vec + (0,) * (self.s - len(vec))
-            return FieldElement(self, vec)
+            _, r = _fp_poly_divmod([int(c) for c in value], self.modulus,
+                                   self.p)
+            return FieldElement(self, tuple(r) + (0,) * (self.s - len(r)))
         raise TypeError(f"cannot coerce {value!r} into {self.tag()}")
 
     def from_int(self, k: int) -> "FieldElement":

@@ -56,7 +56,8 @@ def mul_terms_obj(a, b):
 
 
 def ext_mul(x, y, p, modulus):
-    """x * y in F_p[t]/(modulus): s-tuples of residues, ascending in t."""
+    """x * y in F_p[t]/(modulus): s-tuples of residues, ascending in t.  The
+    only F_{p^s} element product; Field payloads multiply with it too."""
     s = len(modulus) - 1
     prod = [0] * (2 * s - 1)
     for i, xi in enumerate(x):

@@ -16,7 +16,7 @@ each canonical Fraction payload is built once per output term.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from math import lcm, prod
 from operator import mul
 from typing import Iterator, Optional, Sequence, Tuple
@@ -29,6 +29,10 @@ from .fields import EXTENSION, PRIME, RATIONALS, Field, FieldElement
 # Commutator expansion of long words can square degrees; the cap turns an
 # explosion into a typed error rather than a hang.
 DEFAULT_DEGREE_CAP = 1024
+
+# The most variables a ring may have: the Jacobian's cofactor expansion
+# recurses once per variable.
+MAX_NVARS = 64
 
 
 class Polynomial:
@@ -196,13 +200,10 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         field = self.field
-        if field.kind == PRIME:
-            terms = kernels.mul_terms_fp(self.terms, other.terms, field.p)
-        elif field.kind == EXTENSION:
-            terms = kernels.mul_terms_ext(self.terms, other.terms,
-                                          field.p, field.modulus)
-        else:
+        if field.kind == RATIONALS:
             terms = kernels.mul_terms_obj(self.terms, other.terms)
+        else:
+            terms = _mul_terms(field, self.terms, other.terms)
         return Polynomial(field, self.nvars, terms)
 
     def __rmul__(self, other):
@@ -260,23 +261,14 @@ class Polynomial:
         field = self.field
         out = {}
         j = i - 1
+        # distinct terms stay distinct: only their j-th exponents drop by one
         for e, c in self.terms.items():
             k = e[j]
             if k == 0:
                 continue
             v = field._pmul_int(c, k)
-            if field._pis_zero(v):
-                continue
-            ne = e[:j] + (k - 1,) + e[j + 1:]
-            acc = out.get(ne)
-            if acc is None:
-                out[ne] = v
-            else:
-                acc = field._padd(acc, v)
-                if field._pis_zero(acc):
-                    del out[ne]
-                else:
-                    out[ne] = acc
+            if not field._pis_zero(v):
+                out[e[:j] + (k - 1,) + e[j + 1:]] = v
         return Polynomial(field, self.nvars, out)
 
     def substitute(self, images: Sequence["Polynomial"],
@@ -316,6 +308,17 @@ class Polynomial:
         return images.accumulate(live)
 
 
+def _mul_terms(field: Field, a: dict, b: dict, k=1, out=None) -> dict:
+    """a * b, or k * a * b added into `out` (zero sums may stay in it), by
+    the field's kernel: on F_p and F_{p^s} payloads, and over Q on integer
+    numerators (Polynomial.__mul__ multiplies Fraction payloads itself)."""
+    if field.kind == EXTENSION:
+        return kernels.mul_terms_ext(a, b, field.p, field.modulus, k, out)
+    if field.kind == PRIME and out is None:
+        return kernels.mul_terms_fp(a, b, field.p)
+    return kernels.mul_terms_int(a, b, k, out)
+
+
 class PreparedImages(tuple):
     """Images checked once and shared by many substitutions (compose's), with
     their degrees for the cap pre-check and a memo of their powers as term
@@ -334,15 +337,6 @@ class PreparedImages(tuple):
         self.powers, self.dens = [None] * len(self), [1] * len(self)
         return self
 
-    def product(self, a: dict, b: dict, k=1, out=None) -> dict:
-        """a * b, or k * a * b added into `out` (zero sums may stay in it)."""
-        field = self.field
-        if field.kind == EXTENSION:
-            return kernels.mul_terms_ext(a, b, field.p, field.modulus, k, out)
-        if field.kind == PRIME and out is None:
-            return kernels.mul_terms_fp(a, b, field.p)
-        return kernels.mul_terms_int(a, b, k, out)
-
     def power(self, j: int, e: int) -> dict:
         """images[j] ** e as a term map of the accumulation's ring."""
         memo = self.powers[j]
@@ -354,9 +348,9 @@ class PreparedImages(tuple):
         got = memo.get(e)
         if got is None:
             half = self.power(j, e // 2)
-            got = self.product(half, half)
+            got = _mul_terms(self.field, half, half)
             if e & 1:
-                got = self.product(got, memo[1])
+                got = _mul_terms(self.field, got, memo[1])
             memo[e] = got
         return got
 
@@ -376,11 +370,10 @@ class PreparedImages(tuple):
             D = lcm(*dens)
             ks = [c.numerator * (D // t) for c, t in zip(ks, dens)]
         one = {(0,) * self.nvars: 1 if kind == RATIONALS else field.one.payload}
-        acc = {}
+        acc, times = {}, partial(_mul_terms, field)
         for fs, k in zip(factors, ks):
             *head, last = fs or [one]
-            self.product(reduce(self.product, head) if head else one,
-                         last, k, acc)
+            times(reduce(times, head) if head else one, last, k, acc)
         if kind == RATIONALS:
             terms = {e: Fraction(v, D) for e, v in acc.items() if v}
         elif kind == PRIME:

@@ -18,9 +18,9 @@ from .autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
                     SignedPermutation, Translation, Triangular)
 from .derivations import TriDerivation
 from .errors import (ArityError, DegreeCapExceeded, NotPrime, ParseError,
-                     ReducibleModulus)
+                     ReducibleModulus, UnsupportedField)
 from .fields import EXTENSION, RATIONALS, Field, element_text, prime_power
-from .poly import DEFAULT_DEGREE_CAP, Polynomial
+from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial
 
 # -- the token stream --------------------------------------------------------
 
@@ -124,7 +124,7 @@ class _Parser:
                 self.fail(f"modulus degree exceeds {s}", start)
             return Field.extension(
                 p, s, tuple(m.coeff((e,)).payload for e in range(s + 1)))
-        except (NotPrime, ReducibleModulus) as e:
+        except (NotPrime, ReducibleModulus, UnsupportedField) as e:
             self.fail(str(e), first)
 
     def ring(self):
@@ -137,8 +137,8 @@ class _Parser:
             self.expect("]")
             if given[0] is not None and given != (field, nvars):
                 self.fail("prefix disagrees with the enclosing ring", first)
-            if nvars < 1:
-                self.fail("a ring needs at least one variable", first)
+            if not 1 <= nvars <= MAX_NVARS:
+                self.fail(f"a ring needs 1 to {MAX_NVARS} variables", first)
             given = (field, nvars)
         if given[0] is None or given[1] is None:
             self.fail("missing [field,n] prefix")

@@ -150,6 +150,22 @@ def test_verifier_is_firewalled_from_construction():
                 f"verifier imports construction module {mod}"
 
 
+def test_importing_the_verifier_loads_no_engine():
+    """The same boundary at run time, in a fresh interpreter: no module
+    that certificates imports, directly or not, pulls in an engine."""
+    import os
+    import subprocess
+    import sys
+    engines = ["slin", "cotame", "lnd", "reduce_core", "wordbuild",
+               "identities", "cli"]
+    code = ("import sys, polyauto.certificates; print(' '.join(m for m in "
+            f"{engines!r} if 'polyauto.' + m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == ""
+
+
 def test_mutation_killing():
     cert = commutator_cert()
     text = serialize_certificate(cert)

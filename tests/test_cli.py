@@ -136,6 +136,24 @@ def test_verify_cap_bounds_the_parse(tmp_path, capsys, value):
     assert "inverse-pair" not in out  # no check ran
 
 
+def test_arity_over_the_bound_is_a_parse_error(tmp_path, capsys):
+    # the Jacobian's cofactor expansion recurses once per variable, so
+    # n = 1100 escaped as a RecursionError after seconds
+    path = tmp_path / "wide.nct"
+    path.write_text("NCT 1\nFIELD Q\nVARS 1100\nKIND normal-cotame\n"
+                    "SEED theta id\nTERMINAL theta\nEND\n")
+    rc, _, err = run_cli(["verify", str(path)], capsys)
+    assert rc == 1
+    assert err == ("error: ParseError: VARS must be between 1 and 64 "
+                   "(line 3, column 1)\n")
+    rc, _, err = run_cli(["jacobian", "[Q,1100] id"], capsys)
+    assert rc == 1
+    assert err == ("error: ParseError: a ring needs 1 to 64 variables "
+                   "(line 1, column 1)\n")
+    rc, out, _ = run_cli(["jacobian", "[Q,64] id"], capsys)
+    assert (rc, out) == (0, "1\n")
+
+
 def test_verify_rejects_bytes_that_are_not_utf8(tmp_path, capsys):
     path = tmp_path / "bin.nct"
     path.write_bytes(b"NCT 1\nFIELD Q\xff\n")

@@ -178,3 +178,65 @@ def test_large_field_tag_reads_fast():
         best = min(best, perf_counter() - start)
     assert field.kind == "prime" and field.p == 1000000000039
     assert best < 0.01
+
+
+def test_extension_order_is_bounded():
+    from polyauto.errors import ParseError, UnsupportedField
+    from polyauto.textio import parse_field
+    # 2^28: the factor search of the modulus would try about 2^14 divisors
+    with pytest.raises(ParseError, match=r"2\^28 exceeds 65536") as info:
+        parse_field("F268435456/t^28+t^3+1")
+    assert (info.value.line, info.value.column) == (1, 1)
+    for p, s in ((2, 17), (3, 11), (257, 2), (2, 10 ** 9)):
+        with pytest.raises(UnsupportedField):
+            Field.extension(p, s)
+    # the largest order still reads: t^16 + t^5 + t^3 + t^2 + 1 over F_2
+    F = parse_field("F65536/t^16+t^5+t^3+t^2+1")
+    assert F.order == 2 ** 16 and F.generator() ** (2 ** 16 - 1) == F.one
+
+
+@pytest.mark.parametrize("p,s", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                 (5, 2)])
+def test_payload_arithmetic_matches_sympy(p, s):
+    """Every monic modulus of degree s over F_p: a reducible one is refused,
+    and over an irreducible one every product, every inverse and the
+    reduction of longer tuples agree with sympy's GF(p)[t]."""
+    sympy = pytest.importorskip("sympy")
+    from itertools import product
+    from sympy.polys.rings import ring
+    R, t = ring("t", sympy.GF(p))
+
+    def of(vec):
+        return sum(c * t ** i for i, c in enumerate(vec))
+
+    def back(f):
+        vec = [0] * s
+        for (i,), c in f.items():
+            vec[i] = int(c) % p
+        return tuple(vec)
+
+    rng = random.Random(p * 10 + s)
+    irreducible = 0
+    for low in product(range(p), repeat=s):
+        modulus = low + (1,)
+        m = of(modulus)
+        if not m.is_irreducible:
+            with pytest.raises(ReducibleModulus):
+                Field.extension(p, s, modulus)
+            continue
+        irreducible += 1
+        field = Field.extension(p, s, modulus)
+        payloads = [x.payload for x in field.elements()]
+        for a in payloads:
+            for b in payloads:
+                assert field._pmul(a, b) == back((of(a) * of(b)).rem(m))
+            if any(a):
+                inv, _, g = of(a).gcdex(m)
+                assert g == 1
+                assert field._pinv(a) == back(inv.rem(m))
+        for _ in range(20):
+            vec = tuple(rng.randrange(-p, 2 * p)
+                        for _ in range(rng.randint(s + 1, 2 * s + 2)))
+            assert field.elem(vec).payload == back(of(vec).rem(m))
+    # the number of monic irreducibles of degree s: (p^s - p) / s for prime s
+    assert irreducible == {(2, 4): 3}.get((p, s), (p ** s - p) // s)

@@ -322,6 +322,45 @@ def test_substitute_and_compose_match_sympy(order):
             assert oracle.of(got) == oracle.compose(comp, images)
 
 
+@pytest.mark.parametrize("order", [None, 7, 9])
+def test_mul_partials_and_jacobian_match_sympy(order):
+    """Products, partial derivatives and Jacobian determinants; sympy's
+    determinant is the Leibniz sum over permutations, not cofactors."""
+    sympy = pytest.importorskip("sympy")
+    from itertools import permutations
+    from polyauto.autos import jacobian_det
+    field = _Q if order is None else Field.of_order(order)
+    rng = random.Random(71 + (order or 0))
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        oracle = SympyRing(sympy, field, n)
+
+        def reduced(f):
+            """f reduced in t, without the zero terms sympy's diff leaves
+            over GF(p)."""
+            f = oracle.ring.from_dict({m: c for m, c in f.items() if c})
+            return f if oracle.modulus is None else f.rem(oracle.modulus)
+
+        p, q = (rand_poly(rng, field, n, rng.randint(0, 5), 3)
+                for _ in range(2))
+        assert oracle.of(p * q) == reduced(oracle.of(p) * oracle.of(q))
+        for i, g in enumerate(oracle.gens, 1):
+            assert oracle.of(p.partial_derivative(i)) == \
+                reduced(oracle.of(p).diff(g))
+        comps = [rand_poly(rng, field, n, rng.randint(1, 4), 2)
+                 for _ in range(n)]
+        J = [[oracle.of(c).diff(g) for g in oracle.gens] for c in comps]
+        det = oracle.ring.zero
+        for perm in permutations(range(n)):
+            inversions = sum(a > b for i, a in enumerate(perm)
+                             for b in perm[i + 1:])
+            term = (-1) ** inversions * oracle.ring.one
+            for i, j in enumerate(perm):
+                term *= J[i][j]
+            det += term
+        assert oracle.of(jacobian_det(Endo(field, n, comps))) == reduced(det)
+
+
 def test_bare_variable_does_no_work(Q, F4, monkeypatch):
     cases = []
     for field in (Q, F4):
