@@ -546,11 +546,15 @@ def invert_endo(phi: Endo, cap: Optional[int] = DEFAULT_DEGREE_CAP) -> Endo:
 def jacobian_det(phi: Endo) -> Polynomial:
     """Determinant of (d components[i] / d x_j), exact.
 
-    Cofactor expansion with minor memoization; exact over any field and
-    comfortably fast at the dimensions this engine targets.
+    An affine map's is the determinant of its matrix.  Otherwise cofactor
+    expansion with minor memoization: exact over any field, but a dense
+    Jacobian costs about 2^n minors.
     """
     n = phi.nvars
     field = phi.field
+    parts = affine_parts(phi)
+    if parts is not None:
+        return Polynomial.constant(field, n, mat_det(field, parts[0]))
     J = [[phi.components[i].partial_derivative(j + 1) for j in range(n)]
          for i in range(n)]
     memo = {}

@@ -22,15 +22,16 @@ generation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Tuple
 
-from .autos import Endo, FactoredAuto, classify, compose, jacobian_det
-from .errors import DegreeCapExceeded, ParseError
+from .autos import (Endo, FactoredAuto, affine_parts, compose,
+                    elementary_parts, jacobian_det)
+from .errors import DegreeCapExceeded, InvalidFactor
 from .fields import Field
 from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial
-from .textio import (components_text, factored_to_text, parse_components,
-                     parse_factored, parse_field)
+from .textio import EOL, _Parser, components_text, factored_to_text
 
 KIND_COTAME = "normal-cotame"
 KIND_SLIN = "slin-membership"
@@ -97,8 +98,9 @@ def verify_certificate(cert: Certificate,
                        cap: Optional[int] = DEFAULT_DEGREE_CAP) -> VerificationReport:
     """Re-check every claim in the certificate by exact expansion.
 
-    Uses only compose/invert/jacobian_det/classify on the stored data; the
-    word engines that produced the certificate play no part here.
+    Uses only compose/jacobian_det/affine_parts/elementary_parts on the
+    stored data; the word engines that produced the certificate play no
+    part here.
     """
     records: List[CheckRecord] = []
     indeterminate = False
@@ -130,7 +132,8 @@ def verify_certificate(cert: Certificate,
         ok_all = record(seed.label, "seed-special", special,
                         "" if special else "seed Jacobian determinant != 1") and ok_all
         if cert.kind == KIND_SLIN:
-            lin = classify(value).linear
+            parts = affine_parts(value)
+            lin = parts is not None and all(b.is_zero() for b in parts[1])
             ok_all = record(seed.label, "seed-linear", lin,
                             "" if lin else "SLIN seed must be linear") and ok_all
 
@@ -191,9 +194,7 @@ def verify_certificate(cert: Certificate,
         ok_all = record(cert.terminal or "<missing>", "terminal-exists",
                         False, "terminal must reference a step") and ok_all
     else:
-        term_val = env[cert.terminal][0]
-        flags = classify(term_val)
-        elem_ok = flags.elementary and not flags.identity
+        elem_ok = elementary_parts(env[cert.terminal][0]) is not None
         ok_all = record(cert.terminal, "terminal-elementary", elem_ok,
                         "" if elem_ok else
                         "terminal is not a nontrivial elementary map") and ok_all
@@ -210,7 +211,9 @@ def verify_certificate(cert: Certificate,
 # -- serialization -------------------------------------------------------------
 
 FORMAT_VERSION = "1"
-HEADER_DIRECTIVES = ("NCT", "FIELD", "VARS", "KIND")  # each exactly once
+# the directives that a file holds once, in the order that it holds them
+_ONCE = ("NCT", "FIELD", "VARS", "KIND", "TERMINAL", "END")
+_LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 def serialize_certificate(cert: Certificate) -> str:
@@ -238,144 +241,129 @@ def serialize_certificate(cert: Certificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _CertificateParser(_Parser):
+    """The .nct rules of the grammar in docs/formats.md, read over one token
+    stream of the whole file."""
+
+    lines = True
+
+    def certificate(self) -> Certificate:
+        self.directive("NCT")
+        if not self.at(FORMAT_VERSION):
+            self.fail(f"unsupported format version {self.toks[self.i]!r}")
+        self.expect(EOL)
+        self.directive("FIELD")
+        field = self.field_tag()
+        self.expect(EOL)
+        first = self.i
+        self.directive("VARS")
+        nvars = self.number()
+        if not 1 <= nvars <= MAX_NVARS:
+            self.fail(f"VARS must be between 1 and {MAX_NVARS}", first)
+        self.expect(EOL)
+        self.set_ring(field, nvars)
+        self.directive("KIND")
+        kind = self.kind()
+        self.expect(EOL)
+        meta: Dict[str, str] = {}
+        while self.at("META"):
+            first = self.i
+            key = self.label()
+            if key in meta:
+                self.fail(f"repeated META key {key!r}", first)
+            meta[key] = self.line_text()
+            self.expect(EOL)
+        seeds = []
+        while self.at("SEED"):
+            seeds.append(Seed(self.label(), self.word()))
+            self.expect(EOL)
+        steps = []
+        while self.toks[self.i] == "STEP":
+            steps.append(self.step())
+        self.directive("TERMINAL")
+        terminal = self.label()
+        cite = self.line_text() if self.at("CITE") else ""
+        self.expect(EOL)
+        self.directive("END")
+        self.expect(EOL)
+        return Certificate(field, nvars, kind, seeds, steps, terminal, cite,
+                           meta)
+
+    def directive(self, name: str):
+        """Take `name`, a directive that the file holds once; one of them
+        read a second time is named as repeated."""
+        tok = self.toks[self.i]
+        if tok in _ONCE[:_ONCE.index(name)]:
+            self.fail(f"repeated {tok} line")
+        self.expect(name)
+
+    def kind(self) -> str:
+        first = self.i
+        kind = self.label()
+        if kind not in (KIND_COTAME, KIND_SLIN):
+            self.fail(f"unknown kind {kind!r}", first)
+        return kind
+
+    def step(self) -> Step:
+        self.expect("STEP")
+        label = self.label()
+        note = self.line_text() if self.at("#") else ""
+        self.expect(EOL)
+        items = []
+        while self.toks[self.i] == "ITEM":
+            items.append(self.item())
+        self.expect("VALUE")
+        value = self.endo()
+        self.expect(EOL)
+        self.expect("INV")
+        inverse = self.endo()
+        self.expect(EOL)
+        return Step(label, tuple(items), value, inverse, note)
+
+    def item(self) -> WordItem:
+        self.expect("ITEM")
+        self.expect("BASE")
+        base = self.label()
+        self.expect("EXP")
+        exponent = {"+": 1, "-": -1}.get(self.toks[self.i])
+        if exponent is None or self.toks[self.i + 1] != "1":
+            self.fail("EXP must be +1 or -1")
+        self.i += 2
+        conjugator = self.word() if self.at("CONJ") else None
+        self.expect(EOL)
+        return WordItem(conjugator, base, exponent)
+
+    def label(self) -> str:
+        """A run of letters, digits, '_', '.' and '-'."""
+        m = _LABEL_RE.match(self.text, self.starts[self.i])
+        if m is None:
+            self.fail(f"expected a label, found {self.toks[self.i]!r}")
+        while self.starts[self.i] < m.end():
+            self.i += 1
+        return m[0]
+
+    def line_text(self) -> str:
+        """The rest of the line, as written."""
+        end = self.toks.index(EOL, self.i)
+        text = self.text[self.starts[self.i]:self.starts[end]]
+        self.i = end
+        return text
+
+    def factor(self):
+        """A factor whose data is invalid is a parse error at the factor."""
+        first = self.i
+        try:
+            return super().factor()
+        except InvalidFactor as exc:
+            self.fail(str(exc), first)
+
+
 def parse_certificate(text: str,
                       cap: Optional[int] = DEFAULT_DEGREE_CAP) -> Certificate:
     """Read a .nct text.  Malformed text raises ParseError at its line and
     column; a power over `cap` raises DegreeCapExceeded before expanding."""
-    field = None
-    nvars = None
-    kind = None
-    meta: Dict[str, str] = {}
-    seeds: List[Seed] = []
-    steps: List[Step] = []
-    terminal = None
-    cite = ""
-    cur_label = None
-    cur_note = ""
-    cur_items: List[WordItem] = []
-    cur_value = None
-    cur_inverse = None
-    headers = set()
-    saw_end = False
-
-    def flush_step(lineno):
-        nonlocal cur_label, cur_items, cur_value, cur_inverse, cur_note
-        if cur_label is None:
-            return
-        if cur_value is None or cur_inverse is None:
-            raise ParseError(f"step {cur_label} missing VALUE or INV", lineno, 1)
-        steps.append(Step(cur_label, tuple(cur_items), cur_value,
-                          cur_inverse, cur_note))
-        cur_label = None
-        cur_note = ""
-        cur_items = []
-        cur_value = None
-        cur_inverse = None
-
-    def read(parse, part, *args, **kwargs):
-        """Parse `part`, a suffix of the current line, and place its errors
-        in the file."""
-        try:
-            return parse(part, *args, **kwargs)
-        except ParseError as exc:
-            column = len(raw.rstrip()) - len(part) + exc.column
-            raise type(exc)(exc.reason, lineno, column) from None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            head, _, rest = line.partition(" ")
-            rest = rest.strip()
-            if head in HEADER_DIRECTIVES:
-                if head in headers:
-                    raise ParseError(f"repeated {head} line", lineno, 1)
-                headers.add(head)
-            if head == "NCT":
-                if rest != FORMAT_VERSION:
-                    raise ParseError(
-                        f"unsupported format version {rest!r}", lineno, 1)
-            elif head == "FIELD":
-                field = read(parse_field, rest)
-            elif head == "VARS":
-                nvars = int(rest)
-                if not 1 <= nvars <= MAX_NVARS:
-                    raise ParseError(
-                        f"VARS must be between 1 and {MAX_NVARS}", lineno, 1)
-            elif head == "KIND":
-                if rest not in (KIND_COTAME, KIND_SLIN):
-                    raise ParseError(f"unknown kind {rest!r}", lineno, 1)
-                kind = rest
-            elif head == "META":
-                key, _, val = rest.partition(" ")
-                meta[key] = val.strip()
-            elif head == "SEED":
-                flush_step(lineno)
-                label, _, wordtext = rest.partition(" ")
-                if field is None or nvars is None:
-                    raise ParseError("SEED before FIELD/VARS", lineno, 1)
-                seeds.append(Seed(label, read(
-                    parse_factored, wordtext, field, nvars, cap=cap)))
-            elif head == "STEP":
-                flush_step(lineno)
-                label, _, notetext = rest.partition("#")
-                cur_label = label.strip()
-                cur_note = notetext.strip()
-            elif head == "ITEM":
-                if cur_label is None:
-                    raise ParseError("ITEM outside a STEP", lineno, 1)
-                m_rest = rest
-                if not m_rest.startswith("BASE "):
-                    raise ParseError("ITEM must start with BASE", lineno, 1)
-                m_rest = m_rest[5:]
-                base, _, m_rest = m_rest.partition(" ")
-                m_rest = m_rest.strip()
-                if not m_rest.startswith("EXP "):
-                    raise ParseError("ITEM missing EXP", lineno, 1)
-                m_rest = m_rest[4:]
-                exp_text, _, conj_text = m_rest.partition(" CONJ ")
-                exponent = int(exp_text.strip())
-                if exponent not in (1, -1):
-                    raise ParseError("EXP must be +1 or -1", lineno, 1)
-                conj = None
-                if conj_text.strip():
-                    conj = read(parse_factored, conj_text, field, nvars,
-                                cap=cap)
-                cur_items.append(WordItem(conj, base, exponent))
-            elif head == "VALUE":
-                if cur_label is None:
-                    raise ParseError("VALUE outside a STEP", lineno, 1)
-                cur_value = Endo(field, nvars, read(
-                    parse_components, rest, field, nvars, cap=cap))
-            elif head == "INV":
-                if cur_label is None:
-                    raise ParseError("INV outside a STEP", lineno, 1)
-                cur_inverse = Endo(field, nvars, read(
-                    parse_components, rest, field, nvars, cap=cap))
-            elif head == "TERMINAL":
-                flush_step(lineno)
-                term_label, _, cite_part = rest.partition(" CITE ")
-                terminal = term_label.strip()
-                cite = cite_part.strip()
-            elif head == "END":
-                flush_step(lineno)
-                saw_end = True
-            else:
-                raise ParseError(f"unknown directive {head!r}", lineno, 1)
-        except (ParseError, DegreeCapExceeded):
-            raise
-        except Exception as exc:
-            raise ParseError(f"{exc}", lineno, 1)
-    if "NCT" not in headers:
-        raise ParseError("missing NCT header", 1, 1)
-    if not saw_end:
-        raise ParseError("missing END line (truncated file?)",
-                         text.count("\n") + 1, 1)
-    if field is None or nvars is None or kind is None or terminal is None:
-        raise ParseError(
-            "certificate missing FIELD, VARS, KIND, or TERMINAL", 1, 1)
-    return Certificate(field, nvars, kind, seeds, steps, terminal, cite, meta)
+    parser = _CertificateParser(text, None, None, cap)
+    return parser.whole(parser.certificate)
 
 
 def certificates_equal(a: Certificate, b: Certificate) -> bool:

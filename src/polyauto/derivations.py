@@ -70,8 +70,7 @@ def kernel_check(D: TriDerivation, F: Polynomial) -> bool:
     return apply_derivation(D, F).is_zero()
 
 
-def exp_images(F: Polynomial, D: TriDerivation,
-               cap: int = NILPOTENCY_CAP) -> Tuple[Polynomial, ...]:
+def exp_images(F: Polynomial, D: TriDerivation) -> Tuple[Polynomial, ...]:
     """Component tuple of exp(FD): x_i + sum_{m>=1} (FD)^m(x_i)/m!.
 
     Requires characteristic zero (the factorials) and F in ker D, which
@@ -96,9 +95,10 @@ def exp_images(F: Polynomial, D: TriDerivation,
             m += 1
             if term.is_zero():
                 break
-            if m > cap:
+            if m > NILPOTENCY_CAP:
                 raise NilpotencyCapExceeded(
-                    f"exp series for x{i} did not terminate within {cap} steps")
+                    f"exp series for x{i} did not terminate within "
+                    f"{NILPOTENCY_CAP} steps")
             acc = acc + term.scale(field.elem(Fraction(1, _factorial(m))))
         comps.append(acc)
     return tuple(comps)

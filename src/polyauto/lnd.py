@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from .autos import (Endo, ExpLND, FactoredAuto, classify, compose,
                     elementary, invert_endo, jacobian_det)
-from .derivations import (NILPOTENCY_CAP, TriDerivation, apply_derivation,
-                          exp_images, kernel_check)
+from .derivations import (TriDerivation, apply_derivation, exp_images,
+                          kernel_check)
 from .errors import (DegenerateChain, IdentityInput, InternalIdentityFailure,
                      KernelViolation, UnsupportedCharacteristic)
 from .fields import RATIONALS
@@ -36,10 +36,9 @@ __all__ = [
 ]
 
 
-def exp_automorphism(F: Polynomial, D: TriDerivation,
-                     cap: int = NILPOTENCY_CAP) -> Endo:
+def exp_automorphism(F: Polynomial, D: TriDerivation) -> Endo:
     """The automorphism exp(FD); always special (checked on construction)."""
-    endo = Endo(F.field, F.nvars, exp_images(F, D, cap=cap))
+    endo = Endo(F.field, F.nvars, exp_images(F, D))
     if jacobian_det(endo) != Polynomial.one(F.field, F.nvars):
         raise InternalIdentityFailure(
             "exp(FD) produced a non-special map; this cannot happen")

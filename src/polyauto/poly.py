@@ -127,23 +127,11 @@ class Polynomial:
     def involves(self, i: int) -> bool:
         return any(e[i - 1] for e in self.terms)
 
-    def variables(self) -> Tuple[int, ...]:
-        """1-based indices of variables that actually occur."""
-        out = []
-        for j in range(self.nvars):
-            if any(e[j] for e in self.terms):
-                out.append(j + 1)
-        return tuple(out)
-
     def sorted_terms(self) -> Iterator[Tuple[Tuple[int, ...], FieldElement]]:
         """Graded-lexicographic order, highest first: serialization is
         byte-stable because of this."""
         for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
             yield e, FieldElement(self.field, self.terms[e])
-
-    def monomials(self) -> Iterator["Polynomial"]:
-        for e, c in self.sorted_terms():
-            yield Polynomial(self.field, self.nvars, {e: c.payload})
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -4,9 +4,10 @@ automorphisms, derivations.
 Printers emit a canonical form (graded-lex term order, fixed spacing) so
 that serialized objects are byte-stable.  Parsing is one recursive-descent
 `_Parser` over one token stream, one rule per production of the grammar in
-docs/formats.md; every syntax error is a ParseError at a line and column,
-and a power or product over the degree cap is refused before it is
-expanded.
+docs/formats.md (the rules of the certificate file are added by a subclass
+in `polyauto.certificates`); every syntax error is a ParseError at a line
+and column, and a power or product over the degree cap is refused before it
+is expanded.
 """
 
 from __future__ import annotations
@@ -25,17 +26,33 @@ from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial
 # -- the token stream --------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"\s*([0-9]+|x[0-9]+|[A-Za-z]+|\S)")
+END, EOL = "end of input", "end of line"
 
 
 class _Parser:
     """The tokens of one text (digits, x<digits>, letters or one other
     character, then "end of input") and the grammar rules that read them, in
-    a ring that is given or set by a '[field,n]' prefix."""
+    a ring that is given or set by a '[field,n]' prefix.  A subclass that
+    sets `lines` reads a line-oriented text: each of its lines then ends in
+    an "end of line" token."""
+
+    lines = False
 
     def __init__(self, text: str, field: Optional[Field], nvars: Optional[int],
                  cap: Optional[int]):
         self.text, self.cap, self.i = text, cap, 0
-        self.toks = _TOKEN_RE.findall(text) + ["end of input"]
+        toks, starts = self.toks, self.starts = [], []  # tokens, offsets
+        for m in _TOKEN_RE.finditer(text):
+            if self.lines and toks and "\n" in m[0]:
+                toks.append(EOL)
+                starts.append(m.start())
+            toks.append(m[1])
+            starts.append(m.start(1))
+        if self.lines and toks:
+            starts.append(starts[-1] + len(toks[-1]))
+            toks.append(EOL)
+        toks.append(END)
+        starts.append(len(text))
         self.set_ring(field, nvars)
 
     def set_ring(self, field, nvars):
@@ -45,8 +62,7 @@ class _Parser:
     def fail(self, message: str, index: Optional[int] = None,
              error=ParseError):
         """Raise at the token `index` (default: the next one)."""
-        offset = ([m.start(1) for m in _TOKEN_RE.finditer(self.text)]
-                  + [len(self.text)])[self.i if index is None else index]
+        offset = self.starts[self.i if index is None else index]
         line = self.text.count("\n", 0, offset) + 1
         raise error(message, line, offset - self.text.rfind("\n", 0, offset))
 
@@ -235,7 +251,7 @@ class _Parser:
             self.poly, ",", self.nvars, "derivation images", "()"))
 
     def word(self):
-        if self.at("id") or self.i + 1 == len(self.toks):
+        if self.at("id") or self.toks[self.i] in (END, EOL):
             return FactoredAuto.identity(self.field, self.nvars)
         return FactoredAuto(self.field, self.nvars,
                             self.items(self.word_factor, "*"))
@@ -309,11 +325,6 @@ def parse_field(text: str) -> Field:
 def parse_polynomial(text: str, field: Field, nvars: int,
                      cap: Optional[int] = DEFAULT_DEGREE_CAP) -> Polynomial:
     return _parse(text, "poly", field, nvars, cap)
-
-
-def parse_components(text: str, field: Field, nvars: int,
-                     cap: Optional[int] = DEFAULT_DEGREE_CAP):
-    return _parse(text, "components", field, nvars, cap)
 
 
 def parse_derivation(text: str, field: Field, nvars: int,

@@ -3,7 +3,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyauto.autos import dilation, elementary, sl_dilation
+from polyauto.autos import dilation, elementary, sl_dilation, translation
 from polyauto.certificates import (KIND_COTAME, KIND_SLIN, Step, WordItem,
                                    certificates_equal, parse_certificate,
                                    serialize_certificate, verify_certificate)
@@ -79,13 +79,22 @@ def test_wrong_inverse_fails():
 def test_nonelementary_terminal_fails():
     b = CertBuilder(Q, 2, KIND_COTAME)
     # a translation moving two axes is special but not elementary
-    from polyauto.autos import translation
     s = b.add_seed(translation(Q, 2, [1, 2]), label="s0")
     t = b.passthrough(s)
     rep = verify_certificate(b.to_certificate(t))
     assert rep.verdict == "FAIL"
     assert any(r.check == "terminal-elementary" and not r.ok
                for r in rep.records)
+
+
+def test_identity_terminal_fails():
+    b = CertBuilder(Q, 2, KIND_COTAME)
+    s = b.add_seed(elementary(Q, 2, 1, 1), label="s0")
+    t = b.add_step([(None, s, 1), (None, s, -1)])
+    rep = verify_certificate(b.to_certificate(t))
+    assert rep.verdict == "FAIL"
+    assert [r.check for r in rep.records if not r.ok] == [
+        "terminal-elementary"]
 
 
 def test_forward_reference_fails():
@@ -106,6 +115,14 @@ def test_identity_word_on_slin_requires_linear_seed():
     rep = verify_certificate(b.to_certificate(t))
     assert any(r.check == "seed-linear" and not r.ok for r in rep.records)
     assert rep.verdict == "FAIL"
+
+
+def test_translation_seed_on_slin_is_not_linear():
+    b = CertBuilder(Q, 2, KIND_SLIN)
+    s = b.add_seed(translation(Q, 2, [1, 0]), label="s0")
+    rep = verify_certificate(b.to_certificate(b.passthrough(s)))
+    assert rep.verdict == "FAIL"
+    assert [r.check for r in rep.records if not r.ok] == ["seed-linear"]
 
 
 def test_round_trip_bytes_and_verdict():
@@ -260,6 +277,34 @@ def test_parse_errors_point_into_the_file():
     with pytest.raises(ParseError) as info:
         parse_certificate("\n".join(lines) + "\n")
     assert (info.value.line, info.value.column) == (row + 1, col + 1)
+
+
+@pytest.mark.parametrize("old, new, at, reason", [
+    ("TERMINAL t8 CITE triangular-descent\n",
+     "TERMINAL t8 CITE triangular-descent\nTERMINAL t7\n", "TERMINAL t7",
+     "repeated TERMINAL line"),
+    ("END\n", "END\nSTEP t9\n", "STEP",
+     "unexpected 'STEP' after the input"),
+    ("END\n", "END\nEND\n", "END\n", "unexpected 'END' after the input"),
+    ("META path triangular\n", "META path triangular\nMETA path other\n",
+     "path other", "repeated META key 'path'"),
+    ("CONJ E(1; 1)", "CONJ E(9; 1)", "E(9", "index 9 out of range"),
+    ("CONJ E(1; 1)", "CONJ L[[1,2,0,0],[2,4,0,0],[0,0,1,0],[0,0,0,1]]", "L[",
+     "linear factor matrix is singular"),
+    ("VARS 4", "VARS x", "x", "expected a number, found 'x'"),
+], ids=["second-TERMINAL", "STEP-after-END", "second-END", "repeated-META",
+        "CONJ-E9", "singular-CONJ-L", "VARS-x"])
+def test_reader_holes_are_parse_errors_at_their_token(old, new, at, reason):
+    # each edit of a corpus certificate was read without complaint, or
+    # reported at column 1 or as a Python error message
+    text = first_corpus_text()
+    bad = text.replace(old, new, 1)
+    offset = text.index(old) + new.rindex(at)
+    with pytest.raises(ParseError) as info:
+        parse_certificate(bad)
+    assert info.value.reason == reason
+    assert (info.value.line, info.value.column) == (
+        bad.count("\n", 0, offset) + 1, offset - bad.rfind("\n", 0, offset))
 
 
 def test_power_over_the_cap_is_not_a_parse_error():

@@ -3,8 +3,8 @@
 import re
 from pathlib import Path
 
-from polyauto.certificates import (parse_certificate, serialize_certificate,
-                                   verify_certificate)
+from polyauto.certificates import (_CertificateParser, parse_certificate,
+                                   serialize_certificate, verify_certificate)
 from polyauto.cotame import certify_normally_cotame
 from polyauto.textio import parse_automorphism, parse_factored, parse_field
 
@@ -42,3 +42,13 @@ def test_certificate_example_is_the_certify_output_and_passes():
     assert verify_certificate(cert).verdict == "PASS"
     word = parse_factored("[Q,2] E(2; x1^2)")
     assert serialize_certificate(certify_normally_cotame(word)) == body
+
+
+def test_every_production_is_a_parser_rule():
+    ebnf = next(body for kind, body in fenced_blocks() if kind == "ebnf")
+    productions = re.findall(r"^(\w+)\s*=", ebnf, re.M)
+    assert {"poly", "word", "certificate", "step", "item"} <= set(productions)
+    token_level = {"number", "variable", "text"}
+    missing = [name for name in productions if name not in token_level
+               and not callable(getattr(_CertificateParser, name, None))]
+    assert missing == []
