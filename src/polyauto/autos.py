@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 from .derivations import TriDerivation, exp_images, kernel_check
 from .errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
                      InvalidFactor, NotStructured, NotTriangular, Singular)
-from .fields import Field, FieldElement
+from .fields import RATIONALS, Field, FieldElement
 from .poly import (DEFAULT_DEGREE_CAP, Polynomial, PreparedImages,
                    identity_images)
 
@@ -282,6 +282,8 @@ class ExpLND:
     D: TriDerivation
 
     def __post_init__(self):
+        if self.field.kind != RATIONALS:
+            raise InvalidFactor("exp(FD) needs characteristic zero")
         if self.F.field != self.field or self.F.nvars != self.nvars:
             raise InvalidFactor("F has wrong field/arity")
         if self.D.field != self.field or self.D.nvars != self.nvars:

@@ -19,10 +19,8 @@ from .autos import (Endo, FactoredAuto, Linear, Translation, affine_parts,
 from .certificates import (CheckRecord, VerificationReport,
                            parse_certificate, serialize_certificate,
                            verify_certificate)
-from .cotame import certify_normally_cotame
 from .errors import (AlgebraError, DegreeCapExceeded, NotStructured,
                      ParseError)
-from .identities import run_identity_suite, summarize
 from .poly import DEFAULT_DEGREE_CAP
 from .textio import (endo_to_text, factored_to_text, parse_automorphism,
                      parse_derivation, parse_field, parse_polynomial,
@@ -109,6 +107,7 @@ def cmd_exp(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .cotame import certify_normally_cotame
     obj = parse_automorphism(args.map, cap=args.cap)
     if isinstance(obj, Endo):
         obj = word_from_endo(obj)
@@ -150,6 +149,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_identities(args) -> int:
+    from .identities import run_identity_suite, summarize
     tags = [t.strip() for t in args.fields.split(",") if t.strip()]
     results = run_identity_suite(tags, seed=args.seed)
     print(summarize(results))

@@ -4,8 +4,10 @@ prime-power extensions F_{p^s} given by an explicit irreducible modulus.
 Element payloads are plain Python values (Fraction, int residue, or a tuple
 of residues for extension fields); FieldElement is a thin immutable wrapper.
 Polynomial code works on payloads directly through the Field's `_p*` ops.
-F_{p^s} payloads multiply with `kernels.ext_mul`, the one F_{p^s} element
-product, and invert by Fermat's a^(q-2), as F_p residues do with a^(p-2).
+F_{p^s} payloads multiply, invert and raise to powers through the
+discrete-log/antilog tables of `kernels.ext_tables`, built once per field:
+a product is exp[log a + log b], an inverse exp[(q-1) - log a].  F_p
+residues invert by Fermat's a^(p-2).
 """
 
 from __future__ import annotations
@@ -279,27 +281,24 @@ class Field:
             return 1 / a
         if self.kind == PRIME:
             return pow(a, self.p - 2, self.p)
-        return self._ppow(a, self.order - 2)  # Fermat: a^(q-1) = 1
+        return kernels.ext_pow(a, -1, self.p, self.modulus)
 
     def _pdiv(self, a, b):
         return self._pmul(a, self._pinv(b))
 
     def _pis_zero(self, a) -> bool:
         if self.kind == EXTENSION:
-            return not any(a)
+            return a == self._zero.payload
         return a == 0
 
     def _ppow(self, a, e: int):
         if e < 0:
             return self._ppow(self._pinv(a), -e)
-        result = self._pone()
-        base = a
-        while e:
-            if e & 1:
-                result = self._pmul(result, base)
-            base = self._pmul(base, base)
-            e >>= 1
-        return result
+        if self.kind == RATIONALS:
+            return a ** e
+        if self.kind == PRIME:
+            return pow(a, e, self.p)
+        return kernels.ext_pow(a, e, self.p, self.modulus)
 
     # multiply payload by a plain integer (used by derivatives)
     def _pmul_int(self, a, k: int):

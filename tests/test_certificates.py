@@ -307,6 +307,30 @@ def test_reader_holes_are_parse_errors_at_their_token(old, new, at, reason):
         bad.count("\n", 0, offset) + 1, offset - bad.rfind("\n", 0, offset))
 
 
+EXP_OVER_F5 = """NCT 1
+FIELD F5
+VARS 2
+KIND normal-cotame
+SEED s Exp(x1; D(0, 1))
+STEP t1
+  ITEM BASE s EXP +1
+  VALUE (x1, x1+x2)
+  INV (x1, -x1+x2)
+TERMINAL t1
+END
+"""
+
+
+def test_exp_factor_over_a_prime_field_is_a_parse_error():
+    # exp(FD) divides by factorials, so it exists only over Q; the factor
+    # used to be read, and expanding it in the verifier raised an untyped
+    # UnsupportedCharacteristic
+    with pytest.raises(ParseError) as info:
+        parse_certificate(EXP_OVER_F5)
+    assert info.value.reason == "exp(FD) needs characteristic zero"
+    assert (info.value.line, info.value.column) == (5, 8)
+
+
 def test_power_over_the_cap_is_not_a_parse_error():
     text = serialize_certificate(commutator_cert())
     lines = text.splitlines()

@@ -1,3 +1,4 @@
+import os
 import re
 import subprocess
 import sys
@@ -168,3 +169,21 @@ def test_certify_honours_cap_zero(capsys):
                          capsys)
     assert rc == 1
     assert "DegreeCapExceeded" in err
+
+
+def test_verify_loads_no_engine(tmp_path):
+    """`polyauto verify` in a fresh interpreter imports none of the
+    engines: the CLI keeps the verifier's trust boundary."""
+    from test_certificates import corpus_certificate_text
+    path = tmp_path / "c.nct"
+    path.write_text(corpus_certificate_text())
+    engines = ["cotame", "reduce_core", "slin", "wordbuild", "lnd",
+               "identities"]
+    code = ("import sys; from polyauto import cli; "
+            f"rc = cli.main(['verify', {str(path)!r}]); "
+            f"print(rc, *(m for m in {engines!r} "
+            "if 'polyauto.' + m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0"

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from polyauto.errors import (DivisionByZero, FieldMismatch, NotPrime,
                              ReducibleModulus)
+from polyauto import kernels
 from polyauto.fields import CANONICAL_MODULI, Field, field_arith
 
 
@@ -223,6 +224,8 @@ def test_payload_arithmetic_matches_sympy(p, s):
         if not m.is_irreducible:
             with pytest.raises(ReducibleModulus):
                 Field.extension(p, s, modulus)
+            with pytest.raises(ValueError, match="reducible"):
+                kernels.ext_tables(p, modulus)
             continue
         irreducible += 1
         field = Field.extension(p, s, modulus)
@@ -240,3 +243,117 @@ def test_payload_arithmetic_matches_sympy(p, s):
             assert field.elem(vec).payload == back(of(vec).rem(m))
     # the number of monic irreducibles of degree s: (p^s - p) / s for prime s
     assert irreducible == {(2, 4): 3}.get((p, s), (p ** s - p) // s)
+
+
+def gf_ring(p, modulus):
+    """sympy's GF(p)[t] with maps to and from s-tuple payloads, and x^e mod
+    the modulus by square and multiply."""
+    from sympy import GF
+    from sympy.polys.rings import ring
+    R, t = ring("t", GF(p))
+    s = len(modulus) - 1
+    m = sum(c * t ** i for i, c in enumerate(modulus))
+
+    def of(vec):
+        return sum(c * t ** i for i, c in enumerate(vec))
+
+    def back(f):
+        vec = [0] * s
+        for (i,), c in f.items():
+            vec[i] = int(c) % p
+        return tuple(vec)
+
+    def power(f, e):
+        result = R.one
+        while e:
+            if e & 1:
+                result = (result * f).rem(m)
+            f, e = (f * f).rem(m), e >> 1
+        return result
+
+    return m, of, back, power
+
+
+@pytest.mark.parametrize("p, modulus, t_primitive", [
+    (2, (1, 1, 0, 1, 1, 0, 0, 0, 1), False),  # t^8+t^4+t^3+t+1: t has order 51
+    (2, (1, 0, 1, 1, 1, 0, 0, 0, 1), True),   # t^8+t^4+t^3+t^2+1
+    (3, (1, 0, 2, 2, 2, 1), False),           # t^5+2t^4+2t^3+2t^2+1
+    (3, (1, 0, 0, 0, 2, 1), True),            # t^5+2t^4+1
+])
+def test_log_tables_match_sympy(p, modulus, t_primitive):
+    """F256 and F243: the tables hold every unit once, and random products,
+    inverses and powers (negative, and beyond q - 1) through them agree with
+    sympy's GF(p)[t], also when t does not generate the unit group."""
+    pytest.importorskip("sympy")
+    from math import gcd
+    s = len(modulus) - 1
+    q = p ** s
+    field = Field.extension(p, s, modulus)
+    m, of, back, power = gf_ring(p, modulus)
+    log, exp = kernels.ext_tables(p, modulus)
+    assert len(log) == q - 1 and len(exp) == 2 * (q - 1)
+    assert all(log[x] == i for i, x in enumerate(exp[:q - 1]))
+    assert exp[q - 1:] == exp[:q - 1]
+    t = field.generator().payload
+    assert (gcd(log[t], q - 1) == 1) == t_primitive
+    payloads = [x.payload for x in field.elements()]
+    rng = random.Random(q + sum(modulus))
+    for _ in range(300):
+        a, b = rng.choice(payloads), rng.choice(payloads)
+        assert field._pmul(a, b) == back((of(a) * of(b)).rem(m))
+        e = rng.choice([rng.randrange(q - 1, 3 * q),
+                        rng.randrange(-3 * q, 0), q - 1, q - 2, 0])
+        if any(a):
+            inv, _, g = of(a).gcdex(m)
+            assert g == 1
+            assert field._pinv(a) == back(inv.rem(m))
+            want = power(inv if e < 0 else of(a), abs(e))
+            assert field._ppow(a, e) == back(want)
+        else:
+            with pytest.raises(DivisionByZero):
+                field._pinv(a)
+            assert field._ppow(a, abs(e)) == (field.one.payload if e == 0
+                                              else a)
+
+
+def test_non_canonical_payload_raises(F9):
+    """A tuple that is neither zero nor a reduced s-tuple raises: it never
+    reads as zero, in a product, an inverse, a power or the term kernel."""
+    one = F9.one.payload
+    for bad in ((3, 0), (0, -1), (1, 0, 0), (0, 0, 0), (1,), ()):
+        assert not F9._pis_zero(bad)
+        for call in (lambda: F9._pmul(bad, one), lambda: F9._pmul(one, bad),
+                     lambda: F9._pmul(F9.zero.payload, bad),
+                     lambda: F9._pinv(bad), lambda: F9._ppow(bad, 3),
+                     lambda: kernels.mul_terms_ext({(1,): bad}, {(0,): one},
+                                                   3, F9.modulus),
+                     lambda: kernels.mul_terms_ext({(1,): one}, {(0,): one},
+                                                   3, F9.modulus, bad, {})):
+            with pytest.raises(ValueError, match="not a canonical"):
+                call()
+
+
+def test_log_tables_of_the_largest_extension():
+    """F65536 = F_2[t]/(t^16+t^5+t^3+t^2+1), the largest field the format
+    takes: exp and log are inverse on a sample of its units."""
+    modulus = (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,)
+    field = Field.extension(2, 16, modulus)
+    log, exp = kernels.ext_tables(2, field.modulus)
+    assert len(log) == (1 << 16) - 1
+    rng = random.Random(16)
+    for _ in range(2000):
+        x = tuple(rng.randrange(2) for _ in range(16))
+        if any(x):
+            assert exp[log[x]] == x
+            assert field._pmul(x, field._pinv(x)) == field.one.payload
+
+
+def test_table_memo_holds_the_sweep_fields():
+    """The six slin-sweep fields, interleaved, build their tables once."""
+    fields = [Field.of_order(q) for q in (4, 8, 9, 16, 25, 27)]
+    kernels.ext_tables.cache_clear()
+    for _ in range(3):
+        for field in fields:
+            x = field.generator().payload
+            field._pmul(x, x)
+    assert kernels.ext_tables.cache_info().misses == len(fields)
