@@ -11,8 +11,7 @@ structurally, so every factored word is invertible by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from .derivations import TriDerivation, exp_images, kernel_check
 from .errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
@@ -20,6 +19,7 @@ from .errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
 from .fields import RATIONALS, Field, FieldElement
 from .poly import (DEFAULT_DEGREE_CAP, Polynomial, PreparedImages,
                    identity_images)
+from .record import Record
 
 
 class Endo:
@@ -70,7 +70,7 @@ class Endo:
 
 
 def compose(phi: Endo, psi: Endo,
-            cap: Optional[int] = DEFAULT_DEGREE_CAP) -> Endo:
+            cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
     """The word phi*psi under the right-action convention."""
     if phi.field != psi.field:
         raise FieldMismatch("composing over different fields")
@@ -134,19 +134,19 @@ def mat_inv(field: Field, A):
 
 # -- basic factors -------------------------------------------------------
 
-@dataclass(frozen=True)
-class Linear:
+class Linear(Record):
     """Invertible linear map x_i -> sum_j matrix[i][j] x_j."""
-    field: Field
-    nvars: int
-    matrix: Tuple[Tuple[FieldElement, ...], ...]
+    __slots__ = ("field", "nvars", "matrix")
 
-    def __post_init__(self):
-        if len(self.matrix) != self.nvars or any(
-                len(r) != self.nvars for r in self.matrix):
+    def __init__(self, field: Field, nvars: int,
+                 matrix: tuple[tuple[FieldElement, ...], ...]):
+        if len(matrix) != nvars or any(len(r) != nvars for r in matrix):
             raise InvalidFactor("linear factor needs an n x n matrix")
-        if mat_det(self.field, self.matrix).is_zero():
+        if mat_det(field, matrix).is_zero():
             raise InvalidFactor("linear factor matrix is singular")
+        self.field = field
+        self.nvars = nvars
+        self.matrix = matrix
 
     def expand(self) -> Endo:
         comps = []
@@ -167,15 +167,16 @@ class Linear:
         return mat_det(self.field, self.matrix)
 
 
-@dataclass(frozen=True)
-class Translation:
-    field: Field
-    nvars: int
-    vector: Tuple[FieldElement, ...]
+class Translation(Record):
+    __slots__ = ("field", "nvars", "vector")
 
-    def __post_init__(self):
-        if len(self.vector) != self.nvars:
+    def __init__(self, field: Field, nvars: int,
+                 vector: tuple[FieldElement, ...]):
+        if len(vector) != nvars:
             raise InvalidFactor("translation vector length != n")
+        self.field = field
+        self.nvars = nvars
+        self.vector = vector
 
     def expand(self) -> Endo:
         comps = [Polynomial.variable(self.field, self.nvars, i + 1)
@@ -188,21 +189,21 @@ class Translation:
                            tuple(-b for b in self.vector))
 
 
-@dataclass(frozen=True)
-class Elementary:
+class Elementary(Record):
     """x_i -> x_i + f with f free of x_i; everything else fixed."""
-    field: Field
-    nvars: int
-    i: int
-    f: Polynomial
+    __slots__ = ("field", "nvars", "i", "f")
 
-    def __post_init__(self):
-        if not 1 <= self.i <= self.nvars:
-            raise InvalidFactor(f"index {self.i} out of range")
-        if self.f.field != self.field or self.f.nvars != self.nvars:
+    def __init__(self, field: Field, nvars: int, i: int, f: Polynomial):
+        if not 1 <= i <= nvars:
+            raise InvalidFactor(f"index {i} out of range")
+        if f.field != field or f.nvars != nvars:
             raise InvalidFactor("elementary polynomial has wrong field/arity")
-        if self.f.involves(self.i):
-            raise InvalidFactor(f"f may not involve x{self.i}")
+        if f.involves(i):
+            raise InvalidFactor(f"f may not involve x{i}")
+        self.field = field
+        self.nvars = nvars
+        self.i = i
+        self.f = f
 
     def expand(self) -> Endo:
         comps = list(identity_images(self.field, self.nvars))
@@ -213,24 +214,26 @@ class Elementary:
         return Elementary(self.field, self.nvars, self.i, -self.f)
 
 
-@dataclass(frozen=True)
-class Triangular:
+class Triangular(Record):
     """Lower triangular: x_i -> a_i x_i + P_i(x_1..x_{i-1}), a_i units."""
-    field: Field
-    nvars: int
-    scalars: Tuple[FieldElement, ...]
-    polys: Tuple[Polynomial, ...]
+    __slots__ = ("field", "nvars", "scalars", "polys")
 
-    def __post_init__(self):
-        if len(self.scalars) != self.nvars or len(self.polys) != self.nvars:
+    def __init__(self, field: Field, nvars: int,
+                 scalars: tuple[FieldElement, ...],
+                 polys: tuple[Polynomial, ...]):
+        if len(scalars) != nvars or len(polys) != nvars:
             raise InvalidFactor("triangular factor needs n scalars and n polys")
-        for i, (a, p) in enumerate(zip(self.scalars, self.polys), start=1):
+        for i, (a, p) in enumerate(zip(scalars, polys), start=1):
             if a.is_zero():
                 raise InvalidFactor(f"scalar a{i} must be a unit")
-            for j in range(i, self.nvars + 1):
+            for j in range(i, nvars + 1):
                 if p.involves(j):
                     raise InvalidFactor(
                         f"P{i} may only involve x1..x{i-1}")
+        self.field = field
+        self.nvars = nvars
+        self.scalars = scalars
+        self.polys = polys
 
     def expand(self) -> Endo:
         comps = [Polynomial.variable(self.field, self.nvars, i + 1).scale(a) + p
@@ -242,21 +245,22 @@ class Triangular:
         return triangular_from_endo(inv)
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(Record):
     """x_i -> sign_i * x_{perm[i]} (perm 1-based)."""
-    field: Field
-    nvars: int
-    perm: Tuple[int, ...]
-    signs: Tuple[FieldElement, ...]
+    __slots__ = ("field", "nvars", "perm", "signs")
 
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(1, self.nvars + 1)):
+    def __init__(self, field: Field, nvars: int, perm: tuple[int, ...],
+                 signs: tuple[FieldElement, ...]):
+        if sorted(perm) != list(range(1, nvars + 1)):
             raise InvalidFactor("not a permutation of 1..n")
-        if len(self.signs) != self.nvars:
+        if len(signs) != nvars:
             raise InvalidFactor("signed permutation needs n signs")
-        if any(s.is_zero() for s in self.signs):
+        if any(s.is_zero() for s in signs):
             raise InvalidFactor("signs must be units")
+        self.field = field
+        self.nvars = nvars
+        self.perm = perm
+        self.signs = signs
 
     def expand(self) -> Endo:
         comps = [Polynomial.variable(self.field, self.nvars, self.perm[i]).scale(self.signs[i])
@@ -273,23 +277,24 @@ class SignedPermutation:
                                  tuple(perm), tuple(signs))
 
 
-@dataclass(frozen=True)
-class ExpLND:
+class ExpLND(Record):
     """exp(FD) for a triangular derivation D and F in its kernel."""
-    field: Field
-    nvars: int
-    F: Polynomial
-    D: TriDerivation
+    __slots__ = ("field", "nvars", "F", "D")
 
-    def __post_init__(self):
-        if self.field.kind != RATIONALS:
+    def __init__(self, field: Field, nvars: int, F: Polynomial,
+                 D: TriDerivation):
+        if field.kind != RATIONALS:
             raise InvalidFactor("exp(FD) needs characteristic zero")
-        if self.F.field != self.field or self.F.nvars != self.nvars:
+        if F.field != field or F.nvars != nvars:
             raise InvalidFactor("F has wrong field/arity")
-        if self.D.field != self.field or self.D.nvars != self.nvars:
+        if D.field != field or D.nvars != nvars:
             raise InvalidFactor("D has wrong field/arity")
-        if not kernel_check(self.D, self.F):
+        if not kernel_check(D, F):
             raise InvalidFactor("F is not in ker D")
+        self.field = field
+        self.nvars = nvars
+        self.F = F
+        self.D = D
 
     def expand(self) -> Endo:
         return Endo(self.field, self.nvars, exp_images(self.F, self.D))
@@ -338,7 +343,7 @@ class FactoredAuto:
     def is_identity_word(self) -> bool:
         return not self.factors
 
-    def expand(self, cap: Optional[int] = DEFAULT_DEGREE_CAP) -> Endo:
+    def expand(self, cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
         """The expanded map.  A cached expansion is checked against `cap`
         by its total degree, so a smaller cap than the first call's still
         raises."""
@@ -506,7 +511,7 @@ def elementary_parts(phi: Endo):
     return i, f
 
 
-def invert_endo(phi: Endo, cap: Optional[int] = DEFAULT_DEGREE_CAP) -> Endo:
+def invert_endo(phi: Endo, cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
     """Exact inverse of an affine, elementary, or triangular expanded map."""
     field = phi.field
     n = phi.nvars
@@ -561,7 +566,7 @@ def jacobian_det(phi: Endo) -> Polynomial:
          for i in range(n)]
     memo = {}
 
-    def minor(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Polynomial:
+    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> Polynomial:
         if not rows:
             return Polynomial.one(field, n)
         key = (rows, cols)
@@ -588,17 +593,23 @@ def is_special(phi: Endo) -> bool:
     return jacobian_det(phi) == Polynomial.one(phi.field, phi.nvars)
 
 
-@dataclass(frozen=True)
-class Classification:
-    identity: bool
-    translation: bool
-    linear: bool
-    affine: bool
-    diagonal_affine: bool
-    elementary: bool
-    triangular: bool
-    parabolic: bool
-    special: bool
+class Classification(Record):
+    __slots__ = ("identity", "translation", "linear", "affine",
+                 "diagonal_affine", "elementary", "triangular", "parabolic",
+                 "special")
+
+    def __init__(self, identity: bool, translation: bool, linear: bool,
+                 affine: bool, diagonal_affine: bool, elementary: bool,
+                 triangular: bool, parabolic: bool, special: bool):
+        self.identity = identity
+        self.translation = translation
+        self.linear = linear
+        self.affine = affine
+        self.diagonal_affine = diagonal_affine
+        self.elementary = elementary
+        self.triangular = triangular
+        self.parabolic = parabolic
+        self.special = special
 
 
 def classify(phi: Endo) -> Classification:
@@ -651,7 +662,7 @@ def _is_parabolic(phi: Endo) -> bool:
     return not rest.involves(n)
 
 
-def vector_degree(phi: Endo) -> Tuple[int, ...]:
+def vector_degree(phi: Endo) -> tuple[int, ...]:
     """vd(tau) = (deg P_1, ..., deg P_n) for triangular tau, deg(0) = 0.
     Tuples compare lexicographically, which matches the induction order."""
     parts = triangular_parts(phi)

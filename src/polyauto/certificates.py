@@ -15,74 +15,90 @@ checks the pair composes to the identity both ways and then never needs to
 invert an arbitrary expanded map when an item uses exponent -1.
 
 This module deliberately depends only on the algebra core (fields, poly,
-autos, textio).  None of the construction engines (slin, cotame, lnd) are
-imported here, so verification cannot accidentally share logic with
-generation.
+autos, textio) and the dependency-free record base.  None of the
+construction engines (slin, cotame, lnd) are imported here, so verification
+cannot accidentally share logic with generation.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
 
 from .autos import (Endo, FactoredAuto, affine_parts, compose,
                     elementary_parts, jacobian_det)
 from .errors import DegreeCapExceeded, InvalidFactor
 from .fields import Field
 from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial
+from .record import Record
 from .textio import EOL, _Parser, components_text, factored_to_text
 
 KIND_COTAME = "normal-cotame"
 KIND_SLIN = "slin-membership"
 
 
-@dataclass(frozen=True)
-class Seed:
-    label: str
-    word: FactoredAuto
+class Seed(Record):
+    __slots__ = ("label", "word")
+
+    def __init__(self, label: str, word: FactoredAuto):
+        self.label = label
+        self.word = word
 
 
-@dataclass(frozen=True)
-class WordItem:
-    conjugator: Optional[FactoredAuto]  # None means the identity
-    base: str
-    exponent: int
+class WordItem(Record):
+    __slots__ = ("conjugator", "base", "exponent")
+
+    def __init__(self, conjugator: FactoredAuto | None, base: str,
+                 exponent: int):
+        self.conjugator = conjugator  # None means the identity
+        self.base = base
+        self.exponent = exponent
 
 
-@dataclass(frozen=True)
-class Step:
-    label: str
-    items: Tuple[WordItem, ...]
-    value: Endo
-    inverse: Endo
-    note: str = ""
+class Step(Record):
+    __slots__ = ("label", "items", "value", "inverse", "note")
+
+    def __init__(self, label: str, items: tuple[WordItem, ...], value: Endo,
+                 inverse: Endo, note: str = ""):
+        self.label = label
+        self.items = items
+        self.value = value
+        self.inverse = inverse
+        self.note = note
 
 
-@dataclass
-class Certificate:
-    field: Field
-    nvars: int
-    kind: str
-    seeds: List[Seed]
-    steps: List[Step]
-    terminal: str
-    terminal_cite: str = ""
-    meta: Dict[str, str] = dc_field(default_factory=dict)
+class Certificate(Record):
+    __slots__ = ("field", "nvars", "kind", "seeds", "steps", "terminal",
+                 "terminal_cite", "meta")
+
+    def __init__(self, field: Field, nvars: int, kind: str, seeds: list[Seed],
+                 steps: list[Step], terminal: str, terminal_cite: str = "",
+                 meta: dict[str, str] | None = None):
+        self.field = field
+        self.nvars = nvars
+        self.kind = kind
+        self.seeds = seeds
+        self.steps = steps
+        self.terminal = terminal
+        self.terminal_cite = terminal_cite
+        self.meta = {} if meta is None else meta
 
 
-@dataclass
-class CheckRecord:
-    label: str
-    check: str
-    ok: bool
-    message: str = ""
+class CheckRecord(Record):
+    __slots__ = ("label", "check", "ok", "message")
+
+    def __init__(self, label: str, check: str, ok: bool, message: str = ""):
+        self.label = label
+        self.check = check
+        self.ok = ok
+        self.message = message
 
 
-@dataclass
-class VerificationReport:
-    verdict: str  # PASS | FAIL | INDETERMINATE
-    records: List[CheckRecord]
+class VerificationReport(Record):
+    __slots__ = ("verdict", "records")
+
+    def __init__(self, verdict: str, records: list[CheckRecord]):
+        self.verdict = verdict  # PASS | FAIL | INDETERMINATE
+        self.records = records
 
     def format(self) -> str:
         lines = []
@@ -95,18 +111,18 @@ class VerificationReport:
 
 
 def verify_certificate(cert: Certificate,
-                       cap: Optional[int] = DEFAULT_DEGREE_CAP) -> VerificationReport:
+                       cap: int | None = DEFAULT_DEGREE_CAP) -> VerificationReport:
     """Re-check every claim in the certificate by exact expansion.
 
     Uses only compose/jacobian_det/affine_parts/elementary_parts on the
     stored data; the word engines that produced the certificate play no
     part here.
     """
-    records: List[CheckRecord] = []
+    records: list[CheckRecord] = []
     indeterminate = False
     one = Polynomial.one(cert.field, cert.nvars)
     ident = Endo.identity(cert.field, cert.nvars)
-    env: Dict[str, Tuple[Endo, Endo]] = {}
+    env: dict[str, tuple[Endo, Endo]] = {}
 
     def record(label, check, ok, message=""):
         records.append(CheckRecord(label, check, ok, message))
@@ -265,7 +281,7 @@ class _CertificateParser(_Parser):
         self.directive("KIND")
         kind = self.kind()
         self.expect(EOL)
-        meta: Dict[str, str] = {}
+        meta: dict[str, str] = {}
         while self.at("META"):
             first = self.i
             key = self.label()
@@ -359,7 +375,7 @@ class _CertificateParser(_Parser):
 
 
 def parse_certificate(text: str,
-                      cap: Optional[int] = DEFAULT_DEGREE_CAP) -> Certificate:
+                      cap: int | None = DEFAULT_DEGREE_CAP) -> Certificate:
     """Read a .nct text.  Malformed text raises ParseError at its line and
     column; a power over `cap` raises DegreeCapExceeded before expanding."""
     parser = _CertificateParser(text, None, None, cap)

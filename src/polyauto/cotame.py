@@ -11,9 +11,6 @@ triangular factor strictly decreases, which bounds the recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
-
 from .autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
                     SignedPermutation, Translation, affine_parts, classify,
                     compose, dilation, invert_endo, jacobian_det, mat_det,
@@ -24,6 +21,7 @@ from .errors import (IdentityInput, InternalIdentityFailure, NotAlternating,
                      UnsupportedM)
 from .fields import RATIONALS, Field
 from .poly import DEFAULT_DEGREE_CAP, Polynomial
+from .record import Record
 from .reduce_core import (CommutatorProbe, affine_terminal,
                           endo_translation_word, find_noncommuting_c,
                           parabolic_route, reduce_triangular_ref)
@@ -35,12 +33,14 @@ __all__ = [
 ]
 
 
-@dataclass
-class MTriangularForm:
+class MTriangularForm(Record):
     """alpha_0 tau_1 alpha_1 ... tau_m alpha_m with alphas linear special
     and taus special triangular; expansion equals the original word."""
-    alphas: List[Endo]
-    taus: List[Endo]
+    __slots__ = ("alphas", "taus")
+
+    def __init__(self, alphas: list[Endo], taus: list[Endo]):
+        self.alphas = alphas
+        self.taus = taus
 
     @property
     def m(self) -> int:
@@ -53,13 +53,13 @@ class MTriangularForm:
         return out
 
 
-def _word_pieces(word: FactoredAuto) -> List[Tuple[str, Endo]]:
+def _word_pieces(word: FactoredAuto) -> list[tuple[str, Endo]]:
     """Flatten a factored word to (kind, endo) pieces classified by the
     expanded value: affine values count toward the linear slots, so m counts
     only the genuinely nonlinear triangular factors.  Elementary factors
     that are not lower triangular are rewritten through a variable swap."""
     field, n = word.field, word.nvars
-    pieces: List[Tuple[str, Endo]] = []
+    pieces: list[tuple[str, Endo]] = []
     for factor, exp in word.factors:
         if isinstance(factor, ExpLND):
             raise NotAlternating(
@@ -94,12 +94,12 @@ def _is_df(phi: Endo) -> bool:
 
 
 def _normalize_pieces(field: Field, n: int,
-                      pieces: List[Tuple[str, Endo]]) -> MTriangularForm:
+                      pieces: list[tuple[str, Endo]]) -> MTriangularForm:
     """Right-to-left sweep with a diagonal-affine carry; see module docs."""
     ident = Endo.identity(field, n)
     one = field.one
     carry = ident  # always in Df
-    slots: List[Tuple[str, Endo]] = []  # normalized suffix, in word order
+    slots: list[tuple[str, Endo]] = []  # normalized suffix, in word order
     for kind, val in reversed(pieces):
         if kind == "tri":
             conj = compose(compose(invert_endo(carry), val), carry)
@@ -178,7 +178,7 @@ def _absorb_translation(field, n, slots, tr: Endo):
 def _assemble(field, n, slots, pieces) -> MTriangularForm:
     ident = Endo.identity(field, n)
     alphas = [ident]
-    taus: List[Endo] = []
+    taus: list[Endo] = []
     for kind, val in slots:
         if kind == "alpha":
             alphas[-1] = compose(alphas[-1], val)
@@ -188,7 +188,7 @@ def _assemble(field, n, slots, pieces) -> MTriangularForm:
     # merge out taus that are diagonal-affine by re-normalizing
     for i, tau in enumerate(taus):
         if _is_df(tau) and len(taus) > 1:
-            new_pieces: List[Tuple[str, Endo]] = []
+            new_pieces: list[tuple[str, Endo]] = []
             for j, a in enumerate(alphas):
                 if j > 0:
                     kind = "aff" if _is_df(taus[j - 1]) else "tri"

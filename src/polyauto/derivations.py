@@ -7,8 +7,8 @@ theorems built on top of them are in polyauto.lnd.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Tuple
 
 from .errors import (ArityMismatch, InvalidFactor, KernelViolation,
                      NilpotencyCapExceeded, UnsupportedCharacteristic)
@@ -70,7 +70,7 @@ def kernel_check(D: TriDerivation, F: Polynomial) -> bool:
     return apply_derivation(D, F).is_zero()
 
 
-def exp_images(F: Polynomial, D: TriDerivation) -> Tuple[Polynomial, ...]:
+def exp_images(F: Polynomial, D: TriDerivation) -> tuple[Polynomial, ...]:
     """Component tuple of exp(FD): x_i + sum_{m>=1} (FD)^m(x_i)/m!.
 
     Requires characteristic zero (the factorials) and F in ker D, which

@@ -12,10 +12,10 @@ residues invert by Fermat's a^(p-2).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from math import log, log2
 from types import MappingProxyType
-from typing import Iterator, Optional, Union
 
 from . import kernels
 from .errors import (DivisionByZero, FieldMismatch, NotPrime,
@@ -43,6 +43,19 @@ MAX_EXTENSION_ORDER = 1 << 16
 
 # Miller-Rabin bases: exact below 3.3e24 (Sorenson-Webster), a PRP test above.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Every field order lies below this, where is_prime is proven exact: above
+# it, composites that pass all of _MR_BASES exist (Arnault, 1995).
+FIELD_ORDER_BOUND = 3317044064679887385961981
+
+
+def check_order(q: int):
+    """UnsupportedField for an order at or above FIELD_ORDER_BOUND; a
+    reader calls this before prime_power, whose cost grows with q."""
+    if q >= FIELD_ORDER_BOUND:
+        raise UnsupportedField(
+            f"field order must be below {FIELD_ORDER_BOUND}, "
+            "where primality is proven")
 
 
 def is_prime(n: int) -> bool:
@@ -130,7 +143,7 @@ class Field:
     same field with the same modulus.
     """
 
-    __slots__ = ("kind", "p", "s", "modulus", "_zero", "_one")
+    __slots__ = ("kind", "p", "s", "modulus", "_zero", "_one", "_identity")
 
     def __init__(self, kind, p=None, s=None, modulus=None):
         self.kind = kind
@@ -139,6 +152,7 @@ class Field:
         self.modulus = modulus
         self._zero = FieldElement(self, self._pzero())
         self._one = FieldElement(self, self._pone())
+        self._identity = {}  # nvars -> (x_1, ..., x_n), poly.identity_images
 
     # -- constructors ---------------------------------------------------
 
@@ -148,12 +162,14 @@ class Field:
 
     @staticmethod
     def prime(p: int) -> "Field":
+        check_order(p)
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         return Field(PRIME, p=p, s=1)
 
     @staticmethod
     def extension(p: int, s: int, modulus=None) -> "Field":
+        check_order(p)
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if s < 2:
@@ -177,6 +193,7 @@ class Field:
     @staticmethod
     def of_order(q: int) -> "Field":
         """Finite field of order q with the canonical modulus."""
+        check_order(q)
         p, s = prime_power(q)
         return Field.prime(p) if s == 1 else Field.extension(p, s)
 
@@ -187,7 +204,7 @@ class Field:
         return 0 if self.kind == RATIONALS else self.p
 
     @property
-    def order(self) -> Optional[int]:
+    def order(self) -> int | None:
         if self.kind == RATIONALS:
             return None
         return self.p ** self.s
@@ -306,7 +323,7 @@ class Field:
 
     # -- elements ----------------------------------------------------------
 
-    def elem(self, value: Union[int, str, Fraction, tuple, "FieldElement"]) -> "FieldElement":
+    def elem(self, value: int | str | Fraction | tuple | FieldElement) -> "FieldElement":
         """Coerce an int, Fraction, payload tuple, or element into this field."""
         if isinstance(value, FieldElement):
             if value.field != self:
@@ -353,7 +370,7 @@ class Field:
                 k //= self.p
             yield FieldElement(self, tuple(vec))
 
-    def units(self, bound: Optional[int] = None) -> Iterator["FieldElement"]:
+    def units(self, bound: int | None = None) -> Iterator["FieldElement"]:
         """Nonzero elements.
 
         Finite fields: each of the q-1 units exactly once, in the integer
@@ -487,7 +504,7 @@ def element_text(field: Field, payload) -> str:
     return "+".join(parts) if parts else "0"
 
 
-def field_arith(a: FieldElement, b: Optional[FieldElement], op: str) -> FieldElement:
+def field_arith(a: FieldElement, b: FieldElement | None, op: str) -> FieldElement:
     """Named-operation entry point: add, sub, mul, div, inv, neg."""
     if op == "inv":
         return a.inv()

@@ -9,28 +9,30 @@ everywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import islice, product
-from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .autos import (Endo, FactoredAuto, compose, dilation, elementary,
                     sl_dilation)
 from .derivations import TriDerivation, exp_images, kernel_check
 from .fields import Field, FieldElement
 from .poly import Polynomial
+from .record import Record
 
 DEFAULT_FIELD_TAGS = ("Q", "F5", "F4", "F9")
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    family: str
-    field_tag: str
-    detail: str
-    ok: bool
+class IdentityResult(Record):
+    __slots__ = ("family", "field_tag", "detail", "ok")
+
+    def __init__(self, family: str, field_tag: str, detail: str, ok: bool):
+        self.family = family
+        self.field_tag = field_tag
+        self.detail = detail
+        self.ok = ok
 
 
-def _fields_from_tags(tags: Sequence[str]) -> List[Field]:
+def _fields_from_tags(tags: Sequence[str]) -> list[Field]:
     from .textio import parse_field
     return [parse_field(t) for t in tags]
 
@@ -39,10 +41,10 @@ def _fields_from_tags(tags: Sequence[str]) -> List[Field]:
 
 
 def commutator_formula_checks(field: Field, n: int = 2,
-                              limit: int = 50) -> List[IdentityResult]:
+                              limit: int = 50) -> list[IdentityResult]:
     """eps_{i,a}^{-1} delta_{i,j,b} eps_{i,a} delta_{i,j,b}^{-1} = eps_{i,ab-a}."""
     out = []
-    pairs: Iterable[Tuple[FieldElement, FieldElement]]
+    pairs: Iterable[tuple[FieldElement, FieldElement]]
     if field.order is None:
         a_stream = [field.from_int(0)] + list(field.units(bound=9))
         b_stream = list(field.units(bound=5))
@@ -63,7 +65,7 @@ def commutator_formula_checks(field: Field, n: int = 2,
 
 
 def square_trick_checks(field: Field, n: int = 2,
-                        limit: int = 20) -> List[IdentityResult]:
+                        limit: int = 20) -> list[IdentityResult]:
     """eps_{i,a x_j} as a product of translations conjugated by eps_{i,x_j^2};
     valid away from characteristic two."""
     assert field.characteristic != 2
@@ -88,7 +90,7 @@ def square_trick_checks(field: Field, n: int = 2,
 # -- (c) the characteristic-two cubic claim -------------------------------------
 
 
-def char2_claim_checks(field: Field, n: int = 2) -> List[IdentityResult]:
+def char2_claim_checks(field: Field, n: int = 2) -> list[IdentityResult]:
     """All valid (a, b): the cubic conjugation word equals eps_{i, a x_j},
     including the two displayed sub-identities with their exact f_1, f_2."""
     assert field.characteristic == 2 and field.order > 2
@@ -128,7 +130,7 @@ def char2_claim_checks(field: Field, n: int = 2) -> List[IdentityResult]:
 
 
 def scaling_observation_checks(field: Field, n: int = 2, count: int = 50,
-                               seed: int = 2024) -> List[IdentityResult]:
+                               seed: int = 2024) -> list[IdentityResult]:
     """eps_{1,aM} = delta_{1,2}^{-1} (eps_{1,2aM}^{-1} delta_{1,2} eps_{1,2aM})
     for monomials M free of x_1; needs 2 != 0."""
     assert field.characteristic != 2
@@ -154,8 +156,8 @@ def scaling_observation_checks(field: Field, n: int = 2, count: int = 50,
 
 
 def random_kernel_pairs(seed: int, count: int,
-                        field: Optional[Field] = None,
-                        max_deg: int = 2) -> List[Tuple[Polynomial, TriDerivation]]:
+                        field: Field | None = None,
+                        max_deg: int = 2) -> list[tuple[Polynomial, TriDerivation]]:
     """Deterministic (F, D) pairs with D triangular nonzero and F in ker D.
 
     Built from the closed-form invariants of two derivation shapes:
@@ -212,7 +214,7 @@ def random_kernel_pairs(seed: int, count: int,
 
 
 def exp_commutator_checks(count: int = 20,
-                          seed: int = 515) -> List[IdentityResult]:
+                          seed: int = 515) -> list[IdentityResult]:
     """eps_{n,1}^{-1} exp(-FD) eps_{n,1} exp(FD) = exp((F - (F)eps_{n,1}) D)."""
     field = Field.rationals()
     out = []
@@ -237,9 +239,9 @@ def exp_commutator_checks(count: int = 20,
 
 
 def run_identity_suite(tags: Sequence[str] = DEFAULT_FIELD_TAGS,
-                       seed: int = 2024) -> List[IdentityResult]:
+                       seed: int = 2024) -> list[IdentityResult]:
     fields = _fields_from_tags(tags)
-    results: List[IdentityResult] = []
+    results: list[IdentityResult] = []
     for f in fields:
         results.extend(commutator_formula_checks(f))
     for f in fields:

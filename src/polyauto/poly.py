@@ -15,11 +15,11 @@ each canonical Fraction payload is built once per output term.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import partial, reduce
 from math import lcm, prod
 from operator import mul
-from typing import Iterator, Optional, Sequence, Tuple
 
 from . import kernels
 from .errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
@@ -116,7 +116,7 @@ class Polynomial:
             return 0
         return max(e[i - 1] for e in self.terms)
 
-    def degrees(self) -> Tuple[int, Tuple[int, ...]]:
+    def degrees(self) -> tuple[int, tuple[int, ...]]:
         """(total degree, per-variable degrees), deg(0) = 0 convention."""
         if not self.terms:
             return 0, (0,) * self.nvars
@@ -127,7 +127,7 @@ class Polynomial:
     def involves(self, i: int) -> bool:
         return any(e[i - 1] for e in self.terms)
 
-    def sorted_terms(self) -> Iterator[Tuple[Tuple[int, ...], FieldElement]]:
+    def sorted_terms(self) -> Iterator[tuple[tuple[int, ...], FieldElement]]:
         """Graded-lexicographic order, highest first: serialization is
         byte-stable because of this."""
         for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
@@ -260,7 +260,7 @@ class Polynomial:
         return Polynomial(field, self.nvars, out)
 
     def substitute(self, images: Sequence["Polynomial"],
-                   cap: Optional[int] = DEFAULT_DEGREE_CAP) -> "Polynomial":
+                   cap: int | None = DEFAULT_DEGREE_CAP) -> "Polynomial":
         """Replace x_j by images[j-1]; the result arity is the images' arity.
         `images` may be a PreparedImages, shared by many substitutions.
 
@@ -381,6 +381,10 @@ def poly_arith(p: Polynomial, q: Polynomial, op: str) -> Polynomial:
     raise ValueError(f"unknown polynomial operation {op!r}")
 
 
-def identity_images(field: Field, nvars: int) -> Tuple[Polynomial, ...]:
-    return tuple(Polynomial.variable(field, nvars, i)
-                 for i in range(1, nvars + 1))
+def identity_images(field: Field, nvars: int) -> tuple[Polynomial, ...]:
+    """(x_1, ..., x_n), one shared tuple per field handle and n."""
+    images = field._identity.get(nvars)
+    if images is None:
+        images = field._identity[nvars] = tuple(
+            Polynomial.variable(field, nvars, i) for i in range(1, nvars + 1))
+    return images

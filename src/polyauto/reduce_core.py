@@ -10,9 +10,6 @@ the nontrivial elementary terminal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .autos import (Endo, FactoredAuto, Linear, SignedPermutation,
                     affine_parts, classify, compose, elementary,
                     elementary_parts, translation, vector_degree)
@@ -20,6 +17,7 @@ from .errors import (IdentityInput, InternalIdentityFailure, NotParabolic,
                      NotSpecial, NotTriangular, UnsupportedCharacteristic)
 from .fields import RATIONALS, Field
 from .poly import Polynomial
+from .record import Record
 from .slin import translation_from_any, translation_from_special_affine
 from .wordbuild import CertBuilder
 
@@ -39,17 +37,21 @@ def max_var_degree(phi: Endo) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class CommutatorProbe:
-    alpha: Optional[FactoredAuto]
-    k: int
-    bound: int
-    c: Optional[int] = None               # None: every c in 1..bound commutes
-    eps: Optional[FactoredAuto] = None    # eps_{k,c}, its expansion cached
-    gamma: Optional[Endo] = None          # the translation alpha eps_{k,c} alpha^{-1}
+class CommutatorProbe(Record):
+    __slots__ = ("alpha", "k", "bound", "c", "eps", "gamma")
+
+    def __init__(self, alpha: FactoredAuto | None, k: int, bound: int,
+                 c: int | None = None, eps: FactoredAuto | None = None,
+                 gamma: Endo | None = None):
+        self.alpha = alpha
+        self.k = k
+        self.bound = bound
+        self.c = c          # None: every c in 1..bound commutes
+        self.eps = eps      # eps_{k,c}, its expansion cached
+        self.gamma = gamma  # the translation alpha eps_{k,c} alpha^{-1}
 
 
-def find_noncommuting_c(phi: Endo, alpha: Optional[FactoredAuto],
+def find_noncommuting_c(phi: Endo, alpha: FactoredAuto | None,
                         k: int) -> CommutatorProbe:
     """Search c = 1..B, B = max(largest per-variable degree of phi + 1, 2),
     for a conjugated axis translation that fails to commute with phi;
@@ -229,7 +231,7 @@ def _sl_diag_split(alpha: FactoredAuto):
 
 
 def reduce_parabolic_ref(builder: CertBuilder, ref: str,
-                         alpha: Optional[FactoredAuto] = None,
+                         alpha: FactoredAuto | None = None,
                          note: str = "parabolic") -> str:
     """The base value is alpha (phi) alpha^{-1} for a parabolic special phi;
     conjugate back by the SL part of alpha (the diagonal part preserves the

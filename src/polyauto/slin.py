@@ -12,9 +12,7 @@ automorphism group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Dict, Tuple
 
 from .autos import (Endo, FactoredAuto, SignedPermutation, affine_parts,
                     classify, elementary, elementary_parts, linear_elementary,
@@ -25,19 +23,20 @@ from .errors import (DegenerateTarget, IdentityInput, IndexClash,
                      NotSpecial, UnsupportedField, ZeroScalar)
 from .fields import EXTENSION, PRIME, RATIONALS, Field, FieldElement
 from .poly import Polynomial
+from .record import Record
 from .wordbuild import CertBuilder
 
 UNIT_SEARCH_BOUND = 64  # units tried for b with b^(d+1) != 1 (proof case 1)
 
 
-@dataclass(frozen=True)
-class SlinContext:
-    field: Field
-    nvars: int
+class SlinContext(Record):
+    __slots__ = ("field", "nvars")
 
-    def __post_init__(self):
-        if self.nvars < 2:
+    def __init__(self, field: Field, nvars: int):
+        if nvars < 2:
             raise IndexClash("the constructions need n >= 2")
+        self.field = field
+        self.nvars = nvars
 
 
 # -- single identities ---------------------------------------------------------
@@ -230,14 +229,14 @@ class _SlinEngine:
         self.field = field
         self.n = ctx.nvars
         self.builder = CertBuilder(field, ctx.nvars, KIND_SLIN)
-        self.memo: Dict[Tuple[int, object, Tuple[int, ...]], str] = {}
+        self.memo: dict[tuple[int, object, tuple[int, ...]], str] = {}
         self.cases_used = set()
         self.max_depth = 0
 
     # .. helpers ..
 
     def _eps(self, k: int, coeff: FieldElement,
-             exps: Tuple[int, ...]) -> Endo:
+             exps: tuple[int, ...]) -> Endo:
         f = Polynomial.monomial(self.field, self.n, coeff, exps)
         return elementary(self.field, self.n, k, f).expand()
 
@@ -260,7 +259,7 @@ class _SlinEngine:
     # .. the recursion ..
 
     def monomial_step(self, k: int, a: FieldElement,
-                      exps: Tuple[int, ...], depth: int = 0) -> str:
+                      exps: tuple[int, ...], depth: int = 0) -> str:
         if a.is_zero():
             raise ZeroScalar("monomial coefficient must be a unit")
         if exps[k - 1]:
@@ -275,7 +274,7 @@ class _SlinEngine:
         return label
 
     def _monomial_step_uncached(self, k: int, a: FieldElement,
-                                exps: Tuple[int, ...], depth: int) -> str:
+                                exps: tuple[int, ...], depth: int) -> str:
         field, n = self.field, self.n
         if k != 1:
             # conjugate by the signed transposition to push the axis to 1
@@ -324,7 +323,7 @@ class _SlinEngine:
             [(guard, seed, 1), (None, seed, -1)],
             expect=expected, note="axis translation from linear seed")
 
-    def _case1(self, a: FieldElement, exps: Tuple[int, ...],
+    def _case1(self, a: FieldElement, exps: tuple[int, ...],
                depth: int, pick: int) -> str:
         field, n = self.field, self.n
         self.cases_used.add("1")
@@ -346,7 +345,7 @@ class _SlinEngine:
             [(None, seed, 1), (conj, seed, -1)],
             expect=expected, note=f"case 1 via i={pick}")
 
-    def _case2a(self, a: FieldElement, exps: Tuple[int, ...],
+    def _case2a(self, a: FieldElement, exps: tuple[int, ...],
                 j: int, depth: int) -> str:
         field, n = self.field, self.n
         self.cases_used.add("2a")
@@ -370,7 +369,7 @@ class _SlinEngine:
         return self.builder.add_step(items, expect=expected,
                                      note=f"case 2a via j={j}")
 
-    def _case2b(self, a: FieldElement, exps: Tuple[int, ...],
+    def _case2b(self, a: FieldElement, exps: tuple[int, ...],
                 depth: int) -> str:
         field, n = self.field, self.n
         self.cases_used.add("2b")
@@ -427,7 +426,7 @@ def axis_shift(poly: Polynomial, axis: int, amount: FieldElement) -> Polynomial:
 
 
 def slin_from_monomial_elementary(ctx: SlinContext, k: int, a,
-                                  exps: Tuple[int, ...]) -> Certificate:
+                                  exps: tuple[int, ...]) -> Certificate:
     """Certificate for eps_{k, a * x^exps} lying in the normal closure of the
     linear special subgroup, with the proof case labels in metadata."""
     engine = _SlinEngine(ctx)

@@ -13,15 +13,15 @@ is expanded.
 from __future__ import annotations
 
 import re
-from typing import Optional, Tuple
 
 from .autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
                     SignedPermutation, Translation, Triangular)
 from .derivations import TriDerivation
 from .errors import (ArityError, DegreeCapExceeded, NotPrime, ParseError,
                      ReducibleModulus, UnsupportedField)
-from .fields import EXTENSION, RATIONALS, Field, element_text, prime_power
-from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial
+from .fields import (EXTENSION, RATIONALS, Field, check_order, element_text,
+                     prime_power)
+from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial, identity_images
 
 # -- the token stream --------------------------------------------------------
 
@@ -38,8 +38,8 @@ class _Parser:
 
     lines = False
 
-    def __init__(self, text: str, field: Optional[Field], nvars: Optional[int],
-                 cap: Optional[int]):
+    def __init__(self, text: str, field: Field | None, nvars: int | None,
+                 cap: int | None):
         self.text, self.cap, self.i = text, cap, 0
         toks, starts = self.toks, self.starts = [], []  # tokens, offsets
         for m in _TOKEN_RE.finditer(text):
@@ -59,7 +59,7 @@ class _Parser:
         self.field, self.nvars, self.xvars = field, nvars, nvars
         self.t = None
 
-    def fail(self, message: str, index: Optional[int] = None,
+    def fail(self, message: str, index: int | None = None,
              error=ParseError):
         """Raise at the token `index` (default: the next one)."""
         offset = self.starts[self.i if index is None else index]
@@ -77,7 +77,7 @@ class _Parser:
             self.fail(f"expected {tok!r}, found {self.toks[self.i]!r}")
         self.i += 1
 
-    def number(self, digits: Optional[str] = None) -> int:
+    def number(self, digits: str | None = None) -> int:
         """Take a number token, or read the digits of the token just taken."""
         if digits is None:
             digits = self.toks[self.i]
@@ -89,7 +89,7 @@ class _Parser:
         except ValueError:  # longer than int() reads
             self.fail("number too long", self.i - 1)
 
-    def items(self, item, sep: str = ",", count: Optional[int] = None,
+    def items(self, item, sep: str = ",", count: int | None = None,
               what: str = "entries", brackets: str = ""):
         """[open] item {sep item} [close]: the one list rule; `count` fixes
         its length."""
@@ -128,6 +128,7 @@ class _Parser:
             self.fail(f"bad field tag {self.toks[self.i]!r}")
         q = self.number()
         try:
+            check_order(q)
             if not self.at("/"):
                 return Field.of_order(q)
             # the modulus: a polynomial in the variable t over F_p, degree <= s
@@ -214,7 +215,7 @@ class _Parser:
             if not 1 <= index <= self.xvars:
                 self.fail(f"variable {tok} out of range 1..{self.xvars}",
                           self.i - 1)
-            return Polynomial.variable(field, nvars, index)
+            return identity_images(field, nvars)[index - 1]
         if tok == "t":
             if self.t is None:
                 if field.kind != EXTENSION:
@@ -323,28 +324,28 @@ def parse_field(text: str) -> Field:
 
 
 def parse_polynomial(text: str, field: Field, nvars: int,
-                     cap: Optional[int] = DEFAULT_DEGREE_CAP) -> Polynomial:
+                     cap: int | None = DEFAULT_DEGREE_CAP) -> Polynomial:
     return _parse(text, "poly", field, nvars, cap)
 
 
 def parse_derivation(text: str, field: Field, nvars: int,
-                     cap: Optional[int] = DEFAULT_DEGREE_CAP) -> TriDerivation:
+                     cap: int | None = DEFAULT_DEGREE_CAP) -> TriDerivation:
     return _parse(text, "derivation", field, nvars, cap)
 
 
-def parse_endo(text: str, field: Optional[Field] = None,
-               nvars: Optional[int] = None,
-               cap: Optional[int] = DEFAULT_DEGREE_CAP):
+def parse_endo(text: str, field: Field | None = None,
+               nvars: int | None = None,
+               cap: int | None = DEFAULT_DEGREE_CAP):
     return _parse(text, "endo", field, nvars, cap, ring=True)
 
 
-def parse_factored(text: str, field: Optional[Field] = None,
-                   nvars: Optional[int] = None,
-                   cap: Optional[int] = DEFAULT_DEGREE_CAP):
+def parse_factored(text: str, field: Field | None = None,
+                   nvars: int | None = None,
+                   cap: int | None = DEFAULT_DEGREE_CAP):
     return _parse(text, "word", field, nvars, cap, ring=True)
 
 
-def parse_automorphism(text: str, cap: Optional[int] = DEFAULT_DEGREE_CAP):
+def parse_automorphism(text: str, cap: int | None = DEFAULT_DEGREE_CAP):
     """Parse either an expanded tuple or a factored word, detected by shape.
     The '[field,n]' prefix is required."""
     return _parse(text, "automorphism", cap=cap, ring=True)
@@ -352,7 +353,7 @@ def parse_automorphism(text: str, cap: Optional[int] = DEFAULT_DEGREE_CAP):
 
 # -- polynomial printing -------------------------------------------------------
 
-def _coeff_text(field: Field, payload) -> Tuple[str, bool]:
+def _coeff_text(field: Field, payload) -> tuple[str, bool]:
     """(text, needs_parens_when_multiplied)."""
     if field.kind != EXTENSION:
         return str(payload), False

@@ -9,8 +9,6 @@ data; this module is the only place construction and evaluation meet.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
 from .autos import Endo, FactoredAuto, compose, jacobian_det
 from .certificates import Certificate, Seed, Step, WordItem
 from .errors import InternalIdentityFailure, NotSpecial
@@ -20,16 +18,16 @@ from .poly import DEFAULT_DEGREE_CAP, Polynomial
 
 class CertBuilder:
     def __init__(self, field: Field, nvars: int, kind: str,
-                 cap: Optional[int] = DEFAULT_DEGREE_CAP):
+                 cap: int | None = DEFAULT_DEGREE_CAP):
         self.field = field
         self.nvars = nvars
         self.kind = kind
         self.cap = cap
-        self.seeds: List[Seed] = []
-        self.steps: List[Step] = []
-        self.meta: Dict[str, str] = {}
-        self._env: Dict[str, Tuple[Endo, Endo]] = {}
-        self._seed_index: Dict[Endo, str] = {}
+        self.seeds: list[Seed] = []
+        self.steps: list[Step] = []
+        self.meta: dict[str, str] = {}
+        self._env: dict[str, tuple[Endo, Endo]] = {}
+        self._seed_index: dict[Endo, str] = {}
         self._counter = 0
 
     # -- labels -----------------------------------------------------------
@@ -50,7 +48,7 @@ class CertBuilder:
     # -- seeds ---------------------------------------------------------------
 
     def add_seed(self, word: FactoredAuto,
-                 label: Optional[str] = None) -> str:
+                 label: str | None = None) -> str:
         value = word.expand(cap=self.cap)
         if jacobian_det(value) != Polynomial.one(self.field, self.nvars):
             raise NotSpecial("seed has Jacobian determinant != 1")
@@ -66,8 +64,8 @@ class CertBuilder:
 
     # -- steps ------------------------------------------------------------------
 
-    def add_step(self, items, expect: Optional[Endo] = None,
-                 note: str = "", label: Optional[str] = None) -> str:
+    def add_step(self, items, expect: Endo | None = None,
+                 note: str = "", label: str | None = None) -> str:
         """items: iterable of (conjugator|None, base_label, exponent)."""
         word_items = []
         value = Endo.identity(self.field, self.nvars)
@@ -92,7 +90,7 @@ class CertBuilder:
         self._env[label] = (value, inverse)
         return label
 
-    def _item_value(self, conj: Optional[FactoredAuto], base: str,
+    def _item_value(self, conj: FactoredAuto | None, base: str,
                     exponent: int) -> Endo:
         core = self._env[base][0 if exponent == 1 else 1]
         if conj is None or not conj.factors:

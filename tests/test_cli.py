@@ -173,17 +173,26 @@ def test_certify_honours_cap_zero(capsys):
 
 def test_verify_loads_no_engine(tmp_path):
     """`polyauto verify` in a fresh interpreter imports none of the
-    engines: the CLI keeps the verifier's trust boundary."""
+    engines: the CLI keeps the verifier's trust boundary.  Neither verify
+    nor certify loads `dataclasses`, `inspect` or `typing`, whose import
+    costs every CLI process more than its own work on a small map.  The
+    interpreter starts with -S, so no site hook preloads a module."""
     from test_certificates import corpus_certificate_text
     path = tmp_path / "c.nct"
     path.write_text(corpus_certificate_text())
+    out = tmp_path / "g.nct"
     engines = ["cotame", "reduce_core", "slin", "wordbuild", "lnd",
                "identities"]
+    heavy = ["dataclasses", "inspect", "typing"]
     code = ("import sys; from polyauto import cli; "
             f"rc = cli.main(['verify', {str(path)!r}]); "
-            f"print(rc, *(m for m in {engines!r} "
-            "if 'polyauto.' + m in sys.modules))")
+            f"engines = [m for m in {engines!r} "
+            "if 'polyauto.' + m in sys.modules]; "
+            "rc2 = cli.main(['certify', '[Q,2] (x1, x2+x1^2)', "
+            f"'--out', {str(out)!r}]); "
+            f"print([rc, rc2], engines, [m for m in {heavy!r} "
+            "if m in sys.modules])")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "0"
+    assert proc.stdout.splitlines()[-1] == "[0, 0] [] []"

@@ -181,6 +181,34 @@ def test_large_field_tag_reads_fast():
     assert best < 0.01
 
 
+def test_field_order_is_bounded():
+    """Orders at or above FIELD_ORDER_BOUND, where the Miller-Rabin bases
+    stop being a proof, are refused before any primality work."""
+    from time import perf_counter
+    from polyauto.errors import ParseError, UnsupportedField
+    from polyauto.fields import FIELD_ORDER_BOUND, is_prime
+    from polyauto.textio import parse_field
+    # 2,001 digits and no prime factor up to 41: Miller-Rabin would run
+    tag = f"F{10 ** 2000 + 1}"
+    best = float("inf")
+    for _ in range(3):
+        start = perf_counter()
+        with pytest.raises(ParseError, match="must be below") as info:
+            parse_field(tag)
+        best = min(best, perf_counter() - start)
+    assert best < 0.01
+    assert (info.value.line, info.value.column) == (1, 1)
+    with pytest.raises(ParseError, match="must be below"):
+        parse_field(f"F{FIELD_ORDER_BOUND}/t^2+t+1")
+    assert is_prime(2 ** 89 - 1) and 2 ** 89 - 1 >= FIELD_ORDER_BOUND
+    for make in (Field.prime, Field.of_order):
+        with pytest.raises(UnsupportedField):
+            make(2 ** 89 - 1)
+    with pytest.raises(UnsupportedField):
+        Field.extension(2 ** 89 - 1, 2)
+    assert parse_field("F1000000000039").p == 1000000000039
+
+
 def test_extension_order_is_bounded():
     from polyauto.errors import ParseError, UnsupportedField
     from polyauto.textio import parse_field

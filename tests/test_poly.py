@@ -424,6 +424,20 @@ def test_image_checks_fire_in_the_same_order(Q, F5):
     assert compose(Endo(Q, 0, []), Endo(Q, 0, [])).components == ()
 
 
+def test_identity_images_are_shared_per_field_and_n(Q, F4):
+    from polyauto.textio import _Parser
+    xs = identity_images(F4, 3)
+    assert identity_images(F4, 3) is xs
+    assert xs == tuple(Polynomial.variable(F4, 3, i) for i in (1, 2, 3))
+    assert len(identity_images(F4, 2)) == 2
+    # a second handle of the same field holds its own tuple of equal values
+    other = Field.of_order(4)
+    assert identity_images(other, 3) is not xs
+    assert identity_images(other, 3) == xs
+    assert _Parser("x2", F4, 3, None).atom() is xs[1]
+    assert identity_images(Q, 3)[0].field is Q
+
+
 def test_degree_convention(Q):
     x1, x2 = xvars(Q, 2)
     assert (x1 * x2 ** 4).degrees() == (5, (1, 4))
