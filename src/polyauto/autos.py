@@ -12,6 +12,7 @@ structurally, so every factored word is invertible by construction.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from math import prod
 
 from .derivations import TriDerivation, exp_images, kernel_check
 from .errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
@@ -188,6 +189,9 @@ class Translation(Record):
         return Translation(self.field, self.nvars,
                            tuple(-b for b in self.vector))
 
+    def det(self) -> FieldElement:
+        return self.field.one
+
 
 class Elementary(Record):
     """x_i -> x_i + f with f free of x_i; everything else fixed."""
@@ -212,6 +216,9 @@ class Elementary(Record):
 
     def inverted(self) -> "Elementary":
         return Elementary(self.field, self.nvars, self.i, -self.f)
+
+    def det(self) -> FieldElement:
+        return self.field.one
 
 
 class Triangular(Record):
@@ -243,6 +250,9 @@ class Triangular(Record):
     def inverted(self) -> "Triangular":
         inv = invert_endo(self.expand())
         return triangular_from_endo(inv)
+
+    def det(self) -> FieldElement:
+        return prod(self.scalars, start=self.field.one)
 
 
 class SignedPermutation(Record):
@@ -276,6 +286,13 @@ class SignedPermutation(Record):
         return SignedPermutation(self.field, self.nvars,
                                  tuple(perm), tuple(signs))
 
+    def det(self) -> FieldElement:
+        """sign(perm) * prod s_i, the sign by counting inversions."""
+        out = prod(self.signs, start=self.field.one)
+        inversions = sum(a > b for k, a in enumerate(self.perm)
+                         for b in self.perm[k + 1:])
+        return -out if inversions % 2 else out
+
 
 class ExpLND(Record):
     """exp(FD) for a triangular derivation D and F in its kernel."""
@@ -301,6 +318,11 @@ class ExpLND(Record):
 
     def inverted(self) -> "ExpLND":
         return ExpLND(self.field, self.nvars, -self.F, self.D)
+
+    def det(self) -> FieldElement:
+        """exp(tFD) is an automorphism of k[t][x] over k[t], so its
+        determinant is a unit there, a constant, and 1 at t = 0."""
+        return self.field.one
 
 
 def make_basic(factor) -> Endo:
@@ -363,6 +385,13 @@ class FactoredAuto:
     def inverse(self) -> "FactoredAuto":
         return FactoredAuto(self.field, self.nvars,
                             [(f, -e) for f, e in reversed(self.factors)])
+
+    def det(self) -> FieldElement:
+        """Jacobian determinant of the word, without expanding it.  By the
+        chain rule det J(F*G) = (det J F)(G) * det J G, and every factor's
+        determinant is a constant, so the word's is their product."""
+        return prod((f.det() if exp == 1 else f.det().inv()
+                     for f, exp in self.factors), start=self.field.one)
 
     def __mul__(self, other: "FactoredAuto") -> "FactoredAuto":
         if not isinstance(other, FactoredAuto):
@@ -614,40 +643,39 @@ class Classification(Record):
 
 def classify(phi: Endo) -> Classification:
     n = phi.nvars
-    field = phi.field
     ident = phi.is_identity()
     parts = affine_parts(phi)
     affine = parts is not None
     linear = False
-    translation_flag = False
     diagonal = False
     if affine:
         A, b = parts
         linear = all(x.is_zero() for x in b)
-        is_id_matrix = all(
-            (A[i][j].is_one() if i == j else A[i][j].is_zero())
-            for i in range(n) for j in range(n))
-        translation_flag = is_id_matrix
         diagonal = all(A[i][j].is_zero() for i in range(n)
                        for j in range(n) if i != j) and \
             all(not A[i][i].is_zero() for i in range(n))
     elem = ident or elementary_parts(phi) is not None
     tri = triangular_parts(phi) is not None
-    parabolic = _is_parabolic(phi)
     return Classification(
         identity=ident,
-        translation=translation_flag,
+        translation=is_translation(phi),
         linear=linear,
         affine=affine,
         diagonal_affine=diagonal,
         elementary=elem,
         triangular=tri,
-        parabolic=parabolic,
+        parabolic=is_parabolic(phi),
         special=is_special(phi),
     )
 
 
-def _is_parabolic(phi: Endo) -> bool:
+def is_translation(phi: Endo) -> bool:
+    """x_i -> x_i + b_i with constants b_i; the identity is one."""
+    return all((c - x).is_constant() for c, x in
+               zip(phi.components, identity_images(phi.field, phi.nvars)))
+
+
+def is_parabolic(phi: Endo) -> bool:
     """First n-1 components free of x_n; last = a_n x_n + P(x_1..x_{n-1})."""
     n = phi.nvars
     for c in phi.components[:-1]:

@@ -11,8 +11,15 @@ and the step claims that the product of its items equals a stated value.
 The terminal step must claim a nontrivial elementary automorphism.
 
 Steps carry both the claimed value and its claimed inverse; the verifier
-checks the pair composes to the identity both ways and then never needs to
-invert an arbitrary expanded map when an item uses exponent -1.
+checks that VALUE composed with INV is the identity and then never needs to
+invert an arbitrary expanded map when an item uses exponent -1.  One side
+suffices: if F o G = id, the endomorphism that G induces on the Noetherian
+ring k[x_1..x_n] is surjective, hence injective, so G o F = id too (van den
+Essen, Polynomial Automorphisms and the Jacobian Conjecture, 2000).
+
+Seeds and conjugators are special when their words' determinants are 1.  A
+word's Jacobian determinant is the product of its factors' constant
+determinants (FactoredAuto.det), so no Jacobian of an expanded map is taken.
 
 This module deliberately depends only on the algebra core (fields, poly,
 autos, textio) and the dependency-free record base.  None of the
@@ -24,11 +31,10 @@ from __future__ import annotations
 
 import re
 
-from .autos import (Endo, FactoredAuto, affine_parts, compose,
-                    elementary_parts, jacobian_det)
+from .autos import Endo, FactoredAuto, affine_parts, compose, elementary_parts
 from .errors import DegreeCapExceeded, InvalidFactor
 from .fields import Field
-from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial
+from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS
 from .record import Record
 from .textio import EOL, _Parser, components_text, factored_to_text
 
@@ -114,13 +120,12 @@ def verify_certificate(cert: Certificate,
                        cap: int | None = DEFAULT_DEGREE_CAP) -> VerificationReport:
     """Re-check every claim in the certificate by exact expansion.
 
-    Uses only compose/jacobian_det/affine_parts/elementary_parts on the
-    stored data; the word engines that produced the certificate play no
-    part here.
+    Uses only word expansion and determinants, compose, affine_parts and
+    elementary_parts on the stored data; the word engines that produced
+    the certificate play no part here.
     """
     records: list[CheckRecord] = []
     indeterminate = False
-    one = Polynomial.one(cert.field, cert.nvars)
     ident = Endo.identity(cert.field, cert.nvars)
     env: dict[str, tuple[Endo, Endo]] = {}
 
@@ -144,7 +149,7 @@ def verify_certificate(cert: Certificate,
             record(seed.label, "seed-expansion", False, str(exc))
             continue
         env[seed.label] = (value, inverse)
-        special = jacobian_det(value) == one
+        special = seed.word.det().is_one()
         ok_all = record(seed.label, "seed-special", special,
                         "" if special else "seed Jacobian determinant != 1") and ok_all
         if cert.kind == KIND_SLIN:
@@ -160,8 +165,7 @@ def verify_certificate(cert: Certificate,
             continue
         labels.add(label)
         try:
-            pair_ok = (compose(step.value, step.inverse, cap=cap) == ident
-                       and compose(step.inverse, step.value, cap=cap) == ident)
+            pair_ok = compose(step.value, step.inverse, cap=cap) == ident
         except DegreeCapExceeded as exc:
             indeterminate = True
             record(label, "inverse-pair", False, str(exc))
@@ -181,12 +185,12 @@ def verify_certificate(cert: Certificate,
             try:
                 if item.conjugator is not None and item.conjugator.factors:
                     g = item.conjugator.expand(cap=cap)
-                    gdet = jacobian_det(g)
+                    special = item.conjugator.det().is_one()
                     ok_all = record(
-                        label, f"item{idx}-conjugator-special", gdet == one,
-                        "" if gdet == one else
+                        label, f"item{idx}-conjugator-special", special,
+                        "" if special else
                         "conjugator Jacobian determinant != 1") and ok_all
-                    if gdet != one:
+                    if not special:
                         failed = True
                         break
                     ginv = item.conjugator.inverse().expand(cap=cap)
@@ -380,26 +384,3 @@ def parse_certificate(text: str,
     column; a power over `cap` raises DegreeCapExceeded before expanding."""
     parser = _CertificateParser(text, None, None, cap)
     return parser.whole(parser.certificate)
-
-
-def certificates_equal(a: Certificate, b: Certificate) -> bool:
-    """Structural equality on expanded content (words compare by expansion)."""
-    if (a.field != b.field or a.nvars != b.nvars or a.kind != b.kind
-            or a.terminal != b.terminal or len(a.seeds) != len(b.seeds)
-            or len(a.steps) != len(b.steps)):
-        return False
-    for sa, sb in zip(a.seeds, b.seeds):
-        if sa.label != sb.label or sa.word.expand() != sb.word.expand():
-            return False
-    for ta, tb in zip(a.steps, b.steps):
-        if (ta.label != tb.label or ta.value != tb.value
-                or ta.inverse != tb.inverse or len(ta.items) != len(tb.items)):
-            return False
-        for ia, ib in zip(ta.items, tb.items):
-            if ia.base != ib.base or ia.exponent != ib.exponent:
-                return False
-            ga = ia.conjugator.expand() if ia.conjugator else None
-            gb = ib.conjugator.expand() if ib.conjugator else None
-            if ga != gb:
-                return False
-    return True

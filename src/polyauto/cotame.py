@@ -11,16 +11,18 @@ triangular factor strictly decreases, which bounds the recursion.
 
 from __future__ import annotations
 
+from math import prod
+
 from .autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
-                    SignedPermutation, Translation, affine_parts, classify,
-                    compose, dilation, invert_endo, jacobian_det, mat_det,
+                    SignedPermutation, Translation, affine_parts, compose,
+                    dilation, invert_endo, is_translation, mat_det,
                     triangular_from_endo, triangular_parts, vector_degree)
 from .certificates import KIND_COTAME, Certificate
 from .errors import (IdentityInput, InternalIdentityFailure, NotAlternating,
                      NotSpecial, NotStructured, UnsupportedCharacteristic,
                      UnsupportedM)
 from .fields import RATIONALS, Field
-from .poly import DEFAULT_DEGREE_CAP, Polynomial
+from .poly import DEFAULT_DEGREE_CAP
 from .record import Record
 from .reduce_core import (CommutatorProbe, affine_terminal,
                           endo_translation_word, find_noncommuting_c,
@@ -88,16 +90,10 @@ def _word_pieces(word: FactoredAuto) -> list[tuple[str, Endo]]:
     return pieces
 
 
-def _is_df(phi: Endo) -> bool:
-    flags = classify(phi)
-    return flags.affine and flags.diagonal_affine
-
-
 def _normalize_pieces(field: Field, n: int,
                       pieces: list[tuple[str, Endo]]) -> MTriangularForm:
     """Right-to-left sweep with a diagonal-affine carry; see module docs."""
     ident = Endo.identity(field, n)
-    one = field.one
     carry = ident  # always in Df
     slots: list[tuple[str, Endo]] = []  # normalized suffix, in word order
     for kind, val in reversed(pieces):
@@ -108,10 +104,7 @@ def _normalize_pieces(field: Field, n: int,
                 raise InternalIdentityFailure(
                     "diagonal-affine conjugate of a triangular map "
                     "was not triangular")
-            scalars, _ = parts
-            det = one
-            for a in scalars:
-                det = det * a
+            det = prod(parts[0], start=field.one)
             diag_fix = dilation(field, n, 1, det).expand()
             tau_sp = compose(invert_endo(diag_fix), conj)
             carry = compose(carry, diag_fix)
@@ -164,7 +157,7 @@ def _absorb_translation(field, n, slots, tr: Endo):
     while idx < len(slots) and slots[idx][0] == "alpha":
         alpha = slots[idx][1]
         cur = compose(compose(invert_endo(alpha), cur), alpha)
-        if not classify(cur).translation:
+        if not is_translation(cur):
             raise InternalIdentityFailure(
                 "translation stopped being a translation under "
                 "linear conjugation")
@@ -185,13 +178,13 @@ def _assemble(field, n, slots, pieces) -> MTriangularForm:
         else:
             taus.append(val)
             alphas.append(ident)
-    # merge out taus that are diagonal-affine by re-normalizing
+    # re-normalize away taus that are diagonal affine (vector degree zero)
     for i, tau in enumerate(taus):
-        if _is_df(tau) and len(taus) > 1:
+        if len(taus) > 1 and not any(vector_degree(tau)):
             new_pieces: list[tuple[str, Endo]] = []
             for j, a in enumerate(alphas):
                 if j > 0:
-                    kind = "aff" if _is_df(taus[j - 1]) else "tri"
+                    kind = "tri" if any(vector_degree(taus[j - 1])) else "aff"
                     new_pieces.append((kind, taus[j - 1]))
                 new_pieces.append(("aff", a))
             return _normalize_pieces(field, n, new_pieces)
@@ -210,18 +203,14 @@ def _assemble(field, n, slots, pieces) -> MTriangularForm:
         tp = triangular_parts(t)
         if tp is None:
             raise InternalIdentityFailure("tau slot is not triangular")
-        det = field.one
-        for a in tp[0]:
-            det = det * a
-        if not det.is_one():
+        if not prod(tp[0], start=field.one).is_one():
             raise InternalIdentityFailure("tau slot is not special")
     return form
 
 
 def normalize_m_triangular(word: FactoredAuto) -> MTriangularForm:
     """Alternating normal form of a word of affine/triangular factors."""
-    val = word.expand()
-    if jacobian_det(val) != Polynomial.one(word.field, word.nvars):
+    if not word.det().is_one():
         raise NotSpecial("word is not special")
     pieces = _word_pieces(word)
     if not pieces:
@@ -253,7 +242,7 @@ def _engine_m1(builder, ref, form: MTriangularForm) -> str:
     cur, form = _absorb_linear_slot(builder, ref, form, trailing=True)
     beta0, tau1 = form.alphas[0], form.taus[0]
     val = builder.value(cur)
-    if classify(val).triangular:
+    if triangular_parts(val) is not None:
         return reduce_triangular_ref(builder, cur)
     beta0_word = _linear_word(field, n, beta0)
     probe = find_noncommuting_c(val, beta0_word, n)
@@ -265,7 +254,7 @@ def _engine_m1(builder, ref, form: MTriangularForm) -> str:
     predicted = compose(
         invert_endo(probe.gamma),
         compose(compose(invert_endo(tau1), eps), tau1))
-    if not classify(predicted).translation:
+    if not is_translation(predicted):
         raise InternalIdentityFailure("m=1 collapse is not a translation")
     step = builder.add_step(
         [(gamma_word, cur, -1), (None, cur, 1)],
@@ -310,7 +299,7 @@ def _engine_m2(builder, ref, form: MTriangularForm) -> str:
         return parabolic_route(builder, cur, probe)
     eps = probe.eps.expand()
     passed = compose(compose(invert_endo(tau1), eps), tau1)
-    if not classify(passed).translation:
+    if not is_translation(passed):
         raise InternalIdentityFailure("axis translation failed to pass tau1")
     gamma2 = compose(compose(invert_endo(alpha1), passed), alpha1)
     predicted = compose(
@@ -332,8 +321,8 @@ def _engine_m3(builder, ref, form: MTriangularForm) -> str:
         beta0 = form.alphas[0]
         tau1, tau2, tau3 = form.taus
         alpha1, alpha2 = form.alphas[1], form.alphas[2]
-        if _is_df(tau2):
-            # middle collapses to an affine slot: the word is 2-triangular
+        if not any(vector_degree(tau2)):
+            # tau2 is diagonal affine: the middle collapses to an affine slot
             mid = compose(compose(alpha1, tau2), alpha2)
             pieces = [("aff", beta0), ("tri", tau1), ("aff", mid),
                       ("tri", tau3)]
@@ -347,7 +336,7 @@ def _engine_m3(builder, ref, form: MTriangularForm) -> str:
         eps = probe.eps.expand()
         passed = compose(compose(invert_endo(tau1), eps), tau1)
         gamma2 = compose(compose(invert_endo(alpha1), passed), alpha1)
-        if not classify(gamma2).translation:
+        if not is_translation(gamma2):
             raise InternalIdentityFailure("m=3 inner translation failed")
         tau2_new = compose(compose(invert_endo(tau2), gamma2), tau2)
         vd_before = vector_degree(tau2)
@@ -386,7 +375,7 @@ def _engine_m4(builder, ref, form: MTriangularForm) -> str:
         return parabolic_route(builder, cur, probe)
     eps_inv = probe.eps.inverse().expand()
     eps_prime = compose(compose(tau4, eps_inv), invert_endo(tau4))
-    if not classify(eps_prime).translation:
+    if not is_translation(eps_prime):
         raise InternalIdentityFailure("m=4 pass-through failed")
     tr3 = compose(compose(alpha3, eps_prime), invert_endo(alpha3))
     tau3_new = compose(compose(tau3, tr3), invert_endo(tau3))
@@ -420,7 +409,8 @@ def _engine_m4_symmetric(builder, cur, sigma1, beta1, sigma2, beta2,
     induction on vd(sigma3)."""
     field, n = builder.field, builder.nvars
     while True:
-        if _is_df(sigma3):
+        if not any(vector_degree(sigma3)):
+            # sigma3 is diagonal affine: the middle collapses to an affine slot
             mid = compose(compose(beta2, sigma3), invert_endo(beta2))
             pieces = [("tri", sigma1), ("aff", beta1), ("tri", sigma2),
                       ("aff", mid), ("tri", invert_endo(sigma2)),
@@ -434,7 +424,7 @@ def _engine_m4_symmetric(builder, cur, sigma1, beta1, sigma2, beta2,
             return parabolic_route(builder, cur, probe)
         eps = probe.eps.expand()
         eps2 = compose(compose(invert_endo(sigma2), eps), sigma2)
-        if not classify(eps2).translation:
+        if not is_translation(eps2):
             raise InternalIdentityFailure("m=4 inner pass-through failed")
         tr = compose(compose(invert_endo(beta2), eps2), beta2)
         sigma3_new = compose(compose(sigma3, tr), invert_endo(sigma3))
@@ -496,7 +486,7 @@ def certify_normally_cotame(word: FactoredAuto,
         raise UnsupportedCharacteristic(
             "certification works in characteristic zero")
     val = word.expand()
-    if jacobian_det(val) != Polynomial.one(field, n):
+    if not word.det().is_one():
         raise NotSpecial("input is not special (Jacobian determinant != 1)")
     if val.is_identity():
         raise IdentityInput("input is the identity")
@@ -517,7 +507,7 @@ def certify_normally_cotame(word: FactoredAuto,
         path = "exponential" if tau_word.is_identity_word() \
             and alpha_word.is_identity_word() else "triangular-exponential"
         cite = "exponential-reduction"
-    elif classify(val).triangular:
+    elif triangular_parts(val) is not None:
         seed = builder.add_seed(word, label="theta")
         terminal = reduce_triangular_ref(builder, seed)
         path, cite = "triangular", "triangular-descent"

@@ -17,8 +17,9 @@ commutator and the triangular descent are the shared ones of reduce_core.
 
 from __future__ import annotations
 
-from .autos import (Endo, ExpLND, FactoredAuto, classify, compose,
-                    elementary, invert_endo, jacobian_det)
+from .autos import (Endo, ExpLND, FactoredAuto, compose, elementary,
+                    invert_endo, is_parabolic, is_translation, jacobian_det,
+                    triangular_parts)
 from .derivations import (TriDerivation, apply_derivation, exp_images,
                           kernel_check)
 from .errors import (DegenerateChain, IdentityInput, InternalIdentityFailure,
@@ -96,7 +97,7 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
     phi = builder.value(ref)
     if phi.is_identity():
         raise IdentityInput("input is the identity")
-    if classify(phi).triangular:
+    if triangular_parts(phi) is not None:
         return reduce_triangular_ref(builder, ref)
     ta = compose(tau, alpha)
     if ta.is_identity():
@@ -114,11 +115,11 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
     # which is not the identity, is never the identity
     G = axis_shift(F, n, -c_el) - F
     passed = compose(compose(invert_endo(tau), eps_val), tau)
-    if not classify(passed).translation:
+    if not is_translation(passed):
         raise InternalIdentityFailure(
             "axis translation did not pass through tau as a translation")
     gamma = compose(compose(invert_endo(alpha), passed), alpha)
-    if not classify(gamma).translation:
+    if not is_translation(gamma):
         raise InternalIdentityFailure(
             "conjugated translation is not a translation")
     predicted = compose(compose(eps_c.inverse().expand(),
@@ -128,7 +129,7 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
         expect=predicted, note="conjugate the commutator through exp(FD)")
     if G.deg_in(n) == 0:
         # exp(GD) and both translations are parabolic-shaped
-        if not classify(builder.value(phi1)).parabolic:
+        if not is_parabolic(builder.value(phi1)):
             raise DegenerateChain(
                 "chain collapsed but the intermediate value is not "
                 "parabolic; no reduction route remains")

@@ -11,10 +11,11 @@ the nontrivial elementary terminal.
 from __future__ import annotations
 
 from .autos import (Endo, FactoredAuto, Linear, SignedPermutation,
-                    affine_parts, classify, compose, elementary,
-                    elementary_parts, translation, vector_degree)
+                    affine_parts, compose, elementary, elementary_parts,
+                    is_parabolic, is_translation, translation,
+                    triangular_parts, vector_degree)
 from .errors import (IdentityInput, InternalIdentityFailure, NotParabolic,
-                     NotSpecial, NotTriangular, UnsupportedCharacteristic)
+                     NotTriangular, UnsupportedCharacteristic)
 from .fields import RATIONALS, Field
 from .poly import Polynomial
 from .record import Record
@@ -88,7 +89,7 @@ def parabolic_witness(phi: Endo, probe: CommutatorProbe) -> FactoredAuto:
                       probe.alpha.expand())
     pi = _parabolic_normalizer(field, n, probe.k)
     conj_val = compose(compose(pi.expand(), psi), pi.inverse().expand())
-    if not classify(conj_val).parabolic:
+    if not is_parabolic(conj_val):
         raise InternalIdentityFailure(
             "probe exhausted but the parabolic witness failed; "
             "the degree bound argument was violated")
@@ -133,15 +134,12 @@ def affine_terminal(builder: CertBuilder, ref: str) -> str:
     """From a nontrivial special affine base, derive an axis translation
     eps_{i,c} (a nontrivial elementary map) and return its step label."""
     val = builder.value(ref)
-    flags = classify(val)
-    if flags.identity:
+    if val.is_identity():
         raise IdentityInput("affine base is the identity")
-    if not flags.affine:
+    if affine_parts(val) is None:
         raise NotTriangular("base is not affine")
-    if not flags.special:
-        raise NotSpecial("affine base is not special")
     cur = ref
-    if not flags.translation:
+    if not is_translation(val):
         cur = translation_from_special_affine(builder, cur)
     # cur now holds a nontrivial translation
     val = builder.value(cur)
@@ -176,17 +174,14 @@ def reduce_triangular_ref(builder: CertBuilder, ref: str) -> str:
     through the affine terminal chain."""
     val = builder.value(ref)
     _require_char_zero(val.field)
-    flags = classify(val)
-    if flags.identity:
+    if val.is_identity():
         raise IdentityInput("triangular input is the identity")
-    if not flags.triangular:
+    if triangular_parts(val) is None:
         raise NotTriangular("input is not lower triangular")
-    if not flags.special:
-        raise NotSpecial("triangular input is not special")
     cur = ref
     while True:
         val = builder.value(cur)
-        if classify(val).affine:
+        if affine_parts(val) is not None:
             return affine_terminal(builder, cur)
         vd_before = vector_degree(val)
         gamma = _axis_probe_translation(val)
@@ -247,9 +242,9 @@ def reduce_parabolic_ref(builder: CertBuilder, ref: str,
         a0, _lam = _sl_diag_split(alpha)
         cur = builder.conj_step(ref, a0, note="SL part of the conjugator")
     w = builder.value(cur)
-    if not classify(w).parabolic:
+    if not is_parabolic(w):
         raise NotParabolic("value is not parabolic after SL conjugation")
-    if classify(w).triangular:
+    if triangular_parts(w) is not None:
         return reduce_triangular_ref(builder, cur)
     # last coordinate: a_n x_n + P_n; pick i < n with H_i != a_n x_i
     diag = tuple(1 if t == n - 1 else 0 for t in range(n))

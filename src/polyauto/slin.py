@@ -15,12 +15,12 @@ from __future__ import annotations
 from math import comb
 
 from .autos import (Endo, FactoredAuto, SignedPermutation, affine_parts,
-                    classify, elementary, elementary_parts, linear_elementary,
-                    sl_dilation)
+                    elementary, elementary_parts, is_translation,
+                    linear_elementary, sl_dilation)
 from .certificates import KIND_SLIN, Certificate
 from .errors import (DegenerateTarget, IdentityInput, IndexClash,
                      InternalIdentityFailure, NoSuchUnit, NotAffine,
-                     NotSpecial, UnsupportedField, ZeroScalar)
+                     UnsupportedField, ZeroScalar)
 from .fields import EXTENSION, PRIME, RATIONALS, Field, FieldElement
 from .poly import Polynomial
 from .record import Record
@@ -105,10 +105,9 @@ def translation_from_any(builder: CertBuilder, gamma: str) -> str:
     """From a nontrivial translation derive some eps_{i,c}."""
     field, n = builder.field, builder.nvars
     val = builder.value(gamma)
-    flags = classify(val)
-    if flags.identity:
+    if val.is_identity():
         raise IdentityInput("translation is the identity")
-    if not flags.translation:
+    if not is_translation(val):
         raise NotAffine("base is not a translation")
     _, consts = affine_parts(val)
     j = next(k + 1 for k, cval in enumerate(consts) if not cval.is_zero())
@@ -178,16 +177,14 @@ def translation_from_special_affine(builder: CertBuilder, alpha: str) -> str:
     a nontrivial translation."""
     field, n = builder.field, builder.nvars
     val = builder.value(alpha)
-    flags = classify(val)
-    if flags.identity:
+    if val.is_identity():
         raise IdentityInput("affine map is the identity")
-    if not flags.affine:
+    parts = affine_parts(val)
+    if parts is None:
         raise NotAffine("base is not affine")
-    if not flags.special:
-        raise NotSpecial("affine base must be special")
-    if flags.translation:
+    if is_translation(val):
         return alpha
-    A, _ = affine_parts(val)
+    A, _ = parts
     pick = None
     for i in range(n):
         for j in range(n):

@@ -164,14 +164,15 @@ class _Parser:
     # -- polynomials --
 
     def poly(self) -> Polynomial:
-        """{+|-} term {(+|-) {+|-} term}"""
-        p = Polynomial.zero(self.field, self.nvars)
+        """{+|-} term {(+|-) {+|-} term}; the first term is taken as it is."""
+        p = None
         while True:
             negate = False
             while self.toks[self.i] in ("+", "-"):
                 negate ^= self.toks[self.i] == "-"
                 self.i += 1
-            p = p - self.term() if negate else p + self.term()
+            q = -self.term() if negate else self.term()
+            p = q if p is None else p + q
             if self.toks[self.i] not in ("+", "-"):
                 return p
 

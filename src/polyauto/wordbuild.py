@@ -2,18 +2,20 @@
 
 CertBuilder tracks the environment of derived values (and their inverses),
 evaluates each emitted word immediately, and refuses to record a step whose
-expansion disagrees with the engine's expected value.  The independent
+expansion disagrees with the engine's expected value.  Every value it holds
+is special: seeds are checked, and products and conjugates keep a constant
+determinant of 1, so the engines never ask again.  The independent
 verifier in polyauto.certificates re-checks everything from the serialized
 data; this module is the only place construction and evaluation meet.
 """
 
 from __future__ import annotations
 
-from .autos import Endo, FactoredAuto, compose, jacobian_det
+from .autos import Endo, FactoredAuto, compose
 from .certificates import Certificate, Seed, Step, WordItem
 from .errors import InternalIdentityFailure, NotSpecial
 from .fields import Field
-from .poly import DEFAULT_DEGREE_CAP, Polynomial
+from .poly import DEFAULT_DEGREE_CAP
 
 
 class CertBuilder:
@@ -50,7 +52,7 @@ class CertBuilder:
     def add_seed(self, word: FactoredAuto,
                  label: str | None = None) -> str:
         value = word.expand(cap=self.cap)
-        if jacobian_det(value) != Polynomial.one(self.field, self.nvars):
+        if not word.det().is_one():
             raise NotSpecial("seed has Jacobian determinant != 1")
         existing = self._seed_index.get(value)
         if existing is not None and label is None:

@@ -6,12 +6,15 @@ per-criterion lines).
 """
 
 import hashlib
+import importlib
+import pkgutil
 import random
 
 import pytest
 
 from gen import (rand_m_triangular_word, rand_sl_word, rand_translation,
                  rand_triangular)
+import polyauto
 from polyauto.autos import (Elementary, Endo, ExpLND, FactoredAuto,
                             SignedPermutation, compose, invert_endo,
                             jacobian_det, vector_degree)
@@ -245,9 +248,32 @@ CORPUS_SHA256 = {
 }
 
 
-def test_criterion_4_certification_corpus():
+def count_calls(monkeypatch, names):
+    """Count calls of the autos functions `names` through every polyauto
+    module that binds them by name."""
+    counts = dict.fromkeys(names, 0)
+    modules = [polyauto] + [importlib.import_module(f"polyauto.{m.name}")
+                            for m in pkgutil.iter_modules(polyauto.__path__)
+                            if m.name != "__main__"]
+    for name in names:
+        original = getattr(polyauto.autos, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_criterion_4_certification_corpus(monkeypatch):
     words = corpus_words()
     assert len(words) >= 25
+    # special-ness comes from word determinants and each engine question
+    # from its own predicate: no Jacobian expansion, no full classification
+    calls = count_calls(monkeypatch, ("jacobian_det", "classify"))
     bad = []
     for index, (name, word) in enumerate(words):
         key = f"{index:02d}-{name}"
@@ -269,6 +295,8 @@ def test_criterion_4_certification_corpus():
                 bad.append((key, "round-trip verdict changed"))
         except Exception as exc:  # noqa: BLE001 - report below
             bad.append((key, f"{type(exc).__name__}: {exc}"))
+    if any(calls.values()):
+        bad.append(("calls", calls))
     report(4, not bad or pytest.fail(f"corpus failures: {bad}"))
 
 

@@ -6,15 +6,18 @@ import pytest
 
 from gen import (Q as QF, rand_m_triangular_word, rand_mixed_word,
                  rand_sl_word, rand_translation, rand_triangular, rand_unit)
-from polyauto.autos import (Elementary, Endo, FactoredAuto, Linear,
-                            SignedPermutation, Triangular, classify, comm,
-                            compose, conj, dilation, elementary, invert_endo,
-                            jacobian_det, make_basic, mat_det, sl_dilation,
-                            translation, triangular_from_endo, vector_degree)
+from polyauto.autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
+                            SignedPermutation, Translation, Triangular,
+                            classify, comm, compose, conj, dilation,
+                            elementary, invert_endo, jacobian_det, make_basic,
+                            mat_det, sl_dilation, translation,
+                            triangular_from_endo, vector_degree)
 from polyauto.errors import (DegreeCapExceeded, InvalidFactor, NotStructured,
                              NotTriangular)
+from polyauto.fields import Field
+from polyauto.identities import random_kernel_pairs
 from polyauto.poly import Polynomial
-from polyauto.textio import parse_endo
+from polyauto.textio import parse_endo, parse_factored
 
 
 def X(field, n, i):
@@ -235,6 +238,84 @@ def test_constructor_determinants(Q):
         Polynomial.constant(Q, 3, 5)
     mat = rand_sl_word(rng, 3).expand()  # det 1 by construction
     assert jacobian_det(mat) == one
+
+
+def random_factor(rng, field, n, kind):
+    """A factor of `kind` with random data over `field`, whose units are
+    drawn from all of it (F9 included), not only from its prime field."""
+    units = list(field.units(bound=8))
+
+    def poly(allowed):
+        p = Polynomial.zero(field, n)
+        for _ in range(rng.randint(0, 2)):
+            exps = tuple(rng.randint(0, 2) if j in allowed else 0
+                         for j in range(n))
+            p = p + Polynomial.monomial(field, n, rng.choice(units), exps)
+        return p
+
+    if kind == "L":
+        while True:
+            rows = tuple(tuple(rng.choice(units + [field.zero])
+                               for _ in range(n)) for _ in range(n))
+            if not mat_det(field, rows).is_zero():
+                return Linear(field, n, rows)
+    if kind == "Tr":
+        return Translation(field, n, tuple(rng.choice(units)
+                                           for _ in range(n)))
+    if kind == "E":
+        i = rng.randint(1, n)
+        return Elementary(field, n, i, poly(set(range(n)) - {i - 1}))
+    if kind == "T":
+        return Triangular(field, n,
+                          tuple(rng.choice(units) for _ in range(n)),
+                          tuple(poly(set(range(i))) for i in range(n)))
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    if kind == "S-odd":  # one more transposition flips the parity
+        perm[0], perm[1] = perm[1], perm[0]
+    return SignedPermutation(field, n, tuple(perm),
+                             tuple(rng.choice(units) for _ in range(n)))
+
+
+@pytest.mark.parametrize("order", [None, 7, 9])
+def test_word_determinant_is_the_product_of_factor_determinants(order):
+    """On seeded random words of every factor kind, with ^-1 factors, the
+    word determinant is the Jacobian determinant of the expansion."""
+    field = Field.rationals() if order is None else Field.of_order(order)
+    rng = random.Random(order or 1)
+    kinds = ["L", "Tr", "E", "T", "S", "S-odd"]
+    pairs = random_kernel_pairs(5, 6) if order is None else []
+    for trial in range(24):
+        kind = kinds[trial % len(kinds)]
+        n = rng.randint(2, 3)
+        factors = []
+        if pairs and trial % 4 == 0:  # Exp is over Q only
+            F, D = pairs.pop()
+            n = F.nvars
+            factors.append((ExpLND(field, n, F, D), rng.choice((1, -1))))
+        factors.append((random_factor(rng, field, n, kind),
+                        rng.choice((1, -1))))
+        for _ in range(rng.randint(0, 2)):
+            factors.append((random_factor(rng, field, n, rng.choice(kinds)),
+                            rng.choice((1, -1))))
+        rng.shuffle(factors)
+        word = FactoredAuto(field, n, factors)
+        assert jacobian_det(word.expand()) == \
+            Polynomial.constant(field, n, word.det()), word
+
+
+def test_word_determinants_of_hand_made_words():
+    for text, det in (
+            ("[Q,3] T(2; 3, x1^2; 2, x1*x2) * S(2,1,3; 1,-1,1)"
+             " * E(1; x2^2)^-1", 12),
+            ("[F9,2] S(2,1; t, 1) * T(t; 1, x1^2)^-1 * E(2; x1^2)", 2),
+            ("[Q,3] S(3,1,2; 2, 1/2, -1) * Exp(x1; D(0, x1, -x2))"
+             " * L[[1,2,0],[0,1,0],[0,0,1]]^-1", -1)):
+        word = parse_factored(text)
+        want = word.field.from_int(det)
+        assert word.det() == want, text
+        assert jacobian_det(word.expand()) == \
+            Polynomial.constant(word.field, word.nvars, want), text
 
 
 def test_triangular_roundtrip(Q):

@@ -2,7 +2,7 @@ import pytest
 
 from gen import rand_mixed_word
 from polyauto.errors import ArityError, ParseError
-from polyauto.poly import Polynomial
+from polyauto.poly import Polynomial, identity_images
 from polyauto.textio import (endo_to_text, factored_to_text,
                              derivation_to_text, parse_automorphism,
                              parse_derivation, parse_endo, parse_factored,
@@ -18,6 +18,12 @@ def test_parse_endo_example(Q):
 def test_parse_linear_over_f4():
     phi = parse_endo("[F4,2] (x1+t*x2, x2)")
     assert phi.field.order == 4
+
+
+def test_one_term_polynomial_is_not_rebuilt(Q):
+    assert parse_polynomial("x2", Q, 3) is identity_images(Q, 3)[1]
+    assert parse_polynomial("-x2+x1", Q, 3) == \
+        identity_images(Q, 3)[0] - identity_images(Q, 3)[1]
 
 
 def test_parse_error_on_truncated():
