@@ -47,14 +47,8 @@ class Endo:
         return Endo(field, nvars, identity_images(field, nvars))
 
     def is_identity(self) -> bool:
-        for i, c in enumerate(self.components, start=1):
-            if len(c.terms) != 1:
-                return False
-            e = tuple(1 if j == i - 1 else 0 for j in range(self.nvars))
-            payload = c.terms.get(e)
-            if payload is None or payload != self.field.one.payload:
-                return False
-        return True
+        return all(c.terms == x.terms for c, x in zip(
+            self.components, identity_images(self.field, self.nvars)))
 
     def __eq__(self, other):
         if not isinstance(other, Endo):
@@ -480,15 +474,15 @@ def affine_parts(phi: Endo):
     A = [[field.zero] * n for _ in range(n)]
     b = [field.zero] * n
     for i, c in enumerate(phi.components):
-        for e, payload in c.terms.items():
+        # highest degree first: a component of degree > 1 ends the loop
+        for e, coeff in c.sorted_terms():
             d = sum(e)
             if d > 1:
                 return None
             if d == 0:
-                b[i] = FieldElement(field, payload)
+                b[i] = coeff
             else:
-                j = next(k for k, ek in enumerate(e) if ek)
-                A[i][j] = FieldElement(field, payload)
+                A[i][e.index(1)] = coeff
     return tuple(tuple(r) for r in A), tuple(b)
 
 

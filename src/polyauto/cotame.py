@@ -124,11 +124,9 @@ def _normalize_pieces(field: Field, n: int,
             carry = compose(Translation(field, n, b).expand(), lam)
             if not msl.is_identity():
                 slots.insert(0, ("alpha", msl))
-    # fold the remaining Df carry into the suffix
+    # fold the remaining Df carry into the suffix; its determinant is 1,
+    # since the word is special and every slot was normalised to det 1
     A, b = affine_parts(carry)
-    d = mat_det(field, A)
-    if not d.is_one():
-        raise NotSpecial("input word is not special")
     lam = Linear(field, n, A).expand()
     tr_vec = _solve_leading_translation(field, n, A, b)
     if any(not x.is_zero() for x in tr_vec):

@@ -1,5 +1,8 @@
 """Term-map kernels: the hot loops of sparse polynomial multiplication,
-keyed by field kind.  Coefficients are Python ints, tuples of ints, or
+keyed by field kind.  Keys are packed monomials (see `poly.pack`), one int
+per exponent vector, so the monomial of a pair of terms is one integer
+addition; the caller keeps every product's degree within poly.MAX_DEGREE, so
+no exponent field carries.  Coefficients are Python ints, tuples of ints, or
 Fractions, so every kernel is exact for any characteristic.
 
 Over Q no Fraction arithmetic runs in the loop: operands are integer term
@@ -15,7 +18,6 @@ inverse is a lookup in the field's discrete-log/antilog tables
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import add
 
 BACKEND = "python"
 
@@ -38,7 +40,7 @@ def mul_terms_int(a, b, k=1, out=None):
     for ea, ca in a.items():
         ca *= k
         for eb, cb in b.items():
-            key = tuple(map(add, ea, eb))
+            key = ea + eb
             out[key] = get(key, 0) + ca * cb
     return out
 
@@ -184,7 +186,7 @@ def mul_terms_ext(a, b, p, modulus, k=1, out=None):
     for ea, i in la:
         for eb, j in lb:
             c = exp[i + j]
-            key = tuple(map(add, ea, eb))
+            key = ea + eb
             acc = get(key)
             out[key] = c if acc is None else tuple(
                 [(x + y) % p for x, y in zip(acc, c)])

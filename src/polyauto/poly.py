@@ -1,8 +1,16 @@
 """Sparse exact multivariate polynomials over a Field.
 
-Terms are stored as a dict mapping exponent tuples (length nvars) to nonzero
-coefficient payloads.  The zero polynomial is the empty dict.  Degrees follow
-the deg(0) = 0 convention used throughout the engine.
+Terms are stored as a dict mapping packed monomials to nonzero coefficient
+payloads: one int per exponent vector, exponent j (0-based) in bits
+[B(n-1-j), B(n-j)) and the total degree above them all (`pack`, `unpack`).
+A product of monomials is one integer addition, the total degree is
+key >> B*n, and int order is graded-lex order.  Keys never leave this module
+and `kernels`: other code reads exponents through sorted_terms, coeff,
+degrees, deg_in and involves.  No field carries into the next because no
+polynomial of total degree over MAX_DEGREE is built: products, powers,
+monomials and substitutions over it raise DegreeCapExceeded.  The zero
+polynomial is the empty dict.  Degrees follow the deg(0) = 0 convention
+used throughout the engine.
 
 Polynomials are immutable by contract: no method mutates `terms` after
 construction, so instances can be shared freely.
@@ -17,9 +25,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from math import lcm, prod
 from operator import mul
+from struct import Struct
 
 from . import kernels
 from .errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
@@ -33,6 +42,41 @@ DEFAULT_DEGREE_CAP = 1024
 # The most variables a ring may have: the Jacobian's cofactor expansion
 # recurses once per variable.
 MAX_NVARS = 64
+
+# Bits per exponent field of a packed monomial, and the largest total degree
+# (hence exponent) a polynomial may have: no field ever carries.
+B = 16
+MAX_DEGREE = (1 << B) - 1
+
+
+def pack(exps: Sequence[int]) -> int:
+    """The key of an exponent vector: total degree, then e_1, ..., e_n, each
+    in B bits.  The caller keeps every e_j >= 0 and the sum <= MAX_DEGREE."""
+    key = sum(exps)
+    for e in exps:
+        key = key << B | e
+    return key
+
+
+@lru_cache(maxsize=MAX_NVARS)
+def _fields(n: int) -> Struct:
+    return Struct(f">{n + 1}H")
+
+
+def unpack(key: int, n: int) -> tuple[int, ...]:
+    """The exponent vector (e_1, ..., e_n) of a key of arity n."""
+    return _fields(n).unpack(key.to_bytes(2 * n + 2, "big"))[1:]
+
+
+def _variable_key(n: int, i: int) -> int:
+    """The key of x_i (1-based): one unit of degree, one of field i."""
+    return 1 << B * n | 1 << B * (n - i)
+
+
+def check_degree(what: str, degree: int, cap: int = MAX_DEGREE):
+    """Refuse, before it is built, a `what` of total degree over `cap`."""
+    if degree > cap:
+        raise DegreeCapExceeded(f"{what} {degree} exceeds cap {cap}")
 
 
 class Polynomial:
@@ -58,15 +102,15 @@ class Polynomial:
         c = field.elem(value)
         if c.is_zero():
             return Polynomial.zero(field, nvars)
-        return Polynomial(field, nvars, {(0,) * nvars: c.payload})
+        return Polynomial(field, nvars, {0: c.payload})
 
     @staticmethod
     def variable(field: Field, nvars: int, i: int) -> "Polynomial":
         """x_i, 1-based."""
         if not 1 <= i <= nvars:
             raise IndexOutOfRange(f"x{i} out of range for {nvars} variables")
-        exps = tuple(1 if j == i - 1 else 0 for j in range(nvars))
-        return Polynomial(field, nvars, {exps: field.one.payload})
+        return Polynomial(field, nvars,
+                          {_variable_key(nvars, i): field.one.payload})
 
     @staticmethod
     def monomial(field: Field, nvars: int, coeff, exps: Sequence[int]) -> "Polynomial":
@@ -76,9 +120,10 @@ class Polynomial:
             raise ArityMismatch("exponent vector length != nvars")
         if any(e < 0 for e in exps):
             raise ValueError("negative exponent")
+        check_degree("monomial of degree", sum(exps))
         if c.is_zero():
             return Polynomial.zero(field, nvars)
-        return Polynomial(field, nvars, {exps: c.payload})
+        return Polynomial(field, nvars, {pack(exps): c.payload})
 
     # -- basic queries ----------------------------------------------------
 
@@ -86,18 +131,20 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return self.terms.keys() <= {0}
 
     def constant_value(self) -> FieldElement:
         """Constant term as a field element."""
-        z = (0,) * self.nvars
-        payload = self.terms.get(z)
-        if payload is None:
-            return self.field.zero
-        return FieldElement(self.field, payload)
+        return self.coeff((0,) * self.nvars)
 
     def coeff(self, exps: Sequence[int]) -> FieldElement:
-        payload = self.terms.get(tuple(exps))
+        """The coefficient of x^exps; zero for any vector no term can have
+        (wrong length, a negative exponent, a sum over MAX_DEGREE)."""
+        exps = tuple(exps)
+        payload = None
+        if (len(exps) == self.nvars and min(exps, default=0) >= 0
+                and sum(exps) <= MAX_DEGREE):
+            payload = self.terms.get(pack(exps))
         if payload is None:
             return self.field.zero
         return FieldElement(self.field, payload)
@@ -106,32 +153,33 @@ class Polynomial:
         """Total degree, with deg(0) = 0."""
         if not self.terms:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> B * self.nvars
 
     def deg_in(self, i: int) -> int:
         """Degree in x_i (1-based), deg(0) = 0."""
         if not 1 <= i <= self.nvars:
             raise IndexOutOfRange(f"x{i} out of range")
-        if not self.terms:
-            return 0
-        return max(e[i - 1] for e in self.terms)
+        shift = B * (self.nvars - i)
+        return max((k >> shift & MAX_DEGREE for k in self.terms), default=0)
 
     def degrees(self) -> tuple[int, tuple[int, ...]]:
         """(total degree, per-variable degrees), deg(0) = 0 convention."""
         if not self.terms:
             return 0, (0,) * self.nvars
-        total = max(sum(e) for e in self.terms)
-        per = tuple(max(e[j] for e in self.terms) for j in range(self.nvars))
-        return total, per
+        n = self.nvars
+        per = tuple(map(max, zip(*(unpack(k, n) for k in self.terms))))
+        return self.deg(), per
 
     def involves(self, i: int) -> bool:
-        return any(e[i - 1] for e in self.terms)
+        mask = MAX_DEGREE << B * (self.nvars - i)
+        return any(k & mask for k in self.terms)
 
     def sorted_terms(self) -> Iterator[tuple[tuple[int, ...], FieldElement]]:
         """Graded-lexicographic order, highest first: serialization is
         byte-stable because of this."""
-        for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
-            yield e, FieldElement(self.field, self.terms[e])
+        field, n, terms = self.field, self.nvars, self.terms
+        for k in sorted(terms, reverse=True):
+            yield unpack(k, n), FieldElement(field, terms[k])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -187,6 +235,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        check_degree("product of degree", self.deg() + other.deg())
         field = self.field
         if field.kind == RATIONALS:
             terms = kernels.mul_terms_obj(self.terms, other.terms)
@@ -214,6 +263,7 @@ class Polynomial:
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
             raise ValueError("negative polynomial power")
+        check_degree("power of degree", self.deg() * e)
         result = Polynomial.one(self.field, self.nvars)
         base = self
         while e:
@@ -246,27 +296,29 @@ class Polynomial:
         characteristic (so d(x^p)/dx = 0 over F_p)."""
         if not 1 <= i <= self.nvars:
             raise IndexOutOfRange(f"x{i} out of range")
-        field = self.field
+        field, n = self.field, self.nvars
         out = {}
-        j = i - 1
-        # distinct terms stay distinct: only their j-th exponents drop by one
-        for e, c in self.terms.items():
-            k = e[j]
+        shift, unit = B * (n - i), _variable_key(n, i)
+        # distinct terms stay distinct: each loses one x_i, one unit of
+        # field i and of the degree
+        for key, c in self.terms.items():
+            k = key >> shift & MAX_DEGREE
             if k == 0:
                 continue
             v = field._pmul_int(c, k)
             if not field._pis_zero(v):
-                out[e[:j] + (k - 1,) + e[j + 1:]] = v
-        return Polynomial(field, self.nvars, out)
+                out[key - unit] = v
+        return Polynomial(field, n, out)
 
     def substitute(self, images: Sequence["Polynomial"],
                    cap: int | None = DEFAULT_DEGREE_CAP) -> "Polynomial":
         """Replace x_j by images[j-1]; the result arity is the images' arity.
         `images` may be a PreparedImages, shared by many substitutions.
 
-        The optional cap bounds the total degree of every term's expansion.
-        Over a field deg(prod) = sum of degs exactly, so the check fires iff
-        the true result of some term would exceed the cap.
+        The cap bounds the total degree of every term's expansion, and is
+        never above MAX_DEGREE (None means MAX_DEGREE).  Over a field
+        deg(prod) = sum of degs exactly, so the check fires iff the true
+        result of some term would exceed the cap.
         """
         if len(images) != self.nvars:
             raise ArityMismatch(
@@ -278,21 +330,24 @@ class Polynomial:
             images = PreparedImages(images, field)
         elif images.field != field:
             raise FieldMismatch("image over a different field")
-        # a term involving a variable whose image is zero vanishes
-        live = [(e, c) for e, c in self.terms.items()
-                if not any(e[j] for j in images.zero_vars)]
-        if cap is not None:
-            # check every term before doing any work: a single over-cap term
-            # means the whole expansion is doomed, so fail fast
-            for e, _ in live:
-                est = sum(map(mul, e, images.degs))
-                if est > cap:
-                    raise DegreeCapExceeded(
-                        f"substitution term degree {est} exceeds cap {cap}")
-        if len(live) == 1:
-            e, c = live[0]
-            if sum(e) == 1 and c == field.one.payload:
-                return images[e.index(1)]  # a bare variable x_j
+        cap = MAX_DEGREE if cap is None else min(cap, MAX_DEGREE)
+        n, degs = self.nvars, images.degs
+        if len(self.terms) == 1:
+            (key, c), = self.terms.items()
+            if key >> B * n == 1 and c == field.one.payload:
+                j = unpack(key, n).index(1)  # a bare variable x_j
+                check_degree("substitution term degree", degs[j], cap)
+                return images[j]
+        # a term involving a variable whose image is zero vanishes; every
+        # live term is checked against the cap before any work, since a
+        # single over-cap term dooms the whole expansion
+        live, zero = [], images.zero_mask
+        for key, c in self.terms.items():
+            if not key & zero:
+                e = unpack(key, n)
+                check_degree("substitution term degree",
+                             sum(map(mul, e, degs)), cap)
+                live.append((e, c))
         return images.accumulate(live)
 
 
@@ -321,7 +376,9 @@ class PreparedImages(tuple):
             if img.nvars != self.nvars:
                 raise ArityMismatch("images of mixed arity")
         self.degs = [img.deg() for img in images]
-        self.zero_vars = [j for j, img in enumerate(images) if not img.terms]
+        # the fields, in a key of arity len(images), of zero images
+        self.zero_mask = sum(MAX_DEGREE << B * (len(images) - 1 - j)
+                             for j, img in enumerate(images) if not img.terms)
         self.powers, self.dens = [None] * len(self), [1] * len(self)
         return self
 
@@ -357,7 +414,7 @@ class PreparedImages(tuple):
                     for e, c in live]
             D = lcm(*dens)
             ks = [c.numerator * (D // t) for c, t in zip(ks, dens)]
-        one = {(0,) * self.nvars: 1 if kind == RATIONALS else field.one.payload}
+        one = {0: 1 if kind == RATIONALS else field.one.payload}
         acc, times = {}, partial(_mul_terms, field)
         for fs, k in zip(factors, ks):
             *head, last = fs or [one]

@@ -17,11 +17,12 @@ import re
 from .autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
                     SignedPermutation, Translation, Triangular)
 from .derivations import TriDerivation
-from .errors import (ArityError, DegreeCapExceeded, NotPrime, ParseError,
-                     ReducibleModulus, UnsupportedField)
+from .errors import (ArityError, NotPrime, ParseError, ReducibleModulus,
+                     UnsupportedField)
 from .fields import (EXTENSION, RATIONALS, Field, check_order, element_text,
                      prime_power)
-from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial, identity_images
+from .poly import (DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial, check_degree,
+                   identity_images)
 
 # -- the token stream --------------------------------------------------------
 
@@ -195,9 +196,8 @@ class _Parser:
         return base ** k
 
     def check_cap(self, what: str, degree: int):
-        if self.cap is not None and degree > self.cap:
-            raise DegreeCapExceeded(
-                f"{what} of degree {degree} exceeds cap {self.cap}")
+        if self.cap is not None:
+            check_degree(f"{what} of degree", degree, self.cap)
 
     def atom(self) -> Polynomial:
         tok = self.toks[self.i]

@@ -5,7 +5,7 @@ from fractions import Fraction
 from polyauto.autos import (Elementary, FactoredAuto, Translation,
                             Triangular, linear_elementary)
 from polyauto.fields import Field
-from polyauto.poly import Polynomial
+from polyauto.poly import Polynomial, unpack
 
 Q = Field.rationals()
 
@@ -120,8 +120,8 @@ def rand_mixed_word(rng, n, length=4, deg=2, field=Q):
         else:
             i = rng.randint(1, n)
             f = rand_poly(rng, field, n, n, deg)
-            f = Polynomial(field, n,
-                           {e: c for e, c in f.terms.items() if not e[i - 1]})
+            f = Polynomial(field, n, {k: c for k, c in f.terms.items()
+                                      if not unpack(k, n)[i - 1]})
             factors.append((Elementary(field, n, i, f), rng.choice((1, -1))))
     word = FactoredAuto(field, n, factors)
     det = jacobian_det(word.expand()).constant_value()

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -117,12 +118,8 @@ def test_malformed_maps_exit_1_with_a_typed_error(capsys):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["(x1+x2+1)^25",
-                                   "(x1+x2+1)^15*(x1+x2+1)^15"])
-def test_verify_cap_bounds_the_parse(tmp_path, capsys, value):
-    # one VALUE component of a corpus certificate becomes a power or a
-    # product of degree over 20: under --cap 20 the parse refuses it before
-    # anything is expanded
+def certificate_with_value(tmp_path, value):
+    """A corpus certificate whose first VALUE component is `value`."""
     from test_certificates import corpus_certificate_text
     lines = corpus_certificate_text().splitlines()
     row = next(i for i, line in enumerate(lines)
@@ -131,10 +128,33 @@ def test_verify_cap_bounds_the_parse(tmp_path, capsys, value):
                         lines[row])
     path = tmp_path / "cap.nct"
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("value", ["(x1+x2+1)^25",
+                                   "(x1+x2+1)^15*(x1+x2+1)^15"])
+def test_verify_cap_bounds_the_parse(tmp_path, capsys, value):
+    # one VALUE component of a corpus certificate becomes a power or a
+    # product of degree over 20: under --cap 20 the parse refuses it before
+    # anything is expanded
+    path = certificate_with_value(tmp_path, value)
     rc, out, _ = run_cli(["--cap", "20", "verify", str(path)], capsys)
     assert rc == 2
     assert out.rstrip().endswith("verdict: INDETERMINATE")
     assert "inverse-pair" not in out  # no check ran
+
+
+def test_verify_cap_over_the_degree_bound(tmp_path, capsys):
+    # --cap 100000 lets the parse try x1^40000*x1^40000, but no polynomial
+    # may pass degree 65535: the product is refused, not carried into the
+    # next exponent field, and the verdict is undecided at once
+    path = certificate_with_value(tmp_path, "x1^40000*x1^40000")
+    start = time.perf_counter()
+    rc, out, _ = run_cli(["--cap", "100000", "verify", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert "product of degree 80000 exceeds cap 65535" in out
+    assert out.rstrip().endswith("verdict: INDETERMINATE")
 
 
 def test_arity_over_the_bound_is_a_parse_error(tmp_path, capsys):

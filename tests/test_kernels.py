@@ -1,4 +1,8 @@
-"""The term-map kernels against sympy as an independent oracle."""
+"""The term-map kernels against sympy as an independent oracle.
+
+The random term maps are drawn with exponent tuples, which the oracles and
+the references read; the kernels get them packed (`poly.pack`), and their
+products are unpacked (`poly.unpack`) for the comparison."""
 
 import random
 from fractions import Fraction
@@ -7,6 +11,7 @@ import pytest
 
 from polyauto import kernels
 from polyauto.fields import Field
+from polyauto.poly import pack, unpack
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +38,14 @@ def rand_terms_ext(rng, n, p, s, count):
             vec = (1,) + (0,) * (s - 1)
         out[tuple(rng.randint(0, 4) for _ in range(n))] = vec
     return out
+
+
+def packed(terms):
+    return {pack(e): c for e, c in terms.items()}
+
+
+def unpacked(terms, n):
+    return {unpack(k, n): c for k, c in terms.items()}
 
 
 def sympy_product(sympy, a, b, gens, coeff):
@@ -64,7 +77,8 @@ def test_fp_matches_sympy(sympy):
         prod = sympy_product(sympy, a, b, gens, sympy.Integer)
         terms = sympy_terms(sympy, prod, gens)
         want = {e: int(c) % 7 for e, c in terms.items() if int(c) % 7}
-        assert kernels.mul_terms_fp(a, b, 7) == want
+        assert unpacked(kernels.mul_terms_fp(packed(a), packed(b), 7),
+                        3) == want
 
 
 def test_obj_matches_sympy(sympy):
@@ -76,7 +90,8 @@ def test_obj_matches_sympy(sympy):
         prod = sympy_product(sympy, a, b, gens, sympy.Rational)
         want = {e: Fraction(int(c.p), int(c.q))
                 for e, c in sympy_terms(sympy, prod, gens).items()}
-        assert kernels.mul_terms_obj(a, b) == want
+        assert unpacked(kernels.mul_terms_obj(packed(a), packed(b)),
+                        2) == want
 
 
 def test_ext_matches_sympy(sympy):
@@ -103,7 +118,8 @@ def test_ext_matches_sympy(sympy):
                 vec = list(want.get(e[:-1], (0, 0)))
                 vec[e[-1]] = c
                 want[e[:-1]] = tuple(vec)
-        assert kernels.mul_terms_ext(a, b, 3, F9.modulus) == want
+        got = kernels.mul_terms_ext(packed(a), packed(b), 3, F9.modulus)
+        assert unpacked(got, 2) == want
 
 
 def fraction_product(a, b):
@@ -122,16 +138,16 @@ def test_obj_matches_fraction_arithmetic():
     for _ in range(200):
         a = rand_terms_obj(rng, 3, rng.randint(0, 8))
         b = rand_terms_obj(rng, 3, rng.randint(0, 8))
-        got = kernels.mul_terms_obj(a, b)
-        assert got == fraction_product(a, b)
+        got = kernels.mul_terms_obj(packed(a), packed(b))
+        assert unpacked(got, 3) == fraction_product(a, b)
         assert all(type(c) is Fraction for c in got.values())
 
 
 def test_clear_denominators():
     a = {(1, 0): Fraction(1, 6), (0, 1): Fraction(-3, 4), (0, 0): Fraction(2)}
-    P, d = kernels.clear_denominators(a)
+    P, d = kernels.clear_denominators(packed(a))
     assert d == 12
-    assert P == {(1, 0): 2, (0, 1): -9, (0, 0): 24}
+    assert P == packed({(1, 0): 2, (0, 1): -9, (0, 0): 24})
     assert kernels.clear_denominators({}) == ({}, 1)
 
 
@@ -141,13 +157,13 @@ def test_int_kernel_accumulates_in_place():
         a = {e: int(c * 100) for e, c in rand_terms_obj(rng, 2, 4).items()}
         b = {e: int(c * 100) for e, c in rand_terms_obj(rng, 2, 4).items()}
         k = rng.randint(-5, 5)
-        out = {(0, 0): 3}
-        got = kernels.mul_terms_int(a, b, k, out)
+        out = {pack((0, 0)): 3}
+        got = kernels.mul_terms_int(packed(a), packed(b), k, out)
         assert got is out
         want = fraction_product(a, b)
         want = {e: k * c for e, c in want.items()}
         want[(0, 0)] = want.get((0, 0), 0) + 3
-        assert {e: v for e, v in got.items() if v} == \
+        assert {e: v for e, v in unpacked(got, 2).items() if v} == \
             {e: v for e, v in want.items() if v}
 
 
@@ -172,13 +188,15 @@ def test_ext_kernel_accumulates_in_place():
         for _ in range(40):
             a = rand_terms_ext(rng, 2, p, s, rng.randint(0, 6))
             b = rand_terms_ext(rng, 2, p, s, rng.randint(0, 6))
-            assert kernels.mul_terms_ext(a, b, p, modulus) == \
-                field_product(field, a, b)
+            got = kernels.mul_terms_ext(packed(a), packed(b), p, modulus)
+            assert unpacked(got, 2) == field_product(field, a, b)
             k = rng.choice(units)
             start = rand_terms_ext(rng, 2, p, s, rng.randint(0, 4))
-            out = dict(start)
-            got = kernels.mul_terms_ext(a, b, p, modulus, k, out)
+            out = packed(start)
+            got = kernels.mul_terms_ext(packed(a), packed(b), p, modulus, k,
+                                        out)
             assert got is out
+            got = unpacked(got, 2)
             want = dict(start)
             for e, c in field_product(field, a, b).items():
                 want[e] = field._padd(want.get(e, field._pzero()),
@@ -189,11 +207,12 @@ def test_ext_kernel_accumulates_in_place():
 
 def test_cancellation_removes_keys():
     # (x + 1)(x + 4) = x^2 + 5x + 4 = x^2 + 4 mod 5: the x key must vanish
-    a = {(1,): 1, (0,): 1}
-    b = {(1,): 1, (0,): 4}
-    assert kernels.mul_terms_fp(a, b, 5) == {(2,): 1, (0,): 4}
+    x, one = pack((1,)), pack((0,))
+    a = {x: 1, one: 1}
+    b = {x: 1, one: 4}
+    assert kernels.mul_terms_fp(a, b, 5) == {pack((2,)): 1, one: 4}
     # same shape over Q with Fractions
-    aq = {(1,): Fraction(1), (0,): Fraction(1)}
-    bq = {(1,): Fraction(1), (0,): Fraction(-1)}
-    assert kernels.mul_terms_obj(aq, bq) == {(2,): Fraction(1),
-                                             (0,): Fraction(-1)}
+    aq = {x: Fraction(1), one: Fraction(1)}
+    bq = {x: Fraction(1), one: Fraction(-1)}
+    assert kernels.mul_terms_obj(aq, bq) == {pack((2,)): Fraction(1),
+                                             one: Fraction(-1)}
