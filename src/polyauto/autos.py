@@ -241,9 +241,19 @@ class Triangular(Record):
                  for i, (a, p) in enumerate(zip(self.scalars, self.polys))]
         return Endo(self.field, self.nvars, comps)
 
-    def inverted(self) -> "Triangular":
-        inv = invert_endo(self.expand())
-        return triangular_from_endo(inv)
+    def inverted(self, cap: int | None = DEFAULT_DEGREE_CAP) -> "Triangular":
+        """Back-substitution: x_i -> a_i^{-1} (x_i - P_i(inverse images of
+        x_1..x_{i-1})), each P_i substituted under `cap`."""
+        field, n = self.field, self.nvars
+        images = list(identity_images(field, n))
+        scalars, polys = [], []
+        for i, (a, p) in enumerate(zip(self.scalars, self.polys)):
+            ainv = a.inv()
+            q = p.substitute(images, cap=cap).scale(-ainv)
+            images[i] = images[i].scale(ainv) + q
+            scalars.append(ainv)
+            polys.append(q)
+        return Triangular(field, n, tuple(scalars), tuple(polys))
 
     def det(self) -> FieldElement:
         return prod(self.scalars, start=self.field.one)
@@ -540,33 +550,19 @@ def invert_endo(phi: Endo, cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
     n = phi.nvars
     ep = elementary_parts(phi)
     if ep is not None:
-        i, f = ep
-        comps = list(identity_images(field, n))
-        comps[i - 1] = comps[i - 1] - f
-        return Endo(field, n, comps)
+        return Elementary(field, n, ep[0], -ep[1]).expand()
     parts = affine_parts(phi)
     if parts is not None:
         A, b = parts
         Ainv = mat_inv(field, A)  # raises Singular when not invertible
-        comps = []
-        for i in range(n):
-            p = Polynomial.zero(field, n)
-            for j in range(n):
-                if not Ainv[i][j].is_zero():
-                    p = p + Polynomial.variable(field, n, j + 1).scale(Ainv[i][j])
-            shift = sum((Ainv[i][j] * b[j] for j in range(n)), field.zero)
-            comps.append(p - Polynomial.constant(field, n, shift))
-        return Endo(field, n, comps)
+        # x -> A^{-1} x - A^{-1} b
+        comps = Linear(field, n, Ainv).expand().components
+        return Endo(field, n, [p - Polynomial.constant(field, n, sum(
+            (Ainv[i][j] * b[j] for j in range(n)), field.zero))
+            for i, p in enumerate(comps)])
     tparts = triangular_parts(phi)
     if tparts is not None:
-        scalars, polys = tparts
-        inv_comps = list(identity_images(field, n))
-        for i in range(1, n + 1):
-            ainv = scalars[i - 1].inv()
-            shifted = polys[i - 1].substitute(inv_comps, cap=cap)
-            inv_comps[i - 1] = (Polynomial.variable(field, n, i)
-                                - shifted).scale(ainv)
-        return Endo(field, n, inv_comps)
+        return Triangular(field, n, *tparts).inverted(cap).expand()
     raise NotStructured(
         "can only invert affine, elementary, or triangular expanded maps")
 

@@ -4,18 +4,22 @@ characteristic-zero fields, and the certification dispatcher.
 The engines work on alternating normal forms alpha_0 tau_1 ... tau_m alpha_m
 with every alpha_i linear of determinant 1 and every tau_i special lower
 triangular.  Each move is a commutator with a conjugated axis translation
-chosen by the probe; the collapse identities are recomputed and verified by
-expansion before any step is recorded, and the vector degree of the pivot
-triangular factor strictly decreases, which bounds the recursion.
+chosen by the probe and passed through the leading slots: it collapses the
+word for m <= 2, and for m = 3, 4 lowers the vector degree of a pivot
+triangular factor, which bounds the recursion, until the pivot is
+diagonal-affine.  The collapse identities are recomputed and verified by
+expansion before any step is recorded.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import chain
 from math import prod
 
 from .autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
                     SignedPermutation, Translation, affine_parts, compose,
-                    dilation, invert_endo, is_translation, mat_det,
+                    dilation, invert_endo, mat_det, mat_inv,
                     triangular_from_endo, triangular_parts, vector_degree)
 from .certificates import KIND_COTAME, Certificate
 from .errors import (IdentityInput, InternalIdentityFailure, NotAlternating,
@@ -26,7 +30,8 @@ from .poly import DEFAULT_DEGREE_CAP
 from .record import Record
 from .reduce_core import (CommutatorProbe, affine_terminal,
                           endo_translation_word, find_noncommuting_c,
-                          parabolic_route, reduce_triangular_ref)
+                          parabolic_route, reduce_triangular_ref,
+                          require_vd_drop, translation_pass)
 from .wordbuild import CertBuilder
 
 __all__ = [
@@ -49,10 +54,8 @@ class MTriangularForm(Record):
         return len(self.taus)
 
     def expand(self) -> Endo:
-        out = self.alphas[0]
-        for tau, alpha in zip(self.taus, self.alphas[1:]):
-            out = compose(compose(out, tau), alpha)
-        return out
+        return reduce(compose, chain.from_iterable(
+            zip(self.taus, self.alphas[1:])), self.alphas[0])
 
 
 def _word_pieces(word: FactoredAuto) -> list[tuple[str, Endo]]:
@@ -78,13 +81,11 @@ def _word_pieces(word: FactoredAuto) -> list[tuple[str, Endo]]:
             perm[base.i - 1], perm[n - 1] = n, base.i
             sigma = SignedPermutation(field, n, tuple(perm),
                                       tuple([field.one] * n)).expand()
-            middle = compose(compose(sigma, val), sigma)
+            middle = reduce(compose, (sigma, val, sigma))
             if triangular_parts(middle) is None:
                 raise NotAlternating(
                     "elementary factor could not be made triangular")
-            pieces.append(("aff", sigma))
-            pieces.append(("tri", middle))
-            pieces.append(("aff", sigma))
+            pieces += [("aff", sigma), ("tri", middle), ("aff", sigma)]
         else:
             raise NotStructured(f"unsupported factor {factor!r}")
     return pieces
@@ -93,12 +94,11 @@ def _word_pieces(word: FactoredAuto) -> list[tuple[str, Endo]]:
 def _normalize_pieces(field: Field, n: int,
                       pieces: list[tuple[str, Endo]]) -> MTriangularForm:
     """Right-to-left sweep with a diagonal-affine carry; see module docs."""
-    ident = Endo.identity(field, n)
-    carry = ident  # always in Df
+    carry = Endo.identity(field, n)  # always in Df
     slots: list[tuple[str, Endo]] = []  # normalized suffix, in word order
     for kind, val in reversed(pieces):
         if kind == "tri":
-            conj = compose(compose(invert_endo(carry), val), carry)
+            conj = reduce(compose, (invert_endo(carry), val, carry))
             parts = triangular_parts(conj)
             if parts is None:
                 raise InternalIdentityFailure(
@@ -128,10 +128,13 @@ def _normalize_pieces(field: Field, n: int,
     # since the word is special and every slot was normalised to det 1
     A, b = affine_parts(carry)
     lam = Linear(field, n, A).expand()
-    tr_vec = _solve_leading_translation(field, n, A, b)
+    Ainv = mat_inv(field, A)
+    tr_vec = tuple(sum((Ainv[i][j] * b[j] for j in range(n)), field.zero)
+                   for i in range(n))
     if any(not x.is_zero() for x in tr_vec):
-        # carry = T_b * L_A = L_A * T_{A^{-1}b}; absorb the right-hand
-        # translation into the first tau before prepending the linear part
+        # carry = T_b * L_A = L_A * T_c with c = A^{-1} b; absorb the
+        # right-hand translation into the first tau before prepending the
+        # linear part
         tr = Translation(field, n, tr_vec).expand()
         _absorb_translation(field, n, slots, tr)
     if not lam.is_identity():
@@ -139,27 +142,12 @@ def _normalize_pieces(field: Field, n: int,
     return _assemble(field, n, slots, pieces)
 
 
-def _solve_leading_translation(field, n, A, b):
-    """carry = T_b * L_A = L_A * T_c with c = A^{-1} b."""
-    from .autos import mat_inv
-    Ainv = mat_inv(field, A)
-    return tuple(sum((Ainv[i][j] * b[j] for j in range(n)), field.zero)
-                 for i in range(n))
-
-
 def _absorb_translation(field, n, slots, tr: Endo):
     """Insert a trailing-position translation into the first tau slot,
     pushing it through leading alpha slots."""
-    idx = 0
-    cur = tr
-    while idx < len(slots) and slots[idx][0] == "alpha":
-        alpha = slots[idx][1]
-        cur = compose(compose(invert_endo(alpha), cur), alpha)
-        if not is_translation(cur):
-            raise InternalIdentityFailure(
-                "translation stopped being a translation under "
-                "linear conjugation")
-        idx += 1
+    idx = next((i for i, (kind, _) in enumerate(slots) if kind != "alpha"),
+               len(slots))
+    cur = translation_pass(tr, [(invert_endo(a), a) for _, a in slots[:idx]])
     if idx == len(slots):
         slots.append(("tau", cur))
     else:
@@ -177,20 +165,14 @@ def _assemble(field, n, slots, pieces) -> MTriangularForm:
             taus.append(val)
             alphas.append(ident)
     # re-normalize away taus that are diagonal affine (vector degree zero)
-    for i, tau in enumerate(taus):
-        if len(taus) > 1 and not any(vector_degree(tau)):
-            new_pieces: list[tuple[str, Endo]] = []
-            for j, a in enumerate(alphas):
-                if j > 0:
-                    kind = "tri" if any(vector_degree(taus[j - 1])) else "aff"
-                    new_pieces.append((kind, taus[j - 1]))
-                new_pieces.append(("aff", a))
-            return _normalize_pieces(field, n, new_pieces)
+    if len(taus) > 1 and not all(any(vector_degree(t)) for t in taus):
+        new_pieces = [("aff", alphas[0])]
+        for tau, a in zip(taus, alphas[1:]):
+            kind = "tri" if any(vector_degree(tau)) else "aff"
+            new_pieces += [(kind, tau), ("aff", a)]
+        return _normalize_pieces(field, n, new_pieces)
     form = MTriangularForm(alphas, taus)
-    expected = ident
-    for kind, val in pieces:
-        expected = compose(expected, val)
-    if form.expand() != expected:
+    if form.expand() != reduce(compose, (val for _, val in pieces), ident):
         raise InternalIdentityFailure("normal form does not expand to input")
     for a in alphas:
         parts = affine_parts(a)
@@ -233,31 +215,36 @@ def _triangular_word(field, n, endo: Endo) -> FactoredAuto:
 # -- the engines -----------------------------------------------------------------
 
 
-def _engine_m1(builder, ref, form: MTriangularForm) -> str:
-    """phi = alpha_0 tau_1 alpha_1: kill the trailing linear piece, then
-    either the map is triangular or one probe produces a translation."""
-    field, n = builder.field, builder.nvars
+def _engine_collapse(builder, ref, form: MTriangularForm) -> str:
+    """m <= 2, phi = beta0 tau1 [alpha1 tau2] once the trailing linear slot
+    is absorbed.  A triangular m = 1 map descends directly.  Otherwise one
+    probe gamma = beta0 eps beta0^{-1} collapses the commutator
+    gamma^{-1} phi^{-1} gamma phi = gamma^{-1} tau_m^{-1} ... eps ... tau_m:
+    eps passes tau1 (and alpha1) as a translation, so the value is a
+    translation for m = 1 and triangular for m = 2, and the triangular
+    descent finishes."""
+    field, n, m = builder.field, builder.nvars, form.m
     cur, form = _absorb_linear_slot(builder, ref, form, trailing=True)
-    beta0, tau1 = form.alphas[0], form.taus[0]
     val = builder.value(cur)
-    if triangular_parts(val) is not None:
+    if m == 1 and triangular_parts(val) is not None:
         return reduce_triangular_ref(builder, cur)
-    beta0_word = _linear_word(field, n, beta0)
-    probe = find_noncommuting_c(val, beta0_word, n)
+    probe = find_noncommuting_c(val, _linear_word(field, n, form.alphas[0]),
+                                n)
     if probe.c is None:
         return parabolic_route(builder, cur, probe)
-    gamma_word = endo_translation_word(probe.gamma)
-    # gamma^{-1} phi^{-1} gamma phi = gamma^{-1} tau1^{-1} eps tau1, a translation
-    eps = probe.eps.expand()
-    predicted = compose(
-        invert_endo(probe.gamma),
-        compose(compose(invert_endo(tau1), eps), tau1))
-    if not is_translation(predicted):
-        raise InternalIdentityFailure("m=1 collapse is not a translation")
+    # the pass-through slots: tau1 for m = 1, tau1 and alpha1 for m = 2
+    passed = translation_pass(probe.eps.expand(), [
+        (invert_endo(g), g) for g in (form.taus[0], form.alphas[1])[:m]])
+    if m == 2:
+        tau2 = form.taus[1]
+        passed = reduce(compose, (invert_endo(tau2), passed, tau2))
+    predicted = compose(invert_endo(probe.gamma), passed)
+    if m == 2 and triangular_parts(predicted) is None:
+        raise InternalIdentityFailure("m=2 collapse is not triangular")
     step = builder.add_step(
-        [(gamma_word, cur, -1), (None, cur, 1)],
-        expect=predicted, note=f"m=1 collapse c={probe.c}")
-    return affine_terminal(builder, step)
+        [(endo_translation_word(probe.gamma), cur, -1), (None, cur, 1)],
+        expect=predicted, note=f"m={m} collapse c={probe.c}")
+    return reduce_triangular_ref(builder, step)
 
 
 def _absorb_linear_slot(builder, ref, form: MTriangularForm, trailing: bool):
@@ -284,117 +271,93 @@ def _absorb_linear_slot(builder, ref, form: MTriangularForm, trailing: bool):
     return new, new_form
 
 
-def _engine_m2(builder, ref, form: MTriangularForm) -> str:
-    field, n = builder.field, builder.nvars
-    cur, form = _absorb_linear_slot(builder, ref, form, trailing=True)
-    beta0 = form.alphas[0]
-    tau1, tau2 = form.taus
-    alpha1 = form.alphas[1]
-    val = builder.value(cur)
-    beta0_word = _linear_word(field, n, beta0)
-    probe = find_noncommuting_c(val, beta0_word, n)
-    if probe.c is None:
-        return parabolic_route(builder, cur, probe)
-    eps = probe.eps.expand()
-    passed = compose(compose(invert_endo(tau1), eps), tau1)
-    if not is_translation(passed):
-        raise InternalIdentityFailure("axis translation failed to pass tau1")
-    gamma2 = compose(compose(invert_endo(alpha1), passed), alpha1)
-    predicted = compose(
-        invert_endo(probe.gamma),
-        compose(compose(invert_endo(tau2), gamma2), tau2))
-    if triangular_parts(predicted) is None:
-        raise InternalIdentityFailure("m=2 collapse is not triangular")
-    gamma_word = endo_translation_word(probe.gamma)
-    step = builder.add_step(
-        [(gamma_word, cur, -1), (None, cur, 1)],
-        expect=predicted, note=f"m=2 collapse c={probe.c}")
-    return reduce_triangular_ref(builder, step)
+def _drop_diagonal_pivot(builder, ref, head, middle, tail) -> str:
+    """The pivot turned diagonal-affine, so it and the linear slots around it
+    (`middle`, in word order) fold into one affine slot: normalise the
+    shorter word head + [that slot] + tail, given as (kind, endo) pieces,
+    and run its engine."""
+    pieces = head + [("aff", reduce(compose, middle))] + tail
+    sub = _normalize_pieces(builder.field, builder.nvars, pieces)
+    return _dispatch_form(builder, ref, sub)
 
 
 def _engine_m3(builder, ref, form: MTriangularForm) -> str:
+    """phi = beta0 tau1 alpha1 tau2 alpha2 tau3, induction on vd(tau2): the
+    probe's eps passes tau1 and alpha1, the pivot tau2 is conjugated by that
+    translation, and the commutator re-forms as
+    (gamma^{-1} tau3^{-1}) alpha2^{-1} tau2' alpha2 tau3 with vd(tau2') <
+    vd(tau2), until tau2 is diagonal-affine and m drops."""
     field, n = builder.field, builder.nvars
     cur, form = _absorb_linear_slot(builder, ref, form, trailing=True)
+    # alpha2 and tau3 stay in place across the descent; alpha1 becomes
+    # alpha2^{-1} after the first step
+    alpha2, tau3 = form.alphas[2], form.taus[2]
+    alpha2_inv, tau3_inv = invert_endo(alpha2), invert_endo(tau3)
+    alpha1_inv = invert_endo(form.alphas[1])
+    ident = Endo.identity(field, n)
     while True:
-        beta0 = form.alphas[0]
-        tau1, tau2, tau3 = form.taus
-        alpha1, alpha2 = form.alphas[1], form.alphas[2]
-        if not any(vector_degree(tau2)):
-            # tau2 is diagonal affine: the middle collapses to an affine slot
-            mid = compose(compose(alpha1, tau2), alpha2)
-            pieces = [("aff", beta0), ("tri", tau1), ("aff", mid),
-                      ("tri", tau3)]
-            sub = _normalize_pieces(field, n, pieces)
-            return _dispatch_form(builder, cur, sub)
-        val = builder.value(cur)
-        beta0_word = _linear_word(field, n, beta0)
-        probe = find_noncommuting_c(val, beta0_word, n)
+        beta0, alpha1 = form.alphas[0], form.alphas[1]
+        tau1, tau2 = form.taus[0], form.taus[1]
+        vd = vector_degree(tau2)
+        if not any(vd):
+            return _drop_diagonal_pivot(
+                builder, cur, [("aff", beta0), ("tri", tau1)],
+                (alpha1, tau2, alpha2), [("tri", tau3)])
+        probe = find_noncommuting_c(builder.value(cur),
+                                    _linear_word(field, n, beta0), n)
         if probe.c is None:
             return parabolic_route(builder, cur, probe)
-        eps = probe.eps.expand()
-        passed = compose(compose(invert_endo(tau1), eps), tau1)
-        gamma2 = compose(compose(invert_endo(alpha1), passed), alpha1)
-        if not is_translation(gamma2):
-            raise InternalIdentityFailure("m=3 inner translation failed")
-        tau2_new = compose(compose(invert_endo(tau2), gamma2), tau2)
-        vd_before = vector_degree(tau2)
-        vd_after = vector_degree(tau2_new)
-        if not vd_after < vd_before:
-            raise InternalIdentityFailure(
-                f"m=3 pivot vector degree did not drop: "
-                f"{vd_before} -> {vd_after}")
-        tau1_new = compose(invert_endo(probe.gamma), invert_endo(tau3))
-        predicted = compose(
-            compose(compose(compose(tau1_new, invert_endo(alpha2)), tau2_new),
-                    alpha2), tau3)
-        gamma_word = endo_translation_word(probe.gamma)
-        step = builder.add_step(
-            [(gamma_word, cur, -1), (None, cur, 1)],
+        gamma2 = translation_pass(probe.eps.expand(), [
+            (invert_endo(tau1), tau1), (alpha1_inv, alpha1)])
+        tau2_new = reduce(compose, (invert_endo(tau2), gamma2, tau2))
+        require_vd_drop(vd, tau2_new, "m=3 pivot vector degree")
+        tau1_new = compose(invert_endo(probe.gamma), tau3_inv)
+        predicted = reduce(compose,
+                           (tau1_new, alpha2_inv, tau2_new, alpha2, tau3))
+        cur = builder.add_step(
+            [(endo_translation_word(probe.gamma), cur, -1), (None, cur, 1)],
             expect=predicted, note=f"m=3 descent c={probe.c}")
-        cur = step
-        form = MTriangularForm(
-            [Endo.identity(field, n), invert_endo(alpha2), alpha2,
-             Endo.identity(field, n)],
-            [tau1_new, tau2_new, tau3])
+        form = MTriangularForm([ident, alpha2_inv, alpha2, ident],
+                               [tau1_new, tau2_new, tau3])
+        alpha1_inv = alpha2
         if form.expand() != builder.value(cur):
             raise InternalIdentityFailure("m=3 re-forming failed")
 
 
 def _engine_m4(builder, ref, form: MTriangularForm) -> str:
+    """phi = tau1 alpha1 tau2 alpha2 tau3 alpha3 tau4 alpha4 after the
+    leading linear slot is absorbed.  The probe gamma = alpha4^{-1} eps
+    alpha4 passes tau4 and alpha3 from the right, and the commutator
+    conjugated by tau1 is the symmetric form
+    sigma1 alpha1 tau2 alpha2 tau3' alpha2^{-1} tau2^{-1} alpha1^{-1} that
+    _engine_m4_symmetric reduces."""
     field, n = builder.field, builder.nvars
     cur, form = _absorb_linear_slot(builder, ref, form, trailing=False)
     tau1, tau2, tau3, tau4 = form.taus
     alpha1, alpha2, alpha3, alpha4 = form.alphas[1:]
-    val = builder.value(cur)
     # symmetrization probe: gamma = alpha4^{-1} eps_{n,c} alpha4
-    alpha4_word = _linear_word(field, n, alpha4)
-    probe = find_noncommuting_c(val, alpha4_word.inverse(), n)
+    probe = find_noncommuting_c(
+        builder.value(cur), _linear_word(field, n, alpha4).inverse(), n)
     if probe.c is None:
         return parabolic_route(builder, cur, probe)
-    eps_inv = probe.eps.inverse().expand()
-    eps_prime = compose(compose(tau4, eps_inv), invert_endo(tau4))
-    if not is_translation(eps_prime):
-        raise InternalIdentityFailure("m=4 pass-through failed")
-    tr3 = compose(compose(alpha3, eps_prime), invert_endo(alpha3))
-    tau3_new = compose(compose(tau3, tr3), invert_endo(tau3))
-    predicted = probe.gamma
-    for piece in (tau1, alpha1, tau2, alpha2, tau3_new,
-                  invert_endo(alpha2), invert_endo(tau2),
-                  invert_endo(alpha1), invert_endo(tau1)):
-        predicted = compose(predicted, piece)
-    gamma_word = endo_translation_word(probe.gamma)
+    tr3 = translation_pass(probe.eps.inverse().expand(), [
+        (tau4, invert_endo(tau4)), (alpha3, invert_endo(alpha3))])
+    tau3_new = reduce(compose, (tau3, tr3, invert_endo(tau3)))
+    tau1_inv, tau2_inv = invert_endo(tau1), invert_endo(tau2)
+    alpha1_inv, alpha2_inv = invert_endo(alpha1), invert_endo(alpha2)
+    predicted = reduce(compose, (
+        probe.gamma, tau1, alpha1, tau2, alpha2, tau3_new, alpha2_inv,
+        tau2_inv, alpha1_inv, tau1_inv))
     step = builder.add_step(
-        [(gamma_word.inverse(), cur, 1), (None, cur, -1)],
+        [(endo_translation_word(probe.gamma).inverse(), cur, 1),
+         (None, cur, -1)],
         expect=predicted, note=f"m=4 symmetrization c={probe.c}")
     # conjugate by tau1
-    tau1_word = _triangular_word(field, n, tau1)
-    sym = builder.add_step([(tau1_word, step, 1)],
+    sym = builder.add_step([(_triangular_word(field, n, tau1), step, 1)],
                            note="shift the leading triangular factor")
-    sigma1 = compose(compose(invert_endo(tau1), probe.gamma), tau1)
-    expected = sigma1
-    for piece in (alpha1, tau2, alpha2, tau3_new, invert_endo(alpha2),
-                  invert_endo(tau2), invert_endo(alpha1)):
-        expected = compose(expected, piece)
+    sigma1 = reduce(compose, (tau1_inv, probe.gamma, tau1))
+    expected = reduce(compose, (sigma1, alpha1, tau2, alpha2, tau3_new,
+                                alpha2_inv, tau2_inv, alpha1_inv))
     if builder.value(sym) != expected:
         raise InternalIdentityFailure("m=4 symmetric form failed")
     return _engine_m4_symmetric(builder, sym, sigma1, alpha1, tau2, alpha2,
@@ -404,56 +367,46 @@ def _engine_m4(builder, ref, form: MTriangularForm) -> str:
 def _engine_m4_symmetric(builder, cur, sigma1, beta1, sigma2, beta2,
                          sigma3) -> str:
     """psi = sigma1 beta1 sigma2 beta2 sigma3 beta2^{-1} sigma2^{-1} beta1^{-1},
-    induction on vd(sigma3)."""
+    induction on vd(sigma3): the probe's eps passes sigma2 and beta2, the
+    pivot sigma3 is conjugated by that translation, and conjugating the
+    commutator by sigma1 re-centres the symmetric form, until sigma3 is
+    diagonal-affine and m drops."""
     field, n = builder.field, builder.nvars
+    beta1_inv, sigma2_inv, beta2_inv = (invert_endo(beta1),
+                                        invert_endo(sigma2),
+                                        invert_endo(beta2))
+    beta1_word = _linear_word(field, n, beta1)
     while True:
-        if not any(vector_degree(sigma3)):
-            # sigma3 is diagonal affine: the middle collapses to an affine slot
-            mid = compose(compose(beta2, sigma3), invert_endo(beta2))
-            pieces = [("tri", sigma1), ("aff", beta1), ("tri", sigma2),
-                      ("aff", mid), ("tri", invert_endo(sigma2)),
-                      ("aff", invert_endo(beta1))]
-            sub = _normalize_pieces(field, n, pieces)
-            return _dispatch_form(builder, cur, sub)
-        val = builder.value(cur)
-        beta1_word = _linear_word(field, n, beta1)
-        probe = find_noncommuting_c(val, beta1_word, n)
+        vd = vector_degree(sigma3)
+        if not any(vd):
+            return _drop_diagonal_pivot(
+                builder, cur,
+                [("tri", sigma1), ("aff", beta1), ("tri", sigma2)],
+                (beta2, sigma3, beta2_inv),
+                [("tri", sigma2_inv), ("aff", beta1_inv)])
+        probe = find_noncommuting_c(builder.value(cur), beta1_word, n)
         if probe.c is None:
             return parabolic_route(builder, cur, probe)
-        eps = probe.eps.expand()
-        eps2 = compose(compose(invert_endo(sigma2), eps), sigma2)
-        if not is_translation(eps2):
-            raise InternalIdentityFailure("m=4 inner pass-through failed")
-        tr = compose(compose(invert_endo(beta2), eps2), beta2)
-        sigma3_new = compose(compose(sigma3, tr), invert_endo(sigma3))
-        vd_before = vector_degree(sigma3)
-        vd_after = vector_degree(sigma3_new)
-        if not vd_after < vd_before:
-            raise InternalIdentityFailure(
-                f"m=4 pivot vector degree did not drop: "
-                f"{vd_before} -> {vd_after}")
-        gamma_word = endo_translation_word(probe.gamma)
-        predicted = compose(invert_endo(probe.gamma), sigma1)
-        for piece in (beta1, sigma2, beta2, sigma3_new, invert_endo(beta2),
-                      invert_endo(sigma2), invert_endo(beta1),
-                      invert_endo(sigma1)):
-            predicted = compose(predicted, piece)
+        tr = translation_pass(probe.eps.expand(), [
+            (sigma2_inv, sigma2), (beta2_inv, beta2)])
+        sigma3_new = reduce(compose, (sigma3, tr, invert_endo(sigma3)))
+        require_vd_drop(vd, sigma3_new, "m=4 pivot vector degree")
+        gamma_inv, sigma1_inv = invert_endo(probe.gamma), invert_endo(sigma1)
+        predicted = reduce(compose, (
+            gamma_inv, sigma1, beta1, sigma2, beta2, sigma3_new, beta2_inv,
+            sigma2_inv, beta1_inv, sigma1_inv))
         step = builder.add_step(
-            [(gamma_word, cur, 1), (None, cur, -1)],
+            [(endo_translation_word(probe.gamma), cur, 1), (None, cur, -1)],
             expect=predicted, note=f"m=4 descent c={probe.c}")
-        sigma1_word = _triangular_word(field, n, sigma1)
-        new = builder.add_step([(sigma1_word, step, 1)],
-                               note="re-center the symmetric form")
-        sigma1_new = compose(compose(invert_endo(sigma1),
-                                     invert_endo(probe.gamma)), sigma1)
-        expected = sigma1_new
-        for piece in (beta1, sigma2, beta2, sigma3_new, invert_endo(beta2),
-                      invert_endo(sigma2), invert_endo(beta1)):
-            expected = compose(expected, piece)
-        if builder.value(new) != expected:
+        cur = builder.add_step(
+            [(_triangular_word(field, n, sigma1), step, 1)],
+            note="re-center the symmetric form")
+        sigma1 = reduce(compose, (sigma1_inv, gamma_inv, sigma1))
+        sigma3 = sigma3_new
+        expected = reduce(compose, (sigma1, beta1, sigma2, beta2, sigma3,
+                                    beta2_inv, sigma2_inv, beta1_inv))
+        if builder.value(cur) != expected:
             raise InternalIdentityFailure("m=4 re-centering failed")
-        cur = new
-        sigma1, sigma3 = sigma1_new, sigma3_new
 
 
 def _dispatch_form(builder, ref, form: MTriangularForm) -> str:
@@ -461,10 +414,8 @@ def _dispatch_form(builder, ref, form: MTriangularForm) -> str:
     m = form.m
     if m == 0:
         return affine_terminal(builder, ref)
-    if m == 1:
-        return _engine_m1(builder, ref, form)
-    if m == 2:
-        return _engine_m2(builder, ref, form)
+    if m <= 2:
+        return _engine_collapse(builder, ref, form)
     if m == 3:
         return _engine_m3(builder, ref, form)
     return _engine_m4(builder, ref, form)
@@ -539,12 +490,9 @@ def _split_tau_alpha(prefix: FactoredAuto):
     for factor, exp in prefix.factors:
         base = factor if exp == 1 else factor.inverted()
         val = base.expand()
-        tri = triangular_parts(val) is not None
-        parts = affine_parts(val)
-        lin = parts is not None
-        if phase == "tau" and tri:
+        if phase == "tau" and triangular_parts(val) is not None:
             tau_factors.append((factor, exp))
-        elif lin:
+        elif affine_parts(val) is not None:
             phase = "alpha"
             alpha_factors.append((factor, exp))
         else:
@@ -561,8 +509,7 @@ def _split_tau_alpha(prefix: FactoredAuto):
         # fold the translation part into tau: alpha = T_b L_A,
         # tau' = tau * T_b stays triangular
         tau_factors = tau_factors + [(Translation(field, n, b), 1)]
-        alpha_factors = [(Linear(field, n, A), 1)]
-        alpha_word = FactoredAuto(field, n, alpha_factors)
+        alpha_word = FactoredAuto(field, n, [Linear(field, n, A)])
     tau_word = FactoredAuto(field, n, tau_factors)
     if triangular_parts(tau_word.expand()) is None:
         raise NotStructured("triangular prefix part is not triangular")

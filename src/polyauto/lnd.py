@@ -17,9 +17,10 @@ commutator and the triangular descent are the shared ones of reduce_core.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .autos import (Endo, ExpLND, FactoredAuto, compose, elementary,
-                    invert_endo, is_parabolic, is_translation, jacobian_det,
-                    triangular_parts)
+                    invert_endo, is_parabolic, jacobian_det, triangular_parts)
 from .derivations import (TriDerivation, apply_derivation, exp_images,
                           kernel_check)
 from .errors import (DegenerateChain, IdentityInput, InternalIdentityFailure,
@@ -27,7 +28,8 @@ from .errors import (DegenerateChain, IdentityInput, InternalIdentityFailure,
 from .fields import RATIONALS
 from .poly import Polynomial
 from .reduce_core import (find_noncommuting_c, parabolic_route,
-                          reduce_parabolic_ref, reduce_triangular_ref)
+                          reduce_parabolic_ref, reduce_triangular_ref,
+                          translation_pass)
 from .slin import axis_shift
 from .wordbuild import CertBuilder
 
@@ -99,8 +101,7 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
         raise IdentityInput("input is the identity")
     if triangular_parts(phi) is not None:
         return reduce_triangular_ref(builder, ref)
-    ta = compose(tau, alpha)
-    if ta.is_identity():
+    if compose(tau, alpha).is_identity():
         return reduce_exponential_ref(builder, ref, F, D)
     probe = find_noncommuting_c(phi, None, n)
     if probe.c is None:
@@ -114,16 +115,10 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
     # conjugate through exp(FD); a conjugate of the commutator in step0,
     # which is not the identity, is never the identity
     G = axis_shift(F, n, -c_el) - F
-    passed = compose(compose(invert_endo(tau), eps_val), tau)
-    if not is_translation(passed):
-        raise InternalIdentityFailure(
-            "axis translation did not pass through tau as a translation")
-    gamma = compose(compose(invert_endo(alpha), passed), alpha)
-    if not is_translation(gamma):
-        raise InternalIdentityFailure(
-            "conjugated translation is not a translation")
-    predicted = compose(compose(eps_c.inverse().expand(),
-                                Endo(field, n, exp_images(G, D))), gamma)
+    gamma = translation_pass(eps_val, [(invert_endo(tau), tau),
+                                       (invert_endo(alpha), alpha)])
+    predicted = reduce(compose, (eps_c.inverse().expand(),
+                                 Endo(field, n, exp_images(G, D)), gamma))
     phi1 = builder.add_step(
         [(exp_word_inv, step0, 1)],
         expect=predicted, note="conjugate the commutator through exp(FD)")

@@ -79,6 +79,22 @@ def check_degree(what: str, degree: int, cap: int = MAX_DEGREE):
         raise DegreeCapExceeded(f"{what} {degree} exceeds cap {cap}")
 
 
+def check_axis(i: int, nvars: int):
+    """Refuse an index i outside 1..nvars."""
+    if not 1 <= i <= nvars:
+        raise IndexOutOfRange(f"x{i} out of range for {nvars} variables")
+
+
+def check_exponents(exps: Sequence[int], nvars: int) -> tuple[int, ...]:
+    """The exponent vector as ints; refuse a wrong length or a sign."""
+    exps = tuple(int(e) for e in exps)
+    if len(exps) != nvars:
+        raise ArityMismatch("exponent vector length != nvars")
+    if any(e < 0 for e in exps):
+        raise ValueError("negative exponent")
+    return exps
+
+
 class Polynomial:
     __slots__ = ("field", "nvars", "terms")
 
@@ -107,19 +123,14 @@ class Polynomial:
     @staticmethod
     def variable(field: Field, nvars: int, i: int) -> "Polynomial":
         """x_i, 1-based."""
-        if not 1 <= i <= nvars:
-            raise IndexOutOfRange(f"x{i} out of range for {nvars} variables")
+        check_axis(i, nvars)
         return Polynomial(field, nvars,
                           {_variable_key(nvars, i): field.one.payload})
 
     @staticmethod
     def monomial(field: Field, nvars: int, coeff, exps: Sequence[int]) -> "Polynomial":
         c = field.elem(coeff)
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != nvars:
-            raise ArityMismatch("exponent vector length != nvars")
-        if any(e < 0 for e in exps):
-            raise ValueError("negative exponent")
+        exps = check_exponents(exps, nvars)
         check_degree("monomial of degree", sum(exps))
         if c.is_zero():
             return Polynomial.zero(field, nvars)
@@ -157,8 +168,7 @@ class Polynomial:
 
     def deg_in(self, i: int) -> int:
         """Degree in x_i (1-based), deg(0) = 0."""
-        if not 1 <= i <= self.nvars:
-            raise IndexOutOfRange(f"x{i} out of range")
+        check_axis(i, self.nvars)
         shift = B * (self.nvars - i)
         return max((k >> shift & MAX_DEGREE for k in self.terms), default=0)
 
@@ -171,6 +181,8 @@ class Polynomial:
         return self.deg(), per
 
     def involves(self, i: int) -> bool:
+        """Whether some term has a positive exponent of x_i (1-based)."""
+        check_axis(i, self.nvars)
         mask = MAX_DEGREE << B * (self.nvars - i)
         return any(k & mask for k in self.terms)
 
@@ -294,8 +306,7 @@ class Polynomial:
     def partial_derivative(self, i: int) -> "Polynomial":
         """Formal partial by x_i; exponent coefficients reduce in the field's
         characteristic (so d(x^p)/dx = 0 over F_p)."""
-        if not 1 <= i <= self.nvars:
-            raise IndexOutOfRange(f"x{i} out of range")
+        check_axis(i, self.nvars)
         field, n = self.field, self.nvars
         out = {}
         shift, unit = B * (n - i), _variable_key(n, i)

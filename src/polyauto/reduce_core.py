@@ -1,6 +1,7 @@
 """Shared reduction machinery for the characteristic-zero engines: the
-commutator probe and its parabolic witness route, the triangular descent,
-the parabolic last-axis commutator, and the affine terminal chain.
+commutator probe and its parabolic witness route, the translation pass and
+the vector-degree drop check, the triangular descent, the parabolic
+last-axis commutator, and the affine terminal chain.
 
 These are the only copies of the reduction moves; the m-triangular engine
 (cotame) and the exponential engine (lnd) call them.  The functions append
@@ -10,10 +11,12 @@ the nontrivial elementary terminal.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .autos import (Endo, FactoredAuto, Linear, SignedPermutation,
-                    affine_parts, compose, elementary, elementary_parts,
-                    is_parabolic, is_translation, translation,
-                    triangular_parts, vector_degree)
+                    affine_parts, compose, dilation, elementary,
+                    elementary_parts, is_parabolic, is_translation, mat_det,
+                    translation, triangular_parts, vector_degree)
 from .errors import (IdentityInput, InternalIdentityFailure, NotParabolic,
                      NotTriangular, UnsupportedCharacteristic)
 from .fields import RATIONALS, Field
@@ -30,12 +33,7 @@ def _require_char_zero(field: Field):
 
 
 def max_var_degree(phi: Endo) -> int:
-    out = 0
-    for c in phi.components:
-        _, per = c.degrees()
-        if per:
-            out = max(out, max(per))
-    return out
+    return max((max(c.degrees()[1]) for c in phi.components), default=0)
 
 
 class CommutatorProbe(Record):
@@ -73,7 +71,7 @@ def find_noncommuting_c(phi: Endo, alpha: FactoredAuto | None,
         eps = elementary(field, n, k, field.from_int(c))
         gamma = eps.expand()
         if alpha_val is not None:
-            gamma = compose(compose(alpha_val, gamma), alpha_inv)
+            gamma = reduce(compose, (alpha_val, gamma, alpha_inv))
         if compose(gamma, phi) != compose(phi, gamma):
             return CommutatorProbe(alpha, k, B, c=c, eps=eps, gamma=gamma)
     return CommutatorProbe(alpha, k, B)
@@ -85,10 +83,10 @@ def parabolic_witness(phi: Endo, probe: CommutatorProbe) -> FactoredAuto:
     field, n = phi.field, phi.nvars
     psi = phi
     if probe.alpha is not None:
-        psi = compose(compose(probe.alpha.inverse().expand(), phi),
-                      probe.alpha.expand())
+        psi = reduce(compose, (probe.alpha.inverse().expand(), phi,
+                               probe.alpha.expand()))
     pi = _parabolic_normalizer(field, n, probe.k)
-    conj_val = compose(compose(pi.expand(), psi), pi.inverse().expand())
+    conj_val = reduce(compose, (pi.expand(), psi, pi.inverse().expand()))
     if not is_parabolic(conj_val):
         raise InternalIdentityFailure(
             "probe exhausted but the parabolic witness failed; "
@@ -123,8 +121,30 @@ def endo_translation_word(gamma: Endo) -> FactoredAuto:
     parts = affine_parts(gamma)
     if parts is None:
         raise NotTriangular("not a translation")
-    A, b = parts
-    return translation(gamma.field, gamma.nvars, b)
+    return translation(gamma.field, gamma.nvars, parts[1])
+
+
+def translation_pass(tr: Endo, slots) -> Endo:
+    """Conjugate the translation `tr` by each slot g in turn, tr -> g^{-1} tr g,
+    with `slots` the pairs (g^{-1}, g) in word order; every conjugate must
+    again be a translation (a last-axis translation passes a lower
+    triangular factor, and any translation passes a linear one)."""
+    for g_inv, g in slots:
+        tr = reduce(compose, (g_inv, tr, g))
+        if not is_translation(tr):
+            raise InternalIdentityFailure(
+                "translation stopped being a translation while passing "
+                "the slots")
+    return tr
+
+
+def require_vd_drop(before: tuple[int, ...], after: Endo,
+                    what: str = "vector degree") -> None:
+    """The descent invariant: vd(after) < before, lexicographically."""
+    vd_after = vector_degree(after)
+    if not vd_after < before:
+        raise InternalIdentityFailure(
+            f"{what} did not drop: {before} -> {vd_after}")
 
 
 # -- affine terminal chain --------------------------------------------------
@@ -185,14 +205,10 @@ def reduce_triangular_ref(builder: CertBuilder, ref: str) -> str:
             return affine_terminal(builder, cur)
         vd_before = vector_degree(val)
         gamma = _axis_probe_translation(val)
-        new = builder.add_step(
+        cur = builder.add_step(
             [(gamma, cur, -1), (None, cur, 1)],
             note=f"vd descent {vd_before}")
-        vd_after = vector_degree(builder.value(new))
-        if not vd_after < vd_before:
-            raise InternalIdentityFailure(
-                f"vector degree did not drop: {vd_before} -> {vd_after}")
-        cur = new
+        require_vd_drop(vd_before, builder.value(cur))
 
 
 # -- parabolic reduction ---------------------------------------------------------
@@ -200,29 +216,23 @@ def reduce_triangular_ref(builder: CertBuilder, ref: str) -> str:
 
 def _sl_diag_split(alpha: FactoredAuto):
     """Factor the linear word alpha as alpha0 * lambda with alpha0 in SL_n
-    and lambda = diag(det, 1, ..., 1); returns (alpha0 word, lambda word)."""
+    and lambda = diag(det, 1, ..., 1); returns the alpha0 word."""
     field, n = alpha.field, alpha.nvars
     val = alpha.expand()
     parts = affine_parts(val)
     if parts is None or any(not b.is_zero() for b in parts[1]):
         raise NotParabolic("conjugator must be linear")
     A, _ = parts
-    from .autos import mat_det
     d = mat_det(field, A)
-    lam_rows = [[field.one if i == j else field.zero for j in range(n)]
-                for i in range(n)]
-    lam_rows[0][0] = d
     a0_rows = [list(row) for row in A]
     for i in range(n):
         a0_rows[i][0] = a0_rows[i][0] / d
     # A = A0 * Lambda as matrices acting via substitution: check by expansion
     a0 = FactoredAuto(field, n, [Linear(field, n,
                                         tuple(tuple(r) for r in a0_rows))])
-    lam = FactoredAuto(field, n, [Linear(field, n,
-                                         tuple(tuple(r) for r in lam_rows))])
-    if compose(a0.expand(), lam.expand()) != val:
+    if compose(a0.expand(), dilation(field, n, 1, d).expand()) != val:
         raise InternalIdentityFailure("SL*diag split failed")
-    return a0, lam
+    return a0
 
 
 def reduce_parabolic_ref(builder: CertBuilder, ref: str,
@@ -239,8 +249,8 @@ def reduce_parabolic_ref(builder: CertBuilder, ref: str,
         raise IdentityInput("parabolic input is the identity")
     cur = ref
     if alpha is not None and alpha.factors:
-        a0, _lam = _sl_diag_split(alpha)
-        cur = builder.conj_step(ref, a0, note="SL part of the conjugator")
+        cur = builder.add_step([(_sl_diag_split(alpha), ref, 1)],
+                               note="SL part of the conjugator")
     w = builder.value(cur)
     if not is_parabolic(w):
         raise NotParabolic("value is not parabolic after SL conjugation")
@@ -261,12 +271,8 @@ def reduce_parabolic_ref(builder: CertBuilder, ref: str,
     eps = elementary(field, n, n, Polynomial.variable(field, n, pick))
     q = w.components[pick - 1].scale(a_n.inv()) \
         - Polynomial.variable(field, n, pick)
-    expected_comps = list(
-        Polynomial.variable(field, n, t) for t in range(1, n + 1))
-    expected_comps[n - 1] = expected_comps[n - 1] + q
-    expected = Endo(field, n, expected_comps)
     step = builder.add_step(
         [(eps, cur, -1), (None, cur, 1)],
-        expect=expected,
+        expect=elementary(field, n, n, q).expand(),
         note=f"{note} commutator with x{pick}")
     return reduce_triangular_ref(builder, step)

@@ -22,7 +22,7 @@ from .errors import (DegenerateTarget, IdentityInput, IndexClash,
                      InternalIdentityFailure, NoSuchUnit, NotAffine,
                      UnsupportedField, ZeroScalar)
 from .fields import EXTENSION, PRIME, RATIONALS, Field, FieldElement
-from .poly import Polynomial
+from .poly import Polynomial, check_axis, check_exponents
 from .record import Record
 from .wordbuild import CertBuilder
 
@@ -426,9 +426,11 @@ def slin_from_monomial_elementary(ctx: SlinContext, k: int, a,
                                   exps: tuple[int, ...]) -> Certificate:
     """Certificate for eps_{k, a * x^exps} lying in the normal closure of the
     linear special subgroup, with the proof case labels in metadata."""
+    check_axis(k, ctx.nvars)
+    exps = check_exponents(exps, ctx.nvars)
     engine = _SlinEngine(ctx)
     a = ctx.field.elem(a)
-    label = engine.monomial_step(k, a, tuple(exps))
+    label = engine.monomial_step(k, a, exps)
     engine.builder.meta["cases"] = ",".join(sorted(engine.cases_used)) or "base"
     engine.builder.meta["depth"] = str(engine.max_depth)
     return engine.builder.to_certificate(label, cite="finite-field-generation")
@@ -436,6 +438,7 @@ def slin_from_monomial_elementary(ctx: SlinContext, k: int, a,
 
 def slin_from_elementary(ctx: SlinContext, i: int, f: Polynomial) -> Certificate:
     """Certificate for eps_{i,f}, f a nonzero polynomial avoiding x_i."""
+    check_axis(i, ctx.nvars)
     if f.is_zero():
         raise IdentityInput("eps_{i,0} is the identity")
     if f.involves(i):

@@ -11,6 +11,8 @@ data; this module is the only place construction and evaluation meet.
 
 from __future__ import annotations
 
+from functools import partial, reduce
+
 from .autos import Endo, FactoredAuto, compose
 from .certificates import Certificate, Seed, Step, WordItem
 from .errors import InternalIdentityFailure, NotSpecial
@@ -68,21 +70,32 @@ class CertBuilder:
 
     def add_step(self, items, expect: Endo | None = None,
                  note: str = "", label: str | None = None) -> str:
-        """items: iterable of (conjugator|None, base_label, exponent)."""
-        word_items = []
-        value = Endo.identity(self.field, self.nvars)
-        inverse = Endo.identity(self.field, self.nvars)
+        """items: iterable of (conjugator|None, base_label, exponent).
+
+        One pass over the items expands each conjugator g and its inverse
+        once, for both g^{-1} base^e g and g^{-1} base^{-e} g; the value is
+        the first ones' product in word order, the inverse the second ones'
+        in reverse order."""
+        cap = self.cap
+        fold = partial(compose, cap=cap)
+        word_items, values, inverses = [], [], []
         for conj, base, exponent in items:
             if base not in self._env:
                 raise KeyError(f"unknown base {base!r}")
             word_items.append(WordItem(conj, base, exponent))
-        for conj, base, exponent in items:
-            value = compose(value, self._item_value(conj, base, exponent),
-                            cap=self.cap)
-        for conj, base, exponent in reversed(items):
-            inverse = compose(inverse,
-                              self._item_value(conj, base, -exponent),
-                              cap=self.cap)
+            core, core_inv = self._env[base]
+            if exponent != 1:
+                core, core_inv = core_inv, core
+            if conj is not None and conj.factors:
+                g = conj.expand(cap=cap)
+                ginv = conj.inverse().expand(cap=cap)
+                core = reduce(fold, (ginv, core, g))
+                core_inv = reduce(fold, (ginv, core_inv, g))
+            values.append(core)
+            inverses.append(core_inv)
+        ident = Endo.identity(self.field, self.nvars)
+        value = reduce(fold, values, ident)
+        inverse = reduce(fold, reversed(inverses), ident)
         if expect is not None and value != expect:
             raise InternalIdentityFailure(
                 f"word expansion does not match the predicted value "
@@ -92,24 +105,11 @@ class CertBuilder:
         self._env[label] = (value, inverse)
         return label
 
-    def _item_value(self, conj: FactoredAuto | None, base: str,
-                    exponent: int) -> Endo:
-        core = self._env[base][0 if exponent == 1 else 1]
-        if conj is None or not conj.factors:
-            return core
-        g = conj.expand(cap=self.cap)
-        ginv = conj.inverse().expand(cap=self.cap)
-        return compose(compose(ginv, core, cap=self.cap), g, cap=self.cap)
-
     def passthrough(self, base: str, note: str = "") -> str:
         """A step that just restates a seed/step value (used when a seed
         itself must become the terminal)."""
         return self.add_step([(None, base, 1)], expect=self.value(base),
                              note=note)
-
-    def conj_step(self, base: str, g: FactoredAuto, note: str = "") -> str:
-        """g^{-1} * base * g."""
-        return self.add_step([(g, base, 1)], note=note)
 
     # -- output --------------------------------------------------------------------
 

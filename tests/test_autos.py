@@ -334,3 +334,64 @@ def test_cached_expansion_respects_a_smaller_cap(Q):
         word.expand(cap=2)
     assert word.expand(cap=3) is word.expand()
     assert word.expand(cap=None) is word.expand()
+
+
+FACTOR_KINDS = ["L", "Tr", "E", "T", "S", "S-odd"]
+
+
+@pytest.mark.parametrize("order", [None, 7, 9])
+def test_every_factor_kind_inverts_to_the_identity(order):
+    """f * f^{-1} = id for every factor kind; for the kinds invert_endo
+    handles, its inverse of the expansion is the factor's own."""
+    field = Field.rationals() if order is None else Field.of_order(order)
+    rng = random.Random(70 + (order or 0))
+    for trial in range(36):
+        kind = FACTOR_KINDS[trial % len(FACTOR_KINDS)]
+        n = rng.randint(2, 3)
+        f = random_factor(rng, field, n, kind)
+        inv = f.inverted().expand()
+        assert compose(f.expand(), inv) == Endo.identity(field, n), f
+        if kind in ("L", "Tr", "E", "T"):
+            assert invert_endo(f.expand()) == inv, f
+
+
+def test_invert_endo_matches_sympy():
+    """invert_endo against sympy's solution of phi(x) = y, on random
+    affine, elementary and triangular maps over Q with n <= 3."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(83)
+    for trial in range(24):
+        n = rng.randint(1, 3)
+        kind = ("L", "Tr", "E", "T")[trial % 4]
+        f = random_factor(rng, QF, n, kind)
+        if kind == "L":  # an affine map, not only a linear one
+            f = FactoredAuto(QF, n, [f, random_factor(rng, QF, n, "Tr")])
+        phi = f.expand()
+        xs = sympy.symbols(f"x1:{n + 1}")
+        ys = sympy.symbols(f"y1:{n + 1}")
+
+        def to_sympy(poly):
+            return sympy.Add(*(
+                sympy.Rational(c.payload.numerator, c.payload.denominator)
+                * sympy.Mul(*(x ** k for x, k in zip(xs, e)))
+                for e, c in poly.sorted_terms()))
+
+        solutions = sympy.solve(
+            [to_sympy(c) - y for c, y in zip(phi.components, ys)], xs,
+            dict=True)
+        assert len(solutions) == 1, f
+        rename = dict(zip(ys, xs))
+        got = invert_endo(phi).components
+        for x, c in zip(xs, got):
+            want = solutions[0][x].subs(rename, simultaneous=True)
+            assert sympy.expand(to_sympy(c) - want) == 0, f
+
+
+def test_invert_endo_honours_a_cap_above_and_below_the_default(Q):
+    # the inverse's last component has degree 40 * 40 = 1600 > 1024
+    phi = parse_endo("[Q,3] (x1, x2+x1^40, x3+x2^40)")
+    inv = invert_endo(phi, cap=2000)
+    assert inv.components[2].deg() == 1600
+    assert compose(phi, inv, cap=2000) == Endo.identity(Q, 3)
+    with pytest.raises(DegreeCapExceeded):
+        invert_endo(phi, cap=1000)

@@ -184,6 +184,18 @@ def test_verify_rejects_bytes_that_are_not_utf8(tmp_path, capsys):
                           "(line 2, column 8)")
 
 
+@pytest.mark.parametrize("cap, rc", [(2000, 0), (1000, 1)])
+def test_invert_honours_cap(capsys, cap, rc):
+    # the inverse has degree 1600, above the default cap of 1024
+    got, out, err = run_cli(["--cap", str(cap), "invert",
+                             "[Q,3] (x1, x2+x1^40, x3+x2^40)"], capsys)
+    assert got == rc
+    if rc == 0:
+        assert "-x1^1600+" in out
+    else:
+        assert "DegreeCapExceeded" in err
+
+
 def test_certify_honours_cap_zero(capsys):
     rc, _, err = run_cli(["--cap", "0", "certify", "[Q,2] E(1; x2^3)"],
                          capsys)

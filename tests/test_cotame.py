@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,7 +8,8 @@ from gen import (rand_m_triangular_word, rand_mixed_word, rand_sl_word,
 from polyauto.autos import (Endo, FactoredAuto, classify, compose,
                             elementary, jacobian_det, linear_elementary,
                             translation, vector_degree)
-from polyauto.certificates import KIND_COTAME, verify_certificate
+from polyauto.certificates import (KIND_COTAME, serialize_certificate,
+                                   verify_certificate)
 from polyauto.cotame import (certify_normally_cotame, find_noncommuting_c,
                              normalize_m_triangular)
 from polyauto.errors import (DegreeCapExceeded, IdentityInput, NotSpecial,
@@ -213,6 +215,11 @@ def test_m_engines_random():
             assert rep.verdict == "PASS", (m, rep.format())
 
 
+# R swaps x1 and x2 with a sign; T moves only x2, by x1^2
+WITNESS_R = "L[[0,1,0],[-1,0,0],[0,0,1]]"
+WITNESS_T = "T(1; 1, x1^2; 1)"
+
+
 def test_m_engine_witness_route():
     # phi = beta0 * tau with all moving parts away from the probe axis: the
     # conjugated last-axis translations commute with phi, so the engines must
@@ -223,6 +230,33 @@ def test_m_engine_witness_route():
     cert = certify_normally_cotame(word)
     rep = verify_certificate(cert)
     assert rep.verdict == "PASS", rep.format()
+    # T R T R T (m = 3) and T R T R T R T (m = 4) leave x3 alone, so the
+    # first probe of _engine_m3 and of _engine_m4 is exhausted
+    for m, sha in (
+            (3, "be4c5284c4319a79e4237c6dea33c1baf6032a4baf6ef5bb7081cc7449de48e6"),
+            (4, "970b5e063b916b6bf21da0908d8992bfe63c98cb1d743ee5e899aee5e035983b")):
+        word = parse_factored(
+            "[Q,3] " + f" * {WITNESS_R} * ".join([WITNESS_T] * m))
+        cert = certify_normally_cotame(word)
+        assert cert.meta["path"] == f"m-triangular-{m}"
+        assert cert.steps[0].note == "SL part of the conjugator"
+        rep = verify_certificate(cert)
+        assert rep.verdict == "PASS", rep.format()
+        text = serialize_certificate(cert)
+        assert hashlib.sha256(text.encode()).hexdigest() == sha, m
+    # here the symmetrization succeeds and the probe of
+    # _engine_m4_symmetric is exhausted
+    word = parse_factored(
+        "[Q,3] T(1; 1, x1^3; 1) * L[[1,1,0],[0,1,0],[0,0,1]]"
+        " * T(1; 1, 2*x1^2; 1) * L[[1,0,0],[0,0,1],[0,-1,0]]"
+        " * T(1; 1; 1, x1^2) * L[[0,0,1],[0,1,0],[-1,0,0]]"
+        " * T(1; 1; 1, x1*x2)")
+    cert = certify_normally_cotame(word)
+    assert [s.note for s in cert.steps][1:3] == [
+        "shift the leading triangular factor", "SL part of the conjugator"]
+    assert verify_certificate(cert).verdict == "PASS"
+    assert hashlib.sha256(serialize_certificate(cert).encode()).hexdigest() \
+        == "e91b5dfc1cc6d8517cebcc87a74e8cd3fa7ef7405b261f379dac065900e6ef97"
 
 
 def test_m2_engine_nonunit_scalars():

@@ -482,6 +482,14 @@ def test_partial_derivative(Q, F3):
         x1.partial_derivative(3)
 
 
+@pytest.mark.parametrize("axis", [0, 3])
+def test_involves_refuses_an_axis_out_of_range(Q, axis):
+    # axis 0 would read the total-degree field, axis n+1 a negative shift
+    x1, x2 = xvars(Q, 2)
+    with pytest.raises(IndexOutOfRange):
+        (x1 * x2).involves(axis)
+
+
 def test_arity_and_field_mismatch(Q, F5):
     x1, _ = xvars(Q, 2)
     y = Polynomial.variable(Q, 3, 1)

@@ -4,8 +4,9 @@ import pytest
 
 from polyauto.autos import elementary, linear_elementary, translation
 from polyauto.certificates import KIND_SLIN, verify_certificate
-from polyauto.errors import (DegenerateTarget, IdentityInput, IndexClash,
-                             UnsupportedField, ZeroScalar)
+from polyauto.errors import (ArityMismatch, DegenerateTarget, IdentityInput,
+                             IndexClash, IndexOutOfRange, UnsupportedField,
+                             ZeroScalar)
 from polyauto.fields import Field
 from polyauto.poly import Polynomial
 from polyauto.slin import (SlinContext, commutator_identity,
@@ -223,6 +224,28 @@ def test_monomial_involving_axis_rejected():
     ctx = SlinContext(Q, 2)
     with pytest.raises(IndexClash):
         slin_from_monomial_elementary(ctx, 1, 1, (2, 1))
+
+
+def test_elementary_axis_out_of_range_rejected(F4):
+    with pytest.raises(IndexOutOfRange):
+        slin_from_elementary(SlinContext(F4, 2), 3, Polynomial.one(F4, 2))
+
+
+def test_monomial_axis_out_of_range_rejected(F4):
+    with pytest.raises(IndexOutOfRange):
+        slin_from_monomial_elementary(SlinContext(F4, 2), 3, 1, (0, 2))
+
+
+def test_monomial_exponent_vector_of_wrong_length_rejected(F4):
+    # a one-entry vector for n = 2 used to certify eps_{1,1} silently
+    with pytest.raises(ArityMismatch):
+        slin_from_monomial_elementary(SlinContext(F4, 2), 1, 1, (0,))
+
+
+def test_monomial_negative_exponent_rejected(F4):
+    # used to end in a misleading NoSuchUnit from the Frobenius case
+    with pytest.raises(ValueError, match="negative exponent"):
+        slin_from_monomial_elementary(SlinContext(F4, 2), 1, 1, (0, -1))
 
 
 def test_prime_fields_rejected(F2, F5):
