@@ -243,8 +243,15 @@ class Triangular(Record):
 
     def inverted(self, cap: int | None = DEFAULT_DEGREE_CAP) -> "Triangular":
         """Back-substitution: x_i -> a_i^{-1} (x_i - P_i(inverse images of
-        x_1..x_{i-1})), each P_i substituted under `cap`."""
+        x_1..x_{i-1})), each P_i substituted under `cap`.  An elementary
+        factor (every a_i = 1, at most one P_i nonzero) is inverted by
+        negating its P_i, with no substitution and so under no cap, as
+        invert_endo inverts an elementary map."""
         field, n = self.field, self.nvars
+        if all(a.is_one() for a in self.scalars) and \
+                sum(not p.is_zero() for p in self.polys) <= 1:
+            return Triangular(field, n, self.scalars,
+                              tuple(-p for p in self.polys))
         images = list(identity_images(field, n))
         scalars, polys = [], []
         for i, (a, p) in enumerate(zip(self.scalars, self.polys)):
@@ -555,11 +562,9 @@ def invert_endo(phi: Endo, cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
     if parts is not None:
         A, b = parts
         Ainv = mat_inv(field, A)  # raises Singular when not invertible
-        # x -> A^{-1} x - A^{-1} b
-        comps = Linear(field, n, Ainv).expand().components
-        return Endo(field, n, [p - Polynomial.constant(field, n, sum(
-            (Ainv[i][j] * b[j] for j in range(n)), field.zero))
-            for i, p in enumerate(comps)])
+        # phi = T_b * L_A, so phi^{-1} = L_{A^{-1}} * T_{-b}
+        return compose(Linear(field, n, Ainv).expand(),
+                       Translation(field, n, b).inverted().expand())
     tparts = triangular_parts(phi)
     if tparts is not None:
         return Triangular(field, n, *tparts).inverted(cap).expand()

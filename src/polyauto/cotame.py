@@ -85,7 +85,9 @@ def _word_pieces(word: FactoredAuto) -> list[tuple[str, Endo]]:
             if triangular_parts(middle) is None:
                 raise NotAlternating(
                     "elementary factor could not be made triangular")
-            pieces += [("aff", sigma), ("tri", middle), ("aff", sigma)]
+            pieces.append(("aff", sigma))
+            pieces.append(("tri", middle))
+            pieces.append(("aff", sigma))
         else:
             raise NotStructured(f"unsupported factor {factor!r}")
     return pieces
@@ -94,7 +96,8 @@ def _word_pieces(word: FactoredAuto) -> list[tuple[str, Endo]]:
 def _normalize_pieces(field: Field, n: int,
                       pieces: list[tuple[str, Endo]]) -> MTriangularForm:
     """Right-to-left sweep with a diagonal-affine carry; see module docs."""
-    carry = Endo.identity(field, n)  # always in Df
+    ident = Endo.identity(field, n)
+    carry = ident  # always in Df
     slots: list[tuple[str, Endo]] = []  # normalized suffix, in word order
     for kind, val in reversed(pieces):
         if kind == "tri":
@@ -232,15 +235,16 @@ def _engine_collapse(builder, ref, form: MTriangularForm) -> str:
                                 n)
     if probe.c is None:
         return parabolic_route(builder, cur, probe)
-    # the pass-through slots: tau1 for m = 1, tau1 and alpha1 for m = 2
+    # eps passes tau1 and the linear slots before tau_m (alpha1 when m = 2)
+    # as a translation; the later taus (tau2 when m = 2) conjugate it to a
+    # triangular map
     passed = translation_pass(probe.eps.expand(), [
-        (invert_endo(g), g) for g in (form.taus[0], form.alphas[1])[:m]])
-    if m == 2:
-        tau2 = form.taus[1]
-        passed = reduce(compose, (invert_endo(tau2), passed, tau2))
+        (invert_endo(g), g) for g in [form.taus[0], *form.alphas[1:m]]])
+    for tau in form.taus[1:]:
+        passed = reduce(compose, (invert_endo(tau), passed, tau))
     predicted = compose(invert_endo(probe.gamma), passed)
-    if m == 2 and triangular_parts(predicted) is None:
-        raise InternalIdentityFailure("m=2 collapse is not triangular")
+    if triangular_parts(predicted) is None:
+        raise InternalIdentityFailure(f"m={m} collapse is not triangular")
     step = builder.add_step(
         [(endo_translation_word(probe.gamma), cur, -1), (None, cur, 1)],
         expect=predicted, note=f"m={m} collapse c={probe.c}")
@@ -343,11 +347,10 @@ def _engine_m4(builder, ref, form: MTriangularForm) -> str:
     tr3 = translation_pass(probe.eps.inverse().expand(), [
         (tau4, invert_endo(tau4)), (alpha3, invert_endo(alpha3))])
     tau3_new = reduce(compose, (tau3, tr3, invert_endo(tau3)))
-    tau1_inv, tau2_inv = invert_endo(tau1), invert_endo(tau2)
-    alpha1_inv, alpha2_inv = invert_endo(alpha1), invert_endo(alpha2)
-    predicted = reduce(compose, (
-        probe.gamma, tau1, alpha1, tau2, alpha2, tau3_new, alpha2_inv,
-        tau2_inv, alpha1_inv, tau1_inv))
+    tau1_inv = invert_endo(tau1)
+    middle = (alpha1, tau2, alpha2, tau3_new, invert_endo(alpha2),
+              invert_endo(tau2), invert_endo(alpha1))
+    predicted = reduce(compose, (probe.gamma, tau1, *middle, tau1_inv))
     step = builder.add_step(
         [(endo_translation_word(probe.gamma).inverse(), cur, 1),
          (None, cur, -1)],
@@ -356,9 +359,7 @@ def _engine_m4(builder, ref, form: MTriangularForm) -> str:
     sym = builder.add_step([(_triangular_word(field, n, tau1), step, 1)],
                            note="shift the leading triangular factor")
     sigma1 = reduce(compose, (tau1_inv, probe.gamma, tau1))
-    expected = reduce(compose, (sigma1, alpha1, tau2, alpha2, tau3_new,
-                                alpha2_inv, tau2_inv, alpha1_inv))
-    if builder.value(sym) != expected:
+    if builder.value(sym) != reduce(compose, middle, sigma1):
         raise InternalIdentityFailure("m=4 symmetric form failed")
     return _engine_m4_symmetric(builder, sym, sigma1, alpha1, tau2, alpha2,
                                 tau3_new)
@@ -392,9 +393,9 @@ def _engine_m4_symmetric(builder, cur, sigma1, beta1, sigma2, beta2,
         sigma3_new = reduce(compose, (sigma3, tr, invert_endo(sigma3)))
         require_vd_drop(vd, sigma3_new, "m=4 pivot vector degree")
         gamma_inv, sigma1_inv = invert_endo(probe.gamma), invert_endo(sigma1)
-        predicted = reduce(compose, (
-            gamma_inv, sigma1, beta1, sigma2, beta2, sigma3_new, beta2_inv,
-            sigma2_inv, beta1_inv, sigma1_inv))
+        middle = (beta1, sigma2, beta2, sigma3_new, beta2_inv, sigma2_inv,
+                  beta1_inv)
+        predicted = reduce(compose, (gamma_inv, sigma1, *middle, sigma1_inv))
         step = builder.add_step(
             [(endo_translation_word(probe.gamma), cur, 1), (None, cur, -1)],
             expect=predicted, note=f"m=4 descent c={probe.c}")
@@ -403,9 +404,7 @@ def _engine_m4_symmetric(builder, cur, sigma1, beta1, sigma2, beta2,
             note="re-center the symmetric form")
         sigma1 = reduce(compose, (sigma1_inv, gamma_inv, sigma1))
         sigma3 = sigma3_new
-        expected = reduce(compose, (sigma1, beta1, sigma2, beta2, sigma3,
-                                    beta2_inv, sigma2_inv, beta1_inv))
-        if builder.value(cur) != expected:
+        if builder.value(cur) != reduce(compose, middle, sigma1):
             raise InternalIdentityFailure("m=4 re-centering failed")
 
 
@@ -490,9 +489,12 @@ def _split_tau_alpha(prefix: FactoredAuto):
     for factor, exp in prefix.factors:
         base = factor if exp == 1 else factor.inverted()
         val = base.expand()
-        if phase == "tau" and triangular_parts(val) is not None:
+        tri = triangular_parts(val) is not None
+        parts = affine_parts(val)
+        lin = parts is not None
+        if phase == "tau" and tri:
             tau_factors.append((factor, exp))
-        elif affine_parts(val) is not None:
+        elif lin:
             phase = "alpha"
             alpha_factors.append((factor, exp))
         else:
@@ -509,7 +511,8 @@ def _split_tau_alpha(prefix: FactoredAuto):
         # fold the translation part into tau: alpha = T_b L_A,
         # tau' = tau * T_b stays triangular
         tau_factors = tau_factors + [(Translation(field, n, b), 1)]
-        alpha_word = FactoredAuto(field, n, [Linear(field, n, A)])
+        alpha_factors = [(Linear(field, n, A), 1)]
+        alpha_word = FactoredAuto(field, n, alpha_factors)
     tau_word = FactoredAuto(field, n, tau_factors)
     if triangular_parts(tau_word.expand()) is None:
         raise NotStructured("triangular prefix part is not triangular")

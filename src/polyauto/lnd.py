@@ -101,7 +101,8 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
         raise IdentityInput("input is the identity")
     if triangular_parts(phi) is not None:
         return reduce_triangular_ref(builder, ref)
-    if compose(tau, alpha).is_identity():
+    ta = compose(tau, alpha)
+    if ta.is_identity():
         return reduce_exponential_ref(builder, ref, F, D)
     probe = find_noncommuting_c(phi, None, n)
     if probe.c is None:

@@ -33,7 +33,12 @@ def _require_char_zero(field: Field):
 
 
 def max_var_degree(phi: Endo) -> int:
-    return max((max(c.degrees()[1]) for c in phi.components), default=0)
+    out = 0
+    for c in phi.components:
+        _, per = c.degrees()
+        if per:
+            out = max(out, max(per))
+    return out
 
 
 class CommutatorProbe(Record):
@@ -121,7 +126,8 @@ def endo_translation_word(gamma: Endo) -> FactoredAuto:
     parts = affine_parts(gamma)
     if parts is None:
         raise NotTriangular("not a translation")
-    return translation(gamma.field, gamma.nvars, parts[1])
+    A, b = parts
+    return translation(gamma.field, gamma.nvars, b)
 
 
 def translation_pass(tr: Endo, slots) -> Endo:

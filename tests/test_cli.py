@@ -196,6 +196,37 @@ def test_invert_honours_cap(capsys, cap, rc):
         assert "DegreeCapExceeded" in err
 
 
+ELEMENTARY_T_INV = "[Q,2] T(1; 1, x1^1500)^-1"
+
+
+@pytest.mark.parametrize("args", [["jacobian", ELEMENTARY_T_INV],
+                                  ["classify", ELEMENTARY_T_INV],
+                                  ["compose", ELEMENTARY_T_INV,
+                                   "[Q,2] E(1; x2)"]])
+def test_cap_alone_bounds_an_inverted_elementary_factor(capsys, args):
+    # T(1; 1, x1^1500) is elementary: its inverse negates x1^1500 without
+    # a substitution, so only --cap bounds it, not the default 1024
+    rc, _, err = run_cli(["--cap", "2000"] + args, capsys)
+    assert rc == 0, err
+
+
+def test_verify_cap_alone_bounds_an_inverted_elementary_factor(tmp_path,
+                                                               capsys):
+    from polyauto.certificates import KIND_COTAME, serialize_certificate
+    from polyauto.textio import parse_factored
+    from polyauto.wordbuild import CertBuilder
+    g = parse_factored(ELEMENTARY_T_INV, cap=2000)
+    builder = CertBuilder(g.field, 2, KIND_COTAME, cap=2000)
+    seed = builder.add_seed(g)
+    # the seed and the step's conjugator both hold the inverted factor
+    step = builder.add_step([(g, seed, 1)], expect=g.expand(cap=2000))
+    path = tmp_path / "elementary.nct"
+    path.write_text(serialize_certificate(builder.to_certificate(step)))
+    rc, out, _ = run_cli(["--cap", "2000", "verify", str(path)], capsys)
+    assert rc == 0
+    assert "verdict: PASS" in out
+
+
 def test_certify_honours_cap_zero(capsys):
     rc, _, err = run_cli(["--cap", "0", "certify", "[Q,2] E(1; x2^3)"],
                          capsys)
