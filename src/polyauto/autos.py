@@ -346,11 +346,13 @@ def make_basic(factor) -> Endo:
 class FactoredAuto:
     """Word of basic factors with exponents +-1; invertible by construction.
 
-    The expansion is cached; equality of factored words is always decided on
-    expanded tuples, never on the words themselves.
+    The expansion and the inverse word are cached, so a word reused as a
+    conjugator is expanded once, and so is its inverse; equality of factored
+    words is always decided on expanded tuples, never on the words
+    themselves.
     """
 
-    __slots__ = ("field", "nvars", "factors", "_expanded")
+    __slots__ = ("field", "nvars", "factors", "_expanded", "_inverse")
 
     def __init__(self, field: Field, nvars: int, factors=()):
         self.field = field
@@ -367,7 +369,7 @@ class FactoredAuto:
                 raise InvalidFactor("factor with wrong field/arity")
             word.append((factor, exp))
         self.factors = tuple(word)
-        self._expanded = None
+        self._expanded = self._inverse = None
 
     @staticmethod
     def identity(field: Field, nvars: int) -> "FactoredAuto":
@@ -383,7 +385,12 @@ class FactoredAuto:
         if self._expanded is None:
             out = Endo.identity(self.field, self.nvars)
             for factor, exp in self.factors:
-                piece = factor.expand() if exp == 1 else factor.inverted().expand()
+                if exp == 1:
+                    piece = factor.expand()
+                elif isinstance(factor, Triangular):
+                    piece = factor.inverted(cap).expand()
+                else:
+                    piece = factor.inverted().expand()
                 out = compose(out, piece, cap=cap)
             self._expanded = out
         elif cap is not None:
@@ -394,8 +401,13 @@ class FactoredAuto:
         return self._expanded
 
     def inverse(self) -> "FactoredAuto":
-        return FactoredAuto(self.field, self.nvars,
-                            [(f, -e) for f, e in reversed(self.factors)])
+        """The inverse word, built once: its own inverse is this word."""
+        if self._inverse is None:
+            self._inverse = FactoredAuto(
+                self.field, self.nvars,
+                [(f, -e) for f, e in reversed(self.factors)])
+            self._inverse._inverse = self
+        return self._inverse
 
     def det(self) -> FieldElement:
         """Jacobian determinant of the word, without expanding it.  By the

@@ -41,6 +41,11 @@ class IndexOutOfRange(AlgebraError):
     pass
 
 
+class NegativeExponent(AlgebraError, ValueError):
+    """A monomial or a power with an exponent below zero; also a ValueError,
+    so callers that catch ValueError still catch it."""
+
+
 # -- automorphisms -----------------------------------------------------
 
 class InvalidFactor(AlgebraError):

@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 from math import log, log2
 from types import MappingProxyType
+from weakref import WeakValueDictionary
 
 from . import kernels
 from .errors import (DivisionByZero, FieldMismatch, NotPrime,
@@ -136,16 +137,34 @@ def _is_irreducible(modulus, p) -> bool:
     return True
 
 
+# The live Field handles by (kind, p, s, modulus): one handle per field.
+_HANDLES = WeakValueDictionary()
+
+
+def _interned(key) -> "Field":
+    """The live handle of a validated `key`, or a new one.  Constructors
+    look `key` up before validating, so a field is checked once while its
+    handle lives, and a failure, never cached, raises on every call."""
+    field = _HANDLES.get(key)
+    if field is None:
+        field = _HANDLES[key] = Field(*key)
+    return field
+
+
 class Field:
     """Handle for one of the supported exact fields.
 
-    Instances are immutable; two handles compare equal iff they describe the
-    same field with the same modulus.
+    One handle per field; equality is identity.  The constructors return
+    the live handle of a (kind, p, s, modulus) if there is one, so every
+    field comparison is an identity test, and per-field caches such as
+    `poly.identity_images` are shared by all callers.  Instances are
+    immutable.
     """
 
-    __slots__ = ("kind", "p", "s", "modulus", "_zero", "_one", "_identity")
+    __slots__ = ("kind", "p", "s", "modulus", "_zero", "_one", "_identity",
+                 "__weakref__")
 
-    def __init__(self, kind, p=None, s=None, modulus=None):
+    def __init__(self, kind, p, s, modulus):
         self.kind = kind
         self.p = p
         self.s = s
@@ -158,17 +177,26 @@ class Field:
 
     @staticmethod
     def rationals() -> "Field":
-        return Field(RATIONALS)
+        return _interned((RATIONALS, None, None, None))
 
     @staticmethod
     def prime(p: int) -> "Field":
+        field = _HANDLES.get((PRIME, p, 1, None))
+        if field is not None:
+            return field
         check_order(p)
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
-        return Field(PRIME, p=p, s=1)
+        return _interned((PRIME, p, 1, None))
 
     @staticmethod
     def extension(p: int, s: int, modulus=None) -> "Field":
+        if modulus is None:
+            modulus = CANONICAL_MODULI.get((p, s))
+        if modulus is not None:
+            field = _HANDLES.get((EXTENSION, p, s, tuple(modulus)))
+            if field is not None:
+                return field
         check_order(p)
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
@@ -178,17 +206,15 @@ class Field:
             raise UnsupportedField(
                 f"extension order {p}^{s} exceeds {MAX_EXTENSION_ORDER}")
         if modulus is None:
-            modulus = CANONICAL_MODULI.get((p, s))
-            if modulus is None:
-                raise ReducibleModulus(
-                    f"no canonical modulus shipped for F_{p}^{s}; supply one")
+            raise ReducibleModulus(
+                f"no canonical modulus shipped for F_{p}^{s}; supply one")
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != s + 1 or modulus[-1] != 1:
             raise ReducibleModulus("modulus must be monic of degree s")
         if not _is_irreducible(modulus, p):
             raise ReducibleModulus(
                 f"modulus {modulus} is reducible over F_{p}")
-        return Field(EXTENSION, p=p, s=s, modulus=modulus)
+        return _interned((EXTENSION, p, s, modulus))
 
     @staticmethod
     def of_order(q: int) -> "Field":
@@ -216,16 +242,6 @@ class Field:
     @property
     def one(self) -> "FieldElement":
         return self._one
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, Field) and self.kind == other.kind
-                and self.p == other.p and self.s == other.s
-                and self.modulus == other.modulus)
-
-    def __hash__(self):
-        return hash((self.kind, self.p, self.s, self.modulus))
 
     def __repr__(self):
         return f"Field({self.tag()})"

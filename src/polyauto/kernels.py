@@ -98,7 +98,7 @@ def ext_tables(p, modulus):
     inverse dict on the q-1 nonzero canonical s-tuples (the log/antilog
     tables of FLINT's fq_zech).  Built once per field with one walk of q-1
     products; the memo holds eight fields at once, since callers interleave
-    fields and re-create Field handles on every parse."""
+    fields."""
     s = len(modulus) - 1
     n = p ** s - 1
     one = (1,) + (0,) * (s - 1)

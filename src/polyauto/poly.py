@@ -15,10 +15,18 @@ used throughout the engine.
 Polynomials are immutable by contract: no method mutates `terms` after
 construction, so instances can be shared freely.
 
-Substitution is one accumulation for every field (PreparedImages): each
-term's last product is added into one map by the field's kernel.  Over Q it
-runs, as products do, on integer numerators over one shared denominator, so
-each canonical Fraction payload is built once per output term.
+A product with a one-term operand c x^k runs no kernel: it is a shift of
+every key by k and one coefficient product per term (`_shift`), and a power
+of one term is (k e, c^e).  Such products are most of them: monomials
+parsed as t*x2*x3^2, and substitutions by x_j, c x_j, a signed permutation
+or a monomial.
+
+Substitution is one accumulation for every field (PreparedImages): the
+powers of one-term images fold into each term's key and multiplier, and
+the product of the other images, if any, is added into one map by the
+field's kernel.  Over Q it runs, as products do, on integer numerators over
+one shared denominator, so each canonical Fraction payload is built once
+per output term.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from struct import Struct
 
 from . import kernels
 from .errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
-                     IndexOutOfRange)
+                     IndexOutOfRange, NegativeExponent)
 from .fields import EXTENSION, PRIME, RATIONALS, Field, FieldElement
 
 # Commutator expansion of long words can square degrees; the cap turns an
@@ -91,7 +99,7 @@ def check_exponents(exps: Sequence[int], nvars: int) -> tuple[int, ...]:
     if len(exps) != nvars:
         raise ArityMismatch("exponent vector length != nvars")
     if any(e < 0 for e in exps):
-        raise ValueError("negative exponent")
+        raise NegativeExponent("negative exponent")
     return exps
 
 
@@ -248,11 +256,16 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         check_degree("product of degree", self.deg() + other.deg())
-        field = self.field
-        if field.kind == RATIONALS:
-            terms = kernels.mul_terms_obj(self.terms, other.terms)
+        field, a, b = self.field, self.terms, other.terms
+        if len(a) == 1 or len(b) == 1:
+            if len(a) != 1:
+                a, b = b, a
+            (key, c), = a.items()
+            terms = _shift(field, b, key, c)
+        elif field.kind == RATIONALS:
+            terms = kernels.mul_terms_obj(a, b)
         else:
-            terms = _mul_terms(field, self.terms, other.terms)
+            terms = _mul_terms(field, a, b)
         return Polynomial(field, self.nvars, terms)
 
     def __rmul__(self, other):
@@ -264,18 +277,17 @@ class Polynomial:
         c = self.field.elem(c)
         if c.is_zero():
             return Polynomial.zero(self.field, self.nvars)
-        field = self.field
-        out = {}
-        for e, payload in self.terms.items():
-            v = field._pmul(payload, c.payload)
-            if not field._pis_zero(v):
-                out[e] = v
-        return Polynomial(field, self.nvars, out)
+        return Polynomial(self.field, self.nvars,
+                          _shift(self.field, self.terms, 0, c.payload))
 
     def __pow__(self, e: int) -> "Polynomial":
         if e < 0:
-            raise ValueError("negative polynomial power")
+            raise NegativeExponent("negative polynomial power")
         check_degree("power of degree", self.deg() * e)
+        if len(self.terms) == 1:
+            (key, c), = self.terms.items()
+            return Polynomial(self.field, self.nvars,
+                              {key * e: self.field._ppow(c, e)})
         result = Polynomial.one(self.field, self.nvars)
         base = self
         while e:
@@ -362,6 +374,17 @@ class Polynomial:
         return images.accumulate(live)
 
 
+def _shift(field: Field, terms: dict, key: int, c) -> dict:
+    """terms * c x^key, with c a nonzero payload: a product by one term is a
+    key addition and a coefficient product per term, with no kernel call.
+    Distinct keys stay distinct and a field has no zero divisors, so nothing
+    cancels."""
+    if c == field.one.payload:
+        return {k + key: v for k, v in terms.items()}
+    pmul = field._pmul
+    return {k + key: pmul(v, c) for k, v in terms.items()}
+
+
 def _mul_terms(field: Field, a: dict, b: dict, k=1, out=None) -> dict:
     """a * b, or k * a * b added into `out` (zero sums may stay in it), by
     the field's kernel: on F_p and F_{p^s} payloads, and over Q on integer
@@ -403,18 +426,24 @@ class PreparedImages(tuple):
             memo = self.powers[j] = {1: terms}
         got = memo.get(e)
         if got is None:
-            half = self.power(j, e // 2)
-            got = _mul_terms(self.field, half, half)
-            if e & 1:
-                got = _mul_terms(self.field, got, memo[1])
+            if len(memo[1]) == 1:  # a one-term image: (c x^key)^e
+                (key, c), = memo[1].items()
+                got = {key * e: self.field._ppow(c, e)}
+            else:
+                half = self.power(j, e // 2)
+                got = _mul_terms(self.field, half, half)
+                if e & 1:
+                    got = _mul_terms(self.field, got, memo[1])
             memo[e] = got
         return got
 
     def accumulate(self, live) -> Polynomial:
-        """sum of c * prod images[j]^e_j over (e, c) in `live`: each term's
-        last product adds into one map with c as multiplier, and each key is
-        normalised once.  Over Q, (e, c) is num(c) prod P_j^e_j over den(c)
-        prod d_j^e_j, scaled to the lcm D of those; each key is v / D."""
+        """sum of c * prod images[j]^e_j over (e, c) in `live`.  The powers
+        of one-term images fold into each term's key and multiplier; the
+        product of the others, if any, adds into one map by the kernel with
+        that multiplier, and each key is normalised once.  Over Q, (e, c) is
+        num(c) prod P_j^e_j over den(c) prod d_j^e_j, scaled to the lcm D of
+        those; each key is v / D."""
         field, kind = self.field, self.field.kind
         factors = [[self.power(j, k) for j, k in enumerate(e) if k]
                    for e, _ in live]
@@ -425,11 +454,25 @@ class PreparedImages(tuple):
                     for e, c in live]
             D = lcm(*dens)
             ks = [c.numerator * (D // t) for c, t in zip(ks, dens)]
-        one = {0: 1 if kind == RATIONALS else field.one.payload}
+        one = 1 if kind == RATIONALS else field.one.payload
         acc, times = {}, partial(_mul_terms, field)
+        pmul, padd = field._pmul, field._padd
         for fs, k in zip(factors, ks):
-            *head, last = fs or [one]
-            times(reduce(times, head) if head else one, last, k, acc)
+            key, many = 0, []
+            for f in fs:
+                if len(f) == 1:
+                    (fkey, c), = f.items()
+                    key, k = key + fkey, pmul(k, c)
+                else:
+                    many.append(f)
+            if not many:
+                got = acc.get(key)
+                acc[key] = k if got is None else padd(got, k)
+                continue
+            *head, last = many
+            first = (_shift(field, reduce(times, head), key, one) if head
+                     else {key: one})
+            times(first, last, k, acc)
         if kind == RATIONALS:
             terms = {e: Fraction(v, D) for e, v in acc.items() if v}
         elif kind == PRIME:

@@ -336,6 +336,19 @@ def test_cached_expansion_respects_a_smaller_cap(Q):
     assert word.expand(cap=None) is word.expand()
 
 
+def test_inverse_word_is_built_once(Q):
+    word = parse_factored("[Q,2] T(2; 1, x1^3) * E(1; x2)")
+    inv = word.inverse()
+    assert word.inverse() is inv
+    assert inv.inverse() is word
+    assert (word ** -1) is inv
+    assert inv.expand() is word.inverse().expand()
+    assert compose(word.expand(), inv.expand()) == Endo.identity(Q, 2)
+    # the cached expansion of the inverse still answers a smaller cap
+    with pytest.raises(DegreeCapExceeded):
+        inv.expand(cap=2)
+
+
 FACTOR_KINDS = ["L", "Tr", "E", "T", "S", "S-odd"]
 
 

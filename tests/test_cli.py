@@ -227,6 +227,22 @@ def test_verify_cap_alone_bounds_an_inverted_elementary_factor(tmp_path,
     assert "verdict: PASS" in out
 
 
+T_INV = "[Q,3] T(1; 1, x1^1500; 2, 0)^-1"
+
+
+@pytest.mark.parametrize("args", [["jacobian", T_INV], ["classify", T_INV]])
+def test_cap_reaches_an_inverted_triangular_factor(capsys, args):
+    # a3 = 2, so the factor is not elementary and its inverse substitutes:
+    # under the expansion's cap, not the default 1024
+    rc, out, err = run_cli(["--cap", "2000"] + args, capsys)
+    assert rc == 0, err
+    if args[0] == "jacobian":
+        assert out.strip() == "1/2"
+    rc, _, err = run_cli(args, capsys)
+    assert rc == 1
+    assert "DegreeCapExceeded" in err
+
+
 def test_certify_honours_cap_zero(capsys):
     rc, _, err = run_cli(["--cap", "0", "certify", "[Q,2] E(1; x2^3)"],
                          capsys)

@@ -44,6 +44,50 @@ def test_reducible_modulus_rejected():
         Field.extension(3, 1, (1, 1))
 
 
+def test_one_handle_per_field():
+    from polyauto.textio import parse_field
+    F9 = Field.of_order(9)
+    assert F9 is Field.extension(3, 2, (1, 0, 1))
+    assert F9 is Field.extension(3, 2, (4, 3, 7))  # the same modulus mod 3
+    assert parse_field("F9/t^2+1") is F9
+    assert Field.prime(7) is Field.of_order(7)
+    assert Field.rationals() is Field.rationals()
+    # t^2 + 2t + 2 is irreducible over F_3 too: a second field of order 9
+    other = Field.extension(3, 2, (2, 2, 1))
+    assert other is not F9 and other.order == F9.order
+    assert other is Field.extension(3, 2, (2, 2, 1))
+    assert other.one != F9.one
+
+
+def test_a_failed_construction_raises_on_every_call():
+    from polyauto import fields
+    for _ in range(3):
+        for p in (1, 9, 12):
+            with pytest.raises(NotPrime):
+                Field.prime(p)
+        with pytest.raises(NotPrime):
+            Field.extension(4, 2, (1, 1, 1))
+        # t^2 + 2 = (t + 1)(t + 2) over F_3
+        with pytest.raises(ReducibleModulus):
+            Field.extension(3, 2, (2, 0, 1))
+    assert ("extension", 3, 2, (2, 0, 1)) not in fields._HANDLES
+    assert ("prime", 9, 1, None) not in fields._HANDLES
+
+
+def test_the_table_drops_a_handle_nothing_references():
+    import gc
+    import weakref
+    from polyauto import fields
+    key = ("extension", 5, 2, (2, 0, 1))  # t^2 + 2: 3 is no square mod 5
+    field = Field.extension(5, 2, (2, 0, 1))
+    assert fields._HANDLES[key] is field
+    ref = weakref.ref(field)
+    del field
+    gc.collect()
+    assert ref() is None
+    assert key not in fields._HANDLES
+
+
 def test_canonical_moduli_are_irreducible():
     for (p, s) in CANONICAL_MODULI:
         f = Field.extension(p, s)

@@ -437,10 +437,9 @@ def test_identity_images_are_shared_per_field_and_n(Q, F4):
     assert identity_images(F4, 3) is xs
     assert xs == tuple(Polynomial.variable(F4, 3, i) for i in (1, 2, 3))
     assert len(identity_images(F4, 2)) == 2
-    # a second handle of the same field holds its own tuple of equal values
-    other = Field.of_order(4)
-    assert identity_images(other, 3) is not xs
-    assert identity_images(other, 3) == xs
+    # one handle per field, so every caller of the field shares the tuple
+    assert Field.of_order(4) is F4
+    assert identity_images(Field.of_order(4), 3) is xs
     assert _Parser("x2", F4, 3, None).atom() is xs[1]
     assert identity_images(Q, 3)[0].field is Q
 
@@ -644,3 +643,108 @@ def test_parse_refuses_a_product_over_the_bound(Q, monkeypatch):
         parse_polynomial("x1^40000*x1^40000", Q, 1, cap=None)
     with over_the_bound("power of degree", 70000):
         parse_polynomial("x1^70000", Q, 1, cap=None)
+
+
+# -- one-term products: packed-key shifts against the kernels and sympy ------
+
+
+def kernel_product(field, a, b):
+    """a * b of two term maps by the field's kernel, called directly."""
+    if field.order is None:
+        return kernels.mul_terms_obj(a, b)
+    if field.modulus is None:
+        return kernels.mul_terms_fp(a, b, field.p)
+    return kernels.mul_terms_ext(a, b, field.p, field.modulus)
+
+
+def one_term(rng, field, n, max_deg=4):
+    """c x^e with c a random unit and e on at most three variables."""
+    exps = [0] * n
+    for j in rng.sample(range(n), min(n, 3)):
+        exps[j] = rng.randint(0, max_deg)
+    c = rng.choice(list(field.units(bound=12)))
+    return Polynomial.monomial(field, n, c, exps)
+
+
+@pytest.mark.parametrize("order", [None, 7, 9])
+def test_one_term_products_match_the_kernels(order):
+    field = _Q if order is None else Field.of_order(order)
+    rng = random.Random(90 + (order or 0))
+    for _ in range(80):
+        n = rng.randint(1, 8)
+        mono = one_term(rng, field, n)
+        other = rand_poly(rng, field, n, rng.randint(0, 6), 3)
+        for p, q in ((mono, other), (other, mono), (mono, mono)):
+            assert (p * q).terms == kernel_product(field, p.terms, q.terms)
+        e = rng.randint(0, 6)
+        want = {0: field.one.payload}
+        for _ in range(e):
+            want = kernel_product(field, want, mono.terms)
+        assert (mono ** e).terms == want
+
+
+def one_term_images(rng, field, n, shape):
+    """Images of one shape: the identity, scaled variables c x_j, a signed
+    permutation, one-term monomials, or a mix of these and general
+    polynomials."""
+    perm = rng.sample(range(1, n + 1), n)
+    units = list(field.units(bound=12))
+    out = []
+    for j in range(n):
+        kind = shape if shape != "mixed" else rng.choice(
+            ["identity", "scaled", "signed", "monomial", "general"])
+        if kind == "identity":
+            out.append(Polynomial.variable(field, n, j + 1))
+        elif kind == "scaled":
+            out.append(Polynomial.variable(field, n, j + 1).scale(
+                rng.choice(units)))
+        elif kind == "signed":
+            out.append(Polynomial.variable(field, n, perm[j]).scale(
+                rng.choice([1, -1])))
+        elif kind == "monomial":
+            out.append(one_term(rng, field, n, 3))
+        else:
+            out.append(rand_poly(rng, field, n, rng.randint(2, 4), 2))
+    return out
+
+
+@pytest.mark.parametrize("order", [None, 7, 9])
+@pytest.mark.parametrize("shape", ["identity", "scaled", "signed",
+                                   "monomial", "mixed"])
+def test_compose_with_one_term_images_matches_sympy(order, shape):
+    sympy = pytest.importorskip("sympy")
+    field = _Q if order is None else Field.of_order(order)
+    rng = random.Random(len(shape) + (order or 0))
+    for _ in range(12):
+        n = rng.randint(1, 5)
+        oracle = SympyRing(sympy, field, n)
+        images = one_term_images(rng, field, n, shape)
+        phi = Endo(field, n, [rand_poly(rng, field, n, rng.randint(0, 5), 3)
+                              for _ in range(n)])
+        got = compose(phi, Endo(field, n, images))
+        for comp, want in zip(got.components, phi.components):
+            assert oracle.of(comp) == oracle.compose(want, images)
+
+
+def test_one_term_products_run_no_kernel(Q, F4, monkeypatch):
+    from polyauto.autos import Elementary, SignedPermutation
+    cases = []
+    for field in (Q, Field.prime(7), F4):
+        f = parse_polynomial("3*x2*x3^2-x2+1", field, 3)
+        phi = Elementary(field, 3, 1, f).expand()
+        one = field.one
+        perm = SignedPermutation(field, 3, (3, 1, 2), (one, -one, one))
+        for psi in (Endo.identity(field, 3), perm.expand()):
+            cases.append((phi, psi, compose(phi, psi)))
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a one-term product ran a kernel")
+
+    for name in ("mul_terms_int", "mul_terms_fp", "mul_terms_obj",
+                 "mul_terms_ext"):
+        monkeypatch.setattr(kernels, name, no_kernel)
+    p = parse_polynomial("t*x2*x3^2+x1", F4, 3)
+    assert list(p.sorted_terms()) == [((0, 1, 2), F4.generator()),
+                                      ((1, 0, 0), F4.one)]
+    for phi, psi, want in cases:
+        assert compose(phi, psi) == want

@@ -5,8 +5,8 @@ import pytest
 from polyauto.autos import elementary, linear_elementary, translation
 from polyauto.certificates import KIND_SLIN, verify_certificate
 from polyauto.errors import (ArityMismatch, DegenerateTarget, IdentityInput,
-                             IndexClash, IndexOutOfRange, UnsupportedField,
-                             ZeroScalar)
+                             IndexClash, IndexOutOfRange, NegativeExponent,
+                             UnsupportedField, ZeroScalar)
 from polyauto.fields import Field
 from polyauto.poly import Polynomial
 from polyauto.slin import (SlinContext, commutator_identity,
@@ -244,7 +244,7 @@ def test_monomial_exponent_vector_of_wrong_length_rejected(F4):
 
 def test_monomial_negative_exponent_rejected(F4):
     # used to end in a misleading NoSuchUnit from the Frobenius case
-    with pytest.raises(ValueError, match="negative exponent"):
+    with pytest.raises(NegativeExponent, match="negative exponent"):
         slin_from_monomial_elementary(SlinContext(F4, 2), 1, 1, (0, -1))
 
 
