@@ -78,20 +78,25 @@ def compose(phi: Endo, psi: Endo,
 
 # -- matrices over the field (helpers for affine maps) -------------------
 
+def _swap_pivot(M, col: int) -> int | None:
+    """Swap into row `col` the first row at or below it with a nonzero entry
+    in column `col`, and return that row's index; None if there is none."""
+    for row in range(col, len(M)):
+        if not M[row][col].is_zero():
+            M[col], M[row] = M[row], M[col]
+            return row
+    return None
+
+
 def mat_det(field: Field, A) -> FieldElement:
     n = len(A)
     M = [list(row) for row in A]
     det = field.one
     for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if not M[row][col].is_zero():
-                pivot = row
-                break
+        pivot = _swap_pivot(M, col)
         if pivot is None:
             return field.zero
         if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
             det = -det
         det = det * M[col][col]
         inv = M[col][col].inv()
@@ -109,15 +114,8 @@ def mat_inv(field: Field, A):
     M = [list(row) + [field.one if i == j else field.zero
                       for j in range(n)] for i, row in enumerate(A)]
     for col in range(n):
-        pivot = None
-        for row in range(col, n):
-            if not M[row][col].is_zero():
-                pivot = row
-                break
-        if pivot is None:
+        if _swap_pivot(M, col) is None:
             raise Singular("matrix is singular")
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
         inv = M[col][col].inv()
         M[col] = [x * inv for x in M[col]]
         for row in range(n):
@@ -375,9 +373,6 @@ class FactoredAuto:
     def identity(field: Field, nvars: int) -> "FactoredAuto":
         return FactoredAuto(field, nvars, ())
 
-    def is_identity_word(self) -> bool:
-        return not self.factors
-
     def expand(self, cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
         """The expanded map.  A cached expansion is checked against `cap`
         by its total degree, so a smaller cap than the first call's still
@@ -463,14 +458,18 @@ def translation(field: Field, n: int, vector) -> FactoredAuto:
     return FactoredAuto(field, n, [Translation(field, n, vec)])
 
 
-def dilation(field: Field, n: int, i: int, c) -> FactoredAuto:
-    """delta_{i,c}: scales x_i by the unit c."""
-    c = field.elem(c)
+def _diagonal(field: Field, n: int, entries: dict) -> FactoredAuto:
+    """The linear word of the identity matrix with entries[i] at (i, i)."""
     rows = [[field.one if r == s else field.zero for s in range(n)]
             for r in range(n)]
-    rows[i - 1][i - 1] = c
-    return FactoredAuto(field, n, [Linear(field, n,
-                                          tuple(tuple(r) for r in rows))])
+    for i, c in entries.items():
+        rows[i - 1][i - 1] = c
+    return FactoredAuto(field, n, [Linear(field, n, tuple(map(tuple, rows)))])
+
+
+def dilation(field: Field, n: int, i: int, c) -> FactoredAuto:
+    """delta_{i,c}: scales x_i by the unit c."""
+    return _diagonal(field, n, {i: field.elem(c)})
 
 
 def sl_dilation(field: Field, n: int, i: int, j: int, c) -> FactoredAuto:
@@ -478,12 +477,7 @@ def sl_dilation(field: Field, n: int, i: int, j: int, c) -> FactoredAuto:
     if i == j:
         raise InvalidFactor("delta_{i,j,c} needs i != j")
     c = field.elem(c)
-    rows = [[field.one if r == s else field.zero for s in range(n)]
-            for r in range(n)]
-    rows[i - 1][i - 1] = c
-    rows[j - 1][j - 1] = c.inv()
-    return FactoredAuto(field, n, [Linear(field, n,
-                                          tuple(tuple(r) for r in rows))])
+    return _diagonal(field, n, {i: c, j: c.inv()})
 
 
 def linear_elementary(field: Field, n: int, i: int, j: int, a) -> FactoredAuto:
@@ -563,25 +557,32 @@ def elementary_parts(phi: Endo):
     return i, f
 
 
-def invert_endo(phi: Endo, cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
-    """Exact inverse of an affine, elementary, or triangular expanded map."""
-    field = phi.field
-    n = phi.nvars
+def word_from_endo(phi: Endo) -> FactoredAuto:
+    """The one reading of an expanded map's shape: an elementary or a
+    triangular factor, or an affine map's translation and linear factor."""
+    field, n = phi.field, phi.nvars
     ep = elementary_parts(phi)
     if ep is not None:
-        return Elementary(field, n, ep[0], -ep[1]).expand()
-    parts = affine_parts(phi)
-    if parts is not None:
-        A, b = parts
-        Ainv = mat_inv(field, A)  # raises Singular when not invertible
-        # phi = T_b * L_A, so phi^{-1} = L_{A^{-1}} * T_{-b}
-        return compose(Linear(field, n, Ainv).expand(),
-                       Translation(field, n, b).inverted().expand())
-    tparts = triangular_parts(phi)
-    if tparts is not None:
-        return Triangular(field, n, *tparts).inverted(cap).expand()
-    raise NotStructured(
-        "can only invert affine, elementary, or triangular expanded maps")
+        return FactoredAuto(field, n, [Elementary(field, n, *ep)])
+    tp = triangular_parts(phi)
+    if tp is not None:
+        return FactoredAuto(field, n, [Triangular(field, n, *tp)])
+    ap = affine_parts(phi)
+    if ap is None:
+        raise NotStructured(
+            "expanded input is not affine/elementary/triangular; "
+            "pass a factored word instead")
+    A, b = ap
+    factors = [Linear(field, n, A)]
+    if any(not x.is_zero() for x in b):
+        factors.insert(0, Translation(field, n, b))
+    return FactoredAuto(field, n, factors)
+
+
+def invert_endo(phi: Endo, cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
+    """Exact inverse of an affine, elementary, or triangular expanded map:
+    the inverse of its word_from_endo, expanded under `cap`."""
+    return word_from_endo(phi).inverse().expand(cap=cap)
 
 
 # -- jacobian and classification --------------------------------------------
@@ -623,10 +624,6 @@ def jacobian_det(phi: Endo) -> Polynomial:
         return acc
 
     return minor(tuple(range(n)), tuple(range(n)))
-
-
-def is_special(phi: Endo) -> bool:
-    return jacobian_det(phi) == Polynomial.one(phi.field, phi.nvars)
 
 
 class Classification(Record):
@@ -672,7 +669,7 @@ def classify(phi: Endo) -> Classification:
         elementary=elem,
         triangular=tri,
         parabolic=is_parabolic(phi),
-        special=is_special(phi),
+        special=jacobian_det(phi) == Polynomial.one(phi.field, n),
     )
 
 

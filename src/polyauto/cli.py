@@ -13,14 +13,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .autos import (Endo, FactoredAuto, Linear, Translation, affine_parts,
-                    classify, compose, invert_endo, jacobian_det,
-                    vector_degree)
+from .autos import (Classification, Endo, FactoredAuto, classify, compose,
+                    invert_endo, jacobian_det, vector_degree, word_from_endo)
 from .certificates import (CheckRecord, VerificationReport,
                            parse_certificate, serialize_certificate,
                            verify_certificate)
-from .errors import (AlgebraError, DegreeCapExceeded, NotStructured,
-                     ParseError)
+from .errors import AlgebraError, DegreeCapExceeded, ParseError
 from .poly import DEFAULT_DEGREE_CAP
 from .textio import (endo_to_text, factored_to_text, parse_automorphism,
                      parse_derivation, parse_field, parse_polynomial,
@@ -33,36 +31,11 @@ def _as_endo(obj, cap) -> Endo:
     return obj
 
 
-def word_from_endo(phi: Endo) -> FactoredAuto:
-    """Wrap a structured expanded map as a one- or two-factor word."""
-    field, n = phi.field, phi.nvars
-    from .autos import elementary_parts, Elementary, triangular_parts, Triangular
-    ep = elementary_parts(phi)
-    if ep is not None:
-        return FactoredAuto(field, n, [Elementary(field, n, ep[0], ep[1])])
-    tp = triangular_parts(phi)
-    if tp is not None:
-        return FactoredAuto(field, n, [Triangular(field, n, tp[0], tp[1])])
-    ap = affine_parts(phi)
-    if ap is not None:
-        A, b = ap
-        factors = []
-        if any(not x.is_zero() for x in b):
-            factors.append(Translation(field, n, b))
-        factors.append(Linear(field, n, A))
-        return FactoredAuto(field, n, factors)
-    raise NotStructured(
-        "expanded input is not affine/elementary/triangular; "
-        "pass a factored word instead")
-
-
 def cmd_classify(args) -> int:
     obj = parse_automorphism(args.map, cap=args.cap)
     phi = _as_endo(obj, args.cap)
     flags = classify(phi)
-    for name in ("identity", "translation", "linear", "affine",
-                 "diagonal_affine", "elementary", "triangular",
-                 "parabolic", "special"):
+    for name in Classification.__slots__:
         print(f"{name}: {'yes' if getattr(flags, name) else 'no'}")
     return 0
 
@@ -215,9 +188,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except AlgebraError as exc:
+    except (AlgebraError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        # an unreadable or unwritable path is a usage problem, not a FAIL
+        return 2 if isinstance(exc, OSError) else 1
 
 
 if __name__ == "__main__":

@@ -108,23 +108,24 @@ def _normalize_pieces(field: Field, n: int,
                     "diagonal-affine conjugate of a triangular map "
                     "was not triangular")
             det = prod(parts[0], start=field.one)
-            diag_fix = dilation(field, n, 1, det).expand()
-            tau_sp = compose(invert_endo(diag_fix), conj)
-            carry = compose(carry, diag_fix)
+            tau_sp = conj
+            if not det.is_one():
+                diag_fix = dilation(field, n, 1, det).expand()
+                tau_sp = compose(invert_endo(diag_fix), conj)
+                carry = compose(carry, diag_fix)
             if not tau_sp.is_identity():
                 slots.insert(0, ("tau", tau_sp))
         else:
             W = compose(val, carry)
             A, b = affine_parts(W)
             d = mat_det(field, A)
-            lam = dilation(field, n, 1, d).expand()
-            # W = T_b * L_A and A = Lambda * Msl (row scaling), so the Df
-            # part T_b * L_Lambda moves into the carry
-            msl_rows = [list(row) for row in A]
-            for j in range(n):
-                msl_rows[0][j] = msl_rows[0][j] / d
-            msl = Linear(field, n, tuple(map(tuple, msl_rows))).expand()
-            carry = compose(Translation(field, n, b).expand(), lam)
+            carry = Translation(field, n, b).expand()
+            if not d.is_one():
+                # W = T_b * L_A and A = Lambda * Msl (row scaling), so the
+                # Df part T_b * L_Lambda moves into the carry
+                A = (tuple(x / d for x in A[0]),) + A[1:]
+                carry = compose(carry, dilation(field, n, 1, d).expand())
+            msl = Linear(field, n, A).expand()
             if not msl.is_identity():
                 slots.insert(0, ("alpha", msl))
     # fold the remaining Df carry into the suffix; its determinant is 1,
@@ -209,10 +210,6 @@ def _linear_word(field, n, endo: Endo) -> FactoredAuto:
     if any(not x.is_zero() for x in b):
         raise InternalIdentityFailure("expected a linear map")
     return FactoredAuto(field, n, [Linear(field, n, A)])
-
-
-def _triangular_word(field, n, endo: Endo) -> FactoredAuto:
-    return FactoredAuto(field, n, [triangular_from_endo(endo)])
 
 
 # -- the engines -----------------------------------------------------------------
@@ -356,8 +353,9 @@ def _engine_m4(builder, ref, form: MTriangularForm) -> str:
          (None, cur, -1)],
         expect=predicted, note=f"m=4 symmetrization c={probe.c}")
     # conjugate by tau1
-    sym = builder.add_step([(_triangular_word(field, n, tau1), step, 1)],
-                           note="shift the leading triangular factor")
+    sym = builder.add_step(
+        [(FactoredAuto(field, n, [triangular_from_endo(tau1)]), step, 1)],
+        note="shift the leading triangular factor")
     sigma1 = reduce(compose, (tau1_inv, probe.gamma, tau1))
     if builder.value(sym) != reduce(compose, middle, sigma1):
         raise InternalIdentityFailure("m=4 symmetric form failed")
@@ -399,9 +397,9 @@ def _engine_m4_symmetric(builder, cur, sigma1, beta1, sigma2, beta2,
         step = builder.add_step(
             [(endo_translation_word(probe.gamma), cur, 1), (None, cur, -1)],
             expect=predicted, note=f"m=4 descent c={probe.c}")
-        cur = builder.add_step(
-            [(_triangular_word(field, n, sigma1), step, 1)],
-            note="re-center the symmetric form")
+        sigma1_word = FactoredAuto(field, n, [triangular_from_endo(sigma1)])
+        cur = builder.add_step([(sigma1_word, step, 1)],
+                               note="re-center the symmetric form")
         sigma1 = reduce(compose, (sigma1_inv, gamma_inv, sigma1))
         sigma3 = sigma3_new
         if builder.value(cur) != reduce(compose, middle, sigma1):
@@ -452,8 +450,8 @@ def certify_normally_cotame(word: FactoredAuto,
         tau_word, alpha_word = _split_tau_alpha(prefix)
         seed = builder.add_seed(word, label="theta")
         terminal = _route_exp(builder, seed, tau_word, alpha_word, F, D)
-        path = "exponential" if tau_word.is_identity_word() \
-            and alpha_word.is_identity_word() else "triangular-exponential"
+        path = "triangular-exponential" if tau_word.factors \
+            or alpha_word.factors else "exponential"
         cite = "exponential-reduction"
     elif triangular_parts(val) is not None:
         seed = builder.add_seed(word, label="theta")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from math import factorial
 
 from .errors import (ArityMismatch, InvalidFactor, KernelViolation,
                      NilpotencyCapExceeded, UnsupportedCharacteristic)
@@ -99,13 +100,6 @@ def exp_images(F: Polynomial, D: TriDerivation) -> tuple[Polynomial, ...]:
                 raise NilpotencyCapExceeded(
                     f"exp series for x{i} did not terminate within "
                     f"{NILPOTENCY_CAP} steps")
-            acc = acc + term.scale(field.elem(Fraction(1, _factorial(m))))
+            acc = acc + term.scale(field.elem(Fraction(1, factorial(m))))
         comps.append(acc)
     return tuple(comps)
-
-
-def _factorial(m: int) -> int:
-    out = 1
-    for k in range(2, m + 1):
-        out *= k
-    return out

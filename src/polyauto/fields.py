@@ -125,12 +125,7 @@ def _is_irreducible(modulus, p) -> bool:
     for d in range(1, s // 2 + 1):
         # all monic candidates of degree d
         for idx in range(p ** d):
-            cand = []
-            k = idx
-            for _ in range(d):
-                cand.append(k % p)
-                k //= p
-            cand.append(1)
+            cand = kernels.digits(idx, p, d) + (1,)
             _, r = _fp_poly_divmod(modulus, cand, p)
             if not r:
                 return False
@@ -379,12 +374,7 @@ class Field:
                 yield FieldElement(self, r)
             return
         for idx in range(self.order):
-            vec = []
-            k = idx
-            for _ in range(self.s):
-                vec.append(k % self.p)
-                k //= self.p
-            yield FieldElement(self, tuple(vec))
+            yield FieldElement(self, kernels.digits(idx, self.p, self.s))
 
     def units(self, bound: int | None = None) -> Iterator["FieldElement"]:
         """Nonzero elements.

@@ -32,11 +32,6 @@ class IdentityResult(Record):
         self.ok = ok
 
 
-def _fields_from_tags(tags: Sequence[str]) -> list[Field]:
-    from .textio import parse_field
-    return [parse_field(t) for t in tags]
-
-
 # -- (a) the commutator formula ---------------------------------------------
 
 
@@ -240,7 +235,8 @@ def exp_commutator_checks(count: int = 20,
 
 def run_identity_suite(tags: Sequence[str] = DEFAULT_FIELD_TAGS,
                        seed: int = 2024) -> list[IdentityResult]:
-    fields = _fields_from_tags(tags)
+    from .textio import parse_field
+    fields = [parse_field(t) for t in tags]
     results: list[IdentityResult] = []
     for f in fields:
         results.extend(commutator_formula_checks(f))

@@ -79,6 +79,12 @@ def _ext_schoolbook(x, y, p, modulus):
     return tuple([c % p for c in prod[:s]])
 
 
+def digits(k, p, s):
+    """The s base-p digits of k, lowest first: the payload of the k-th
+    element of F_{p^s} in the integer encoding."""
+    return tuple(k // p ** i % p for i in range(s))
+
+
 def _prime_factors(n):
     out, r = [], 2
     while r * r <= n:
@@ -115,7 +121,7 @@ def ext_tables(p, modulus):
     # the first non-constant g in the integer encoding whose order is q-1
     rs = _prime_factors(n)
     for idx in range(p, n + 1):
-        g = tuple(idx // p ** i % p for i in range(s))
+        g = digits(idx, p, s)
         if all(power(g, n // r) != one for r in rs):
             break
     exp, x = [one], one

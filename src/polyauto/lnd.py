@@ -48,14 +48,19 @@ def exp_automorphism(F: Polynomial, D: TriDerivation) -> Endo:
     return endo
 
 
+def _check_exp_input(builder: CertBuilder, D: TriDerivation):
+    """Refuse a field of nonzero characteristic and a zero derivation."""
+    if builder.field.kind != RATIONALS:
+        raise UnsupportedCharacteristic("exponential reduction needs char 0")
+    if D.is_zero():
+        raise KernelViolation("the derivation must be nonzero")
+
+
 def reduce_exponential_ref(builder: CertBuilder, ref: str,
                            F: Polynomial, D: TriDerivation) -> str:
     """Descent on deg_{x_n} F; `ref` must hold exp(FD)."""
     field, n = builder.field, builder.nvars
-    if field.kind != RATIONALS:
-        raise UnsupportedCharacteristic("exponential reduction needs char 0")
-    if D.is_zero():
-        raise KernelViolation("the derivation must be nonzero")
+    _check_exp_input(builder, D)
     val = builder.value(ref)
     if val.is_identity():
         raise IdentityInput("exp(FD) is the identity")
@@ -92,10 +97,7 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
     parabolic reduction finishes.
     """
     field, n = builder.field, builder.nvars
-    if field.kind != RATIONALS:
-        raise UnsupportedCharacteristic("this reduction needs char 0")
-    if D.is_zero():
-        raise KernelViolation("the derivation must be nonzero")
+    _check_exp_input(builder, D)
     phi = builder.value(ref)
     if phi.is_identity():
         raise IdentityInput("input is the identity")

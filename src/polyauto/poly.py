@@ -288,14 +288,9 @@ class Polynomial:
             (key, c), = self.terms.items()
             return Polynomial(self.field, self.nvars,
                               {key * e: self.field._ppow(c, e)})
-        result = Polynomial.one(self.field, self.nvars)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        # the substitution's powering: x1^e with x1 -> self
+        return PreparedImages((self,), self.field).accumulate(
+            [((e,), self.field.one.payload)])
 
     def __eq__(self, other):
         if isinstance(other, int):

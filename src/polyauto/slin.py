@@ -21,7 +21,7 @@ from .certificates import KIND_SLIN, Certificate
 from .errors import (DegenerateTarget, IdentityInput, IndexClash,
                      InternalIdentityFailure, NoSuchUnit, NotAffine,
                      UnsupportedField, ZeroScalar)
-from .fields import EXTENSION, PRIME, RATIONALS, Field, FieldElement
+from .fields import PRIME, RATIONALS, Field, FieldElement
 from .poly import Polynomial, check_axis, check_exponents
 from .record import Record
 from .wordbuild import CertBuilder
@@ -220,15 +220,21 @@ class _SlinEngine:
             raise UnsupportedField(
                 "monomial membership is proved for fields other than F_p; "
                 f"got {field.tag()}")
-        if field.kind == EXTENSION and field.s < 2:
-            raise UnsupportedField("extension degree must be >= 2")
-        self.ctx = ctx
         self.field = field
         self.n = ctx.nvars
         self.builder = CertBuilder(field, ctx.nvars, KIND_SLIN)
         self.memo: dict[tuple[int, object, tuple[int, ...]], str] = {}
         self.cases_used = set()
         self.max_depth = 0
+
+    def certificate(self, label: str) -> Certificate:
+        """The certificate of `label`, with the proof case labels and the
+        recursion depth in its metadata."""
+        meta = self.builder.meta
+        meta["cases"] = ",".join(sorted(self.cases_used)) or "base"
+        meta["depth"] = str(self.max_depth)
+        return self.builder.to_certificate(label,
+                                           cite="finite-field-generation")
 
     # .. helpers ..
 
@@ -262,7 +268,7 @@ class _SlinEngine:
         if exps[k - 1]:
             raise IndexClash(f"monomial may not involve x{k}")
         self.max_depth = max(self.max_depth, depth)
-        key = (k, _payload_key(a), exps)
+        key = (k, a.payload, exps)
         got = self.memo.get(key)
         if got is not None:
             return got
@@ -410,10 +416,6 @@ class _SlinEngine:
                                      note="case 2b combination")
 
 
-def _payload_key(x: FieldElement):
-    return x.payload
-
-
 def axis_shift(poly: Polynomial, axis: int, amount: FieldElement) -> Polynomial:
     """(poly) eps_{axis, amount}: substitute x_axis -> x_axis + amount."""
     field, n = poly.field, poly.nvars
@@ -429,11 +431,7 @@ def slin_from_monomial_elementary(ctx: SlinContext, k: int, a,
     check_axis(k, ctx.nvars)
     exps = check_exponents(exps, ctx.nvars)
     engine = _SlinEngine(ctx)
-    a = ctx.field.elem(a)
-    label = engine.monomial_step(k, a, exps)
-    engine.builder.meta["cases"] = ",".join(sorted(engine.cases_used)) or "base"
-    engine.builder.meta["depth"] = str(engine.max_depth)
-    return engine.builder.to_certificate(label, cite="finite-field-generation")
+    return engine.certificate(engine.monomial_step(k, ctx.field.elem(a), exps))
 
 
 def slin_from_elementary(ctx: SlinContext, i: int, f: Polynomial) -> Certificate:
@@ -444,7 +442,4 @@ def slin_from_elementary(ctx: SlinContext, i: int, f: Polynomial) -> Certificate
     if f.involves(i):
         raise IndexClash(f"f may not involve x{i}")
     engine = _SlinEngine(ctx)
-    label = engine.sum_step(i, f, 0)
-    engine.builder.meta["cases"] = ",".join(sorted(engine.cases_used)) or "base"
-    engine.builder.meta["depth"] = str(engine.max_depth)
-    return engine.builder.to_certificate(label, cite="finite-field-generation")
+    return engine.certificate(engine.sum_step(i, f, 0))

@@ -19,7 +19,7 @@ from .autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
 from .derivations import TriDerivation
 from .errors import (ArityError, NotPrime, ParseError, ReducibleModulus,
                      UnsupportedField)
-from .fields import (EXTENSION, RATIONALS, Field, check_order, element_text,
+from .fields import (EXTENSION, Field, check_order, element_text,
                      prime_power)
 from .poly import (DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial, check_degree,
                    identity_images)
@@ -354,19 +354,6 @@ def parse_automorphism(text: str, cap: int | None = DEFAULT_DEGREE_CAP):
 
 # -- polynomial printing -------------------------------------------------------
 
-def _coeff_text(field: Field, payload) -> tuple[str, bool]:
-    """(text, needs_parens_when_multiplied)."""
-    if field.kind != EXTENSION:
-        return str(payload), False
-    nonzero = [e for e, c in enumerate(payload) if c]
-    if nonzero == [0]:
-        return str(payload[0]), False
-    if len(nonzero) == 1 and payload[nonzero[0]] == 1:
-        e = nonzero[0]
-        return ("t" if e == 1 else f"t^{e}"), False
-    return element_text(field, payload), True
-
-
 def poly_to_text(p: Polynomial) -> str:
     if p.is_zero():
         return "0"
@@ -376,11 +363,12 @@ def poly_to_text(p: Polynomial) -> str:
         mono = "*".join(
             (f"x{j+1}" if e == 1 else f"x{j+1}^{e}")
             for j, e in enumerate(exps) if e)
-        ctext, parens = _coeff_text(field, coeff.payload)
+        ctext = element_text(field, coeff.payload)
+        parens = "+" in ctext or "*" in ctext
         if mono:
             if ctext == "1":
                 body = mono
-            elif ctext == "-1" and field.kind == RATIONALS:
+            elif ctext == "-1":
                 body = "-" + mono
             elif parens:
                 body = f"({ctext})*{mono}"
@@ -400,8 +388,7 @@ def poly_to_text(p: Polynomial) -> str:
 # -- endomorphisms and derivations ---------------------------------------------
 
 def endo_to_text(phi) -> str:
-    comps = ", ".join(poly_to_text(c) for c in phi.components)
-    return f"[{phi.field.tag()},{phi.nvars}] ({comps})"
+    return f"[{phi.field.tag()},{phi.nvars}] {components_text(phi)}"
 
 
 def components_text(phi) -> str:

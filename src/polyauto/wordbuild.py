@@ -43,9 +43,6 @@ class CertBuilder:
     def value(self, label: str) -> Endo:
         return self._env[label][0]
 
-    def inverse(self, label: str) -> Endo:
-        return self._env[label][1]
-
     def is_step(self, label: str) -> bool:
         return any(s.label == label for s in self.steps)
 

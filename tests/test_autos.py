@@ -11,7 +11,8 @@ from polyauto.autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
                             classify, comm, compose, conj, dilation,
                             elementary, invert_endo, jacobian_det, make_basic,
                             mat_det, sl_dilation, translation,
-                            triangular_from_endo, vector_degree)
+                            triangular_from_endo, vector_degree,
+                            word_from_endo)
 from polyauto.errors import (DegreeCapExceeded, InvalidFactor, NotStructured,
                              NotTriangular)
 from polyauto.fields import Field
@@ -408,3 +409,49 @@ def test_invert_endo_honours_a_cap_above_and_below_the_default(Q):
     assert compose(phi, inv, cap=2000) == Endo.identity(Q, 3)
     with pytest.raises(DegreeCapExceeded):
         invert_endo(phi, cap=1000)
+
+
+@pytest.mark.parametrize("order", [None, 7, 9])
+def test_word_from_endo_expands_back_to_the_map(order):
+    """The word read from an elementary map, a triangular map (diagonal ones
+    too) or an affine map with or without a translation expands back to
+    that map, and is a word of those factor kinds only."""
+    field = Field.rationals() if order is None else Field.of_order(order)
+    rng = random.Random(61 + (order or 0))
+    units = list(field.units(bound=8))
+    for trial in range(30):
+        n = rng.randint(2, 3)
+        shape = ("E", "T", "diagonal", "L", "Tr", "Tr L")[trial % 6]
+        if shape == "diagonal":
+            zero = Polynomial.zero(field, n)
+            factors = [Triangular(field, n, tuple(rng.choice(units)
+                                                  for _ in range(n)),
+                                  (zero,) * n)]
+        else:
+            factors = [random_factor(rng, field, n, kind)
+                       for kind in shape.split()]
+        phi = FactoredAuto(field, n, factors).expand()
+        word = word_from_endo(phi)
+        assert word.expand() == phi, factors
+        assert all(exp == 1 and isinstance(
+            f, (Elementary, Triangular, Translation, Linear))
+            for f, exp in word.factors), word
+
+
+def test_word_from_endo_reads_each_shape(Q):
+    for text, kinds in (
+            ("[Q,2] (x1+x2^2, x2)", [Elementary]),
+            ("[Q,2] (x1+1, x2)", [Elementary]),
+            ("[Q,2] (2*x1, x2+x1^2)", [Triangular]),
+            ("[Q,2] (2*x1, 1/2*x2)", [Triangular]),
+            ("[Q,2] (x1+1, x2+1)", [Triangular]),
+            ("[Q,2] (x2, -x1)", [Linear]),
+            ("[Q,2] (x2+1, x1-3)", [Translation, Linear])):
+        phi = parse_endo(text)
+        word = word_from_endo(phi)
+        assert [type(f) for f, _ in word.factors] == kinds, text
+        assert word.expand() == phi, text
+    with pytest.raises(NotStructured):
+        word_from_endo(parse_endo("[Q,2] (x1+x2^2, x2+x1^2)"))
+    with pytest.raises(InvalidFactor, match="singular"):
+        word_from_endo(parse_endo("[Q,2] (x1+x2, x1+x2)"))

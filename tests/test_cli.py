@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -275,3 +276,46 @@ def test_verify_loads_no_engine(tmp_path):
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "[0, 0] [] []"
+
+
+def test_verify_of_a_missing_file_is_a_usage_error(tmp_path, capsys):
+    rc, out, err = run_cli(["verify", str(tmp_path / "missing.nct")], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: FileNotFoundError: ")
+    assert err.count("\n") == 1
+
+
+def test_verify_of_a_directory_is_a_usage_error(tmp_path, capsys):
+    rc, out, err = run_cli(["verify", str(tmp_path)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: IsADirectoryError: ")
+    assert err.count("\n") == 1
+
+
+def test_certify_into_a_missing_directory_is_a_usage_error(tmp_path,
+                                                           capsys):
+    target = tmp_path / "no" / "such" / "x.nct"
+    rc, out, err = run_cli(["certify", "[Q,2] (x1, x2+x1^2)", "--out",
+                            str(target)], capsys)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: FileNotFoundError: ")
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("text, sha256", [
+    ("[Q,3] (x1+2, x2+x1^2, x3-x1^2+x1*x2^4)",
+     "cd59a9bd916e469b5460e81dadc8012a26f2bc36a866c97228dae11391c5d3f9"),
+    ("[Q,2] (2*x1+x2+1, x1+x2)",
+     "e7728378bc2b004da6a24c6d65a4d1f1826fd78e8c01cbceeb028231afd796ab"),
+    ("[Q,2] (x1+x2^2, x2)",
+     "d2e6d8d2c72e975fc5d8f28f9c36dfae8fe0596b434ef7a5791303ca52a8f89b"),
+])
+def test_certify_bytes_of_expanded_inputs_are_pinned(tmp_path, capsys, text,
+                                                     sha256):
+    """An expanded input is read as a word by autos.word_from_endo; these
+    digests of the certificate files are pinned."""
+    path = tmp_path / "c.nct"
+    rc, _, _ = run_cli(["certify", text, "--out", str(path)], capsys)
+    assert rc == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256

@@ -748,3 +748,47 @@ def test_one_term_products_run_no_kernel(Q, F4, monkeypatch):
                                       ((1, 0, 0), F4.one)]
     for phi, psi, want in cases:
         assert compose(phi, psi) == want
+
+
+# -- multi-term powers: the substitution's powering against repeated products
+# and sympy ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [None, 7, 9])
+def test_multi_term_power_matches_repeated_products_and_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    field = _Q if order is None else Field.of_order(order)
+    rng = random.Random(31 + (order or 0))
+    for _ in range(8):
+        n = rng.randint(1, 4)
+        oracle = SympyRing(sympy, field, n)
+        p = Polynomial.zero(field, n)
+        while len(p.terms) < 2:
+            p = rand_poly(rng, field, n, rng.randint(2, 4), 2)
+        for base in (p, Polynomial.zero(field, n)):
+            want = Polynomial.one(field, n)
+            for e in range(8):
+                if e in (0, 1, 2, 7):
+                    got = base ** e
+                    assert got == want, (base, e)
+                    # sympy's rings refuse 0**0
+                    oracle_power = oracle.of(base) ** e if e else \
+                        oracle.ring.one
+                    if oracle.modulus is not None:
+                        oracle_power = oracle_power.rem(oracle.modulus)
+                    assert oracle.of(got) == oracle_power, (base, e)
+                want = want * base
+
+
+def test_multi_term_power_over_the_cap_does_no_work(Q, F9, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a power over MAX_DEGREE was expanded")
+
+    monkeypatch.setattr(PreparedImages, "accumulate", no_work)
+    for name in ("mul_terms_int", "mul_terms_fp", "mul_terms_obj",
+                 "mul_terms_ext"):
+        monkeypatch.setattr(kernels, name, no_work)
+    for field in (Q, Field.prime(7), F9):
+        x1, x2 = xvars(field, 2)
+        with over_the_bound("power of degree", 66000):
+            (x1 * x2 + 1) ** 33000

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from gen import rand_mixed_word
@@ -189,3 +191,22 @@ def test_wrong_arity_is_a_parse_error(Q):
         parse_endo("[Q,3] (x1, x2)")
     with pytest.raises(ArityError):
         parse_factored("[Q,2] T(1; 1; 1)")
+
+
+@pytest.mark.parametrize("tag, texts", [
+    ("F4", ["x1", "t*x1", "(t+1)*x1"]),
+    ("F9", ["x1", "2*x1", "t*x1", "(t+1)*x1", "(t+2)*x1", "(2*t)*x1",
+            "(2*t+1)*x1", "(2*t+2)*x1"]),
+])
+def test_coefficient_text_of_every_unit(tag, texts):
+    """c*x1 for every unit c: a coefficient is parenthesised exactly when
+    its element text holds a '+' or a '*'."""
+    field = parse_field(tag)
+    x1 = Polynomial.variable(field, 2, 1)
+    assert [poly_to_text(x1.scale(c)) for c in field.units()] == texts
+
+
+def test_rational_coefficient_text(Q):
+    x1 = Polynomial.variable(Q, 2, 1)
+    assert [poly_to_text(x1.scale(Q.elem(Fraction(c))))
+            for c in ("-1", "1/2", "-3/2")] == ["-x1", "1/2*x1", "-3/2*x1"]
