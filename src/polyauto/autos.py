@@ -19,7 +19,7 @@ from .errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
                      InvalidFactor, NotStructured, NotTriangular, Singular)
 from .fields import RATIONALS, Field, FieldElement
 from .poly import (DEFAULT_DEGREE_CAP, Polynomial, PreparedImages,
-                   identity_images)
+                   check_axis, identity_images)
 from .record import Record
 
 
@@ -463,6 +463,7 @@ def _diagonal(field: Field, n: int, entries: dict) -> FactoredAuto:
     rows = [[field.one if r == s else field.zero for s in range(n)]
             for r in range(n)]
     for i, c in entries.items():
+        check_axis(i, n)
         rows[i - 1][i - 1] = c
     return FactoredAuto(field, n, [Linear(field, n, tuple(map(tuple, rows)))])
 
@@ -478,6 +479,17 @@ def sl_dilation(field: Field, n: int, i: int, j: int, c) -> FactoredAuto:
         raise InvalidFactor("delta_{i,j,c} needs i != j")
     c = field.elem(c)
     return _diagonal(field, n, {i: c, j: c.inv()})
+
+
+def signed_swap(field: Field, n: int, i: int, j: int,
+                sign: FieldElement) -> FactoredAuto:
+    """The relabelling x_m -> x_{pi(m)} with pi = (i j), the first image
+    scaled by `sign`."""
+    perm = list(range(1, n + 1))
+    perm[i - 1], perm[j - 1] = j, i
+    signs = (sign,) + (field.one,) * (n - 1)
+    return FactoredAuto(field, n, [SignedPermutation(field, n, tuple(perm),
+                                                     signs)])
 
 
 def linear_elementary(field: Field, n: int, i: int, j: int, a) -> FactoredAuto:

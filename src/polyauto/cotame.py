@@ -18,14 +18,15 @@ from itertools import chain
 from math import prod
 
 from .autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
-                    SignedPermutation, Translation, affine_parts, compose,
-                    dilation, invert_endo, mat_det, mat_inv,
-                    triangular_from_endo, triangular_parts, vector_degree)
+                    Translation, affine_parts, compose, dilation, invert_endo,
+                    mat_det, signed_swap, triangular_from_endo,
+                    triangular_parts, vector_degree)
 from .certificates import KIND_COTAME, Certificate
 from .errors import (IdentityInput, InternalIdentityFailure, NotAlternating,
                      NotSpecial, NotStructured, UnsupportedCharacteristic,
                      UnsupportedM)
 from .fields import RATIONALS, Field
+from .lnd import reduce_triangular_exponential_ref
 from .poly import DEFAULT_DEGREE_CAP
 from .record import Record
 from .reduce_core import (CommutatorProbe, affine_terminal,
@@ -77,10 +78,7 @@ def _word_pieces(word: FactoredAuto) -> list[tuple[str, Endo]]:
             pieces.append(("tri", val))
         elif isinstance(base, Elementary):
             # relabel so the modified axis becomes the last variable
-            perm = list(range(1, n + 1))
-            perm[base.i - 1], perm[n - 1] = n, base.i
-            sigma = SignedPermutation(field, n, tuple(perm),
-                                      tuple([field.one] * n)).expand()
+            sigma = signed_swap(field, n, base.i, n, field.one).expand()
             middle = reduce(compose, (sigma, val, sigma))
             if triangular_parts(middle) is None:
                 raise NotAlternating(
@@ -128,34 +126,18 @@ def _normalize_pieces(field: Field, n: int,
             msl = Linear(field, n, A).expand()
             if not msl.is_identity():
                 slots.insert(0, ("alpha", msl))
-    # fold the remaining Df carry into the suffix; its determinant is 1,
-    # since the word is special and every slot was normalised to det 1
-    A, b = affine_parts(carry)
-    lam = Linear(field, n, A).expand()
-    Ainv = mat_inv(field, A)
-    tr_vec = tuple(sum((Ainv[i][j] * b[j] for j in range(n)), field.zero)
-                   for i in range(n))
-    if any(not x.is_zero() for x in tr_vec):
-        # carry = T_b * L_A = L_A * T_c with c = A^{-1} b; absorb the
-        # right-hand translation into the first tau before prepending the
-        # linear part
-        tr = Translation(field, n, tr_vec).expand()
-        _absorb_translation(field, n, slots, tr)
-    if not lam.is_identity():
-        slots.insert(0, ("alpha", lam))
+    # the word is special and every slot has determinant 1, so the carry is
+    # a translation: it passes the leading alpha slots into the first tau
+    if not carry.is_identity():
+        idx = next((i for i, (kind, _) in enumerate(slots)
+                    if kind != "alpha"), len(slots))
+        cur = translation_pass(carry, [(invert_endo(a), a)
+                                       for _, a in slots[:idx]])
+        if idx == len(slots):
+            slots.append(("tau", cur))
+        else:
+            slots[idx] = ("tau", compose(cur, slots[idx][1]))
     return _assemble(field, n, slots, pieces)
-
-
-def _absorb_translation(field, n, slots, tr: Endo):
-    """Insert a trailing-position translation into the first tau slot,
-    pushing it through leading alpha slots."""
-    idx = next((i for i, (kind, _) in enumerate(slots) if kind != "alpha"),
-               len(slots))
-    cur = translation_pass(tr, [(invert_endo(a), a) for _, a in slots[:idx]])
-    if idx == len(slots):
-        slots.append(("tau", cur))
-    else:
-        slots[idx] = ("tau", compose(cur, slots[idx][1]))
 
 
 def _assemble(field, n, slots, pieces) -> MTriangularForm:
@@ -445,13 +427,12 @@ def certify_normally_cotame(word: FactoredAuto,
                 "exponential input must be a single trailing Exp factor")
         factor, exp = word.factors[-1]
         F = factor.F if exp == 1 else -factor.F
-        D = factor.D
-        prefix = FactoredAuto(field, n, word.factors[:-1])
-        tau_word, alpha_word = _split_tau_alpha(prefix)
+        tau, alpha = _split_tau_alpha(word)
         seed = builder.add_seed(word, label="theta")
-        terminal = _route_exp(builder, seed, tau_word, alpha_word, F, D)
-        path = "triangular-exponential" if tau_word.factors \
-            or alpha_word.factors else "exponential"
+        terminal = reduce_triangular_exponential_ref(builder, seed, tau,
+                                                     alpha, F, factor.D)
+        path = "triangular-exponential" if len(word.factors) > 1 \
+            else "exponential"
         cite = "exponential-reduction"
     elif triangular_parts(val) is not None:
         seed = builder.add_seed(word, label="theta")
@@ -468,50 +449,25 @@ def certify_normally_cotame(word: FactoredAuto,
     return builder.to_certificate(terminal, cite=cite)
 
 
-def _route_exp(builder, seed, tau_word, alpha_word, F, D):
-    from .lnd import reduce_exponential_ref, reduce_triangular_exponential_ref
-    tau = tau_word.expand()
-    alpha = alpha_word.expand()
-    if tau.is_identity() and alpha.is_identity():
-        return reduce_exponential_ref(builder, seed, F, D)
-    return reduce_triangular_exponential_ref(builder, seed, tau, alpha, F, D)
-
-
-def _split_tau_alpha(prefix: FactoredAuto):
-    """Split the non-exponential prefix into a triangular part followed by a
-    linear part; raises when the factors interleave the wrong way."""
-    field, n = prefix.field, prefix.nvars
-    tau_factors = []
-    alpha_factors = []
-    phase = "tau"
-    for factor, exp in prefix.factors:
-        base = factor if exp == 1 else factor.inverted()
-        val = base.expand()
-        tri = triangular_parts(val) is not None
-        parts = affine_parts(val)
-        lin = parts is not None
-        if phase == "tau" and tri:
-            tau_factors.append((factor, exp))
-        elif lin:
-            phase = "alpha"
-            alpha_factors.append((factor, exp))
+def _split_tau_alpha(word: FactoredAuto) -> tuple[Endo, Endo]:
+    """The values (tau, alpha) of the factors before the trailing Exp: tau
+    is the product of the leading triangular factors, and the affine factors
+    that follow give alpha = T_b L_A, whose translation moves into tau so
+    that alpha = L_A.  Raises when the factors interleave the wrong way."""
+    field, n = word.field, word.nvars
+    tau = alpha = Endo.identity(field, n)
+    leading = True
+    for factor, exp in word.factors[:-1]:
+        val = (factor if exp == 1 else factor.inverted()).expand()
+        if leading and triangular_parts(val) is not None:
+            tau = compose(tau, val)
+        elif affine_parts(val) is not None:
+            leading = False
+            alpha = compose(alpha, val)
         else:
             raise NotStructured(
                 "prefix of an exponential word must be triangular factors "
                 "followed by affine factors")
-    alpha_word = FactoredAuto(field, n, alpha_factors)
-    alpha_val = alpha_word.expand()
-    aparts = affine_parts(alpha_val)
-    if aparts is None:
-        raise NotStructured("affine prefix part is not affine")
-    A, b = aparts
-    if any(not x.is_zero() for x in b):
-        # fold the translation part into tau: alpha = T_b L_A,
-        # tau' = tau * T_b stays triangular
-        tau_factors = tau_factors + [(Translation(field, n, b), 1)]
-        alpha_factors = [(Linear(field, n, A), 1)]
-        alpha_word = FactoredAuto(field, n, alpha_factors)
-    tau_word = FactoredAuto(field, n, tau_factors)
-    if triangular_parts(tau_word.expand()) is None:
-        raise NotStructured("triangular prefix part is not triangular")
-    return tau_word, alpha_word
+    A, b = affine_parts(alpha)
+    return (compose(tau, Translation(field, n, b).expand()),
+            Linear(field, n, A).expand())

@@ -1,9 +1,12 @@
 """The executable identity suite: the displayed group identities that the
 constructions rely on, checked by exact expansion over configurable fields.
 
-Each check returns an IdentityResult; the CLI `identities` subcommand and
-the acceptance tests share this module, so a failure anywhere is a failure
-everywhere.
+The commutator formula (a), the square trick (b) and the characteristic-two
+cubic word (c) are built by slin's constructions, the ones the certificates
+are made of, on a fresh CertBuilder: each step is checked against the value
+the identity states.  Each check returns an IdentityResult; the CLI
+`identities` subcommand and the acceptance tests share this module, so a
+failure anywhere is a failure everywhere.
 """
 
 from __future__ import annotations
@@ -12,12 +15,16 @@ import random
 from collections.abc import Iterable, Sequence
 from itertools import islice, product
 
-from .autos import (Endo, FactoredAuto, compose, dilation, elementary,
-                    sl_dilation)
+from .autos import Endo, compose, dilation, elementary
+from .certificates import KIND_COTAME
 from .derivations import TriDerivation, exp_images, kernel_check
+from .errors import InternalIdentityFailure
 from .fields import Field, FieldElement
 from .poly import Polynomial
 from .record import Record
+from .slin import (axis_shift, commutator_identity, cubic_identity,
+                   linear_elementary_from_translations)
+from .wordbuild import CertBuilder
 
 DEFAULT_FIELD_TAGS = ("Q", "F5", "F4", "F9")
 
@@ -32,13 +39,31 @@ class IdentityResult(Record):
         self.ok = ok
 
 
+def _holds(field: Field, n: int, build) -> bool:
+    """Whether `build(builder)` records its identity on a fresh builder:
+    add_step checks every step against the identity's stated value."""
+    builder = CertBuilder(field, n, KIND_COTAME)
+    try:
+        build(builder)
+    except InternalIdentityFailure:
+        return False
+    return True
+
+
+def _translation_seeds(builder: CertBuilder):
+    """The `provide` of slin's constructions: each axis translation is
+    added as a seed."""
+    return lambda axis, c: builder.add_seed(
+        elementary(builder.field, builder.nvars, axis, c))
+
+
 # -- (a) the commutator formula ---------------------------------------------
 
 
 def commutator_formula_checks(field: Field, n: int = 2,
                               limit: int = 50) -> list[IdentityResult]:
-    """eps_{i,a}^{-1} delta_{i,j,b} eps_{i,a} delta_{i,j,b}^{-1} = eps_{i,ab-a}."""
-    out = []
+    """eps_{i,a}^{-1} delta_{i,j,b} eps_{i,a} delta_{i,j,b}^{-1} = eps_{i,ab-a},
+    built by slin.commutator_identity."""
     pairs: Iterable[tuple[FieldElement, FieldElement]]
     if field.order is None:
         a_stream = [field.from_int(0)] + list(field.units(bound=9))
@@ -46,14 +71,10 @@ def commutator_formula_checks(field: Field, n: int = 2,
         pairs = islice(product(a_stream, b_stream), limit)
     else:
         pairs = ((a, b) for a in field.elements() for b in field.units())
-    for a, b in pairs:
-        eps = elementary(field, n, 1, a)
-        dil = sl_dilation(field, n, 1, 2, b)
-        got = (eps.inverse() * dil * eps * dil.inverse()).expand()
-        want = elementary(field, n, 1, a * b - a).expand()
-        out.append(IdentityResult(
-            "commutator-formula", field.tag(), f"a={a} b={b}", got == want))
-    return out
+    return [IdentityResult(
+        "commutator-formula", field.tag(), f"a={a} b={b}",
+        _holds(field, n, lambda bld: commutator_identity(bld, 1, 2, a, b)))
+        for a, b in pairs]
 
 
 # -- (b) the odd-characteristic square trick ----------------------------------
@@ -61,25 +82,17 @@ def commutator_formula_checks(field: Field, n: int = 2,
 
 def square_trick_checks(field: Field, n: int = 2,
                         limit: int = 20) -> list[IdentityResult]:
-    """eps_{i,a x_j} as a product of translations conjugated by eps_{i,x_j^2};
-    valid away from characteristic two."""
+    """eps_{i,a x_j} as a product of translations conjugated by eps_{i,x_j^2},
+    built by slin.linear_elementary_from_translations; valid away from
+    characteristic two."""
     assert field.characteristic != 2
-    out = []
     units = list(field.units(bound=limit)) if field.order is None else \
         list(field.units())
-    for a in units[:limit]:
-        i, j = 1, 2
-        xj = Polynomial.variable(field, n, j)
-        two = field.from_int(2)
-        four = field.from_int(4)
-        conj = elementary(field, n, i, xj * xj)
-        word = (elementary(field, n, i, -(a * a) / four)
-                * elementary(field, n, j, -(a / two))
-                * conj * elementary(field, n, j, a / two) * conj.inverse())
-        want = elementary(field, n, i, xj.scale(a)).expand()
-        out.append(IdentityResult(
-            "square-trick", field.tag(), f"a={a}", word.expand() == want))
-    return out
+    return [IdentityResult(
+        "square-trick", field.tag(), f"a={a}",
+        _holds(field, n, lambda bld: linear_elementary_from_translations(
+            bld, 1, 2, a, _translation_seeds(bld))))
+        for a in units[:limit]]
 
 
 # -- (c) the characteristic-two cubic claim -------------------------------------
@@ -87,38 +100,14 @@ def square_trick_checks(field: Field, n: int = 2,
 
 def char2_claim_checks(field: Field, n: int = 2) -> list[IdentityResult]:
     """All valid (a, b): the cubic conjugation word equals eps_{i, a x_j},
-    including the two displayed sub-identities with their exact f_1, f_2."""
+    including the two displayed sub-identities with their exact f_1, f_2,
+    built by slin.cubic_identity."""
     assert field.characteristic == 2 and field.order > 2
-    out = []
-    i, j = 1, 2
-    xj = Polynomial.variable(field, n, j)
-    for a in field.units():
-        for b in field.units():
-            if b == a:
-                continue
-            c = (b * b) / (a - b)
-            cube = xj ** 3
-
-            def half(mult: FieldElement, shift: FieldElement) -> FactoredAuto:
-                conj = elementary(field, n, i, cube.scale(mult))
-                return (elementary(field, n, i, -(mult * shift ** 3))
-                        * elementary(field, n, j, -shift)
-                        * conj * elementary(field, n, j, shift)
-                        * conj.inverse())
-
-            h1, h2 = half(c, b), half(b, c)
-            f1 = (xj * xj).scale(c * b) + xj.scale(c * b * b)
-            f2 = (xj * xj).scale(b * c) + xj.scale(b * c * c)
-            ok1 = h1.expand() == elementary(field, n, i, f1).expand()
-            ok2 = h2.expand() == elementary(field, n, i, f2).expand()
-            delta = sl_dilation(field, n, i, j, c)
-            whole = delta.inverse() * h1 * h2 * delta
-            want = elementary(field, n, i, xj.scale(a)).expand()
-            ok3 = whole.expand() == want
-            out.append(IdentityResult(
-                "char2-claim", field.tag(), f"a={a} b={b}",
-                ok1 and ok2 and ok3))
-    return out
+    return [IdentityResult(
+        "char2-claim", field.tag(), f"a={a} b={b}",
+        _holds(field, n, lambda bld: cubic_identity(
+            bld, 1, 2, a, b, _translation_seeds(bld))))
+        for a in field.units() for b in field.units() if b != a]
 
 
 # -- (d) the scaling observation ---------------------------------------------------
@@ -220,10 +209,7 @@ def exp_commutator_checks(count: int = 20,
         exp_inv = Endo(field, n, exp_images(-F, D))
         left = compose(compose(compose(eps.inverse().expand(), exp_inv),
                                eps.expand()), exp_l)
-        images = [Polynomial.variable(field, n, m + 1) for m in range(n)]
-        images[n - 1] = images[n - 1] + Polynomial.one(field, n)
-        shifted = F.substitute(images)
-        right = Endo(field, n, exp_images(F - shifted, D))
+        right = Endo(field, n, exp_images(F - axis_shift(F, n, field.one), D))
         out.append(IdentityResult(
             "exp-commutator", field.tag(),
             f"n={n} degF={F.deg()}", left == right))

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .autos import (Endo, FactoredAuto, Linear, SignedPermutation,
-                    affine_parts, compose, dilation, elementary,
-                    elementary_parts, is_parabolic, is_translation, mat_det,
-                    translation, triangular_parts, vector_degree)
+from .autos import (Endo, FactoredAuto, Linear, affine_parts, compose,
+                    dilation, elementary, elementary_parts, is_parabolic,
+                    is_translation, mat_det, signed_swap, translation,
+                    triangular_parts, vector_degree)
 from .errors import (IdentityInput, InternalIdentityFailure, NotParabolic,
                      NotTriangular, UnsupportedCharacteristic)
 from .fields import RATIONALS, Field
@@ -113,12 +113,7 @@ def _parabolic_normalizer(field: Field, n: int, k: int) -> FactoredAuto:
     when k = n (the commuting conditions already give the parabolic shape)."""
     if k == n:
         return FactoredAuto.identity(field, n)
-    perm = list(range(1, n + 1))
-    perm[k - 1], perm[n - 1] = n, k
-    signs = [field.one] * n
-    signs[0] = -field.one
-    return FactoredAuto(field, n, [SignedPermutation(
-        field, n, tuple(perm), tuple(signs))])
+    return signed_swap(field, n, k, n, -field.one)
 
 
 def endo_translation_word(gamma: Endo) -> FactoredAuto:
@@ -159,17 +154,8 @@ def require_vd_drop(before: tuple[int, ...], after: Endo,
 def affine_terminal(builder: CertBuilder, ref: str) -> str:
     """From a nontrivial special affine base, derive an axis translation
     eps_{i,c} (a nontrivial elementary map) and return its step label."""
-    val = builder.value(ref)
-    if val.is_identity():
-        raise IdentityInput("affine base is the identity")
-    if affine_parts(val) is None:
-        raise NotTriangular("base is not affine")
-    cur = ref
-    if not is_translation(val):
-        cur = translation_from_special_affine(builder, cur)
-    # cur now holds a nontrivial translation
-    val = builder.value(cur)
-    parts = elementary_parts(val)
+    cur = translation_from_special_affine(builder, ref)
+    parts = elementary_parts(builder.value(cur))
     if parts is not None and parts[1].is_constant():
         if builder.is_step(cur):
             return cur

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .autos import (Endo, FactoredAuto, SignedPermutation, affine_parts,
-                    elementary, elementary_parts, is_translation,
-                    linear_elementary, sl_dilation)
+from .autos import (Endo, affine_parts, elementary, elementary_parts,
+                    is_translation, linear_elementary, signed_swap,
+                    sl_dilation)
 from .certificates import KIND_SLIN, Certificate
 from .errors import (DegenerateTarget, IdentityInput, IndexClash,
                      InternalIdentityFailure, NoSuchUnit, NotAffine,
@@ -125,8 +125,7 @@ def linear_elementary_from_translations(builder: CertBuilder, i: int, j: int,
 
     `provide(axis, const)` must return a base label whose value is the axis
     translation eps_{axis, const}.  Characteristic two uses the cubic word
-    of the finite-field theorem (with the translation prefixes arranged so
-    that every displayed sub-identity expands exactly); F_2 is rejected.
+    of the finite-field theorem with the first unit b != a; F_2 is rejected.
     """
     field, n = builder.field, builder.nvars
     if i == j:
@@ -135,41 +134,50 @@ def linear_elementary_from_translations(builder: CertBuilder, i: int, j: int,
         raise ZeroScalar("a must be a unit")
     if field.order == 2:
         raise UnsupportedField("the identity requires a field other than F_2")
-    xj = Polynomial.variable(field, n, j)
-    expected = elementary(field, n, i, xj.scale(a)).expand()
     two = field.from_int(2)
-    if not two.is_zero():
-        half = a / two
-        quarter = -(a * a) / field.from_int(4)
-        conj_sq = elementary(field, n, i, xj * xj)
-        return builder.add_step(
-            [(None, provide(i, quarter), 1),
-             (None, provide(j, -half), 1),
-             (conj_sq.inverse(), provide(j, half), 1)],
-            expect=expected, note=f"linear elementary a*x{j} (odd char)")
-    # characteristic two: choose b != a, c = b^2/(a-b)
-    b = next(u for u in field.units() if u != a)
+    if two.is_zero():
+        b = next(u for u in field.units() if u != a)
+        return cubic_identity(builder, i, j, a, b, provide)
+    xj = Polynomial.variable(field, n, j)
+    half = a / two
+    quarter = -(a * a) / field.from_int(4)
+    conj_sq = elementary(field, n, i, xj * xj)
+    return builder.add_step(
+        [(None, provide(i, quarter), 1),
+         (None, provide(j, -half), 1),
+         (conj_sq.inverse(), provide(j, half), 1)],
+        expect=elementary(field, n, i, xj.scale(a)).expand(),
+        note=f"linear elementary a*x{j} (odd char)")
+
+
+def cubic_identity(builder: CertBuilder, i: int, j: int, a: FieldElement,
+                   b: FieldElement, provide) -> str:
+    """The characteristic-two cubic word for eps_{i, a*x_j}, b a unit other
+    than a and c = b^2/(a-b), with the translation prefixes arranged so
+    that every displayed sub-identity expands exactly.  Each half
+    h(m, s) = eps_{i,-m s^3} eps_{j,-s} eps_{i,m x_j^3} eps_{j,s} eps_{i,m x_j^3}^{-1}
+    is recorded as eps_{i, m s x_j^2 + m s^2 x_j}, and
+    delta_{i,j,c}^{-1} h(c,b) h(b,c) delta_{i,j,c} = eps_{i, a*x_j}.
+    `provide` is as for linear_elementary_from_translations."""
+    field, n = builder.field, builder.nvars
+    xj = Polynomial.variable(field, n, j)
     c = (b * b) / (a - b)
-    cube = xj * xj * xj
-    conj_c = elementary(field, n, i, cube.scale(c))
-    conj_b = elementary(field, n, i, cube.scale(b))
+
+    def half(m: FieldElement, s: FieldElement) -> str:
+        conj = elementary(field, n, i, (xj ** 3).scale(m))
+        f = (xj * xj).scale(m * s) + xj.scale(m * s * s)
+        return builder.add_step(
+            [(None, provide(i, -(m * s ** 3)), 1),
+             (None, provide(j, -s), 1),
+             (conj.inverse(), provide(j, s), 1)],
+            expect=elementary(field, n, i, f).expand(),
+            note=f"cubic half m={m} s={s}")
+
     delta = sl_dilation(field, n, i, j, c)
-    inner = [
-        (None, provide(i, -(c * b ** 3)), 1),
-        (None, provide(j, -b), 1),
-        (conj_c.inverse(), provide(j, b), 1),
-        (None, provide(i, -(b * c ** 3)), 1),
-        (None, provide(j, -c), 1),
-        (conj_b.inverse(), provide(j, c), 1),
-    ]
-    # Conjugate the whole inner word by delta_{i,j,c}: each item picks up the
-    # outer conjugator on top of its own.
-    items = []
-    for conj, base, exp in inner:
-        total = delta if conj is None else conj * delta
-        items.append((total, base, exp))
-    return builder.add_step(items, expect=expected,
-                            note=f"linear elementary a*x{j} (char 2)")
+    return builder.add_step(
+        [(delta, half(c, b), 1), (delta, half(b, c), 1)],
+        expect=elementary(field, n, i, xj.scale(a)).expand(),
+        note=f"linear elementary a*x{j} (char 2)")
 
 
 def translation_from_special_affine(builder: CertBuilder, alpha: str) -> str:
@@ -281,12 +289,7 @@ class _SlinEngine:
         field, n = self.field, self.n
         if k != 1:
             # conjugate by the signed transposition to push the axis to 1
-            perm = list(range(1, n + 1))
-            perm[0], perm[k - 1] = k, 1
-            signs = [field.one] * n
-            signs[0] = -field.one
-            pi = FactoredAuto(field, n, [SignedPermutation(
-                field, n, tuple(perm), tuple(signs))])
+            pi = signed_swap(field, n, 1, k, -field.one)
             # inside the monomial, x_1 relabels to x_k
             swapped = list(exps)
             swapped[0] = 0

@@ -13,8 +13,8 @@ from polyauto.autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
                             mat_det, sl_dilation, translation,
                             triangular_from_endo, vector_degree,
                             word_from_endo)
-from polyauto.errors import (DegreeCapExceeded, InvalidFactor, NotStructured,
-                             NotTriangular)
+from polyauto.errors import (DegreeCapExceeded, IndexOutOfRange,
+                             InvalidFactor, NotStructured, NotTriangular)
 from polyauto.fields import Field
 from polyauto.identities import random_kernel_pairs
 from polyauto.poly import Polynomial
@@ -130,6 +130,17 @@ def test_jacobian_examples(Q):
     assert jacobian_det(eps) == Polynomial.one(Q, 3)
     d = dilation(Q, 2, 1, 5).expand()
     assert jacobian_det(d) == Polynomial.constant(Q, 2, 5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda Q: dilation(Q, 2, 0, 5),
+    lambda Q: dilation(Q, 2, 3, 5),
+    lambda Q: sl_dilation(Q, 2, 0, 2, 5),
+    lambda Q: sl_dilation(Q, 2, 1, 3, 5),
+])
+def test_dilations_refuse_an_axis_out_of_range(Q, build):
+    with pytest.raises(IndexOutOfRange):
+        build(Q)
 
 
 def test_jacobian_of_a_dense_affine_map_is_its_matrix_determinant(Q):

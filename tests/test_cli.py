@@ -101,6 +101,30 @@ def test_identities_subcommand(capsys):
     assert "char2-claim" in out and "commutator-formula" in out
 
 
+def test_identities_output_over_extended_fields_is_pinned(capsys):
+    """The identity suite builds (a)-(c) with slin's constructions; its
+    report over these fields is pinned."""
+    rc, out, _ = run_cli(["identities", "--fields", "F4,F8,Q,F5,F9"], capsys)
+    assert rc == 0
+    assert out == """\
+ok   char2-claim            F4/t^2+t+1   6/6
+ok   char2-claim            F8/t^3+t+1   42/42
+ok   commutator-formula     F4/t^2+t+1   12/12
+ok   commutator-formula     F5           20/20
+ok   commutator-formula     F8/t^3+t+1   56/56
+ok   commutator-formula     F9/t^2+1     72/72
+ok   commutator-formula     Q            50/50
+ok   exp-commutator         Q            20/20
+ok   scaling-observation    F5           50/50
+ok   scaling-observation    F9/t^2+1     50/50
+ok   scaling-observation    Q            50/50
+ok   square-trick           F5           4/4
+ok   square-trick           F9/t^2+1     8/8
+ok   square-trick           Q            20/20
+identities: 460/460 passed
+"""
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "polyauto", "vd", "[Q,2] (x1, x2+x1^2)"],
@@ -319,3 +343,35 @@ def test_certify_bytes_of_expanded_inputs_are_pinned(tmp_path, capsys, text,
     rc, _, _ = run_cli(["certify", text, "--out", str(path)], capsys)
     assert rc == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("text, sha256", [
+    # the translation of the affine factors folds into tau
+    ("[Q,3] L[[0,1,0],[-1,0,0],[0,0,1]] * Tr(1,0,0) * Exp(x1; D(0, 0, x1))",
+     "bd2e0cd8e705346704a33e3151c7af6903e0e12dfc8f8edceebb5e85d2a16e36"),
+    ("[Q,3] T(1; 1, x1^2; 1) * L[[0,1,0],[-1,0,0],[0,0,1]] * Tr(1,2,0) "
+     "* Exp(x1*x2; D(0, 0, x1))",
+     "d72d849e7871b0f8097bfd454914b8c70efad131014740d11f8a63b64d1dac5d"),
+    # a pure Exp word whose value is triangular
+    ("[Q,3] Exp(x1; D(0, x1, 0))",
+     "eb7b23771a99f96465210087a805e0346f9f0da4b95812dcbb052cb0c62aa11a"),
+])
+def test_certify_bytes_of_exponential_words_are_pinned(tmp_path, capsys,
+                                                       text, sha256):
+    """cotame splits the factors before the trailing Exp into tau and
+    alpha; these digests of the certificate files are pinned, and each
+    certificate verifies."""
+    path = tmp_path / "c.nct"
+    rc, _, _ = run_cli(["certify", text, "--out", str(path)], capsys)
+    assert rc == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+    rc, out, _ = run_cli(["verify", str(path)], capsys)
+    assert rc == 0 and out.endswith("verdict: PASS\n")
+
+
+def test_certify_refuses_an_affine_factor_before_a_triangular_one(capsys):
+    rc, out, err = run_cli(
+        ["certify", "[Q,3] L[[0,1,0],[-1,0,0],[0,0,1]] * T(1; 1, x1^2; 1) "
+         "* Exp(x1; D(0, 0, x1))"], capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: NotStructured: ")

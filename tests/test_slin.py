@@ -9,7 +9,7 @@ from polyauto.errors import (ArityMismatch, DegenerateTarget, IdentityInput,
                              UnsupportedField, ZeroScalar)
 from polyauto.fields import Field
 from polyauto.poly import Polynomial
-from polyauto.slin import (SlinContext, commutator_identity,
+from polyauto.slin import (SlinContext, commutator_identity, cubic_identity,
                            linear_elementary_from_translations,
                            slin_from_elementary,
                            slin_from_monomial_elementary,
@@ -137,6 +137,30 @@ def test_linear_elementary_char2(F4):
     assert b.value(lbl) == linear_elementary(F4, 2, 1, 2, F4.one).expand()
     # with a = 1 the first admissible b is g and c = g^2/(1+g) = 1
     assert "char 2" in b.steps[-1].note
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_cubic_identity_records_its_displayed_halves(order):
+    """For every (a, b) with b != a and c = b^2/(a-b): the halves
+    eps_{1,f1}, eps_{1,f2} with f1 = cb x2^2 + cb^2 x2 and
+    f2 = bc x2^2 + bc^2 x2, then eps_{1,a x2}; the certificate verifies."""
+    field = Field.of_order(order)
+    x2 = Polynomial.variable(field, 2, 2)
+    for a in field.units():
+        for b in field.units():
+            if b == a:
+                continue
+            c = b * b / (a - b)
+            bld = builder(field, kind="normal-cotame")
+            lbl = cubic_identity(bld, 1, 2, a, b, provide_factory(bld))
+            want = [(x2 * x2).scale(c * b) + x2.scale(c * b * b),
+                    (x2 * x2).scale(b * c) + x2.scale(b * c * c),
+                    x2.scale(a)]
+            assert [s.value for s in bld.steps] == [
+                elementary(field, 2, 1, f).expand() for f in want]
+            assert bld.steps[-1].label == lbl
+            rep = verify_certificate(bld.to_certificate(lbl))
+            assert rep.verdict == "PASS", rep.format()
 
 
 def test_linear_elementary_f2_rejected(F2):
