@@ -19,7 +19,7 @@ from .errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
                      InvalidFactor, NotStructured, NotTriangular, Singular)
 from .fields import RATIONALS, Field, FieldElement
 from .poly import (DEFAULT_DEGREE_CAP, Polynomial, PreparedImages,
-                   check_axis, identity_images)
+                   cap_limit, check_axis, check_degree, identity_images)
 from .record import Record
 
 
@@ -45,6 +45,10 @@ class Endo:
     @staticmethod
     def identity(field: Field, nvars: int) -> "Endo":
         return Endo(field, nvars, identity_images(field, nvars))
+
+    def deg(self) -> int:
+        """The largest total degree of a component."""
+        return max(c.deg() for c in self.components)
 
     def is_identity(self) -> bool:
         return all(c.terms == x.terms for c, x in zip(
@@ -378,7 +382,7 @@ class FactoredAuto:
         by its total degree, so a smaller cap than the first call's still
         raises."""
         if self._expanded is None:
-            out = Endo.identity(self.field, self.nvars)
+            out = None
             for factor, exp in self.factors:
                 if exp == 1:
                     piece = factor.expand()
@@ -386,10 +390,18 @@ class FactoredAuto:
                     piece = factor.inverted(cap).expand()
                 else:
                     piece = factor.inverted().expand()
-                out = compose(out, piece, cap=cap)
-            self._expanded = out
+                if out is None:
+                    # the word starts at its first piece, held to the cap
+                    # as composing it after the identity would hold it
+                    for c in piece.components:
+                        check_degree("substitution term degree", c.deg(),
+                                     cap_limit(cap))
+                    out = piece
+                else:
+                    out = compose(out, piece, cap=cap)
+            self._expanded = out or Endo.identity(self.field, self.nvars)
         elif cap is not None:
-            deg = max(c.deg() for c in self._expanded.components)
+            deg = self._expanded.deg()
             if deg > cap:
                 raise DegreeCapExceeded(
                     f"expanded word degree {deg} exceeds cap {cap}")

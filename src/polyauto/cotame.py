@@ -94,8 +94,7 @@ def _word_pieces(word: FactoredAuto) -> list[tuple[str, Endo]]:
 def _normalize_pieces(field: Field, n: int,
                       pieces: list[tuple[str, Endo]]) -> MTriangularForm:
     """Right-to-left sweep with a diagonal-affine carry; see module docs."""
-    ident = Endo.identity(field, n)
-    carry = ident  # always in Df
+    carry = Endo.identity(field, n)  # always in Df
     slots: list[tuple[str, Endo]] = []  # normalized suffix, in word order
     for kind, val in reversed(pieces):
         if kind == "tri":
@@ -140,16 +139,21 @@ def _normalize_pieces(field: Field, n: int,
     return _assemble(field, n, slots, pieces)
 
 
+def _product(field, n, endos) -> Endo:
+    """e_1 * ... * e_k, started at e_1; the identity when there is none."""
+    return reduce(compose, endos) if endos else Endo.identity(field, n)
+
+
 def _assemble(field, n, slots, pieces) -> MTriangularForm:
-    ident = Endo.identity(field, n)
-    alphas = [ident]
+    runs: list[list[Endo]] = [[]]  # the alpha slots between the taus
     taus: list[Endo] = []
     for kind, val in slots:
         if kind == "alpha":
-            alphas[-1] = compose(alphas[-1], val)
+            runs[-1].append(val)
         else:
             taus.append(val)
-            alphas.append(ident)
+            runs.append([])
+    alphas = [_product(field, n, run) for run in runs]
     # re-normalize away taus that are diagonal affine (vector degree zero)
     if len(taus) > 1 and not all(any(vector_degree(t)) for t in taus):
         new_pieces = [("aff", alphas[0])]
@@ -158,7 +162,7 @@ def _assemble(field, n, slots, pieces) -> MTriangularForm:
             new_pieces += [(kind, tau), ("aff", a)]
         return _normalize_pieces(field, n, new_pieces)
     form = MTriangularForm(alphas, taus)
-    if form.expand() != reduce(compose, (val for _, val in pieces), ident):
+    if form.expand() != reduce(compose, (val for _, val in pieces)):
         raise InternalIdentityFailure("normal form does not expand to input")
     for a in alphas:
         parts = affine_parts(a)
@@ -239,9 +243,6 @@ def _absorb_linear_slot(builder, ref, form: MTriangularForm, trailing: bool):
         return ref, form
     word = _linear_word(field, n, a)
     side = "trailing" if trailing else "leading"
-    # a phi a^{-1} = conj(phi, a^{-1}) and a^{-1} phi a = conj(phi, a)
-    new = builder.add_step([(word.inverse() if trailing else word, ref, 1)],
-                           note=f"absorb {side} linear slot")
     ident = Endo.identity(field, n)
     alphas = list(form.alphas)
     if trailing:
@@ -249,8 +250,10 @@ def _absorb_linear_slot(builder, ref, form: MTriangularForm, trailing: bool):
     else:
         alphas[0], alphas[-1] = ident, compose(alphas[-1], a)
     new_form = MTriangularForm(alphas, list(form.taus))
-    if new_form.expand() != builder.value(new):
-        raise InternalIdentityFailure(f"{side}-slot absorption failed")
+    # a phi a^{-1} = conj(phi, a^{-1}) and a^{-1} phi a = conj(phi, a)
+    new = builder.add_step([(word.inverse() if trailing else word, ref, 1)],
+                           expect=new_form.expand(),
+                           note=f"absorb {side} linear slot")
     return new, new_form
 
 
@@ -295,16 +298,12 @@ def _engine_m3(builder, ref, form: MTriangularForm) -> str:
         tau2_new = reduce(compose, (invert_endo(tau2), gamma2, tau2))
         require_vd_drop(vd, tau2_new, "m=3 pivot vector degree")
         tau1_new = compose(invert_endo(probe.gamma), tau3_inv)
-        predicted = reduce(compose,
-                           (tau1_new, alpha2_inv, tau2_new, alpha2, tau3))
-        cur = builder.add_step(
-            [(endo_translation_word(probe.gamma), cur, -1), (None, cur, 1)],
-            expect=predicted, note=f"m=3 descent c={probe.c}")
         form = MTriangularForm([ident, alpha2_inv, alpha2, ident],
                                [tau1_new, tau2_new, tau3])
+        cur = builder.add_step(
+            [(endo_translation_word(probe.gamma), cur, -1), (None, cur, 1)],
+            expect=form.expand(), note=f"m=3 descent c={probe.c}")
         alpha1_inv = alpha2
-        if form.expand() != builder.value(cur):
-            raise InternalIdentityFailure("m=3 re-forming failed")
 
 
 def _engine_m4(builder, ref, form: MTriangularForm) -> str:
@@ -335,12 +334,11 @@ def _engine_m4(builder, ref, form: MTriangularForm) -> str:
          (None, cur, -1)],
         expect=predicted, note=f"m=4 symmetrization c={probe.c}")
     # conjugate by tau1
+    sigma1 = reduce(compose, (tau1_inv, probe.gamma, tau1))
     sym = builder.add_step(
         [(FactoredAuto(field, n, [triangular_from_endo(tau1)]), step, 1)],
+        expect=reduce(compose, middle, sigma1),
         note="shift the leading triangular factor")
-    sigma1 = reduce(compose, (tau1_inv, probe.gamma, tau1))
-    if builder.value(sym) != reduce(compose, middle, sigma1):
-        raise InternalIdentityFailure("m=4 symmetric form failed")
     return _engine_m4_symmetric(builder, sym, sigma1, alpha1, tau2, alpha2,
                                 tau3_new)
 
@@ -380,12 +378,11 @@ def _engine_m4_symmetric(builder, cur, sigma1, beta1, sigma2, beta2,
             [(endo_translation_word(probe.gamma), cur, 1), (None, cur, -1)],
             expect=predicted, note=f"m=4 descent c={probe.c}")
         sigma1_word = FactoredAuto(field, n, [triangular_from_endo(sigma1)])
-        cur = builder.add_step([(sigma1_word, step, 1)],
-                               note="re-center the symmetric form")
         sigma1 = reduce(compose, (sigma1_inv, gamma_inv, sigma1))
         sigma3 = sigma3_new
-        if builder.value(cur) != reduce(compose, middle, sigma1):
-            raise InternalIdentityFailure("m=4 re-centering failed")
+        cur = builder.add_step([(sigma1_word, step, 1)],
+                               expect=reduce(compose, middle, sigma1),
+                               note="re-center the symmetric form")
 
 
 def _dispatch_form(builder, ref, form: MTriangularForm) -> str:
@@ -455,19 +452,17 @@ def _split_tau_alpha(word: FactoredAuto) -> tuple[Endo, Endo]:
     that follow give alpha = T_b L_A, whose translation moves into tau so
     that alpha = L_A.  Raises when the factors interleave the wrong way."""
     field, n = word.field, word.nvars
-    tau = alpha = Endo.identity(field, n)
-    leading = True
+    taus, alphas = [], []
     for factor, exp in word.factors[:-1]:
         val = (factor if exp == 1 else factor.inverted()).expand()
-        if leading and triangular_parts(val) is not None:
-            tau = compose(tau, val)
+        if not alphas and triangular_parts(val) is not None:
+            taus.append(val)
         elif affine_parts(val) is not None:
-            leading = False
-            alpha = compose(alpha, val)
+            alphas.append(val)
         else:
             raise NotStructured(
                 "prefix of an exponential word must be triangular factors "
                 "followed by affine factors")
-    A, b = affine_parts(alpha)
-    return (compose(tau, Translation(field, n, b).expand()),
+    A, b = affine_parts(_product(field, n, alphas))
+    return (reduce(compose, [*taus, Translation(field, n, b).expand()]),
             Linear(field, n, A).expand())

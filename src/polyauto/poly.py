@@ -87,6 +87,12 @@ def check_degree(what: str, degree: int, cap: int = MAX_DEGREE):
         raise DegreeCapExceeded(f"{what} {degree} exceeds cap {cap}")
 
 
+def cap_limit(cap: int | None) -> int:
+    """The largest degree that `cap` lets through: never above MAX_DEGREE,
+    which None means."""
+    return MAX_DEGREE if cap is None else min(cap, MAX_DEGREE)
+
+
 def check_axis(i: int, nvars: int):
     """Refuse an index i outside 1..nvars."""
     if not 1 <= i <= nvars:
@@ -348,7 +354,7 @@ class Polynomial:
             images = PreparedImages(images, field)
         elif images.field != field:
             raise FieldMismatch("image over a different field")
-        cap = MAX_DEGREE if cap is None else min(cap, MAX_DEGREE)
+        cap = cap_limit(cap)
         n, degs = self.nvars, images.degs
         if len(self.terms) == 1:
             (key, c), = self.terms.items()

@@ -1,23 +1,29 @@
 """Construction-side certificate assembly.
 
-CertBuilder tracks the environment of derived values (and their inverses),
-evaluates each emitted word immediately, and refuses to record a step whose
-expansion disagrees with the engine's expected value.  Every value it holds
-is special: seeds are checked, and products and conjugates keep a constant
-determinant of 1, so the engines never ask again.  The independent
-verifier in polyauto.certificates re-checks everything from the serialized
-data; this module is the only place construction and evaluation meet.
+CertBuilder tracks the environment of derived values and their exact
+inverses, evaluates each emitted word immediately, and refuses to record a
+step whose value disagrees with the engine's prediction.  A step's INV, the
+reversed product of its items' inverses, is the exact two-sided inverse of
+the items' product P, so V * INV = id proves a prediction V = V * INV * P
+= P with one compose.  P is folded only without a prediction, or when a
+degree bound of that fold or of the proof exceeds the cap; under both
+bounds no skipped compose could meet the cap.  Every value held is special:
+seeds are checked, and products and conjugates keep a constant determinant
+of 1, so the engines never ask again.  The independent verifier in
+polyauto.certificates re-checks everything from the serialized data; this
+module is the only place construction and evaluation meet.
 """
 
 from __future__ import annotations
 
 from functools import partial, reduce
+from math import prod
 
 from .autos import Endo, FactoredAuto, compose
 from .certificates import Certificate, Seed, Step, WordItem
 from .errors import InternalIdentityFailure, NotSpecial
 from .fields import Field
-from .poly import DEFAULT_DEGREE_CAP
+from .poly import DEFAULT_DEGREE_CAP, cap_limit
 
 
 class CertBuilder:
@@ -69,13 +75,17 @@ class CertBuilder:
                  note: str = "", label: str | None = None) -> str:
         """items: iterable of (conjugator|None, base_label, exponent).
 
-        One pass over the items expands each conjugator g and its inverse
-        once, for both g^{-1} base^e g and g^{-1} base^{-e} g; the value is
-        the first ones' product in word order, the inverse the second ones'
-        in reverse order."""
+        Item g^{-1} base^e g has the inverse g^{-1} base^{-e} g, each g and
+        g^{-1} expanded once, and INV is the inverses' product in reverse
+        order.  With `expect`, the step holds when expect * INV = id (see
+        the module docs), unless the product over the items of
+        deg g^{-1} * deg base^e * deg g, or deg expect * deg INV, exceeds
+        the cap: then, as without `expect`, the items' product is folded in
+        the verifier's order and compared."""
         cap = self.cap
-        fold = partial(compose, cap=cap)
+        limit, fold = cap_limit(cap), partial(compose, cap=cap)
         word_items, values, inverses = [], [], []
+        bound = 1
         for conj, base, exponent in items:
             if base not in self._env:
                 raise KeyError(f"unknown base {base!r}")
@@ -83,17 +93,32 @@ class CertBuilder:
             core, core_inv = self._env[base]
             if exponent != 1:
                 core, core_inv = core_inv, core
+            pieces, inverse_pieces = (core,), (core_inv,)
             if conj is not None and conj.factors:
                 g = conj.expand(cap=cap)
                 ginv = conj.inverse().expand(cap=cap)
-                core = reduce(fold, (ginv, core, g))
-                core_inv = reduce(fold, (ginv, core_inv, g))
-            values.append(core)
-            inverses.append(core_inv)
-        ident = Endo.identity(self.field, self.nvars)
-        value = reduce(fold, values, ident)
-        inverse = reduce(fold, reversed(inverses), ident)
-        if expect is not None and value != expect:
+                pieces, inverse_pieces = (ginv, core, g), (ginv, core_inv, g)
+            bound *= prod(p.deg() for p in pieces)
+            # once the cap might stop the fold, conjugates are made in its
+            # order, so the first to meet the cap is the fold's first
+            lazy = expect is not None and bound <= limit
+            values.append(pieces if lazy else (reduce(fold, pieces),))
+            inverses.append(reduce(fold, inverse_pieces))
+
+        def product():
+            return reduce(fold, (reduce(fold, v) for v in values))
+
+        proof = expect is not None and bound <= limit
+        if not proof:
+            value = product()
+        inverse = reduce(fold, reversed(inverses))
+        if proof and expect.deg() * inverse.deg() > limit:
+            proof, value = False, product()
+        if proof:
+            value, ok = expect, compose(expect, inverse, cap=cap).is_identity()
+        else:
+            ok = expect is None or value == expect
+        if not ok:
             raise InternalIdentityFailure(
                 f"word expansion does not match the predicted value "
                 f"(note: {note or 'unnamed step'})")

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -346,6 +347,20 @@ def test_cached_expansion_respects_a_smaller_cap(Q):
         word.expand(cap=2)
     assert word.expand(cap=3) is word.expand()
     assert word.expand(cap=None) is word.expand()
+
+
+def test_expansion_holds_its_first_piece_to_the_cap(Q):
+    # the product starts at its first piece, which is refused as composing
+    # it after the identity would refuse it: by its first component over
+    # the cap, before a later compose would see degree 3 * 2
+    first = elementary(Q, 2, 1, X(Q, 2, 2) ** 3)
+    for word in (first, first * elementary(Q, 2, 2, X(Q, 2, 1) ** 2)):
+        with pytest.raises(DegreeCapExceeded,
+                           match="^substitution term degree 3 exceeds cap 2$"):
+            word.expand(cap=2)
+        assert word.expand(cap=6) == reduce(
+            compose, [factor.expand() for factor, _ in word.factors])
+    assert FactoredAuto.identity(Q, 2).expand() == Endo.identity(Q, 2)
 
 
 def test_inverse_word_is_built_once(Q):

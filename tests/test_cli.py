@@ -268,6 +268,16 @@ def test_cap_reaches_an_inverted_triangular_factor(capsys, args):
     assert "DegreeCapExceeded" in err
 
 
+def test_certify_holds_a_one_factor_word_to_the_expansion_cap(capsys):
+    # --cap 2000 lets the parse build x2^1100; certify expands the word
+    # under the default cap, which its only factor, the first piece of the
+    # expansion, exceeds
+    rc, _, err = run_cli(["--cap", "2000", "certify", "[Q,2] E(1; x2^1100)"],
+                         capsys)
+    assert rc == 1
+    assert "substitution term degree 1100 exceeds cap 1024" in err
+
+
 def test_certify_honours_cap_zero(capsys):
     rc, _, err = run_cli(["--cap", "0", "certify", "[Q,2] E(1; x2^3)"],
                          capsys)
