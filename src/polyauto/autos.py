@@ -25,9 +25,9 @@ from .record import Record
 
 class Endo:
     """Polynomial endomorphism given by its expanded component tuple:
-    (x_i) phi = components[i-1]."""
+    (x_i) phi = components[i-1].  Immutable, so its degree is taken once."""
 
-    __slots__ = ("field", "nvars", "components")
+    __slots__ = ("field", "nvars", "components", "_deg")
 
     def __init__(self, field: Field, nvars: int,
                  components: Sequence[Polynomial]):
@@ -41,6 +41,7 @@ class Endo:
         self.field = field
         self.nvars = nvars
         self.components = tuple(components)
+        self._deg = None
 
     @staticmethod
     def identity(field: Field, nvars: int) -> "Endo":
@@ -48,7 +49,9 @@ class Endo:
 
     def deg(self) -> int:
         """The largest total degree of a component."""
-        return max(c.deg() for c in self.components)
+        if self._deg is None:
+            self._deg = max(map(Polynomial.deg, self.components))
+        return self._deg
 
     def is_identity(self) -> bool:
         return all(c.terms == x.terms for c, x in zip(
@@ -78,6 +81,15 @@ def compose(phi: Endo, psi: Endo,
     images = PreparedImages(psi.components, psi.field)
     comps = [c.substitute(images, cap=cap) for c in phi.components]
     return Endo(phi.field, phi.nvars, comps)
+
+
+def start_product(phi: Endo, cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
+    """phi as the first piece of a product, held to the cap as composing it
+    after the identity would hold it: by its first component over the cap."""
+    if phi.deg() > cap_limit(cap):
+        for c in phi.components:
+            check_degree("substitution term degree", c.deg(), cap_limit(cap))
+    return phi
 
 
 # -- matrices over the field (helpers for affine maps) -------------------
@@ -390,15 +402,8 @@ class FactoredAuto:
                     piece = factor.inverted(cap).expand()
                 else:
                     piece = factor.inverted().expand()
-                if out is None:
-                    # the word starts at its first piece, held to the cap
-                    # as composing it after the identity would hold it
-                    for c in piece.components:
-                        check_degree("substitution term degree", c.deg(),
-                                     cap_limit(cap))
-                    out = piece
-                else:
-                    out = compose(out, piece, cap=cap)
+                out = (start_product(piece, cap) if out is None
+                       else compose(out, piece, cap=cap))
             self._expanded = out or Endo.identity(self.field, self.nvars)
         elif cap is not None:
             deg = self._expanded.deg()

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import re
 
-from .autos import Endo, FactoredAuto, affine_parts, compose, elementary_parts
+from .autos import (Endo, FactoredAuto, affine_parts, compose,
+                    elementary_parts, start_product)
 from .errors import DegreeCapExceeded, InvalidFactor
 from .fields import Field
-from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS
+from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, cap_limit
 from .record import Record
 from .textio import EOL, _Parser, components_text, factored_to_text
 
@@ -122,16 +123,30 @@ def verify_certificate(cert: Certificate,
 
     Uses only word expansion and determinants, compose, affine_parts and
     elementary_parts on the stored data; the word engines that produced
-    the certificate play no part here.
+    the certificate play no part here.  A step c_1*...*c_k = V is decided
+    as c_1*...*c_j = V*c_k^-1*...*c_{j+1}^-1 for the j that _split_point
+    picks (see docs/formats.md).
     """
     records: list[CheckRecord] = []
     indeterminate = False
     ident = Endo.identity(cert.field, cert.nvars)
-    env: dict[str, tuple[Endo, Endo]] = {}
+    limit = cap_limit(cap)
+    # label -> [value, inverse, inverse exact, seed word]: a seed's inverse
+    # is None until a check reads it, and a step's INV is exact when it
+    # passed inverse-pair
+    env: dict[str, list] = {}
 
     def record(label, check, ok, message=""):
         records.append(CheckRecord(label, check, ok, message))
         return ok
+
+    def conjugate(item, side):
+        """g^-1 * core * g for the item's core on `side` (0 its base's
+        value, 1 its inverse), composed as the word is read."""
+        entry, _, ginv, g, _ = item
+        core = entry[side]
+        return core if g is None else compose(compose(ginv, core, cap=cap),
+                                              g, cap=cap)
 
     ok_all = True
     labels = set()
@@ -143,12 +158,11 @@ def verify_certificate(cert: Certificate,
         labels.add(seed.label)
         try:
             value = seed.word.expand(cap=cap)
-            inverse = seed.word.inverse().expand(cap=cap)
         except DegreeCapExceeded as exc:
             indeterminate = True
             record(seed.label, "seed-expansion", False, str(exc))
             continue
-        env[seed.label] = (value, inverse)
+        env[seed.label] = [value, None, True, seed.word]
         special = seed.word.det().is_one()
         ok_all = record(seed.label, "seed-special", special,
                         "" if special else "seed Jacobian determinant != 1") and ok_all
@@ -172,20 +186,26 @@ def verify_certificate(cert: Certificate,
             continue
         ok_all = record(label, "inverse-pair", pair_ok,
                         "" if pair_ok else "stated inverse is not an inverse") and ok_all
-        product = ident
+        # per item: its entry, the side (0 value, 1 inverse) of its core, its
+        # conjugator's inverse and expansion (None, None without one), and
+        # the degree bound d_1*...*d_i of the fold through it
+        items, left = [], 1
         failed = False
         for idx, item in enumerate(step.items):
-            if item.base not in env:
+            entry = env.get(item.base)
+            if entry is None:
                 ok_all = record(label, f"item{idx}-base", False,
                                 f"unknown or later base {item.base!r}") and ok_all
                 failed = True
                 break
-            base_val, base_inv = env[item.base]
-            core = base_val if item.exponent == 1 else base_inv
+            side, conj = int(item.exponent != 1), item.conjugator
+            ginv = g = None
             try:
-                if item.conjugator is not None and item.conjugator.factors:
-                    g = item.conjugator.expand(cap=cap)
-                    special = item.conjugator.det().is_one()
+                if side and entry[1] is None:
+                    entry[1] = entry[3].inverse().expand(cap=cap)
+                if conj is not None and conj.factors:
+                    g = conj.expand(cap=cap)
+                    special = conj.det().is_one()
                     ok_all = record(
                         label, f"item{idx}-conjugator-special", special,
                         "" if special else
@@ -193,9 +213,10 @@ def verify_certificate(cert: Certificate,
                     if not special:
                         failed = True
                         break
-                    ginv = item.conjugator.inverse().expand(cap=cap)
-                    core = compose(compose(ginv, core, cap=cap), g, cap=cap)
-                product = compose(product, core, cap=cap)
+                    ginv = conj.inverse().expand(cap=cap)
+                left *= (entry[side].deg() if g is None
+                         else ginv.deg() * entry[side].deg() * g.deg())
+                items.append((entry, side, ginv, g, left))
             except DegreeCapExceeded as exc:
                 indeterminate = True
                 record(label, f"item{idx}-expansion", False, str(exc))
@@ -203,10 +224,28 @@ def verify_certificate(cert: Certificate,
                 break
         if failed:
             continue
-        match = product == step.value
+        j, bound = (_split_point(items, step.value) if len(items) > 1
+                    else (len(items), 0))
+        if bound > limit:
+            j = len(items)  # the fold, which the cap stops as any fold
+        try:
+            product = ident
+            for idx in range(j):
+                piece = conjugate(items[idx], items[idx][1])
+                product = (compose(product, piece, cap=cap) if idx
+                           else start_product(piece, cap))
+            other = step.value
+            for idx in range(len(items) - 1, j - 1, -1):
+                other = compose(other, conjugate(items[idx], 1 - items[idx][1]),
+                                cap=cap)
+        except DegreeCapExceeded as exc:
+            indeterminate = True
+            record(label, f"item{idx}-expansion", False, str(exc))
+            continue
+        match = product == other
         ok_all = record(label, "word-equals-value", match,
                         "" if match else "word expansion differs from claimed value") and ok_all
-        env[label] = (step.value, step.inverse)
+        env[label] = [step.value, step.inverse, pair_ok, None]
 
     # terminal checks
     if cert.terminal not in env or not any(
@@ -226,6 +265,27 @@ def verify_certificate(cert: Certificate,
     else:
         verdict = "FAIL"
     return VerificationReport(verdict, records)
+
+
+def _split_point(items, value: Endo) -> tuple[int, int]:
+    """(j, bound): the j >= 1 items kept on the left of a step of value V
+    that minimises max(d_1*...*d_j, deg V * d'_{j+1}*...*d'_k), d'_i being
+    d_i with the core's inverse, which only an exact inverse already read
+    lets move.  Ties keep the larger j, the fold being j = k."""
+    k, right = len(items), value.deg()
+    j, best = k, max(items[-1][4], right)
+    for i in range(k - 1, 0, -1):
+        entry, side, ginv, g, _ = items[i]
+        inverse = entry[1 - side]
+        if not entry[2] or inverse is None:
+            break
+        right *= (inverse.deg() if g is None
+                  else ginv.deg() * inverse.deg() * g.deg())
+        if right >= best:
+            break
+        if items[i - 1][4] < best:
+            j, best = i, max(items[i - 1][4], right)
+    return j, best
 
 
 # -- serialization -------------------------------------------------------------

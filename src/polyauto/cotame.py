@@ -97,8 +97,10 @@ def _normalize_pieces(field: Field, n: int,
     carry = Endo.identity(field, n)  # always in Df
     slots: list[tuple[str, Endo]] = []  # normalized suffix, in word order
     for kind, val in reversed(pieces):
+        plain = carry.is_identity()  # no conjugation by the identity
         if kind == "tri":
-            conj = reduce(compose, (invert_endo(carry), val, carry))
+            conj = val if plain else reduce(
+                compose, (invert_endo(carry), val, carry))
             parts = triangular_parts(conj)
             if parts is None:
                 raise InternalIdentityFailure(
@@ -113,7 +115,7 @@ def _normalize_pieces(field: Field, n: int,
             if not tau_sp.is_identity():
                 slots.insert(0, ("tau", tau_sp))
         else:
-            W = compose(val, carry)
+            W = val if plain else compose(val, carry)
             A, b = affine_parts(W)
             d = mat_det(field, A)
             carry = Translation(field, n, b).expand()

@@ -1,21 +1,24 @@
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyauto.autos import (Elementary, FactoredAuto, Linear, dilation,
                             elementary, sl_dilation, translation)
-from polyauto.certificates import (KIND_COTAME, KIND_SLIN, Step, WordItem,
-                                   parse_certificate, serialize_certificate,
-                                   verify_certificate)
-from polyauto.errors import DegreeCapExceeded, ParseError
+from polyauto.certificates import (KIND_COTAME, KIND_SLIN, Seed, Step,
+                                   WordItem, _split_point, parse_certificate,
+                                   serialize_certificate, verify_certificate)
+from polyauto.errors import AlgebraError, DegreeCapExceeded, ParseError
 from polyauto.fields import Field
 from polyauto.poly import Polynomial
-from polyauto.textio import parse_factored
+from polyauto.textio import parse_endo, parse_factored
 from polyauto.wordbuild import CertBuilder
+from reference_verifier import reference_verify
 
 Q = Field.rationals()
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def single_seed_cert():
@@ -183,6 +186,137 @@ def test_indeterminate_on_cap():
     cert = commutator_cert()
     rep = verify_certificate(cert, cap=0)
     assert rep.verdict == "INDETERMINATE"
+    assert rep.verdict == reference_verify(cert, cap=0).verdict
+
+
+def test_unused_seed_inverse_over_the_cap_is_not_expanded():
+    # the extra seed's value has degree 40 and its inverse degree 1200; no
+    # check reads the inverse, so the cap of 1024 does not stop the file
+    b = CertBuilder(Q, 3, KIND_COTAME)
+    cert = b.to_certificate(b.passthrough(b.add_seed(elementary(Q, 3, 1, 1))))
+    cert.seeds.append(Seed("s9", parse_factored(
+        "[Q,3] T(1; 1, x1^40; 1, x2^30)")))
+    cert = parse_certificate(serialize_certificate(cert))
+    rep = verify_certificate(cert)
+    assert rep.verdict == "PASS", rep.format()
+    assert reference_verify(cert).verdict == "INDETERMINATE"
+
+
+def found_collapse_step():
+    """The `m=2 collapse c=1` step on which certifying the [Q,3] 2-triangular
+    word of CHANGES.md stalls: folding its items g^-1 b^-1 g, b (g a
+    translation) composes A = g^-1 b^-1 g (373 terms, degree 10) with b (67
+    terms, degree 5), which took 44 s, for a value of 7 terms of degree 1."""
+    return parse_certificate((DATA / "found_collapse_step.nct").read_text())
+
+
+def test_found_collapse_step_verifies_within_a_second():
+    # A = V * b^-1 is decided instead, at a degree bound of 10 against 50
+    cert = found_collapse_step()
+    t0 = time.perf_counter()
+    rep = verify_certificate(cert)
+    assert time.perf_counter() - t0 < 1
+    assert [(r.check, r.ok) for r in rep.records] == [
+        ("seed-special", True), ("inverse-pair", True),
+        ("item0-conjugator-special", True), ("word-equals-value", True),
+        ("terminal-elementary", False)]
+
+
+def test_cap_hit_while_weighing_a_split_is_indeterminate():
+    # reading the seed's inverse (degree 10) for item 0 meets the cap of 9;
+    # at a cap of 10 the split's bound is met and the step is decided
+    rep = verify_certificate(found_collapse_step(), cap=9)
+    assert rep.verdict == "INDETERMINATE"
+    assert [(r.label, r.check, r.message) for r in rep.records
+            if not r.ok][0] == (
+        "t1", "item0-expansion", "substitution term degree 10 exceeds cap 9")
+    rep = verify_certificate(found_collapse_step(), cap=10)
+    assert ("word-equals-value", True) in [(r.check, r.ok)
+                                           for r in rep.records]
+
+
+def test_split_point_moves_items_only_for_a_smaller_bound():
+    def item(text, exact=True, left=1):
+        # (entry, side, g^-1, g, fold bound through the item), as listed by
+        # verify_certificate for an item with no conjugator
+        value = parse_endo(f"[Q,2] {text}")
+        return [value, value, exact, None], 0, None, None, left
+
+    value = parse_endo("[Q,2] (x1, x2)")
+    quartic, linear = "(x1, x2+x1^4)", "(x1+x2, x2)"
+    # fold bound 4 * 4 against max(4, 1 * 4): the second item moves
+    assert _split_point([item(quartic, left=4), item(quartic, left=16)],
+                        value) == (1, 4)
+    # fold bound 4 * 1 against max(4, 1 * 1): a tie keeps the fold
+    assert _split_point([item(quartic, left=4), item(linear, left=4)],
+                        value) == (2, 4)
+    # an inverse that failed inverse-pair does not move
+    assert _split_point([item(quartic, left=4),
+                         item(quartic, exact=False, left=16)], value) == (2, 16)
+
+
+def test_first_piece_over_the_cap_is_indeterminate():
+    # t1's INV, of degree 5, is wrong, so t1 fails inverse-pair yet enters
+    # the environment; t2 starts from it, and under a cap of 4 that start
+    # meets the cap as composing it after the identity would
+    text = ("NCT 1\nFIELD Q\nVARS 2\nKIND normal-cotame\nSEED s E(1; x2)\n"
+            "STEP t1\n  ITEM BASE s EXP +1\n  VALUE (x2, x2)\n"
+            "  INV (x1-x2^5, x2)\nSTEP t2\n  ITEM BASE t1 EXP -1\n"
+            "  VALUE (x1, x2+1)\n  INV (x1, x2-1)\nTERMINAL t2\nEND\n")
+    rep = same_as_reference(parse_certificate(text), cap=4)
+    assert rep.verdict == "INDETERMINATE"
+    assert ("t2", "item0-expansion") in [(r.label, r.check)
+                                         for r in rep.records]
+
+
+def same_as_reference(cert, cap=None):
+    """verify_certificate and the reference give the same records and
+    verdict, except that an unread seed inverse over the cap does not make
+    verify_certificate INDETERMINATE; returns the report."""
+    kw = {} if cap is None else {"cap": cap}
+    rep, ref = verify_certificate(cert, **kw), reference_verify(cert, **kw)
+    if rep.verdict != ref.verdict:
+        assert ref.verdict == "INDETERMINATE"
+        assert {r.check for r in ref.records if "exceeds cap" in r.message} \
+            == {"seed-expansion"}
+        assert not any("exceeds cap" in r.message for r in rep.records)
+    else:
+        assert rep.records == ref.records
+    return rep
+
+
+@lru_cache(maxsize=None)
+def corpus_texts():
+    """The serialized certificates of the 25 acceptance-corpus words."""
+    from polyauto.cotame import certify_normally_cotame
+    from test_acceptance import corpus_words
+    return tuple(serialize_certificate(certify_normally_cotame(word))
+                 for _, word in corpus_words())
+
+
+def test_verifier_agrees_with_the_reference_on_the_corpus():
+    for text in corpus_texts():
+        assert same_as_reference(parse_certificate(text)).verdict == "PASS"
+
+
+def test_verifier_agrees_with_the_reference_on_slin_at_n2():
+    from polyauto.slin import SlinContext, slin_from_monomial_elementary
+    from test_acceptance import monomials_up_to
+    count = 0
+    for q, top in ((4, 20), (8, 20), (9, 6), (16, 6), (25, 6), (27, 6)):
+        ctx = SlinContext(Field.of_order(q), 2)
+        for a in ctx.field.units():
+            for free in monomials_up_to(1, top):
+                try:
+                    cert = slin_from_monomial_elementary(ctx, 1, a,
+                                                         (0,) + free)
+                except AlgebraError:
+                    continue  # the refusals of x2^11 and x2^14 over F4
+                text = serialize_certificate(cert)
+                assert same_as_reference(
+                    parse_certificate(text)).verdict == "PASS"
+                count += 1
+    assert count == 715
 
 
 def test_verifier_is_firewalled_from_construction():
@@ -416,5 +550,5 @@ def test_mutated_certificate_ends_in_a_verdict_or_typed_error(edits):
         cert = parse_certificate(text)
     except (ParseError, DegreeCapExceeded):
         return
-    assert verify_certificate(cert).verdict in ("PASS", "FAIL",
-                                                "INDETERMINATE")
+    assert same_as_reference(cert).verdict in ("PASS", "FAIL",
+                                               "INDETERMINATE")
