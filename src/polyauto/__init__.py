@@ -1,20 +1,28 @@
 """polyauto: exact polynomial automorphism algebra with machine-checkable
 normal-closure certificates.
 
-The algebra core (fields, poly, autos) is self-contained; certificates are
+The algebra core (fields, poly, maps) is self-contained; certificates are
 verified by polyauto.certificates with no dependency on the construction
-engines (slin, cotame, lnd).
+engines (slin, cotame, lnd) or their tools (autos).
+
+Importing the package loads none of its modules: each public name is
+imported from its home module when it is first read (PEP 562).
 """
 
-from .autos import (Endo, FactoredAuto, classify, comm, compose, conj,
-                    elementary, invert_endo, jacobian_det, make_basic,
-                    translation, vector_degree)
-from .certificates import (Certificate, parse_certificate,
-                           serialize_certificate, verify_certificate)
-from .fields import Field, FieldElement, field_arith
-from .poly import Polynomial, poly_arith
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_HOMES = {
+    "Field": "fields", "FieldElement": "fields", "field_arith": "fields",
+    "Polynomial": "poly", "poly_arith": "poly",
+    "Endo": "maps", "FactoredAuto": "maps", "compose": "maps",
+    "classify": "autos", "comm": "autos", "conj": "autos",
+    "elementary": "autos", "invert_endo": "autos", "jacobian_det": "autos",
+    "make_basic": "autos", "translation": "autos", "vector_degree": "autos",
+    "Certificate": "nct", "serialize_certificate": "nct",
+    "verify_certificate": "certificates", "parse_certificate": "certificates",
+}
 
 __all__ = [
     "Field", "FieldElement", "field_arith", "Polynomial", "poly_arith",
@@ -23,3 +31,15 @@ __all__ = [
     "vector_degree", "Certificate", "verify_certificate",
     "serialize_certificate", "parse_certificate", "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # not cached here, so a name rebound in its home module is read afresh
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{home}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

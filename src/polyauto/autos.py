@@ -1,454 +1,37 @@
-"""Polynomial endomorphisms and automorphisms.
+"""Tools over polynomial automorphisms for the engines and the CLI:
+factor builders, conjugates and commutators, the shape readers of expanded
+maps and their inversion, the Jacobian determinant, and classification.
 
-Composition follows the right-action convention: polynomials are acted on
-from the right, so the word phi*psi sends P to ((P)phi)psi and the composed
-tuple is compose(phi, psi)[i] = substitute(phi[i], psi.components).
-
-Basic factors (linear, translation, elementary, triangular, signed
-permutation, exp of a triangular derivation) expand to tuples and invert
-structurally, so every factored word is invertible by construction.
+The maps and words themselves live in polyauto.maps, which the verifier
+loads without this module; the public names of polyauto.maps that the
+engines read are also bound here.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from math import prod
-
-from .derivations import TriDerivation, exp_images, kernel_check
-from .errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
-                     InvalidFactor, NotStructured, NotTriangular, Singular)
-from .fields import RATIONALS, Field, FieldElement
-from .poly import (DEFAULT_DEGREE_CAP, Polynomial, PreparedImages,
-                   cap_limit, check_axis, check_degree, identity_images)
+from .errors import InvalidFactor, NotStructured, NotTriangular
+from .fields import Field, FieldElement
+from .maps import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
+                   SignedPermutation, Translation, Triangular, affine_parts,
+                   compose, elementary_parts, mat_det)
+from .poly import (DEFAULT_DEGREE_CAP, Polynomial, check_axis,
+                   identity_images)
 from .record import Record
 
-
-class Endo:
-    """Polynomial endomorphism given by its expanded component tuple:
-    (x_i) phi = components[i-1].  Immutable, so its degree is taken once."""
-
-    __slots__ = ("field", "nvars", "components", "_deg")
-
-    def __init__(self, field: Field, nvars: int,
-                 components: Sequence[Polynomial]):
-        if len(components) != nvars:
-            raise ArityMismatch(f"need {nvars} components")
-        for c in components:
-            if c.field != field:
-                raise FieldMismatch("component over a different field")
-            if c.nvars != nvars:
-                raise ArityMismatch("component with wrong arity")
-        self.field = field
-        self.nvars = nvars
-        self.components = tuple(components)
-        self._deg = None
-
-    @staticmethod
-    def identity(field: Field, nvars: int) -> "Endo":
-        return Endo(field, nvars, identity_images(field, nvars))
-
-    def deg(self) -> int:
-        """The largest total degree of a component."""
-        if self._deg is None:
-            self._deg = max(map(Polynomial.deg, self.components))
-        return self._deg
-
-    def is_identity(self) -> bool:
-        return all(c.terms == x.terms for c, x in zip(
-            self.components, identity_images(self.field, self.nvars)))
-
-    def __eq__(self, other):
-        if not isinstance(other, Endo):
-            return NotImplemented
-        return (self.field == other.field and self.nvars == other.nvars
-                and self.components == other.components)
-
-    def __hash__(self):
-        return hash((self.field, self.components))
-
-    def __repr__(self):
-        from .textio import endo_to_text
-        return endo_to_text(self)
-
-
-def compose(phi: Endo, psi: Endo,
-            cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
-    """The word phi*psi under the right-action convention."""
-    if phi.field != psi.field:
-        raise FieldMismatch("composing over different fields")
-    if phi.nvars != psi.nvars:
-        raise ArityMismatch("composing different arities")
-    images = PreparedImages(psi.components, psi.field)
-    comps = [c.substitute(images, cap=cap) for c in phi.components]
-    return Endo(phi.field, phi.nvars, comps)
-
-
-def start_product(phi: Endo, cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
-    """phi as the first piece of a product, held to the cap as composing it
-    after the identity would hold it: by its first component over the cap."""
-    if phi.deg() > cap_limit(cap):
-        for c in phi.components:
-            check_degree("substitution term degree", c.deg(), cap_limit(cap))
-    return phi
-
-
-# -- matrices over the field (helpers for affine maps) -------------------
-
-def _swap_pivot(M, col: int) -> int | None:
-    """Swap into row `col` the first row at or below it with a nonzero entry
-    in column `col`, and return that row's index; None if there is none."""
-    for row in range(col, len(M)):
-        if not M[row][col].is_zero():
-            M[col], M[row] = M[row], M[col]
-            return row
-    return None
-
-
-def mat_det(field: Field, A) -> FieldElement:
-    n = len(A)
-    M = [list(row) for row in A]
-    det = field.one
-    for col in range(n):
-        pivot = _swap_pivot(M, col)
-        if pivot is None:
-            return field.zero
-        if pivot != col:
-            det = -det
-        det = det * M[col][col]
-        inv = M[col][col].inv()
-        for row in range(col + 1, n):
-            if M[row][col].is_zero():
-                continue
-            factor = M[row][col] * inv
-            for j in range(col, n):
-                M[row][j] = M[row][j] - factor * M[col][j]
-    return det
-
-
-def mat_inv(field: Field, A):
-    n = len(A)
-    M = [list(row) + [field.one if i == j else field.zero
-                      for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        if _swap_pivot(M, col) is None:
-            raise Singular("matrix is singular")
-        inv = M[col][col].inv()
-        M[col] = [x * inv for x in M[col]]
-        for row in range(n):
-            if row != col and not M[row][col].is_zero():
-                f = M[row][col]
-                M[row] = [x - f * y for x, y in zip(M[row], M[col])]
-    return tuple(tuple(row[n:]) for row in M)
-
-
-# -- basic factors -------------------------------------------------------
-
-class Linear(Record):
-    """Invertible linear map x_i -> sum_j matrix[i][j] x_j."""
-    __slots__ = ("field", "nvars", "matrix")
-
-    def __init__(self, field: Field, nvars: int,
-                 matrix: tuple[tuple[FieldElement, ...], ...]):
-        if len(matrix) != nvars or any(len(r) != nvars for r in matrix):
-            raise InvalidFactor("linear factor needs an n x n matrix")
-        if mat_det(field, matrix).is_zero():
-            raise InvalidFactor("linear factor matrix is singular")
-        self.field = field
-        self.nvars = nvars
-        self.matrix = matrix
-
-    def expand(self) -> Endo:
-        comps = []
-        for i in range(self.nvars):
-            p = Polynomial.zero(self.field, self.nvars)
-            for j in range(self.nvars):
-                a = self.matrix[i][j]
-                if not a.is_zero():
-                    p = p + Polynomial.variable(
-                        self.field, self.nvars, j + 1).scale(a)
-            comps.append(p)
-        return Endo(self.field, self.nvars, comps)
-
-    def inverted(self) -> "Linear":
-        return Linear(self.field, self.nvars, mat_inv(self.field, self.matrix))
-
-    def det(self) -> FieldElement:
-        return mat_det(self.field, self.matrix)
-
-
-class Translation(Record):
-    __slots__ = ("field", "nvars", "vector")
-
-    def __init__(self, field: Field, nvars: int,
-                 vector: tuple[FieldElement, ...]):
-        if len(vector) != nvars:
-            raise InvalidFactor("translation vector length != n")
-        self.field = field
-        self.nvars = nvars
-        self.vector = vector
-
-    def expand(self) -> Endo:
-        comps = [Polynomial.variable(self.field, self.nvars, i + 1)
-                 + Polynomial.constant(self.field, self.nvars, b)
-                 for i, b in enumerate(self.vector)]
-        return Endo(self.field, self.nvars, comps)
-
-    def inverted(self) -> "Translation":
-        return Translation(self.field, self.nvars,
-                           tuple(-b for b in self.vector))
-
-    def det(self) -> FieldElement:
-        return self.field.one
-
-
-class Elementary(Record):
-    """x_i -> x_i + f with f free of x_i; everything else fixed."""
-    __slots__ = ("field", "nvars", "i", "f")
-
-    def __init__(self, field: Field, nvars: int, i: int, f: Polynomial):
-        if not 1 <= i <= nvars:
-            raise InvalidFactor(f"index {i} out of range")
-        if f.field != field or f.nvars != nvars:
-            raise InvalidFactor("elementary polynomial has wrong field/arity")
-        if f.involves(i):
-            raise InvalidFactor(f"f may not involve x{i}")
-        self.field = field
-        self.nvars = nvars
-        self.i = i
-        self.f = f
-
-    def expand(self) -> Endo:
-        comps = list(identity_images(self.field, self.nvars))
-        comps[self.i - 1] = comps[self.i - 1] + self.f
-        return Endo(self.field, self.nvars, comps)
-
-    def inverted(self) -> "Elementary":
-        return Elementary(self.field, self.nvars, self.i, -self.f)
-
-    def det(self) -> FieldElement:
-        return self.field.one
-
-
-class Triangular(Record):
-    """Lower triangular: x_i -> a_i x_i + P_i(x_1..x_{i-1}), a_i units."""
-    __slots__ = ("field", "nvars", "scalars", "polys")
-
-    def __init__(self, field: Field, nvars: int,
-                 scalars: tuple[FieldElement, ...],
-                 polys: tuple[Polynomial, ...]):
-        if len(scalars) != nvars or len(polys) != nvars:
-            raise InvalidFactor("triangular factor needs n scalars and n polys")
-        for i, (a, p) in enumerate(zip(scalars, polys), start=1):
-            if a.is_zero():
-                raise InvalidFactor(f"scalar a{i} must be a unit")
-            for j in range(i, nvars + 1):
-                if p.involves(j):
-                    raise InvalidFactor(
-                        f"P{i} may only involve x1..x{i-1}")
-        self.field = field
-        self.nvars = nvars
-        self.scalars = scalars
-        self.polys = polys
-
-    def expand(self) -> Endo:
-        comps = [Polynomial.variable(self.field, self.nvars, i + 1).scale(a) + p
-                 for i, (a, p) in enumerate(zip(self.scalars, self.polys))]
-        return Endo(self.field, self.nvars, comps)
-
-    def inverted(self, cap: int | None = DEFAULT_DEGREE_CAP) -> "Triangular":
-        """Back-substitution: x_i -> a_i^{-1} (x_i - P_i(inverse images of
-        x_1..x_{i-1})), each P_i substituted under `cap`.  An elementary
-        factor (every a_i = 1, at most one P_i nonzero) is inverted by
-        negating its P_i, with no substitution and so under no cap, as
-        invert_endo inverts an elementary map."""
-        field, n = self.field, self.nvars
-        if all(a.is_one() for a in self.scalars) and \
-                sum(not p.is_zero() for p in self.polys) <= 1:
-            return Triangular(field, n, self.scalars,
-                              tuple(-p for p in self.polys))
-        images = list(identity_images(field, n))
-        scalars, polys = [], []
-        for i, (a, p) in enumerate(zip(self.scalars, self.polys)):
-            ainv = a.inv()
-            q = p.substitute(images, cap=cap).scale(-ainv)
-            images[i] = images[i].scale(ainv) + q
-            scalars.append(ainv)
-            polys.append(q)
-        return Triangular(field, n, tuple(scalars), tuple(polys))
-
-    def det(self) -> FieldElement:
-        return prod(self.scalars, start=self.field.one)
-
-
-class SignedPermutation(Record):
-    """x_i -> sign_i * x_{perm[i]} (perm 1-based)."""
-    __slots__ = ("field", "nvars", "perm", "signs")
-
-    def __init__(self, field: Field, nvars: int, perm: tuple[int, ...],
-                 signs: tuple[FieldElement, ...]):
-        if sorted(perm) != list(range(1, nvars + 1)):
-            raise InvalidFactor("not a permutation of 1..n")
-        if len(signs) != nvars:
-            raise InvalidFactor("signed permutation needs n signs")
-        if any(s.is_zero() for s in signs):
-            raise InvalidFactor("signs must be units")
-        self.field = field
-        self.nvars = nvars
-        self.perm = perm
-        self.signs = signs
-
-    def expand(self) -> Endo:
-        comps = [Polynomial.variable(self.field, self.nvars, self.perm[i]).scale(self.signs[i])
-                 for i in range(self.nvars)]
-        return Endo(self.field, self.nvars, comps)
-
-    def inverted(self) -> "SignedPermutation":
-        perm = [0] * self.nvars
-        signs = [self.field.one] * self.nvars
-        for i in range(self.nvars):
-            perm[self.perm[i] - 1] = i + 1
-            signs[self.perm[i] - 1] = self.signs[i].inv()
-        return SignedPermutation(self.field, self.nvars,
-                                 tuple(perm), tuple(signs))
-
-    def det(self) -> FieldElement:
-        """sign(perm) * prod s_i, the sign by counting inversions."""
-        out = prod(self.signs, start=self.field.one)
-        inversions = sum(a > b for k, a in enumerate(self.perm)
-                         for b in self.perm[k + 1:])
-        return -out if inversions % 2 else out
-
-
-class ExpLND(Record):
-    """exp(FD) for a triangular derivation D and F in its kernel."""
-    __slots__ = ("field", "nvars", "F", "D")
-
-    def __init__(self, field: Field, nvars: int, F: Polynomial,
-                 D: TriDerivation):
-        if field.kind != RATIONALS:
-            raise InvalidFactor("exp(FD) needs characteristic zero")
-        if F.field != field or F.nvars != nvars:
-            raise InvalidFactor("F has wrong field/arity")
-        if D.field != field or D.nvars != nvars:
-            raise InvalidFactor("D has wrong field/arity")
-        if not kernel_check(D, F):
-            raise InvalidFactor("F is not in ker D")
-        self.field = field
-        self.nvars = nvars
-        self.F = F
-        self.D = D
-
-    def expand(self) -> Endo:
-        return Endo(self.field, self.nvars, exp_images(self.F, self.D))
-
-    def inverted(self) -> "ExpLND":
-        return ExpLND(self.field, self.nvars, -self.F, self.D)
-
-    def det(self) -> FieldElement:
-        """exp(tFD) is an automorphism of k[t][x] over k[t], so its
-        determinant is a unit there, a constant, and 1 at t = 0."""
-        return self.field.one
+__all__ = [
+    "Endo", "compose", "mat_det", "Linear", "Translation", "Elementary",
+    "Triangular", "SignedPermutation", "ExpLND", "FactoredAuto",
+    "affine_parts", "elementary_parts", "make_basic", "conj", "comm",
+    "elementary", "translation", "dilation", "sl_dilation", "signed_swap",
+    "linear_elementary", "triangular_parts", "triangular_from_endo",
+    "word_from_endo", "invert_endo", "jacobian_det", "Classification",
+    "classify", "is_translation", "is_parabolic", "vector_degree",
+]
 
 
 def make_basic(factor) -> Endo:
     """Expanded tuple of a basic factor."""
     return factor.expand()
-
-
-# -- factored words -------------------------------------------------------
-
-class FactoredAuto:
-    """Word of basic factors with exponents +-1; invertible by construction.
-
-    The expansion and the inverse word are cached, so a word reused as a
-    conjugator is expanded once, and so is its inverse; equality of factored
-    words is always decided on expanded tuples, never on the words
-    themselves.
-    """
-
-    __slots__ = ("field", "nvars", "factors", "_expanded", "_inverse")
-
-    def __init__(self, field: Field, nvars: int, factors=()):
-        self.field = field
-        self.nvars = nvars
-        word = []
-        for entry in factors:
-            if isinstance(entry, tuple):
-                factor, exp = entry
-            else:
-                factor, exp = entry, 1
-            if exp not in (1, -1):
-                raise InvalidFactor("factor exponent must be +-1")
-            if factor.field != field or factor.nvars != nvars:
-                raise InvalidFactor("factor with wrong field/arity")
-            word.append((factor, exp))
-        self.factors = tuple(word)
-        self._expanded = self._inverse = None
-
-    @staticmethod
-    def identity(field: Field, nvars: int) -> "FactoredAuto":
-        return FactoredAuto(field, nvars, ())
-
-    def expand(self, cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
-        """The expanded map.  A cached expansion is checked against `cap`
-        by its total degree, so a smaller cap than the first call's still
-        raises."""
-        if self._expanded is None:
-            out = None
-            for factor, exp in self.factors:
-                if exp == 1:
-                    piece = factor.expand()
-                elif isinstance(factor, Triangular):
-                    piece = factor.inverted(cap).expand()
-                else:
-                    piece = factor.inverted().expand()
-                out = (start_product(piece, cap) if out is None
-                       else compose(out, piece, cap=cap))
-            self._expanded = out or Endo.identity(self.field, self.nvars)
-        elif cap is not None:
-            deg = self._expanded.deg()
-            if deg > cap:
-                raise DegreeCapExceeded(
-                    f"expanded word degree {deg} exceeds cap {cap}")
-        return self._expanded
-
-    def inverse(self) -> "FactoredAuto":
-        """The inverse word, built once: its own inverse is this word."""
-        if self._inverse is None:
-            self._inverse = FactoredAuto(
-                self.field, self.nvars,
-                [(f, -e) for f, e in reversed(self.factors)])
-            self._inverse._inverse = self
-        return self._inverse
-
-    def det(self) -> FieldElement:
-        """Jacobian determinant of the word, without expanding it.  By the
-        chain rule det J(F*G) = (det J F)(G) * det J G, and every factor's
-        determinant is a constant, so the word's is their product."""
-        return prod((f.det() if exp == 1 else f.det().inv()
-                     for f, exp in self.factors), start=self.field.one)
-
-    def __mul__(self, other: "FactoredAuto") -> "FactoredAuto":
-        if not isinstance(other, FactoredAuto):
-            return NotImplemented
-        if other.field != self.field or other.nvars != self.nvars:
-            raise ArityMismatch("concatenating words over different rings")
-        return FactoredAuto(self.field, self.nvars,
-                            self.factors + other.factors)
-
-    def __pow__(self, e: int) -> "FactoredAuto":
-        if e == -1:
-            return self.inverse()
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = FactoredAuto.identity(self.field, self.nvars)
-        for _ in range(e):
-            out = out * self
-        return out
-
-    def __repr__(self):
-        from .textio import factored_to_text
-        return f"[{self.field.tag()},{self.nvars}] {factored_to_text(self)}"
 
 
 def conj(phi: FactoredAuto, g: FactoredAuto) -> FactoredAuto:
@@ -517,26 +100,7 @@ def linear_elementary(field: Field, n: int, i: int, j: int, a) -> FactoredAuto:
     return elementary(field, n, i, f)
 
 
-# -- inversion of structured expanded maps ---------------------------------
-
-def affine_parts(phi: Endo):
-    """(matrix, constants) of an affine map, or None if not affine."""
-    n = phi.nvars
-    field = phi.field
-    A = [[field.zero] * n for _ in range(n)]
-    b = [field.zero] * n
-    for i, c in enumerate(phi.components):
-        # highest degree first: a component of degree > 1 ends the loop
-        for e, coeff in c.sorted_terms():
-            d = sum(e)
-            if d > 1:
-                return None
-            if d == 0:
-                b[i] = coeff
-            else:
-                A[i][e.index(1)] = coeff
-    return tuple(tuple(r) for r in A), tuple(b)
-
+# -- reading and inverting structured expanded maps ---------------------
 
 def triangular_parts(phi: Endo):
     """(scalars, polys) of a lower-triangular map, or None."""
@@ -563,27 +127,6 @@ def triangular_from_endo(phi: Endo) -> Triangular:
     if parts is None:
         raise NotTriangular(f"{phi!r} is not lower triangular")
     return Triangular(phi.field, phi.nvars, parts[0], parts[1])
-
-
-def elementary_parts(phi: Endo):
-    """(i, f) if phi = epsilon_{i,f} with f nonzero, or None.
-
-    The identity is not reported as elementary here; a nontrivial axis is
-    required.
-    """
-    n = phi.nvars
-    moved = []
-    for i in range(1, n + 1):
-        xi = Polynomial.variable(phi.field, n, i)
-        diff = phi.components[i - 1] - xi
-        if not diff.is_zero():
-            moved.append((i, diff))
-    if len(moved) != 1:
-        return None
-    i, f = moved[0]
-    if f.involves(i):
-        return None
-    return i, f
 
 
 def word_from_endo(phi: Endo) -> FactoredAuto:

@@ -1,14 +1,6 @@
-"""Normal-closure membership certificates and their independent verifier.
-
-A certificate names a field and arity, a set of seed automorphisms (given as
-factored words, so they are invertible by construction), and a chain of
-steps.  Each step is a word whose items are conjugated powers of seeds or of
-earlier steps:
-
-    item = conjugator^{-1} * base^{exponent} * conjugator
-
-and the step claims that the product of its items equals a stated value.
-The terminal step must claim a nontrivial elementary automorphism.
+"""The independent verifier of normal-closure membership certificates, and
+the reader of their text (.nct); the records themselves and their writer
+are in polyauto.nct.
 
 Steps carry both the claimed value and its claimed inverse; the verifier
 checks that VALUE composed with INV is the identity and then never needs to
@@ -22,72 +14,30 @@ word's Jacobian determinant is the product of its factors' constant
 determinants (FactoredAuto.det), so no Jacobian of an expanded map is taken.
 
 This module deliberately depends only on the algebra core (fields, poly,
-autos, textio) and the dependency-free record base.  None of the
-construction engines (slin, cotame, lnd) are imported here, so verification
-cannot accidentally share logic with generation.
+maps, textio, nct) and the dependency-free record base.  None of the
+construction engines (slin, cotame, lnd) nor their tools (autos) are
+imported here, so verification cannot accidentally share logic with
+generation.
 """
 
 from __future__ import annotations
 
 import re
 
-from .autos import (Endo, FactoredAuto, affine_parts, compose,
-                    elementary_parts, start_product)
 from .errors import DegreeCapExceeded, InvalidFactor
-from .fields import Field
+from .maps import (Endo, affine_parts, compose, elementary_parts,
+                   start_product)
+from .nct import (FORMAT_VERSION, KIND_COTAME, KIND_SLIN, Certificate, Seed,
+                  Step, WordItem, serialize_certificate)
 from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, cap_limit
 from .record import Record
-from .textio import EOL, _Parser, components_text, factored_to_text
+from .textio import EOL, _Parser
 
-KIND_COTAME = "normal-cotame"
-KIND_SLIN = "slin-membership"
-
-
-class Seed(Record):
-    __slots__ = ("label", "word")
-
-    def __init__(self, label: str, word: FactoredAuto):
-        self.label = label
-        self.word = word
-
-
-class WordItem(Record):
-    __slots__ = ("conjugator", "base", "exponent")
-
-    def __init__(self, conjugator: FactoredAuto | None, base: str,
-                 exponent: int):
-        self.conjugator = conjugator  # None means the identity
-        self.base = base
-        self.exponent = exponent
-
-
-class Step(Record):
-    __slots__ = ("label", "items", "value", "inverse", "note")
-
-    def __init__(self, label: str, items: tuple[WordItem, ...], value: Endo,
-                 inverse: Endo, note: str = ""):
-        self.label = label
-        self.items = items
-        self.value = value
-        self.inverse = inverse
-        self.note = note
-
-
-class Certificate(Record):
-    __slots__ = ("field", "nvars", "kind", "seeds", "steps", "terminal",
-                 "terminal_cite", "meta")
-
-    def __init__(self, field: Field, nvars: int, kind: str, seeds: list[Seed],
-                 steps: list[Step], terminal: str, terminal_cite: str = "",
-                 meta: dict[str, str] | None = None):
-        self.field = field
-        self.nvars = nvars
-        self.kind = kind
-        self.seeds = seeds
-        self.steps = steps
-        self.terminal = terminal
-        self.terminal_cite = terminal_cite
-        self.meta = {} if meta is None else meta
+__all__ = [
+    "CheckRecord", "VerificationReport", "verify_certificate",
+    "parse_certificate", "KIND_COTAME", "KIND_SLIN", "Seed", "WordItem",
+    "Step", "Certificate", "serialize_certificate",
+]
 
 
 class CheckRecord(Record):
@@ -288,37 +238,11 @@ def _split_point(items, value: Endo) -> tuple[int, int]:
     return j, best
 
 
-# -- serialization -------------------------------------------------------------
+# -- parsing -----------------------------------------------------------------
 
-FORMAT_VERSION = "1"
 # the directives that a file holds once, in the order that it holds them
 _ONCE = ("NCT", "FIELD", "VARS", "KIND", "TERMINAL", "END")
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.-]+")
-
-
-def serialize_certificate(cert: Certificate) -> str:
-    """Canonical text form (.nct).  Byte-stable for equal certificates."""
-    lines = [f"NCT {FORMAT_VERSION}"]
-    lines.append(f"FIELD {cert.field.tag()}")
-    lines.append(f"VARS {cert.nvars}")
-    lines.append(f"KIND {cert.kind}")
-    for key in sorted(cert.meta):
-        lines.append(f"META {key} {cert.meta[key]}")
-    for seed in cert.seeds:
-        lines.append(f"SEED {seed.label} {factored_to_text(seed.word)}")
-    for step in cert.steps:
-        lines.append(f"STEP {step.label}" + (f" # {step.note}" if step.note else ""))
-        for item in step.items:
-            base = f"  ITEM BASE {item.base} EXP {item.exponent:+d}"
-            if item.conjugator is not None and item.conjugator.factors:
-                base += f" CONJ {factored_to_text(item.conjugator)}"
-            lines.append(base)
-        lines.append(f"  VALUE {components_text(step.value)}")
-        lines.append(f"  INV {components_text(step.inverse)}")
-    cite = f" CITE {cert.terminal_cite}" if cert.terminal_cite else ""
-    lines.append(f"TERMINAL {cert.terminal}{cite}")
-    lines.append("END")
-    return "\n".join(lines) + "\n"
 
 
 class _CertificateParser(_Parser):

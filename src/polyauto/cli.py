@@ -6,6 +6,10 @@ are deterministic (byte-identical across runs with the same inputs/flags).
 
 Exit codes: 0 success/PASS, 1 domain error or FAIL, 2 INDETERMINATE or
 usage problems.
+
+Each subcommand imports what it runs, so a process compiles only its own
+path: `verify` loads no engine and no engine tool, and `certify` loads
+neither the verifier nor slin's monomial engine.
 """
 
 from __future__ import annotations
@@ -13,41 +17,39 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .autos import (Classification, Endo, FactoredAuto, classify, compose,
-                    invert_endo, jacobian_det, vector_degree, word_from_endo)
-from .certificates import (CheckRecord, VerificationReport,
-                           parse_certificate, serialize_certificate,
-                           verify_certificate)
 from .errors import AlgebraError, DegreeCapExceeded, ParseError
 from .poly import DEFAULT_DEGREE_CAP
-from .textio import (endo_to_text, factored_to_text, parse_automorphism,
-                     parse_derivation, parse_field, parse_polynomial,
-                     poly_to_text)
 
 
-def _as_endo(obj, cap) -> Endo:
-    if isinstance(obj, FactoredAuto):
-        return obj.expand(cap=cap)
-    return obj
+def _expanded(text: str, cap):
+    """The map that `text` writes, expanded under `cap`."""
+    from .maps import FactoredAuto
+    from .textio import parse_automorphism
+    obj = parse_automorphism(text, cap=cap)
+    return obj.expand(cap=cap) if isinstance(obj, FactoredAuto) else obj
 
 
 def cmd_classify(args) -> int:
-    obj = parse_automorphism(args.map, cap=args.cap)
-    phi = _as_endo(obj, args.cap)
-    flags = classify(phi)
+    from .autos import Classification, classify
+    flags = classify(_expanded(args.map, args.cap))
     for name in Classification.__slots__:
         print(f"{name}: {'yes' if getattr(flags, name) else 'no'}")
     return 0
 
 
 def cmd_compose(args) -> int:
-    a = _as_endo(parse_automorphism(args.left, cap=args.cap), args.cap)
-    b = _as_endo(parse_automorphism(args.right, cap=args.cap), args.cap)
+    from .maps import compose
+    from .textio import endo_to_text
+    a = _expanded(args.left, args.cap)
+    b = _expanded(args.right, args.cap)
     print(endo_to_text(compose(a, b, cap=args.cap)))
     return 0
 
 
 def cmd_invert(args) -> int:
+    from .autos import invert_endo
+    from .maps import FactoredAuto
+    from .textio import endo_to_text, factored_to_text, parse_automorphism
     obj = parse_automorphism(args.map, cap=args.cap)
     if isinstance(obj, FactoredAuto):
         inv = obj.inverse()
@@ -58,20 +60,23 @@ def cmd_invert(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
-    phi = _as_endo(parse_automorphism(args.map, cap=args.cap), args.cap)
-    print(poly_to_text(jacobian_det(phi)))
+    from .autos import jacobian_det
+    from .textio import poly_to_text
+    print(poly_to_text(jacobian_det(_expanded(args.map, args.cap))))
     return 0
 
 
 def cmd_vd(args) -> int:
-    phi = _as_endo(parse_automorphism(args.map, cap=args.cap), args.cap)
-    vd = vector_degree(phi)
+    from .autos import vector_degree
+    vd = vector_degree(_expanded(args.map, args.cap))
     print("(" + ",".join(str(d) for d in vd) + ")")
     return 0
 
 
 def cmd_exp(args) -> int:
     from .lnd import exp_automorphism
+    from .textio import (endo_to_text, parse_derivation, parse_field,
+                         parse_polynomial)
     field = parse_field(args.field)
     F = parse_polynomial(args.kernel, field, args.nvars, cap=args.cap)
     D = parse_derivation(args.derivation, field, args.nvars, cap=args.cap)
@@ -80,7 +85,11 @@ def cmd_exp(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .autos import word_from_endo
     from .cotame import certify_normally_cotame
+    from .maps import Endo
+    from .nct import serialize_certificate
+    from .textio import parse_automorphism
     obj = parse_automorphism(args.map, cap=args.cap)
     if isinstance(obj, Endo):
         obj = word_from_endo(obj)
@@ -98,6 +107,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .certificates import (CheckRecord, VerificationReport,
+                               parse_certificate, verify_certificate)
     with open(args.certificate, "rb") as fh:
         data = fh.read()
     try:

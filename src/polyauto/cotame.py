@@ -21,12 +21,11 @@ from .autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
                     Translation, affine_parts, compose, dilation, invert_endo,
                     mat_det, signed_swap, triangular_from_endo,
                     triangular_parts, vector_degree)
-from .certificates import KIND_COTAME, Certificate
 from .errors import (IdentityInput, InternalIdentityFailure, NotAlternating,
                      NotSpecial, NotStructured, UnsupportedCharacteristic,
                      UnsupportedM)
 from .fields import RATIONALS, Field
-from .lnd import reduce_triangular_exponential_ref
+from .nct import KIND_COTAME, Certificate
 from .poly import DEFAULT_DEGREE_CAP
 from .record import Record
 from .reduce_core import (CommutatorProbe, affine_terminal,
@@ -421,6 +420,7 @@ def certify_normally_cotame(word: FactoredAuto,
     exp_positions = [t for t, (f, _) in enumerate(word.factors)
                      if isinstance(f, ExpLND)]
     if exp_positions:
+        from .lnd import reduce_triangular_exponential_ref
         if len(exp_positions) > 1 or exp_positions[0] != len(word.factors) - 1:
             raise NotStructured(
                 "exponential input must be a single trailing Exp factor")

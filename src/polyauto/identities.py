@@ -16,10 +16,10 @@ from collections.abc import Iterable, Sequence
 from itertools import islice, product
 
 from .autos import Endo, compose, dilation, elementary
-from .certificates import KIND_COTAME
 from .derivations import TriDerivation, exp_images, kernel_check
 from .errors import InternalIdentityFailure
 from .fields import Field, FieldElement
+from .nct import KIND_COTAME
 from .poly import Polynomial
 from .record import Record
 from .slin import (axis_shift, commutator_identity, cubic_identity,

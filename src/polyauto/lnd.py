@@ -30,7 +30,7 @@ from .poly import Polynomial
 from .reduce_core import (find_noncommuting_c, parabolic_route,
                           reduce_parabolic_ref, reduce_triangular_ref,
                           translation_pass)
-from .slin import axis_shift
+from .translations import axis_shift
 from .wordbuild import CertBuilder
 
 __all__ = [

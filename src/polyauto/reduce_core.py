@@ -22,7 +22,8 @@ from .errors import (IdentityInput, InternalIdentityFailure, NotParabolic,
 from .fields import RATIONALS, Field
 from .poly import Polynomial
 from .record import Record
-from .slin import translation_from_any, translation_from_special_affine
+from .translations import (translation_from_any,
+                           translation_from_special_affine)
 from .wordbuild import CertBuilder
 
 

@@ -1,6 +1,8 @@
 """Constructive membership machinery for the normal closure of the linear
 special group: commutator identities, translation transfer, and the full
-monomial-elementary recursion over suitable fields.
+monomial-elementary recursion over suitable fields.  The translation
+identities that the characteristic-zero engines share live in
+polyauto.translations, and are bound here too.
 
 Every emitted word is evaluated on the spot and compared against the value
 the underlying identity predicts; a mismatch raises InternalIdentityFailure
@@ -14,17 +16,25 @@ from __future__ import annotations
 
 from math import comb
 
-from .autos import (Endo, affine_parts, elementary, elementary_parts,
-                    is_translation, linear_elementary, signed_swap,
-                    sl_dilation)
-from .certificates import KIND_SLIN, Certificate
+from .autos import (Endo, elementary, elementary_parts, linear_elementary,
+                    signed_swap, sl_dilation)
 from .errors import (DegenerateTarget, IdentityInput, IndexClash,
-                     InternalIdentityFailure, NoSuchUnit, NotAffine,
-                     UnsupportedField, ZeroScalar)
+                     InternalIdentityFailure, NoSuchUnit, UnsupportedField,
+                     ZeroScalar)
 from .fields import PRIME, RATIONALS, Field, FieldElement
+from .nct import KIND_SLIN, Certificate
 from .poly import Polynomial, check_axis, check_exponents
 from .record import Record
+from .translations import (axis_shift, translation_from_any,
+                           translation_from_special_affine)
 from .wordbuild import CertBuilder
+
+__all__ = [
+    "SlinContext", "commutator_identity", "translation_transfer",
+    "translation_from_any", "linear_elementary_from_translations",
+    "cubic_identity", "translation_from_special_affine", "axis_shift",
+    "slin_from_monomial_elementary", "slin_from_elementary",
+]
 
 UNIT_SEARCH_BOUND = 64  # units tried for b with b^(d+1) != 1 (proof case 1)
 
@@ -101,24 +111,6 @@ def translation_transfer(builder: CertBuilder, source: str,
         note=f"axis change {i}->{j}")
 
 
-def translation_from_any(builder: CertBuilder, gamma: str) -> str:
-    """From a nontrivial translation derive some eps_{i,c}."""
-    field, n = builder.field, builder.nvars
-    val = builder.value(gamma)
-    if val.is_identity():
-        raise IdentityInput("translation is the identity")
-    if not is_translation(val):
-        raise NotAffine("base is not a translation")
-    _, consts = affine_parts(val)
-    j = next(k + 1 for k, cval in enumerate(consts) if not cval.is_zero())
-    i = next(m for m in range(1, n + 1) if m != j)
-    guard = elementary(field, n, i, Polynomial.variable(field, n, j))
-    return builder.add_step(
-        [(None, gamma, -1), (guard.inverse(), gamma, 1)],
-        expect=elementary(field, n, i, consts[j - 1]).expand(),
-        note=f"axis translation from column {j}")
-
-
 def linear_elementary_from_translations(builder: CertBuilder, i: int, j: int,
                                         a: FieldElement, provide) -> str:
     """Derive eps_{i, a*x_j} from translation bases.
@@ -178,44 +170,6 @@ def cubic_identity(builder: CertBuilder, i: int, j: int, a: FieldElement,
         [(delta, half(c, b), 1), (delta, half(b, c), 1)],
         expect=elementary(field, n, i, xj.scale(a)).expand(),
         note=f"linear elementary a*x{j} (char 2)")
-
-
-def translation_from_special_affine(builder: CertBuilder, alpha: str) -> str:
-    """cor. to the affine case: from a nontrivial special affine base derive
-    a nontrivial translation."""
-    field, n = builder.field, builder.nvars
-    val = builder.value(alpha)
-    if val.is_identity():
-        raise IdentityInput("affine map is the identity")
-    parts = affine_parts(val)
-    if parts is None:
-        raise NotAffine("base is not affine")
-    if is_translation(val):
-        return alpha
-    A, _ = parts
-    pick = None
-    for i in range(n):
-        for j in range(n):
-            expect_delta = field.one if i == j else field.zero
-            if A[i][j] != expect_delta:
-                pick = (i, j)
-                break
-        if pick:
-            break
-    if pick is None:
-        raise IdentityInput("linear part is the identity but map is not a translation")
-    _, j = pick
-    guard = elementary(field, n, j + 1, field.one)
-    expected_comps = []
-    for k in range(n):
-        delta = field.one if k == j else field.zero
-        expected_comps.append(
-            Polynomial.variable(field, n, k + 1)
-            + Polynomial.constant(field, n, A[k][j] - delta))
-    expected = Endo(field, n, expected_comps)
-    return builder.add_step(
-        [(guard, alpha, 1), (None, alpha, -1)],
-        expect=expected, note="translation from affine part")
 
 
 # -- the monomial recursion ------------------------------------------------------
@@ -417,14 +371,6 @@ class _SlinEngine:
         expected = self._eps(1, a, exps)
         return self.builder.add_step(items, expect=expected,
                                      note="case 2b combination")
-
-
-def axis_shift(poly: Polynomial, axis: int, amount: FieldElement) -> Polynomial:
-    """(poly) eps_{axis, amount}: substitute x_axis -> x_axis + amount."""
-    field, n = poly.field, poly.nvars
-    images = [Polynomial.variable(field, n, m + 1) for m in range(n)]
-    images[axis - 1] = images[axis - 1] + Polynomial.constant(field, n, amount)
-    return poly.substitute(images)
 
 
 def slin_from_monomial_elementary(ctx: SlinContext, k: int, a,

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import re
 
-from .autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
-                    SignedPermutation, Translation, Triangular)
 from .derivations import TriDerivation
 from .errors import (ArityError, NotPrime, ParseError, ReducibleModulus,
                      UnsupportedField)
 from .fields import (EXTENSION, Field, check_order, element_text,
                      prime_power)
+from .maps import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
+                   SignedPermutation, Translation, Triangular)
 from .poly import (DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial, check_degree,
                    identity_images)
 
@@ -28,6 +28,7 @@ from .poly import (DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial, check_degree,
 
 _TOKEN_RE = re.compile(r"\s*([0-9]+|x[0-9]+|[A-Za-z]+|\S)")
 END, EOL = "end of input", "end of line"
+_RING_SIZE = f"a ring needs 1 to {MAX_NVARS} variables"
 
 
 class _Parser:
@@ -156,7 +157,7 @@ class _Parser:
             if given[0] is not None and given != (field, nvars):
                 self.fail("prefix disagrees with the enclosing ring", first)
             if not 1 <= nvars <= MAX_NVARS:
-                self.fail(f"a ring needs 1 to {MAX_NVARS} variables", first)
+                self.fail(_RING_SIZE, first)
             given = (field, nvars)
         if given[0] is None or given[1] is None:
             self.fail("missing [field,n] prefix")
@@ -316,6 +317,8 @@ class _Parser:
 
 def _parse(text, rule, field=None, nvars=None, cap=DEFAULT_DEGREE_CAP,
            ring=False):
+    if nvars is not None and not 1 <= nvars <= MAX_NVARS:
+        raise ParseError(_RING_SIZE)
     parser = _Parser(text, field, nvars, cap)
     return parser.whole(getattr(parser, rule), ring)
 

@@ -20,9 +20,9 @@ from functools import partial, reduce
 from math import prod
 
 from .autos import Endo, FactoredAuto, compose
-from .certificates import Certificate, Seed, Step, WordItem
 from .errors import InternalIdentityFailure, NotSpecial
 from .fields import Field
+from .nct import Certificate, Seed, Step, WordItem
 from .poly import DEFAULT_DEGREE_CAP, cap_limit
 
 

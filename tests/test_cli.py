@@ -53,6 +53,23 @@ def test_exp_command(capsys):
         "[Q,4] (x1, x2, -x1*x2*x3-x2^2*x4+x3, x1^2*x3+x1*x2*x4+x4)"
 
 
+
+@pytest.mark.parametrize("n", ["0", "65"])
+def test_exp_refuses_a_ring_size_out_of_range(capsys, n):
+    rc, out, err = run_cli(["exp", "--field", "Q", "-n", n, "x1", "D(0)"],
+                           capsys)
+    assert (rc, out) == (1, "")
+    assert err == "error: ParseError: a ring needs 1 to 64 variables\n"
+
+
+def test_exp_reads_a_ring_of_64_variables(capsys):
+    rc, out, _ = run_cli(["exp", "--field", "Q", "-n", "64", "x1",
+                          "D(" + "0, " * 63 + "x1)"], capsys)
+    assert rc == 0
+    assert out.startswith("[Q,64] (x1, x2, ")
+    assert out.endswith(", x63, x1^2+x64)\n")
+
+
 def test_certify_verify_cycle(tmp_path, capsys):
     out_path = tmp_path / "t.nct"
     rc, out, _ = run_cli(
@@ -287,7 +304,8 @@ def test_certify_honours_cap_zero(capsys):
 
 def test_verify_loads_no_engine(tmp_path):
     """`polyauto verify` in a fresh interpreter imports none of the
-    engines: the CLI keeps the verifier's trust boundary.  Neither verify
+    engines, nor their tools in `autos` and `translations`: the CLI keeps
+    the verifier's trust boundary.  Neither verify
     nor certify loads `dataclasses`, `inspect` or `typing`, whose import
     costs every CLI process more than its own work on a small map.  The
     interpreter starts with -S, so no site hook preloads a module."""
@@ -296,7 +314,7 @@ def test_verify_loads_no_engine(tmp_path):
     path.write_text(corpus_certificate_text())
     out = tmp_path / "g.nct"
     engines = ["cotame", "reduce_core", "slin", "wordbuild", "lnd",
-               "identities"]
+               "identities", "autos", "translations"]
     heavy = ["dataclasses", "inspect", "typing"]
     code = ("import sys; from polyauto import cli; "
             f"rc = cli.main(['verify', {str(path)!r}]); "

@@ -186,6 +186,27 @@ def test_prefix_must_agree_with_the_given_ring(Q):
         parse_factored("E(1; x2)")
 
 
+
+@pytest.mark.parametrize("n", [0, 65])
+@pytest.mark.parametrize("parse", [parse_polynomial, parse_derivation])
+def test_a_given_ring_is_bounded_as_a_prefix_is(Q, parse, n):
+    """A ring size given through the API is refused with the prefix's
+    message before the text is read, so even a text that does not tokenize
+    gets that message."""
+    with pytest.raises(ParseError) as given:
+        parse("x1 @", Q, n)
+    with pytest.raises(ParseError) as prefix:
+        parse_endo(f"[Q,{n}] (x1)")
+    assert str(given.value) == "a ring needs 1 to 64 variables"
+    assert str(prefix.value).startswith(str(given.value))
+
+
+def test_a_given_ring_of_64_variables_is_read(Q):
+    assert parse_polynomial("x64", Q, 64) == Polynomial.variable(Q, 64, 64)
+    images = parse_derivation("D(" + "0, " * 63 + "x1)", Q, 64).images
+    assert images[-1] == Polynomial.variable(Q, 64, 1)
+
+
 def test_wrong_arity_is_a_parse_error(Q):
     with pytest.raises(ParseError):
         parse_endo("[Q,3] (x1, x2)")
