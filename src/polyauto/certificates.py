@@ -23,6 +23,7 @@ generation.
 from __future__ import annotations
 
 import re
+from operator import add
 
 from .errors import DegreeCapExceeded, InvalidFactor
 from .maps import (Endo, affine_parts, compose, elementary_parts,
@@ -338,20 +339,21 @@ class _CertificateParser(_Parser):
         return WordItem(conjugator, base, exponent)
 
     def label(self) -> str:
-        """A run of letters, digits, '_', '.' and '-'."""
-        m = _LABEL_RE.match(self.text, self.starts[self.i])
-        if m is None:
-            self.fail(f"expected a label, found {self.toks[self.i]!r}")
-        while self.starts[self.i] < m.end():
+        """A run of letters, digits, '_', '.' and '-', in tokens with no gap."""
+        toks, first = self.toks, self.i
+        while _LABEL_RE.fullmatch(toks[self.i]) and (
+                self.i == first or not self.gaps[self.i]):
             self.i += 1
-        return m[0]
+        if self.i == first:
+            self.fail(f"expected a label, found {toks[first]!r}")
+        return "".join(toks[first:self.i])
 
     def line_text(self) -> str:
         """The rest of the line, as written."""
-        end = self.toks.index(EOL, self.i)
-        text = self.text[self.starts[self.i]:self.starts[end]]
+        first, end = self.i, self.toks.index(EOL, self.i)
         self.i = end
-        return text
+        return "".join(map(add, self.gaps[first:end],
+                           self.toks[first:end]))[len(self.gaps[first]):]
 
     def factor(self):
         """A factor whose data is invalid is a parse error at the factor."""

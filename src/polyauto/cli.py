@@ -125,11 +125,7 @@ def cmd_verify(args) -> int:
         report = VerificationReport("INDETERMINATE", [
             CheckRecord(args.certificate, "parse", False, str(exc))])
     print(report.format())
-    if report.verdict == "PASS":
-        return 0
-    if report.verdict == "FAIL":
-        return 1
-    return 2
+    return {"PASS": 0, "FAIL": 1}.get(report.verdict, 2)
 
 
 def cmd_identities(args) -> int:

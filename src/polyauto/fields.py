@@ -164,8 +164,8 @@ class Field:
         self.p = p
         self.s = s
         self.modulus = modulus
-        self._zero = FieldElement(self, self._pzero())
-        self._one = FieldElement(self, self._pone())
+        self._zero = FieldElement(self, self._pfrom_int(0))
+        self._one = FieldElement(self, self._pfrom_int(1))
         self._identity = {}  # nvars -> (x_1, ..., x_n), poly.identity_images
 
     # -- constructors ---------------------------------------------------
@@ -250,20 +250,6 @@ class Field:
 
     # -- payload arithmetic ----------------------------------------------
 
-    def _pzero(self):
-        if self.kind == RATIONALS:
-            return Fraction(0)
-        if self.kind == PRIME:
-            return 0
-        return (0,) * self.s
-
-    def _pone(self):
-        if self.kind == RATIONALS:
-            return Fraction(1)
-        if self.kind == PRIME:
-            return 1
-        return (1,) + (0,) * (self.s - 1)
-
     def _pfrom_int(self, k: int):
         if self.kind == RATIONALS:
             return Fraction(k)
@@ -278,14 +264,6 @@ class Field:
             return (a + b) % self.p
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _psub(self, a, b):
-        if self.kind == RATIONALS:
-            return a - b
-        if self.kind == PRIME:
-            return (a - b) % self.p
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
 
     def _pneg(self, a):
         if self.kind == RATIONALS:
@@ -328,10 +306,6 @@ class Field:
             return pow(a, e, self.p)
         return kernels.ext_pow(a, e, self.p, self.modulus)
 
-    # multiply payload by a plain integer (used by derivatives)
-    def _pmul_int(self, a, k: int):
-        return self._pmul(a, self._pfrom_int(k))
-
     # -- elements ----------------------------------------------------------
 
     def elem(self, value: int | str | Fraction | tuple | FieldElement) -> "FieldElement":
@@ -369,12 +343,9 @@ class Field:
         """All elements of a finite field, in the fixed enumeration order."""
         if self.kind == RATIONALS:
             raise FieldMismatch("cannot enumerate the rationals")
-        if self.kind == PRIME:
-            for r in range(self.p):
-                yield FieldElement(self, r)
-            return
         for idx in range(self.order):
-            yield FieldElement(self, kernels.digits(idx, self.p, self.s))
+            yield FieldElement(self, idx if self.kind == PRIME
+                               else kernels.digits(idx, self.p, self.s))
 
     def units(self, bound: int | None = None) -> Iterator["FieldElement"]:
         """Nonzero elements.
@@ -385,9 +356,7 @@ class Field:
         `bound` items when given.
         """
         if self.kind != RATIONALS:
-            for x in self.elements():
-                if not x.is_zero():
-                    yield x
+            yield from (x for x in self.elements() if not x.is_zero())
             return
         count = 0
         m = 1
@@ -436,7 +405,7 @@ class FieldElement:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, self.field._psub(self.payload, other.payload))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -471,7 +440,7 @@ class FieldElement:
         return self.field._pis_zero(self.payload)
 
     def is_one(self) -> bool:
-        return self.payload == self.field._pone()
+        return self.payload == self.field._one.payload
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -162,16 +162,11 @@ class Linear(Record):
         self.matrix = matrix
 
     def expand(self) -> Endo:
-        comps = []
-        for i in range(self.nvars):
-            p = Polynomial.zero(self.field, self.nvars)
-            for j in range(self.nvars):
-                a = self.matrix[i][j]
-                if not a.is_zero():
-                    p = p + Polynomial.variable(
-                        self.field, self.nvars, j + 1).scale(a)
-            comps.append(p)
-        return Endo(self.field, self.nvars, comps)
+        n = self.nvars
+        comps = [Polynomial.from_exponents(self.field, n, {
+            tuple(int(j == k) for k in range(n)): a.payload
+            for j, a in enumerate(row)}) for row in self.matrix]
+        return Endo(self.field, n, comps)
 
     def inverted(self) -> "Linear":
         return Linear(self.field, self.nvars, mat_inv(self.field, self.matrix))
@@ -372,10 +367,7 @@ class FactoredAuto:
         self.nvars = nvars
         word = []
         for entry in factors:
-            if isinstance(entry, tuple):
-                factor, exp = entry
-            else:
-                factor, exp = entry, 1
+            factor, exp = entry if isinstance(entry, tuple) else (entry, 1)
             if exp not in (1, -1):
                 raise InvalidFactor("factor exponent must be +-1")
             if factor.field != field or factor.nvars != nvars:

@@ -6,20 +6,19 @@ payloads: one int per exponent vector, exponent j (0-based) in bits
 A product of monomials is one integer addition, the total degree is
 key >> B*n, and int order is graded-lex order.  Keys never leave this module
 and `kernels`: other code reads exponents through sorted_terms, coeff,
-degrees, deg_in and involves.  No field carries into the next because no
-polynomial of total degree over MAX_DEGREE is built: products, powers,
-monomials and substitutions over it raise DegreeCapExceeded.  The zero
-polynomial is the empty dict.  Degrees follow the deg(0) = 0 convention
-used throughout the engine.
+degrees, deg_in and involves, and writes them through from_exponents.  No
+field carries into the next because no polynomial of total degree over
+MAX_DEGREE is built: products, powers, monomials and substitutions over it
+raise DegreeCapExceeded.  The zero polynomial is the empty dict.  Degrees
+follow the deg(0) = 0 convention used throughout the engine.
 
 Polynomials are immutable by contract: no method mutates `terms` after
 construction, so instances can be shared freely.
 
 A product with a one-term operand c x^k runs no kernel: it is a shift of
 every key by k and one coefficient product per term (`_shift`), and a power
-of one term is (k e, c^e).  Such products are most of them: monomials
-parsed as t*x2*x3^2, and substitutions by x_j, c x_j, a signed permutation
-or a monomial.
+of one term is (k e, c^e).  Such products are most of them: substitutions
+by x_j, c x_j, a signed permutation or a monomial.
 
 Substitution is one accumulation for every field (PreparedImages): the
 powers of one-term images fold into each term's key and multiplier, and
@@ -129,10 +128,8 @@ class Polynomial:
 
     @staticmethod
     def constant(field: Field, nvars: int, value) -> "Polynomial":
-        c = field.elem(value)
-        if c.is_zero():
-            return Polynomial.zero(field, nvars)
-        return Polynomial(field, nvars, {0: c.payload})
+        return Polynomial.from_exponents(field, nvars,
+                                         {(0,) * nvars: field.elem(value).payload})
 
     @staticmethod
     def variable(field: Field, nvars: int, i: int) -> "Polynomial":
@@ -146,9 +143,17 @@ class Polynomial:
         c = field.elem(coeff)
         exps = check_exponents(exps, nvars)
         check_degree("monomial of degree", sum(exps))
-        if c.is_zero():
-            return Polynomial.zero(field, nvars)
-        return Polynomial(field, nvars, {pack(exps): c.payload})
+        return Polynomial.from_exponents(field, nvars, {exps: c.payload})
+
+    @staticmethod
+    def from_exponents(field: Field, nvars: int, terms: dict) -> "Polynomial":
+        """The sum of c x^e over the items (e, c) of `terms`, exponent
+        vectors to payloads, leaving out the zero payloads.  The caller
+        keeps each e with a nonzero c of length nvars, nonnegative and of
+        sum at most MAX_DEGREE."""
+        zero = field._zero.payload
+        return Polynomial(field, nvars, {pack(e): c for e, c in terms.items()
+                                         if c != zero})
 
     # -- basic queries ----------------------------------------------------
 
@@ -159,8 +164,8 @@ class Polynomial:
         return self.terms.keys() <= {0}
 
     def constant_value(self) -> FieldElement:
-        """Constant term as a field element."""
-        return self.coeff((0,) * self.nvars)
+        """Constant term as a field element: the payload at x^0's key, 0."""
+        return FieldElement(self.field, self.terms.get(0, self.field.zero.payload))
 
     def coeff(self, exps: Sequence[int]) -> FieldElement:
         """The coefficient of x^exps; zero for any vector no term can have
@@ -329,7 +334,7 @@ class Polynomial:
             k = key >> shift & MAX_DEGREE
             if k == 0:
                 continue
-            v = field._pmul_int(c, k)
+            v = field._pmul(c, field._pfrom_int(k))
             if not field._pis_zero(v):
                 out[key - unit] = v
         return Polynomial(field, n, out)

@@ -1,18 +1,19 @@
 """Text formats: field tags, polynomials, expanded and factored
 automorphisms, derivations.
 
-Printers emit a canonical form (graded-lex term order, fixed spacing) so
-that serialized objects are byte-stable.  Parsing is one recursive-descent
+Printers emit canonical, byte-stable text.  Parsing is one recursive-descent
 `_Parser` over one token stream, one rule per production of the grammar in
-docs/formats.md (the rules of the certificate file are added by a subclass
-in `polyauto.certificates`); every syntax error is a ParseError at a line
-and column, and a power or product over the degree cap is refused before it
-is expanded.
+docs/formats.md (a subclass in `polyauto.certificates` adds the file's).  A
+polynomial is read into one term map, a monomial term as one exponent vector
+and one coefficient; only a factor that is not constant in parentheses or
+after a unary minus multiplies polynomials.  A syntax error is a ParseError
+at a line and column; a power or product over the cap is refused first.
 """
 
 from __future__ import annotations
 
 import re
+from math import inf
 
 from .derivations import TriDerivation
 from .errors import (ArityError, NotPrime, ParseError, ReducibleModulus,
@@ -21,52 +22,58 @@ from .fields import (EXTENSION, Field, check_order, element_text,
                      prime_power)
 from .maps import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
                    SignedPermutation, Translation, Triangular)
-from .poly import (DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial, check_degree,
-                   identity_images)
+from .poly import (DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial, cap_limit,
+                   check_degree, identity_images)
 
 # -- the token stream --------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*([0-9]+|x[0-9]+|[A-Za-z]+|\S)")
+_TOKEN_RE = re.compile(r"([0-9]+|x[0-9]+|[A-Za-z]+|\S)")
 END, EOL = "end of input", "end of line"
+_SIGNS = ("+", "-")
+_JOINS = ("+", "-", "*", "^")  # what continues a term or a sum
 _RING_SIZE = f"a ring needs 1 to {MAX_NVARS} variables"
 
 
 class _Parser:
     """The tokens of one text (digits, x<digits>, letters or one other
-    character, then "end of input") and the grammar rules that read them, in
-    a ring that is given or set by a '[field,n]' prefix.  A subclass that
-    sets `lines` reads a line-oriented text: each of its lines then ends in
-    an "end of line" token."""
+    character, then "end of input"), the whitespace before each, and the
+    grammar rules that read them, in a ring that is given or set by a
+    '[field,n]' prefix.  A subclass that sets `lines` reads a line-oriented
+    text: each of its lines then ends in an "end of line" token."""
 
     lines = False
 
     def __init__(self, text: str, field: Field | None, nvars: int | None,
                  cap: int | None):
-        self.text, self.cap, self.i = text, cap, 0
-        toks, starts = self.toks, self.starts = [], []  # tokens, offsets
-        for m in _TOKEN_RE.finditer(text):
-            if self.lines and toks and "\n" in m[0]:
-                toks.append(EOL)
-                starts.append(m.start())
-            toks.append(m[1])
-            starts.append(m.start(1))
-        if self.lines and toks:
-            starts.append(starts[-1] + len(toks[-1]))
+        self.text, self.i = text, 0
+        # the parse-time cap, and the one that no polynomial is built over
+        self.cap, self.limit = inf if cap is None else cap, cap_limit(cap)
+        parts = _TOKEN_RE.split(text)  # whitespace, token, ..., whitespace
+        toks, gaps = self.toks, self.gaps = parts[1::2], parts[::2]
+        if self.lines and toks:  # an EOL ends each line that has a token
+            for k in [k for k in range(len(toks) - 1, 0, -1)
+                      if "\n" in gaps[k]]:
+                toks.insert(k, EOL)
+                gaps.insert(k, "")
             toks.append(EOL)
-        toks.append(END)
-        starts.append(len(text))
+            gaps.insert(-1, "")
+        toks.append(END)  # its gap is the whitespace after the last token
         self.set_ring(field, nvars)
 
     def set_ring(self, field, nvars):
         self.field, self.nvars, self.xvars = field, nvars, nvars
-        self.t = None
+        self.t = None  # t as (payload, j), see mono
 
     def fail(self, message: str, index: int | None = None,
              error=ParseError):
-        """Raise at the token `index` (default: the next one)."""
-        offset = self.starts[self.i if index is None else index]
-        line = self.text.count("\n", 0, offset) + 1
-        raise error(message, line, offset - self.text.rfind("\n", 0, offset))
+        """Raise at the token `index` (default: the next one), whose offset
+        is the length of the gaps and tokens before it."""
+        index = self.i if index is None else index
+        text = self.text
+        offset = (sum(map(len, self.gaps[:index + 1]))
+                  + sum(len(tok) for tok in self.toks[:index] if tok != EOL))
+        line = text.count("\n", 0, offset) + 1
+        raise error(message, line, offset - text.rfind("\n", 0, offset))
 
     def at(self, tok: str) -> bool:
         """Take the next token if it is `tok`."""
@@ -137,7 +144,7 @@ class _Parser:
             p, s = prime_power(q)
             fp = Field.prime(p)
             self.set_ring(fp, 1)
-            self.xvars, self.t = 0, Polynomial.variable(fp, 1, 1)
+            self.xvars, self.t = 0, (fp.one.payload, 1)
             start, m = self.i, self.poly()
             if m.deg() > s:
                 self.fail(f"modulus degree exceeds {s}", start)
@@ -166,26 +173,67 @@ class _Parser:
     # -- polynomials --
 
     def poly(self) -> Polynomial:
-        """{+|-} term {(+|-) {+|-} term}; the first term is taken as it is."""
-        p = None
+        """{+|-} term {(+|-) {+|-} term}: the monomial terms add into one map
+        of exponent vectors, and a bare variable is the shared x_i."""
+        toks, field = self.toks, self.field
+        if toks[self.i][:1] == "x" and toks[self.i + 1] not in _JOINS:
+            return identity_images(field, self.nvars)[self.mono()[1] - 1]
+        terms, rest = {}, []
         while True:
             negate = False
-            while self.toks[self.i] in ("+", "-"):
-                negate ^= self.toks[self.i] == "-"
+            while toks[self.i] in _SIGNS:
+                negate ^= toks[self.i] == "-"
                 self.i += 1
-            q = -self.term() if negate else self.term()
-            p = q if p is None else p + q
-            if self.toks[self.i] not in ("+", "-"):
-                return p
+            exps, c = self.term(negate)
+            if exps is None:
+                rest.append(c)
+            else:
+                acc = terms.get(exps)
+                terms[exps] = c if acc is None else field._padd(acc, c)
+            if toks[self.i] not in _SIGNS:
+                return sum(rest, Polynomial.from_exponents(
+                    field, self.nvars, terms))
 
-    def term(self) -> Polynomial:
-        """power {'*' power}, refused before a product over the cap."""
-        p = self.power()
-        while self.at("*"):
-            q = self.power()
-            self.check_cap("product", p.deg() + q.deg())
-            p = p * q
-        return p
+    def term(self, negate: bool):
+        """power {'*' power}, refused before a product over the cap, and
+        negated when asked.  The powers of numbers, a/b, x_i, t and constant
+        groups multiply into one monomial c x^e, returned as (e, c); a
+        product with any other power p is returned as (None, p)."""
+        field, toks = self.field, self.toks
+        c, exps, p = None, [0] * self.nvars, None  # c None: the coefficient 1
+        deg, zero = 0, False  # the degree of the product so far
+        while True:
+            if toks[self.i] in ("(", "-"):
+                f, j = self.power(), 0
+                fc = f.constant_value().payload if f.is_constant() else None
+                fdeg = f.deg()
+            else:
+                fc, j = self.mono()
+                fdeg = 1 if j else 0
+                if toks[self.i] == "^":
+                    self.i += 1
+                    k = self.number()
+                    check_degree("power of degree", k,
+                                 self.limit if j else self.cap)
+                    fdeg, fc = (k, fc) if j else (0, field._ppow(fc, k))
+            check_degree("product of degree", deg + fdeg, self.limit)
+            if j:
+                exps[j - 1] += fdeg
+            elif fc is None:
+                p = f if p is None else p * f
+            else:
+                c = fc if c is None else field._pmul(c, fc)
+                zero = zero or field._pis_zero(fc)
+            deg = 0 if zero else deg + fdeg
+            if toks[self.i] != "*":
+                break
+            self.i += 1
+        c = field._one.payload if c is None else c
+        c = field._pneg(c) if negate else c
+        if p is None:
+            return tuple(exps), c
+        return None, p * Polynomial.from_exponents(field, self.nvars,
+                                                   {tuple(exps): c})
 
     def power(self) -> Polynomial:
         """atom ['^' number], refused before a power over the cap."""
@@ -193,45 +241,47 @@ class _Parser:
         if not self.at("^"):
             return base
         k = self.number()
-        self.check_cap("power", max(base.deg(), 1) * k)
+        check_degree("power of degree", max(base.deg(), 1) * k, self.cap)
         return base ** k
 
-    def check_cap(self, what: str, degree: int):
-        if self.cap is not None:
-            check_degree(f"{what} of degree", degree, self.cap)
-
     def atom(self) -> Polynomial:
-        tok = self.toks[self.i]
-        field, nvars = self.field, self.nvars
-        if "0" <= tok[:1] <= "9":
-            c = field.from_int(self.number())
-            if self.at("/"):
-                d = field.from_int(self.number())
-                if d.is_zero():
-                    self.fail("zero denominator", self.i - 1)
-                c = c / d
-            return Polynomial.constant(field, nvars, c)
+        tok, n = self.toks[self.i], self.nvars
+        if tok in ("(", "-"):
+            self.i += 1
+            if tok == "-":
+                return -self.atom()
+            p = self.poly()
+            self.expect(")")
+            return p
+        c, j = self.mono()
+        return (identity_images(self.field, n)[j - 1] if j else
+                Polynomial.from_exponents(self.field, n, {(0,) * n: c}))
+
+    def mono(self):
+        """number ['/' number] | variable | 't', as (c, j) for the monomial
+        c x_j, with j = 0 for a constant."""
+        tok, field = self.toks[self.i], self.field
         self.i += 1
+        if "0" <= tok[:1] <= "9":
+            c = field._pfrom_int(self.number(tok))
+            if self.at("/"):
+                d = field._pfrom_int(self.number())
+                if field._pis_zero(d):
+                    self.fail("zero denominator", self.i - 1)
+                c = field._pdiv(c, d)
+            return c, 0
         if tok[:1] == "x" and "0" <= tok[1:2] <= "9":
             index = self.number(tok[1:])
             if not 1 <= index <= self.xvars:
                 self.fail(f"variable {tok} out of range 1..{self.xvars}",
                           self.i - 1)
-            return identity_images(field, nvars)[index - 1]
+            return field._one.payload, index
         if tok == "t":
-            if self.t is None:
-                if field.kind != EXTENSION:
-                    self.fail("t is only valid over extension fields",
-                              self.i - 1)
-                self.t = Polynomial.constant(field, nvars, field.generator())
+            if self.t is None and field.kind != EXTENSION:
+                self.fail("t is only valid over extension fields", self.i - 1)
+            self.t = self.t or (field.generator().payload, 0)
             return self.t
-        if tok == "(":
-            p = self.poly()
-            self.expect(")")
-            return p
-        if tok == "-":
-            return -self.atom()
-        self.fail(f"unexpected {self.toks[self.i - 1]!r}", self.i - 1)
+        self.fail(f"unexpected {tok!r}", self.i - 1)
 
     def const(self):
         first = self.i
@@ -368,23 +418,13 @@ def poly_to_text(p: Polynomial) -> str:
             for j, e in enumerate(exps) if e)
         ctext = element_text(field, coeff.payload)
         parens = "+" in ctext or "*" in ctext
-        if mono:
-            if ctext == "1":
-                body = mono
-            elif ctext == "-1":
-                body = "-" + mono
-            elif parens:
-                body = f"({ctext})*{mono}"
-            else:
-                body = f"{ctext}*{mono}"
-        else:
+        if not mono:
             body = f"({ctext})" if parens else ctext
-        if not parts:
-            parts.append(body)
-        elif body.startswith("-"):
-            parts.append("-" + body[1:])
+        elif ctext in ("1", "-1"):
+            body = ctext[:-1] + mono
         else:
-            parts.append("+" + body)
+            body = f"({ctext})*{mono}" if parens else f"{ctext}*{mono}"
+        parts.append(body if not parts or body[0] == "-" else "+" + body)
     return "".join(parts)
 
 
@@ -415,13 +455,9 @@ def factor_to_text(factor) -> str:
             for row in factor.matrix)
         return f"L[{rows}]"
     if isinstance(factor, Triangular):
-        groups = []
-        for a, p in zip(factor.scalars, factor.polys):
-            if p.is_zero():
-                groups.append(str(a))
-            else:
-                groups.append(f"{a}, {poly_to_text(p)}")
-        return "T(" + "; ".join(groups) + ")"
+        return "T(" + "; ".join(
+            str(a) if p.is_zero() else f"{a}, {poly_to_text(p)}"
+            for a, p in zip(factor.scalars, factor.polys)) + ")"
     if isinstance(factor, SignedPermutation):
         return ("S(" + ",".join(str(p) for p in factor.perm) + "; "
                 + ",".join(str(s) for s in factor.signs) + ")")
@@ -434,8 +470,5 @@ def factor_to_text(factor) -> str:
 def factored_to_text(word) -> str:
     if not word.factors:
         return "id"
-    parts = []
-    for factor, exp in word.factors:
-        t = factor_to_text(factor)
-        parts.append(t if exp == 1 else t + "^-1")
-    return " * ".join(parts)
+    return " * ".join(factor_to_text(factor) + ("" if exp == 1 else "^-1")
+                      for factor, exp in word.factors)

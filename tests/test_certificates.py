@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 from functools import lru_cache
 from pathlib import Path
@@ -552,3 +554,30 @@ def test_mutated_certificate_ends_in_a_verdict_or_typed_error(edits):
         return
     assert same_as_reference(cert).verdict in ("PASS", "FAIL",
                                                "INDETERMINATE")
+
+
+# -- every truncation of a certificate reads as it did -------------------------
+
+
+def read_outcome(text):
+    """What reading `text` gives: the digest of the certificate it holds,
+    or the class, message, line and column of the error it raises."""
+    try:
+        cert = parse_certificate(text)
+    except Exception as exc:
+        return [type(exc).__name__, str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None)]
+    return ["parse", hashlib.sha256(
+        serialize_certificate(cert).encode()).hexdigest()]
+
+
+@pytest.mark.parametrize("name", ["corpus", "slin-sweep"])
+def test_every_truncation_reads_as_recorded(name):
+    """tests/data/truncations.json holds the outcome of every prefix of a
+    corpus and a slin-sweep certificate, recorded with the reader that
+    built a Polynomial per atom; the term-map reader gives the same
+    certificates and the same errors at the same lines and columns."""
+    recorded = json.loads((DATA / "truncations.json").read_text())[name]
+    text = recorded["text"]
+    assert [read_outcome(text[:k]) for k in range(len(text) + 1)] == \
+        recorded["outcomes"]

@@ -174,7 +174,7 @@ def field_product(field, a, b):
     for ea, ca in a.items():
         for eb, cb in b.items():
             key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = field._padd(out.get(key, field._pzero()),
+            out[key] = field._padd(out.get(key, field.zero.payload),
                                    field._pmul(ca, cb))
     return {e: c for e, c in out.items() if any(c)}
 
@@ -199,7 +199,7 @@ def test_ext_kernel_accumulates_in_place():
             got = unpacked(got, 2)
             want = dict(start)
             for e, c in field_product(field, a, b).items():
-                want[e] = field._padd(want.get(e, field._pzero()),
+                want[e] = field._padd(want.get(e, field.zero.payload),
                                       field._pmul(k, c))
             assert {e: c for e, c in got.items() if any(c)} == \
                 {e: c for e, c in want.items() if any(c)}

@@ -1,10 +1,13 @@
+import importlib.util
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gen import rand_mixed_word
 from polyauto.errors import ArityError, ParseError
-from polyauto.poly import Polynomial, identity_images
+from polyauto.poly import Polynomial, identity_images, pack
 from polyauto.textio import (endo_to_text, factored_to_text,
                              derivation_to_text, parse_automorphism,
                              parse_derivation, parse_endo, parse_factored,
@@ -134,7 +137,7 @@ def test_parse_error_line_and_column_span_newlines(Q):
     assert (info.value.line, info.value.column) == (2, 5)
 
 
-def test_power_over_the_cap_is_refused_before_expanding(Q, monkeypatch):
+def test_power_over_the_cap_is_refused_before_expanding(Q, F4, monkeypatch):
     from polyauto.errors import DegreeCapExceeded
 
     def no_expansion(*args):
@@ -145,9 +148,19 @@ def test_power_over_the_cap_is_refused_before_expanding(Q, monkeypatch):
         parse_polynomial("(x1+x2+x3+1)^30", Q, 3, cap=20)
     with pytest.raises(DegreeCapExceeded):  # a constant's exponent counts too
         parse_polynomial("2^100000", Q, 3, cap=1024)
+    with pytest.raises(DegreeCapExceeded, match="power of degree 2000 "):
+        parse_polynomial("t^2000", F4, 2)  # t is a constant base too
     monkeypatch.undo()
     assert parse_polynomial("(x1+1)^20", Q, 3, cap=20).deg() == 20
     assert parse_polynomial("(x1+1)^30", Q, 3, cap=None).deg() == 30
+    # no cap, or one above 65535, still builds no monomial over 65535
+    for cap in (None, 100000):
+        with pytest.raises(DegreeCapExceeded,
+                           match="power of degree 70000 exceeds cap 65535"):
+            parse_polynomial("x1^70000", Q, 3, cap=cap)
+        with pytest.raises(DegreeCapExceeded,
+                           match="power of degree 70000 exceeds cap 65535"):
+            parse_polynomial("2*x1*x2^70000", Q, 3, cap=cap)
 
 
 def test_product_over_the_cap_is_refused_before_expanding(Q, monkeypatch):
@@ -164,6 +177,39 @@ def test_product_over_the_cap_is_refused_before_expanding(Q, monkeypatch):
     with pytest.raises(DegreeCapExceeded):
         parse_polynomial("x1^15*x2^15", Q, 3, cap=20)
     assert parse_polynomial("(x1+1)^10*(x2+1)^10", Q, 3, cap=20).deg() == 20
+    with pytest.raises(DegreeCapExceeded,
+                       match="product of degree 1200 exceeds cap 1024"):
+        parse_polynomial("x1^600*x2^600", Q, 3)
+    monkeypatch.undo()
+    # no cap, or one above 65535, still builds no product over 65535
+    for cap in (None, 100000):
+        with pytest.raises(DegreeCapExceeded,
+                           match="product of degree 65536 exceeds cap 65535"):
+            parse_polynomial("x1^65535*3*x2", Q, 3, cap=cap)
+        with pytest.raises(DegreeCapExceeded,
+                           match="product of degree 65536 exceeds cap 65535"):
+            parse_polynomial("x1^65535*(x2+1)", Q, 3, cap=cap)
+    # zero has degree 0, so after a zero factor no product passes the cap
+    assert parse_polynomial("0*x1^1000*x2^1000+x3", Q, 3).deg() == 1
+
+
+def test_flat_sum_is_read_without_polynomial_arithmetic(Q, monkeypatch):
+    """A sum of monomial terms adds into one term map: no Polynomial is
+    added or multiplied, so a flat sum reads in linear time."""
+    rng = random.Random(500)
+    terms = {}
+    while len(terms) < 500:
+        exps = tuple(rng.randint(0, 30) for _ in range(3))
+        terms[exps] = Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 9))
+    p = Polynomial(Q, 3, {pack(e): c for e, c in terms.items()})
+    text = poly_to_text(p)
+
+    def no_arithmetic(*args):
+        raise AssertionError("read a monomial term by Polynomial arithmetic")
+
+    monkeypatch.setattr(Polynomial, "__add__", no_arithmetic)
+    monkeypatch.setattr(Polynomial, "__mul__", no_arithmetic)
+    assert parse_polynomial(text, Q, 3) == p
 
 
 def test_modulus_is_a_polynomial_in_t():
@@ -231,3 +277,131 @@ def test_rational_coefficient_text(Q):
     x1 = Polynomial.variable(Q, 2, 1)
     assert [poly_to_text(x1.scale(Q.elem(Fraction(c))))
             for c in ("-1", "1/2", "-3/2")] == ["-x1", "1/2*x1", "-3/2*x1"]
+
+
+# -- a sympy oracle for text that is not in canonical form -------------------
+
+# tag -> (p, modulus in t), p = 0 for Q
+ORACLE_FIELDS = {"Q": (0, None), "F5": (5, None), "F4": (2, (1, 1, 1)),
+                 "F9": (3, (1, 0, 1))}
+
+
+@st.composite
+def trees(draw, p, modulus, depth=2):
+    """A sum of products of powers over Q or F_p (and t over F_{p^s}): a
+    nested tuple that `render` writes as text and `evaluate` computes."""
+
+    def atom(depth):
+        kinds = (["num", "var", "var"] + ["t"] * (modulus is not None)
+                 + ["group"] * (depth > 0))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "num":  # a/b with b a unit mod p, or a whole number
+            den = draw(st.sampled_from([None] * 3 + [
+                d for d in range(1, 8) if not p or d % p]))
+            return ("num", draw(st.integers(0, 12)), den)
+        if kind == "var":
+            return ("var", draw(st.integers(1, 2)))
+        return ("t",) if kind == "t" else ("group", term_sum(depth - 1))
+
+    def factor(depth, first):
+        base = atom(depth)
+        if not first and draw(st.booleans()):  # a unary minus chain
+            base = ("neg", draw(st.integers(1, 3)), base)
+        k = draw(st.sampled_from([None, None, 0, 1, 2, 3]))
+        return base if k is None else ("pow", base, k)
+
+    def product(depth):
+        factors = [factor(depth, i == 0)
+                   for i in range(draw(st.integers(1, 3)))]
+        if draw(st.integers(0, 5)) == 5:  # a zero factor, then big powers
+            at = draw(st.integers(0, len(factors)))
+            factors[at:at] = [("num", 0, None), ("pow", ("var", 1), 1000),
+                              ("pow", ("var", 2), 1000)]
+        return ("prod", draw(st.sampled_from(["*", " * "])), factors)
+
+    def term_sum(depth):
+        signs = st.sampled_from(["+", "-", "--", "+-", "-+-", " - "])
+        return ("sum", [(draw(st.sampled_from(["", "-", "--"])) if i == 0
+                         else draw(signs), product(depth))
+                        for i in range(draw(st.integers(1, 3)))])
+
+    return term_sum(depth)
+
+
+def render(tree):
+    kind = tree[0]
+    if kind == "num":
+        return f"{tree[1]}" if tree[2] is None else f"{tree[1]}/{tree[2]}"
+    if kind == "var":
+        return f"x{tree[1]}"
+    if kind == "t":
+        return "t"
+    if kind == "group":
+        return f"({render(tree[1])})"
+    if kind == "neg":
+        return "-" * tree[1] + render(tree[2])
+    if kind == "pow":
+        return f"{render(tree[1])}^{tree[2]}"
+    if kind == "prod":
+        return tree[1].join(render(f) for f in tree[2])
+    return "".join(signs + render(t) for signs, t in tree[1])
+
+
+def evaluate(tree, R, gens, p):
+    kind = tree[0]
+    if kind == "num":
+        if tree[2] is None:
+            return R(tree[1])
+        if p == 0:
+            return R(R.domain(tree[1]) / R.domain(tree[2]))
+        return R(tree[1] * pow(tree[2], -1, p))
+    if kind == "var":
+        return gens[tree[1] - 1]
+    if kind == "t":
+        return gens[2]
+    if kind == "group":
+        return evaluate(tree[1], R, gens, p)
+    if kind == "neg":
+        return (-1) ** tree[1] * evaluate(tree[2], R, gens, p)
+    if kind == "pow":  # x^0 is 1, 0^0 included
+        return evaluate(tree[1], R, gens, p) ** tree[2] if tree[2] else R.one
+    if kind == "prod":
+        out = R.one
+        for f in tree[2]:
+            out *= evaluate(f, R, gens, p)
+        return out
+    return sum((evaluate(t, R, gens, p) * (-1) ** signs.count("-")
+                for signs, t in tree[1]), R.zero)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("sympy") is None,
+                    reason="needs sympy")
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(sorted(ORACLE_FIELDS)).flatmap(
+    lambda tag: st.tuples(st.just(tag), trees(*ORACLE_FIELDS[tag]))))
+def test_parse_matches_sympy_on_text_not_in_canonical_form(case):
+    """Nested sums, products and small powers, unary minus chains, zero
+    factors before powers over the cap, x^0, 0^0, a/b inside a product and
+    t anywhere: each text reads as sympy's ring computes it (t reduced by
+    the modulus with rem, the coefficients mod p)."""
+    from sympy.polys.domains import GF, QQ
+    from sympy.polys.rings import ring
+    tag, tree = case
+    p, modulus = ORACLE_FIELDS[tag]
+    R, *gens = ring("x1,x2,t", GF(p) if p else QQ)
+    want = evaluate(tree, R, gens, p)
+    if modulus is not None:
+        want = want.rem(sum(c * gens[2] ** e for e, c in enumerate(modulus)))
+    expected = {}
+    for (e1, e2, et), c in want.terms():
+        if p == 0:
+            expected[(e1, e2)] = Fraction(int(c.numerator), int(c.denominator))
+        elif modulus is None:
+            expected[(e1, e2)] = int(c) % p
+        else:
+            vec = list(expected.get((e1, e2), (0,) * (len(modulus) - 1)))
+            vec[et] = int(c) % p
+            expected[(e1, e2)] = tuple(vec)
+    got = parse_polynomial(render(tree), parse_field(tag), 2)
+    assert {e: c.payload for e, c in got.sorted_terms()} == \
+        {e: c for e, c in expected.items() if c}
