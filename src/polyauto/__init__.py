@@ -14,22 +14,21 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _HOMES = {
-    "Field": "fields", "FieldElement": "fields", "field_arith": "fields",
-    "Polynomial": "poly", "poly_arith": "poly",
+    "Field": "fields", "FieldElement": "fields", "Polynomial": "poly",
     "Endo": "maps", "FactoredAuto": "maps", "compose": "maps",
     "classify": "autos", "comm": "autos", "conj": "autos",
     "elementary": "autos", "invert_endo": "autos", "jacobian_det": "autos",
-    "make_basic": "autos", "translation": "autos", "vector_degree": "autos",
+    "translation": "autos", "vector_degree": "autos",
     "Certificate": "nct", "serialize_certificate": "nct",
     "verify_certificate": "certificates", "parse_certificate": "certificates",
 }
 
 __all__ = [
-    "Field", "FieldElement", "field_arith", "Polynomial", "poly_arith",
-    "Endo", "FactoredAuto", "classify", "comm", "compose", "conj",
-    "elementary", "invert_endo", "jacobian_det", "make_basic", "translation",
-    "vector_degree", "Certificate", "verify_certificate",
-    "serialize_certificate", "parse_certificate", "__version__",
+    "Field", "FieldElement", "Polynomial", "Endo", "FactoredAuto",
+    "classify", "comm", "compose", "conj", "elementary", "invert_endo",
+    "jacobian_det", "translation", "vector_degree", "Certificate",
+    "verify_certificate", "serialize_certificate", "parse_certificate",
+    "__version__",
 ]
 
 

@@ -3,35 +3,31 @@ factor builders, conjugates and commutators, the shape readers of expanded
 maps and their inversion, the Jacobian determinant, and classification.
 
 The maps and words themselves live in polyauto.maps, which the verifier
-loads without this module; the public names of polyauto.maps that the
-engines read are also bound here.
+loads without this module; the names of polyauto.maps used here are also
+bound here, where the engines read them.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidFactor, NotStructured, NotTriangular
 from .fields import Field, FieldElement
-from .maps import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
-                   SignedPermutation, Translation, Triangular, affine_parts,
-                   compose, elementary_parts, mat_det)
+# compose is unused here; the engines and perfbench/tracing.py read it here
+from .maps import (Elementary, Endo, FactoredAuto, Linear, SignedPermutation,
+                   Translation, Triangular, affine_parts, compose,
+                   elementary_parts, mat_det)
 from .poly import (DEFAULT_DEGREE_CAP, Polynomial, check_axis,
                    identity_images)
 from .record import Record
 
 __all__ = [
     "Endo", "compose", "mat_det", "Linear", "Translation", "Elementary",
-    "Triangular", "SignedPermutation", "ExpLND", "FactoredAuto",
-    "affine_parts", "elementary_parts", "make_basic", "conj", "comm",
-    "elementary", "translation", "dilation", "sl_dilation", "signed_swap",
-    "linear_elementary", "triangular_parts", "triangular_from_endo",
-    "word_from_endo", "invert_endo", "jacobian_det", "Classification",
-    "classify", "is_translation", "is_parabolic", "vector_degree",
+    "Triangular", "SignedPermutation", "FactoredAuto", "affine_parts",
+    "elementary_parts", "conj", "comm", "elementary", "translation",
+    "dilation", "sl_dilation", "signed_swap", "linear_elementary",
+    "triangular_parts", "triangular_from_endo", "word_from_endo",
+    "invert_endo", "jacobian_det", "Classification", "classify",
+    "is_translation", "is_parabolic", "vector_degree",
 ]
-
-
-def make_basic(factor) -> Endo:
-    """Expanded tuple of a basic factor."""
-    return factor.expand()
 
 
 def conj(phi: FactoredAuto, g: FactoredAuto) -> FactoredAuto:

@@ -28,6 +28,8 @@ from operator import add
 from .errors import DegreeCapExceeded, InvalidFactor
 from .maps import (Endo, affine_parts, compose, elementary_parts,
                    start_product)
+# serialize_certificate is bound here only for perfbench (tracing.py and
+# pin.py, ROADMAP direction 8)
 from .nct import (FORMAT_VERSION, KIND_COTAME, KIND_SLIN, Certificate, Seed,
                   Step, WordItem, serialize_certificate)
 from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, cap_limit

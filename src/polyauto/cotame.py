@@ -17,26 +17,27 @@ from functools import reduce
 from itertools import chain
 from math import prod
 
-from .autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
-                    Translation, affine_parts, compose, dilation, invert_endo,
-                    mat_det, signed_swap, triangular_from_endo,
-                    triangular_parts, vector_degree)
+from .autos import (Elementary, Endo, FactoredAuto, Linear, Translation,
+                    affine_parts, compose, dilation, invert_endo, mat_det,
+                    signed_swap, triangular_from_endo, triangular_parts,
+                    vector_degree)
 from .errors import (IdentityInput, InternalIdentityFailure, NotAlternating,
                      NotSpecial, NotStructured, UnsupportedCharacteristic,
                      UnsupportedM)
 from .fields import RATIONALS, Field
+from .maps import ExpLND
 from .nct import KIND_COTAME, Certificate
 from .poly import DEFAULT_DEGREE_CAP
 from .record import Record
-from .reduce_core import (CommutatorProbe, affine_terminal,
-                          endo_translation_word, find_noncommuting_c,
-                          parabolic_route, reduce_triangular_ref,
-                          require_vd_drop, translation_pass)
+from .reduce_core import (affine_terminal, endo_translation_word,
+                          find_noncommuting_c, parabolic_route,
+                          reduce_triangular_ref, require_vd_drop,
+                          translation_pass)
 from .wordbuild import CertBuilder
 
 __all__ = [
     "MTriangularForm", "normalize_m_triangular", "find_noncommuting_c",
-    "CommutatorProbe", "certify_normally_cotame",
+    "certify_normally_cotame",
 ]
 
 

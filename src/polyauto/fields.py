@@ -76,6 +76,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_prime(p: int):
+    check_order(p)
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+
+
 def prime_power(q: int):
     """(p, s) with q = p^s for a prime p and s >= 1; NotPrime otherwise.
     A prime factor b <= 41 of q leaves only p = b; any other p is > 2^5."""
@@ -179,9 +185,7 @@ class Field:
         field = _HANDLES.get((PRIME, p, 1, None))
         if field is not None:
             return field
-        check_order(p)
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+        _check_prime(p)
         return _interned((PRIME, p, 1, None))
 
     @staticmethod
@@ -192,9 +196,7 @@ class Field:
             field = _HANDLES.get((EXTENSION, p, s, tuple(modulus)))
             if field is not None:
                 return field
-        check_order(p)
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+        _check_prime(p)
         if s < 2:
             raise ReducibleModulus("extension degree must be at least 2")
         if s > 16 or p ** s > MAX_EXTENSION_ORDER:
@@ -477,22 +479,3 @@ def element_text(field: Field, payload) -> str:
             t = "t" if e == 1 else f"t^{e}"
             parts.append(t if c == 1 else f"{c}*{t}")
     return "+".join(parts) if parts else "0"
-
-
-def field_arith(a: FieldElement, b: FieldElement | None, op: str) -> FieldElement:
-    """Named-operation entry point: add, sub, mul, div, inv, neg."""
-    if op == "inv":
-        return a.inv()
-    if op == "neg":
-        return -a
-    if b is None:
-        raise TypeError(f"operation {op} needs two operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown field operation {op!r}")

@@ -26,8 +26,6 @@ from .slin import (axis_shift, commutator_identity, cubic_identity,
                    linear_elementary_from_translations)
 from .wordbuild import CertBuilder
 
-DEFAULT_FIELD_TAGS = ("Q", "F5", "F4", "F9")
-
 
 class IdentityResult(Record):
     __slots__ = ("family", "field_tag", "detail", "ok")
@@ -39,10 +37,11 @@ class IdentityResult(Record):
         self.ok = ok
 
 
-def _holds(field: Field, n: int, build) -> bool:
-    """Whether `build(builder)` records its identity on a fresh builder:
-    add_step checks every step against the identity's stated value."""
-    builder = CertBuilder(field, n, KIND_COTAME)
+def _holds(field: Field, build) -> bool:
+    """Whether `build(builder)` records its identity on a fresh builder
+    over k[x1, x2]: add_step checks every step against the identity's
+    stated value."""
+    builder = CertBuilder(field, 2, KIND_COTAME)
     try:
         build(builder)
     except InternalIdentityFailure:
@@ -60,7 +59,7 @@ def _translation_seeds(builder: CertBuilder):
 # -- (a) the commutator formula ---------------------------------------------
 
 
-def commutator_formula_checks(field: Field, n: int = 2,
+def commutator_formula_checks(field: Field,
                               limit: int = 50) -> list[IdentityResult]:
     """eps_{i,a}^{-1} delta_{i,j,b} eps_{i,a} delta_{i,j,b}^{-1} = eps_{i,ab-a},
     built by slin.commutator_identity."""
@@ -73,14 +72,14 @@ def commutator_formula_checks(field: Field, n: int = 2,
         pairs = ((a, b) for a in field.elements() for b in field.units())
     return [IdentityResult(
         "commutator-formula", field.tag(), f"a={a} b={b}",
-        _holds(field, n, lambda bld: commutator_identity(bld, 1, 2, a, b)))
+        _holds(field, lambda bld: commutator_identity(bld, 1, 2, a, b)))
         for a, b in pairs]
 
 
 # -- (b) the odd-characteristic square trick ----------------------------------
 
 
-def square_trick_checks(field: Field, n: int = 2,
+def square_trick_checks(field: Field,
                         limit: int = 20) -> list[IdentityResult]:
     """eps_{i,a x_j} as a product of translations conjugated by eps_{i,x_j^2},
     built by slin.linear_elementary_from_translations; valid away from
@@ -90,7 +89,7 @@ def square_trick_checks(field: Field, n: int = 2,
         list(field.units())
     return [IdentityResult(
         "square-trick", field.tag(), f"a={a}",
-        _holds(field, n, lambda bld: linear_elementary_from_translations(
+        _holds(field, lambda bld: linear_elementary_from_translations(
             bld, 1, 2, a, _translation_seeds(bld))))
         for a in units[:limit]]
 
@@ -98,14 +97,14 @@ def square_trick_checks(field: Field, n: int = 2,
 # -- (c) the characteristic-two cubic claim -------------------------------------
 
 
-def char2_claim_checks(field: Field, n: int = 2) -> list[IdentityResult]:
+def char2_claim_checks(field: Field) -> list[IdentityResult]:
     """All valid (a, b): the cubic conjugation word equals eps_{i, a x_j},
     including the two displayed sub-identities with their exact f_1, f_2,
     built by slin.cubic_identity."""
     assert field.characteristic == 2 and field.order > 2
     return [IdentityResult(
         "char2-claim", field.tag(), f"a={a} b={b}",
-        _holds(field, n, lambda bld: cubic_identity(
+        _holds(field, lambda bld: cubic_identity(
             bld, 1, 2, a, b, _translation_seeds(bld))))
         for a in field.units() for b in field.units() if b != a]
 
@@ -113,10 +112,10 @@ def char2_claim_checks(field: Field, n: int = 2) -> list[IdentityResult]:
 # -- (d) the scaling observation ---------------------------------------------------
 
 
-def scaling_observation_checks(field: Field, n: int = 2, count: int = 50,
+def scaling_observation_checks(field: Field, count: int = 50,
                                seed: int = 2024) -> list[IdentityResult]:
     """eps_{1,aM} = delta_{1,2}^{-1} (eps_{1,2aM}^{-1} delta_{1,2} eps_{1,2aM})
-    for monomials M free of x_1; needs 2 != 0."""
+    for monomials M = x_2^e in k[x1, x2]; needs 2 != 0."""
     assert field.characteristic != 2
     rng = random.Random(seed)
     units = list(field.units(bound=24)) if field.order is None \
@@ -124,12 +123,12 @@ def scaling_observation_checks(field: Field, n: int = 2, count: int = 50,
     out = []
     for _ in range(count):
         a = rng.choice(units)
-        exps = [0] + [rng.randint(0, 3) for _ in range(n - 1)]
-        M = Polynomial.monomial(field, n, field.one, exps)
-        eps2 = elementary(field, n, 1, M.scale(a * field.from_int(2)))
-        delta = dilation(field, n, 1, 2)
+        exps = [0, rng.randint(0, 3)]
+        M = Polynomial.monomial(field, 2, field.one, exps)
+        eps2 = elementary(field, 2, 1, M.scale(a * field.from_int(2)))
+        delta = dilation(field, 2, 1, 2)
         word = delta.inverse() * eps2.inverse() * delta * eps2
-        want = elementary(field, n, 1, M.scale(a)).expand()
+        want = elementary(field, 2, 1, M.scale(a)).expand()
         out.append(IdentityResult(
             "scaling-observation", field.tag(),
             f"a={a} exps={tuple(exps)}", word.expand() == want))
@@ -139,28 +138,27 @@ def scaling_observation_checks(field: Field, n: int = 2, count: int = 50,
 # -- (e) the exponential commutator ---------------------------------------------------
 
 
-def random_kernel_pairs(seed: int, count: int,
-                        field: Field | None = None,
-                        max_deg: int = 2) -> list[tuple[Polynomial, TriDerivation]]:
+def random_kernel_pairs(seed: int,
+                        count: int) -> list[tuple[Polynomial, TriDerivation]]:
     """Deterministic (F, D) pairs with D triangular nonzero and F in ker D.
 
     Built from the closed-form invariants of two derivation shapes:
     D = (0, 0, Q3, Q4) has x_1, x_2 and W = Q4*x3 - Q3*x4 in its kernel;
     D = (0, Q2, 0) has x_1 and x_3 in its kernel.
     """
-    field = field or Field.rationals()
+    field = Field.rationals()
     rng = random.Random(seed)
     pairs = []
     while len(pairs) < count:
         n = rng.choice((3, 4))
         zero = Polynomial.zero(field, n)
 
-        def rpoly(maxvar, deg=max_deg, allow_zero=False):
+        def rpoly(maxvar):
             p = zero
-            for _ in range(rng.randint(0 if allow_zero else 1, 2)):
+            for _ in range(rng.randint(1, 2)):
                 exps = [0] * n
                 for j in range(maxvar):
-                    exps[j] = rng.randint(0, deg)
+                    exps[j] = rng.randint(0, 2)
                 coeff = field.from_int(rng.choice((-2, -1, 1, 2, 3)))
                 p = p + Polynomial.monomial(field, n, coeff, exps)
             return p
@@ -219,7 +217,7 @@ def exp_commutator_checks(count: int = 20,
 # -- suite ------------------------------------------------------------------------------
 
 
-def run_identity_suite(tags: Sequence[str] = DEFAULT_FIELD_TAGS,
+def run_identity_suite(tags: Sequence[str],
                        seed: int = 2024) -> list[IdentityResult]:
     from .textio import parse_field
     fields = [parse_field(t) for t in tags]

@@ -488,16 +488,6 @@ class PreparedImages(tuple):
         return Polynomial(field, self.nvars, terms)
 
 
-def poly_arith(p: Polynomial, q: Polynomial, op: str) -> Polynomial:
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown polynomial operation {op!r}")
-
-
 def identity_images(field: Field, nvars: int) -> tuple[Polynomial, ...]:
     """(x_1, ..., x_n), one shared tuple per field handle and n."""
     images = field._identity.get(nvars)

@@ -14,9 +14,8 @@ from __future__ import annotations
 from functools import reduce
 
 from .autos import (Endo, FactoredAuto, Linear, affine_parts, compose,
-                    dilation, elementary, elementary_parts, is_parabolic,
-                    is_translation, mat_det, signed_swap, translation,
-                    triangular_parts, vector_degree)
+                    elementary, elementary_parts, is_parabolic, is_translation,
+                    signed_swap, translation, triangular_parts, vector_degree)
 from .errors import (IdentityInput, InternalIdentityFailure, NotParabolic,
                      NotTriangular, UnsupportedCharacteristic)
 from .fields import RATIONALS, Field
@@ -207,34 +206,13 @@ def reduce_triangular_ref(builder: CertBuilder, ref: str) -> str:
 # -- parabolic reduction ---------------------------------------------------------
 
 
-def _sl_diag_split(alpha: FactoredAuto):
-    """Factor the linear word alpha as alpha0 * lambda with alpha0 in SL_n
-    and lambda = diag(det, 1, ..., 1); returns the alpha0 word."""
-    field, n = alpha.field, alpha.nvars
-    val = alpha.expand()
-    parts = affine_parts(val)
-    if parts is None or any(not b.is_zero() for b in parts[1]):
-        raise NotParabolic("conjugator must be linear")
-    A, _ = parts
-    d = mat_det(field, A)
-    a0_rows = [list(row) for row in A]
-    for i in range(n):
-        a0_rows[i][0] = a0_rows[i][0] / d
-    # A = A0 * Lambda as matrices acting via substitution: check by expansion
-    a0 = FactoredAuto(field, n, [Linear(field, n,
-                                        tuple(tuple(r) for r in a0_rows))])
-    if compose(a0.expand(), dilation(field, n, 1, d).expand()) != val:
-        raise InternalIdentityFailure("SL*diag split failed")
-    return a0
-
-
 def reduce_parabolic_ref(builder: CertBuilder, ref: str,
                          alpha: FactoredAuto | None = None,
                          note: str = "parabolic") -> str:
-    """The base value is alpha (phi) alpha^{-1} for a parabolic special phi;
-    conjugate back by the SL part of alpha (the diagonal part preserves the
-    parabolic shape) and run the last-axis commutator reduction.  `note`
-    opens the STEP note of the commutator."""
+    """The base value is alpha (phi) alpha^{-1} for a parabolic special phi
+    and a special linear alpha, which is refused otherwise; conjugate back
+    by alpha, recorded as one linear factor, and run the last-axis
+    commutator reduction.  `note` opens the STEP note of the commutator."""
     val = builder.value(ref)
     _require_char_zero(val.field)
     field, n = val.field, val.nvars
@@ -242,7 +220,12 @@ def reduce_parabolic_ref(builder: CertBuilder, ref: str,
         raise IdentityInput("parabolic input is the identity")
     cur = ref
     if alpha is not None and alpha.factors:
-        cur = builder.add_step([(_sl_diag_split(alpha), ref, 1)],
+        parts = affine_parts(alpha.expand())
+        if parts is None or any(not b.is_zero() for b in parts[1]) \
+                or not alpha.det().is_one():
+            raise NotParabolic("conjugator must be special linear")
+        linear = FactoredAuto(field, n, [Linear(field, n, parts[0])])
+        cur = builder.add_step([(linear, ref, 1)],
                                note="SL part of the conjugator")
     w = builder.value(cur)
     if not is_parabolic(w):

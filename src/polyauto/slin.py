@@ -2,7 +2,7 @@
 special group: commutator identities, translation transfer, and the full
 monomial-elementary recursion over suitable fields.  The translation
 identities that the characteristic-zero engines share live in
-polyauto.translations, and are bound here too.
+polyauto.translations.
 
 Every emitted word is evaluated on the spot and compared against the value
 the underlying identity predicts; a mismatch raises InternalIdentityFailure
@@ -25,15 +25,16 @@ from .fields import PRIME, RATIONALS, Field, FieldElement
 from .nct import KIND_SLIN, Certificate
 from .poly import Polynomial, check_axis, check_exponents
 from .record import Record
-from .translations import (axis_shift, translation_from_any,
-                           translation_from_special_affine)
+# translation_from_any is bound here only for perfbench/tracing.py
+# (ROADMAP direction 8)
+from .translations import axis_shift, translation_from_any
 from .wordbuild import CertBuilder
 
 __all__ = [
     "SlinContext", "commutator_identity", "translation_transfer",
     "translation_from_any", "linear_elementary_from_translations",
-    "cubic_identity", "translation_from_special_affine", "axis_shift",
-    "slin_from_monomial_elementary", "slin_from_elementary",
+    "cubic_identity", "axis_shift", "slin_from_monomial_elementary",
+    "slin_from_elementary",
 ]
 
 UNIT_SEARCH_BOUND = 64  # units tried for b with b^(d+1) != 1 (proof case 1)

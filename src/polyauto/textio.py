@@ -13,7 +13,9 @@ at a line and column; a power or product over the cap is refused first.
 from __future__ import annotations
 
 import re
+from itertools import compress, repeat
 from math import inf
+from operator import contains
 
 from .derivations import TriDerivation
 from .errors import (ArityError, NotPrime, ParseError, ReducibleModulus,
@@ -49,15 +51,16 @@ class _Parser:
         # the parse-time cap, and the one that no polynomial is built over
         self.cap, self.limit = inf if cap is None else cap, cap_limit(cap)
         parts = _TOKEN_RE.split(text)  # whitespace, token, ..., whitespace
-        toks, gaps = self.toks, self.gaps = parts[1::2], parts[::2]
-        if self.lines and toks:  # an EOL ends each line that has a token
-            for k in [k for k in range(len(toks) - 1, 0, -1)
-                      if "\n" in gaps[k]]:
-                toks.insert(k, EOL)
-                gaps.insert(k, "")
-            toks.append(EOL)
-            gaps.insert(-1, "")
-        toks.append(END)  # its gap is the whitespace after the last token
+        if self.lines and len(parts) > 1:  # an EOL ends each line with a token
+            lined, start = [], 0  # built in one pass, so in linear time
+            for end in compress(range(2, len(parts) - 1, 2),
+                                map(contains, parts[2:-1:2], repeat("\n"))):
+                lined += parts[start:end]
+                lined += ("", EOL)  # an EOL follows its line's last token
+                start = end
+            parts = lined + parts[start:-1] + ["", EOL, parts[-1]]
+        self.toks, self.gaps = parts[1::2], parts[::2]
+        self.toks.append(END)  # its gap is the whitespace after the last token
         self.set_ring(field, nvars)
 
     def set_ring(self, field, nvars):
@@ -178,21 +181,22 @@ class _Parser:
         toks, field = self.toks, self.field
         if toks[self.i][:1] == "x" and toks[self.i + 1] not in _JOINS:
             return identity_images(field, self.nvars)[self.mono()[1] - 1]
-        terms, rest = {}, []
+        terms = {}
         while True:
             negate = False
             while toks[self.i] in _SIGNS:
                 negate ^= toks[self.i] == "-"
                 self.i += 1
             exps, c = self.term(negate)
-            if exps is None:
-                rest.append(c)
-            else:
+            if exps is not None:
                 acc = terms.get(exps)
                 terms[exps] = c if acc is None else field._padd(acc, c)
+            else:  # a polynomial joins the map term by term
+                for e, x in c.sorted_terms():
+                    acc, x = terms.get(e), x.payload
+                    terms[e] = x if acc is None else field._padd(acc, x)
             if toks[self.i] not in _SIGNS:
-                return sum(rest, Polynomial.from_exponents(
-                    field, self.nvars, terms))
+                return Polynomial.from_exponents(field, self.nvars, terms)
 
     def term(self, negate: bool):
         """power {'*' power}, refused before a product over the cap, and
@@ -228,6 +232,8 @@ class _Parser:
             if toks[self.i] != "*":
                 break
             self.i += 1
+        if p is not None and c is None and not (negate or any(exps)):
+            return None, p  # (...) alone: no monomial to multiply by
         c = field._one.payload if c is None else c
         c = field._pneg(c) if negate else c
         if p is None:

@@ -11,7 +11,7 @@ this module does not load it.
 
 from __future__ import annotations
 
-from .autos import Endo, affine_parts, elementary, is_translation
+from .autos import Translation, affine_parts, elementary, is_translation
 from .errors import IdentityInput, NotAffine
 from .fields import FieldElement
 from .poly import Polynomial
@@ -62,13 +62,9 @@ def translation_from_special_affine(builder: CertBuilder, alpha: str) -> str:
         raise IdentityInput("linear part is the identity but map is not a translation")
     _, j = pick
     guard = elementary(field, n, j + 1, field.one)
-    expected_comps = []
-    for k in range(n):
-        delta = field.one if k == j else field.zero
-        expected_comps.append(
-            Polynomial.variable(field, n, k + 1)
-            + Polynomial.constant(field, n, A[k][j] - delta))
-    expected = Endo(field, n, expected_comps)
+    shift = tuple(A[k][j] - (field.one if k == j else field.zero)
+                  for k in range(n))
+    expected = Translation(field, n, shift).expand()
     return builder.add_step(
         [(guard, alpha, 1), (None, alpha, -1)],
         expect=expected, note="translation from affine part")

@@ -72,7 +72,7 @@ class CertBuilder:
     # -- steps ------------------------------------------------------------------
 
     def add_step(self, items, expect: Endo | None = None,
-                 note: str = "", label: str | None = None) -> str:
+                 note: str = "") -> str:
         """items: iterable of (conjugator|None, base_label, exponent).
 
         Item g^{-1} base^e g has the inverse g^{-1} base^{-e} g, each g and
@@ -122,7 +122,7 @@ class CertBuilder:
             raise InternalIdentityFailure(
                 f"word expansion does not match the predicted value "
                 f"(note: {note or 'unnamed step'})")
-        label = label or self._fresh("t")
+        label = self._fresh("t")
         self.steps.append(Step(label, tuple(word_items), value, inverse, note))
         self._env[label] = (value, inverse)
         return label

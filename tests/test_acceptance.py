@@ -15,7 +15,7 @@ import pytest
 from gen import (rand_m_triangular_word, rand_sl_word, rand_translation,
                  rand_triangular)
 import polyauto
-from polyauto.autos import (Elementary, Endo, ExpLND, FactoredAuto,
+from polyauto.autos import (Elementary, Endo, FactoredAuto,
                             SignedPermutation, compose, invert_endo,
                             jacobian_det, vector_degree)
 from polyauto.certificates import (parse_certificate, serialize_certificate,
@@ -30,6 +30,7 @@ from polyauto.identities import (char2_claim_checks,
                                  scaling_observation_checks,
                                  square_trick_checks)
 from polyauto.lnd import exp_automorphism
+from polyauto.maps import ExpLND
 from polyauto.poly import Polynomial
 from polyauto.slin import SlinContext, slin_from_monomial_elementary
 from polyauto.textio import parse_endo, parse_factored, parse_field

@@ -7,17 +7,17 @@ import pytest
 
 from gen import (Q as QF, rand_m_triangular_word, rand_mixed_word,
                  rand_sl_word, rand_translation, rand_triangular, rand_unit)
-from polyauto.autos import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
+from polyauto.autos import (Elementary, Endo, FactoredAuto, Linear,
                             SignedPermutation, Translation, Triangular,
                             classify, comm, compose, conj, dilation,
-                            elementary, invert_endo, jacobian_det, make_basic,
-                            mat_det, sl_dilation, translation,
-                            triangular_from_endo, vector_degree,
-                            word_from_endo)
+                            elementary, invert_endo, jacobian_det, mat_det,
+                            sl_dilation, translation, triangular_from_endo,
+                            vector_degree, word_from_endo)
 from polyauto.errors import (DegreeCapExceeded, IndexOutOfRange,
                              InvalidFactor, NotStructured, NotTriangular)
 from polyauto.fields import Field
 from polyauto.identities import random_kernel_pairs
+from polyauto.maps import ExpLND
 from polyauto.poly import Polynomial
 from polyauto.textio import parse_endo, parse_factored
 
@@ -27,7 +27,7 @@ def X(field, n, i):
 
 
 def test_make_basic_elementary(Q):
-    phi = make_basic(Elementary(Q, 2, 1, X(Q, 2, 2) ** 2))
+    phi = Elementary(Q, 2, 1, X(Q, 2, 2) ** 2).expand()
     assert phi == parse_endo("[Q,2] (x1+x2^2, x2)")
 
 

@@ -5,16 +5,16 @@ import pytest
 
 from gen import (rand_m_triangular_word, rand_mixed_word, rand_sl_word,
                  rand_translation, rand_triangular)
-from polyauto.autos import (Endo, FactoredAuto, classify, compose,
+from polyauto.autos import (Endo, FactoredAuto, classify, compose, dilation,
                             elementary, jacobian_det, linear_elementary,
                             translation, vector_degree)
 from polyauto.certificates import (KIND_COTAME, serialize_certificate,
                                    verify_certificate)
 from polyauto.cotame import (certify_normally_cotame, find_noncommuting_c,
                              normalize_m_triangular)
-from polyauto.errors import (DegreeCapExceeded, IdentityInput, NotSpecial,
-                             NotTriangular, UnsupportedCharacteristic,
-                             UnsupportedM)
+from polyauto.errors import (DegreeCapExceeded, IdentityInput, NotParabolic,
+                             NotSpecial, NotTriangular,
+                             UnsupportedCharacteristic, UnsupportedM)
 from polyauto.fields import Field
 from polyauto.poly import Polynomial
 from polyauto.reduce_core import (parabolic_witness, reduce_parabolic_ref,
@@ -257,6 +257,16 @@ def test_m_engine_witness_route():
     assert verify_certificate(cert).verdict == "PASS"
     assert hashlib.sha256(serialize_certificate(cert).encode()).hexdigest() \
         == "e91b5dfc1cc6d8517cebcc87a74e8cd3fa7ef7405b261f379dac065900e6ef97"
+
+
+def test_parabolic_reduction_refuses_a_conjugator_not_special_linear():
+    # the conjugator is recorded as one linear factor, so it must be linear
+    # of determinant 1; a refusal records no step
+    builder, seed = seeded_builder(parse_factored("[Q,3] E(3; x1^2)"))
+    for alpha in (dilation(Q, 3, 1, 2), translation(Q, 3, [0, 1, 0])):
+        with pytest.raises(NotParabolic, match="special linear"):
+            reduce_parabolic_ref(builder, seed, alpha)
+    assert builder.steps == []
 
 
 def test_m2_engine_nonunit_scalars():

@@ -1,15 +1,16 @@
 import pytest
 
 from gen import rand_triangular
-from polyauto.autos import Endo, ExpLND, FactoredAuto, compose, jacobian_det
+from polyauto.autos import Endo, FactoredAuto, compose, jacobian_det
 from polyauto.certificates import verify_certificate
 from polyauto.cotame import certify_normally_cotame
-from polyauto.derivations import TriDerivation
+from polyauto.derivations import TriDerivation, apply_derivation, kernel_check
 from polyauto.errors import (IdentityInput, InvalidFactor, KernelViolation,
                              UnsupportedCharacteristic)
 from polyauto.fields import Field
 from polyauto.identities import random_kernel_pairs
-from polyauto.lnd import apply_derivation, exp_automorphism, kernel_check
+from polyauto.lnd import exp_automorphism
+from polyauto.maps import ExpLND
 from polyauto.poly import Polynomial
 from polyauto.textio import parse_derivation, parse_endo
 

@@ -13,9 +13,8 @@ from polyauto.slin import (SlinContext, commutator_identity, cubic_identity,
                            linear_elementary_from_translations,
                            slin_from_elementary,
                            slin_from_monomial_elementary,
-                           translation_from_any,
-                           translation_from_special_affine,
-                           translation_transfer)
+                           translation_from_any, translation_transfer)
+from polyauto.translations import translation_from_special_affine
 from polyauto.wordbuild import CertBuilder
 
 Q = Field.rationals()

@@ -58,7 +58,7 @@ def test_factored_round_trip():
 
 
 def test_exp_factor_round_trip(Q):
-    from polyauto.autos import ExpLND, FactoredAuto
+    from polyauto.maps import ExpLND, FactoredAuto
     from polyauto.derivations import TriDerivation
     n = 3
     x1 = Polynomial.variable(Q, n, 1)
