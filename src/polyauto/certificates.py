@@ -82,6 +82,7 @@ def verify_certificate(cert: Certificate,
     """
     records: list[CheckRecord] = []
     indeterminate = False
+    labels = set()
     ident = Endo.identity(cert.field, cert.nvars)
     limit = cap_limit(cap)
     # label -> [value, inverse, inverse exact, seed word]: a seed's inverse
@@ -89,9 +90,23 @@ def verify_certificate(cert: Certificate,
     # passed inverse-pair
     env: dict[str, list] = {}
 
-    def record(label, check, ok, message=""):
-        records.append(CheckRecord(label, check, ok, message))
+    def check(label, name, ok, why):
+        """Record a check; its message `why` is kept only when it fails."""
+        records.append(CheckRecord(label, name, ok, "" if ok else why))
         return ok
+
+    def undecided(label, name, exc):
+        """Record a check the cap stopped; the verdict is INDETERMINATE."""
+        nonlocal indeterminate
+        indeterminate = True
+        records.append(CheckRecord(label, name, False, str(exc)))
+
+    def fresh(label):
+        """Whether no earlier seed or step has `label`; a repeat fails."""
+        if label in labels:
+            return check(label, "unique-label", False, "duplicate label")
+        labels.add(label)
+        return True
 
     def conjugate(item, side):
         """g^-1 * core * g for the item's core on `side` (0 its base's
@@ -101,55 +116,43 @@ def verify_certificate(cert: Certificate,
         return core if g is None else compose(compose(ginv, core, cap=cap),
                                               g, cap=cap)
 
-    ok_all = True
-    labels = set()
     for seed in cert.seeds:
-        if seed.label in labels:
-            ok_all = record(seed.label, "unique-label", False,
-                            "duplicate label") and ok_all
+        label = seed.label
+        if not fresh(label):
             continue
-        labels.add(seed.label)
         try:
             value = seed.word.expand(cap=cap)
         except DegreeCapExceeded as exc:
-            indeterminate = True
-            record(seed.label, "seed-expansion", False, str(exc))
+            undecided(label, "seed-expansion", exc)
             continue
-        env[seed.label] = [value, None, True, seed.word]
-        special = seed.word.det().is_one()
-        ok_all = record(seed.label, "seed-special", special,
-                        "" if special else "seed Jacobian determinant != 1") and ok_all
+        env[label] = [value, None, True, seed.word]
+        check(label, "seed-special", seed.word.det().is_one(),
+              "seed Jacobian determinant != 1")
         if cert.kind == KIND_SLIN:
             parts = affine_parts(value)
-            lin = parts is not None and all(b.is_zero() for b in parts[1])
-            ok_all = record(seed.label, "seed-linear", lin,
-                            "" if lin else "SLIN seed must be linear") and ok_all
+            check(label, "seed-linear", parts is not None and all(
+                b.is_zero() for b in parts[1]), "SLIN seed must be linear")
 
     for step in cert.steps:
         label = step.label
-        if label in labels:
-            ok_all = record(label, "unique-label", False, "duplicate label") and ok_all
+        if not fresh(label):
             continue
-        labels.add(label)
         try:
             pair_ok = compose(step.value, step.inverse, cap=cap) == ident
         except DegreeCapExceeded as exc:
-            indeterminate = True
-            record(label, "inverse-pair", False, str(exc))
+            undecided(label, "inverse-pair", exc)
             continue
-        ok_all = record(label, "inverse-pair", pair_ok,
-                        "" if pair_ok else "stated inverse is not an inverse") and ok_all
+        check(label, "inverse-pair", pair_ok,
+              "stated inverse is not an inverse")
         # per item: its entry, the side (0 value, 1 inverse) of its core, its
         # conjugator's inverse and expansion (None, None without one), and
         # the degree bound d_1*...*d_i of the fold through it
         items, left = [], 1
-        failed = False
         for idx, item in enumerate(step.items):
             entry = env.get(item.base)
             if entry is None:
-                ok_all = record(label, f"item{idx}-base", False,
-                                f"unknown or later base {item.base!r}") and ok_all
-                failed = True
+                check(label, f"item{idx}-base", False,
+                      f"unknown or later base {item.base!r}")
                 break
             side, conj = int(item.exponent != 1), item.conjugator
             ginv = g = None
@@ -158,65 +161,52 @@ def verify_certificate(cert: Certificate,
                     entry[1] = entry[3].inverse().expand(cap=cap)
                 if conj is not None and conj.factors:
                     g = conj.expand(cap=cap)
-                    special = conj.det().is_one()
-                    ok_all = record(
-                        label, f"item{idx}-conjugator-special", special,
-                        "" if special else
-                        "conjugator Jacobian determinant != 1") and ok_all
-                    if not special:
-                        failed = True
+                    if not check(label, f"item{idx}-conjugator-special",
+                                 conj.det().is_one(),
+                                 "conjugator Jacobian determinant != 1"):
                         break
                     ginv = conj.inverse().expand(cap=cap)
                 left *= (entry[side].deg() if g is None
                          else ginv.deg() * entry[side].deg() * g.deg())
                 items.append((entry, side, ginv, g, left))
             except DegreeCapExceeded as exc:
-                indeterminate = True
-                record(label, f"item{idx}-expansion", False, str(exc))
-                failed = True
+                undecided(label, f"item{idx}-expansion", exc)
                 break
-        if failed:
-            continue
-        j, bound = (_split_point(items, step.value) if len(items) > 1
-                    else (len(items), 0))
-        if bound > limit:
-            j = len(items)  # the fold, which the cap stops as any fold
-        try:
-            product = ident
-            for idx in range(j):
-                piece = conjugate(items[idx], items[idx][1])
-                product = (compose(product, piece, cap=cap) if idx
-                           else start_product(piece, cap))
-            other = step.value
-            for idx in range(len(items) - 1, j - 1, -1):
-                other = compose(other, conjugate(items[idx], 1 - items[idx][1]),
-                                cap=cap)
-        except DegreeCapExceeded as exc:
-            indeterminate = True
-            record(label, f"item{idx}-expansion", False, str(exc))
-            continue
-        match = product == other
-        ok_all = record(label, "word-equals-value", match,
-                        "" if match else "word expansion differs from claimed value") and ok_all
-        env[label] = [step.value, step.inverse, pair_ok, None]
+        else:  # every item was read
+            j, bound = (_split_point(items, step.value) if len(items) > 1
+                        else (len(items), 0))
+            if bound > limit:
+                j = len(items)  # the fold, which the cap stops as any fold
+            try:
+                product = ident
+                for idx in range(j):
+                    piece = conjugate(items[idx], items[idx][1])
+                    product = (compose(product, piece, cap=cap) if idx
+                               else start_product(piece, cap))
+                other = step.value
+                for idx in range(len(items) - 1, j - 1, -1):
+                    other = compose(
+                        other, conjugate(items[idx], 1 - items[idx][1]),
+                        cap=cap)
+            except DegreeCapExceeded as exc:
+                undecided(label, f"item{idx}-expansion", exc)
+                continue
+            check(label, "word-equals-value", product == other,
+                  "word expansion differs from claimed value")
+            env[label] = [step.value, step.inverse, pair_ok, None]
 
     # terminal checks
     if cert.terminal not in env or not any(
             s.label == cert.terminal for s in cert.steps):
-        ok_all = record(cert.terminal or "<missing>", "terminal-exists",
-                        False, "terminal must reference a step") and ok_all
+        check(cert.terminal or "<missing>", "terminal-exists", False,
+              "terminal must reference a step")
     else:
-        elem_ok = elementary_parts(env[cert.terminal][0]) is not None
-        ok_all = record(cert.terminal, "terminal-elementary", elem_ok,
-                        "" if elem_ok else
-                        "terminal is not a nontrivial elementary map") and ok_all
+        check(cert.terminal, "terminal-elementary",
+              elementary_parts(env[cert.terminal][0]) is not None,
+              "terminal is not a nontrivial elementary map")
 
-    if indeterminate:
-        verdict = "INDETERMINATE"
-    elif ok_all:
-        verdict = "PASS"
-    else:
-        verdict = "FAIL"
+    verdict = ("INDETERMINATE" if indeterminate else
+               "PASS" if all(r.ok for r in records) else "FAIL")
     return VerificationReport(verdict, records)
 
 

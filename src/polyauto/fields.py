@@ -3,11 +3,12 @@ prime-power extensions F_{p^s} given by an explicit irreducible modulus.
 
 Element payloads are plain Python values (Fraction, int residue, or a tuple
 of residues for extension fields); FieldElement is a thin immutable wrapper.
-Polynomial code works on payloads directly through the Field's `_p*` ops.
-F_{p^s} payloads multiply, invert and raise to powers through the
-discrete-log/antilog tables of `kernels.ext_tables`, built once per field:
-a product is exp[log a + log b], an inverse exp[(q-1) - log a].  F_p
-residues invert by Fermat's a^(p-2).
+Polynomial code works on payloads directly through the Field's `_p*` ops,
+which each handle binds once for its kind when it is made, so no op
+decides the kind again.  F_{p^s} payloads multiply, invert and raise to
+powers through the discrete-log/antilog tables of `kernels.ext_tables`,
+built once per field: a product is exp[log a + log b], an inverse
+exp[(q-1) - log a].  F_p residues invert by pow(a, -1, p).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from math import log, log2
+from operator import add, mul, neg
 from types import MappingProxyType
 from weakref import WeakValueDictionary
 
@@ -99,28 +101,17 @@ def prime_power(q: int):
     raise NotPrime(f"{q} is not a prime power")
 
 
-def _fp_poly_divmod(a, b, p):
-    """Quotient/remainder of polynomials (ascending coeffs) over F_p, b != 0."""
-    a = [x % p for x in a]
-    while a and a[-1] == 0:
-        a.pop()
-    b = [x % p for x in b]
-    while b and b[-1] == 0:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    r = a[:]
-    while len(r) >= len(b) and r:
-        c = (r[-1] * inv_lead) % p
-        d = len(r) - len(b)
-        q[d] = c
-        for j in range(len(b)):
-            r[d + j] = (r[d + j] - c * b[j]) % p
-        while r and r[-1] == 0:
-            r.pop()
-    return q, r
+def _fp_poly_rem(a, b, p):
+    """The remainder of a by a monic b over F_p, coefficients ascending: its
+    len(b) - 1 residues, or fewer when a is shorter."""
+    r = [x % p for x in a]
+    d = len(b) - 1
+    for i in range(len(r) - 1, d - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(d):
+                r[i - d + j] = (r[i - d + j] - c * b[j]) % p
+    return r[:d]
 
 
 def _is_irreducible(modulus, p) -> bool:
@@ -132,8 +123,7 @@ def _is_irreducible(modulus, p) -> bool:
         # all monic candidates of degree d
         for idx in range(p ** d):
             cand = kernels.digits(idx, p, d) + (1,)
-            _, r = _fp_poly_divmod(modulus, cand, p)
-            if not r:
+            if not any(_fp_poly_rem(modulus, cand, p)):
                 return False
     return True
 
@@ -162,7 +152,8 @@ class Field:
     immutable.
     """
 
-    __slots__ = ("kind", "p", "s", "modulus", "_zero", "_one", "_identity",
+    __slots__ = ("kind", "p", "s", "modulus", "_pfrom_int", "_padd", "_pneg",
+                 "_pmul", "_power", "_zero", "_one", "_identity",
                  "__weakref__")
 
     def __init__(self, kind, p, s, modulus):
@@ -170,6 +161,24 @@ class Field:
         self.p = p
         self.s = s
         self.modulus = modulus
+        # the payload ops of the kind, bound once; _power(a, e) takes a
+        # nonzero a when e < 0 (_pinv checks)
+        if kind == RATIONALS:
+            ops = (Fraction, add, neg, mul, pow)
+        elif kind == PRIME:
+            ops = (lambda k: k % p, lambda a, b: (a + b) % p,
+                   lambda a: -a % p, lambda a, b: a * b % p,
+                   lambda a, e: pow(a, e, p))
+        else:
+            pad = (0,) * (s - 1)
+            ext_mul, ext_pow = kernels.ext_mul, kernels.ext_pow
+            ops = (lambda k: (k % p,) + pad,
+                   lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)]),
+                   lambda a: tuple([-x % p for x in a]),
+                   lambda a, b: ext_mul(a, b, p, modulus),
+                   lambda a, e: ext_pow(a, e, p, modulus))
+        (self._pfrom_int, self._padd, self._pneg, self._pmul,
+         self._power) = ops
         self._zero = FieldElement(self, self._pfrom_int(0))
         self._one = FieldElement(self, self._pfrom_int(1))
         self._identity = {}  # nvars -> (x_1, ..., x_n), poly.identity_images
@@ -252,61 +261,19 @@ class Field:
 
     # -- payload arithmetic ----------------------------------------------
 
-    def _pfrom_int(self, k: int):
-        if self.kind == RATIONALS:
-            return Fraction(k)
-        if self.kind == PRIME:
-            return k % self.p
-        return (k % self.p,) + (0,) * (self.s - 1)
-
-    def _padd(self, a, b):
-        if self.kind == RATIONALS:
-            return a + b
-        if self.kind == PRIME:
-            return (a + b) % self.p
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _pneg(self, a):
-        if self.kind == RATIONALS:
-            return -a
-        if self.kind == PRIME:
-            return (-a) % self.p
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def _pmul(self, a, b):
-        if self.kind == RATIONALS:
-            return a * b
-        if self.kind == PRIME:
-            return (a * b) % self.p
-        return kernels.ext_mul(a, b, self.p, self.modulus)
-
     def _pinv(self, a):
-        if self._pis_zero(a):
+        if a == self._zero.payload:
             raise DivisionByZero("inverse of zero")
-        if self.kind == RATIONALS:
-            return 1 / a
-        if self.kind == PRIME:
-            return pow(a, self.p - 2, self.p)
-        return kernels.ext_pow(a, -1, self.p, self.modulus)
+        return self._power(a, -1)
 
     def _pdiv(self, a, b):
         return self._pmul(a, self._pinv(b))
 
     def _pis_zero(self, a) -> bool:
-        if self.kind == EXTENSION:
-            return a == self._zero.payload
-        return a == 0
+        return a == self._zero.payload
 
     def _ppow(self, a, e: int):
-        if e < 0:
-            return self._ppow(self._pinv(a), -e)
-        if self.kind == RATIONALS:
-            return a ** e
-        if self.kind == PRIME:
-            return pow(a, e, self.p)
-        return kernels.ext_pow(a, e, self.p, self.modulus)
+        return self._power(a, e) if e >= 0 else self._power(self._pinv(a), -e)
 
     # -- elements ----------------------------------------------------------
 
@@ -327,8 +294,7 @@ class Field:
             den = self._pfrom_int(value.denominator)
             return FieldElement(self, self._pdiv(num, den))
         if isinstance(value, tuple) and self.kind == EXTENSION:
-            _, r = _fp_poly_divmod([int(c) for c in value], self.modulus,
-                                   self.p)
+            r = _fp_poly_rem([int(c) for c in value], self.modulus, self.p)
             return FieldElement(self, tuple(r) + (0,) * (self.s - len(r)))
         raise TypeError(f"cannot coerce {value!r} into {self.tag()}")
 
@@ -464,9 +430,7 @@ class FieldElement:
 def element_text(field: Field, payload) -> str:
     """Text of an element payload; over an extension field any coefficient
     tuple in t, the modulus included (`Field.tag`)."""
-    if field.kind == RATIONALS:
-        return str(payload)
-    if field.kind == PRIME:
+    if field.kind != EXTENSION:
         return str(payload)
     parts = []
     for e in range(len(payload) - 1, -1, -1):

@@ -27,6 +27,11 @@ from .slin import (axis_shift, commutator_identity, cubic_identity,
 from .wordbuild import CertBuilder
 
 
+SQUARE_TRICK_UNITS = 20
+SCALING_CHECKS = 50
+EXP_COMMUTATOR_PAIRS = 20
+
+
 class IdentityResult(Record):
     __slots__ = ("family", "field_tag", "detail", "ok")
 
@@ -59,15 +64,14 @@ def _translation_seeds(builder: CertBuilder):
 # -- (a) the commutator formula ---------------------------------------------
 
 
-def commutator_formula_checks(field: Field,
-                              limit: int = 50) -> list[IdentityResult]:
+def commutator_formula_checks(field: Field) -> list[IdentityResult]:
     """eps_{i,a}^{-1} delta_{i,j,b} eps_{i,a} delta_{i,j,b}^{-1} = eps_{i,ab-a},
-    built by slin.commutator_identity."""
+    built by slin.commutator_identity: over Q for a 10 x 5 grid of (a, b),
+    over a finite field for every a and unit b."""
     pairs: Iterable[tuple[FieldElement, FieldElement]]
     if field.order is None:
         a_stream = [field.from_int(0)] + list(field.units(bound=9))
-        b_stream = list(field.units(bound=5))
-        pairs = islice(product(a_stream, b_stream), limit)
+        pairs = product(a_stream, list(field.units(bound=5)))
     else:
         pairs = ((a, b) for a in field.elements() for b in field.units())
     return [IdentityResult(
@@ -79,19 +83,16 @@ def commutator_formula_checks(field: Field,
 # -- (b) the odd-characteristic square trick ----------------------------------
 
 
-def square_trick_checks(field: Field,
-                        limit: int = 20) -> list[IdentityResult]:
+def square_trick_checks(field: Field) -> list[IdentityResult]:
     """eps_{i,a x_j} as a product of translations conjugated by eps_{i,x_j^2},
-    built by slin.linear_elementary_from_translations; valid away from
-    characteristic two."""
+    built by slin.linear_elementary_from_translations, for the first
+    SQUARE_TRICK_UNITS units a; valid away from characteristic two."""
     assert field.characteristic != 2
-    units = list(field.units(bound=limit)) if field.order is None else \
-        list(field.units())
     return [IdentityResult(
         "square-trick", field.tag(), f"a={a}",
         _holds(field, lambda bld: linear_elementary_from_translations(
             bld, 1, 2, a, _translation_seeds(bld))))
-        for a in units[:limit]]
+        for a in islice(field.units(), SQUARE_TRICK_UNITS)]
 
 
 # -- (c) the characteristic-two cubic claim -------------------------------------
@@ -112,16 +113,16 @@ def char2_claim_checks(field: Field) -> list[IdentityResult]:
 # -- (d) the scaling observation ---------------------------------------------------
 
 
-def scaling_observation_checks(field: Field, count: int = 50,
+def scaling_observation_checks(field: Field,
                                seed: int = 2024) -> list[IdentityResult]:
     """eps_{1,aM} = delta_{1,2}^{-1} (eps_{1,2aM}^{-1} delta_{1,2} eps_{1,2aM})
-    for monomials M = x_2^e in k[x1, x2]; needs 2 != 0."""
+    for SCALING_CHECKS monomials M = x_2^e in k[x1, x2]; needs 2 != 0."""
     assert field.characteristic != 2
     rng = random.Random(seed)
     units = list(field.units(bound=24)) if field.order is None \
         else list(field.units())
     out = []
-    for _ in range(count):
+    for _ in range(SCALING_CHECKS):
         a = rng.choice(units)
         exps = [0, rng.randint(0, 3)]
         M = Polynomial.monomial(field, 2, field.one, exps)
@@ -195,12 +196,12 @@ def random_kernel_pairs(seed: int,
     return pairs
 
 
-def exp_commutator_checks(count: int = 20,
-                          seed: int = 515) -> list[IdentityResult]:
-    """eps_{n,1}^{-1} exp(-FD) eps_{n,1} exp(FD) = exp((F - (F)eps_{n,1}) D)."""
+def exp_commutator_checks(seed: int = 515) -> list[IdentityResult]:
+    """eps_{n,1}^{-1} exp(-FD) eps_{n,1} exp(FD) = exp((F - (F)eps_{n,1}) D),
+    for EXP_COMMUTATOR_PAIRS random kernel pairs (F, D)."""
     field = Field.rationals()
     out = []
-    for F, D in random_kernel_pairs(seed, count):
+    for F, D in random_kernel_pairs(seed, EXP_COMMUTATOR_PAIRS):
         n = F.nvars
         eps = elementary(field, n, n, field.one)
         exp_l = Endo(field, n, exp_images(F, D))

@@ -53,14 +53,14 @@ def test_criterion_1_identity_suite():
     # (a) the commutator formula over Q, F5, F4, F9 (a 50-pair grid over Q,
     # exhaustive over the finite fields)
     for tag in ("Q", "F5", "F4", "F9"):
-        results = commutator_formula_checks(parse_field(tag), limit=50)
+        results = commutator_formula_checks(parse_field(tag))
         count_needed = 50 if tag == "Q" else 1
         assert len(results) >= count_needed
         failures += [r for r in results if not r.ok]
 
     # (b) the odd-characteristic linear-elementary identity
     for tag in ("Q", "F5"):
-        results = square_trick_checks(parse_field(tag), limit=20)
+        results = square_trick_checks(parse_field(tag))
         failures += [r for r in results if not r.ok]
 
     # (c) the characteristic-two claim, exhaustive over F4 and F8
@@ -73,11 +73,11 @@ def test_criterion_1_identity_suite():
 
     # (d) the scaling observation over Q and F5
     for tag in ("Q", "F5"):
-        results = scaling_observation_checks(parse_field(tag), count=50)
+        results = scaling_observation_checks(parse_field(tag))
         failures += [r for r in results if not r.ok]
 
     # (e) the exponential commutator on 20 random kernel pairs
-    results = exp_commutator_checks(count=20)
+    results = exp_commutator_checks()
     assert len(results) == 20
     failures += [r for r in results if not r.ok]
 

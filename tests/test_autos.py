@@ -363,6 +363,15 @@ def test_expansion_holds_its_first_piece_to_the_cap(Q):
     assert FactoredAuto.identity(Q, 2).expand() == Endo.identity(Q, 2)
 
 
+def test_word_powers_expand_as_repeated_compose(Q):
+    word = parse_factored("[Q,2] E(1; x2^2) * T(1; 1, x1^2)")
+    ident, f, g = Endo.identity(Q, 2), word.expand(), word.inverse().expand()
+    assert (word ** 0).expand() == ident
+    assert (word ** 2).expand() == compose(f, f)
+    assert (word ** -2).expand() == compose(g, g)
+    assert compose((word ** 2).expand(), (word ** -2).expand()) == ident
+
+
 def test_inverse_word_is_built_once(Q):
     word = parse_factored("[Q,2] T(2; 1, x1^3) * E(1; x2)")
     inv = word.inverse()

@@ -39,6 +39,16 @@ def test_compose_and_invert(capsys):
     assert out.strip() == "[Q,2] (x1, -x1^2+x2)"
 
 
+@pytest.mark.parametrize("word, inverse", [
+    ("[Q,2] id", "[Q,2] id"),
+    ("[Q,2] E(1; x2^2) * T(1; 1, x1^2)",
+     "[Q,2] T(1; 1, x1^2)^-1 * E(1; x2^2)^-1"),
+])
+def test_invert_of_a_word_prints_the_inverse_word(capsys, word, inverse):
+    rc, out, _ = run_cli(["invert", word], capsys)
+    assert rc == 0 and out == inverse + "\n"
+
+
 def test_jacobian(capsys):
     rc, out, _ = run_cli(["jacobian", "[Q,2] (2*x1+3, x2-1)"], capsys)
     assert rc == 0 and out.strip() == "2"
@@ -79,6 +89,17 @@ def test_certify_verify_cycle(tmp_path, capsys):
     rc, out, _ = run_cli(["verify", str(out_path)], capsys)
     assert rc == 0
     assert "verdict: PASS" in out
+
+
+def test_certify_without_out_prints_the_file_then_the_summary(tmp_path,
+                                                             capsys):
+    path = tmp_path / "t.nct"
+    rc, written, _ = run_cli(
+        ["certify", "[Q,2] (x1, x2+x1^2)", "--out", str(path)], capsys)
+    assert rc == 0 and written.startswith(f"certificate written to {path}\n")
+    rc, out, _ = run_cli(["certify", "[Q,2] (x1, x2+x1^2)"], capsys)
+    assert rc == 0
+    assert out == path.read_text() + written.split("\n", 1)[1]
 
 
 def test_certify_rejects_nonspecial(capsys):

@@ -19,6 +19,7 @@ from polyauto.errors import AlgebraError, ParseError
 from polyauto.fields import Field
 from polyauto.poly import DEFAULT_DEGREE_CAP
 from polyauto.textio import parse_polynomial
+from reference_verifier import reference_verify
 
 HOSTILE = Path(__file__).resolve().parent / "data" / "hostile"
 INDEX = json.loads((HOSTILE / "index.json").read_text())
@@ -74,3 +75,12 @@ def test_a_sum_of_32000_parenthesized_terms_is_read_within_1_s():
     with within(1.0):
         p = parse_polynomial(text, Field.rationals(), 1, cap=None)
     assert len(p.terms) == k and p.deg() == k
+
+
+@pytest.mark.parametrize("name", ["repeated_seed_label.nct",
+                                  "repeated_step_label.nct"])
+def test_a_repeated_label_fails_only_its_unique_label_check(name):
+    cert = parse_certificate((HOSTILE / name).read_text())
+    report = verify_certificate(cert)
+    assert [r.check for r in report.records if not r.ok] == ["unique-label"]
+    assert report.records == reference_verify(cert).records

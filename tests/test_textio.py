@@ -115,6 +115,7 @@ MALFORMED = {
     "not-a-prime-power": ("[F12,2] (x1, x2)", 2),
     "reducible-modulus": ("[F9/t^2+2*t+1,2] (x1, x2)", 2),
     "no-variables": ("[Q,0] id", 1),
+    "missing-prefix": ("E(1; x2)", 1),
     "number-too-long": ("[Q,2] (x1, 2^" + "9" * 5000 + ")", 14),
     "nested-too-deeply": ("[Q,1] (" + "(" * 2000 + "x1" + ")" * 2000 + ")",
                           None),
@@ -221,6 +222,14 @@ def test_modulus_is_a_polynomial_in_t():
         parse_field("F9/x1^2+1")  # only t is a variable of a modulus
     with pytest.raises(ParseError):
         parse_field("F6/t+1")  # 6 is not a prime power
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ("x1*-x2", "-x1*x2"),  # the example of docs/formats.md
+    ("x1*-x2^2", "x1*x2^2"),  # "-" atom: the power takes the negated atom
+])
+def test_unary_minus_negates_one_atom(Q, text, canonical):
+    assert poly_to_text(parse_polynomial(text, Q, 2)) == canonical
 
 
 def test_prefix_must_agree_with_the_given_ring(Q):
