@@ -49,11 +49,10 @@ def cmd_compose(args) -> int:
 def cmd_invert(args) -> int:
     from .autos import invert_endo
     from .maps import FactoredAuto
-    from .textio import endo_to_text, factored_to_text, parse_automorphism
+    from .textio import endo_to_text, parse_automorphism
     obj = parse_automorphism(args.map, cap=args.cap)
     if isinstance(obj, FactoredAuto):
-        inv = obj.inverse()
-        print(f"[{inv.field.tag()},{inv.nvars}] {factored_to_text(inv)}")
+        print(repr(obj.inverse()))
     else:
         print(endo_to_text(invert_endo(obj, cap=args.cap)))
     return 0

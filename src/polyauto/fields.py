@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import partial
 from math import log, log2
-from operator import add, mul, neg
+from operator import add, eq, mul, neg, not_
 from types import MappingProxyType
 from weakref import WeakValueDictionary
 
@@ -153,7 +154,7 @@ class Field:
     """
 
     __slots__ = ("kind", "p", "s", "modulus", "_pfrom_int", "_padd", "_pneg",
-                 "_pmul", "_power", "_zero", "_one", "_identity",
+                 "_pmul", "_power", "_pis_zero", "zero", "one", "_identity",
                  "__weakref__")
 
     def __init__(self, kind, p, s, modulus):
@@ -164,11 +165,11 @@ class Field:
         # the payload ops of the kind, bound once; _power(a, e) takes a
         # nonzero a when e < 0 (_pinv checks)
         if kind == RATIONALS:
-            ops = (Fraction, add, neg, mul, pow)
+            ops = (Fraction, add, neg, mul, pow, not_)
         elif kind == PRIME:
             ops = (lambda k: k % p, lambda a, b: (a + b) % p,
                    lambda a: -a % p, lambda a, b: a * b % p,
-                   lambda a, e: pow(a, e, p))
+                   lambda a, e: pow(a, e, p), not_)
         else:
             pad = (0,) * (s - 1)
             ext_mul, ext_pow = kernels.ext_mul, kernels.ext_pow
@@ -176,11 +177,12 @@ class Field:
                    lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)]),
                    lambda a: tuple([-x % p for x in a]),
                    lambda a, b: ext_mul(a, b, p, modulus),
-                   lambda a, e: ext_pow(a, e, p, modulus))
+                   lambda a, e: ext_pow(a, e, p, modulus),
+                   partial(eq, (0,) + pad))  # only this tuple is zero
         (self._pfrom_int, self._padd, self._pneg, self._pmul,
-         self._power) = ops
-        self._zero = FieldElement(self, self._pfrom_int(0))
-        self._one = FieldElement(self, self._pfrom_int(1))
+         self._power, self._pis_zero) = ops
+        self.zero = FieldElement(self, self._pfrom_int(0))
+        self.one = FieldElement(self, self._pfrom_int(1))
         self._identity = {}  # nvars -> (x_1, ..., x_n), poly.identity_images
 
     # -- constructors ---------------------------------------------------
@@ -241,14 +243,6 @@ class Field:
             return None
         return self.p ** self.s
 
-    @property
-    def zero(self) -> "FieldElement":
-        return self._zero
-
-    @property
-    def one(self) -> "FieldElement":
-        return self._one
-
     def __repr__(self):
         return f"Field({self.tag()})"
 
@@ -262,15 +256,12 @@ class Field:
     # -- payload arithmetic ----------------------------------------------
 
     def _pinv(self, a):
-        if a == self._zero.payload:
+        if self._pis_zero(a):
             raise DivisionByZero("inverse of zero")
         return self._power(a, -1)
 
     def _pdiv(self, a, b):
         return self._pmul(a, self._pinv(b))
-
-    def _pis_zero(self, a) -> bool:
-        return a == self._zero.payload
 
     def _ppow(self, a, e: int):
         return self._power(a, e) if e >= 0 else self._power(self._pinv(a), -e)
@@ -408,7 +399,7 @@ class FieldElement:
         return self.field._pis_zero(self.payload)
 
     def is_one(self) -> bool:
-        return self.payload == self.field._one.payload
+        return self.payload == self.field.one.payload
 
     def __eq__(self, other):
         if isinstance(other, int):

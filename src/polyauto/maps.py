@@ -19,8 +19,7 @@ from collections.abc import Sequence
 from math import prod
 
 from .derivations import TriDerivation, exp_images, kernel_check
-from .errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
-                     InvalidFactor, Singular)
+from .errors import ArityMismatch, FieldMismatch, InvalidFactor, Singular
 from .fields import RATIONALS, Field, FieldElement
 from .poly import (DEFAULT_DEGREE_CAP, Polynomial, PreparedImages,
                    cap_limit, check_degree, identity_images)
@@ -396,11 +395,9 @@ class FactoredAuto:
                 out = (start_product(piece, cap) if out is None
                        else compose(out, piece, cap=cap))
             self._expanded = out or Endo.identity(self.field, self.nvars)
-        elif cap is not None:
-            deg = self._expanded.deg()
-            if deg > cap:
-                raise DegreeCapExceeded(
-                    f"expanded word degree {deg} exceeds cap {cap}")
+        else:
+            check_degree("expanded word degree", self._expanded.deg(),
+                         cap_limit(cap))
         return self._expanded
 
     def inverse(self) -> "FactoredAuto":

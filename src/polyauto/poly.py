@@ -151,9 +151,9 @@ class Polynomial:
         vectors to payloads, leaving out the zero payloads.  The caller
         keeps each e with a nonzero c of length nvars, nonnegative and of
         sum at most MAX_DEGREE."""
-        zero = field._zero.payload
+        is_zero = field._pis_zero
         return Polynomial(field, nvars, {pack(e): c for e, c in terms.items()
-                                         if c != zero})
+                                         if not is_zero(c)})
 
     # -- basic queries ----------------------------------------------------
 
@@ -261,8 +261,6 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            return self.scale(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -279,10 +277,7 @@ class Polynomial:
             terms = _mul_terms(field, a, b)
         return Polynomial(field, self.nvars, terms)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, FieldElement)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
         c = self.field.elem(c)

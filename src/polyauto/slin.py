@@ -347,14 +347,8 @@ class _SlinEngine:
                 "binomial coefficient vanished for every candidate")
         d_k = exps[pick - 1]
         Cval = field.from_int(comb(p + d_k, p))
-        target = a / Cval
-        b = None
-        for u in field.units():
-            if u ** p == target:
-                b = u
-                break
-        if b is None:
-            raise NoSuchUnit("Frobenius preimage not found (cannot happen)")
+        # Frobenius has order s on F_{p^s}: the p-th root of u is u^(p^(s-1))
+        b = (a / Cval) ** (p ** (field.s - 1))
         M = Polynomial.monomial(field, n, field.one, exps)
         xkp = Polynomial.variable(field, n, pick) ** p
         base_poly = xkp * M

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from itertools import compress, repeat
-from math import inf
 from operator import contains
 
 from .derivations import TriDerivation
@@ -48,8 +47,8 @@ class _Parser:
     def __init__(self, text: str, field: Field | None, nvars: int | None,
                  cap: int | None):
         self.text, self.i = text, 0
-        # the parse-time cap, and the one that no polynomial is built over
-        self.cap, self.limit = inf if cap is None else cap, cap_limit(cap)
+        # the one bound of every power and product: min(cap, MAX_DEGREE)
+        self.limit = cap_limit(cap)
         parts = _TOKEN_RE.split(text)  # whitespace, token, ..., whitespace
         if self.lines and len(parts) > 1:  # an EOL ends each line with a token
             lined, start = [], 0  # built in one pass, so in linear time
@@ -217,8 +216,7 @@ class _Parser:
                 if toks[self.i] == "^":
                     self.i += 1
                     k = self.number()
-                    check_degree("power of degree", k,
-                                 self.limit if j else self.cap)
+                    check_degree("power of degree", k, self.limit)
                     fdeg, fc = (k, fc) if j else (0, field._ppow(fc, k))
             check_degree("product of degree", deg + fdeg, self.limit)
             if j:
@@ -234,7 +232,7 @@ class _Parser:
             self.i += 1
         if p is not None and c is None and not (negate or any(exps)):
             return None, p  # (...) alone: no monomial to multiply by
-        c = field._one.payload if c is None else c
+        c = field.one.payload if c is None else c
         c = field._pneg(c) if negate else c
         if p is None:
             return tuple(exps), c
@@ -247,7 +245,7 @@ class _Parser:
         if not self.at("^"):
             return base
         k = self.number()
-        check_degree("power of degree", max(base.deg(), 1) * k, self.cap)
+        check_degree("power of degree", max(base.deg(), 1) * k, self.limit)
         return base ** k
 
     def atom(self) -> Polynomial:
@@ -281,7 +279,7 @@ class _Parser:
             if not 1 <= index <= self.xvars:
                 self.fail(f"variable {tok} out of range 1..{self.xvars}",
                           self.i - 1)
-            return field._one.payload, index
+            return field.one.payload, index
         if tok == "t":
             if self.t is None and field.kind != EXTENSION:
                 self.fail("t is only valid over extension fields", self.i - 1)

@@ -32,7 +32,7 @@ class CertBuilder:
         self.field = field
         self.nvars = nvars
         self.kind = kind
-        self.cap = cap
+        self.limit = cap_limit(cap)  # the one bound every cap check meets
         self.seeds: list[Seed] = []
         self.steps: list[Step] = []
         self.meta: dict[str, str] = {}
@@ -56,14 +56,14 @@ class CertBuilder:
 
     def add_seed(self, word: FactoredAuto,
                  label: str | None = None) -> str:
-        value = word.expand(cap=self.cap)
+        value = word.expand(cap=self.limit)
         if not word.det().is_one():
             raise NotSpecial("seed has Jacobian determinant != 1")
         existing = self._seed_index.get(value)
         if existing is not None and label is None:
             return existing
         label = label or self._fresh("s")
-        inverse = word.inverse().expand(cap=self.cap)
+        inverse = word.inverse().expand(cap=self.limit)
         self.seeds.append(Seed(label, word))
         self._env[label] = (value, inverse)
         self._seed_index.setdefault(value, label)
@@ -82,8 +82,8 @@ class CertBuilder:
         deg g^{-1} * deg base^e * deg g, or deg expect * deg INV, exceeds
         the cap: then, as without `expect`, the items' product is folded in
         the verifier's order and compared."""
-        cap = self.cap
-        limit, fold = cap_limit(cap), partial(compose, cap=cap)
+        limit = self.limit
+        fold = partial(compose, cap=limit)
         word_items, values, inverses = [], [], []
         bound = 1
         for conj, base, exponent in items:
@@ -95,8 +95,8 @@ class CertBuilder:
                 core, core_inv = core_inv, core
             pieces, inverse_pieces = (core,), (core_inv,)
             if conj is not None and conj.factors:
-                g = conj.expand(cap=cap)
-                ginv = conj.inverse().expand(cap=cap)
+                g = conj.expand(cap=limit)
+                ginv = conj.inverse().expand(cap=limit)
                 pieces, inverse_pieces = (ginv, core, g), (ginv, core_inv, g)
             bound *= prod(p.deg() for p in pieces)
             # once the cap might stop the fold, conjugates are made in its
@@ -115,7 +115,7 @@ class CertBuilder:
         if proof and expect.deg() * inverse.deg() > limit:
             proof, value = False, product()
         if proof:
-            value, ok = expect, compose(expect, inverse, cap=cap).is_identity()
+            value, ok = expect, compose(expect, inverse, cap=limit).is_identity()
         else:
             ok = expect is None or value == expect
         if not ok:

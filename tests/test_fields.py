@@ -139,6 +139,16 @@ def test_frobenius_fixed_points(q):
         assert x ** q == x
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
+def test_frobenius_root_is_a_power(q):
+    """Frobenius has order s on F_{p^s}, so x^(p^(s-1)) is the p-th root
+    of x: slin's case 2b takes its root this way."""
+    field = Field.of_order(q)
+    p, s = field.p, field.s
+    for x in field.elements():
+        assert (x ** p ** (s - 1)) ** p == x
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_double_inverse_exhaustive(q):
     field = Field.of_order(q)

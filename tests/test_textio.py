@@ -162,6 +162,10 @@ def test_power_over_the_cap_is_refused_before_expanding(Q, F4, monkeypatch):
         with pytest.raises(DegreeCapExceeded,
                            match="power of degree 70000 exceeds cap 65535"):
             parse_polynomial("2*x1*x2^70000", Q, 3, cap=cap)
+        for text in ("3^70000", "(3)^70000"):  # a constant's power too
+            with pytest.raises(DegreeCapExceeded,
+                               match="power of degree 70000 exceeds cap 65535"):
+                parse_polynomial(text, Q, 3, cap=cap)
 
 
 def test_product_over_the_cap_is_refused_before_expanding(Q, monkeypatch):
