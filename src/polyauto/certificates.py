@@ -1,6 +1,6 @@
 """The independent verifier of normal-closure membership certificates, and
-the reader of their text (.nct); the records themselves and their writer
-are in polyauto.nct.
+the reader of their text (.nct); the records themselves are in
+polyauto.nct, and their writer is textio.serialize_certificate.
 
 Steps carry both the claimed value and its claimed inverse; the verifier
 checks that VALUE composed with INV is the identity and then never needs to
@@ -14,7 +14,7 @@ word's Jacobian determinant is the product of its factors' constant
 determinants (FactoredAuto.det), so no Jacobian of an expanded map is taken.
 
 This module deliberately depends only on the algebra core (fields, poly,
-maps, textio, nct) and the dependency-free record base.  None of the
+maps, grammar, nct) and the dependency-free record base.  None of the
 construction engines (slin, cotame, lnd) nor their tools (autos) are
 imported here, so verification cannot accidentally share logic with
 generation.
@@ -26,21 +26,26 @@ import re
 from operator import add
 
 from .errors import DegreeCapExceeded, InvalidFactor
+from .grammar import EOL, _Parser
 from .maps import (Endo, affine_parts, compose, elementary_parts,
                    start_product)
-# serialize_certificate is bound here only for perfbench (tracing.py and
-# pin.py, ROADMAP direction 8)
 from .nct import (FORMAT_VERSION, KIND_COTAME, KIND_SLIN, Certificate, Seed,
-                  Step, WordItem, serialize_certificate)
+                  Step, WordItem)
 from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, cap_limit
 from .record import Record
-from .textio import EOL, _Parser
 
 __all__ = [
     "CheckRecord", "VerificationReport", "verify_certificate",
     "parse_certificate", "KIND_COTAME", "KIND_SLIN", "Seed", "WordItem",
     "Step", "Certificate", "serialize_certificate",
 ]
+
+
+def __getattr__(name: str):  # perfbench's name (ROADMAP direction 8)
+    if name == "serialize_certificate":
+        from .textio import serialize_certificate
+        return serialize_certificate
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CheckRecord(Record):

@@ -8,8 +8,10 @@ Exit codes: 0 success/PASS, 1 domain error or FAIL, 2 INDETERMINATE or
 usage problems.
 
 Each subcommand imports what it runs, so a process compiles only its own
-path: `verify` loads no engine and no engine tool, and `certify` loads
-neither the verifier nor slin's monomial engine.
+path: `verify` loads no engine, no engine tool, no printer and no
+finite-field code for a Q file, and `certify` loads neither the verifier
+nor slin's monomial engine.  The toolbox subcommands' bodies live in
+`polyauto.tools`.
 """
 
 from __future__ import annotations
@@ -21,74 +23,18 @@ from .errors import AlgebraError, DegreeCapExceeded, ParseError
 from .poly import DEFAULT_DEGREE_CAP
 
 
-def _expanded(text: str, cap):
-    """The map that `text` writes, expanded under `cap`."""
-    from .maps import FactoredAuto
-    from .textio import parse_automorphism
-    obj = parse_automorphism(text, cap=cap)
-    return obj.expand(cap=cap) if isinstance(obj, FactoredAuto) else obj
-
-
-def cmd_classify(args) -> int:
-    from .autos import Classification, classify
-    flags = classify(_expanded(args.map, args.cap))
-    for name in Classification.__slots__:
-        print(f"{name}: {'yes' if getattr(flags, name) else 'no'}")
-    return 0
-
-
-def cmd_compose(args) -> int:
-    from .maps import compose
-    from .textio import endo_to_text
-    a = _expanded(args.left, args.cap)
-    b = _expanded(args.right, args.cap)
-    print(endo_to_text(compose(a, b, cap=args.cap)))
-    return 0
-
-
-def cmd_invert(args) -> int:
-    from .autos import invert_endo
-    from .maps import FactoredAuto
-    from .textio import endo_to_text, parse_automorphism
-    obj = parse_automorphism(args.map, cap=args.cap)
-    if isinstance(obj, FactoredAuto):
-        print(repr(obj.inverse()))
-    else:
-        print(endo_to_text(invert_endo(obj, cap=args.cap)))
-    return 0
-
-
-def cmd_jacobian(args) -> int:
-    from .autos import jacobian_det
-    from .textio import poly_to_text
-    print(poly_to_text(jacobian_det(_expanded(args.map, args.cap))))
-    return 0
-
-
-def cmd_vd(args) -> int:
-    from .autos import vector_degree
-    vd = vector_degree(_expanded(args.map, args.cap))
-    print("(" + ",".join(str(d) for d in vd) + ")")
-    return 0
-
-
-def cmd_exp(args) -> int:
-    from .lnd import exp_automorphism
-    from .textio import (endo_to_text, parse_derivation, parse_field,
-                         parse_polynomial)
-    field = parse_field(args.field)
-    F = parse_polynomial(args.kernel, field, args.nvars, cap=args.cap)
-    D = parse_derivation(args.derivation, field, args.nvars, cap=args.cap)
-    print(endo_to_text(exp_automorphism(F, D)))
-    return 0
+def _tool(args) -> int:
+    """Run a toolbox subcommand, whose body is `tools.cmd_<name>`: only a
+    process that runs one loads `tools`."""
+    from . import tools
+    return getattr(tools, f"cmd_{args.command}")(args)
 
 
 def cmd_certify(args) -> int:
     from .autos import word_from_endo
     from .cotame import certify_normally_cotame
     from .maps import Endo
-    from .nct import serialize_certificate
-    from .textio import parse_automorphism
+    from .textio import parse_automorphism, serialize_certificate
     obj = parse_automorphism(args.map, cap=args.cap)
     if isinstance(obj, Endo):
         obj = word_from_endo(obj)
@@ -127,14 +73,6 @@ def cmd_verify(args) -> int:
     return {"PASS": 0, "FAIL": 1}.get(report.verdict, 2)
 
 
-def cmd_identities(args) -> int:
-    from .identities import run_identity_suite, summarize
-    tags = [t.strip() for t in args.fields.split(",") if t.strip()]
-    results = run_identity_suite(tags, seed=args.seed)
-    print(summarize(results))
-    return 0 if all(r.ok for r in results) else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="polyauto",
@@ -146,46 +84,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify an automorphism")
     p.add_argument("map")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("compose", help="compose two automorphisms")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("invert", help="invert a structured automorphism")
     p.add_argument("map")
-    p.set_defaults(func=cmd_invert)
 
     p = sub.add_parser("jacobian", help="Jacobian determinant")
     p.add_argument("map")
-    p.set_defaults(func=cmd_jacobian)
 
     p = sub.add_parser("vd", help="vector degree of a triangular map")
     p.add_argument("map")
-    p.set_defaults(func=cmd_vd)
 
     p = sub.add_parser("exp", help="expand exp(FD)")
     p.add_argument("--field", required=True)
     p.add_argument("-n", "--nvars", type=int, required=True)
     p.add_argument("kernel", help="the kernel polynomial F")
     p.add_argument("derivation", help="D(q1, ..., qn)")
-    p.set_defaults(func=cmd_exp)
 
     p = sub.add_parser("certify",
                        help="emit a normal co-tameness certificate")
     p.add_argument("map")
     p.add_argument("--out", help="output .nct path")
-    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify", help="independently verify a certificate")
     p.add_argument("certificate")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("identities", help="run the identity suite")
     p.add_argument("--fields", default="Q,F5,F4,F9")
     p.add_argument("--seed", type=int, default=2024)
-    p.set_defaults(func=cmd_identities)
 
     return ap
 
@@ -193,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # certify and verify run here, every other subcommand in tools
+        return globals().get(f"cmd_{args.command}", _tool)(args)
     except (AlgebraError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         # an unreadable or unwritable path is a usage problem, not a FAIL

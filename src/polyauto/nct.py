@@ -1,5 +1,6 @@
-"""Normal-closure membership certificates: the records and their
-canonical text (.nct).
+"""Normal-closure membership certificates: the records.  Their canonical
+text (.nct) is written by `textio.serialize_certificate` and read by
+`polyauto.certificates`.
 
 A certificate names a field and arity, a set of seed automorphisms (given as
 factored words, so they are invertible by construction), and a chain of
@@ -10,8 +11,8 @@ earlier steps:
 
 and the step claims that the product of its items equals a stated value,
 and states that value's inverse.  The terminal step must claim a nontrivial
-elementary automorphism.  The engines build these records and write them;
-polyauto.certificates reads and verifies them.
+elementary automorphism.  The engines build these records;
+polyauto.certificates verifies them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 from .fields import Field
 from .maps import Endo, FactoredAuto
 from .record import Record
-from .textio import components_text, factored_to_text
 
 KIND_COTAME = "normal-cotame"
 KIND_SLIN = "slin-membership"
@@ -71,28 +71,3 @@ class Certificate(Record):
         self.terminal = terminal
         self.terminal_cite = terminal_cite
         self.meta = {} if meta is None else meta
-
-
-def serialize_certificate(cert: Certificate) -> str:
-    """Canonical text form (.nct).  Byte-stable for equal certificates."""
-    lines = [f"NCT {FORMAT_VERSION}"]
-    lines.append(f"FIELD {cert.field.tag()}")
-    lines.append(f"VARS {cert.nvars}")
-    lines.append(f"KIND {cert.kind}")
-    for key in sorted(cert.meta):
-        lines.append(f"META {key} {cert.meta[key]}")
-    for seed in cert.seeds:
-        lines.append(f"SEED {seed.label} {factored_to_text(seed.word)}")
-    for step in cert.steps:
-        lines.append(f"STEP {step.label}" + (f" # {step.note}" if step.note else ""))
-        for item in step.items:
-            base = f"  ITEM BASE {item.base} EXP {item.exponent:+d}"
-            if item.conjugator is not None and item.conjugator.factors:
-                base += f" CONJ {factored_to_text(item.conjugator)}"
-            lines.append(base)
-        lines.append(f"  VALUE {components_text(step.value)}")
-        lines.append(f"  INV {components_text(step.inverse)}")
-    cite = f" CITE {cert.terminal_cite}" if cert.terminal_cite else ""
-    lines.append(f"TERMINAL {cert.terminal}{cite}")
-    lines.append("END")
-    return "\n".join(lines) + "\n"

@@ -5,7 +5,8 @@ payloads: one int per exponent vector, exponent j (0-based) in bits
 [B(n-1-j), B(n-j)) and the total degree above them all (`pack`, `unpack`).
 A product of monomials is one integer addition, the total degree is
 key >> B*n, and int order is graded-lex order.  Keys never leave this module
-and `kernels`: other code reads exponents through sorted_terms, coeff,
+and the kernels (`kernels`, `finite`), which each Field binds when it is
+made: other code reads exponents through sorted_terms, coeff,
 degrees, deg_in and involves, and writes them through from_exponents.  No
 field carries into the next because no polynomial of total degree over
 MAX_DEGREE is built: products, powers, monomials and substitutions over it
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from math import lcm, prod
 from operator import mul
 from struct import Struct
@@ -40,7 +41,7 @@ from struct import Struct
 from . import kernels
 from .errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
                      IndexOutOfRange, NegativeExponent)
-from .fields import EXTENSION, PRIME, RATIONALS, Field, FieldElement
+from .fields import PRIME, RATIONALS, Field, FieldElement
 
 # Commutator expansion of long words can square degrees; the cap turns an
 # explosion into a typed error rather than a hang.
@@ -271,10 +272,8 @@ class Polynomial:
                 a, b = b, a
             (key, c), = a.items()
             terms = _shift(field, b, key, c)
-        elif field.kind == RATIONALS:
-            terms = kernels.mul_terms_obj(a, b)
         else:
-            terms = _mul_terms(field, a, b)
+            terms = field._mul_terms(a, b)
         return Polynomial(field, self.nvars, terms)
 
     __rmul__ = __mul__
@@ -386,17 +385,6 @@ def _shift(field: Field, terms: dict, key: int, c) -> dict:
     return {k + key: pmul(v, c) for k, v in terms.items()}
 
 
-def _mul_terms(field: Field, a: dict, b: dict, k=1, out=None) -> dict:
-    """a * b, or k * a * b added into `out` (zero sums may stay in it), by
-    the field's kernel: on F_p and F_{p^s} payloads, and over Q on integer
-    numerators (Polynomial.__mul__ multiplies Fraction payloads itself)."""
-    if field.kind == EXTENSION:
-        return kernels.mul_terms_ext(a, b, field.p, field.modulus, k, out)
-    if field.kind == PRIME and out is None:
-        return kernels.mul_terms_fp(a, b, field.p)
-    return kernels.mul_terms_int(a, b, k, out)
-
-
 class PreparedImages(tuple):
     """Images checked once and shared by many substitutions (compose's), with
     their degrees for the cap pre-check and a memo of their powers as term
@@ -432,9 +420,9 @@ class PreparedImages(tuple):
                 got = {key * e: self.field._ppow(c, e)}
             else:
                 half = self.power(j, e // 2)
-                got = _mul_terms(self.field, half, half)
+                got = self.field._ring_mul(half, half)
                 if e & 1:
-                    got = _mul_terms(self.field, got, memo[1])
+                    got = self.field._ring_mul(got, memo[1])
             memo[e] = got
         return got
 
@@ -456,7 +444,7 @@ class PreparedImages(tuple):
             D = lcm(*dens)
             ks = [c.numerator * (D // t) for c, t in zip(ks, dens)]
         one = 1 if kind == RATIONALS else field.one.payload
-        acc, times = {}, partial(_mul_terms, field)
+        acc, times = {}, field._ring_mul
         pmul, padd = field._pmul, field._padd
         for fs, k in zip(factors, ks):
             key, many = 0, []

@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 
 from polyauto.errors import (DivisionByZero, FieldMismatch, NotPrime,
                              ReducibleModulus)
-from polyauto import kernels
-from polyauto.fields import CANONICAL_MODULI, Field
+from polyauto import finite
+from polyauto.fields import Field
+from polyauto.finite import CANONICAL_MODULI
 
 
 def test_prime_field_basics(F5):
@@ -193,7 +194,7 @@ def test_tags_round_trip():
 
 
 def test_prime_power_splits_q():
-    from polyauto.fields import prime_power
+    from polyauto.finite import prime_power
     m61 = 2 ** 61 - 1
     assert [prime_power(q) for q in (2, 4, 8, 9, 25, 27, 97, 3 ** 40,
                                      m61 ** 3, 43 ** 7, 2 ** 10000)] == [
@@ -207,7 +208,7 @@ def test_prime_power_splits_q():
 
 
 def test_is_prime_agrees_with_a_sieve():
-    from polyauto.fields import is_prime
+    from polyauto.finite import is_prime
     sieve = [False, False] + [True] * 19998
     for d in range(2, 142):
         if sieve[d]:
@@ -239,7 +240,7 @@ def test_field_order_is_bounded():
     stop being a proof, are refused before any primality work."""
     from time import perf_counter
     from polyauto.errors import ParseError, UnsupportedField
-    from polyauto.fields import FIELD_ORDER_BOUND, is_prime
+    from polyauto.finite import FIELD_ORDER_BOUND, is_prime
     from polyauto.textio import parse_field
     # 2,001 digits and no prime factor up to 41: Miller-Rabin would run
     tag = f"F{10 ** 2000 + 1}"
@@ -306,7 +307,7 @@ def test_payload_arithmetic_matches_sympy(p, s):
             with pytest.raises(ReducibleModulus):
                 Field.extension(p, s, modulus)
             with pytest.raises(ValueError, match="reducible"):
-                kernels.ext_tables(p, modulus)
+                finite.ext_tables(p, modulus)
             continue
         irreducible += 1
         field = Field.extension(p, s, modulus)
@@ -371,7 +372,7 @@ def test_log_tables_match_sympy(p, modulus, t_primitive):
     q = p ** s
     field = Field.extension(p, s, modulus)
     m, of, back, power = gf_ring(p, modulus)
-    log, exp = kernels.ext_tables(p, modulus)
+    log, exp = finite.ext_tables(p, modulus)
     assert len(log) == q - 1 and len(exp) == 2 * (q - 1)
     assert all(log[x] == i for i, x in enumerate(exp[:q - 1]))
     assert exp[q - 1:] == exp[:q - 1]
@@ -406,9 +407,9 @@ def test_non_canonical_payload_raises(F9):
         for call in (lambda: F9._pmul(bad, one), lambda: F9._pmul(one, bad),
                      lambda: F9._pmul(F9.zero.payload, bad),
                      lambda: F9._pinv(bad), lambda: F9._ppow(bad, 3),
-                     lambda: kernels.mul_terms_ext({(1,): bad}, {(0,): one},
+                     lambda: finite.mul_terms_ext({(1,): bad}, {(0,): one},
                                                    3, F9.modulus),
-                     lambda: kernels.mul_terms_ext({(1,): one}, {(0,): one},
+                     lambda: finite.mul_terms_ext({(1,): one}, {(0,): one},
                                                    3, F9.modulus, bad, {})):
             with pytest.raises(ValueError, match="not a canonical"):
                 call()
@@ -419,7 +420,7 @@ def test_log_tables_of_the_largest_extension():
     takes: exp and log are inverse on a sample of its units."""
     modulus = (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,)
     field = Field.extension(2, 16, modulus)
-    log, exp = kernels.ext_tables(2, field.modulus)
+    log, exp = finite.ext_tables(2, field.modulus)
     assert len(log) == (1 << 16) - 1
     rng = random.Random(16)
     for _ in range(2000):
@@ -432,9 +433,9 @@ def test_log_tables_of_the_largest_extension():
 def test_table_memo_holds_the_sweep_fields():
     """The six slin-sweep fields, interleaved, build their tables once."""
     fields = [Field.of_order(q) for q in (4, 8, 9, 16, 25, 27)]
-    kernels.ext_tables.cache_clear()
+    finite.ext_tables.cache_clear()
     for _ in range(3):
         for field in fields:
             x = field.generator().payload
             field._pmul(x, x)
-    assert kernels.ext_tables.cache_info().misses == len(fields)
+    assert finite.ext_tables.cache_info().misses == len(fields)

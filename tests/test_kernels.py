@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyauto import kernels
+from polyauto import finite, kernels
 from polyauto.fields import Field
 from polyauto.poly import pack, unpack
 
@@ -77,7 +77,7 @@ def test_fp_matches_sympy(sympy):
         prod = sympy_product(sympy, a, b, gens, sympy.Integer)
         terms = sympy_terms(sympy, prod, gens)
         want = {e: int(c) % 7 for e, c in terms.items() if int(c) % 7}
-        assert unpacked(kernels.mul_terms_fp(packed(a), packed(b), 7),
+        assert unpacked(finite.mul_terms_fp(packed(a), packed(b), 7),
                         3) == want
 
 
@@ -118,7 +118,7 @@ def test_ext_matches_sympy(sympy):
                 vec = list(want.get(e[:-1], (0, 0)))
                 vec[e[-1]] = c
                 want[e[:-1]] = tuple(vec)
-        got = kernels.mul_terms_ext(packed(a), packed(b), 3, F9.modulus)
+        got = finite.mul_terms_ext(packed(a), packed(b), 3, F9.modulus)
         assert unpacked(got, 2) == want
 
 
@@ -188,12 +188,12 @@ def test_ext_kernel_accumulates_in_place():
         for _ in range(40):
             a = rand_terms_ext(rng, 2, p, s, rng.randint(0, 6))
             b = rand_terms_ext(rng, 2, p, s, rng.randint(0, 6))
-            got = kernels.mul_terms_ext(packed(a), packed(b), p, modulus)
+            got = finite.mul_terms_ext(packed(a), packed(b), p, modulus)
             assert unpacked(got, 2) == field_product(field, a, b)
             k = rng.choice(units)
             start = rand_terms_ext(rng, 2, p, s, rng.randint(0, 4))
             out = packed(start)
-            got = kernels.mul_terms_ext(packed(a), packed(b), p, modulus, k,
+            got = finite.mul_terms_ext(packed(a), packed(b), p, modulus, k,
                                         out)
             assert got is out
             got = unpacked(got, 2)
@@ -210,7 +210,7 @@ def test_cancellation_removes_keys():
     x, one = pack((1,)), pack((0,))
     a = {x: 1, one: 1}
     b = {x: 1, one: 4}
-    assert kernels.mul_terms_fp(a, b, 5) == {pack((2,)): 1, one: 4}
+    assert finite.mul_terms_fp(a, b, 5) == {pack((2,)): 1, one: 4}
     # same shape over Q with Fractions
     aq = {x: Fraction(1), one: Fraction(1)}
     bq = {x: Fraction(1), one: Fraction(-1)}

@@ -5,30 +5,42 @@ base.  A change that makes either path load more raises its ceiling in its
 own diff and says why in CHANGES.md.
 
 Every run is a fresh interpreter started with -S, so no site hook preloads
-a module."""
+a module.  A Q child loads no finite-field code (`polyauto.finite`), and
+README lists both load sets."""
 
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import polyauto
 
-# the modules `polyauto verify` loads, and the ceiling on their lines
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the modules `polyauto verify` loads on a Q file, and the ceiling on their
+# lines
 VERIFY_MODULES = {
     "polyauto", "polyauto.certificates", "polyauto.cli",
     "polyauto.derivations", "polyauto.errors", "polyauto.fields",
-    "polyauto.kernels", "polyauto.maps", "polyauto.nct", "polyauto.poly",
-    "polyauto.record", "polyauto.textio",
+    "polyauto.grammar", "polyauto.kernels", "polyauto.maps", "polyauto.nct",
+    "polyauto.poly", "polyauto.record",
 }
-VERIFY_CEILING = 3079
+VERIFY_CEILING = 2545
+# `polyauto verify` on an F4 slin-membership file: the Q set and `finite`
+SLIN_VERIFY_CEILING = 2923
 # `polyauto certify` on a Q word with no Exp factor
-CERTIFY_CEILING = 3930
+CERTIFY_MODULES = VERIFY_MODULES - {"polyauto.certificates"} | {
+    "polyauto.autos", "polyauto.cotame", "polyauto.reduce_core",
+    "polyauto.textio", "polyauto.translations", "polyauto.wordbuild",
+}
+CERTIFY_CEILING = 3544
 CERTIFY_NEVER = ("polyauto.certificates", "polyauto.slin", "polyauto.lnd",
-                 "polyauto.identities")
+                 "polyauto.identities", "polyauto.finite", "polyauto.tools")
 
 
 def run_fresh(code: str) -> str:
@@ -58,17 +70,50 @@ def test_verify_loads_its_modules_within_the_ceiling(tmp_path):
     rc, mods = loaded_lines(["verify", str(path)])
     assert rc == 0
     assert set(mods) == VERIFY_MODULES
+    assert "polyauto.finite" not in mods
     total = sum(mods.values())
     assert total <= VERIFY_CEILING, f"verify loads {total} lines"
+
+
+def test_verify_of_a_finite_field_file_loads_finite(tmp_path):
+    from polyauto.fields import Field
+    from polyauto.slin import SlinContext, slin_from_monomial_elementary
+    from polyauto.textio import serialize_certificate
+    F4 = Field.of_order(4)
+    cert = slin_from_monomial_elementary(SlinContext(F4, 2), 1,
+                                         F4.generator(), (0, 2))
+    path = tmp_path / "c.nct"
+    path.write_text(serialize_certificate(cert))
+    rc, mods = loaded_lines(["verify", str(path)])
+    assert rc == 0
+    assert set(mods) == VERIFY_MODULES | {"polyauto.finite"}
+    total = sum(mods.values())
+    assert total <= SLIN_VERIFY_CEILING, f"verify loads {total} lines"
 
 
 def test_certify_loads_no_verifier_and_stays_within_the_ceiling(tmp_path):
     rc, mods = loaded_lines(["certify", "[Q,2] E(2; x1^2)", "--out",
                              str(tmp_path / "c.nct")])
     assert rc == 0
+    assert set(mods) == CERTIFY_MODULES
     assert [m for m in CERTIFY_NEVER if m in mods] == []
     total = sum(mods.values())
     assert total <= CERTIFY_CEILING, f"certify loads {total} lines"
+
+
+def readme_load_set(command: str) -> set[str]:
+    """The modules README's bullet on `polyauto <command>` says it loads:
+    the names in backquotes between "loads" and the first colon."""
+    text = " ".join(README.read_text().split())
+    listed = re.search(rf"- `polyauto {command}`[^:]*? loads ([^:]*):",
+                       text).group(1)
+    return {"polyauto"} | {f"polyauto.{name}"
+                           for name in re.findall(r"`(\w+)`", listed)}
+
+
+def test_readme_lists_the_measured_load_sets():
+    assert readme_load_set("verify") == VERIFY_MODULES
+    assert readme_load_set("certify") == CERTIFY_MODULES
 
 
 def test_an_exp_word_loads_lnd(tmp_path):
@@ -87,7 +132,7 @@ HOMES = {
     "classify": "autos", "comm": "autos", "conj": "autos",
     "elementary": "autos", "invert_endo": "autos", "jacobian_det": "autos",
     "translation": "autos", "vector_degree": "autos",
-    "Certificate": "nct", "serialize_certificate": "nct",
+    "Certificate": "nct", "serialize_certificate": "textio",
     "verify_certificate": "certificates",
     "parse_certificate": "certificates",
 }

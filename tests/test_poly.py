@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyauto import kernels
+from polyauto import finite, kernels
 from polyauto.autos import Endo, compose
 from polyauto.errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
                              IndexOutOfRange)
@@ -27,6 +27,14 @@ def rational_polys(draw, nvars=2, max_deg=3):
     for exps, coeff in terms:
         p = p + Polynomial.monomial(_Q, nvars, _Q.elem(coeff), exps)
     return p
+
+
+def forbid_kernels(monkeypatch, fields, fail):
+    """Make each term-map kernel that `fields` bound when they were made
+    (the product and the accumulation) run `fail` instead."""
+    for field in fields:
+        for slot in ("_mul_terms", "_ring_mul"):
+            monkeypatch.setattr(field, slot, fail)
 
 
 def xvars(field, n):
@@ -231,7 +239,7 @@ def test_substitute_cap_raises_before_any_work(Q, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("multiplied before the cap check")
 
-    monkeypatch.setattr(kernels, "mul_terms_int", no_work)
+    forbid_kernels(monkeypatch, [Q], no_work)
     with pytest.raises(DegreeCapExceeded):
         p.substitute(images, cap=1024)
 
@@ -377,9 +385,8 @@ def test_bare_variable_does_no_work(Q, F4, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a bare variable ran a kernel")
 
-    for name in ("mul_terms_int", "mul_terms_fp", "mul_terms_ext",
-                 "clear_denominators"):
-        monkeypatch.setattr(kernels, name, no_work)
+    forbid_kernels(monkeypatch, [Q, F4], no_work)
+    monkeypatch.setattr(kernels, "clear_denominators", no_work)
     for x1, x2, images in cases:
         assert x1.substitute(images) == images[0]
         # a zero image kills the bare variable too
@@ -432,7 +439,7 @@ def test_image_checks_fire_in_the_same_order(Q, F5):
 
 
 def test_identity_images_are_shared_per_field_and_n(Q, F4):
-    from polyauto.textio import _Parser
+    from polyauto.grammar import _Parser
     xs = identity_images(F4, 3)
     assert identity_images(F4, 3) is xs
     assert xs == tuple(Polynomial.variable(F4, 3, i) for i in (1, 2, 3))
@@ -605,9 +612,7 @@ def test_products_over_the_bound_raise_before_any_work(Q, F4, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a kernel ran on a product over MAX_DEGREE")
 
-    for name in ("mul_terms_int", "mul_terms_fp", "mul_terms_obj",
-                 "mul_terms_ext"):
-        monkeypatch.setattr(kernels, name, no_work)
+    forbid_kernels(monkeypatch, [Q, F4], no_work)
     for x1, big, small, linear, square, mixed in cases:
         with over_the_bound("product of degree", 80000):
             big * big
@@ -637,8 +642,8 @@ def test_parse_refuses_a_product_over_the_bound(Q, monkeypatch):
             return out
         return run
 
-    for name in ("mul_terms_obj", "mul_terms_int"):
-        monkeypatch.setattr(kernels, name, bounded(getattr(kernels, name)))
+    for slot in ("_mul_terms", "_ring_mul"):
+        monkeypatch.setattr(Q, slot, bounded(getattr(Q, slot)))
     with over_the_bound("product of degree", 80000):
         parse_polynomial("x1^40000*x1^40000", Q, 1, cap=None)
     with over_the_bound("power of degree", 70000):
@@ -653,8 +658,8 @@ def kernel_product(field, a, b):
     if field.order is None:
         return kernels.mul_terms_obj(a, b)
     if field.modulus is None:
-        return kernels.mul_terms_fp(a, b, field.p)
-    return kernels.mul_terms_ext(a, b, field.p, field.modulus)
+        return finite.mul_terms_fp(a, b, field.p)
+    return finite.mul_terms_ext(a, b, field.p, field.modulus)
 
 
 def one_term(rng, field, n, max_deg=4):
@@ -740,9 +745,8 @@ def test_one_term_products_run_no_kernel(Q, F4, monkeypatch):
     def no_kernel(*args, **kwargs):
         raise AssertionError("a one-term product ran a kernel")
 
-    for name in ("mul_terms_int", "mul_terms_fp", "mul_terms_obj",
-                 "mul_terms_ext"):
-        monkeypatch.setattr(kernels, name, no_kernel)
+    forbid_kernels(monkeypatch, {phi.field for phi, _, _ in cases},
+                   no_kernel)
     p = parse_polynomial("t*x2*x3^2+x1", F4, 3)
     assert list(p.sorted_terms()) == [((0, 1, 2), F4.generator()),
                                       ((1, 0, 0), F4.one)]
@@ -784,11 +788,10 @@ def test_multi_term_power_over_the_cap_does_no_work(Q, F9, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a power over MAX_DEGREE was expanded")
 
+    fields = (Q, Field.prime(7), F9)
     monkeypatch.setattr(PreparedImages, "accumulate", no_work)
-    for name in ("mul_terms_int", "mul_terms_fp", "mul_terms_obj",
-                 "mul_terms_ext"):
-        monkeypatch.setattr(kernels, name, no_work)
-    for field in (Q, Field.prime(7), F9):
+    forbid_kernels(monkeypatch, fields, no_work)
+    for field in fields:
         x1, x2 = xvars(field, 2)
         with over_the_bound("power of degree", 66000):
             (x1 * x2 + 1) ** 33000
