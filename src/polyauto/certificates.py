@@ -26,7 +26,7 @@ import re
 from operator import add
 
 from .errors import DegreeCapExceeded, InvalidFactor
-from .grammar import EOL, _Parser
+from .grammar import _LINE_TOKEN_RE, EOL, _name, _Parser
 from .maps import (Endo, affine_parts, compose, elementary_parts,
                    start_product)
 from .nct import (FORMAT_VERSION, KIND_COTAME, KIND_SLIN, Certificate, Seed,
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):  # perfbench's name (ROADMAP direction 8)
+def __getattr__(name: str):  # perfbench's name (ROADMAP direction 18)
     if name == "serialize_certificate":
         from .textio import serialize_certificate
         return serialize_certificate
@@ -247,12 +247,13 @@ class _CertificateParser(_Parser):
     """The .nct rules of the grammar in docs/formats.md, read over one token
     stream of the whole file."""
 
-    lines = True
+    tokens = _LINE_TOKEN_RE
 
     def certificate(self) -> Certificate:
+        self.at(EOL)  # the whitespace before the first line
         self.directive("NCT")
         if not self.at(FORMAT_VERSION):
-            self.fail(f"unsupported format version {self.toks[self.i]!r}")
+            self.fail(f"unsupported format version {_name(self.toks[self.i])}")
         self.expect(EOL)
         self.directive("FIELD")
         field = self.field_tag()
@@ -295,7 +296,7 @@ class _CertificateParser(_Parser):
         """Take `name`, a directive that the file holds once; one of them
         read a second time is named as repeated."""
         tok = self.toks[self.i]
-        if tok in _ONCE[:_ONCE.index(name)]:
+        if tok != name and tok in _ONCE[:_ONCE.index(name)]:
             self.fail(f"repeated {tok} line")
         self.expect(name)
 
@@ -337,12 +338,12 @@ class _CertificateParser(_Parser):
 
     def label(self) -> str:
         """A run of letters, digits, '_', '.' and '-', in tokens with no gap."""
-        toks, first = self.toks, self.i
-        while _LABEL_RE.fullmatch(toks[self.i]) and (
-                self.i == first or not self.gaps[self.i]):
+        toks, gaps, first = self.toks, self.gaps, self.i
+        if not _LABEL_RE.fullmatch(toks[first]):
+            self.fail(f"expected a label, found {_name(toks[first])}")
+        self.i += 1
+        while not gaps[self.i] and _LABEL_RE.fullmatch(toks[self.i]):
             self.i += 1
-        if self.i == first:
-            self.fail(f"expected a label, found {toks[first]!r}")
         return "".join(toks[first:self.i])
 
     def line_text(self) -> str:

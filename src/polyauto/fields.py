@@ -24,8 +24,8 @@ PRIME = "prime"
 EXTENSION = "extension"
 
 
-# The live Field handles by (kind, p, s, modulus): one handle per field.
-_HANDLES = WeakValueDictionary()
+# The live Field handles by (kind, p, s, modulus), one per field, and by tag()
+_HANDLES, _TAGS = WeakValueDictionary(), WeakValueDictionary()
 
 
 def _interned(key, cls=None) -> "Field":
@@ -36,6 +36,7 @@ def _interned(key, cls=None) -> "Field":
     field = _HANDLES.get(key)
     if field is None:
         field = _HANDLES[key] = (cls or Field)(*key)
+        _TAGS[field.tag()] = field
     return field
 
 

@@ -1,9 +1,11 @@
 """The grammar of docs/formats.md read by one recursive-descent `_Parser`
 over one token stream, one rule per production (a subclass in
 `polyauto.certificates` adds the file's).  A polynomial is read into one
-term map, a monomial term as one exponent vector and one coefficient; only
-a factor that is not constant in parentheses or after a unary minus
-multiplies polynomials.  A syntax error is a ParseError at a line and
+term map, a monomial term as one packed key, the sum of the increments of
+`poly.variable_keys`, and one coefficient; only a factor that is not
+constant in parentheses or after a unary minus multiplies polynomials.  A
+finite field's tag written as a live handle's tag() is looked up, not read
+again.  A syntax error is a ParseError at a line and
 column; a power or product over the cap is refused first.
 """
 
@@ -14,58 +16,61 @@ import re
 from .derivations import TriDerivation
 from .errors import (ArityError, NotPrime, ParseError, ReducibleModulus,
                      UnsupportedField)
-from .fields import EXTENSION, Field
+from .fields import _TAGS, EXTENSION, Field, FieldElement
 from .maps import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
                    SignedPermutation, Translation, Triangular)
 from .poly import (MAX_NVARS, Polynomial, cap_limit, check_degree,
-                   identity_images)
+                   identity_images, variable_keys)
 
 # -- the token stream --------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"([0-9]+|x[0-9]+|[A-Za-z]+|\S)")
-_LINE_TOKEN_RE = re.compile(
-    r"([0-9]+|x[0-9]+|[A-Za-z]+|\S|(?<=\S)(?=[^\S\n]*(?:\n|\Z)))")
-END, EOL = "end of input", "end of line"
+# and an EOL token, the last newline of the whitespace after a token
+_LINE_TOKEN_RE = re.compile(r"([0-9]+|x[0-9]+|[A-Za-z]+|\S|\n(?![^\S\n]*\n))")
+END, EOL = "end of input", "\n"
 _SIGNS = ("+", "-")
 _JOINS = ("+", "-", "*", "^")  # what continues a term or a sum
 _RING_SIZE = f"a ring needs 1 to {MAX_NVARS} variables"
+
+
+def _name(tok: str) -> str:
+    return "'end of line'" if tok == EOL else repr(tok)
 
 
 class _Parser:
     """The tokens of one text (digits, x<digits>, letters or one other
     character, then "end of input"), the whitespace before each, and the
     grammar rules that read them, in a ring that is given or set by a
-    '[field,n]' prefix.  A subclass that sets `lines` reads a line-oriented
-    text: each of its lines then ends in an "end of line" token."""
+    '[field,n]' prefix.  A subclass whose `tokens` are _LINE_TOKEN_RE reads
+    a line-oriented text: each of its lines then ends in an EOL token."""
 
-    lines = False
+    tokens = _TOKEN_RE
 
     def __init__(self, text: str, field: Field | None, nvars: int | None,
                  cap: int | None):
         self.text, self.i = text, 0
         # the one bound of every power and product: min(cap, MAX_DEGREE)
         self.limit = cap_limit(cap)
-        # whitespace, token, ..., whitespace; in lines, an EOL (an empty
-        # match) follows each line's last token
-        parts = (_LINE_TOKEN_RE if self.lines else _TOKEN_RE).split(text)
+        # whitespace, token, ..., whitespace of the text and a newline: in
+        # lines, an EOL ends every line, the last too, and the leading space
+        parts = self.tokens.split(text + EOL)
         self.toks, self.gaps = parts[1::2], parts[::2]
-        if self.lines:
-            self.toks = [tok or EOL for tok in self.toks]
         self.toks.append(END)  # its gap is the whitespace after the last token
         self.set_ring(field, nvars)
 
     def set_ring(self, field, nvars):
         self.field, self.nvars, self.xvars = field, nvars, nvars
         self.t = None  # t as (payload, j), see mono
+        self.keys = variable_keys(nvars or 0)  # the key of x_j at j
 
     def fail(self, message: str, index: int | None = None,
              error=ParseError):
-        """Raise at the token `index` (default: the next one), whose offset
-        is the length of the gaps and tokens before it."""
+        """Raise at the token `index` (default: the next one): at the length
+        of the text before it, less an EOL's gap, and at most the text's."""
         index = self.i if index is None else index
         text = self.text
-        offset = (sum(map(len, self.gaps[:index + 1]))
-                  + sum(len(tok) for tok in self.toks[:index] if tok != EOL))
+        offset = min(len(text), sum(map(len, self.toks[:index])) + sum(map(
+            len, self.gaps[:index + (self.toks[index] != EOL)])))
         line = text.count("\n", 0, offset) + 1
         raise error(message, line, offset - text.rfind("\n", 0, offset))
 
@@ -76,8 +81,9 @@ class _Parser:
         return hit
 
     def expect(self, tok: str):
-        if self.toks[self.i] != tok:
-            self.fail(f"expected {tok!r}, found {self.toks[self.i]!r}")
+        found = self.toks[self.i]
+        if found != tok:
+            self.fail(f"expected {_name(tok)}, found {_name(found)}")
         self.i += 1
 
     def number(self, digits: str | None = None) -> int:
@@ -85,7 +91,7 @@ class _Parser:
         if digits is None:
             digits = self.toks[self.i]
             if not "0" <= digits[:1] <= "9":
-                self.fail(f"expected a number, found {self.toks[self.i]!r}")
+                self.fail(f"expected a number, found {_name(digits)}")
             self.i += 1
         try:
             return int(digits)
@@ -118,7 +124,7 @@ class _Parser:
         except RecursionError:
             self.fail("input nested too deeply")
         if self.i + 1 < len(self.toks):
-            self.fail(f"unexpected {self.toks[self.i]!r} after the input")
+            self.fail(f"unexpected {_name(self.toks[self.i])} after the input")
         return value
 
     # -- fields and the ring --
@@ -126,9 +132,18 @@ class _Parser:
     def field_tag(self) -> Field:
         if self.at("Q"):
             return Field.rationals()
-        first = self.i
+        toks, gaps, first = self.toks, self.gaps, self.i
         if not self.at("F"):
-            self.fail(f"bad field tag {self.toks[self.i]!r}")
+            self.fail(f"bad field tag {_name(toks[first])}")
+        end = first + 1  # a live handle's whitespace-free tag(), not read on
+        while not gaps[end] and (toks[end] in "/t^+*" or toks[end].isdigit()):
+            end += 1
+        field = _TAGS.get("".join(toks[first:end]))
+        if field is not None and toks[end] not in _JOINS + ("/",):
+            if field.kind == EXTENSION:  # as its modulus t^s + ... would be
+                check_degree("power of degree", field.s, self.limit)
+            self.i = end
+            return field
         q = self.number()
         from . import finite  # read only with a finite field's tag
         try:
@@ -169,7 +184,7 @@ class _Parser:
 
     def poly(self) -> Polynomial:
         """{+|-} term {(+|-) {+|-} term}: the monomial terms add into one map
-        of exponent vectors, and a bare variable is the shared x_i."""
+        of keys, and a bare variable is the shared x_i."""
         toks, field = self.toks, self.field
         if toks[self.i][:1] == "x" and toks[self.i + 1] not in _JOINS:
             return identity_images(field, self.nvars)[self.mono()[1] - 1]
@@ -179,24 +194,19 @@ class _Parser:
             while toks[self.i] in _SIGNS:
                 negate ^= toks[self.i] == "-"
                 self.i += 1
-            exps, c = self.term(negate)
-            if exps is not None:
-                acc = terms.get(exps)
-                terms[exps] = c if acc is None else field._padd(acc, c)
-            else:  # a polynomial joins the map term by term
-                for e, x in c.sorted_terms():
-                    acc, x = terms.get(e), x.payload
-                    terms[e] = x if acc is None else field._padd(acc, x)
+            for key, c in self.term(negate):
+                acc = terms.get(key)
+                terms[key] = c if acc is None else field._padd(acc, c)
             if toks[self.i] not in _SIGNS:
-                return Polynomial.from_exponents(field, self.nvars, terms)
+                return Polynomial.from_keys(field, self.nvars, terms)
 
     def term(self, negate: bool):
         """power {'*' power}, refused before a product over the cap, and
         negated when asked.  The powers of numbers, a/b, x_i, t and constant
-        groups multiply into one monomial c x^e, returned as (e, c); a
-        product with any other power p is returned as (None, p)."""
-        field, toks = self.field, self.toks
-        c, exps, p = None, [0] * self.nvars, None  # c None: the coefficient 1
+        groups multiply into one monomial c x^e, returned as ((key, c),); a
+        product p with any other powers, as p's (key, c) pairs."""
+        field, toks, keys = self.field, self.toks, self.keys
+        c, key, p = None, 0, None  # c None: the coefficient 1
         deg, zero = 0, False  # the degree of the product so far
         while True:
             if toks[self.i] in ("(", "-"):
@@ -212,8 +222,8 @@ class _Parser:
                     check_degree("power of degree", k, self.limit)
                     fdeg, fc = (k, fc) if j else (0, field._ppow(fc, k))
             check_degree("product of degree", deg + fdeg, self.limit)
-            if j:
-                exps[j - 1] += fdeg
+            if j:  # a field of the key may carry only once c is zero
+                key += fdeg * keys[j]
             elif fc is None:
                 p = f if p is None else p * f
             else:
@@ -223,14 +233,13 @@ class _Parser:
             if toks[self.i] != "*":
                 break
             self.i += 1
-        if p is not None and c is None and not (negate or any(exps)):
-            return None, p  # (...) alone: no monomial to multiply by
-        c = field.one.payload if c is None else c
-        c = field._pneg(c) if negate else c
-        if p is None:
-            return tuple(exps), c
-        return None, p * Polynomial.from_exponents(field, self.nvars,
-                                                   {tuple(exps): c})
+        if p is None or c is not None or negate or key:  # else (...) alone
+            c = field.one.payload if c is None else c
+            c = field._pneg(c) if negate else c
+            if p is None:
+                return ((key, c),)
+            p *= Polynomial.from_keys(field, self.nvars, {key: c})
+        return p.terms.items()
 
     def power(self) -> Polynomial:
         """atom ['^' number], refused before a power over the cap."""
@@ -252,7 +261,7 @@ class _Parser:
             return p
         c, j = self.mono()
         return (identity_images(self.field, n)[j - 1] if j else
-                Polynomial.from_exponents(self.field, n, {(0,) * n: c}))
+                Polynomial.from_keys(self.field, n, {0: c}))
 
     def mono(self):
         """number ['/' number] | variable | 't', as (c, j) for the monomial
@@ -278,10 +287,14 @@ class _Parser:
                 self.fail("t is only valid over extension fields", self.i - 1)
             self.t = self.t or (field.generator().payload, 0)
             return self.t
-        self.fail(f"unexpected {tok!r}", self.i - 1)
+        self.fail(f"unexpected {_name(tok)}", self.i - 1)
 
     def const(self):
-        first = self.i
+        first, toks = self.i, self.toks
+        # one number or t, when the cap lets a constant (degree 0) through
+        if (toks[first] == "t" or toks[first].isdigit()) and self.limit >= 0 \
+                and toks[first + 1] not in _JOINS + ("/",):
+            return FieldElement(self.field, self.mono()[0])
         p = self.poly()
         if not p.is_constant():
             self.fail("expected a constant", first)
@@ -321,7 +334,7 @@ class _Parser:
         if self.at("L"):
             return Linear(field, n, self.items(self.row, ",", n, "rows", "[]"))
         if name not in ("E", "Tr", "T", "S", "Exp"):
-            self.fail(f"unknown factor {self.toks[self.i]!r}")
+            self.fail(f"unknown factor {_name(name)}")
         self.i += 1
         self.expect("(")
         if name == "E":

@@ -54,7 +54,7 @@ def mul_terms_obj(a, b):
             for e, v in mul_terms_int(pa, pb).items() if v}
 
 
-def __getattr__(name: str):  # perfbench's name (ROADMAP direction 8)
+def __getattr__(name: str):  # perfbench's name (ROADMAP direction 18)
     if name == "mul_terms_ext":
         from .finite import mul_terms_ext
         return mul_terms_ext

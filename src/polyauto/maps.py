@@ -22,7 +22,7 @@ from .derivations import TriDerivation, exp_images, kernel_check
 from .errors import ArityMismatch, FieldMismatch, InvalidFactor, Singular
 from .fields import RATIONALS, Field, FieldElement
 from .poly import (DEFAULT_DEGREE_CAP, Polynomial, PreparedImages,
-                   cap_limit, check_degree, identity_images)
+                   cap_limit, check_degree, identity_images, variable_keys)
 from .record import Record
 
 
@@ -148,30 +148,30 @@ def mat_inv(field: Field, A):
 
 class Linear(Record):
     """Invertible linear map x_i -> sum_j matrix[i][j] x_j."""
-    __slots__ = ("field", "nvars", "matrix")
+    __slots__ = ("field", "nvars", "matrix", "_det")
 
     def __init__(self, field: Field, nvars: int,
                  matrix: tuple[tuple[FieldElement, ...], ...]):
         if len(matrix) != nvars or any(len(r) != nvars for r in matrix):
             raise InvalidFactor("linear factor needs an n x n matrix")
-        if mat_det(field, matrix).is_zero():
+        self._det = mat_det(field, matrix)  # the singularity check's, kept
+        if self._det.is_zero():
             raise InvalidFactor("linear factor matrix is singular")
         self.field = field
         self.nvars = nvars
         self.matrix = matrix
 
     def expand(self) -> Endo:
-        n = self.nvars
-        comps = [Polynomial.from_exponents(self.field, n, {
-            tuple(int(j == k) for k in range(n)): a.payload
-            for j, a in enumerate(row)}) for row in self.matrix]
+        n, keys = self.nvars, variable_keys(self.nvars)[1:]
+        comps = [Polynomial.from_keys(self.field, n, {
+            k: a.payload for k, a in zip(keys, row)}) for row in self.matrix]
         return Endo(self.field, n, comps)
 
     def inverted(self) -> "Linear":
         return Linear(self.field, self.nvars, mat_inv(self.field, self.matrix))
 
     def det(self) -> FieldElement:
-        return mat_det(self.field, self.matrix)
+        return self._det
 
 
 class Translation(Record):

@@ -4,10 +4,11 @@ Terms are stored as a dict mapping packed monomials to nonzero coefficient
 payloads: one int per exponent vector, exponent j (0-based) in bits
 [B(n-1-j), B(n-j)) and the total degree above them all (`pack`, `unpack`).
 A product of monomials is one integer addition, the total degree is
-key >> B*n, and int order is graded-lex order.  Keys never leave this module
-and the kernels (`kernels`, `finite`), which each Field binds when it is
-made: other code reads exponents through sorted_terms, coeff,
-degrees, deg_in and involves, and writes them through from_exponents.  No
+key >> B*n, and int order is graded-lex order.  Only this module and the
+kernels (`kernels`, `finite`), which each Field binds when it is made, know
+the layout: other code reads exponents through sorted_terms, coeff, degrees,
+deg_in and involves, and writes terms through from_keys, with keys from pack
+or summed from `variable_keys` (the reader's term rule, Linear).  No
 field carries into the next because no polynomial of total degree over
 MAX_DEGREE is built: products, powers, monomials and substitutions over it
 raise DegreeCapExceeded.  The zero polynomial is the empty dict.  Degrees
@@ -60,10 +61,7 @@ MAX_DEGREE = (1 << B) - 1
 def pack(exps: Sequence[int]) -> int:
     """The key of an exponent vector: total degree, then e_1, ..., e_n, each
     in B bits.  The caller keeps every e_j >= 0 and the sum <= MAX_DEGREE."""
-    key = sum(exps)
-    for e in exps:
-        key = key << B | e
-    return key
+    return sum(map(mul, exps, variable_keys(len(exps))[1:]))
 
 
 @lru_cache(maxsize=MAX_NVARS)
@@ -76,9 +74,11 @@ def unpack(key: int, n: int) -> tuple[int, ...]:
     return _fields(n).unpack(key.to_bytes(2 * n + 2, "big"))[1:]
 
 
-def _variable_key(n: int, i: int) -> int:
-    """The key of x_i (1-based): one unit of degree, one of field i."""
-    return 1 << B * n | 1 << B * (n - i)
+@lru_cache(maxsize=MAX_NVARS + 1)
+def variable_keys(n: int) -> tuple[int, ...]:
+    """The key of x_i (1-based) at i: one unit of degree, one of field i;
+    at 0, the key of 1.  The key of x^e is the sum of e_i times x_i's."""
+    return (0,) + tuple(1 << B * n | 1 << B * (n - i) for i in range(1, n + 1))
 
 
 def check_degree(what: str, degree: int, cap: int = MAX_DEGREE):
@@ -129,31 +129,30 @@ class Polynomial:
 
     @staticmethod
     def constant(field: Field, nvars: int, value) -> "Polynomial":
-        return Polynomial.from_exponents(field, nvars,
-                                         {(0,) * nvars: field.elem(value).payload})
+        return Polynomial.from_keys(field, nvars,
+                                    {0: field.elem(value).payload})
 
     @staticmethod
     def variable(field: Field, nvars: int, i: int) -> "Polynomial":
         """x_i, 1-based."""
         check_axis(i, nvars)
         return Polynomial(field, nvars,
-                          {_variable_key(nvars, i): field.one.payload})
+                          {variable_keys(nvars)[i]: field.one.payload})
 
     @staticmethod
     def monomial(field: Field, nvars: int, coeff, exps: Sequence[int]) -> "Polynomial":
         c = field.elem(coeff)
         exps = check_exponents(exps, nvars)
         check_degree("monomial of degree", sum(exps))
-        return Polynomial.from_exponents(field, nvars, {exps: c.payload})
+        return Polynomial.from_keys(field, nvars, {pack(exps): c.payload})
 
     @staticmethod
-    def from_exponents(field: Field, nvars: int, terms: dict) -> "Polynomial":
-        """The sum of c x^e over the items (e, c) of `terms`, exponent
-        vectors to payloads, leaving out the zero payloads.  The caller
-        keeps each e with a nonzero c of length nvars, nonnegative and of
-        sum at most MAX_DEGREE."""
+    def from_keys(field: Field, nvars: int, terms: dict) -> "Polynomial":
+        """The sum of c x^e over the items (key of e, c) of `terms`, leaving
+        out the zero payloads.  The caller keeps each e with a nonzero c of
+        length nvars, nonnegative and of sum at most MAX_DEGREE."""
         is_zero = field._pis_zero
-        return Polynomial(field, nvars, {pack(e): c for e, c in terms.items()
+        return Polynomial(field, nvars, {k: c for k, c in terms.items()
                                          if not is_zero(c)})
 
     # -- basic queries ----------------------------------------------------
@@ -321,7 +320,7 @@ class Polynomial:
         check_axis(i, self.nvars)
         field, n = self.field, self.nvars
         out = {}
-        shift, unit = B * (n - i), _variable_key(n, i)
+        shift, unit = B * (n - i), variable_keys(n)[i]
         # distinct terms stay distinct: each loses one x_i, one unit of
         # field i and of the degree
         for key, c in self.terms.items():

@@ -26,7 +26,7 @@ from .nct import KIND_SLIN, Certificate
 from .poly import Polynomial, check_axis, check_exponents
 from .record import Record
 # translation_from_any is bound here only for perfbench/tracing.py
-# (ROADMAP direction 8)
+# (ROADMAP direction 18)
 from .translations import axis_shift, translation_from_any
 from .wordbuild import CertBuilder
 

@@ -323,7 +323,9 @@ def test_word_determinants_of_hand_made_words():
              " * E(1; x2^2)^-1", 12),
             ("[F9,2] S(2,1; t, 1) * T(t; 1, x1^2)^-1 * E(2; x1^2)", 2),
             ("[Q,3] S(3,1,2; 2, 1/2, -1) * Exp(x1; D(0, x1, -x2))"
-             " * L[[1,2,0],[0,1,0],[0,0,1]]^-1", -1)):
+             " * L[[1,2,0],[0,1,0],[0,0,1]]^-1", -1),
+            ("[Q,2] L[[0,2],[3,1]]", -6),  # the constructor's, a row swap
+            ("[F9,2] L[[0,t],[1,1]] * L[[0,t],[1,1]]^-1", 1)):
         word = parse_factored(text)
         want = word.field.from_int(det)
         assert word.det() == want, text

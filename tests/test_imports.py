@@ -56,7 +56,7 @@ def test_the_check_sees_an_unused_import():
 
 
 # the names a module imports only to export them: perfbench reads each
-# through that module, and each goes once ROADMAP direction 8 renames its
+# through that module, and each goes once ROADMAP direction 18 renames its
 # reader
 PERFBENCH_REEXPORTS = {"autos.compose", "slin.translation_from_any"}
 

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import random
 from fractions import Fraction
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gen import rand_mixed_word
+from polyauto.certificates import parse_certificate
 from polyauto.errors import ArityError, ParseError
+from polyauto.fields import _HANDLES, _TAGS, Field
 from polyauto.poly import Polynomial, identity_images, pack
 from polyauto.textio import (endo_to_text, factored_to_text,
                              derivation_to_text, parse_automorphism,
@@ -91,6 +94,17 @@ def test_field_tag_errors():
         parse_field("G7")
     with pytest.raises(Exception):
         parse_field("F12")
+    # with F2, F8 and F27 live, text that only looks like one of their tags
+    # fails where it always did: "F2 7" is no F27, and F8's tag ends at "1"
+    live = [Field.of_order(q) for q in (2, 8, 27)]
+    assert "F27/t^3+2*t+1" in _TAGS and live
+    for text, column in (("F2 7/t^3+2*t+1", 4), ("F8/t^3+t+1 1", 12)):
+        with pytest.raises(ParseError) as info:
+            parse_field(text)
+        assert (info.value.line, info.value.column) == (1, column)
+        with pytest.raises(ParseError) as info:
+            parse_certificate(f"NCT 1\nFIELD {text}\nVARS 1\n")
+        assert (info.value.line, info.value.column) == (2, column + 6)
 
 
 def test_endo_text_round_trip(F9):
@@ -226,6 +240,15 @@ def test_modulus_is_a_polynomial_in_t():
         parse_field("F9/x1^2+1")  # only t is a variable of a modulus
     with pytest.raises(ParseError):
         parse_field("F6/t+1")  # 6 is not a prime power
+    # a live handle's tag() is looked up, any other spelling read
+    F8 = Field.of_order(8)
+    for text in (F8.tag(), "F8/1+t+t^3", "F8/t^3 +t+1", "F8 /t^3+t+1"):
+        assert parse_field(text) is F8
+    for _ in range(2):  # a reducible modulus makes no handle to look up
+        with pytest.raises(ParseError, match="reducible"):
+            parse_field("F9/t^2+2*t+1")
+    gc.collect()  # the index holds one entry per live handle, its tag()
+    assert dict(_TAGS) == {f.tag(): f for f in _HANDLES.values()}
 
 
 @pytest.mark.parametrize("text, canonical", [
