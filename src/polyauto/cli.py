@@ -120,7 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = (ap := build_parser()).parse_args(argv)
+    if args.cap < 0:
+        ap.error(f"--cap must be at least 0, got {args.cap}")
     try:
         # certify and verify run here, every other subcommand in tools
         return globals().get(f"cmd_{args.command}", _tool)(args)

@@ -56,10 +56,6 @@ class NotStructured(AlgebraError):
     pass
 
 
-class Singular(AlgebraError):
-    pass
-
-
 class NotTriangular(AlgebraError):
     pass
 

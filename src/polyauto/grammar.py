@@ -184,9 +184,9 @@ class _Parser:
 
     def poly(self) -> Polynomial:
         """{+|-} term {(+|-) {+|-} term}: the monomial terms add into one map
-        of keys, and a bare variable is the shared x_i."""
-        toks, field = self.toks, self.field
-        if toks[self.i][:1] == "x" and toks[self.i + 1] not in _JOINS:
+        of keys; a bare variable is the shared x_i if the cap admits it."""
+        toks, field, i = self.toks, self.field, self.i
+        if toks[i][:1] == "x" and toks[i + 1] not in _JOINS and self.limit > 0:
             return identity_images(field, self.nvars)[self.mono()[1] - 1]
         terms = {}
         while True:

@@ -9,8 +9,8 @@ ints or Fractions, so every kernel is exact.
 Over Q no Fraction arithmetic runs in the loop: operands are integer term
 maps over one shared denominator (the lcm of their denominators), and each
 output becomes one Fraction at the end.  mul_terms_int, like
-finite.mul_terms_ext, adds k * a * b into a map in place: one substitution
-accumulation for all fields.
+finite.mul_terms_ext, adds k * a * b into a map in place: a substitution
+runs it only for a term with two or more multi-term image powers.
 Each Field binds its kind's kernels when it is made (`Field._ops`).
 """
 

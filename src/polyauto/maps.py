@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from math import prod
 
 from .derivations import TriDerivation, exp_images, kernel_check
-from .errors import ArityMismatch, FieldMismatch, InvalidFactor, Singular
+from .errors import ArityMismatch, FieldMismatch, InvalidFactor
 from .fields import RATIONALS, Field, FieldElement
 from .poly import (DEFAULT_DEGREE_CAP, Polynomial, PreparedImages,
                    cap_limit, check_degree, identity_images, variable_keys)
@@ -76,14 +76,18 @@ class Endo:
 
 def compose(phi: Endo, psi: Endo,
             cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
-    """The word phi*psi under the right-action convention."""
+    """The word phi*psi under the right-action convention; Endo has held
+    psi's components, and so the ones made here, to one field and arity."""
     if phi.field != psi.field:
         raise FieldMismatch("composing over different fields")
     if phi.nvars != psi.nvars:
         raise ArityMismatch("composing different arities")
-    images = PreparedImages(psi.components, psi.field)
-    comps = [c.substitute(images, cap=cap) for c in phi.components]
-    return Endo(phi.field, phi.nvars, comps)
+    images, limit = PreparedImages(psi.components, psi.field), cap_limit(cap)
+    out = object.__new__(Endo)
+    out.field, out.nvars, out._deg = phi.field, phi.nvars, None
+    out.components = tuple([images.accumulate(c.terms, limit)
+                            for c in phi.components])
+    return out
 
 
 def start_product(phi: Endo, cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
@@ -97,51 +101,37 @@ def start_product(phi: Endo, cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
 
 # -- matrices over the field (helpers for affine maps) -------------------
 
-def _swap_pivot(M, col: int) -> int | None:
-    """Swap into row `col` the first row at or below it with a nonzero entry
-    in column `col`, and return that row's index; None if there is none."""
-    for row in range(col, len(M)):
-        if not M[row][col].is_zero():
-            M[col], M[row] = M[row], M[col]
-            return row
-    return None
+def _gauss_jordan(field: Field, A, extra: int = 0):
+    """(det A, M) by Gauss-Jordan elimination on payloads: M holds A's rows,
+    each followed by `extra` columns of the identity's, reduced until A's
+    part is the identity (with no extra columns, only below the diagonal,
+    as det needs).  A singular A gives (zero, None)."""
+    n, zero, one = len(A), field.zero.payload, field.one.payload
+    pmul, padd, is_zero = field._pmul, field._padd, field._pis_zero
+    if any(a.field is not field for row in A for a in row):
+        raise FieldMismatch(f"matrix entry not in {field.tag()}")
+    M = [[a.payload for a in row] + [one if i == j else zero
+                                     for j in range(extra)]
+         for i, row in enumerate(A)]
+    det = one
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not is_zero(M[r][col])),
+                     None)
+        if pivot is None:
+            return zero, None
+        if pivot != col:
+            M[col], M[pivot], det = M[pivot], M[col], field._pneg(det)
+        det, inv = pmul(det, M[col][col]), field._pinv(M[col][col])
+        M[col] = [pmul(x, inv) for x in M[col]]
+        for row in range(0 if extra else col + 1, n):  # a det: rows below
+            if row != col and not is_zero(M[row][col]):
+                f = field._pneg(M[row][col])
+                M[row] = [padd(x, pmul(f, y)) for x, y in zip(M[row], M[col])]
+    return det, M
 
 
 def mat_det(field: Field, A) -> FieldElement:
-    n = len(A)
-    M = [list(row) for row in A]
-    det = field.one
-    for col in range(n):
-        pivot = _swap_pivot(M, col)
-        if pivot is None:
-            return field.zero
-        if pivot != col:
-            det = -det
-        det = det * M[col][col]
-        inv = M[col][col].inv()
-        for row in range(col + 1, n):
-            if M[row][col].is_zero():
-                continue
-            factor = M[row][col] * inv
-            for j in range(col, n):
-                M[row][j] = M[row][j] - factor * M[col][j]
-    return det
-
-
-def mat_inv(field: Field, A):
-    n = len(A)
-    M = [list(row) + [field.one if i == j else field.zero
-                      for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        if _swap_pivot(M, col) is None:
-            raise Singular("matrix is singular")
-        inv = M[col][col].inv()
-        M[col] = [x * inv for x in M[col]]
-        for row in range(n):
-            if row != col and not M[row][col].is_zero():
-                f = M[row][col]
-                M[row] = [x - f * y for x, y in zip(M[row], M[col])]
-    return tuple(tuple(row[n:]) for row in M)
+    return FieldElement(field, _gauss_jordan(field, A)[0])
 
 
 # -- basic factors -------------------------------------------------------
@@ -168,7 +158,15 @@ class Linear(Record):
         return Endo(self.field, n, comps)
 
     def inverted(self) -> "Linear":
-        return Linear(self.field, self.nvars, mat_inv(self.field, self.matrix))
+        """The inverse by Gauss-Jordan elimination, which cannot meet a zero
+        column (det is nonzero); its det, det^-1, needs no second one."""
+        field, n = self.field, self.nvars
+        rows = _gauss_jordan(field, self.matrix, n)[1]
+        out = object.__new__(Linear)
+        out.field, out.nvars, out._det = field, n, self._det.inv()
+        out.matrix = tuple(tuple(FieldElement(field, x) for x in row[n:])
+                           for row in rows)
+        return out
 
     def det(self) -> FieldElement:
         return self._det

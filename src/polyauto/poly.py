@@ -19,15 +19,12 @@ construction, so instances can be shared freely.
 
 A product with a one-term operand c x^k runs no kernel: it is a shift of
 every key by k and one coefficient product per term (`_shift`), and a power
-of one term is (k e, c^e).  Such products are most of them: substitutions
-by x_j, c x_j, a signed permutation or a monomial.
-
-Substitution is one accumulation for every field (PreparedImages): the
-powers of one-term images fold into each term's key and multiplier, and
-the product of the other images, if any, is added into one map by the
-field's kernel.  Over Q it runs, as products do, on integer numerators over
-one shared denominator, so each canonical Fraction payload is built once
-per output term.
+of one term is (k e, c^e).  Substitution is one accumulation for every
+field (PreparedImages): one-term images' powers fold into each term's key
+and multiplier k, a term with one multi-term power adds it times k by the
+field's _pmul and _padd, and only a product of two or more runs the
+field's kernel.  Over Q the map holds integer numerators over one shared
+denominator, so each canonical Fraction payload is built once per key.
 """
 
 from __future__ import annotations
@@ -294,7 +291,7 @@ class Polynomial:
                               {key * e: self.field._ppow(c, e)})
         # the substitution's powering: x1^e with x1 -> self
         return PreparedImages((self,), self.field).accumulate(
-            [((e,), self.field.one.payload)])
+            {e * variable_keys(1)[1]: self.field.one.payload}, MAX_DEGREE)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -345,73 +342,55 @@ class Polynomial:
         if len(images) != self.nvars:
             raise ArityMismatch(
                 f"need {self.nvars} images, got {len(images)}")
-        field = self.field
         if not images:
             raise ArityMismatch("substitution needs at least one variable")
+        for img in images:
+            if img.field != self.field:
+                raise FieldMismatch("image over a different field")
+            if img.nvars != images[0].nvars:
+                raise ArityMismatch("images of mixed arity")
         if not isinstance(images, PreparedImages):
-            images = PreparedImages(images, field)
-        elif images.field != field:
-            raise FieldMismatch("image over a different field")
-        cap = cap_limit(cap)
-        n, degs = self.nvars, images.degs
-        if len(self.terms) == 1:
-            (key, c), = self.terms.items()
-            if key >> B * n == 1 and c == field.one.payload:
-                j = unpack(key, n).index(1)  # a bare variable x_j
-                check_degree("substitution term degree", degs[j], cap)
-                return images[j]
-        # a term involving a variable whose image is zero vanishes; every
-        # live term is checked against the cap before any work, since a
-        # single over-cap term dooms the whole expansion
-        live, zero = [], images.zero_mask
-        for key, c in self.terms.items():
-            if not key & zero:
-                e = unpack(key, n)
-                check_degree("substitution term degree",
-                             sum(map(mul, e, degs)), cap)
-                live.append((e, c))
-        return images.accumulate(live)
+            images = PreparedImages(images, self.field)
+        return images.accumulate(self.terms, cap_limit(cap))
 
 
 def _shift(field: Field, terms: dict, key: int, c) -> dict:
-    """terms * c x^key, with c a nonzero payload: a product by one term is a
-    key addition and a coefficient product per term, with no kernel call.
-    Distinct keys stay distinct and a field has no zero divisors, so nothing
-    cancels."""
+    """terms * c x^key, c a nonzero payload: a key addition and coefficient
+    product per term, with no kernel call.  Distinct keys stay distinct and
+    a field has no zero divisors, so nothing cancels."""
     if c == field.one.payload:
         return {k + key: v for k, v in terms.items()}
     pmul = field._pmul
     return {k + key: pmul(v, c) for k, v in terms.items()}
 
 
-class PreparedImages(tuple):
-    """Images checked once and shared by many substitutions (compose's), with
-    their degrees for the cap pre-check and a memo of their powers as term
-    maps of the accumulation's ring (over Q the numerators of P_j / d_j)."""
+class PreparedImages:
+    """Images of one field and arity (the caller's to hold, as Endo's are)
+    with their degrees, the key fields of the zero ones, and a memo of their
+    powers in the accumulation's ring: over Q, numerators over d_j^e."""
 
-    def __new__(cls, images: Sequence[Polynomial], field: Field):
-        self = super().__new__(cls, images)
+    __slots__ = ("images", "field", "nvars", "degs", "zero_mask", "powers",
+                 "dens")
+
+    def __init__(self, images: Sequence[Polynomial], field: Field):
+        self.images = images = tuple(images)
         self.field, self.nvars = field, images[0].nvars if images else 0
-        for img in images:
-            if img.field != field:
-                raise FieldMismatch("image over a different field")
-            if img.nvars != self.nvars:
-                raise ArityMismatch("images of mixed arity")
-        self.degs = [img.deg() for img in images]
+        shift, terms = B * self.nvars, [img.terms for img in images]
+        self.degs = [max(t, default=0) >> shift for t in terms]
         # the fields, in a key of arity len(images), of zero images
-        self.zero_mask = sum(MAX_DEGREE << B * (len(images) - 1 - j)
-                             for j, img in enumerate(images) if not img.terms)
-        self.powers, self.dens = [None] * len(self), [1] * len(self)
-        return self
+        self.zero_mask = sum(MAX_DEGREE << B * (len(terms) - 1 - j)
+                             for j, t in enumerate(terms) if not t)
+        self.powers = None  # set up by the first expansion
+
+    def __len__(self):
+        return len(self.images)
+
+    def __getitem__(self, j):
+        return self.images[j]
 
     def power(self, j: int, e: int) -> dict:
         """images[j] ** e as a term map of the accumulation's ring."""
         memo = self.powers[j]
-        if memo is None:
-            terms = self[j].terms
-            if self.field.kind == RATIONALS:
-                terms, self.dens[j] = kernels.clear_denominators(terms)
-            memo = self.powers[j] = {1: terms}
         got = memo.get(e)
         if got is None:
             if len(memo[1]) == 1:  # a one-term image: (c x^key)^e
@@ -425,45 +404,66 @@ class PreparedImages(tuple):
             memo[e] = got
         return got
 
-    def accumulate(self, live) -> Polynomial:
-        """sum of c * prod images[j]^e_j over (e, c) in `live`.  The powers
-        of one-term images fold into each term's key and multiplier; the
-        product of the others, if any, adds into one map by the kernel with
-        that multiplier, and each key is normalised once.  Over Q, (e, c) is
-        num(c) prod P_j^e_j over den(c) prod d_j^e_j, scaled to the lcm D of
-        those; each key is v / D."""
-        field, kind = self.field, self.field.kind
-        factors = [[self.power(j, k) for j, k in enumerate(e) if k]
-                   for e, _ in live]
-        ks = [c for _, c in live]
-        if kind == RATIONALS:
-            dens = [c.denominator * prod(self.dens[j] ** k
-                                         for j, k in enumerate(e) if k)
+    def accumulate(self, terms: dict, limit: int) -> Polynomial:
+        """The sum of c * prod images[j]^e_j over the terms c x^e of
+        `terms`, each refused first if its expansion is over degree `limit`;
+        a bare x_j is images[j].  Over Q, (e, c) is num(c) prod P_j^e_j over
+        den(c) prod d_j^e_j scaled to the lcm D of those, and v is v / D."""
+        field, n, degs = self.field, len(self.images), self.degs
+        if len(terms) == 1:
+            (key, c), = terms.items()
+            if key >> B * n == 1 and c == field.one.payload:  # a bare x_j
+                j = variable_keys(n).index(key) - 1
+                check_degree("substitution term degree", degs[j], limit)
+                return self.images[j]
+        # a term with a zero image's variable vanishes; a single over-cap
+        # term dooms the whole expansion, so every term is checked first
+        live, zero = [], self.zero_mask
+        for key, c in terms.items():
+            if not key & zero:
+                e = unpack(key, n)
+                check_degree("substitution term degree",
+                             sum(map(mul, e, degs)), limit)
+                live.append((e, c))
+        if self.powers is None:
+            bases = [img.terms for img in self.images]
+            if field.kind == RATIONALS:
+                bases, self.dens = zip(*map(kernels.clear_denominators, bases))
+            self.powers = [{1: t} for t in bases]
+        if field.kind == RATIONALS:
+            dens = [c.denominator * prod(map(pow, self.dens, e))
                     for e, c in live]
             D = lcm(*dens)
-            ks = [c.numerator * (D // t) for c, t in zip(ks, dens)]
-        one = 1 if kind == RATIONALS else field.one.payload
-        acc, times = {}, field._ring_mul
+            live = [(e, c.numerator * (D // t))
+                    for (e, c), t in zip(live, dens)]
+        acc, power, times = {}, self.power, field._ring_mul
         pmul, padd = field._pmul, field._padd
-        for fs, k in zip(factors, ks):
+        one = 1 if field.kind == RATIONALS else field.one.payload
+        for e, k in live:
             key, many = 0, []
-            for f in fs:
-                if len(f) == 1:
-                    (fkey, c), = f.items()
-                    key, k = key + fkey, pmul(k, c)
-                else:
-                    many.append(f)
+            for j, ej in enumerate(e):
+                if ej:
+                    f = power(j, ej)
+                    if len(f) == 1:
+                        (fkey, c), = f.items()
+                        key, k = key + fkey, k if c == one else pmul(k, c)
+                    else:
+                        many.append(f)
             if not many:
                 got = acc.get(key)
                 acc[key] = k if got is None else padd(got, k)
-                continue
-            *head, last = many
-            first = (_shift(field, reduce(times, head), key, one) if head
-                     else {key: one})
-            times(first, last, k, acc)
-        if kind == RATIONALS:
+            elif len(many) == 1:
+                for fkey, c in many[0].items():
+                    fkey, c = fkey + key, c if k == one else pmul(k, c)
+                    got = acc.get(fkey)
+                    acc[fkey] = c if got is None else padd(got, c)
+            else:
+                *head, last = many
+                times(_shift(field, reduce(times, head), key, one), last, k,
+                      acc)
+        if field.kind == RATIONALS:
             terms = {e: Fraction(v, D) for e, v in acc.items() if v}
-        elif kind == PRIME:
+        elif field.kind == PRIME:
             terms = {e: r for e, v in acc.items() if (r := v % field.p)}
         else:
             terms = {e: v for e, v in acc.items() if any(v)}

@@ -13,8 +13,9 @@ from polyauto.autos import (Elementary, Endo, FactoredAuto, Linear,
                             elementary, invert_endo, jacobian_det, mat_det,
                             sl_dilation, translation, triangular_from_endo,
                             vector_degree, word_from_endo)
-from polyauto.errors import (DegreeCapExceeded, IndexOutOfRange,
-                             InvalidFactor, NotStructured, NotTriangular)
+from polyauto.errors import (DegreeCapExceeded, FieldMismatch,
+                             IndexOutOfRange, InvalidFactor, NotStructured,
+                             NotTriangular)
 from polyauto.fields import Field
 from polyauto.identities import random_kernel_pairs
 from polyauto.maps import ExpLND
@@ -331,6 +332,33 @@ def test_word_determinants_of_hand_made_words():
         assert word.det() == want, text
         assert jacobian_det(word.expand()) == \
             Polynomial.constant(word.field, word.nvars, want), text
+
+
+@pytest.mark.parametrize("order", [None, 7, 9])
+def test_an_inverted_linear_factor_carries_the_inverse_determinant(order):
+    """Linear.inverted takes det^-1 from the factor, with no elimination to
+    prove it again, and the constructor still refuses a singular matrix."""
+    field = QF if order is None else Field.of_order(order)
+    rng = random.Random(27 + (order or 0))
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            L = random_factor(rng, field, n, "L")
+            inv = L.inverted()
+            assert inv.det() == L.det().inv()
+            assert inv.det() == mat_det(field, inv.matrix)
+            assert inv.inverted() == L
+            assert compose(L.expand(), inv.expand()) == \
+                Endo.identity(field, n)
+    units = list(field.units(bound=4))
+    row = tuple(units[:3])
+    for rows in ((row, row, tuple(units[1:4])),
+                 ((field.zero,) * 3, row, row)):
+        assert mat_det(field, rows).is_zero()
+        with pytest.raises(InvalidFactor, match="matrix is singular"):
+            Linear(field, 3, rows)
+    other = Field.prime(5) if order is None else QF
+    with pytest.raises(FieldMismatch):  # an entry off the field
+        Linear(field, 2, ((field.one, other.one), (other.one, field.one)))
 
 
 def test_triangular_roundtrip(Q):

@@ -323,6 +323,24 @@ def test_certify_honours_cap_zero(capsys):
     assert "DegreeCapExceeded" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["compose", "[Q,2] (x1,x2)", "[Q,2] (x1,x2)"],
+    ["classify", "[Q,2] (x1,x2)"],
+    ["verify", os.path.join(os.path.dirname(__file__), "data", "hostile",
+                            "control_pass.nct")],
+])
+def test_a_negative_cap_is_a_usage_error(capsys, args):
+    """argparse refuses --cap below 0 before any subcommand runs: exit 2
+    with its usage line, as for any malformed argument."""
+    with pytest.raises(SystemExit) as info:
+        main(["--cap", "-5"] + args)
+    out = capsys.readouterr()
+    assert info.value.code == 2
+    assert out.out == ""
+    assert out.err.startswith("usage: polyauto")
+    assert out.err.endswith("error: --cap must be at least 0, got -5\n")
+
+
 def test_verify_loads_no_engine(tmp_path):
     """`polyauto verify` in a fresh interpreter imports none of the
     engines, nor their tools in `autos` and `translations`: the CLI keeps

@@ -1,11 +1,18 @@
 """Composition is the engines' and the verifier's unit of work, and it is
 tracked like a benchmark: certifying a fixed set of inputs, or verifying the
-corpus certificates, may not make more composes than a ceiling recorded
-here.  Every compose prepares its images once, so the count is of
-PreparedImages constructions (a multi-term power and a substitution into raw
-images build one too).  A change that raises a count raises its ceiling in
-its own diff and says why in CHANGES.md."""
+corpus certificates, makes exactly the number of composes recorded here.
 
+Two counts are taken, and both must match: the calls of `maps.compose`,
+wherever a module binds it, and the PreparedImages built.  Every compose
+prepares its images once (a multi-term power and a substitution into raw
+images build one too), so a compose that skipped the preparation lowers the
+second count, and work that went round `compose` lowers the first.  A
+change that moves a count changes its figure in its own diff and says why
+in CHANGES.md."""
+
+import sys
+
+from polyauto import maps
 from polyauto.autos import FactoredAuto
 from polyauto.certificates import parse_certificate, verify_certificate
 from polyauto.cotame import certify_normally_cotame
@@ -16,8 +23,9 @@ from polyauto.slin import SlinContext, slin_from_monomial_elementary
 from test_acceptance import corpus_words, monomials_up_to
 from test_certificates import corpus_texts
 
-CEILING = 1348
-VERIFY_CEILING = 447
+# (calls of compose, PreparedImages built)
+CERTIFY_COUNTS = (1259, 1347)
+VERIFY_COUNTS = (395, 447)
 
 
 def certify_fixed_set(words):
@@ -37,32 +45,45 @@ def certify_fixed_set(words):
                 FactoredAuto(word.field, word.nvars, word.factors))
 
 
-def count_composes(monkeypatch, work) -> int:
-    count = 0
-    new = PreparedImages.__new__
+def count_composes(monkeypatch, work) -> tuple[int, int]:
+    """(calls of compose, PreparedImages built) while `work` runs."""
+    composes = prepared = 0
+    compose, init = maps.compose, PreparedImages.__init__
 
-    def counting(cls, images, field):
-        nonlocal count
-        count += 1
-        return new(cls, images, field)
+    def counting_compose(*args, **kwargs):
+        nonlocal composes
+        composes += 1
+        return compose(*args, **kwargs)
 
-    monkeypatch.setattr(PreparedImages, "__new__", counting)
+    def counting_init(self, images, field):
+        nonlocal prepared
+        prepared += 1
+        init(self, images, field)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "polyauto" and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is compose:
+                    monkeypatch.setattr(module, attr, counting_compose)
+    monkeypatch.setattr(PreparedImages, "__init__", counting_init)
     work()
     monkeypatch.undo()
-    return count
+    return composes, prepared
 
 
-def test_compose_count_is_within_the_ceiling(monkeypatch):
+def test_compose_count_is_the_recorded_one(monkeypatch):
     words = corpus_words()  # built before the count starts
-    count = count_composes(monkeypatch, lambda: certify_fixed_set(words))
-    assert count <= CEILING, f"certifying the fixed set made {count} composes"
+    counts = count_composes(monkeypatch, lambda: certify_fixed_set(words))
+    assert counts == CERTIFY_COUNTS, \
+        f"certifying the fixed set made {counts} (composes, preparations)"
 
 
-def test_verifier_compose_count_is_within_its_ceiling(monkeypatch):
+def test_verifier_compose_count_is_the_recorded_one(monkeypatch):
     """The 25 corpus certificates, read afresh so that no expansion is
     cached, and verified."""
     certs = [parse_certificate(text) for text in corpus_texts()]
-    count = count_composes(monkeypatch, lambda: [
+    counts = count_composes(monkeypatch, lambda: [
         verify_certificate(cert) for cert in certs])
-    assert count <= VERIFY_CEILING, \
-        f"verifying the corpus certificates made {count} composes"
+    assert counts == VERIFY_COUNTS, \
+        f"verifying the corpus certificates made {counts} " \
+        "(composes, preparations)"

@@ -795,3 +795,131 @@ def test_multi_term_power_over_the_cap_does_no_work(Q, F9, monkeypatch):
         x1, x2 = xvars(field, 2)
         with over_the_bound("power of degree", 66000):
             (x1 * x2 + 1) ** 33000
+
+
+# -- the accumulation: a term with one multi-term power adds it into the map
+# with no kernel call, against a reference that multiplies every time and
+# against sympy ----------------------------------------------------------------
+
+
+def ring_mul_compose(phi, psi):
+    """compose(phi, psi) by the rule that sends every product of a term's
+    image powers through the field's _ring_mul: over Q on the numerators of
+    the images over their denominators, as the accumulation's ring holds
+    them."""
+    field = phi.field
+    rational = field.order is None
+    images = [kernels.clear_denominators(img.terms) if rational
+              else (img.terms, 1) for img in psi.components]
+    out = []
+    for comp in phi.components:
+        acc = {}
+        for key, c in comp.terms.items():
+            product, den = {0: 1 if rational else field.one.payload}, 1
+            for (terms, d), k in zip(images, unpack(key, comp.nvars)):
+                for _ in range(k):
+                    product, den = field._ring_mul(product, terms), den * d
+            for e, v in product.items():
+                v = Fraction(v, den) * c if rational else field._pmul(
+                    v % field.p if field.modulus is None else v, c)
+                acc[e] = field._padd(acc[e], v) if e in acc else v
+        out.append(Polynomial.from_keys(field, psi.nvars, acc))
+    return tuple(out)
+
+
+def multi_term_powers(comp, images):
+    """The number of multi-term images each live term of comp raises to a
+    power: 0, 1, or 2 for two or more."""
+    counts = set()
+    for e, _ in comp.sorted_terms():
+        if all(images[j].terms for j, k in enumerate(e) if k):
+            counts.add(min(2, sum(len(images[j].terms) > 1
+                                  for j, k in enumerate(e) if k)))
+    return counts
+
+
+def accumulation_case(rng, field, n):
+    """(phi, psi, gone, live): psi's images are zero, one-term or
+    multi-term, two of them equal, so that gone = u (x_a^2 x_c - x_b^2
+    x_c), which phi's last component adds, sends to zero; live says whether
+    its two terms expand to nonzero products that cancel."""
+    units = list(field.units(bound=12))
+    images = []
+    for _ in range(n):
+        kind = rng.choice(["zero", "one", "many", "many"])
+        if kind == "zero":
+            images.append(Polynomial.zero(field, n))
+        elif kind == "one":
+            images.append(one_term(rng, field, n, 2))
+        else:
+            p = Polynomial.zero(field, n)
+            while len(p.terms) < 2:
+                p = rand_poly(rng, field, n, rng.randint(2, 4), 2)
+            images.append(p)
+    a, b, c = rng.sample(range(n), 3)
+    images[b] = images[a]
+    u, first, second = rng.choice(units), [0] * n, [0] * n
+    first[a] = second[b] = 2
+    first[c] = second[c] = 1
+    gone = (Polynomial.monomial(field, n, u, first)
+            - Polynomial.monomial(field, n, u, second))
+    comps = [rand_poly(rng, field, n, rng.randint(0, 5), 3)
+             for _ in range(n)]
+    comps[-1] = comps[-1] + gone
+    live = bool(images[a].terms and images[c].terms)
+    return Endo(field, n, comps), Endo(field, n, images), gone, live
+
+
+@pytest.mark.parametrize("order", [None, 5, 4, 9])
+def test_accumulation_matches_ring_mul_reference_and_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    field = _Q if order is None else Field.of_order(order)
+    rng = random.Random(270 + (order or 0))
+    shapes, denominators, cancelled = set(), False, False
+    for _ in range(25):
+        n = rng.randint(3, 5)
+        phi, psi, gone, live = accumulation_case(rng, field, n)
+        got = compose(phi, psi)
+        assert got.components == ring_mul_compose(phi, psi)
+        oracle = SympyRing(sympy, field, n)
+        for comp, want in zip(got.components, phi.components):
+            assert oracle.of(comp) == oracle.compose(want, psi.components)
+            shapes |= multi_term_powers(want, psi.components)
+            denominators |= order is None and any(
+                c.payload.denominator > 1 for _, c in want.sorted_terms())
+        assert gone.substitute(psi.components).is_zero()
+        cancelled |= live
+    assert shapes == {0, 1, 2}
+    assert denominators == (order is None)
+    assert cancelled
+
+
+def test_a_slin_shaped_compose_runs_no_ring_mul(monkeypatch):
+    """The composes the slin engine and verifier make (an elementary map
+    with its inverse, after another on its axis, before a linear or signed
+    permutation factor, and a linear map before an elementary one) raise
+    each multi-term image to the first power at most: none multiplies."""
+    from polyauto.autos import Elementary, Linear, SignedPermutation
+    cases = []
+    for field in (Field.of_order(4), Field.of_order(8), Field.of_order(9)):
+        a = field.generator()
+        one = field.one
+        x1, x2 = xvars(field, 2)
+        e1 = Elementary(field, 2, 1, (x2 ** 3).scale(a))
+        e2 = Elementary(field, 2, 1, (x2 ** 2).scale(one + a))
+        e3 = Elementary(field, 2, 2, (x1 ** 2).scale(a))
+        lin = Linear(field, 2, ((a, one), (one, field.zero)))
+        perm = SignedPermutation(field, 2, (2, 1), (one, -one))
+        pairs = [(e1, e1.inverted()), (e1, e2), (e1, lin), (e1, perm),
+                 (lin, e1), (lin, e3), (perm, e3)]
+        for f, g in pairs:
+            phi, psi = f.expand(), g.expand()
+            cases.append((phi, psi, ring_mul_compose(phi, psi)))
+
+    def no_ring_mul(*args, **kwargs):
+        raise AssertionError("a slin-shaped compose ran a kernel")
+
+    forbid_kernels(monkeypatch, {phi.field for phi, _, _ in cases},
+                   no_ring_mul)
+    for phi, psi, want in cases:
+        assert compose(phi, psi).components == want

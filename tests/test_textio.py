@@ -182,6 +182,22 @@ def test_power_over_the_cap_is_refused_before_expanding(Q, F4, monkeypatch):
                 parse_polynomial(text, Q, 3, cap=cap)
 
 
+def test_a_bare_variable_meets_the_cap_as_any_term(Q, F4):
+    """A bare variable is a term of degree 1: the reader's shortcut for it
+    refuses it under a cap below 1 with the message of the general rule."""
+    from polyauto.errors import DegreeCapExceeded
+    for field in (Q, F4):
+        x1 = identity_images(field, 2)[0]
+        for text in ("x1", "(x1)", "x1+1"):
+            for cap in (0, -1):
+                with pytest.raises(DegreeCapExceeded,
+                                   match=f"^product of degree 1 exceeds "
+                                         f"cap {cap}$"):
+                    parse_polynomial(text, field, 2, cap=cap)
+        assert parse_polynomial("x1", field, 2, cap=1) is x1
+        assert parse_polynomial("(x1)", field, 2, cap=1) == x1
+
+
 def test_product_over_the_cap_is_refused_before_expanding(Q, monkeypatch):
     from polyauto.errors import DegreeCapExceeded
     mul = Polynomial.__mul__
