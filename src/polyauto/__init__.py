@@ -19,7 +19,7 @@ _HOMES = {
     "classify": "autos", "comm": "autos", "conj": "autos",
     "elementary": "autos", "invert_endo": "autos", "jacobian_det": "autos",
     "translation": "autos", "vector_degree": "autos",
-    "Certificate": "nct", "serialize_certificate": "textio",
+    "Certificate": "maps", "serialize_certificate": "textio",
     "verify_certificate": "certificates", "parse_certificate": "certificates",
 }
 

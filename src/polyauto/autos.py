@@ -3,15 +3,14 @@ factor builders, conjugates and commutators, the shape readers of expanded
 maps and their inversion, the Jacobian determinant, and classification.
 
 The maps and words themselves live in polyauto.maps, which the verifier
-loads without this module; the names of polyauto.maps used here are also
-bound here, where the engines read them.
+loads without this module.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidFactor, NotStructured, NotTriangular
 from .fields import Field, FieldElement
-# compose is unused here; the engines and perfbench/tracing.py read it here
+# compose is unused here; perfbench/tracing.py reads it here
 from .maps import (Elementary, Endo, FactoredAuto, Linear, SignedPermutation,
                    Translation, Triangular, affine_parts, compose,
                    elementary_parts, mat_det)
@@ -20,13 +19,11 @@ from .poly import (DEFAULT_DEGREE_CAP, Polynomial, check_axis,
 from .record import Record
 
 __all__ = [
-    "Endo", "compose", "mat_det", "Linear", "Translation", "Elementary",
-    "Triangular", "SignedPermutation", "FactoredAuto", "affine_parts",
-    "elementary_parts", "conj", "comm", "elementary", "translation",
-    "dilation", "sl_dilation", "signed_swap", "linear_elementary",
-    "triangular_parts", "triangular_from_endo", "word_from_endo",
-    "invert_endo", "jacobian_det", "Classification", "classify",
-    "is_translation", "is_parabolic", "vector_degree",
+    "compose", "conj", "comm", "elementary", "translation", "dilation",
+    "sl_dilation", "signed_swap", "linear_elementary", "triangular_parts",
+    "triangular_from_endo", "word_from_endo", "invert_endo", "jacobian_det",
+    "Classification", "classify", "is_translation", "is_parabolic",
+    "vector_degree",
 ]
 
 

@@ -1,6 +1,6 @@
 """The independent verifier of normal-closure membership certificates, and
 the reader of their text (.nct); the records themselves are in
-polyauto.nct, and their writer is textio.serialize_certificate.
+polyauto.maps, and their writer is textio.serialize_certificate.
 
 Steps carry both the claimed value and its claimed inverse; the verifier
 checks that VALUE composed with INV is the identity and then never needs to
@@ -14,7 +14,7 @@ word's Jacobian determinant is the product of its factors' constant
 determinants (FactoredAuto.det), so no Jacobian of an expanded map is taken.
 
 This module deliberately depends only on the algebra core (fields, poly,
-maps, grammar, nct) and the dependency-free record base.  None of the
+maps, grammar) and the dependency-free record base.  None of the
 construction engines (slin, cotame, lnd) nor their tools (autos) are
 imported here, so verification cannot accidentally share logic with
 generation.
@@ -27,17 +27,15 @@ from operator import add
 
 from .errors import DegreeCapExceeded, InvalidFactor
 from .grammar import _LINE_TOKEN_RE, EOL, _name, _Parser
-from .maps import (Endo, affine_parts, compose, elementary_parts,
-                   start_product)
-from .nct import (FORMAT_VERSION, KIND_COTAME, KIND_SLIN, Certificate, Seed,
-                  Step, WordItem)
+from .maps import (FORMAT_VERSION, KIND_COTAME, KIND_SLIN, Certificate, Endo,
+                   Seed, Step, WordItem, affine_parts, compose,
+                   elementary_parts, start_product)
 from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, cap_limit
 from .record import Record
 
 __all__ = [
     "CheckRecord", "VerificationReport", "verify_certificate",
-    "parse_certificate", "KIND_COTAME", "KIND_SLIN", "Seed", "WordItem",
-    "Step", "Certificate", "serialize_certificate",
+    "parse_certificate", "serialize_certificate",
 ]
 
 

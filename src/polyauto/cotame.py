@@ -17,27 +17,24 @@ from functools import reduce
 from itertools import chain
 from math import prod
 
-from .autos import (Elementary, Endo, FactoredAuto, Linear, Translation,
-                    affine_parts, compose, dilation, invert_endo, mat_det,
-                    signed_swap, triangular_from_endo, triangular_parts,
-                    vector_degree)
+from .autos import (dilation, invert_endo, signed_swap, triangular_from_endo,
+                    triangular_parts, vector_degree)
 from .errors import (IdentityInput, InternalIdentityFailure, NotAlternating,
                      NotSpecial, NotStructured, UnsupportedCharacteristic,
                      UnsupportedM)
 from .fields import RATIONALS, Field
-from .maps import ExpLND
-from .nct import KIND_COTAME, Certificate
+from .maps import (KIND_COTAME, Certificate, Elementary, Endo, ExpLND,
+                   FactoredAuto, Linear, Translation, affine_parts, compose,
+                   mat_det)
 from .poly import DEFAULT_DEGREE_CAP
 from .record import Record
-from .reduce_core import (affine_terminal, endo_translation_word,
-                          find_noncommuting_c, parabolic_route,
-                          reduce_triangular_ref, require_vd_drop,
-                          translation_pass)
+from .reduce_core import (affine_terminal, find_noncommuting_c,
+                          parabolic_route, reduce_triangular_ref,
+                          require_vd_drop, translation_pass)
 from .wordbuild import CertBuilder
 
 __all__ = [
-    "MTriangularForm", "normalize_m_triangular", "find_noncommuting_c",
-    "certify_normally_cotame",
+    "MTriangularForm", "normalize_m_triangular", "certify_normally_cotame",
 ]
 
 
@@ -231,7 +228,7 @@ def _engine_collapse(builder, ref, form: MTriangularForm) -> str:
     if triangular_parts(predicted) is None:
         raise InternalIdentityFailure(f"m={m} collapse is not triangular")
     step = builder.add_step(
-        [(endo_translation_word(probe.gamma), cur, -1), (None, cur, 1)],
+        [(probe.gamma_word, cur, -1), (None, cur, 1)],
         expect=predicted, note=f"m={m} collapse c={probe.c}")
     return reduce_triangular_ref(builder, step)
 
@@ -303,7 +300,7 @@ def _engine_m3(builder, ref, form: MTriangularForm) -> str:
         form = MTriangularForm([ident, alpha2_inv, alpha2, ident],
                                [tau1_new, tau2_new, tau3])
         cur = builder.add_step(
-            [(endo_translation_word(probe.gamma), cur, -1), (None, cur, 1)],
+            [(probe.gamma_word, cur, -1), (None, cur, 1)],
             expect=form.expand(), note=f"m=3 descent c={probe.c}")
         alpha1_inv = alpha2
 
@@ -332,8 +329,7 @@ def _engine_m4(builder, ref, form: MTriangularForm) -> str:
               invert_endo(tau2), invert_endo(alpha1))
     predicted = reduce(compose, (probe.gamma, tau1, *middle, tau1_inv))
     step = builder.add_step(
-        [(endo_translation_word(probe.gamma).inverse(), cur, 1),
-         (None, cur, -1)],
+        [(probe.gamma_word.inverse(), cur, 1), (None, cur, -1)],
         expect=predicted, note=f"m=4 symmetrization c={probe.c}")
     # conjugate by tau1
     sigma1 = reduce(compose, (tau1_inv, probe.gamma, tau1))
@@ -377,7 +373,7 @@ def _engine_m4_symmetric(builder, cur, sigma1, beta1, sigma2, beta2,
                   beta1_inv)
         predicted = reduce(compose, (gamma_inv, sigma1, *middle, sigma1_inv))
         step = builder.add_step(
-            [(endo_translation_word(probe.gamma), cur, 1), (None, cur, -1)],
+            [(probe.gamma_word, cur, 1), (None, cur, -1)],
             expect=predicted, note=f"m=4 descent c={probe.c}")
         sigma1_word = FactoredAuto(field, n, [triangular_from_endo(sigma1)])
         sigma1 = reduce(compose, (sigma1_inv, gamma_inv, sigma1))

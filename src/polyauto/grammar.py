@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import re
 
-from .derivations import TriDerivation
 from .errors import (ArityError, NotPrime, ParseError, ReducibleModulus,
                      UnsupportedField)
 from .fields import _TAGS, EXTENSION, Field, FieldElement
 from .maps import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
-                   SignedPermutation, Translation, Triangular)
+                   SignedPermutation, Translation, Triangular, TriDerivation)
 from .poly import (MAX_NVARS, Polynomial, cap_limit, check_degree,
                    identity_images, variable_keys)
 

@@ -15,14 +15,15 @@ import random
 from collections.abc import Iterable, Sequence
 from itertools import islice, product
 
-from .autos import Endo, compose, dilation, elementary
-from .derivations import TriDerivation, exp_images, kernel_check
+from .autos import dilation, elementary
 from .errors import InternalIdentityFailure
 from .fields import Field, FieldElement
-from .nct import KIND_COTAME
+from .maps import (KIND_COTAME, Endo, TriDerivation, compose, exp_images,
+                   kernel_check)
 from .poly import Polynomial
 from .record import Record
-from .slin import (axis_shift, commutator_identity, cubic_identity,
+from .reduce_core import axis_shift
+from .slin import (commutator_identity, cubic_identity,
                    linear_elementary_from_translations)
 from .wordbuild import CertBuilder
 

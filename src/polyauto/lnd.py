@@ -19,22 +19,20 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .autos import (Endo, FactoredAuto, compose, elementary, invert_endo,
-                    is_parabolic, triangular_parts)
-from .derivations import TriDerivation, exp_images
+from .autos import elementary, invert_endo, is_parabolic, triangular_parts
 from .errors import (DegenerateChain, IdentityInput, InternalIdentityFailure,
                      KernelViolation, UnsupportedCharacteristic)
 from .fields import RATIONALS
-from .maps import ExpLND
+from .maps import (Endo, ExpLND, FactoredAuto, TriDerivation, compose,
+                   exp_images)
 from .poly import Polynomial
-from .reduce_core import (find_noncommuting_c, parabolic_route,
+from .reduce_core import (axis_shift, find_noncommuting_c, parabolic_route,
                           reduce_parabolic_ref, reduce_triangular_ref,
                           translation_pass)
-from .translations import axis_shift
 from .wordbuild import CertBuilder
 
 __all__ = [
-    "TriDerivation", "exp_automorphism", "reduce_exponential_ref",
+    "exp_automorphism", "reduce_exponential_ref",
     "reduce_triangular_exponential_ref",
 ]
 

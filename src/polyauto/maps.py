@@ -1,25 +1,35 @@
-"""Polynomial endomorphisms and factored automorphism words: the part of
-the algebra that a certificate is made of and that the verifier reads.
+"""Polynomial endomorphisms, factored automorphism words and certificate
+records: the part of the algebra that a certificate is made of and that
+the verifier reads.
 
 Composition follows the right-action convention: polynomials are acted on
 from the right, so the word phi*psi sends P to ((P)phi)psi and the composed
 tuple is compose(phi, psi)[i] = substitute(phi[i], psi.components).
 
 Basic factors (linear, translation, elementary, triangular, signed
-permutation, exp of a triangular derivation) expand to tuples and invert
-structurally, so every factored word is invertible by construction.  The
-tools that the engines and the CLI build on these (factor builders, shape
-readers, inversion of expanded maps, Jacobians, classification) live in
-polyauto.autos, which the verifier does not load.
+permutation, exp(FD) of a triangular derivation D with F in ker D) expand
+to tuples and invert structurally, so every factored word is invertible by
+construction.  The tools that the engines and the CLI build on these live
+in polyauto.autos, which the verifier does not load.
+
+A certificate names a field and arity, seed automorphisms given as
+factored words, and a chain of steps.  Each step is a word whose items
+conjugator^{-1} * base^{exponent} * conjugator are conjugated powers of
+seeds or of earlier steps, and it states the value of their product and
+that value's inverse; the terminal step claims a nontrivial elementary
+automorphism.  Its text (.nct) is written by textio.serialize_certificate
+and read and verified by polyauto.certificates.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import prod
+from fractions import Fraction
+from math import factorial, prod
 
-from .derivations import TriDerivation, exp_images, kernel_check
-from .errors import ArityMismatch, FieldMismatch, InvalidFactor
+from .errors import (ArityMismatch, FieldMismatch, InvalidFactor,
+                     KernelViolation, NilpotencyCapExceeded,
+                     UnsupportedCharacteristic)
 from .fields import RATIONALS, Field, FieldElement
 from .poly import (DEFAULT_DEGREE_CAP, Polynomial, PreparedImages,
                    cap_limit, check_degree, identity_images, variable_keys)
@@ -315,6 +325,97 @@ class SignedPermutation(Record):
         return -out if inversions % 2 else out
 
 
+# -- triangular derivations and exp(FD) ---------------------------------
+
+NILPOTENCY_CAP = 64
+
+
+class TriDerivation:
+    """D = sum Q_i d/dx_i with Q_i in K[x_1..x_{i-1}] (Q_1 constant)."""
+
+    __slots__ = ("field", "nvars", "images")
+
+    def __init__(self, field: Field, nvars: int, images: Sequence[Polynomial]):
+        if len(images) != nvars:
+            raise ArityMismatch(f"need {nvars} images, got {len(images)}")
+        for i, q in enumerate(images, start=1):
+            if q.field != field or q.nvars != nvars:
+                raise ArityMismatch("derivation image with wrong field/arity")
+            for j in range(i, nvars + 1):
+                if q.involves(j):
+                    raise InvalidFactor(
+                        f"D(x{i}) may only involve x1..x{i-1}, found x{j}")
+        self.field = field
+        self.nvars = nvars
+        self.images = tuple(images)
+
+    def is_zero(self) -> bool:
+        return all(q.is_zero() for q in self.images)
+
+    def __eq__(self, other):
+        return (isinstance(other, TriDerivation)
+                and self.field == other.field and self.images == other.images)
+
+    def __hash__(self):
+        return hash((self.field, self.images))
+
+    def __repr__(self):
+        from .textio import derivation_to_text
+        return derivation_to_text(self)
+
+
+def apply_derivation(D: TriDerivation, P: Polynomial) -> Polynomial:
+    """D(P) = sum_i Q_i * dP/dx_i, exact."""
+    if P.field != D.field or P.nvars != D.nvars:
+        raise ArityMismatch("polynomial and derivation arity/field differ")
+    out = Polynomial.zero(D.field, D.nvars)
+    for i, q in enumerate(D.images, start=1):
+        if q.is_zero():
+            continue
+        dp = P.partial_derivative(i)
+        if not dp.is_zero():
+            out = out + q * dp
+    return out
+
+
+def kernel_check(D: TriDerivation, F: Polynomial) -> bool:
+    return apply_derivation(D, F).is_zero()
+
+
+def exp_images(F: Polynomial, D: TriDerivation) -> tuple[Polynomial, ...]:
+    """Component tuple of exp(FD): x_i + sum_{m>=1} (FD)^m(x_i)/m!.
+
+    Requires characteristic zero (the factorials) and F in ker D, which
+    makes FD a locally nilpotent derivation so every series terminates.
+    """
+    field = F.field
+    if field.kind != RATIONALS:
+        raise UnsupportedCharacteristic(
+            "exp(FD) is only supported in characteristic zero")
+    if F.field != D.field or F.nvars != D.nvars:
+        raise ArityMismatch("F and D over different rings")
+    if not kernel_check(D, F):
+        raise KernelViolation("F is not in the kernel of D")
+    n = D.nvars
+    comps = []
+    for i in range(1, n + 1):
+        acc = Polynomial.variable(field, n, i)
+        term = acc
+        m = 0
+        while True:
+            term = F * apply_derivation(D, term)
+            m += 1
+            if term.is_zero():
+                break
+            if m > NILPOTENCY_CAP:
+                raise NilpotencyCapExceeded(
+                    f"exp series for x{i} did not terminate within "
+                    f"{NILPOTENCY_CAP} steps")
+            acc = acc + term.scale(field.elem(Fraction(1, factorial(m))))
+        comps.append(acc)
+    return tuple(comps)
+
+
 class ExpLND(Record):
     """exp(FD) for a triangular derivation D and F in its kernel."""
     __slots__ = ("field", "nvars", "F", "D")
@@ -477,3 +578,57 @@ def elementary_parts(phi: Endo):
     if f.involves(i):
         return None
     return i, f
+
+
+# -- certificate records ----------------------------------------------------
+
+KIND_COTAME = "normal-cotame"
+KIND_SLIN = "slin-membership"
+FORMAT_VERSION = "1"
+
+
+class Seed(Record):
+    __slots__ = ("label", "word")
+
+    def __init__(self, label: str, word: FactoredAuto):
+        self.label = label
+        self.word = word
+
+
+class WordItem(Record):
+    __slots__ = ("conjugator", "base", "exponent")
+
+    def __init__(self, conjugator: FactoredAuto | None, base: str,
+                 exponent: int):
+        self.conjugator = conjugator  # None means the identity
+        self.base = base
+        self.exponent = exponent
+
+
+class Step(Record):
+    __slots__ = ("label", "items", "value", "inverse", "note")
+
+    def __init__(self, label: str, items: tuple[WordItem, ...], value: Endo,
+                 inverse: Endo, note: str = ""):
+        self.label = label
+        self.items = items
+        self.value = value
+        self.inverse = inverse
+        self.note = note
+
+
+class Certificate(Record):
+    __slots__ = ("field", "nvars", "kind", "seeds", "steps", "terminal",
+                 "terminal_cite", "meta")
+
+    def __init__(self, field: Field, nvars: int, kind: str, seeds: list[Seed],
+                 steps: list[Step], terminal: str, terminal_cite: str = "",
+                 meta: dict[str, str] | None = None):
+        self.field = field
+        self.nvars = nvars
+        self.kind = kind
+        self.seeds = seeds
+        self.steps = steps
+        self.terminal = terminal
+        self.terminal_cite = terminal_cite
+        self.meta = {} if meta is None else meta

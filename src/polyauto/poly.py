@@ -332,7 +332,6 @@ class Polynomial:
     def substitute(self, images: Sequence["Polynomial"],
                    cap: int | None = DEFAULT_DEGREE_CAP) -> "Polynomial":
         """Replace x_j by images[j-1]; the result arity is the images' arity.
-        `images` may be a PreparedImages, shared by many substitutions.
 
         The cap bounds the total degree of every term's expansion, and is
         never above MAX_DEGREE (None means MAX_DEGREE).  Over a field
@@ -349,9 +348,8 @@ class Polynomial:
                 raise FieldMismatch("image over a different field")
             if img.nvars != images[0].nvars:
                 raise ArityMismatch("images of mixed arity")
-        if not isinstance(images, PreparedImages):
-            images = PreparedImages(images, self.field)
-        return images.accumulate(self.terms, cap_limit(cap))
+        return PreparedImages(images, self.field).accumulate(
+            self.terms, cap_limit(cap))
 
 
 def _shift(field: Field, terms: dict, key: int, c) -> dict:
@@ -381,12 +379,6 @@ class PreparedImages:
         self.zero_mask = sum(MAX_DEGREE << B * (len(terms) - 1 - j)
                              for j, t in enumerate(terms) if not t)
         self.powers = None  # set up by the first expansion
-
-    def __len__(self):
-        return len(self.images)
-
-    def __getitem__(self, j):
-        return self.images[j]
 
     def power(self, j: int, e: int) -> dict:
         """images[j] ** e as a term map of the accumulation's ring."""

@@ -1,28 +1,31 @@
 """Shared reduction machinery for the characteristic-zero engines: the
 commutator probe and its parabolic witness route, the translation pass and
 the vector-degree drop check, the triangular descent, the parabolic
-last-axis commutator, and the affine terminal chain.
+last-axis commutator, and the affine terminal chain with its two
+translation identities, which the slin constructions share, as they do
+the axis shift of a polynomial.
 
 These are the only copies of the reduction moves; the m-triangular engine
 (cotame) and the exponential engine (lnd) call them.  The functions append
 verified steps to a CertBuilder and return the label of the step holding
-the nontrivial elementary terminal.
+the nontrivial elementary terminal.  Each identity records its step with
+the value it predicts, so a mismatch raises InternalIdentityFailure
+instead of recording a bad step.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 
-from .autos import (Endo, FactoredAuto, Linear, affine_parts, compose,
-                    elementary, elementary_parts, is_parabolic, is_translation,
-                    signed_swap, translation, triangular_parts, vector_degree)
-from .errors import (IdentityInput, InternalIdentityFailure, NotParabolic,
-                     NotTriangular, UnsupportedCharacteristic)
-from .fields import RATIONALS, Field
+from .autos import (elementary, is_parabolic, is_translation, signed_swap,
+                    translation, triangular_parts, vector_degree)
+from .errors import (IdentityInput, InternalIdentityFailure, NotAffine,
+                     NotParabolic, NotTriangular, UnsupportedCharacteristic)
+from .fields import RATIONALS, Field, FieldElement
+from .maps import (Endo, FactoredAuto, Linear, Translation, affine_parts,
+                   compose, elementary_parts)
 from .poly import Polynomial
 from .record import Record
-from .translations import (translation_from_any,
-                           translation_from_special_affine)
 from .wordbuild import CertBuilder
 
 
@@ -42,17 +45,18 @@ def max_var_degree(phi: Endo) -> int:
 
 
 class CommutatorProbe(Record):
-    __slots__ = ("alpha", "k", "bound", "c", "eps", "gamma")
+    __slots__ = ("alpha", "k", "c", "eps", "gamma", "gamma_word")
 
-    def __init__(self, alpha: FactoredAuto | None, k: int, bound: int,
+    def __init__(self, alpha: FactoredAuto | None, k: int,
                  c: int | None = None, eps: FactoredAuto | None = None,
-                 gamma: Endo | None = None):
+                 gamma: Endo | None = None,
+                 gamma_word: FactoredAuto | None = None):
         self.alpha = alpha
         self.k = k
-        self.bound = bound
-        self.c = c          # None: every c in 1..bound commutes
+        self.c = c          # None: every c in 1..B commutes
         self.eps = eps      # eps_{k,c}, its expansion cached
         self.gamma = gamma  # the translation alpha eps_{k,c} alpha^{-1}
+        self.gamma_word = gamma_word  # gamma as one translation factor
 
 
 def find_noncommuting_c(phi: Endo, alpha: FactoredAuto | None,
@@ -78,8 +82,10 @@ def find_noncommuting_c(phi: Endo, alpha: FactoredAuto | None,
         if alpha_val is not None:
             gamma = reduce(compose, (alpha_val, gamma, alpha_inv))
         if compose(gamma, phi) != compose(phi, gamma):
-            return CommutatorProbe(alpha, k, B, c=c, eps=eps, gamma=gamma)
-    return CommutatorProbe(alpha, k, B)
+            word = translation(field, n, affine_parts(gamma)[1])
+            return CommutatorProbe(alpha, k, c=c, eps=eps, gamma=gamma,
+                                   gamma_word=word)
+    return CommutatorProbe(alpha, k)
 
 
 def parabolic_witness(phi: Endo, probe: CommutatorProbe) -> FactoredAuto:
@@ -116,15 +122,6 @@ def _parabolic_normalizer(field: Field, n: int, k: int) -> FactoredAuto:
     return signed_swap(field, n, k, n, -field.one)
 
 
-def endo_translation_word(gamma: Endo) -> FactoredAuto:
-    """Exact factored form of a translation value."""
-    parts = affine_parts(gamma)
-    if parts is None:
-        raise NotTriangular("not a translation")
-    A, b = parts
-    return translation(gamma.field, gamma.nvars, b)
-
-
 def translation_pass(tr: Endo, slots) -> Endo:
     """Conjugate the translation `tr` by each slot g in turn, tr -> g^{-1} tr g,
     with `slots` the pairs (g^{-1}, g) in word order; every conjugate must
@@ -149,6 +146,66 @@ def require_vd_drop(before: tuple[int, ...], after: Endo,
 
 
 # -- affine terminal chain --------------------------------------------------
+
+
+def translation_from_any(builder: CertBuilder, gamma: str) -> str:
+    """From a nontrivial translation derive some eps_{i,c}."""
+    field, n = builder.field, builder.nvars
+    val = builder.value(gamma)
+    if val.is_identity():
+        raise IdentityInput("translation is the identity")
+    if not is_translation(val):
+        raise NotAffine("base is not a translation")
+    _, consts = affine_parts(val)
+    j = next(k + 1 for k, cval in enumerate(consts) if not cval.is_zero())
+    i = next(m for m in range(1, n + 1) if m != j)
+    guard = elementary(field, n, i, Polynomial.variable(field, n, j))
+    return builder.add_step(
+        [(None, gamma, -1), (guard.inverse(), gamma, 1)],
+        expect=elementary(field, n, i, consts[j - 1]).expand(),
+        note=f"axis translation from column {j}")
+
+
+def translation_from_special_affine(builder: CertBuilder, alpha: str) -> str:
+    """cor. to the affine case: from a nontrivial special affine base derive
+    a nontrivial translation."""
+    field, n = builder.field, builder.nvars
+    val = builder.value(alpha)
+    if val.is_identity():
+        raise IdentityInput("affine map is the identity")
+    parts = affine_parts(val)
+    if parts is None:
+        raise NotAffine("base is not affine")
+    if is_translation(val):
+        return alpha
+    A, _ = parts
+    pick = None
+    for i in range(n):
+        for j in range(n):
+            expect_delta = field.one if i == j else field.zero
+            if A[i][j] != expect_delta:
+                pick = (i, j)
+                break
+        if pick:
+            break
+    if pick is None:
+        raise IdentityInput("linear part is the identity but map is not a translation")
+    _, j = pick
+    guard = elementary(field, n, j + 1, field.one)
+    shift = tuple(A[k][j] - (field.one if k == j else field.zero)
+                  for k in range(n))
+    expected = Translation(field, n, shift).expand()
+    return builder.add_step(
+        [(guard, alpha, 1), (None, alpha, -1)],
+        expect=expected, note="translation from affine part")
+
+
+def axis_shift(poly: Polynomial, axis: int, amount: FieldElement) -> Polynomial:
+    """(poly) eps_{axis, amount}: substitute x_axis -> x_axis + amount."""
+    field, n = poly.field, poly.nvars
+    images = [Polynomial.variable(field, n, m + 1) for m in range(n)]
+    images[axis - 1] = images[axis - 1] + Polynomial.constant(field, n, amount)
+    return poly.substitute(images)
 
 
 def affine_terminal(builder: CertBuilder, ref: str) -> str:

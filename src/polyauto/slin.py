@@ -2,7 +2,7 @@
 special group: commutator identities, translation transfer, and the full
 monomial-elementary recursion over suitable fields.  The translation
 identities that the characteristic-zero engines share live in
-polyauto.translations.
+polyauto.reduce_core.
 
 Every emitted word is evaluated on the spot and compared against the value
 the underlying identity predicts; a mismatch raises InternalIdentityFailure
@@ -16,25 +16,23 @@ from __future__ import annotations
 
 from math import comb
 
-from .autos import (Endo, elementary, elementary_parts, linear_elementary,
-                    signed_swap, sl_dilation)
+from .autos import elementary, linear_elementary, signed_swap, sl_dilation
 from .errors import (DegenerateTarget, IdentityInput, IndexClash,
                      InternalIdentityFailure, NoSuchUnit, UnsupportedField,
                      ZeroScalar)
 from .fields import PRIME, RATIONALS, Field, FieldElement
-from .nct import KIND_SLIN, Certificate
+from .maps import KIND_SLIN, Certificate, Endo, elementary_parts
 from .poly import Polynomial, check_axis, check_exponents
 from .record import Record
 # translation_from_any is bound here only for perfbench/tracing.py
 # (ROADMAP direction 18)
-from .translations import axis_shift, translation_from_any
+from .reduce_core import axis_shift, translation_from_any
 from .wordbuild import CertBuilder
 
 __all__ = [
     "SlinContext", "commutator_identity", "translation_transfer",
     "translation_from_any", "linear_elementary_from_translations",
-    "cubic_identity", "axis_shift", "slin_from_monomial_elementary",
-    "slin_from_elementary",
+    "cubic_identity", "slin_from_monomial_elementary", "slin_from_elementary",
 ]
 
 UNIT_SEARCH_BOUND = 64  # units tried for b with b^(d+1) != 1 (proof case 1)

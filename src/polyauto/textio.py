@@ -6,13 +6,11 @@ A verifier process loads none of this module.
 
 from __future__ import annotations
 
-from .derivations import TriDerivation
 from .errors import ParseError
 from .fields import Field
 from .grammar import _RING_SIZE, _Parser
-from .maps import (Elementary, ExpLND, Linear, SignedPermutation, Translation,
-                   Triangular)
-from .nct import FORMAT_VERSION, Certificate
+from .maps import (FORMAT_VERSION, Certificate, Elementary, ExpLND, Linear,
+                   SignedPermutation, Translation, Triangular, TriDerivation)
 from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, Polynomial
 
 # -- parsing entry points ------------------------------------------------------

@@ -19,10 +19,10 @@ from __future__ import annotations
 from functools import partial, reduce
 from math import prod
 
-from .autos import Endo, FactoredAuto, compose
 from .errors import InternalIdentityFailure, NotSpecial
 from .fields import Field
-from .nct import Certificate, Seed, Step, WordItem
+from .maps import (Certificate, Endo, FactoredAuto, Seed, Step, WordItem,
+                   compose)
 from .poly import DEFAULT_DEGREE_CAP, cap_limit
 
 

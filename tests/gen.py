@@ -2,9 +2,9 @@
 
 from fractions import Fraction
 
-from polyauto.autos import (Elementary, FactoredAuto, Translation,
-                            Triangular, linear_elementary)
+from polyauto.autos import linear_elementary
 from polyauto.fields import Field
+from polyauto.maps import Elementary, FactoredAuto, Translation, Triangular
 from polyauto.poly import Polynomial, unpack
 
 Q = Field.rationals()

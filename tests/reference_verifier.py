@@ -3,10 +3,10 @@ inverse expanded up front, and every step's items folded left to right from
 the identity and compared with VALUE.  Its checks, records and messages are
 those of `polyauto.certificates`."""
 
-from polyauto.autos import Endo, affine_parts, compose, elementary_parts
-from polyauto.certificates import (KIND_SLIN, CheckRecord,
-                                   VerificationReport)
+from polyauto.certificates import CheckRecord, VerificationReport
 from polyauto.errors import DegreeCapExceeded
+from polyauto.maps import (KIND_SLIN, Endo, affine_parts, compose,
+                           elementary_parts)
 from polyauto.poly import DEFAULT_DEGREE_CAP
 
 

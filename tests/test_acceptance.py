@@ -15,25 +15,22 @@ import pytest
 from gen import (rand_m_triangular_word, rand_sl_word, rand_translation,
                  rand_triangular)
 import polyauto
-from polyauto.autos import (Elementary, Endo, FactoredAuto,
-                            SignedPermutation, compose, invert_endo,
-                            jacobian_det, vector_degree)
-from polyauto.certificates import (parse_certificate, serialize_certificate,
-                                   verify_certificate)
+from polyauto.autos import invert_endo, jacobian_det, vector_degree
+from polyauto.certificates import parse_certificate, verify_certificate
 from polyauto.cotame import certify_normally_cotame
-from polyauto.derivations import TriDerivation
 from polyauto.errors import NotSpecial, UnsupportedField, UnsupportedM
 from polyauto.fields import Field
-from polyauto.identities import (char2_claim_checks,
-                                 commutator_formula_checks,
+from polyauto.identities import (char2_claim_checks, commutator_formula_checks,
                                  exp_commutator_checks, random_kernel_pairs,
                                  scaling_observation_checks,
                                  square_trick_checks)
 from polyauto.lnd import exp_automorphism
-from polyauto.maps import ExpLND
+from polyauto.maps import (Elementary, Endo, ExpLND, FactoredAuto,
+                           SignedPermutation, TriDerivation, compose)
 from polyauto.poly import Polynomial
 from polyauto.slin import SlinContext, slin_from_monomial_elementary
-from polyauto.textio import parse_endo, parse_factored, parse_field
+from polyauto.textio import (parse_endo, parse_factored, parse_field,
+                             serialize_certificate)
 
 Q = Field.rationals()
 

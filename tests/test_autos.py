@@ -7,18 +7,17 @@ import pytest
 
 from gen import (Q as QF, rand_m_triangular_word, rand_mixed_word,
                  rand_sl_word, rand_translation, rand_triangular, rand_unit)
-from polyauto.autos import (Elementary, Endo, FactoredAuto, Linear,
-                            SignedPermutation, Translation, Triangular,
-                            classify, comm, compose, conj, dilation,
-                            elementary, invert_endo, jacobian_det, mat_det,
-                            sl_dilation, translation, triangular_from_endo,
-                            vector_degree, word_from_endo)
-from polyauto.errors import (DegreeCapExceeded, FieldMismatch,
-                             IndexOutOfRange, InvalidFactor, NotStructured,
-                             NotTriangular)
+from polyauto.autos import (classify, comm, conj, dilation, elementary,
+                            invert_endo, jacobian_det, sl_dilation,
+                            translation, triangular_from_endo, vector_degree,
+                            word_from_endo)
+from polyauto.errors import (DegreeCapExceeded, FieldMismatch, IndexOutOfRange,
+                             InvalidFactor, NotStructured, NotTriangular)
 from polyauto.fields import Field
 from polyauto.identities import random_kernel_pairs
-from polyauto.maps import ExpLND
+from polyauto.maps import (Elementary, Endo, ExpLND, FactoredAuto, Linear,
+                           SignedPermutation, Translation, Triangular, compose,
+                           mat_det)
 from polyauto.poly import Polynomial
 from polyauto.textio import parse_endo, parse_factored
 

@@ -7,15 +7,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyauto.autos import (Elementary, FactoredAuto, Linear, dilation,
-                            elementary, sl_dilation, translation)
-from polyauto.certificates import (KIND_COTAME, KIND_SLIN, Seed, Step,
-                                   WordItem, _split_point, parse_certificate,
-                                   serialize_certificate, verify_certificate)
+from polyauto.autos import dilation, elementary, sl_dilation, translation
+from polyauto.certificates import (_split_point, parse_certificate,
+                                   verify_certificate)
 from polyauto.errors import AlgebraError, DegreeCapExceeded, ParseError
 from polyauto.fields import Field
+from polyauto.maps import (KIND_COTAME, KIND_SLIN, Elementary, FactoredAuto,
+                           Linear, Seed, Step, WordItem)
 from polyauto.poly import Polynomial
-from polyauto.textio import parse_endo, parse_factored
+from polyauto.textio import parse_endo, parse_factored, serialize_certificate
 from polyauto.wordbuild import CertBuilder
 from reference_verifier import reference_verify
 

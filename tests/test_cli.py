@@ -275,8 +275,8 @@ def test_cap_alone_bounds_an_inverted_elementary_factor(capsys, args):
 
 def test_verify_cap_alone_bounds_an_inverted_elementary_factor(tmp_path,
                                                                capsys):
-    from polyauto.certificates import KIND_COTAME, serialize_certificate
-    from polyauto.textio import parse_factored
+    from polyauto.maps import KIND_COTAME
+    from polyauto.textio import parse_factored, serialize_certificate
     from polyauto.wordbuild import CertBuilder
     g = parse_factored(ELEMENTARY_T_INV, cap=2000)
     builder = CertBuilder(g.field, 2, KIND_COTAME, cap=2000)
@@ -343,7 +343,7 @@ def test_a_negative_cap_is_a_usage_error(capsys, args):
 
 def test_verify_loads_no_engine(tmp_path):
     """`polyauto verify` in a fresh interpreter imports none of the
-    engines, nor their tools in `autos` and `translations`: the CLI keeps
+    engines, nor their tools in `autos`: the CLI keeps
     the verifier's trust boundary.  Neither verify
     nor certify loads `dataclasses`, `inspect` or `typing`, whose import
     costs every CLI process more than its own work on a small map.  The
@@ -353,7 +353,7 @@ def test_verify_loads_no_engine(tmp_path):
     path.write_text(corpus_certificate_text())
     out = tmp_path / "g.nct"
     engines = ["cotame", "reduce_core", "slin", "wordbuild", "lnd",
-               "identities", "autos", "translations"]
+               "identities", "autos"]
     heavy = ["dataclasses", "inspect", "typing"]
     code = ("import sys; from polyauto import cli; "
             f"rc = cli.main(['verify', {str(path)!r}]); "
@@ -437,8 +437,20 @@ def test_certify_bytes_of_exponential_words_are_pinned(tmp_path, capsys,
 
 
 def test_certify_refuses_an_affine_factor_before_a_triangular_one(capsys):
-    rc, out, err = run_cli(
-        ["certify", "[Q,3] L[[0,1,0],[-1,0,0],[0,0,1]] * T(1; 1, x1^2; 1) "
-         "* Exp(x1; D(0, 0, x1))"], capsys)
-    assert (rc, out) == (1, "")
-    assert err.startswith("error: NotStructured: ")
+    """And the other exponential words cotame and lnd refuse: an Exp factor
+    that is not the single last one, and a zero derivation."""
+    exp, trailing = "Exp(x1; D(0, 0, x1))", "a single trailing Exp factor"
+    cases = [
+        (f"[Q,3] L[[0,1,0],[-1,0,0],[0,0,1]] * T(1; 1, x1^2; 1) * {exp}",
+         "NotStructured: prefix of an exponential word must be triangular "
+         "factors followed by affine factors"),
+        (f"[Q,3] {exp} * E(1; x2)",
+         f"NotStructured: exponential input must be {trailing}"),
+        (f"[Q,3] {exp} * {exp}",
+         f"NotStructured: exponential input must be {trailing}"),
+        ("[Q,2] E(2; x1^2) * Exp(x1; D(0, 0))",
+         "KernelViolation: the derivation must be nonzero"),
+    ]
+    for word, message in cases:
+        rc, out, err = run_cli(["certify", word], capsys)
+        assert (rc, out, err) == (1, "", f"error: {message}\n"), word

@@ -13,11 +13,11 @@ in CHANGES.md."""
 import sys
 
 from polyauto import maps
-from polyauto.autos import FactoredAuto
 from polyauto.certificates import parse_certificate, verify_certificate
 from polyauto.cotame import certify_normally_cotame
 from polyauto.errors import AlgebraError
 from polyauto.fields import Field
+from polyauto.maps import FactoredAuto
 from polyauto.poly import PreparedImages
 from polyauto.slin import SlinContext, slin_from_monomial_elementary
 from test_acceptance import corpus_words, monomials_up_to

@@ -5,21 +5,19 @@ import pytest
 
 from gen import (rand_m_triangular_word, rand_mixed_word, rand_sl_word,
                  rand_translation, rand_triangular)
-from polyauto.autos import (Endo, FactoredAuto, classify, compose, dilation,
-                            elementary, jacobian_det, linear_elementary,
-                            translation, vector_degree)
-from polyauto.certificates import (KIND_COTAME, serialize_certificate,
-                                   verify_certificate)
-from polyauto.cotame import (certify_normally_cotame, find_noncommuting_c,
-                             normalize_m_triangular)
+from polyauto.autos import (classify, dilation, elementary, jacobian_det,
+                            linear_elementary, translation, vector_degree)
+from polyauto.certificates import verify_certificate
+from polyauto.cotame import certify_normally_cotame, normalize_m_triangular
 from polyauto.errors import (DegreeCapExceeded, IdentityInput, NotParabolic,
                              NotSpecial, NotTriangular,
                              UnsupportedCharacteristic, UnsupportedM)
 from polyauto.fields import Field
+from polyauto.maps import KIND_COTAME, Endo, FactoredAuto, compose
 from polyauto.poly import Polynomial
-from polyauto.reduce_core import (parabolic_witness, reduce_parabolic_ref,
-                                  reduce_triangular_ref)
-from polyauto.textio import parse_factored
+from polyauto.reduce_core import (find_noncommuting_c, parabolic_witness,
+                                  reduce_parabolic_ref, reduce_triangular_ref)
+from polyauto.textio import parse_factored, serialize_certificate
 from polyauto.wordbuild import CertBuilder
 
 Q = Field.rationals()
@@ -91,6 +89,8 @@ def test_probe_finds_c_equal_one():
     probe = find_noncommuting_c(phi, None, 2)
     assert probe.c == 1
     assert probe.gamma == elementary(Q, 2, 2, 1).expand()
+    assert probe.gamma_word.expand() == probe.gamma
+    assert len(probe.gamma_word.factors) == 1
 
 
 def assert_witness(phi, probe):

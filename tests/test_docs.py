@@ -4,9 +4,10 @@ import re
 from pathlib import Path
 
 from polyauto.certificates import (_CertificateParser, parse_certificate,
-                                   serialize_certificate, verify_certificate)
+                                   verify_certificate)
 from polyauto.cotame import certify_normally_cotame
-from polyauto.textio import parse_automorphism, parse_factored, parse_field
+from polyauto.textio import (parse_automorphism, parse_factored, parse_field,
+                             serialize_certificate)
 
 FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
 

@@ -1,5 +1,7 @@
-"""No module of the package keeps an import it does not use, and only the
-re-exports the benchmark reads are imported just to be exported.
+"""No module of the package keeps an import it does not use, and every name
+has one home: it is imported from the module that defines it, and only that
+module's `__all__` lists it, but for the names the benchmark reads through
+another module.
 
 pyflakes is not a dependency, so this walks each module's syntax tree: every
 name bound by a module-level import must be read somewhere in the module
@@ -11,7 +13,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyauto"
+import polyauto
+
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "polyauto"
 
 
 def import_use(source: str):
@@ -55,10 +60,48 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["os (line 2)"]
 
 
-# the names a module imports only to export them: perfbench reads each
-# through that module, and each goes once ROADMAP direction 18 renames its
-# reader
+# the names perfbench reads through a module other than their home; each
+# goes once ROADMAP direction 18 renames its reader
+PERFBENCH_NAMES = {"autos.compose", "slin.translation_from_any",
+                   "certificates.serialize_certificate",
+                   "kernels.mul_terms_ext"}
+# those of them that their module imports only to export them
 PERFBENCH_REEXPORTS = {"autos.compose", "slin.translation_from_any"}
+
+
+def defined(source: str) -> set[str]:
+    """The names a module binds at its top level other than by importing."""
+    out = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out |= {n.id for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Name)}
+    return out
+
+
+HOMES = {path.stem: defined(path.read_text())
+         for path in PACKAGE.glob("*.py")}
+
+
+def misplaced(source: str, module: str) -> set[str]:
+    """`X.Y` for each `from polyauto.X import Y` or `from .X import Y` of a
+    name that X does not define, and `module.Y` for each entry Y of the
+    source's `__all__` that the source does not define."""
+    _, exported, _ = import_use(source)
+    found = {f"{module}.{name}" for name in exported - defined(source)}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        home = node.module if node.level else \
+            node.module.partition("polyauto.")[2]
+        if home in HOMES:
+            found |= {f"{home}.{alias.name}" for alias in node.names
+                      if alias.name not in HOMES[home]}
+    return found
 
 
 def reexports(path) -> set[str]:
@@ -68,8 +111,24 @@ def reexports(path) -> set[str]:
 
 
 def test_only_the_perfbench_reexports_remain():
-    found = set().union(*map(reexports, PACKAGE.glob("*.py")))
-    assert found == PERFBENCH_REEXPORTS
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        found |= misplaced(path.read_text(), path.stem)
+    for path in TESTS.glob("*.py"):
+        found |= misplaced(path.read_text(), path.stem)
+    # the package root lists the public names it resolves from their homes
+    found -= {f"__init__.{name}" for name in polyauto._HOMES}
+    assert found - PERFBENCH_NAMES == set()
+    reexported = set().union(*map(reexports, PACKAGE.glob("*.py")))
+    assert reexported == PERFBENCH_REEXPORTS
+
+
+def test_the_check_sees_a_name_away_from_its_home():
+    source = ("from .autos import Endo, comm\n"
+              "from polyauto.maps import compose\n"
+              "__all__ = ['helper', 'compose']\n\n"
+              "def helper():\n    return comm, Endo\n")
+    assert misplaced(source, "tools") == {"autos.Endo", "tools.compose"}
 
 
 # the names perfbench reads through a module that imports them only when

@@ -1,16 +1,16 @@
 import pytest
 
 from gen import rand_triangular
-from polyauto.autos import Endo, FactoredAuto, compose, jacobian_det
+from polyauto.autos import jacobian_det
 from polyauto.certificates import verify_certificate
 from polyauto.cotame import certify_normally_cotame
-from polyauto.derivations import TriDerivation, apply_derivation, kernel_check
 from polyauto.errors import (IdentityInput, InvalidFactor, KernelViolation,
                              UnsupportedCharacteristic)
 from polyauto.fields import Field
 from polyauto.identities import random_kernel_pairs
 from polyauto.lnd import exp_automorphism
-from polyauto.maps import ExpLND
+from polyauto.maps import (Endo, ExpLND, FactoredAuto, TriDerivation,
+                           apply_derivation, compose, kernel_check)
 from polyauto.poly import Polynomial
 from polyauto.textio import parse_derivation, parse_endo
 
@@ -133,7 +133,7 @@ def test_reduce_exponential_identity_rejected():
 
 
 def test_reduce_triangular_exponential_vde():
-    from polyauto.autos import Elementary
+    from polyauto.maps import Elementary
     F, D = vde_pair()
     tau = FactoredAuto(Q, 4, [
         (Elementary(Q, 4, 2, Polynomial.variable(Q, 4, 1) ** 3), 1)])
@@ -171,7 +171,7 @@ def test_reduce_triangular_exponential_deep_chain():
     W = x[0] * x[2] + x[1] * x[3]
     F = W * W
     assert kernel_check(D, F) and F.deg_in(n) == 2
-    from polyauto.autos import Elementary
+    from polyauto.maps import Elementary
     tau = FactoredAuto(Q, n, [(Elementary(Q, n, 2, x[0] ** 2), 1)])
     cert = certify_exp(F, D, tau, FactoredAuto.identity(Q, n))
     rep = verify_certificate(cert)

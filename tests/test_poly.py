@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyauto import finite, kernels
-from polyauto.autos import Endo, compose
 from polyauto.errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
                              IndexOutOfRange)
 from polyauto.fields import Field
+from polyauto.maps import Endo, compose
 from polyauto.poly import (MAX_DEGREE, Polynomial, PreparedImages,
                            identity_images, pack, unpack)
 from polyauto.textio import parse_polynomial, poly_to_text
@@ -417,7 +417,7 @@ def test_zero_image_kills_exactly_its_terms_in_compose(Q, F9):
 
 
 def test_image_checks_fire_in_the_same_order(Q, F5):
-    x1, x2 = xvars(Q, 2)
+    x1, _ = xvars(Q, 2)
     y1 = Polynomial.variable(Q, 3, 1)
     z1, z2 = xvars(F5, 2)
     cases = [
@@ -426,8 +426,6 @@ def test_image_checks_fire_in_the_same_order(Q, F5):
         (x1, [z1, y1], FieldMismatch, "image over a different field"),
         (z1, [x1, y1], FieldMismatch, "image over a different field"),
         (x1, [x1, z2], FieldMismatch, "image over a different field"),
-        (z1, PreparedImages([x1, x2], Q), FieldMismatch,
-         "image over a different field"),
     ]
     for poly, images, error, message in cases:
         with pytest.raises(error, match=f"^{message}$"):
@@ -732,7 +730,7 @@ def test_compose_with_one_term_images_matches_sympy(order, shape):
 
 
 def test_one_term_products_run_no_kernel(Q, F4, monkeypatch):
-    from polyauto.autos import Elementary, SignedPermutation
+    from polyauto.maps import Elementary, SignedPermutation
     cases = []
     for field in (Q, Field.prime(7), F4):
         f = parse_polynomial("3*x2*x3^2-x2+1", field, 3)
@@ -899,7 +897,7 @@ def test_a_slin_shaped_compose_runs_no_ring_mul(monkeypatch):
     with its inverse, after another on its axis, before a linear or signed
     permutation factor, and a linear map before an elementary one) raise
     each multi-term image to the first power at most: none multiplies."""
-    from polyauto.autos import Elementary, Linear, SignedPermutation
+    from polyauto.maps import Elementary, Linear, SignedPermutation
     cases = []
     for field in (Field.of_order(4), Field.of_order(8), Field.of_order(9)):
         a = field.generator()

@@ -4,11 +4,11 @@ defaults and keywords, and the checks their constructors make."""
 
 import pytest
 
-from polyauto.autos import (Classification, Elementary, Endo, FactoredAuto,
-                            Linear, Translation)
-from polyauto.certificates import (Certificate, CheckRecord, Seed, Step,
-                                   VerificationReport, WordItem)
+from polyauto.autos import Classification
+from polyauto.certificates import CheckRecord, VerificationReport
 from polyauto.errors import IndexClash, InvalidFactor
+from polyauto.maps import (Certificate, Elementary, Endo, FactoredAuto, Linear,
+                           Seed, Step, Translation, WordItem)
 from polyauto.poly import Polynomial
 from polyauto.record import Record
 from polyauto.reduce_core import CommutatorProbe
@@ -52,9 +52,11 @@ def test_defaults_and_keywords(Q):
     one.meta["path"] = "m1"
     assert two.meta == {} and one != two
     alpha = FactoredAuto.identity(Q, 2)
-    probe = CommutatorProbe(alpha, 1, 3, c=2, eps=alpha, gamma=ident)
-    assert (probe.c, probe.eps, probe.gamma) == (2, alpha, ident)
-    assert CommutatorProbe(alpha, 1, 3).c is None
+    probe = CommutatorProbe(alpha, 1, c=2, eps=alpha, gamma=ident,
+                            gamma_word=alpha)
+    assert (probe.c, probe.eps, probe.gamma, probe.gamma_word) == (
+        2, alpha, ident, alpha)
+    assert CommutatorProbe(alpha, 1).gamma_word is None
     assert Seed("s1", alpha) == Seed(label="s1", word=alpha)
 
 

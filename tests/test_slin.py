@@ -3,18 +3,19 @@ from fractions import Fraction
 import pytest
 
 from polyauto.autos import elementary, linear_elementary, translation
-from polyauto.certificates import KIND_SLIN, verify_certificate
+from polyauto.certificates import verify_certificate
 from polyauto.errors import (ArityMismatch, DegenerateTarget, IdentityInput,
                              IndexClash, IndexOutOfRange, NegativeExponent,
                              UnsupportedField, ZeroScalar)
 from polyauto.fields import Field
+from polyauto.maps import KIND_SLIN
 from polyauto.poly import Polynomial
+from polyauto.reduce_core import (translation_from_any,
+                                  translation_from_special_affine)
 from polyauto.slin import (SlinContext, commutator_identity, cubic_identity,
                            linear_elementary_from_translations,
-                           slin_from_elementary,
-                           slin_from_monomial_elementary,
-                           translation_from_any, translation_transfer)
-from polyauto.translations import translation_from_special_affine
+                           slin_from_elementary, slin_from_monomial_elementary,
+                           translation_transfer)
 from polyauto.wordbuild import CertBuilder
 
 Q = Field.rationals()

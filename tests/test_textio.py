@@ -61,8 +61,7 @@ def test_factored_round_trip():
 
 
 def test_exp_factor_round_trip(Q):
-    from polyauto.maps import ExpLND, FactoredAuto
-    from polyauto.derivations import TriDerivation
+    from polyauto.maps import ExpLND, FactoredAuto, TriDerivation
     n = 3
     x1 = Polynomial.variable(Q, n, 1)
     zero = Polynomial.zero(Q, n)

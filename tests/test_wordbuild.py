@@ -8,10 +8,11 @@ from functools import partial, reduce
 import pytest
 
 from polyauto import wordbuild
-from polyauto.autos import Endo, compose, elementary
-from polyauto.certificates import KIND_COTAME, verify_certificate
+from polyauto.autos import elementary
+from polyauto.certificates import verify_certificate
 from polyauto.errors import DegreeCapExceeded, InternalIdentityFailure
 from polyauto.fields import Field
+from polyauto.maps import KIND_COTAME, Endo, compose
 from polyauto.poly import Polynomial
 
 Q = Field.rationals()
