@@ -14,8 +14,8 @@ from .fields import Field, FieldElement
 from .maps import (Elementary, Endo, FactoredAuto, Linear, SignedPermutation,
                    Translation, Triangular, affine_parts, compose,
                    elementary_parts, mat_det)
-from .poly import (DEFAULT_DEGREE_CAP, Polynomial, check_axis,
-                   identity_images)
+from .poly import (DEFAULT_DEGREE_CAP, Polynomial, check_axis, tail_mask,
+                   variable_keys)
 from .record import Record
 
 __all__ = [
@@ -96,22 +96,18 @@ def linear_elementary(field: Field, n: int, i: int, j: int, a) -> FactoredAuto:
 # -- reading and inverting structured expanded maps ---------------------
 
 def triangular_parts(phi: Endo):
-    """(scalars, polys) of a lower-triangular map, or None."""
-    n = phi.nvars
-    field = phi.field
-    scalars = []
-    polys = []
+    """(scalars, polys) of a lower-triangular map, or None: component i
+    has a term a x_i, and its other terms are free of x_i, ..., x_n."""
+    field, n = phi.field, phi.nvars
+    keys, scalars, polys = variable_keys(n), [], []
     for i, c in enumerate(phi.components, start=1):
-        diag = tuple(1 if k == i - 1 else 0 for k in range(n))
-        a = c.coeff(diag)
-        if a.is_zero():
+        key, mask = keys[i], tail_mask(n, i)
+        a = c.terms.get(key)
+        if a is None or any(k & mask for k in c.terms if k != key):
             return None
-        rest = c - Polynomial.variable(field, n, i).scale(a)
-        for j in range(i, n + 1):
-            if rest.involves(j):
-                return None
-        scalars.append(a)
-        polys.append(rest)
+        scalars.append(FieldElement(field, a))
+        polys.append(Polynomial(field, n, {k: v for k, v in c.terms.items()
+                                           if k != key}))
     return tuple(scalars), tuple(polys)
 
 
@@ -240,23 +236,18 @@ def classify(phi: Endo) -> Classification:
 
 def is_translation(phi: Endo) -> bool:
     """x_i -> x_i + b_i with constants b_i; the identity is one."""
-    return all((c - x).is_constant() for c, x in
-               zip(phi.components, identity_images(phi.field, phi.nvars)))
+    one = phi.field.one.payload
+    return all(c.terms.get(k) == one and c.terms.keys() <= {0, k} for c, k
+               in zip(phi.components, variable_keys(phi.nvars)[1:]))
 
 
 def is_parabolic(phi: Endo) -> bool:
     """First n-1 components free of x_n; last = a_n x_n + P(x_1..x_{n-1})."""
     n = phi.nvars
-    for c in phi.components[:-1]:
-        if c.involves(n):
-            return False
-    last = phi.components[-1]
-    diag = tuple(1 if k == n - 1 else 0 for k in range(n))
-    a = last.coeff(diag)
-    if a.is_zero():
-        return False
-    rest = last - Polynomial.variable(phi.field, n, n).scale(a)
-    return not rest.involves(n)
+    *head, last = phi.components
+    key, mask = variable_keys(n)[n], tail_mask(n, n)
+    return (key in last.terms and not any(c.involves(n) for c in head)
+            and not any(k & mask for k in last.terms if k != key))
 
 
 def vector_degree(phi: Endo) -> tuple[int, ...]:

@@ -541,22 +541,18 @@ class FactoredAuto:
 # -- the shape of an expanded map ---------------------------------------
 
 def affine_parts(phi: Endo):
-    """(matrix, constants) of an affine map, or None if not affine."""
-    n = phi.nvars
-    field = phi.field
-    A = [[field.zero] * n for _ in range(n)]
-    b = [field.zero] * n
-    for i, c in enumerate(phi.components):
-        # highest degree first: a component of degree > 1 ends the loop
-        for e, coeff in c.sorted_terms():
-            d = sum(e)
-            if d > 1:
-                return None
-            if d == 0:
-                b[i] = coeff
-            else:
-                A[i][e.index(1)] = coeff
-    return tuple(tuple(r) for r in A), tuple(b)
+    """(matrix, constants) of an affine map, or None if not affine: each
+    term's key is x_j's (column j) or 1's (the constant)."""
+    if phi.deg() > 1:
+        return None
+    field, keys = phi.field, variable_keys(phi.nvars)
+    rows = []
+    for c in phi.components:
+        row = [field.zero] * len(keys)
+        for k, v in c.terms.items():
+            row[keys.index(k)] = FieldElement(field, v)
+        rows.append(row)
+    return tuple(tuple(r[1:]) for r in rows), tuple(r[0] for r in rows)
 
 
 def elementary_parts(phi: Endo):
@@ -565,19 +561,17 @@ def elementary_parts(phi: Endo):
     The identity is not reported as elementary here; a nontrivial axis is
     required.
     """
-    n = phi.nvars
-    moved = []
-    for i in range(1, n + 1):
-        xi = Polynomial.variable(phi.field, n, i)
-        diff = phi.components[i - 1] - xi
-        if not diff.is_zero():
-            moved.append((i, diff))
+    field, n = phi.field, phi.nvars
+    moved = [i for i, c in enumerate(phi.components, start=1)
+             if c.terms != identity_images(field, n)[i - 1].terms]
     if len(moved) != 1:
         return None
-    i, f = moved[0]
-    if f.involves(i):
+    i, = moved
+    terms, key = phi.components[i - 1].terms, variable_keys(n)[i]
+    if terms.get(key) != field.one.payload:  # f would involve x_i
         return None
-    return i, f
+    f = Polynomial(field, n, {k: v for k, v in terms.items() if k != key})
+    return None if f.involves(i) else (i, f)
 
 
 # -- certificate records ----------------------------------------------------

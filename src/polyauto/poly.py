@@ -7,8 +7,9 @@ A product of monomials is one integer addition, the total degree is
 key >> B*n, and int order is graded-lex order.  Only this module and the
 kernels (`kernels`, `finite`), which each Field binds when it is made, know
 the layout: other code reads exponents through sorted_terms, coeff, degrees,
-deg_in and involves, and writes terms through from_keys, with keys from pack
-or summed from `variable_keys` (the reader's term rule, Linear).  No
+deg_in, involves and the masks of `tail_mask`, and writes terms through
+from_keys, with keys from pack or summed from `variable_keys` (the reader's
+term rule, Linear; the shape readers compare keys with them).  No
 field carries into the next because no polynomial of total degree over
 MAX_DEGREE is built: products, powers, monomials and substitutions over it
 raise DegreeCapExceeded.  The zero polynomial is the empty dict.  Degrees
@@ -76,6 +77,11 @@ def variable_keys(n: int) -> tuple[int, ...]:
     """The key of x_i (1-based) at i: one unit of degree, one of field i;
     at 0, the key of 1.  The key of x^e is the sum of e_i times x_i's."""
     return (0,) + tuple(1 << B * n | 1 << B * (n - i) for i in range(1, n + 1))
+
+
+def tail_mask(n: int, i: int) -> int:
+    """The bits of the key fields of x_i, ..., x_n (1-based), arity n."""
+    return (1 << B * (n + 1 - i)) - 1
 
 
 def check_degree(what: str, degree: int, cap: int = MAX_DEGREE):

@@ -2,10 +2,15 @@
 
 CertBuilder tracks the environment of derived values and their exact
 inverses, evaluates each emitted word immediately, and refuses to record a
-step whose value disagrees with the engine's prediction.  A step's INV, the
-reversed product of its items' inverses, is the exact two-sided inverse of
-the items' product P, so V * INV = id proves a prediction V = V * INV * P
-= P with one compose.  P is folded only without a prediction, or when a
+step whose value disagrees with the engine's prediction.  A prediction V of
+the items' product P = c_1*...*c_k is proved from its cheaper side, as the
+verifier decides a step (docs/formats.md): c_1*...*c_j = V*c_k^{-1}*...*
+c_{j+1}^{-1} at the j of least degree bound, with INV = invert_endo(V) and
+V * INV = id.  Where that bound is not below the one of the reversed product
+of the items' inverses, or V's shape is not read and inverted, INV is that
+product, the exact two-sided inverse of P, and V * INV = id proves V = V *
+INV * P = P with one compose.  Either way INV is V's unique inverse, so the
+bytes are the same.  P is folded only without a prediction, or when a
 degree bound of that fold or of the proof exceeds the cap; under both
 bounds no skipped compose could meet the cap.  Every value held is special:
 seeds are checked, and products and conjugates keep a constant determinant
@@ -17,9 +22,13 @@ module is the only place construction and evaluation meet.
 from __future__ import annotations
 
 from functools import partial, reduce
+from itertools import accumulate
 from math import prod
+from operator import mul
 
-from .errors import InternalIdentityFailure, NotSpecial
+from .autos import invert_endo
+from .errors import (DegreeCapExceeded, InternalIdentityFailure, InvalidFactor,
+                     NotSpecial, NotStructured)
 from .fields import Field
 from .maps import (Certificate, Endo, FactoredAuto, Seed, Step, WordItem,
                    compose)
@@ -75,17 +84,15 @@ class CertBuilder:
                  note: str = "") -> str:
         """items: iterable of (conjugator|None, base_label, exponent).
 
-        Item g^{-1} base^e g has the inverse g^{-1} base^{-e} g, each g and
-        g^{-1} expanded once, and INV is the inverses' product in reverse
-        order.  With `expect`, the step holds when expect * INV = id (see
-        the module docs), unless the product over the items of
-        deg g^{-1} * deg base^e * deg g, or deg expect * deg INV, exceeds
-        the cap: then, as without `expect`, the items' product is folded in
-        the verifier's order and compared."""
+        Item c_i = g^{-1} base^e g has the inverse g^{-1} base^{-e} g, each
+        g and g^{-1} expanded once, and the degree bounds d_i = deg g^{-1} *
+        deg base^e * deg g and d'_i, the same with base^{-e}.  With `expect`
+        and d_1*...*d_k within the cap, the step is proved (see the module
+        docs), unless deg expect * deg INV exceeds the cap: then, as without
+        `expect`, the items' product is folded in the verifier's order."""
         limit = self.limit
         fold = partial(compose, cap=limit)
-        word_items, values, inverses = [], [], []
-        bound = 1
+        word_items, sides = [], []
         for conj, base, exponent in items:
             if base not in self._env:
                 raise KeyError(f"unknown base {base!r}")
@@ -98,26 +105,35 @@ class CertBuilder:
                 g = conj.expand(cap=limit)
                 ginv = conj.inverse().expand(cap=limit)
                 pieces, inverse_pieces = (ginv, core, g), (ginv, core_inv, g)
-            bound *= prod(p.deg() for p in pieces)
+            sides.append((pieces, inverse_pieces))
+        degs = [(prod(map(Endo.deg, p)), prod(map(Endo.deg, w)))
+                for p, w in sides]
+        lefts = list(accumulate([d for d, _ in degs], mul))  # d_1*...*d_j
+        proof = expect is not None and lefts[-1] <= limit
+        split = self._split_proof(sides, degs, lefts, expect) if proof else None
+        if split is not None:
+            value, (inverse, ok) = expect, split
+        else:
             # once the cap might stop the fold, conjugates are made in its
             # order, so the first to meet the cap is the fold's first
-            lazy = expect is not None and bound <= limit
-            values.append(pieces if lazy else (reduce(fold, pieces),))
-            inverses.append(reduce(fold, inverse_pieces))
+            values, inverses = [], []
+            for pieces, inverse_pieces in sides:
+                values.append(pieces if proof else (reduce(fold, pieces),))
+                inverses.append(reduce(fold, inverse_pieces))
 
-        def product():
-            return reduce(fold, (reduce(fold, v) for v in values))
+            def product():
+                return reduce(fold, (reduce(fold, v) for v in values))
 
-        proof = expect is not None and bound <= limit
-        if not proof:
-            value = product()
-        inverse = reduce(fold, reversed(inverses))
-        if proof and expect.deg() * inverse.deg() > limit:
-            proof, value = False, product()
-        if proof:
-            value, ok = expect, compose(expect, inverse, cap=limit).is_identity()
-        else:
-            ok = expect is None or value == expect
+            if not proof:
+                value = product()
+            inverse = reduce(fold, reversed(inverses))
+            if proof and expect.deg() * inverse.deg() > limit:
+                proof, value = False, product()
+            if proof:
+                value = expect
+                ok = compose(expect, inverse, cap=limit).is_identity()
+            else:
+                ok = expect is None or value == expect
         if not ok:
             raise InternalIdentityFailure(
                 f"word expansion does not match the predicted value "
@@ -126,6 +142,33 @@ class CertBuilder:
         self.steps.append(Step(label, tuple(word_items), value, inverse, note))
         self._env[label] = (value, inverse)
         return label
+
+    def _split_proof(self, sides, degs, lefts, value: Endo):
+        """(INV, whether c_1*...*c_j = value*c_k^{-1}*...*c_{j+1}^{-1} and
+        value * INV = id) for INV = invert_endo(value) and the verifier's j
+        (docs/formats.md): j >= 1 of least bound max(d_1*...*d_j, deg value
+        * d'_{j+1}*...*d'_k), ties keeping the larger j.  None when that
+        bound is not below d'_1*...*d'_k or exceeds the cap, or when value's
+        inverse is not read from its shape within the cap."""
+        limit, right = self.limit, value.deg()
+        j, bound = len(degs), max(lefts[-1], right)
+        for i in range(len(degs) - 1, 0, -1):
+            right *= degs[i][1]
+            if max(lefts[i - 1], right) < bound:
+                j, bound = i, max(lefts[i - 1], right)
+        if bound >= prod([d for _, d in degs]) or bound > limit:
+            return None
+        try:
+            inverse = invert_endo(value, cap=limit)
+        except (NotStructured, InvalidFactor, DegreeCapExceeded):
+            return None
+        if value.deg() * inverse.deg() > limit:
+            return None
+        fold = partial(compose, cap=limit)
+        product = reduce(fold, (reduce(fold, p) for p, _ in sides[:j]))
+        other = reduce(fold, (reduce(fold, w) for _, w in reversed(sides[j:])),
+                       value)
+        return inverse, fold(value, inverse).is_identity() and product == other
 
     def passthrough(self, base: str, note: str = "") -> str:
         """A step that just restates a seed/step value (used when a seed
@@ -139,3 +182,4 @@ class CertBuilder:
         return Certificate(self.field, self.nvars, self.kind,
                            list(self.seeds), list(self.steps),
                            terminal, cite, dict(self.meta))
+
