@@ -17,7 +17,7 @@ from functools import reduce
 from itertools import chain
 from math import prod
 
-from .autos import (dilation, invert_endo, signed_swap, triangular_from_endo,
+from .autos import (invert_endo, signed_swap, triangular_from_endo,
                     triangular_parts, vector_degree)
 from .errors import (IdentityInput, InternalIdentityFailure, NotAlternating,
                      NotSpecial, NotStructured, UnsupportedCharacteristic,
@@ -25,8 +25,8 @@ from .errors import (IdentityInput, InternalIdentityFailure, NotAlternating,
 from .fields import RATIONALS, Field
 from .maps import (KIND_COTAME, Certificate, Elementary, Endo, ExpLND,
                    FactoredAuto, Linear, Translation, affine_parts, compose,
-                   mat_det)
-from .poly import DEFAULT_DEGREE_CAP
+                   linear_map, mat_det)
+from .poly import DEFAULT_DEGREE_CAP, identity_images
 from .record import Record
 from .reduce_core import (affine_terminal, find_noncommuting_c,
                           parabolic_route, reduce_triangular_ref,
@@ -88,9 +88,16 @@ def _word_pieces(word: FactoredAuto) -> list[tuple[str, Endo]]:
     return pieces
 
 
-def _normalize_pieces(field: Field, n: int,
-                      pieces: list[tuple[str, Endo]]) -> MTriangularForm:
-    """Right-to-left sweep with a diagonal-affine carry; see module docs."""
+def _scale_x1(field: Field, n: int, d) -> Endo:
+    """The diagonal map x_1 -> d x_1, fixing the other variables."""
+    images = identity_images(field, n)
+    return Endo(field, n, (images[0].scale(d),) + images[1:])
+
+
+def _normalize_pieces(field: Field, n: int, pieces: list[tuple[str, Endo]],
+                      target: Endo) -> MTriangularForm:
+    """Right-to-left sweep with a diagonal-affine carry (see module docs);
+    the form is checked to expand to `target`."""
     carry = Endo.identity(field, n)  # always in Df
     slots: list[tuple[str, Endo]] = []  # normalized suffix, in word order
     for kind, val in reversed(pieces):
@@ -104,13 +111,11 @@ def _normalize_pieces(field: Field, n: int,
                     "diagonal-affine conjugate of a triangular map "
                     "was not triangular")
             det = prod(parts[0], start=field.one)
-            tau_sp = conj
-            if not det.is_one():
-                diag_fix = dilation(field, n, 1, det).expand()
-                tau_sp = compose(invert_endo(diag_fix), conj)
-                carry = compose(carry, diag_fix)
-            if not tau_sp.is_identity():
-                slots.insert(0, ("tau", tau_sp))
+            if not det.is_one():  # det moves from conj into the carry
+                conj = compose(_scale_x1(field, n, det.inv()), conj)
+                carry = compose(carry, _scale_x1(field, n, det))
+            if not conj.is_identity():
+                slots.insert(0, ("tau", conj))
         else:
             W = val if plain else compose(val, carry)
             A, b = affine_parts(W)
@@ -120,8 +125,8 @@ def _normalize_pieces(field: Field, n: int,
                 # W = T_b * L_A and A = Lambda * Msl (row scaling), so the
                 # Df part T_b * L_Lambda moves into the carry
                 A = (tuple(x / d for x in A[0]),) + A[1:]
-                carry = compose(carry, dilation(field, n, 1, d).expand())
-            msl = Linear(field, n, A).expand()
+                carry = compose(carry, _scale_x1(field, n, d))
+            msl = linear_map(field, n, A)  # det 1 by the scaling
             if not msl.is_identity():
                 slots.insert(0, ("alpha", msl))
     # the word is special and every slot has determinant 1, so the carry is
@@ -135,7 +140,7 @@ def _normalize_pieces(field: Field, n: int,
             slots.append(("tau", cur))
         else:
             slots[idx] = ("tau", compose(cur, slots[idx][1]))
-    return _assemble(field, n, slots, pieces)
+    return _assemble(field, n, slots, target)
 
 
 def _product(field, n, endos) -> Endo:
@@ -143,7 +148,7 @@ def _product(field, n, endos) -> Endo:
     return reduce(compose, endos) if endos else Endo.identity(field, n)
 
 
-def _assemble(field, n, slots, pieces) -> MTriangularForm:
+def _assemble(field, n, slots, target) -> MTriangularForm:
     runs: list[list[Endo]] = [[]]  # the alpha slots between the taus
     taus: list[Endo] = []
     for kind, val in slots:
@@ -159,9 +164,9 @@ def _assemble(field, n, slots, pieces) -> MTriangularForm:
         for tau, a in zip(taus, alphas[1:]):
             kind = "tri" if any(vector_degree(tau)) else "aff"
             new_pieces += [(kind, tau), ("aff", a)]
-        return _normalize_pieces(field, n, new_pieces)
+        return _normalize_pieces(field, n, new_pieces, target)
     form = MTriangularForm(alphas, taus)
-    if form.expand() != reduce(compose, (val for _, val in pieces)):
+    if form.expand() != target:
         raise InternalIdentityFailure("normal form does not expand to input")
     for a in alphas:
         parts = affine_parts(a)
@@ -184,7 +189,7 @@ def normalize_m_triangular(word: FactoredAuto) -> MTriangularForm:
     pieces = _word_pieces(word)
     if not pieces:
         pieces = [("aff", Endo.identity(word.field, word.nvars))]
-    return _normalize_pieces(word.field, word.nvars, pieces)
+    return _normalize_pieces(word.field, word.nvars, pieces, word.expand())
 
 
 # -- words for engine conjugators ------------------------------------------------
@@ -262,7 +267,8 @@ def _drop_diagonal_pivot(builder, ref, head, middle, tail) -> str:
     shorter word head + [that slot] + tail, given as (kind, endo) pieces,
     and run its engine."""
     pieces = head + [("aff", reduce(compose, middle))] + tail
-    sub = _normalize_pieces(builder.field, builder.nvars, pieces)
+    sub = _normalize_pieces(builder.field, builder.nvars, pieces,
+                            reduce(compose, (val for _, val in pieces)))
     return _dispatch_form(builder, ref, sub)
 
 
@@ -464,4 +470,4 @@ def _split_tau_alpha(word: FactoredAuto) -> tuple[Endo, Endo]:
                 "followed by affine factors")
     A, b = affine_parts(_product(field, n, alphas))
     return (reduce(compose, [*taus, Translation(field, n, b).expand()]),
-            Linear(field, n, A).expand())
+            linear_map(field, n, A))

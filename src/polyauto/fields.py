@@ -5,8 +5,8 @@ field's handle imports.
 Element payloads are plain Python values (Fraction, int residue, or a tuple
 of residues for extension fields); FieldElement is a thin immutable wrapper.
 Polynomial code works on payloads directly through the Field's `_p*` ops,
-its term-map kernels and its payload printer, which each handle binds once
-for its kind when it is made, so no op decides the kind again.
+term-map kernels, payload printer and matrix elimination, each bound once
+for its kind, so no op decides the kind again.
 """
 
 from __future__ import annotations
@@ -76,6 +76,8 @@ class Field:
         return (Fraction, add, neg, mul, pow, not_, str,
                 lambda a, b: kernels.mul_terms_obj(a, b),
                 kernels.mul_terms_int)
+
+    _eliminate = staticmethod(kernels.gauss_jordan_q)  # FiniteField overrides it
 
     # -- constructors ---------------------------------------------------
 

@@ -3,10 +3,10 @@ irreducible modulus.  Only the construction of a finite-field handle
 imports this module, so a process that works over Q compiles none of it.
 
 A `FiniteField` binds its kind's payload ops, term-map kernels and payload
-printer when it is made.  F_{p^s} payloads multiply, invert and raise to
-powers through the discrete-log/antilog tables of `ext_tables`, built once
-per field: a product is exp[log a + log b], an inverse exp[(q-1) - log a].
-F_p residues invert by pow(a, -1, p).
+printer when it is made, and eliminates matrices by Gauss-Jordan.  F_{p^s}
+payloads multiply, invert and raise to powers through the log/antilog tables
+of `ext_tables`, built once per field: a product is exp[log a + log b], an
+inverse exp[(q-1) - log a].  F_p residues invert by pow(a, -1, p).
 """
 
 from __future__ import annotations
@@ -187,6 +187,31 @@ class FiniteField(Field):
                 lambda a, e: ext_pow(a, e, p, modulus),
                 partial(eq, (0,) + pad),  # only this tuple is zero
                 element_text, times, times)
+
+    def _eliminate(self, rows, inverse=False):
+        """Field._eliminate by Gauss-Jordan on payloads, reducing [A | I if
+        inverting] until A's part is I (a det: only below the diagonal)."""
+        n, zero, one = len(rows), self.zero.payload, self.one.payload
+        pmul, padd, is_zero = self._pmul, self._padd, self._pis_zero
+        M = [list(row) + [one if i == j else zero
+                          for j in range(n if inverse else 0)]
+             for i, row in enumerate(rows)]
+        det = one
+        for col in range(n):
+            pivot = next((r for r in range(col, n)
+                          if not is_zero(M[r][col])), None)
+            if pivot is None:
+                return zero, None
+            if pivot != col:
+                M[col], M[pivot], det = M[pivot], M[col], self._pneg(det)
+            det, inv = pmul(det, M[col][col]), self._pinv(M[col][col])
+            M[col] = [pmul(x, inv) for x in M[col]]
+            for row in range(0 if inverse else col + 1, n):
+                if row != col and not is_zero(M[row][col]):
+                    f = self._pneg(M[row][col])
+                    M[row] = [padd(x, pmul(f, y))
+                              for x, y in zip(M[row], M[col])]
+        return det, [row[n:] for row in M] if inverse else None
 
     def tag(self) -> str:
         if self.kind == PRIME:

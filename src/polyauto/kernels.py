@@ -1,21 +1,21 @@
-"""Term-map kernels over Q: the hot loops of sparse polynomial
-multiplication, and the integer loop that the F_p kernel of
-`polyauto.finite` runs too.  Keys are packed monomials (see `poly.pack`),
-one int per exponent vector, so the monomial of a pair of terms is one
-integer addition; the caller keeps every product's degree within
-poly.MAX_DEGREE, so no exponent field carries.  Coefficients are Python
-ints or Fractions, so every kernel is exact.
+"""Kernels over Q: the hot loops of sparse polynomial multiplication, the
+integer loop that the F_p kernel of `polyauto.finite` runs too, and matrix
+elimination.  Keys are packed monomials (see `poly.pack`), one int per
+exponent vector, so the monomial of a pair of terms is one integer addition;
+the caller keeps every product's degree within poly.MAX_DEGREE, so no field
+carries.  Coefficients are Python ints or Fractions: every kernel is exact.
 
-Over Q no Fraction arithmetic runs in the loop: operands are integer term
+Over Q no Fraction arithmetic runs in a loop: operands are integer term
 maps over one shared denominator (the lcm of their denominators), and each
-output becomes one Fraction at the end.  mul_terms_int, like
+output becomes one Fraction at the end; a matrix is reduced on integer rows,
+fraction-free (Bareiss, Math. Comp. 22, 1968).  mul_terms_int, like
 finite.mul_terms_ext, adds k * a * b into a map in place: a substitution
 runs it only for a term with two or more multi-term image powers.
 Each Field binds its kind's kernels when it is made (`Field._ops`).
 """
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 BACKEND = "python"
 
@@ -52,6 +52,32 @@ def mul_terms_obj(a, b):
     d = da * db
     return {e: Fraction(v, d)
             for e, v in mul_terms_int(pa, pb).items() if v}
+
+
+def gauss_jordan_q(rows, inverse=False):
+    """Q's Field._eliminate: (det A, A^-1's rows if `inverse`), (0, None) if
+    A is singular.  R = diag(L) A, L_i the lcm of row i's denominators, or
+    [R | diag(L)] to invert, is reduced (a det: below each pivot) until R's
+    part is d I, d = +-det R: det A = +-d / prod L, A^-1 = right part / d."""
+    n, sign, prev = len(rows), 1, 1
+    scales = [lcm(*(x.denominator for x in row)) for row in rows]
+    M = [[x.numerator * (s // x.denominator) for x in row]
+         + [s if j == i else 0 for j in range(n if inverse else 0)]
+         for i, (row, s) in enumerate(zip(rows, scales))]
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if M[r][k]), None)
+        if pivot is None:
+            return Fraction(0), None
+        M[k], M[pivot], sign = M[pivot], M[k], sign if pivot == k else -sign
+        top, p, lo = M[k], M[k][k], 0 if inverse else k
+        for row in M if inverse else M[k + 1:]:
+            f = row[k]
+            if row is not top and (f or p != prev):
+                row[lo:] = [(p * x - f * y) // prev
+                            for x, y in zip(row[lo:], top[lo:])]
+        prev = p
+    return Fraction(sign * prev, prod(scales)), [
+        [Fraction(x, prev) for x in row[n:]] for row in M] if inverse else None
 
 
 def __getattr__(name: str):  # perfbench's name (ROADMAP direction 18)

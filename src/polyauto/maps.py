@@ -63,7 +63,7 @@ class Endo:
     def deg(self) -> int:
         """The largest total degree of a component."""
         if self._deg is None:
-            self._deg = max(map(Polynomial.deg, self.components))
+            self._deg = max(map(Polynomial.deg, self.components), default=0)
         return self._deg
 
     def is_identity(self) -> bool:
@@ -93,9 +93,10 @@ def compose(phi: Endo, psi: Endo,
     if phi.nvars != psi.nvars:
         raise ArityMismatch("composing different arities")
     images, limit = PreparedImages(psi.components, psi.field), cap_limit(cap)
+    check = phi.deg() * psi.deg() > limit  # no term expands past it
     out = object.__new__(Endo)
     out.field, out.nvars, out._deg = phi.field, phi.nvars, None
-    out.components = tuple([images.accumulate(c.terms, limit)
+    out.components = tuple([images.accumulate(c.terms, limit, check)
                             for c in phi.components])
     return out
 
@@ -111,37 +112,18 @@ def start_product(phi: Endo, cap: int | None = DEFAULT_DEGREE_CAP) -> Endo:
 
 # -- matrices over the field (helpers for affine maps) -------------------
 
-def _gauss_jordan(field: Field, A, extra: int = 0):
-    """(det A, M) by Gauss-Jordan elimination on payloads: M holds A's rows,
-    each followed by `extra` columns of the identity's, reduced until A's
-    part is the identity (with no extra columns, only below the diagonal,
-    as det needs).  A singular A gives (zero, None)."""
-    n, zero, one = len(A), field.zero.payload, field.one.payload
-    pmul, padd, is_zero = field._pmul, field._padd, field._pis_zero
+def mat_det(field: Field, A) -> FieldElement:
     if any(a.field is not field for row in A for a in row):
         raise FieldMismatch(f"matrix entry not in {field.tag()}")
-    M = [[a.payload for a in row] + [one if i == j else zero
-                                     for j in range(extra)]
-         for i, row in enumerate(A)]
-    det = one
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not is_zero(M[r][col])),
-                     None)
-        if pivot is None:
-            return zero, None
-        if pivot != col:
-            M[col], M[pivot], det = M[pivot], M[col], field._pneg(det)
-        det, inv = pmul(det, M[col][col]), field._pinv(M[col][col])
-        M[col] = [pmul(x, inv) for x in M[col]]
-        for row in range(0 if extra else col + 1, n):  # a det: rows below
-            if row != col and not is_zero(M[row][col]):
-                f = field._pneg(M[row][col])
-                M[row] = [padd(x, pmul(f, y)) for x, y in zip(M[row], M[col])]
-    return det, M
+    return FieldElement(field, field._eliminate(
+        [[a.payload for a in row] for row in A])[0])
 
 
-def mat_det(field: Field, A) -> FieldElement:
-    return FieldElement(field, _gauss_jordan(field, A)[0])
+def linear_map(field: Field, n: int, A) -> Endo:
+    """x_i -> sum_j A[i][j] x_j, with no check that A is invertible."""
+    keys = variable_keys(n)[1:]
+    return Endo(field, n, [Polynomial.from_keys(field, n, {
+        k: a.payload for k, a in zip(keys, row)}) for row in A])
 
 
 # -- basic factors -------------------------------------------------------
@@ -162,19 +144,17 @@ class Linear(Record):
         self.matrix = matrix
 
     def expand(self) -> Endo:
-        n, keys = self.nvars, variable_keys(self.nvars)[1:]
-        comps = [Polynomial.from_keys(self.field, n, {
-            k: a.payload for k, a in zip(keys, row)}) for row in self.matrix]
-        return Endo(self.field, n, comps)
+        return linear_map(self.field, self.nvars, self.matrix)
 
     def inverted(self) -> "Linear":
-        """The inverse by Gauss-Jordan elimination, which cannot meet a zero
-        column (det is nonzero); its det, det^-1, needs no second one."""
+        """The inverse by elimination, which cannot meet a singular matrix
+        (det is nonzero); its det, det^-1, needs no second one."""
         field, n = self.field, self.nvars
-        rows = _gauss_jordan(field, self.matrix, n)[1]
+        rows = field._eliminate([[a.payload for a in row]
+                                 for row in self.matrix], True)[1]
         out = object.__new__(Linear)
         out.field, out.nvars, out._det = field, n, self._det.inv()
-        out.matrix = tuple(tuple(FieldElement(field, x) for x in row[n:])
+        out.matrix = tuple(tuple(FieldElement(field, x) for x in row)
                            for row in rows)
         return out
 

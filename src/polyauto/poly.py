@@ -402,11 +402,11 @@ class PreparedImages:
             memo[e] = got
         return got
 
-    def accumulate(self, terms: dict, limit: int) -> Polynomial:
+    def accumulate(self, terms: dict, limit: int, check=True) -> Polynomial:
         """The sum of c * prod images[j]^e_j over the terms c x^e of
-        `terms`, each refused first if its expansion is over degree `limit`;
-        a bare x_j is images[j].  Over Q, (e, c) is num(c) prod P_j^e_j over
-        den(c) prod d_j^e_j scaled to the lcm D of those, and v is v / D."""
+        `terms`, each refused first if `check` and its expansion is over
+        `limit`; a bare x_j is images[j].  Over Q, (e, c) is num(c) prod
+        P_j^e_j over den(c) prod d_j^e_j scaled to their lcm D; v is v / D."""
         field, n, degs = self.field, len(self.images), self.degs
         if len(terms) == 1:
             (key, c), = terms.items()
@@ -420,8 +420,9 @@ class PreparedImages:
         for key, c in terms.items():
             if not key & zero:
                 e = unpack(key, n)
-                check_degree("substitution term degree",
-                             sum(map(mul, e, degs)), limit)
+                if check:
+                    check_degree("substitution term degree",
+                                 sum(map(mul, e, degs)), limit)
                 live.append((e, c))
         if self.powers is None:
             bases = [img.terms for img in self.images]

@@ -1,15 +1,18 @@
 import hashlib
 import random
+from functools import reduce
 
 import pytest
 
 from gen import (rand_m_triangular_word, rand_mixed_word, rand_sl_word,
                  rand_translation, rand_triangular)
+from polyauto import cotame
 from polyauto.autos import (classify, dilation, elementary, jacobian_det,
                             linear_elementary, translation, vector_degree)
 from polyauto.certificates import verify_certificate
 from polyauto.cotame import certify_normally_cotame, normalize_m_triangular
-from polyauto.errors import (DegreeCapExceeded, IdentityInput, NotParabolic,
+from polyauto.errors import (DegreeCapExceeded, IdentityInput,
+                             InternalIdentityFailure, NotParabolic,
                              NotSpecial, NotTriangular,
                              UnsupportedCharacteristic, UnsupportedM)
 from polyauto.fields import Field
@@ -79,6 +82,56 @@ def test_normalize_random_round_trip():
         word = rand_mixed_word(rng, n, rng.randint(1, 5))
         form = normalize_m_triangular(word)
         assert form.expand() == word.expand()
+
+
+SHEAR = linear_elementary(Q, 2, 1, 2, 1).expand()  # linear, det 1
+
+
+def test_a_wrong_slot_is_refused_against_the_input(monkeypatch):
+    """A wrong linear slot that is still linear special is caught only by
+    the check that the form expands to the input word."""
+    word = (linear_elementary(Q, 2, 2, 1, 3)
+            * parse_factored("[Q,2] T(1; 1, x1^2)"))
+    assert normalize_m_triangular(word).expand() == word.expand()
+    linear_map = cotame.linear_map
+    monkeypatch.setattr(cotame, "linear_map", lambda field, n, A: compose(
+        linear_map(field, n, A), SHEAR))
+    with pytest.raises(InternalIdentityFailure,
+                       match="normal form does not expand to input"):
+        normalize_m_triangular(word)
+
+
+def test_a_wrong_slot_is_refused_on_renormalization(monkeypatch):
+    """A translation given as a triangular piece becomes a tau of vector
+    degree zero, so the form is normalized a second time.  The second pass
+    is checked against the input, not against the first pass's form, so a
+    slot made wrong in the first pass is refused."""
+    pieces = [("aff", linear_elementary(Q, 2, 2, 1, 3).expand()),
+              ("tri", parse_factored("[Q,2] T(1; 1, x1^2)").expand()),
+              ("tri", translation(Q, 2, [1, 1]).expand()),
+              ("tri", parse_factored("[Q,2] T(1; 1, 2*x1^3)").expand())]
+    target = reduce(compose, (val for _, val in pieces))
+    passes, wrong = [], []
+    normalize, linear_map = cotame._normalize_pieces, cotame.linear_map
+
+    def counted(field, n, pieces, target):
+        passes.append(len(pieces))
+        return normalize(field, n, pieces, target)
+
+    def wrong_in_the_first_pass(field, n, A):
+        right = linear_map(field, n, A)
+        return compose(right, SHEAR) if wrong and len(passes) == 1 else right
+
+    monkeypatch.setattr(cotame, "_normalize_pieces", counted)
+    monkeypatch.setattr(cotame, "linear_map", wrong_in_the_first_pass)
+    form = cotame._normalize_pieces(Q, 2, pieces, target)
+    assert passes == [4, 7] and form.m == 2 and form.expand() == target
+    passes.clear()
+    wrong.append(True)
+    with pytest.raises(InternalIdentityFailure,
+                       match="normal form does not expand to input"):
+        cotame._normalize_pieces(Q, 2, pieces, target)
+    assert passes == [4, 7]
 
 
 # -- probes ---------------------------------------------------------------------

@@ -216,3 +216,85 @@ def test_cancellation_removes_keys():
     bq = {x: Fraction(1), one: Fraction(-1)}
     assert kernels.mul_terms_obj(aq, bq) == {pack((2,)): Fraction(1),
                                              one: Fraction(-1)}
+
+
+# -- the Q elimination ---------------------------------------------------------
+
+def rand_matrix_q(rng, n, digits):
+    """A seeded n x n matrix of Fractions with numerators and denominators
+    of up to `digits` digits; about a third of the entries are zero, so
+    pivots often need a row swap."""
+    top = 10 ** digits - 1
+    return [[Fraction(rng.randint(-top, top), rng.randint(1, top))
+             if rng.random() < 0.7 else Fraction(0) for _ in range(n)]
+            for _ in range(n)]
+
+
+def elimination_cases():
+    """Seeded matrices for n = 1..5 (every fifth with 40-digit entries),
+    each also made singular (row n a combination of the others, or zero at
+    n = 1), and hand-made ones whose pivots are zero until rows swap."""
+    rng = random.Random(30)
+    cases = []
+    for n in range(1, 6):
+        for trial in range(25):
+            A = rand_matrix_q(rng, n, 40 if trial % 5 == 0 else 1)
+            singular = [row[:] for row in A]
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            singular[-1] = [c * x + y for x, y in zip(A[0], A[1])] \
+                if n > 1 else [Fraction(0)]
+            cases += [A, singular]
+    F = Fraction
+    cases += [
+        [[F(0), F(1)], [F(1), F(0)]],
+        [[F(0), F(0), F(2)], [F(0), F(3), F(0)], [F(5), F(0), F(0)]],
+        # the second pivot is zero once the first column is cleared
+        [[F(1), F(1), F(0)], [F(1), F(1), F(1)], [F(0), F(1), F(1)]],
+        [[F(0), F(1, 2), F(0), F(0)], [F(0), F(0), F(0), F(-1, 3)],
+         [F(7, 5), F(0), F(0), F(0)], [F(0), F(0), F(2, 9), F(1)]],
+        [[F(10 ** 50 + 1, 3), F(-1, 10 ** 40)], [F(0), F(10 ** 30, 7)]],
+        [[F(1)] * 3] * 3,
+        [],
+    ]
+    return cases
+
+
+def test_q_elimination_is_bound_to_the_rationals_only():
+    assert Field.rationals()._eliminate is kernels.gauss_jordan_q
+    for field in (Field.prime(5), Field.of_order(4)):
+        assert field._eliminate.__func__ is finite.FiniteField._eliminate
+
+
+def test_q_elimination_matches_the_generic_one():
+    """The field-generic Gauss-Jordan of finite fields, run on Q payloads,
+    gives the same det and inverse."""
+    Q = Field.rationals()
+    for A in elimination_cases():
+        for inverse in (False, True):
+            want = finite.FiniteField._eliminate(Q, A, inverse)
+            assert kernels.gauss_jordan_q(A, inverse) == want, (A, inverse)
+        det, inv = kernels.gauss_jordan_q(A, True)
+        assert type(det) is Fraction
+        assert (inv is None) == (det == 0)
+        assert inv is None or all(type(x) is Fraction
+                                  for row in inv for x in row)
+
+
+def test_q_elimination_matches_sympy(sympy):
+    def rational(x):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    def fraction(r):
+        return Fraction(int(r.p), int(r.q))
+
+    for A in elimination_cases():
+        if not A:
+            continue
+        M = sympy.Matrix([[rational(x) for x in row] for row in A])
+        det, inv = kernels.gauss_jordan_q(A, True)
+        assert det == fraction(M.det()), A
+        assert kernels.gauss_jordan_q(A)[0] == det
+        if det:
+            want = M.inv()
+            assert inv == [[fraction(want[i, j]) for j in range(len(A))]
+                           for i in range(len(A))], A

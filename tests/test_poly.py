@@ -407,6 +407,40 @@ def test_bare_variable_over_the_cap(Q):
     assert x1.substitute([x1 ** 40, x2], cap=40) == x1 ** 40
 
 
+@pytest.mark.parametrize("order", [None, 5, 4])
+def test_compose_checks_terms_only_over_the_degree_bound(order):
+    """No term of phi expands past deg phi * deg psi, so a compose within
+    the cap checks no term; over it, the first term over the cap is refused
+    as the per-term check refuses it, and a compose whose terms all fit
+    passes although the product of the degrees does not."""
+    field = Field.rationals() if order is None else Field.of_order(order)
+    x1, x2 = xvars(field, 2)
+    psi = Endo(field, 2, [x1 ** 3 + x2, x2 ** 2 + x1])  # degree 3
+    # in term order: x1*x2^3 expands to degree 9, x1^4 to 12, x2^4 to 8
+    phi = Endo(field, 2, [x1 * x2 ** 3 + x1 ** 4 + x2 ** 4, x1 * x2])
+    assert phi.deg() * psi.deg() == 12
+    at_cap = compose(phi, psi, cap=12)
+    assert at_cap == compose(phi, psi, cap=None)
+    assert at_cap.deg() == 12
+    for cap, first in ((11, 12), (8, 9)):
+        message = f"^substitution term degree {first} exceeds cap {cap}$"
+        with pytest.raises(DegreeCapExceeded, match=message):
+            compose(phi, psi, cap=cap)
+        with pytest.raises(DegreeCapExceeded, match=message):
+            PreparedImages(psi.components, field).accumulate(
+                phi.components[0].terms, cap)
+    # mixed degrees: deg phi * deg psi = 4 * 3, but no term is over 4
+    phi = Endo(field, 2, [x1 ** 4 + x2, x2])
+    psi = Endo(field, 2, [x1 + 1, x2 ** 3 + x1])
+    assert compose(phi, psi, cap=4) == compose(phi, psi, cap=None)
+
+
+def test_the_map_of_no_variables_has_degree_zero(Q):
+    empty = Endo(Q, 0, [])
+    assert empty.deg() == 0
+    assert compose(empty, empty, cap=0).deg() == 0
+
+
 def test_zero_image_kills_exactly_its_terms_in_compose(Q, F9):
     for field in (Q, F9):
         x1, x2 = xvars(field, 2)
