@@ -3,12 +3,18 @@ characteristic-zero fields, and the certification dispatcher.
 
 The engines work on alternating normal forms alpha_0 tau_1 ... tau_m alpha_m
 with every alpha_i linear of determinant 1 and every tau_i special lower
-triangular.  Each move is a commutator with a conjugated axis translation
-chosen by the probe and passed through the leading slots: it collapses the
-word for m <= 2, and for m = 3, 4 lowers the vector degree of a pivot
-triangular factor, which bounds the recursion, until the pivot is
-diagonal-affine.  The collapse identities are recomputed and verified by
-expansion before any step is recorded.
+triangular.  One right-to-left sweep with a diagonal-affine carry reaches
+that form: it splits each affine stretch uniquely as T_b diag(d, 1, ..., 1) M
+with det M = 1, and takes a triangular piece of vector degree zero as an
+affine one, so only an affine word's translation is a diagonal-affine tau.
+Each move is a commutator with a conjugated axis translation chosen by the
+probe and passed through the leading slots: it collapses the word for
+m <= 2, and for m = 3, 4 lowers the vector degree of a pivot triangular
+factor, which bounds the recursion, until the pivot is diagonal-affine and
+the word re-forms through the same sweep.  Every form is checked against
+the value it must expand to (the input word's or the step's certified one),
+and the collapse identities are recomputed and verified by expansion before
+any step is recorded.
 """
 
 from __future__ import annotations
@@ -96,27 +102,27 @@ def _scale_x1(field: Field, n: int, d) -> Endo:
 
 def _normalize_pieces(field: Field, n: int, pieces: list[tuple[str, Endo]],
                       target: Endo) -> MTriangularForm:
-    """Right-to-left sweep with a diagonal-affine carry (see module docs);
-    the form is checked to expand to `target`."""
+    """The one sweep (see module docs), right to left with a diagonal-affine
+    carry; the form is checked to expand to `target`."""
     carry = Endo.identity(field, n)  # always in Df
-    slots: list[tuple[str, Endo]] = []  # normalized suffix, in word order
+    taus: list[Endo] = []  # the normalized suffix, in word order
+    runs: list[list[Endo]] = [[]]  # runs[i]: the alpha slots before taus[i]
     for kind, val in reversed(pieces):
         plain = carry.is_identity()  # no conjugation by the identity
-        if kind == "tri":
+        parts = triangular_parts(val) if kind == "tri" else None
+        if kind == "tri" and parts is None:
+            raise InternalIdentityFailure("tri piece is not triangular")
+        if parts and any(p.deg() for p in parts[1]):  # vector degree > 0
             conj = val if plain else reduce(
                 compose, (invert_endo(carry), val, carry))
-            parts = triangular_parts(conj)
-            if parts is None:
-                raise InternalIdentityFailure(
-                    "diagonal-affine conjugate of a triangular map "
-                    "was not triangular")
+            # conjugation by the carry keeps the diagonal scalars
             det = prod(parts[0], start=field.one)
             if not det.is_one():  # det moves from conj into the carry
                 conj = compose(_scale_x1(field, n, det.inv()), conj)
                 carry = compose(carry, _scale_x1(field, n, det))
-            if not conj.is_identity():
-                slots.insert(0, ("tau", conj))
-        else:
+            taus.insert(0, conj)
+            runs.insert(0, [])
+        else:  # affine, or a diagonal-affine triangular piece
             W = val if plain else compose(val, carry)
             A, b = affine_parts(W)
             d = mat_det(field, A)
@@ -128,43 +134,17 @@ def _normalize_pieces(field: Field, n: int, pieces: list[tuple[str, Endo]],
                 carry = compose(carry, _scale_x1(field, n, d))
             msl = linear_map(field, n, A)  # det 1 by the scaling
             if not msl.is_identity():
-                slots.insert(0, ("alpha", msl))
+                runs[0].insert(0, msl)
     # the word is special and every slot has determinant 1, so the carry is
     # a translation: it passes the leading alpha slots into the first tau
     if not carry.is_identity():
-        idx = next((i for i, (kind, _) in enumerate(slots)
-                    if kind != "alpha"), len(slots))
-        cur = translation_pass(carry, [(invert_endo(a), a)
-                                       for _, a in slots[:idx]])
-        if idx == len(slots):
-            slots.append(("tau", cur))
+        cur = translation_pass(carry, [(invert_endo(a), a) for a in runs[0]])
+        if taus:
+            taus[0] = compose(cur, taus[0])
         else:
-            slots[idx] = ("tau", compose(cur, slots[idx][1]))
-    return _assemble(field, n, slots, target)
-
-
-def _product(field, n, endos) -> Endo:
-    """e_1 * ... * e_k, started at e_1; the identity when there is none."""
-    return reduce(compose, endos) if endos else Endo.identity(field, n)
-
-
-def _assemble(field, n, slots, target) -> MTriangularForm:
-    runs: list[list[Endo]] = [[]]  # the alpha slots between the taus
-    taus: list[Endo] = []
-    for kind, val in slots:
-        if kind == "alpha":
-            runs[-1].append(val)
-        else:
-            taus.append(val)
+            taus.append(cur)
             runs.append([])
     alphas = [_product(field, n, run) for run in runs]
-    # re-normalize away taus that are diagonal affine (vector degree zero)
-    if len(taus) > 1 and not all(any(vector_degree(t)) for t in taus):
-        new_pieces = [("aff", alphas[0])]
-        for tau, a in zip(taus, alphas[1:]):
-            kind = "tri" if any(vector_degree(tau)) else "aff"
-            new_pieces += [(kind, tau), ("aff", a)]
-        return _normalize_pieces(field, n, new_pieces, target)
     form = MTriangularForm(alphas, taus)
     if form.expand() != target:
         raise InternalIdentityFailure("normal form does not expand to input")
@@ -182,14 +162,17 @@ def _assemble(field, n, slots, target) -> MTriangularForm:
     return form
 
 
+def _product(field, n, endos) -> Endo:
+    """e_1 * ... * e_k, started at e_1; the identity when there is none."""
+    return reduce(compose, endos) if endos else Endo.identity(field, n)
+
+
 def normalize_m_triangular(word: FactoredAuto) -> MTriangularForm:
     """Alternating normal form of a word of affine/triangular factors."""
     if not word.det().is_one():
         raise NotSpecial("word is not special")
-    pieces = _word_pieces(word)
-    if not pieces:
-        pieces = [("aff", Endo.identity(word.field, word.nvars))]
-    return _normalize_pieces(word.field, word.nvars, pieces, word.expand())
+    return _normalize_pieces(word.field, word.nvars, _word_pieces(word),
+                             word.expand())
 
 
 # -- words for engine conjugators ------------------------------------------------
@@ -205,16 +188,15 @@ def _linear_word(field, n, endo: Endo) -> FactoredAuto:
 # -- the engines -----------------------------------------------------------------
 
 
-def _engine_collapse(builder, ref, form: MTriangularForm) -> str:
-    """m <= 2, phi = beta0 tau1 [alpha1 tau2] once the trailing linear slot
-    is absorbed.  A triangular m = 1 map descends directly.  Otherwise one
+def _engine_collapse(builder, cur, form: MTriangularForm) -> str:
+    """m <= 2, phi = beta0 tau1 [alpha1 tau2], the trailing linear slot
+    absorbed.  A triangular m = 1 map descends directly.  Otherwise one
     probe gamma = beta0 eps beta0^{-1} collapses the commutator
     gamma^{-1} phi^{-1} gamma phi = gamma^{-1} tau_m^{-1} ... eps ... tau_m:
     eps passes tau1 (and alpha1) as a translation, so the value is a
     translation for m = 1 and triangular for m = 2, and the triangular
     descent finishes."""
     field, n, m = builder.field, builder.nvars, form.m
-    cur, form = _absorb_linear_slot(builder, ref, form, trailing=True)
     val = builder.value(cur)
     if m == 1 and triangular_parts(val) is not None:
         return reduce_triangular_ref(builder, cur)
@@ -261,25 +243,25 @@ def _absorb_linear_slot(builder, ref, form: MTriangularForm, trailing: bool):
     return new, new_form
 
 
-def _drop_diagonal_pivot(builder, ref, head, middle, tail) -> str:
-    """The pivot turned diagonal-affine, so it and the linear slots around it
-    (`middle`, in word order) fold into one affine slot: normalise the
-    shorter word head + [that slot] + tail, given as (kind, endo) pieces,
-    and run its engine."""
-    pieces = head + [("aff", reduce(compose, middle))] + tail
+def _drop_diagonal_pivot(builder, ref, pieces) -> str:
+    """The pivot turned diagonal-affine: re-form the word through the one
+    sweep from its (kind, endo) pieces in word order, the pivot given as
+    ("tri", pivot), which the sweep takes as an affine piece, so m drops.
+    The new form is checked against the step's certified value and enters
+    its engine as a first form does."""
     sub = _normalize_pieces(builder.field, builder.nvars, pieces,
-                            reduce(compose, (val for _, val in pieces)))
+                            builder.value(ref))
     return _dispatch_form(builder, ref, sub)
 
 
-def _engine_m3(builder, ref, form: MTriangularForm) -> str:
-    """phi = beta0 tau1 alpha1 tau2 alpha2 tau3, induction on vd(tau2): the
-    probe's eps passes tau1 and alpha1, the pivot tau2 is conjugated by that
-    translation, and the commutator re-forms as
+def _engine_m3(builder, cur, form: MTriangularForm) -> str:
+    """phi = beta0 tau1 alpha1 tau2 alpha2 tau3 (the trailing linear slot
+    absorbed), induction on vd(tau2): the probe's eps passes tau1 and
+    alpha1, the pivot tau2 is conjugated by that translation, and the
+    commutator re-forms as
     (gamma^{-1} tau3^{-1}) alpha2^{-1} tau2' alpha2 tau3 with vd(tau2') <
     vd(tau2), until tau2 is diagonal-affine and m drops."""
     field, n = builder.field, builder.nvars
-    cur, form = _absorb_linear_slot(builder, ref, form, trailing=True)
     # alpha2 and tau3 stay in place across the descent; alpha1 becomes
     # alpha2^{-1} after the first step
     alpha2, tau3 = form.alphas[2], form.taus[2]
@@ -291,9 +273,9 @@ def _engine_m3(builder, ref, form: MTriangularForm) -> str:
         tau1, tau2 = form.taus[0], form.taus[1]
         vd = vector_degree(tau2)
         if not any(vd):
-            return _drop_diagonal_pivot(
-                builder, cur, [("aff", beta0), ("tri", tau1)],
-                (alpha1, tau2, alpha2), [("tri", tau3)])
+            return _drop_diagonal_pivot(builder, cur, [
+                ("aff", beta0), ("tri", tau1), ("aff", alpha1),
+                ("tri", tau2), ("aff", alpha2), ("tri", tau3)])
         probe = find_noncommuting_c(builder.value(cur),
                                     _linear_word(field, n, beta0), n)
         if probe.c is None:
@@ -311,15 +293,14 @@ def _engine_m3(builder, ref, form: MTriangularForm) -> str:
         alpha1_inv = alpha2
 
 
-def _engine_m4(builder, ref, form: MTriangularForm) -> str:
-    """phi = tau1 alpha1 tau2 alpha2 tau3 alpha3 tau4 alpha4 after the
-    leading linear slot is absorbed.  The probe gamma = alpha4^{-1} eps
+def _engine_m4(builder, cur, form: MTriangularForm) -> str:
+    """phi = tau1 alpha1 tau2 alpha2 tau3 alpha3 tau4 alpha4, the leading
+    linear slot absorbed.  The probe gamma = alpha4^{-1} eps
     alpha4 passes tau4 and alpha3 from the right, and the commutator
     conjugated by tau1 is the symmetric form
     sigma1 alpha1 tau2 alpha2 tau3' alpha2^{-1} tau2^{-1} alpha1^{-1} that
     _engine_m4_symmetric reduces."""
     field, n = builder.field, builder.nvars
-    cur, form = _absorb_linear_slot(builder, ref, form, trailing=False)
     tau1, tau2, tau3, tau4 = form.taus
     alpha1, alpha2, alpha3, alpha4 = form.alphas[1:]
     # symmetrization probe: gamma = alpha4^{-1} eps_{n,c} alpha4
@@ -362,11 +343,10 @@ def _engine_m4_symmetric(builder, cur, sigma1, beta1, sigma2, beta2,
     while True:
         vd = vector_degree(sigma3)
         if not any(vd):
-            return _drop_diagonal_pivot(
-                builder, cur,
-                [("tri", sigma1), ("aff", beta1), ("tri", sigma2)],
-                (beta2, sigma3, beta2_inv),
-                [("tri", sigma2_inv), ("aff", beta1_inv)])
+            return _drop_diagonal_pivot(builder, cur, [
+                ("tri", sigma1), ("aff", beta1), ("tri", sigma2),
+                ("aff", beta2), ("tri", sigma3), ("aff", beta2_inv),
+                ("tri", sigma2_inv), ("aff", beta1_inv)])
         probe = find_noncommuting_c(builder.value(cur), beta1_word, n)
         if probe.c is None:
             return parabolic_route(builder, cur, probe)
@@ -390,10 +370,13 @@ def _engine_m4_symmetric(builder, cur, sigma1, beta1, sigma2, beta2,
 
 
 def _dispatch_form(builder, ref, form: MTriangularForm) -> str:
-    """Run the engine for form.m; the caller has checked m <= 4."""
+    """Run the engine for form.m (the caller has checked m <= 4) once the
+    trailing linear slot (m <= 3) or the leading one (m = 4) is absorbed,
+    so a first form and a re-formed one enter the engines alike."""
     m = form.m
     if m == 0:
         return affine_terminal(builder, ref)
+    ref, form = _absorb_linear_slot(builder, ref, form, trailing=m <= 3)
     if m <= 2:
         return _engine_collapse(builder, ref, form)
     if m == 3:

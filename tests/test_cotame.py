@@ -5,10 +5,11 @@ from functools import reduce
 import pytest
 
 from gen import (rand_m_triangular_word, rand_mixed_word, rand_sl_word,
-                 rand_translation, rand_triangular)
+                 rand_translation, rand_triangular, rand_unit)
 from polyauto import cotame
-from polyauto.autos import (classify, dilation, elementary, jacobian_det,
-                            linear_elementary, translation, vector_degree)
+from polyauto.autos import (classify, dilation, elementary, invert_endo,
+                            jacobian_det, linear_elementary, translation,
+                            vector_degree)
 from polyauto.certificates import verify_certificate
 from polyauto.cotame import certify_normally_cotame, normalize_m_triangular
 from polyauto.errors import (DegreeCapExceeded, IdentityInput,
@@ -22,6 +23,7 @@ from polyauto.reduce_core import (find_noncommuting_c, parabolic_witness,
                                   reduce_parabolic_ref, reduce_triangular_ref)
 from polyauto.textio import parse_factored, serialize_certificate
 from polyauto.wordbuild import CertBuilder
+from test_hostile import within
 
 Q = Field.rationals()
 
@@ -101,11 +103,11 @@ def test_a_wrong_slot_is_refused_against_the_input(monkeypatch):
         normalize_m_triangular(word)
 
 
-def test_a_wrong_slot_is_refused_on_renormalization(monkeypatch):
-    """A translation given as a triangular piece becomes a tau of vector
-    degree zero, so the form is normalized a second time.  The second pass
-    is checked against the input, not against the first pass's form, so a
-    slot made wrong in the first pass is refused."""
+def test_a_wrong_slot_is_refused_in_the_one_sweep(monkeypatch):
+    """A translation given as a triangular piece has vector degree zero, so
+    the sweep takes it as an affine piece and the form needs no second
+    sweep.  The sweep's form is checked against the input, so a slot made
+    wrong in it is refused."""
     pieces = [("aff", linear_elementary(Q, 2, 2, 1, 3).expand()),
               ("tri", parse_factored("[Q,2] T(1; 1, x1^2)").expand()),
               ("tri", translation(Q, 2, [1, 1]).expand()),
@@ -118,20 +120,132 @@ def test_a_wrong_slot_is_refused_on_renormalization(monkeypatch):
         passes.append(len(pieces))
         return normalize(field, n, pieces, target)
 
-    def wrong_in_the_first_pass(field, n, A):
+    def wrong_in_the_sweep(field, n, A):
         right = linear_map(field, n, A)
-        return compose(right, SHEAR) if wrong and len(passes) == 1 else right
+        return compose(right, SHEAR) if wrong else right
 
     monkeypatch.setattr(cotame, "_normalize_pieces", counted)
-    monkeypatch.setattr(cotame, "linear_map", wrong_in_the_first_pass)
+    monkeypatch.setattr(cotame, "linear_map", wrong_in_the_sweep)
     form = cotame._normalize_pieces(Q, 2, pieces, target)
-    assert passes == [4, 7] and form.m == 2 and form.expand() == target
+    assert passes == [4] and form.m == 2 and form.expand() == target
     passes.clear()
     wrong.append(True)
     with pytest.raises(InternalIdentityFailure,
                        match="normal form does not expand to input"):
         cotame._normalize_pieces(Q, 2, pieces, target)
-    assert passes == [4, 7]
+    assert passes == [4]
+
+
+def test_the_identity_word_is_one_identity_slot():
+    for n in (1, 2, 3):
+        form = normalize_m_triangular(FactoredAuto.identity(Q, n))
+        assert form.m == 0 and form.alphas == [Endo.identity(Q, n)]
+
+
+def sweep(pieces):
+    """(alphas, taus) of the one sweep over `pieces`."""
+    target = reduce(compose, (val for _, val in pieces))
+    form = cotame._normalize_pieces(Q, pieces[0][1].nvars, pieces, target)
+    return form.alphas, form.taus
+
+
+def test_the_sweep_reads_affine_stretches_not_their_pieces():
+    """Each affine stretch splits uniquely as T_b diag(d, 1, ..., 1) M with
+    det M = 1, so the sweep's form does not depend on how a stretch is cut
+    into pieces: folding a run of affine pieces into one leaves it
+    unchanged, and so does inserting ("tri", D), ("aff", D^-1) for a
+    diagonal-affine D, which the sweep takes as affine pieces."""
+    rng = random.Random(3131)
+    for trial in range(24):
+        n = (2, 3)[trial % 2]
+        word = (rand_m_triangular_word(rng, n, rng.randint(1, 3))
+                if trial % 4 < 2 else rand_mixed_word(rng, n, 5))
+        pieces = cotame._word_pieces(word)
+        want = sweep(pieces)
+        starts = [i for i in range(len(pieces) - 1)
+                  if pieces[i][0] == pieces[i + 1][0] == "aff"]
+        if starts:
+            i = j = rng.choice(starts)
+            while j < len(pieces) and pieces[j][0] == "aff":
+                j += 1
+            folded = reduce(compose, (val for _, val in pieces[i:j]))
+            assert sweep(pieces[:i] + [("aff", folded)] + pieces[j:]) == want
+        shift = [rand_unit(rng) for _ in range(n)]
+        D = reduce(compose, [translation(Q, n, shift).expand()]
+                   + [dilation(Q, n, k, rand_unit(rng)).expand()
+                      for k in range(1, n + 1)])
+        assert not any(vector_degree(D))
+        i = rng.randint(0, len(pieces))
+        inserted = pieces[:i] + [("tri", D), ("aff", invert_endo(D))] \
+            + pieces[i:]
+        assert sweep(inserted) == want
+
+
+# seeded words (gen.rand_m_triangular_word with seeds 1003, 1018, 1030 and
+# 1032, n and then m drawn by rng.choice, degree 2) whose m = 3 pivot turns
+# diagonal-affine, so each re-forms through the sweep; seed 1028 drops a
+# pivot too but takes seconds of CPU, so it is left out
+PIVOT_DROPS = {
+    1003: ("[Q,3] E(1; 0) * E(3; 0) * E(3; -3/2*x2) * "
+           "T(1/2; 1, x1^2; 2, x2^2-x2) * E(3; x1) * E(1; 0) * "
+           "T(-1, -1/2; 3, -1/2*x1^2; -1/3, 1/2*x2^2-2*x1) * E(3; -x2) * "
+           "E(3; -3/2*x1) * T(1; 1, -2*x1^2+1/2*x1-3/2; 1, x1^2*x2^2+1/2*x2) "
+           "* E(1; -3/2*x2) * E(3; -3*x2) * E(2; 0)",
+           "d0df1f83bcdd369f72b52306f9327633df66ee06708bb1d6c3d4013a007c9c85"),
+    1018: ("[Q,3] E(3; 2*x1) * E(3; -2*x2) * "
+           "T(1, -1; -2; -1/2, -1/2*x1*x2^2+1/2*x2^2-2*x1) * E(1; 3*x2) * "
+           "E(1; -3*x2) * T(3; 1/2; 2/3, -2*x2) * E(1; 2*x2) * "
+           "E(1; -2*x2) * E(3; 3/2*x1) * T(-1/2; -2; 1, -x1^2-x1*x2+1) * "
+           "E(3; -x2) * E(3; 3*x2) * T(-3, 1; -1, -x1^2; 1/3, x1^2*x2-x1*x2^2)"
+           " * E(1; 2*x3) * E(2; -x1)",
+           "5ec16c8b7b9dfd00abfad8de84fb4301b5e89e71eadc6ade980ea2d39b91974a"),
+    1030: ("[Q,2] E(1; 2*x2) * T(3, -3/2; 1/3, -1/2*x1) * E(2; -3*x1) * "
+           "E(1; -1/2*x2) * T(3, -9/2; 1/3, 3/2*x1^2) * E(2; 0) * E(2; x1) * "
+           "T(3, 5/2; 1/3, x1^2-2*x1) * E(2; -3*x1) * E(1; -2*x2) * "
+           "T(-3/2, 1; -2/3, x1^2) * E(2; 3/2*x1) * E(1; -x2)",
+           "35d52f89884fa36530bf786e868d98f1f025ef7ba121915bd51680299206d3ec"),
+    1032: ("[Q,3] E(1; -x2) * E(2; -2*x3) * E(2; -x1) * "
+           "T(-1, -2; -1; 1, 3/2*x1^2*x2+3/2) * E(3; 0) * E(1; 2*x2) * "
+           "E(1; x2) * T(-2; -1, -1/2*x1^2+7/2; 1/2, x1^2+6*x1) * E(1; -x2) * "
+           "T(-1, 3/2; 1, -3/2; -1) * E(2; -1/2*x1) * E(3; -3/2*x1) * "
+           "T(1/2, -3; 1; 2, -3/2*x1*x2+x2) * E(1; 1/2*x3) * E(2; 1/2*x1)",
+           "f5adf6d896b7dfab75083ab08595d9d8ae513fe64d6a2b07af82a7109109ceb1"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PIVOT_DROPS))
+def test_a_dropped_pivot_re_forms_through_the_sweep(seed, monkeypatch):
+    text, sha = PIVOT_DROPS[seed]
+    drops, drop = [], cotame._drop_diagonal_pivot
+
+    def counted(*args):
+        drops.append(seed)
+        return drop(*args)
+
+    monkeypatch.setattr(cotame, "_drop_diagonal_pivot", counted)
+    with within(2):
+        cert = certify_normally_cotame(parse_factored(text))
+    assert drops == [seed] and cert.meta["path"] == "m-triangular-3"
+    assert verify_certificate(cert).verdict == "PASS"
+    text = serialize_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+
+
+def test_a_re_formed_word_is_checked_against_the_certified_value(
+        monkeypatch):
+    """A dropped pivot re-forms the word from pieces the engine hands over;
+    the form is checked against the step's certified value, not against a
+    fold of those pieces, so a wrong piece is refused."""
+    drop = cotame._drop_diagonal_pivot
+
+    def wrong_piece(builder, ref, pieces):
+        return drop(builder, ref,
+                    [("aff", compose(pieces[0][1], SHEAR))] + pieces[1:])
+
+    monkeypatch.setattr(cotame, "_drop_diagonal_pivot", wrong_piece)
+    with pytest.raises(InternalIdentityFailure,
+                       match="normal form does not expand to input"):
+        certify_normally_cotame(parse_factored(PIVOT_DROPS[1030][0]))
 
 
 # -- probes ---------------------------------------------------------------------
