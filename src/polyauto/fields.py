@@ -2,8 +2,8 @@
 and F_{p^s} of `polyauto.finite`, which only the construction of a finite
 field's handle imports.
 
-Element payloads are plain Python values (Fraction, int residue, or a tuple
-of residues for extension fields); FieldElement is a thin immutable wrapper.
+Element payloads are Fractions, int residues, or for F_{p^s} the int code
+sum c_i p^i of its residues c_i in t; FieldElement is an immutable wrapper.
 Polynomial code works on payloads directly through the Field's `_p*` ops,
 term-map kernels, payload printer and matrix elimination, each bound once
 for its kind, so no op decides the kind again.
@@ -125,7 +125,7 @@ class Field:
     # -- elements ----------------------------------------------------------
 
     def elem(self, value: int | str | Fraction | tuple | FieldElement) -> "FieldElement":
-        """Coerce an int, Fraction, payload tuple, or element into this field."""
+        """Coerce an int, Fraction, element or residue tuple into this field."""
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise FieldMismatch(f"{value} is not in {self.tag()}")

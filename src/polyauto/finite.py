@@ -3,10 +3,13 @@ irreducible modulus.  Only the construction of a finite-field handle
 imports this module, so a process that works over Q compiles none of it.
 
 A `FiniteField` binds its kind's payload ops, term-map kernels and payload
-printer when it is made, and eliminates matrices by Gauss-Jordan.  F_{p^s}
-payloads multiply, invert and raise to powers through the log/antilog tables
-of `ext_tables`, built once per field: a product is exp[log a + log b], an
-inverse exp[(q-1) - log a].  F_p residues invert by pow(a, -1, p).
+printer when it is made, and eliminates matrices by Gauss-Jordan.  An F_p
+payload is its residue; an F_{p^s} payload is the integer code sum c_i p^i
+of its residues c_i in t, the index of the element in `elements()`, so zero
+is 0, one is 1 and t is p.  Every F_{p^s} op is a lookup in the tables of
+`ext_tables`, built once per field: a product is exp[log a + log b], a sum
+exp[log a + zech[log b - log a]], a negation, power or inverse one entry.
+F_p residues invert by pow(a, -1, p).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import lru_cache, partial
 from math import log, log2
-from operator import eq, not_
+from operator import not_
 from types import MappingProxyType
 
 from .errors import NotPrime, ReducibleModulus, UnsupportedField
@@ -171,22 +174,27 @@ class FiniteField(Field):
     def _ops(self):
         # the kernels call the module's names, so a tracer that rebinds
         # mul_terms_ext sees every call
-        p, s, modulus = self.p, self.s, self.modulus
+        p, modulus = self.p, self.modulus
         if self.kind == PRIME:
             times = lambda a, b, k=1, out=None: mul_terms_fp(a, b, p, k, out)
             return (lambda k: k % p, lambda a, b: (a + b) % p,
                     lambda a: -a % p, lambda a, b: a * b % p,
                     lambda a, e: pow(a, e, p), not_, str, times, times)
-        pad = (0,) * (s - 1)
+        log, exp, zech, neg, texts = ext_tables(p, modulus)
+        n = len(zech)
+
+        def add(a, b):
+            la, lb = log[a], log[b]
+            return exp[la + zech[(lb - la) % n]] if a and b else a or b
+
+        def power(a, e):
+            return exp[e * log[a] % n] if a else int(not e)  # 0^0 is one
+
         times = (lambda a, b, k=1, out=None:
                  mul_terms_ext(a, b, p, modulus, k, out))
-        return (lambda k: (k % p,) + pad,
-                lambda a, b: tuple([(x + y) % p for x, y in zip(a, b)]),
-                lambda a: tuple([-x % p for x in a]),
-                lambda a, b: ext_mul(a, b, p, modulus),
-                lambda a, e: ext_pow(a, e, p, modulus),
-                partial(eq, (0,) + pad),  # only this tuple is zero
-                element_text, times, times)
+        return (lambda k: k % p, add, neg.__getitem__,
+                lambda a, b: exp[log[a] + log[b]], power, not_,
+                texts.__getitem__, times, times)
 
     def _eliminate(self, rows, inverse=False):
         """Field._eliminate by Gauss-Jordan on payloads, reducing [A | I if
@@ -219,24 +227,24 @@ class FiniteField(Field):
         return f"F{self.order}/{element_text(self.modulus)}"
 
     def elem(self, value) -> FieldElement:
-        """Field.elem; an extension field also reduces a tuple in t."""
+        """Field.elem; an extension field also reduces a tuple of residues
+        in t, ascending, to the code of its remainder by the modulus."""
         if isinstance(value, tuple) and self.kind == EXTENSION:
             r = _fp_poly_rem([int(c) for c in value], self.modulus, self.p)
-            return FieldElement(self, tuple(r) + (0,) * (self.s - len(r)))
+            return FieldElement(self, sum(c * self.p ** i
+                                          for i, c in enumerate(r)))
         return super().elem(value)
 
     def generator(self) -> FieldElement:
         if self.kind != EXTENSION:
             return super().generator()
-        return FieldElement(self, (0, 1) + (0,) * (self.s - 2))
+        return FieldElement(self, self.p)  # t, the code of (0, 1, 0, ...)
 
     def elements(self) -> Iterator[FieldElement]:
-        for idx in range(self.order):
-            yield FieldElement(self, idx if self.kind == PRIME
-                               else digits(idx, self.p, self.s))
+        return map(partial(FieldElement, self), range(self.order))
 
     def units(self, bound: int | None = None) -> Iterator[FieldElement]:
-        return (x for x in self.elements() if not x.is_zero())
+        return map(partial(FieldElement, self), range(1, self.order))
 
 
 def element_text(payload) -> str:
@@ -266,138 +274,112 @@ def mul_terms_fp(a, b, p, k=1, out=None):
     return {e: r for e, v in mul_terms_int(a, b, k).items() if (r := v % p)}
 
 
-def _ext_schoolbook(x, y, p, modulus):
-    """x * y in F_p[t]/(modulus) by the schoolbook product and reduction:
-    only the table builder below multiplies this way."""
-    s = len(modulus) - 1
-    prod = [0] * (2 * s - 1)
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y, i):
-                prod[j] += xi * yj
-    for i in range(2 * s - 2, s - 1, -1):
-        c = prod[i] % p
-        if c:
-            for j in range(s):
-                prod[i - s + j] -= c * modulus[j]
-    return tuple([c % p for c in prod[:s]])
-
-
 def digits(k, p, s):
-    """The s base-p digits of k, lowest first: the payload of the k-th
-    element of F_{p^s} in the integer encoding."""
+    """The s base-p digits of k, lowest first: the residues in t of the
+    F_{p^s} element of code k."""
     return tuple(k // p ** i % p for i in range(s))
 
 
-def _prime_factors(n):
-    out, r = [], 2
-    while r * r <= n:
-        if n % r == 0:
-            out.append(r)
-            while n % r == 0:
-                n //= r
-        r += 1
-    return out + [n] if n > 1 else out
+class _CodeTable(dict):
+    """A table keyed by the codes of one F_{p^s}: any other key raises
+    ValueError, so a malformed payload never reads as zero and a negative
+    code never wraps as a list index."""
+
+    def __init__(self, items, name):
+        super().__init__(items)
+        self.name = name
+
+    def __missing__(self, key):
+        raise ValueError(f"{key!r} is not a canonical {self.name} payload")
 
 
 @lru_cache(maxsize=8)
 def ext_tables(p, modulus):
-    """(log, exp) of F_p[t]/(modulus), modulus an irreducible monic s+1-tuple:
-    exp[i] = g^i for a generator g of the unit group, listed twice over
-    (i < 2(q-1)) so that a sum of two logs needs no reduction, and log the
-    inverse dict on the q-1 nonzero canonical s-tuples (the log/antilog
-    tables of FLINT's fq_zech).  Built once per field with one walk of q-1
-    products; the memo holds eight fields at once, since callers interleave
-    fields."""
-    s = len(modulus) - 1
-    n = p ** s - 1
-    one = (1,) + (0,) * (s - 1)
-
-    def power(x, e):
-        result = one
-        while e:
-            if e & 1:
-                result = _ext_schoolbook(x, result, p, modulus)
-            x = _ext_schoolbook(x, x, p, modulus)
-            e >>= 1
-        return result
-
-    # the first non-constant g in the integer encoding whose order is q-1
-    rs = _prime_factors(n)
-    for idx in range(p, n + 1):
-        g = digits(idx, p, s)
-        if all(power(g, n // r) != one for r in rs):
-            break
-    exp, x = [one], one
-    for _ in range(n - 1):
-        x = _ext_schoolbook(g, x, p, modulus)
-        exp.append(x)
-    log = {x: i for i, x in enumerate(exp)}
-    if len(log) != n or (0,) * s in log:  # no unit of order q-1
+    """(log, exp, zech, neg, texts) of F_p[t]/(modulus), modulus an
+    irreducible monic s+1-tuple, on the codes of its elements: the Zech-log
+    layout of FLINT's fq_zech.  exp[i] = g^i for the first generator g of the
+    unit group in the encoding, listed twice (i < 2(q-1)) and then followed by
+    2q-1 zeros; log is its inverse, with log 0 = 2(q-1), so that a product
+    with zero lands in the zeros; zech[d] = log(1 + g^d), also 2(q-1) where
+    1 + g^d = 0; neg and texts are -x and the printed x.  A reducible
+    modulus raises ValueError.  Built once per field by one walk of the
+    powers of each candidate g, dropped when they return to 1 early; the
+    memo holds eight fields at once, since callers interleave fields."""
+    if not _is_irreducible(modulus, p):
         raise ValueError(f"{modulus} is reducible over F_{p}")
-    return log, exp + exp
+    s = len(modulus) - 1
+    q = p ** s
+    n, name = q - 1, f"F_{p}^{s}"
+    # The walk runs on lane forms: residue i in bits W*i..W*i+W-1, with room
+    # for a sum of two residues plus off, whose high bit marks a sum >= p.
+    W = p.bit_length() + 1
+    ones = sum(1 << W * i for i in range(s))
+    high, off, mask = ones << W - 1, ones * ((1 << W - 1) - p), (1 << W) - 1
+    top, low = W * (s - 1), (1 << W * (s - 1)) - 1
+    # t * c t^(s-1) = c t^s = -c (m_0 + ... + m_{s-1} t^(s-1))
+    red = [sum(-c * m % p << W * i for i, m in enumerate(modulus[:-1]))
+           for c in range(p)]
 
+    def add(x, y):
+        z = x + y
+        return z - ((z + off & high) >> W - 1) * p
 
-def _payload_error(x, p, modulus):
-    return ValueError(f"{x!r} is not a canonical F_{p}^{len(modulus) - 1} "
-                      "payload")
+    def times(x, y):  # x * y: x added y_i times for each y_i, then x *= t
+        acc = 0
+        while y:
+            for _ in range(y & mask):
+                acc = add(acc, x)
+            x, y = add((x & low) << W, red[x >> top]), y >> W
+        return acc
 
-
-def ext_mul(x, y, p, modulus):
-    """x * y in F_p[t]/(modulus): s-tuples of residues, ascending in t.  The
-    one F_{p^s} element product, exp[log x + log y]; Field payloads multiply
-    with it too.  A tuple that is neither zero nor in `log` raises
-    ValueError: a malformed payload never reads as zero."""
-    log, exp = ext_tables(p, modulus)
-    try:
-        return exp[log[x] + log[y]]
-    except KeyError:
-        zero = (0,) * (len(modulus) - 1)
-        for v in (x, y):
-            if v != zero and v not in log:
-                raise _payload_error(v, p, modulus) from None
-        return zero
-
-
-def ext_pow(x, e, p, modulus):
-    """x^e in F_p[t]/(modulus) for any integer e, exp[e log x mod (q-1)]:
-    e = -1 is the inverse.  0^0 is one; 0^e with e < 0 raises
-    ZeroDivisionError."""
-    log, exp = ext_tables(p, modulus)
-    try:
-        return exp[e * log[x] % len(log)]
-    except KeyError:
-        s = len(modulus) - 1
-        if x != (0,) * s:
-            raise _payload_error(x, p, modulus) from None
-        if e < 0:
-            raise ZeroDivisionError("zero to a negative power") from None
-        return exp[0] if e == 0 else x
+    lanes = range(p)  # the lane form of every code, in code order
+    for i in range(1, s):
+        lanes = [c << W * i | r for c in range(p) for r in lanes]
+    code = dict(zip(lanes, range(q)))
+    for g in range(p, q):
+        exp, x = [1], lanes[g]
+        while x != 1:
+            exp.append(code[x])
+            x = times(x, lanes[g])
+        if len(exp) == n:
+            break
+    log = _CodeTable(zip(exp, range(n)), name)
+    log[0] = 2 * n
+    exp += exp + [0] * (2 * n + 1)
+    # 1 + x: the code with digit 0 of x raised by one mod p
+    zech = [log[c - c % p + (c + 1) % p] for c in exp[:n]]
+    half = n // 2 if p > 2 else 0  # log(-1)
+    neg = _CodeTable({c: exp[i + half] for c, i in log.items()}, name)
+    texts = [str(c) for c in range(p)]
+    for i in range(1, s):  # codes c p^i + r, 0 < c < p, r < p^i
+        t = "t" if i == 1 else f"t^{i}"
+        heads = [t] + [f"{c}*{t}" for c in range(2, p)]
+        texts += [h if r == "0" else f"{h}+{r}" for h in heads for r in texts]
+    return log, exp, zech, neg, _CodeTable(enumerate(texts), name)
 
 
 def mul_terms_ext(a, b, p, modulus, k=1, out=None):
-    """mul_terms_int for F_{p^s} payloads (ext_mul tuples; the int 1 stands
-    for one): a cancelled sum stays in `out` as a zero tuple, and with no
-    `out` the product is returned without zero entries.  Every coefficient
-    is mapped to its log once, so the product of a pair is exp[i + j]."""
-    fresh = out is None
+    """mul_terms_int for F_{p^s} codes: a cancelled sum stays in `out` as
+    0, and with no `out` the product is returned without zero entries.
+    Every coefficient is mapped to its log once, so the product of a pair
+    is exp[i + j], and its sum with a stored c is exp[l + zech[i + j - l]],
+    l = log c."""
+    log, exp, zech = ext_tables(p, modulus)[:3]
+    n, fresh = len(zech), out is None
     out = {} if fresh else out
-    get = out.get
-    log, exp = ext_tables(p, modulus)
-    n, zero = len(log), (0,) * (len(modulus) - 1)
-    if k == zero:
+    if not k:
         return out
-    try:
-        lk = 0 if k == 1 else log[k]
-        la = [(ea, (log[ca] + lk) % n) for ea, ca in a.items() if ca != zero]
-        lb = [(eb, log[cb]) for eb, cb in b.items() if cb != zero]
-    except KeyError as exc:
-        raise _payload_error(exc.args[0], p, modulus) from None
+    lk = log[k]
+    la = [(ea, (log[ca] + lk) % n) for ea, ca in a.items() if ca]
+    lb = [(eb, log[cb]) for eb, cb in b.items() if cb]
+    get = out.get
     for ea, i in la:
         for eb, j in lb:
-            c = exp[i + j]
             key = ea + eb
-            acc = get(key)
-            out[key] = c if acc is None else tuple(
-                [(x + y) % p for x, y in zip(acc, c)])
-    return {e: c for e, c in out.items() if any(c)} if fresh else out
+            c = get(key)
+            if c:
+                lc = log[c]
+                out[key] = exp[lc + zech[(i + j - lc) % n]]
+            else:
+                out[key] = exp[i + j]
+    return {e: c for e, c in out.items() if c} if fresh else out

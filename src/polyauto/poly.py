@@ -436,8 +436,7 @@ class PreparedImages:
             live = [(e, c.numerator * (D // t))
                     for (e, c), t in zip(live, dens)]
         acc, power, times = {}, self.power, field._ring_mul
-        pmul, padd = field._pmul, field._padd
-        one = 1 if field.kind == RATIONALS else field.one.payload
+        pmul, padd = field._pmul, field._padd  # 1: Q's, F_p's, F_{p^s}'s one
         for e, k in live:
             key, many = 0, []
             for j, ej in enumerate(e):
@@ -445,7 +444,7 @@ class PreparedImages:
                     f = power(j, ej)
                     if len(f) == 1:
                         (fkey, c), = f.items()
-                        key, k = key + fkey, k if c == one else pmul(k, c)
+                        key, k = key + fkey, k if c == 1 else pmul(k, c)
                     else:
                         many.append(f)
             if not many:
@@ -453,19 +452,19 @@ class PreparedImages:
                 acc[key] = k if got is None else padd(got, k)
             elif len(many) == 1:
                 for fkey, c in many[0].items():
-                    fkey, c = fkey + key, c if k == one else pmul(k, c)
+                    fkey, c = fkey + key, c if k == 1 else pmul(k, c)
                     got = acc.get(fkey)
                     acc[fkey] = c if got is None else padd(got, c)
             else:
                 *head, last = many
-                times(_shift(field, reduce(times, head), key, one), last, k,
+                times(_shift(field, reduce(times, head), key, 1), last, k,
                       acc)
         if field.kind == RATIONALS:
             terms = {e: Fraction(v, D) for e, v in acc.items() if v}
         elif field.kind == PRIME:
             terms = {e: r for e, v in acc.items() if (r := v % field.p)}
         else:
-            terms = {e: v for e, v in acc.items() if any(v)}
+            terms = {e: v for e, v in acc.items() if v}
         return Polynomial(field, self.nvars, terms)
 
 

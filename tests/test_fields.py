@@ -311,25 +311,25 @@ def test_payload_arithmetic_matches_sympy(p, s):
             continue
         irreducible += 1
         field = Field.extension(p, s, modulus)
-        payloads = [x.payload for x in field.elements()]
-        for a in payloads:
-            for b in payloads:
-                assert field._pmul(a, b) == back((of(a) * of(b)).rem(m))
-            if any(a):
-                inv, _, g = of(a).gcdex(m)
+        vec = [finite.digits(x.payload, p, s) for x in field.elements()]
+        for a, x in enumerate(vec):
+            for b, y in enumerate(vec):
+                assert vec[field._pmul(a, b)] == back((of(x) * of(y)).rem(m))
+            if a:
+                inv, _, g = of(x).gcdex(m)
                 assert g == 1
-                assert field._pinv(a) == back(inv.rem(m))
+                assert vec[field._pinv(a)] == back(inv.rem(m))
         for _ in range(20):
-            vec = tuple(rng.randrange(-p, 2 * p)
-                        for _ in range(rng.randint(s + 1, 2 * s + 2)))
-            assert field.elem(vec).payload == back(of(vec).rem(m))
+            v = tuple(rng.randrange(-p, 2 * p)
+                      for _ in range(rng.randint(s + 1, 2 * s + 2)))
+            assert vec[field.elem(v).payload] == back(of(v).rem(m))
     # the number of monic irreducibles of degree s: (p^s - p) / s for prime s
     assert irreducible == {(2, 4): 3}.get((p, s), (p ** s - p) // s)
 
 
 def gf_ring(p, modulus):
-    """sympy's GF(p)[t] with maps to and from s-tuple payloads, and x^e mod
-    the modulus by square and multiply."""
+    """sympy's GF(p)[t] with maps to and from residue tuples in t, and x^e
+    mod the modulus by square and multiply."""
     from sympy import GF
     from sympy.polys.rings import ring
     R, t = ring("t", GF(p))
@@ -356,86 +356,163 @@ def gf_ring(p, modulus):
     return m, of, back, power
 
 
-@pytest.mark.parametrize("p, modulus, t_primitive", [
+# Non-canonical moduli of F256 and F243, with whether t generates the units
+LOG_CASES = [
     (2, (1, 1, 0, 1, 1, 0, 0, 0, 1), False),  # t^8+t^4+t^3+t+1: t has order 51
     (2, (1, 0, 1, 1, 1, 0, 0, 0, 1), True),   # t^8+t^4+t^3+t^2+1
     (3, (1, 0, 2, 2, 2, 1), False),           # t^5+2t^4+2t^3+2t^2+1
     (3, (1, 0, 0, 0, 2, 1), True),            # t^5+2t^4+1
-])
+]
+
+
+@pytest.mark.parametrize("p, modulus, t_primitive", LOG_CASES)
 def test_log_tables_match_sympy(p, modulus, t_primitive):
-    """F256 and F243: the tables hold every unit once, and random products,
-    inverses and powers (negative, and beyond q - 1) through them agree with
-    sympy's GF(p)[t], also when t does not generate the unit group."""
+    """F256 and F243: exp holds every unit code once, twice over, then the
+    zeros that log 0 lands a product with zero in; random products,
+    inverses and powers (negative, and beyond q - 1) through the tables
+    agree with sympy's GF(p)[t], also when t does not generate the unit
+    group."""
     pytest.importorskip("sympy")
     from math import gcd
     s = len(modulus) - 1
-    q = p ** s
+    q, n = p ** s, p ** s - 1
     field = Field.extension(p, s, modulus)
     m, of, back, power = gf_ring(p, modulus)
-    log, exp = finite.ext_tables(p, modulus)
-    assert len(log) == q - 1 and len(exp) == 2 * (q - 1)
-    assert all(log[x] == i for i, x in enumerate(exp[:q - 1]))
-    assert exp[q - 1:] == exp[:q - 1]
+    log, exp = finite.ext_tables(p, modulus)[:2]
+    assert sorted(exp[:n]) == list(range(1, q))
+    assert all(log[x] == i for i, x in enumerate(exp[:n]))
+    assert exp[n:2 * n] == exp[:n] and exp[2 * n:] == [0] * (2 * n + 1)
+    assert len(log) == q and log[0] == 2 * n
     t = field.generator().payload
-    assert (gcd(log[t], q - 1) == 1) == t_primitive
-    payloads = [x.payload for x in field.elements()]
+    assert finite.digits(t, p, s) == (0, 1) + (0,) * (s - 2)
+    assert (gcd(log[t], n) == 1) == t_primitive
+    vec = [finite.digits(k, p, s) for k in range(q)]
     rng = random.Random(q + sum(modulus))
     for _ in range(300):
-        a, b = rng.choice(payloads), rng.choice(payloads)
-        assert field._pmul(a, b) == back((of(a) * of(b)).rem(m))
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert vec[field._pmul(a, b)] == back((of(vec[a]) * of(vec[b])).rem(m))
         e = rng.choice([rng.randrange(q - 1, 3 * q),
                         rng.randrange(-3 * q, 0), q - 1, q - 2, 0])
-        if any(a):
-            inv, _, g = of(a).gcdex(m)
+        if a:
+            inv, _, g = of(vec[a]).gcdex(m)
             assert g == 1
-            assert field._pinv(a) == back(inv.rem(m))
-            want = power(inv if e < 0 else of(a), abs(e))
-            assert field._ppow(a, e) == back(want)
+            assert vec[field._pinv(a)] == back(inv.rem(m))
+            want = power(inv if e < 0 else of(vec[a]), abs(e))
+            assert vec[field._ppow(a, e)] == back(want)
         else:
             with pytest.raises(DivisionByZero):
                 field._pinv(a)
-            assert field._ppow(a, abs(e)) == (field.one.payload if e == 0
-                                              else a)
+            assert field._ppow(a, abs(e)) == (1 if e == 0 else 0)
+
+
+def ext_schoolbook(x, y, p, modulus):
+    """x * y in F_p[t]/(modulus) on residue tuples, lowest first, by the
+    schoolbook product and reduction: the tuple reference of the tables."""
+    s = len(modulus) - 1
+    prod = [0] * (2 * s - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y, i):
+            prod[j] += xi * yj
+    for i in range(2 * s - 2, s - 1, -1):
+        c = prod[i] % p
+        for j in range(s):
+            prod[i - s + j] -= c * modulus[j]
+    return tuple(c % p for c in prod[:s])
+
+
+def tuple_power(x, e, p, modulus):
+    """x^e, e >= 0, by square and multiply on ext_schoolbook."""
+    result = (1,) + (0,) * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            result = ext_schoolbook(result, x, p, modulus)
+        x, e = ext_schoolbook(x, x, p, modulus), e >> 1
+    return result
+
+
+@pytest.mark.parametrize("p, modulus", [
+    (p, m) for (p, _), m in sorted(CANONICAL_MODULI.items())] + [
+    (p, m) for p, m, _ in LOG_CASES])
+def test_code_ops_match_the_tuple_reference(p, modulus):
+    """Every canonical extension field and the non-canonical F256 and F243:
+    over all pairs of codes, the table sum, product, negation, inverse,
+    power (e = -3, 0, 1, 2, q) and text equal the digit-wise sum mod p,
+    ext_schoolbook and element_text on the residues that `digits` reads."""
+    s = len(modulus) - 1
+    q = p ** s
+    field = Field.extension(p, s, modulus)
+    vec = [finite.digits(k, p, s) for k in range(q)]
+    code = {v: k for k, v in enumerate(vec)}
+    assert len(code) == q and [x.payload for x in field.elements()] == \
+        list(range(q))
+    for a, x in enumerate(vec):
+        assert field._ptext(a) == finite.element_text(x)
+        assert field._pneg(a) == code[tuple(-c % p for c in x)]
+        for b, y in enumerate(vec):
+            assert field._padd(a, b) == code[tuple(
+                (c + d) % p for c, d in zip(x, y))]
+            assert field._pmul(a, b) == code[ext_schoolbook(x, y, p, modulus)]
+        for e in (-3, 0, 1, 2, q):
+            if a or e >= 0:
+                want = tuple_power(x, e % (q - 1) if e < 0 else e, p, modulus)
+                assert field._ppow(a, e) == code[want]
+        if a:
+            assert field._pinv(a) == code[tuple_power(x, q - 2, p, modulus)]
+        else:
+            for call in (lambda: field._pinv(a), lambda: field._ppow(a, -3)):
+                with pytest.raises(DivisionByZero):
+                    call()
 
 
 def test_non_canonical_payload_raises(F9):
-    """A tuple that is neither zero nor a reduced s-tuple raises: it never
-    reads as zero, in a product, an inverse, a power or the term kernel."""
-    one = F9.one.payload
-    for bad in ((3, 0), (0, -1), (1, 0, 0), (0, 0, 0), (1,), ()):
+    """A value that is not the code of an element raises ValueError: it
+    never reads as zero, and a negative one never wraps as a list index, in
+    a sum, product, negation, inverse, power, text or the term kernel."""
+    one, zero = F9.one.payload, F9.zero.payload
+    for bad in (-1, -9, 9, 12, (1, 0), (0, 0)):
         assert not F9._pis_zero(bad)
         for call in (lambda: F9._pmul(bad, one), lambda: F9._pmul(one, bad),
-                     lambda: F9._pmul(F9.zero.payload, bad),
+                     lambda: F9._pmul(zero, bad), lambda: F9._padd(bad, one),
+                     lambda: F9._padd(one, bad), lambda: F9._padd(zero, bad),
+                     lambda: F9._padd(bad, zero), lambda: F9._pneg(bad),
                      lambda: F9._pinv(bad), lambda: F9._ppow(bad, 3),
-                     lambda: finite.mul_terms_ext({(1,): bad}, {(0,): one},
-                                                   3, F9.modulus),
-                     lambda: finite.mul_terms_ext({(1,): one}, {(0,): one},
-                                                   3, F9.modulus, bad, {})):
+                     lambda: F9._ppow(bad, -1), lambda: F9._ptext(bad),
+                     lambda: finite.mul_terms_ext({1: bad}, {0: one},
+                                                  3, F9.modulus),
+                     lambda: finite.mul_terms_ext({1: one}, {0: one},
+                                                  3, F9.modulus, bad, {}),
+                     lambda: finite.mul_terms_ext({1: one}, {0: one},
+                                                  3, F9.modulus, 1, {1: bad})):
             with pytest.raises(ValueError, match="not a canonical"):
                 call()
 
 
 def test_log_tables_of_the_largest_extension():
     """F65536 = F_2[t]/(t^16+t^5+t^3+t^2+1), the largest field the format
-    takes: exp and log are inverse on a sample of its units."""
+    takes: its tables build within 2 s of CPU, and exp and log are inverse
+    on a sample of its units."""
+    from test_hostile import within
     modulus = (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,)
     field = Field.extension(2, 16, modulus)
-    log, exp = finite.ext_tables(2, field.modulus)
-    assert len(log) == (1 << 16) - 1
+    finite.ext_tables.cache_clear()
+    with within(2.0):
+        log, exp = finite.ext_tables(2, field.modulus)[:2]
+    assert len(log) == 1 << 16
     rng = random.Random(16)
     for _ in range(2000):
-        x = tuple(rng.randrange(2) for _ in range(16))
-        if any(x):
-            assert exp[log[x]] == x
-            assert field._pmul(x, field._pinv(x)) == field.one.payload
+        x = rng.randrange(1, 1 << 16)
+        assert exp[log[x]] == x
+        assert field._pmul(x, field._pinv(x)) == field.one.payload
 
 
 def test_table_memo_holds_the_sweep_fields():
-    """The six slin-sweep fields, interleaved, build their tables once."""
+    """The six slin-sweep fields, interleaved in the term kernel, build
+    their tables once each, and share them with their handles."""
     fields = [Field.of_order(q) for q in (4, 8, 9, 16, 25, 27)]
     finite.ext_tables.cache_clear()
     for _ in range(3):
         for field in fields:
             x = field.generator().payload
-            field._pmul(x, x)
+            got = finite.mul_terms_ext({1: x}, {1: x}, field.p, field.modulus)
+            assert got == {2: field._pmul(x, x)}
     assert finite.ext_tables.cache_info().misses == len(fields)

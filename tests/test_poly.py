@@ -308,7 +308,8 @@ class SympyRing:
             elif self.modulus is None:
                 terms[e] = c
             else:
-                terms.update({e + (i,): x for i, x in enumerate(c) if x})
+                terms.update({e + (i,): x for i, x in enumerate(
+                    finite.digits(c, self.field.p, self.field.s)) if x})
         return self.ring.from_dict(terms) if terms else self.ring.zero
 
     def compose(self, poly, images):
