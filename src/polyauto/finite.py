@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import lru_cache, partial
 from math import log, log2
-from operator import not_
+from operator import eq, not_
 from types import MappingProxyType
 
 from .errors import NotPrime, ReducibleModulus, UnsupportedField
@@ -188,12 +188,14 @@ class FiniteField(Field):
             return exp[la + zech[(lb - la) % n]] if a and b else a or b
 
         def power(a, e):
-            return exp[e * log[a] % n] if a else int(not e)  # 0^0 is one
+            i = log[a]  # 2n for zero
+            return exp[e * i % n] if i < n else int(not e)  # 0^0 is one
 
         times = (lambda a, b, k=1, out=None:
                  mul_terms_ext(a, b, p, modulus, k, out))
         return (lambda k: k % p, add, neg.__getitem__,
-                lambda a, b: exp[log[a] + log[b]], power, not_,
+                lambda a, b: exp[log[a] + log[b]], power,
+                partial(eq, 0),  # only the code 0 is zero, not a falsy ()
                 texts.__getitem__, times, times)
 
     def _eliminate(self, rows, inverse=False):
@@ -248,8 +250,9 @@ class FiniteField(Field):
 
 
 def element_text(payload) -> str:
-    """Text of an F_{p^s} payload, any coefficient tuple in t: the printer
-    of an extension field's elements and of its modulus."""
+    """Text of a coefficient tuple in t, ascending: the printer of an
+    extension field's modulus, and the reference the element texts of
+    `ext_tables` are tested against."""
     parts = []
     for e in range(len(payload) - 1, -1, -1):
         c = payload[e]
@@ -367,19 +370,16 @@ def mul_terms_ext(a, b, p, modulus, k=1, out=None):
     log, exp, zech = ext_tables(p, modulus)[:3]
     n, fresh = len(zech), out is None
     out = {} if fresh else out
-    if not k:
+    z, lk = 2 * n, log[k]  # every zero test is on a log, 2n being zero's
+    if lk == z:
         return out
-    lk = log[k]
-    la = [(ea, (log[ca] + lk) % n) for ea, ca in a.items() if ca]
-    lb = [(eb, log[cb]) for eb, cb in b.items() if cb]
+    la = [(ea, (i + lk) % n) for ea, ca in a.items() if (i := log[ca]) < n]
+    lb = [(eb, j) for eb, cb in b.items() if (j := log[cb]) < n]
     get = out.get
     for ea, i in la:
         for eb, j in lb:
             key = ea + eb
-            c = get(key)
-            if c:
-                lc = log[c]
-                out[key] = exp[lc + zech[(i + j - lc) % n]]
-            else:
-                out[key] = exp[i + j]
-    return {e: c for e, c in out.items() if c} if fresh else out
+            lc = log[get(key, 0)]
+            out[key] = (exp[i + j] if lc == z
+                        else exp[lc + zech[(i + j - lc) % n]])
+    return {e: c for e, c in out.items() if c != 0} if fresh else out

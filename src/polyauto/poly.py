@@ -464,7 +464,7 @@ class PreparedImages:
         elif field.kind == PRIME:
             terms = {e: r for e, v in acc.items() if (r := v % field.p)}
         else:
-            terms = {e: v for e, v in acc.items() if v}
+            terms = {e: v for e, v in acc.items() if v != 0}
         return Polynomial(field, self.nvars, terms)
 
 

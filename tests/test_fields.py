@@ -466,10 +466,13 @@ def test_code_ops_match_the_tuple_reference(p, modulus):
 
 def test_non_canonical_payload_raises(F9):
     """A value that is not the code of an element raises ValueError: it
-    never reads as zero, and a negative one never wraps as a list index, in
-    a sum, product, negation, inverse, power, text or the term kernel."""
+    never reads as zero, a falsy one such as () or None included, and a
+    negative one never wraps as a list index, in a sum, product, negation,
+    inverse, power, text or the term kernel, as a coefficient, a multiplier
+    or a value already in the kernel's accumulator."""
     one, zero = F9.one.payload, F9.zero.payload
-    for bad in (-1, -9, 9, 12, (1, 0), (0, 0)):
+    for bad in (-1, -9, 9, 12, (1, 0), (0, 0), (3, 0), (0, -1), (1, 0, 0),
+                (0, 0, 0), (1,), (), None, ""):
         assert not F9._pis_zero(bad)
         for call in (lambda: F9._pmul(bad, one), lambda: F9._pmul(one, bad),
                      lambda: F9._pmul(zero, bad), lambda: F9._padd(bad, one),
