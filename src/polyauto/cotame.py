@@ -11,10 +11,11 @@ Each move is a commutator with a conjugated axis translation chosen by the
 probe and passed through the leading slots: it collapses the word for
 m <= 2, and for m = 3, 4 lowers the vector degree of a pivot triangular
 factor, which bounds the recursion, until the pivot is diagonal-affine and
-the word re-forms through the same sweep.  Every form is checked against
-the value it must expand to (the input word's or the step's certified one),
-and the collapse identities are recomputed and verified by expansion before
-any step is recorded.
+the word re-forms through the same sweep from the form's slots (the m = 4
+symmetric word is a form too).  Every form is checked against the value it
+must expand to (the input word's or the step's certified one), and the
+collapse identities are recomputed and verified by expansion before any
+step is recorded.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ class MTriangularForm(Record):
     def expand(self) -> Endo:
         return reduce(compose, chain.from_iterable(
             zip(self.taus, self.alphas[1:])), self.alphas[0])
+
+    def pieces(self) -> list[tuple[str, Endo]]:
+        """The slots as the sweep's (kind, endo) pieces, in word order; an
+        identity slot is an identity "aff" piece, which the sweep absorbs
+        at either end without changing the form."""
+        return [("aff", self.alphas[0]), *chain.from_iterable(
+            (("tri", t), ("aff", a))
+            for t, a in zip(self.taus, self.alphas[1:]))]
 
 
 def _word_pieces(word: FactoredAuto) -> list[tuple[str, Endo]]:
@@ -243,13 +252,12 @@ def _absorb_linear_slot(builder, ref, form: MTriangularForm, trailing: bool):
     return new, new_form
 
 
-def _drop_diagonal_pivot(builder, ref, pieces) -> str:
-    """The pivot turned diagonal-affine: re-form the word through the one
-    sweep from its (kind, endo) pieces in word order, the pivot given as
-    ("tri", pivot), which the sweep takes as an affine piece, so m drops.
-    The new form is checked against the step's certified value and enters
-    its engine as a first form does."""
-    sub = _normalize_pieces(builder.field, builder.nvars, pieces,
+def _drop_diagonal_pivot(builder, ref, form: MTriangularForm) -> str:
+    """The pivot of `form` turned diagonal-affine: re-form the word through
+    the one sweep from form.pieces(), where the sweep takes the pivot as an
+    affine piece, so m drops; the new form is checked against the step's
+    certified value and enters its engine as a first form does."""
+    sub = _normalize_pieces(builder.field, builder.nvars, form.pieces(),
                             builder.value(ref))
     return _dispatch_form(builder, ref, sub)
 
@@ -273,9 +281,7 @@ def _engine_m3(builder, cur, form: MTriangularForm) -> str:
         tau1, tau2 = form.taus[0], form.taus[1]
         vd = vector_degree(tau2)
         if not any(vd):
-            return _drop_diagonal_pivot(builder, cur, [
-                ("aff", beta0), ("tri", tau1), ("aff", alpha1),
-                ("tri", tau2), ("aff", alpha2), ("tri", tau3)])
+            return _drop_diagonal_pivot(builder, cur, form)
         probe = find_noncommuting_c(builder.value(cur),
                                     _linear_word(field, n, beta0), n)
         if probe.c is None:
@@ -324,29 +330,26 @@ def _engine_m4(builder, cur, form: MTriangularForm) -> str:
         [(FactoredAuto(field, n, [triangular_from_endo(tau1)]), step, 1)],
         expect=reduce(compose, middle, sigma1),
         note="shift the leading triangular factor")
-    return _engine_m4_symmetric(builder, sym, sigma1, alpha1, tau2, alpha2,
-                                tau3_new)
+    return _engine_m4_symmetric(builder, sym, MTriangularForm(
+        [Endo.identity(field, n), *middle[::2]], [sigma1, *middle[1::2]]))
 
 
-def _engine_m4_symmetric(builder, cur, sigma1, beta1, sigma2, beta2,
-                         sigma3) -> str:
+def _engine_m4_symmetric(builder, cur, form: MTriangularForm) -> str:
     """psi = sigma1 beta1 sigma2 beta2 sigma3 beta2^{-1} sigma2^{-1} beta1^{-1},
-    induction on vd(sigma3): the probe's eps passes sigma2 and beta2, the
-    pivot sigma3 is conjugated by that translation, and conjugating the
-    commutator by sigma1 re-centres the symmetric form, until sigma3 is
-    diagonal-affine and m drops."""
+    the form with alphas (id, beta1, beta2, beta2^{-1}, beta1^{-1}) and taus
+    (sigma1, sigma2, sigma3, sigma2^{-1}); induction on vd(sigma3): the
+    probe's eps passes sigma2 and beta2, the pivot sigma3 is conjugated by
+    that translation, and conjugating the commutator by sigma1 re-centres
+    the symmetric form, until sigma3 is diagonal-affine and m drops."""
     field, n = builder.field, builder.nvars
-    beta1_inv, sigma2_inv, beta2_inv = (invert_endo(beta1),
-                                        invert_endo(sigma2),
-                                        invert_endo(beta2))
+    beta1, beta2, beta2_inv, beta1_inv = form.alphas[1:]
+    sigma2, sigma2_inv = form.taus[1], form.taus[3]
     beta1_word = _linear_word(field, n, beta1)
     while True:
+        sigma1, sigma3 = form.taus[0], form.taus[2]
         vd = vector_degree(sigma3)
         if not any(vd):
-            return _drop_diagonal_pivot(builder, cur, [
-                ("tri", sigma1), ("aff", beta1), ("tri", sigma2),
-                ("aff", beta2), ("tri", sigma3), ("aff", beta2_inv),
-                ("tri", sigma2_inv), ("aff", beta1_inv)])
+            return _drop_diagonal_pivot(builder, cur, form)
         probe = find_noncommuting_c(builder.value(cur), beta1_word, n)
         if probe.c is None:
             return parabolic_route(builder, cur, probe)
@@ -363,7 +366,8 @@ def _engine_m4_symmetric(builder, cur, sigma1, beta1, sigma2, beta2,
             expect=predicted, note=f"m=4 descent c={probe.c}")
         sigma1_word = FactoredAuto(field, n, [triangular_from_endo(sigma1)])
         sigma1 = reduce(compose, (sigma1_inv, gamma_inv, sigma1))
-        sigma3 = sigma3_new
+        form = MTriangularForm(form.alphas,
+                               [sigma1, sigma2, sigma3_new, sigma2_inv])
         cur = builder.add_step([(sigma1_word, step, 1)],
                                expect=reduce(compose, middle, sigma1),
                                note="re-center the symmetric form")
@@ -410,12 +414,20 @@ def certify_normally_cotame(word: FactoredAuto,
         if len(exp_positions) > 1 or exp_positions[0] != len(word.factors) - 1:
             raise NotStructured(
                 "exponential input must be a single trailing Exp factor")
+        alpha = False  # triangular factors (tau), then affine ones (alpha)
+        for factor, exp in word.factors[:-1]:
+            val = (factor if exp == 1 else factor.inverted()).expand()
+            alpha = alpha or triangular_parts(val) is None
+            if alpha and affine_parts(val) is None:
+                raise NotStructured(
+                    "prefix of an exponential word must be triangular "
+                    "factors followed by affine factors")
         factor, exp = word.factors[-1]
         F = factor.F if exp == 1 else -factor.F
-        tau, alpha = _split_tau_alpha(word)
         seed = builder.add_seed(word, label="theta")
-        terminal = reduce_triangular_exponential_ref(builder, seed, tau,
-                                                     alpha, F, factor.D)
+        terminal = reduce_triangular_exponential_ref(
+            builder, seed, FactoredAuto(field, n, word.factors[:-1]), F,
+            factor.D)
         path = "triangular-exponential" if len(word.factors) > 1 \
             else "exponential"
         cite = "exponential-reduction"
@@ -432,25 +444,3 @@ def certify_normally_cotame(word: FactoredAuto,
         path, cite = f"m-triangular-{form.m}", "m-triangular-reduction"
     builder.meta["path"] = path
     return builder.to_certificate(terminal, cite=cite)
-
-
-def _split_tau_alpha(word: FactoredAuto) -> tuple[Endo, Endo]:
-    """The values (tau, alpha) of the factors before the trailing Exp: tau
-    is the product of the leading triangular factors, and the affine factors
-    that follow give alpha = T_b L_A, whose translation moves into tau so
-    that alpha = L_A.  Raises when the factors interleave the wrong way."""
-    field, n = word.field, word.nvars
-    taus, alphas = [], []
-    for factor, exp in word.factors[:-1]:
-        val = (factor if exp == 1 else factor.inverted()).expand()
-        if not alphas and triangular_parts(val) is not None:
-            taus.append(val)
-        elif affine_parts(val) is not None:
-            alphas.append(val)
-        else:
-            raise NotStructured(
-                "prefix of an exponential word must be triangular factors "
-                "followed by affine factors")
-    A, b = affine_parts(_product(field, n, alphas))
-    return (reduce(compose, [*taus, Translation(field, n, b).expand()]),
-            linear_map(field, n, A))

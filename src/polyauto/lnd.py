@@ -8,10 +8,11 @@ of x_n the map is parabolic-shaped and a single commutator with eps_{n,x_i}
 produces a nontrivial elementary map.
 
 For tau * alpha * exp(FD) the chain of the corresponding theorem is
-followed; when the descent invariant degenerates (F of x_n-degree <= 1
-makes the second commutator collapse to the identity) the intermediate
-value is itself parabolic and the engine hands over to the parabolic
-reduction instead of failing.  The probe, the parabolic last-axis
+followed, the value of the prefix word tau * alpha passing the probe's
+translation in one conjugation.  When the descent invariant degenerates (F
+of x_n-degree <= 1 makes the second commutator collapse to the identity)
+the intermediate value is itself parabolic and the engine hands over to the
+parabolic reduction instead of failing.  The probe, the parabolic last-axis
 commutator and the triangular descent are the shared ones of reduce_core.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .autos import elementary, invert_endo, is_parabolic, triangular_parts
+from .autos import elementary, is_parabolic, triangular_parts
 from .errors import (DegenerateChain, IdentityInput, InternalIdentityFailure,
                      KernelViolation, UnsupportedCharacteristic)
 from .fields import RATIONALS
@@ -82,9 +83,9 @@ def reduce_exponential_ref(builder: CertBuilder, ref: str,
 
 
 def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
-                                      tau: Endo, alpha: Endo,
+                                      prefix: FactoredAuto,
                                       F: Polynomial, D: TriDerivation) -> str:
-    """Reduction for tau * alpha * exp(FD) held in `ref`.
+    """Reduction for prefix * exp(FD) held in `ref`, prefix = tau * alpha.
 
     Runs the commutator chain; the first commutator conjugated back through
     exp(FD) collapses to eps_c^{-1} exp(GD) gamma with G = (F)eps_c^{-1} - F.
@@ -99,7 +100,7 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
         raise IdentityInput("input is the identity")
     if triangular_parts(phi) is not None:
         return reduce_triangular_ref(builder, ref)
-    ta = compose(tau, alpha)
+    ta = prefix.expand()
     if ta.is_identity():
         return reduce_exponential_ref(builder, ref, F, D)
     probe = find_noncommuting_c(phi, None, n)
@@ -114,8 +115,7 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
     # conjugate through exp(FD); a conjugate of the commutator in step0,
     # which is not the identity, is never the identity
     G = axis_shift(F, n, -c_el) - F
-    gamma = translation_pass(eps_val, [(invert_endo(tau), tau),
-                                       (invert_endo(alpha), alpha)])
+    gamma = translation_pass(eps_val, [(prefix.inverse().expand(), ta)])
     predicted = reduce(compose, (eps_c.inverse().expand(),
                                  Endo(field, n, exp_images(G, D)), gamma))
     phi1 = builder.add_step(

@@ -35,8 +35,6 @@ __all__ = [
     "cubic_identity", "slin_from_monomial_elementary", "slin_from_elementary",
 ]
 
-UNIT_SEARCH_BOUND = 64  # units tried for b with b^(d+1) != 1 (proof case 1)
-
 
 class SlinContext(Record):
     __slots__ = ("field", "nvars")
@@ -287,13 +285,10 @@ class _SlinEngine:
         field, n = self.field, self.n
         self.cases_used.add("1")
         d = exps[pick - 1]
-        b = None
-        for u in field.units(bound=UNIT_SEARCH_BOUND):
-            if u ** (d + 1) != field.one:
-                b = u
-                break
-        if b is None:
-            raise NoSuchUnit(f"no unit with b^{d+1} != 1 in {field.tag()}")
+        # the search ends: over Q by the third unit, 2, as 2^(d+1) != 1, and
+        # over F_q this case runs only when (q-1) does not divide d+1, so a
+        # generator of the unit group qualifies
+        b = next(u for u in field.units() if u ** (d + 1) != field.one)
         c = a / (field.one - b ** (d + 1))
         delta = sl_dilation(field, n, 1, pick, b)
         seed = self.builder.add_seed(delta)

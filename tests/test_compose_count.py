@@ -24,7 +24,7 @@ from test_acceptance import corpus_words, monomials_up_to
 from test_certificates import corpus_texts
 
 # (calls of compose, PreparedImages built)
-CERTIFY_COUNTS = (1226, 1320)
+CERTIFY_COUNTS = (1213, 1307)
 VERIFY_COUNTS = (395, 447)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from functools import reduce
 
 import pytest
@@ -233,19 +234,78 @@ def test_a_dropped_pivot_re_forms_through_the_sweep(seed, monkeypatch):
 
 def test_a_re_formed_word_is_checked_against_the_certified_value(
         monkeypatch):
-    """A dropped pivot re-forms the word from pieces the engine hands over;
-    the form is checked against the step's certified value, not against a
-    fold of those pieces, so a wrong piece is refused."""
+    """A dropped pivot re-forms the word from the form the engine hands
+    over; the new form is checked against the step's certified value, not
+    against a fold of that form, so a wrong slot is refused."""
     drop = cotame._drop_diagonal_pivot
 
-    def wrong_piece(builder, ref, pieces):
-        return drop(builder, ref,
-                    [("aff", compose(pieces[0][1], SHEAR))] + pieces[1:])
+    def wrong_slot(builder, ref, form):
+        alphas = [compose(form.alphas[0], SHEAR), *form.alphas[1:]]
+        return drop(builder, ref, cotame.MTriangularForm(alphas, form.taus))
 
-    monkeypatch.setattr(cotame, "_drop_diagonal_pivot", wrong_piece)
+    monkeypatch.setattr(cotame, "_drop_diagonal_pivot", wrong_slot)
     with pytest.raises(InternalIdentityFailure,
                        match="normal form does not expand to input"):
         certify_normally_cotame(parse_factored(PIVOT_DROPS[1030][0]))
+
+
+# seeded words (rng = random.Random(seed), n = rng.choice((2, 3)), then
+# gen.rand_m_triangular_word(rng, n, 4, 2)) whose m = 4 symmetric descent
+# turns its pivot sigma3 diagonal-affine, so each re-forms through the sweep
+SYMMETRIC_DROPS = {
+    2009: ("[Q,3] E(3; 0) * T(-1, -2; 3/2, x1^2; -2/3) * E(2; 1/2*x3) * "
+           "E(3; x1) * E(3; 2*x2) * T(-1, -1/2; -3, 1/2*x1^2-x1; 1/3) * "
+           "E(3; -x2) * E(2; -3/2*x3) * E(1; 1/2*x3) * "
+           "T(1, 2; 1/2, 2*x1^2; 2, 1/2*x2) * E(2; -x3) * "
+           "T(1; -1/2, 3/2*x1^2+2; -2) * E(3; -x1) * E(1; 1/2*x3)",
+           "dab3441c6935aed563a5054307de8b3fd70d5cada7fccc71900723a75399d498"),
+    2019: ("[Q,2] E(1; -2*x2) * E(1; 3/2*x2) * E(2; 3/2*x1) * "
+           "T(3/2, -3/2; 2/3, -4*x1^2) * E(1; -1/2*x2) * "
+           "T(1/2, 3/2; 2, -x1^2) * E(2; -x1) * E(1; -x2) * "
+           "T(3/2; 2/3, 3/2*x1^2+5*x1) * E(2; 1/2*x1) * "
+           "T(-1/2; -2, -2*x1^2-1/2*x1) * E(1; 1/2*x2)",
+           "ab74940ad81375f7921e4b0ff02e85bb7241238c9beb1e4deb8ba589f7fd5d7b"),
+    2080: ("[Q,2] E(1; 1/2*x2) * T(2; 1/2, 1/2*x1^2) * E(2; -x1) * "
+           "E(2; 3*x1) * E(2; -x1) * T(3/2, -3; 2/3, x1^2) * "
+           "T(-1, 1/2; -1, 3/2*x1^2) * E(2; x1) * T(-3/2; -2/3, -x1^2-3/2) * "
+           "E(1; -x2) * E(2; -3*x1)",
+           "cdc44a71fba55173c8203cfab417dc10d319b2285705eff7bd2e0a9630534387"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SYMMETRIC_DROPS))
+def test_a_symmetric_descent_hands_its_form_to_the_pivot_drop(seed,
+                                                              monkeypatch):
+    """The m = 4 symmetric form is an MTriangularForm, and a dropped pivot
+    re-forms from it; a wrong slot in the handed form is refused against
+    the step's certified value."""
+    text, sha = SYMMETRIC_DROPS[seed]
+    word = parse_factored(text)
+    drops, drop = [], cotame._drop_diagonal_pivot
+
+    def counted(builder, ref, form):
+        drops.append((sys._getframe(1).f_code.co_name, form.m))
+        return drop(builder, ref, form)
+
+    monkeypatch.setattr(cotame, "_drop_diagonal_pivot", counted)
+    with within(1):
+        cert = certify_normally_cotame(word)
+    assert drops == [("_engine_m4_symmetric", 4)]
+    assert cert.meta["path"] == "m-triangular-4"
+    assert verify_certificate(cert).verdict == "PASS"
+    text = serialize_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
+    shear = linear_elementary(Q, word.nvars, 1, 2, 1).expand()
+
+    def wrong_slot(builder, ref, form):
+        alphas = [*form.alphas[:2], compose(form.alphas[2], shear),
+                  *form.alphas[3:]]
+        return drop(builder, ref, cotame.MTriangularForm(alphas, form.taus))
+
+    monkeypatch.setattr(cotame, "_drop_diagonal_pivot", wrong_slot)
+    with pytest.raises(InternalIdentityFailure,
+                       match="normal form does not expand to input"):
+        certify_normally_cotame(word)
 
 
 # -- probes ---------------------------------------------------------------------

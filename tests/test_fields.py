@@ -115,6 +115,16 @@ def test_division_by_zero(F5):
         F5.zero.inv()
 
 
+def test_a_fraction_is_coerced_as_a_quotient(F5, F4):
+    # 1/3 = 2 in F5, and 3 = 1 in F4; a denominator p divides is no unit
+    assert F5.elem(Fraction(1, 3)) == F5.from_int(2)
+    assert F5.elem(Fraction(-7, 3)) == F5.from_int(-7) / F5.from_int(3)
+    assert F4.elem(Fraction(1, 3)) == F4.one
+    for field, bad in ((F5, Fraction(3, 5)), (F4, Fraction(1, 2))):
+        with pytest.raises(DivisionByZero):
+            field.elem(bad)
+
+
 def test_field_mismatch(F5, F4):
     with pytest.raises(FieldMismatch):
         F5.one + F4.one

@@ -201,6 +201,11 @@ def test_ext_kernel_accumulates_in_place():
                                       field._pmul(k, c))
             assert {e: c for e, c in got.items() if c} == \
                 {e: c for e, c in want.items() if c}
+            # the multiplier zero adds nothing, and `out` is left as it was
+            out, start = packed(start), packed(start)
+            got = finite.mul_terms_ext(packed(a), packed(b), p, modulus, 0,
+                                       out)
+            assert got is out and out == start
 
 
 def test_cancellation_removes_keys():

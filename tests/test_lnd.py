@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from gen import rand_triangular
@@ -12,7 +14,8 @@ from polyauto.lnd import exp_automorphism
 from polyauto.maps import (Endo, ExpLND, FactoredAuto, TriDerivation,
                            apply_derivation, compose, kernel_check)
 from polyauto.poly import Polynomial
-from polyauto.textio import parse_derivation, parse_endo
+from polyauto.textio import (parse_derivation, parse_endo, parse_factored,
+                             serialize_certificate)
 
 Q = Field.rationals()
 
@@ -221,3 +224,28 @@ def test_reduce_triangular_exponential_exhausted_probe():
     assert rep.verdict == "PASS", rep.format()
     assert cert.meta["path"] == "triangular-exponential"
     assert cert.steps[0].note == "parabolic commutator with x1"
+
+
+# an inverted triangular prefix factor, a translation, and a linear part that
+# is not lower triangular: the probe's translation passes the whole prefix
+# in the step that conjugates the commutator through exp(FD)
+EXP_CHAINS = {
+    "[Q,3] T(1; 1, x1^2; 1, x1*x2)^-1 * Tr(0, 1, 2) * "
+    "L[[1,0,1],[0,1,0],[0,0,1]] * Exp(x1+x2^2; D(0, 0, 1))^-1":
+        "0951f123ccd4bb33b021f381f4b1aeeb71ff4b26ee8e9087872969fcf6d90b4f",
+    "[Q,3] T(1; 1, x1^2; 1, x1*x2)^-1 * Tr(1, 1, 2) * "
+    "L[[1,0,0],[0,0,1],[0,-1,0]] * Exp(x1^2; D(0, 0, x1))^-1":
+        "acea59db8069094dd96c3b7a7e65bd7c19ea5344d899d3d65686d67202e2684a",
+}
+
+
+@pytest.mark.parametrize("text", sorted(EXP_CHAINS))
+def test_the_chain_passes_the_probe_translation_through_the_prefix(text):
+    cert = certify_normally_cotame(parse_factored(text))
+    assert cert.meta["path"] == "triangular-exponential"
+    assert [s.note for s in cert.steps][:2] == [
+        "exp chain commutator c=1", "conjugate the commutator through exp(FD)"]
+    rep = verify_certificate(cert)
+    assert rep.verdict == "PASS", rep.format()
+    nct = serialize_certificate(cert)
+    assert hashlib.sha256(nct.encode()).hexdigest() == EXP_CHAINS[text]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyauto import finite, kernels
 from polyauto.errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
-                             IndexOutOfRange)
+                             IndexOutOfRange, NegativeExponent)
 from polyauto.fields import Field
 from polyauto.maps import Endo, compose
 from polyauto.poly import (MAX_DEGREE, Polynomial, PreparedImages,
@@ -56,6 +56,14 @@ def test_add_zero_identity(Q):
     x1, x2 = xvars(Q, 2)
     p = x1 * x2 + 3
     assert p + Polynomial.zero(Q, 2) == p
+    # an int compares as a constant, so a nonconstant polynomial is none
+    assert p != 3 and not x1 == 1 and Polynomial.constant(Q, 2, 3) == 3
+
+
+def test_a_negative_power_is_refused(Q):
+    x1, _ = xvars(Q, 2)
+    with pytest.raises(NegativeExponent):
+        (x1 + 1) ** -1
 
 
 def test_substitute_forced_example(Q):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "polyauto"
 
-CEILING = 5133
+CEILING = 5118
 
 
 def test_package_line_count_is_within_the_ceiling():

@@ -171,6 +171,32 @@ def test_a_collapse_shaped_step_is_proved_by_the_split(composed, inverted,
     assert verify_certificate(builder.to_certificate(label)).verdict == "PASS"
 
 
+def test_a_split_whose_own_proof_exceeds_the_cap_keeps_the_inv_fold(
+        composed, inverted):
+    # t = epsilon_{2, x1^2} epsilon_{3, x2^2} has degree 2 and its inverse
+    # degree 4, so the split's bound 2 is below the INV fold's 4 and the
+    # value is inverted, but deg V * deg INV = 8 exceeds cap 5: the step is
+    # folded and keeps the INV fold, the seed's inverse
+    x = partial(Polynomial.variable, Q, 3)
+    t = elementary(Q, 3, 2, x(1) ** 2) * elementary(Q, 3, 3, x(2) ** 2)
+    value, inverse = t.expand(), t.inverse().expand()
+    assert (value.deg(), inverse.deg()) == (2, 4)
+    builder = wordbuild.CertBuilder(Q, 3, KIND_COTAME, cap=5)
+    s = builder.add_seed(t)
+    label = builder.add_step([(None, s, 1)], expect=value)
+    assert inverted == [value]
+    assert builder.steps[-1].inverse == inverse
+    assert not any(phi is value for phi, _ in composed)
+    # the verifier passes the step under the same cap (the terminal, not
+    # an elementary map, is refused on its own check)
+    records = verify_certificate(builder.to_certificate(label), cap=5).records
+    assert [(r.check, r.ok) for r in records if r.label == label] == [
+        ("inverse-pair", True), ("word-equals-value", True),
+        ("terminal-elementary", False)]
+    with pytest.raises(InternalIdentityFailure, match="predicted value"):
+        builder.add_step([(None, s, 1)], expect=changed(value))
+
+
 def test_a_slin_shaped_tie_keeps_the_inv_fold(composed, inverted):
     # the commutator of two linear elementary maps is one: every item and
     # V have degree 1, so the split's bound ties with the INV fold's
