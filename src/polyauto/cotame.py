@@ -415,8 +415,8 @@ def certify_normally_cotame(word: FactoredAuto,
             raise NotStructured(
                 "exponential input must be a single trailing Exp factor")
         alpha = False  # triangular factors (tau), then affine ones (alpha)
-        for factor, exp in word.factors[:-1]:
-            val = (factor if exp == 1 else factor.inverted()).expand()
+        for factor, _ in word.factors[:-1]:  # an inverse has its shape
+            val = factor.expand()
             alpha = alpha or triangular_parts(val) is None
             if alpha and affine_parts(val) is None:
                 raise NotStructured(

@@ -2,8 +2,8 @@
 and F_{p^s} of `polyauto.finite`, which only the construction of a finite
 field's handle imports.
 
-Element payloads are Fractions, int residues, or for F_{p^s} the int code
-sum c_i p^i of its residues c_i in t; FieldElement is an immutable wrapper.
+Q payloads are ints when integral, else Fractions with denominator > 1;
+F_p's are int residues, F_{p^s}'s the int codes sum c_i p^i of residues.
 Polynomial code works on payloads directly through the Field's `_p*` ops,
 term-map kernels, payload printer and matrix elimination, each bound once
 for its kind, so no op decides the kind again.
@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
-from operator import add, mul, neg, not_
+from itertools import count, islice
+from operator import neg, not_
 from weakref import WeakValueDictionary
 
 from . import kernels
@@ -73,8 +74,10 @@ class Field:
         which adds k * a * b into `out` in the ring that substitution
         accumulates in: over Q, integer numerators.  mul_terms_obj is read
         per call, so a tracer that rebinds it sees every call."""
-        return (Fraction, add, neg, mul, pow, not_, str,
-                lambda a, b: kernels.mul_terms_obj(a, b),
+        c = kernels.canonical
+        return (int, lambda a, b: c(a + b), neg, lambda a, b: c(a * b),
+                lambda a, e: c(a ** e if e >= 0 else Fraction(a) ** e), not_,
+                str, lambda a, b: kernels.mul_terms_obj(a, b),
                 kernels.mul_terms_int)
 
     _eliminate = staticmethod(kernels.gauss_jordan_q)  # FiniteField overrides it
@@ -130,15 +133,8 @@ class Field:
             if value.field != self:
                 raise FieldMismatch(f"{value} is not in {self.tag()}")
             return value
-        if isinstance(value, bool):
-            raise TypeError("bool is not a field value")
-        if isinstance(value, int):
-            return FieldElement(self, self._pfrom_int(value))
-        if isinstance(value, Fraction):
-            if self.kind == RATIONALS:
-                return FieldElement(self, value)
-            num = self._pfrom_int(value.numerator)
-            den = self._pfrom_int(value.denominator)
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            num, den = map(self._pfrom_int, value.as_integer_ratio())
             return FieldElement(self, self._pdiv(num, den))
         raise TypeError(f"cannot coerce {value!r} into {self.tag()}")
 
@@ -161,20 +157,14 @@ class Field:
         injective stream 1, -1, 2, -2, 1/2, -1/2, 3, -3, ... truncated to
         `bound` items when given.
         """
-        count = 0
-        m = 1
-        while True:
-            pairs = [(m, 1)] + [(n, m) for n in range(1, m)] + \
-                    [(m, d) for d in range(2, m)]
-            for num, den in pairs:
-                if Fraction(num, den).denominator != den:
-                    continue  # not lowest terms
-                for sign in (1, -1):
-                    if bound is not None and count >= bound:
-                        return
-                    yield FieldElement(self, Fraction(sign * num, den))
-                    count += 1
-            m += 1
+        def values():
+            for m in count(1):
+                for num, den in [(m, 1), *((n, m) for n in range(1, m)),
+                                 *((m, d) for d in range(2, m))]:
+                    v = self._pdiv(num, den)
+                    if v.denominator == den:  # num/den in lowest terms
+                        yield from (v, -v)
+        return (FieldElement(self, v) for v in islice(values(), bound))
 
 
 class FieldElement:

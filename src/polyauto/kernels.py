@@ -3,11 +3,11 @@ integer loop that the F_p kernel of `polyauto.finite` runs too, and matrix
 elimination.  Keys are packed monomials (see `poly.pack`), one int per
 exponent vector, so the monomial of a pair of terms is one integer addition;
 the caller keeps every product's degree within poly.MAX_DEGREE, so no field
-carries.  Coefficients are Python ints or Fractions: every kernel is exact.
+carries.  Coefficients are ints or non-integral Fractions; kernels are exact.
 
-Over Q no Fraction arithmetic runs in a loop: operands are integer term
-maps over one shared denominator (the lcm of their denominators), and each
-output becomes one Fraction at the end; a matrix is reduced on integer rows,
+No Fraction arithmetic runs in a loop: operands are integer term maps over
+their lcm denominator (a map of ints is its own), and each output is one
+`canonical` payload at the end; a matrix is reduced on integer rows,
 fraction-free (Bareiss, Math. Comp. 22, 1968).  mul_terms_int, like
 finite.mul_terms_ext, adds k * a * b into a map in place: a substitution
 runs it only for a term with two or more multi-term image powers.
@@ -20,11 +20,22 @@ from math import lcm, prod
 BACKEND = "python"
 
 
+def canonical(r):
+    """Q's payload of the rational r: an int when r is integral."""
+    return r.numerator if r.denominator == 1 else r
+
+
+def ratio(v, d):
+    """Q's payload of v / d, for ints v and d != 0."""
+    return v // d if v % d == 0 else Fraction(v, d)
+
+
 def clear_denominators(a):
-    """(P, d) with a = P / d: P an integer term map, d the lcm of the
-    coefficient denominators of the Fraction term map a."""
+    """(P, d) with a = P / d: P an integer term map, a itself when d = 1,
+    and d the lcm of the coefficient denominators of the Q term map a."""
     d = lcm(*(c.denominator for c in a.values()))
-    return {e: c.numerator * (d // c.denominator) for e, c in a.items()}, d
+    return a if d == 1 else {
+        e: c.numerator * (d // c.denominator) for e, c in a.items()}, d
 
 
 def mul_terms_int(a, b, k=1, out=None):
@@ -44,14 +55,11 @@ def mul_terms_int(a, b, k=1, out=None):
 
 
 def mul_terms_obj(a, b):
-    """Multiply term maps with Fraction coefficients: integer numerators
-    over the shared denominator da * db, one Fraction per nonzero output
-    term."""
-    pa, da = clear_denominators(a)
-    pb, db = clear_denominators(b)
+    """Multiply term maps of Q payloads: integer numerators over the shared
+    denominator da * db, one payload per nonzero output term."""
+    (pa, da), (pb, db) = clear_denominators(a), clear_denominators(b)
     d = da * db
-    return {e: Fraction(v, d)
-            for e, v in mul_terms_int(pa, pb).items() if v}
+    return {e: ratio(v, d) for e, v in mul_terms_int(pa, pb).items() if v}
 
 
 def gauss_jordan_q(rows, inverse=False):
@@ -67,7 +75,7 @@ def gauss_jordan_q(rows, inverse=False):
     for k in range(n):
         pivot = next((r for r in range(k, n) if M[r][k]), None)
         if pivot is None:
-            return Fraction(0), None
+            return 0, None
         M[k], M[pivot], sign = M[pivot], M[k], sign if pivot == k else -sign
         top, p, lo = M[k], M[k][k], 0 if inverse else k
         for row in M if inverse else M[k + 1:]:
@@ -76,8 +84,8 @@ def gauss_jordan_q(rows, inverse=False):
                 row[lo:] = [(p * x - f * y) // prev
                             for x, y in zip(row[lo:], top[lo:])]
         prev = p
-    return Fraction(sign * prev, prod(scales)), [
-        [Fraction(x, prev) for x in row[n:]] for row in M] if inverse else None
+    return ratio(sign * prev, prod(scales)), [
+        [ratio(x, prev) for x in row[n:]] for row in M] if inverse else None
 
 
 def __getattr__(name: str):  # perfbench's name (ROADMAP direction 18)

@@ -24,7 +24,6 @@ and read and verified by polyauto.certificates.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from math import factorial, prod
 
 from .errors import (ArityMismatch, FieldMismatch, InvalidFactor,
@@ -391,7 +390,7 @@ def exp_images(F: Polynomial, D: TriDerivation) -> tuple[Polynomial, ...]:
                 raise NilpotencyCapExceeded(
                     f"exp series for x{i} did not terminate within "
                     f"{NILPOTENCY_CAP} steps")
-            acc = acc + term.scale(field.elem(Fraction(1, factorial(m))))
+            acc = acc + term.scale(field.one / factorial(m))
         comps.append(acc)
     return tuple(comps)
 

@@ -25,16 +25,15 @@ field (PreparedImages): one-term images' powers fold into each term's key
 and multiplier k, a term with one multi-term power adds it times k by the
 field's _pmul and _padd, and only a product of two or more runs the
 field's kernel.  Over Q the map holds integer numerators over one shared
-denominator, so each canonical Fraction payload is built once per key.
+denominator D, each payload built once per key: no Fraction when D = 1.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm, prod
-from operator import mul
+from operator import add, mul
 from struct import Struct
 
 from . import kernels
@@ -427,16 +426,19 @@ class PreparedImages:
         if self.powers is None:
             bases = [img.terms for img in self.images]
             if field.kind == RATIONALS:
-                bases, self.dens = zip(*map(kernels.clear_denominators, bases))
+                bases, dens = zip(*map(kernels.clear_denominators, bases))
+                self.dens = dens if max(dens) > 1 else ()  # () if all 1
             self.powers = [{1: t} for t in bases]
+        pmul, padd = field._pmul, field._padd  # 1: Q's, F_p's, F_{p^s}'s one
         if field.kind == RATIONALS:
+            pmul, padd = mul, add  # on int numerators
             dens = [c.denominator * prod(map(pow, self.dens, e))
                     for e, c in live]
             D = lcm(*dens)
-            live = [(e, c.numerator * (D // t))
-                    for (e, c), t in zip(live, dens)]
+            if D > 1:
+                live = [(e, c.numerator * (D // t))
+                        for (e, c), t in zip(live, dens)]
         acc, power, times = {}, self.power, field._ring_mul
-        pmul, padd = field._pmul, field._padd  # 1: Q's, F_p's, F_{p^s}'s one
         for e, k in live:
             key, many = 0, []
             for j, ej in enumerate(e):
@@ -459,12 +461,12 @@ class PreparedImages:
                 *head, last = many
                 times(_shift(field, reduce(times, head), key, 1), last, k,
                       acc)
-        if field.kind == RATIONALS:
-            terms = {e: Fraction(v, D) for e, v in acc.items() if v}
-        elif field.kind == PRIME:
+        if field.kind == PRIME:
             terms = {e: r for e, v in acc.items() if (r := v % field.p)}
-        else:
-            terms = {e: v for e, v in acc.items() if v != 0}
+        elif field.kind == RATIONALS and D > 1:
+            terms = {e: kernels.ratio(v, D) for e, v in acc.items() if v}
+        else:  # the sums are the payloads
+            terms = {e: v for e, v in acc.items() if v}
         return Polynomial(field, self.nvars, terms)
 
 

@@ -1,4 +1,5 @@
-"""Deterministic random generators shared by the unit and acceptance tests."""
+"""Deterministic random generators shared by the unit and acceptance tests,
+and the check that a Q payload is canonical."""
 
 from fractions import Fraction
 
@@ -8,6 +9,17 @@ from polyauto.maps import Elementary, FactoredAuto, Translation, Triangular
 from polyauto.poly import Polynomial, unpack
 
 Q = Field.rationals()
+
+
+def is_canonical_q(c) -> bool:
+    """Q's one payload per value: an int (not a bool) when the value is an
+    integer, else a Fraction with denominator > 1."""
+    return type(c) is int or type(c) is Fraction and c.denominator > 1
+
+
+def assert_canonical_q(payloads):
+    bad = [c for c in payloads if not is_canonical_q(c)]
+    assert not bad, f"non-canonical Q payloads: {bad[:5]!r}"
 
 
 def rand_scalar(rng, field=Q, maxv=3):

@@ -12,14 +12,14 @@ import random
 
 import pytest
 
-from gen import (rand_m_triangular_word, rand_sl_word, rand_translation,
-                 rand_triangular)
+from gen import (is_canonical_q, rand_m_triangular_word, rand_sl_word,
+                 rand_translation, rand_triangular)
 import polyauto
 from polyauto.autos import invert_endo, jacobian_det, vector_degree
 from polyauto.certificates import parse_certificate, verify_certificate
 from polyauto.cotame import certify_normally_cotame
 from polyauto.errors import NotSpecial, UnsupportedField, UnsupportedM
-from polyauto.fields import Field
+from polyauto.fields import Field, FieldElement
 from polyauto.identities import (char2_claim_checks, commutator_formula_checks,
                                  exp_commutator_checks, random_kernel_pairs,
                                  scaling_observation_checks,
@@ -296,6 +296,35 @@ def test_criterion_4_certification_corpus(monkeypatch):
     if any(calls.values()):
         bad.append(("calls", calls))
     report(4, not bad or pytest.fail(f"corpus failures: {bad}"))
+
+
+def test_the_corpus_path_builds_only_canonical_q_payloads(monkeypatch):
+    """No integral Fraction and no other non-canonical Q payload is built
+    on the corpus path: every Q polynomial and element made while the 25
+    words are built, certified, serialized, parsed and verified is checked
+    as it is made.  An integral Fraction would stay exact, but it would
+    take the all-int path of the kernels and run their int loops on
+    Fractions."""
+    bad = []
+
+    def guard(cls, payloads):
+        init = cls.__init__
+
+        def checked(self, field, *args):
+            init(self, field, *args)
+            if field is Q:
+                bad.extend(c for c in payloads(self)
+                           if not is_canonical_q(c))
+        monkeypatch.setattr(cls, "__init__", checked)
+
+    guard(Polynomial, lambda p: p.terms.values())
+    guard(FieldElement, lambda x: (x.payload,))
+    words = corpus_words()
+    for name, word in words:
+        cert = certify_normally_cotame(word)
+        again = parse_certificate(serialize_certificate(cert))
+        assert verify_certificate(again).verdict == "PASS", name
+    assert len(words) == 25 and bad == []
 
 
 # -- criterion 5: finite-field membership coverage ------------------------------------

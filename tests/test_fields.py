@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from gen import assert_canonical_q, is_canonical_q
 from polyauto.errors import (DivisionByZero, FieldMismatch, NotPrime,
                              ReducibleModulus)
 from polyauto import finite
@@ -134,8 +135,9 @@ def test_units_enumeration(F4, F5, Q):
     g = F4.generator()
     assert list(F4.units()) == [F4.one, g, g + 1]
     assert [u.payload for u in F5.units()] == [1, 2, 3, 4]
-    assert [u.payload for u in Q.units(bound=4)] == \
-        [Fraction(1), Fraction(-1), Fraction(2), Fraction(-2)]
+    units = [u.payload for u in Q.units(bound=5)]
+    assert units == [1, -1, 2, -2, Fraction(1, 2)]
+    assert list(map(type, units)) == [int] * 4 + [Fraction]
 
 
 def test_rational_unit_stream_injective(Q):
@@ -189,11 +191,50 @@ def test_field_axioms_random_triples(tag):
             assert a * a.inv() == field.one
 
 
-@given(st.fractions(), st.fractions())
-def test_rational_arith_matches_fraction(a, b):
+RATIONAL_VALUES = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.fractions())
+
+
+@given(RATIONAL_VALUES, RATIONAL_VALUES, st.integers(-5, 5))
+def test_rational_arith_matches_fraction(a, b, e):
+    """Q's elem of an int or a Fraction and its + - * / and ** (negative
+    exponents too) give canonical payloads equal to Fraction arithmetic."""
     Q = Field.rationals()
-    assert (Q.elem(a) + Q.elem(b)).payload == a + b
-    assert (Q.elem(a) * Q.elem(b)).payload == a * b
+    x, y, a = Q.elem(a), Q.elem(b), Fraction(a)
+    pairs = [(x, a), (y, b), (x + y, a + b), (x - y, a - b),
+             (x * y, a * b), (-x, -a)]
+    if b:
+        pairs.append((x / y, a / b))
+    if a or e >= 0:
+        pairs.append((x ** e, a ** e))
+    for got, want in pairs:
+        assert got.payload == want and is_canonical_q(got.payload)
+
+
+def test_q_payloads_are_canonical_at_every_producer(Q):
+    from polyauto import kernels
+    from polyauto.maps import TriDerivation, exp_images
+    from polyauto.poly import Polynomial
+    from polyauto.textio import parse_factored, parse_polynomial
+    two = Q.elem(Fraction(4, 2)).payload
+    assert type(two) is int and two == 2
+    # the reader: integral quotients are ints
+    vector = parse_factored("[Q,2] Tr(0/5, 6/3)").factors[0][0].vector
+    assert [c.payload for c in vector] == [0, 2]
+    assert_canonical_q(c.payload for c in vector)
+    terms = parse_polynomial("x1*6/3", Q, 1).terms
+    assert list(terms.values()) == [2]
+    assert_canonical_q(terms.values())
+    det = kernels.gauss_jordan_q([[1, Fraction(1, 2)], [2, 1]], True)
+    assert det == (0, None) and type(det[0]) is int
+    # exp(D) with D(x1) = 1, D(x2) = x1: x2 -> x2 + x1 + 1/2
+    one, x1 = Polynomial.one(Q, 2), Polynomial.variable(Q, 2, 1)
+    images = exp_images(one, TriDerivation(Q, 2, (one, x1)))
+    assert images[1] == Polynomial.variable(Q, 2, 2) + x1 + \
+        Polynomial.constant(Q, 2, Q.elem(Fraction(1, 2)))
+    assert_canonical_q(images[0].terms.values())
+    assert type(images[1].terms[0]) is Fraction
+    with pytest.raises(TypeError):
+        Q.elem(True)
 
 
 def test_tags_round_trip():

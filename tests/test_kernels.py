@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from gen import assert_canonical_q
 from polyauto import finite, kernels
 from polyauto.fields import Field
 from polyauto.poly import pack, unpack
@@ -25,8 +26,10 @@ def rand_terms_fp(rng, n, p, count):
 
 
 def rand_terms_obj(rng, n, count):
+    """Random terms over Q with canonical payloads as coefficients."""
     return {tuple(rng.randint(0, 4) for _ in range(n)):
-            Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+            kernels.canonical(Fraction(rng.randint(-9, 9) or 1,
+                                       rng.randint(1, 9)))
             for _ in range(count)}
 
 
@@ -138,7 +141,7 @@ def test_obj_matches_fraction_arithmetic():
         b = rand_terms_obj(rng, 3, rng.randint(0, 8))
         got = kernels.mul_terms_obj(packed(a), packed(b))
         assert unpacked(got, 3) == fraction_product(a, b)
-        assert all(type(c) is Fraction for c in got.values())
+        assert_canonical_q(got.values())
 
 
 def test_clear_denominators():
@@ -277,10 +280,8 @@ def test_q_elimination_matches_the_generic_one():
             want = finite.FiniteField._eliminate(Q, A, inverse)
             assert kernels.gauss_jordan_q(A, inverse) == want, (A, inverse)
         det, inv = kernels.gauss_jordan_q(A, True)
-        assert type(det) is Fraction
+        assert_canonical_q([det] + [x for row in inv or () for x in row])
         assert (inv is None) == (det == 0)
-        assert inv is None or all(type(x) is Fraction
-                                  for row in inv for x in row)
 
 
 def test_q_elimination_matches_sympy(sympy):

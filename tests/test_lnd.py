@@ -12,7 +12,8 @@ from polyauto.fields import Field
 from polyauto.identities import random_kernel_pairs
 from polyauto.lnd import exp_automorphism
 from polyauto.maps import (Endo, ExpLND, FactoredAuto, TriDerivation,
-                           apply_derivation, compose, kernel_check)
+                           Triangular, apply_derivation, compose,
+                           kernel_check)
 from polyauto.poly import Polynomial
 from polyauto.textio import (parse_derivation, parse_endo, parse_factored,
                              serialize_certificate)
@@ -240,8 +241,15 @@ EXP_CHAINS = {
 
 
 @pytest.mark.parametrize("text", sorted(EXP_CHAINS))
-def test_the_chain_passes_the_probe_translation_through_the_prefix(text):
-    cert = certify_normally_cotame(parse_factored(text))
+def test_the_chain_passes_the_probe_translation_through_the_prefix(
+        text, monkeypatch):
+    # the inverted triangular prefix factor is back-substituted once for
+    # the word's expansion and once for the prefix's, not for its shape
+    word, calls, inverted = parse_factored(text), [], Triangular.inverted
+    monkeypatch.setattr(Triangular, "inverted",
+                        lambda *a, **k: calls.append(1) or inverted(*a, **k))
+    cert = certify_normally_cotame(word)
+    assert len(calls) == 2
     assert cert.meta["path"] == "triangular-exponential"
     assert [s.note for s in cert.steps][:2] == [
         "exp chain commutator c=1", "conjugate the commutator through exp(FD)"]

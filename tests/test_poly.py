@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gen import assert_canonical_q
 from polyauto import finite, kernels
 from polyauto.errors import (ArityMismatch, DegreeCapExceeded, FieldMismatch,
                              IndexOutOfRange, NegativeExponent)
@@ -149,10 +150,6 @@ def per_term_substitute(p, images):
     return out
 
 
-def assert_fraction_payloads(p):
-    assert all(type(c) is Fraction for c in p.terms.values())
-
-
 def special_images(rng, n):
     """Images mixing zero, constant and general polynomials."""
     out = []
@@ -177,7 +174,7 @@ def test_substitute_matches_per_term_formula():
         images = special_images(rng, n)
         got = p.substitute(images)
         assert got == per_term_substitute(p, images)
-        assert_fraction_payloads(got)
+        assert_canonical_q(got.terms.values())
 
 
 def test_compose_matches_per_term_formula():
@@ -190,7 +187,7 @@ def test_compose_matches_per_term_formula():
         got = compose(phi, psi)
         for comp, want in zip(got.components, phi.components):
             assert comp == per_term_substitute(want, psi.components)
-            assert_fraction_payloads(comp)
+            assert_canonical_q(comp.terms.values())
 
 
 def test_substitute_matches_sympy():
@@ -214,7 +211,7 @@ def test_substitute_matches_sympy():
         got = p.substitute(images)
         assert got.terms == {pack(e): Fraction(int(c.p), int(c.q))
                              for e, c in terms.items()}
-        assert_fraction_payloads(got)
+        assert_canonical_q(got.terms.values())
 
 
 def test_substitute_edge_cases(Q):
@@ -228,7 +225,7 @@ def test_substitute_edge_cases(Q):
     got = p.substitute([Polynomial.constant(Q, 2, half),
                         Polynomial.constant(Q, 2, Q.elem(Fraction(2, 3)))])
     assert got == Polynomial.constant(Q, 2, Q.elem(Fraction(1, 2)))
-    assert_fraction_payloads(got)
+    assert_canonical_q(got.terms.values())
     # a zero image kills exactly the terms that involve its variable, and
     # a killed term is not held against the cap
     assert p.substitute([zero, x2]) == \
