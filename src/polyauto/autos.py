@@ -11,12 +11,11 @@ from __future__ import annotations
 from .errors import InvalidFactor, NotStructured, NotTriangular
 from .fields import Field, FieldElement
 # compose is unused here; perfbench/tracing.py reads it here
-from .maps import (Elementary, Endo, FactoredAuto, Linear, SignedPermutation,
-                   Translation, Triangular, affine_parts, compose,
-                   elementary_parts, mat_det)
+from .maps import (Elementary, Endo, FactoredAuto, Linear, Record,
+                   SignedPermutation, Translation, Triangular, affine_parts,
+                   compose, elementary_parts, mat_det)
 from .poly import (DEFAULT_DEGREE_CAP, Polynomial, check_axis, tail_mask,
                    variable_keys)
-from .record import Record
 
 __all__ = [
     "compose", "conj", "comm", "elementary", "translation", "dilation",

@@ -14,7 +14,7 @@ word's Jacobian determinant is the product of its factors' constant
 determinants (FactoredAuto.det), so no Jacobian of an expanded map is taken.
 
 This module deliberately depends only on the algebra core (fields, poly,
-maps, grammar) and the dependency-free record base.  None of the
+maps, grammar), where the record base lives too.  None of the
 construction engines (slin, cotame, lnd) nor their tools (autos) are
 imported here, so verification cannot accidentally share logic with
 generation.
@@ -28,10 +28,9 @@ from operator import add
 from .errors import DegreeCapExceeded, InvalidFactor
 from .grammar import _LINE_TOKEN_RE, EOL, _name, _Parser
 from .maps import (FORMAT_VERSION, KIND_COTAME, KIND_SLIN, Certificate, Endo,
-                   Seed, Step, WordItem, affine_parts, compose,
+                   Record, Seed, Step, WordItem, affine_parts, compose,
                    elementary_parts, start_product)
 from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, cap_limit
-from .record import Record
 
 __all__ = [
     "CheckRecord", "VerificationReport", "verify_certificate",

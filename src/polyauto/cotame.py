@@ -8,15 +8,15 @@ that form: it splits each affine stretch uniquely as T_b diag(d, 1, ..., 1) M
 with det M = 1, and takes a triangular piece of vector degree zero as an
 affine one, so only an affine word's translation is a diagonal-affine tau.
 Each move is a commutator with a conjugated axis translation chosen by the
-probe and passed through the leading slots: it collapses the word for
-m <= 2, and for m = 3, 4 lowers the vector degree of a pivot triangular
-factor, which bounds the recursion, until the pivot is diagonal-affine and
-the word re-forms through the same sweep from the form's slots (the m = 4
-symmetric word is a form too).  Every form is checked against the value it
-must expand to (the input word's or the step's certified one), and the
-collapse identities are recomputed and verified by expansion before any
-step is recorded.
-"""
+probe (reduce_core's, handed the linear slot the engine holds; None when
+every c commutes, and then the parabolic route runs) and passed through the
+leading slots: it collapses the word for m <= 2, and for m = 3, 4 lowers the
+vector degree of a pivot triangular factor, which bounds the recursion,
+until the pivot is diagonal-affine and the word re-forms through the same
+sweep from the form's slots (the m = 4 symmetric word is a form too).  Every
+form is checked against the value it must expand to (the input word's or the
+step's certified one), and the collapse identities are recomputed and
+verified by expansion before any step is recorded."""
 
 from __future__ import annotations
 
@@ -31,11 +31,10 @@ from .errors import (IdentityInput, InternalIdentityFailure, NotAlternating,
                      UnsupportedM)
 from .fields import RATIONALS, Field
 from .maps import (KIND_COTAME, Certificate, Elementary, Endo, ExpLND,
-                   FactoredAuto, Linear, Translation, affine_parts, compose,
+                   FactoredAuto, Record, Translation, affine_parts, compose,
                    linear_map, mat_det)
 from .poly import DEFAULT_DEGREE_CAP, identity_images
-from .record import Record
-from .reduce_core import (affine_terminal, find_noncommuting_c,
+from .reduce_core import (affine_terminal, find_noncommuting_c, linear_word,
                           parabolic_route, reduce_triangular_ref,
                           require_vd_drop, translation_pass)
 from .wordbuild import CertBuilder
@@ -157,11 +156,8 @@ def _normalize_pieces(field: Field, n: int, pieces: list[tuple[str, Endo]],
     form = MTriangularForm(alphas, taus)
     if form.expand() != target:
         raise InternalIdentityFailure("normal form does not expand to input")
-    for a in alphas:
-        parts = affine_parts(a)
-        if parts is None or any(not x.is_zero() for x in parts[1]) \
-                or not mat_det(field, parts[0]).is_one():
-            raise InternalIdentityFailure("alpha slot is not linear special")
+    if any(linear_word(a) is None for a in alphas):
+        raise InternalIdentityFailure("alpha slot is not linear special")
     for t in taus:
         tp = triangular_parts(t)
         if tp is None:
@@ -184,16 +180,6 @@ def normalize_m_triangular(word: FactoredAuto) -> MTriangularForm:
                              word.expand())
 
 
-# -- words for engine conjugators ------------------------------------------------
-
-
-def _linear_word(field, n, endo: Endo) -> FactoredAuto:
-    A, b = affine_parts(endo)
-    if any(not x.is_zero() for x in b):
-        raise InternalIdentityFailure("expected a linear map")
-    return FactoredAuto(field, n, [Linear(field, n, A)])
-
-
 # -- the engines -----------------------------------------------------------------
 
 
@@ -205,14 +191,13 @@ def _engine_collapse(builder, cur, form: MTriangularForm) -> str:
     eps passes tau1 (and alpha1) as a translation, so the value is a
     translation for m = 1 and triangular for m = 2, and the triangular
     descent finishes."""
-    field, n, m = builder.field, builder.nvars, form.m
+    n, m = builder.nvars, form.m
     val = builder.value(cur)
     if m == 1 and triangular_parts(val) is not None:
         return reduce_triangular_ref(builder, cur)
-    probe = find_noncommuting_c(val, _linear_word(field, n, form.alphas[0]),
-                                n)
-    if probe.c is None:
-        return parabolic_route(builder, cur, probe)
+    probe = find_noncommuting_c(val, form.alphas[0], n)
+    if probe is None:
+        return parabolic_route(builder, cur, form.alphas[0], n)
     # eps passes tau1 and the linear slots before tau_m (alpha1 when m = 2)
     # as a translation; the later taus (tau2 when m = 2) conjugate it to a
     # triangular map
@@ -236,7 +221,9 @@ def _absorb_linear_slot(builder, ref, form: MTriangularForm, trailing: bool):
     a = form.alphas[-1 if trailing else 0]
     if a.is_identity():
         return ref, form
-    word = _linear_word(field, n, a)
+    word = linear_word(a)
+    if word is None:
+        raise InternalIdentityFailure("expected a linear map")
     side = "trailing" if trailing else "leading"
     ident = Endo.identity(field, n)
     alphas = list(form.alphas)
@@ -282,10 +269,9 @@ def _engine_m3(builder, cur, form: MTriangularForm) -> str:
         vd = vector_degree(tau2)
         if not any(vd):
             return _drop_diagonal_pivot(builder, cur, form)
-        probe = find_noncommuting_c(builder.value(cur),
-                                    _linear_word(field, n, beta0), n)
-        if probe.c is None:
-            return parabolic_route(builder, cur, probe)
+        probe = find_noncommuting_c(builder.value(cur), beta0, n)
+        if probe is None:
+            return parabolic_route(builder, cur, beta0, n)
         gamma2 = translation_pass(probe.eps.expand(), [
             (invert_endo(tau1), tau1), (alpha1_inv, alpha1)])
         tau2_new = reduce(compose, (invert_endo(tau2), gamma2, tau2))
@@ -310,10 +296,10 @@ def _engine_m4(builder, cur, form: MTriangularForm) -> str:
     tau1, tau2, tau3, tau4 = form.taus
     alpha1, alpha2, alpha3, alpha4 = form.alphas[1:]
     # symmetrization probe: gamma = alpha4^{-1} eps_{n,c} alpha4
-    probe = find_noncommuting_c(
-        builder.value(cur), _linear_word(field, n, alpha4).inverse(), n)
-    if probe.c is None:
-        return parabolic_route(builder, cur, probe)
+    alpha4_inv = invert_endo(alpha4)
+    probe = find_noncommuting_c(builder.value(cur), alpha4_inv, n)
+    if probe is None:
+        return parabolic_route(builder, cur, alpha4_inv, n)
     tr3 = translation_pass(probe.eps.inverse().expand(), [
         (tau4, invert_endo(tau4)), (alpha3, invert_endo(alpha3))])
     tau3_new = reduce(compose, (tau3, tr3, invert_endo(tau3)))
@@ -344,15 +330,14 @@ def _engine_m4_symmetric(builder, cur, form: MTriangularForm) -> str:
     field, n = builder.field, builder.nvars
     beta1, beta2, beta2_inv, beta1_inv = form.alphas[1:]
     sigma2, sigma2_inv = form.taus[1], form.taus[3]
-    beta1_word = _linear_word(field, n, beta1)
     while True:
         sigma1, sigma3 = form.taus[0], form.taus[2]
         vd = vector_degree(sigma3)
         if not any(vd):
             return _drop_diagonal_pivot(builder, cur, form)
-        probe = find_noncommuting_c(builder.value(cur), beta1_word, n)
-        if probe.c is None:
-            return parabolic_route(builder, cur, probe)
+        probe = find_noncommuting_c(builder.value(cur), beta1, n)
+        if probe is None:
+            return parabolic_route(builder, cur, beta1, n)
         tr = translation_pass(probe.eps.expand(), [
             (sigma2_inv, sigma2), (beta2_inv, beta2)])
         sigma3_new = reduce(compose, (sigma3, tr, invert_endo(sigma3)))

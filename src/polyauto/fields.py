@@ -120,7 +120,9 @@ class Field:
         return self._power(a, -1)
 
     def _pdiv(self, a, b):
-        return self._pmul(a, self._pinv(b))
+        if self.kind == RATIONALS and type(a) is type(b) is int and b:
+            return kernels.ratio(a, b)  # one Fraction at most
+        return self._pmul(a, self._pinv(b))  # b = 0 raises in _pinv
 
     def _ppow(self, a, e: int):
         return self._power(a, e) if e >= 0 else self._power(self._pinv(a), -e)

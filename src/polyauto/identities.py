@@ -18,10 +18,9 @@ from itertools import islice, product
 from .autos import dilation, elementary
 from .errors import InternalIdentityFailure
 from .fields import Field, FieldElement
-from .maps import (KIND_COTAME, Endo, TriDerivation, compose, exp_images,
-                   kernel_check)
+from .maps import (KIND_COTAME, Endo, Record, TriDerivation, compose,
+                   exp_images, kernel_check)
 from .poly import Polynomial
-from .record import Record
 from .reduce_core import axis_shift
 from .slin import (commutator_identity, cubic_identity,
                    linear_elementary_from_translations)

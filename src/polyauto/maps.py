@@ -1,6 +1,6 @@
-"""Polynomial endomorphisms, factored automorphism words and certificate
-records: the part of the algebra that a certificate is made of and that
-the verifier reads.
+"""Polynomial endomorphisms, factored automorphism words, certificate
+records and `Record`, the base of every value record: the part of the
+algebra that a certificate is made of and that the verifier reads.
 
 Composition follows the right-action convention: polynomials are acted on
 from the right, so the word phi*psi sends P to ((P)phi)psi and the composed
@@ -32,7 +32,30 @@ from .errors import (ArityMismatch, FieldMismatch, InvalidFactor,
 from .fields import RATIONALS, Field, FieldElement
 from .poly import (DEFAULT_DEGREE_CAP, Polynomial, PreparedImages,
                    cap_limit, check_degree, identity_images, variable_keys)
-from .record import Record
+
+
+class Record:
+    """Base of the value records: slots set by the class's own `__init__`,
+    immutable by contract, equal and hashed by slot values, printed as
+    `Name(slot=value, ...)`.  Not dataclasses: importing `dataclasses`
+    (inspect, ast, dis) and building them cost each CLI process ~35 ms."""
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class Endo:

@@ -6,26 +6,27 @@ translation identities, which the slin constructions share, as they do
 the axis shift of a polynomial.
 
 These are the only copies of the reduction moves; the m-triangular engine
-(cotame) and the exponential engine (lnd) call them.  The functions append
-verified steps to a CertBuilder and return the label of the step holding
-the nontrivial elementary terminal.  Each identity records its step with
-the value it predicts, so a mismatch raises InternalIdentityFailure
-instead of recording a bad step.
-"""
+(cotame) and the exponential engine (lnd) call them with the linear slot
+they hold, an Endo or None.  A probe that finds no c is None, and
+`linear_word` is the one builder of the one-factor L[...] conjugator
+word.  The functions append verified steps to a CertBuilder and return
+the label of the step holding the nontrivial elementary terminal.  Each
+identity records its step with the value it predicts, so a mismatch
+raises InternalIdentityFailure instead of recording a bad step."""
 
 from __future__ import annotations
 
 from functools import reduce
 
-from .autos import (elementary, is_parabolic, is_translation, signed_swap,
-                    translation, triangular_parts, vector_degree)
+from .autos import (elementary, invert_endo, is_parabolic, is_translation,
+                    signed_swap, translation, triangular_parts,
+                    vector_degree)
 from .errors import (IdentityInput, InternalIdentityFailure, NotAffine,
                      NotParabolic, NotTriangular, UnsupportedCharacteristic)
 from .fields import RATIONALS, Field, FieldElement
-from .maps import (Endo, FactoredAuto, Linear, Translation, affine_parts,
-                   compose, elementary_parts)
+from .maps import (Endo, FactoredAuto, Linear, Record, Translation,
+                   affine_parts, compose, elementary_parts)
 from .poly import Polynomial
-from .record import Record
 from .wordbuild import CertBuilder
 
 
@@ -44,59 +45,62 @@ def max_var_degree(phi: Endo) -> int:
     return out
 
 
-class CommutatorProbe(Record):
-    __slots__ = ("alpha", "k", "c", "eps", "gamma", "gamma_word")
+def linear_word(endo: Endo) -> FactoredAuto | None:
+    """The one-factor word L[A] of a special linear map, the engines' one
+    linear conjugator word; None for any other map (a singular A raises)."""
+    parts = affine_parts(endo)
+    if parts is None or any(not b.is_zero() for b in parts[1]):
+        return None
+    field, n = endo.field, endo.nvars
+    linear = Linear(field, n, parts[0])
+    return FactoredAuto(field, n, [linear]) if linear.det().is_one() else None
 
-    def __init__(self, alpha: FactoredAuto | None, k: int,
-                 c: int | None = None, eps: FactoredAuto | None = None,
-                 gamma: Endo | None = None,
-                 gamma_word: FactoredAuto | None = None):
-        self.alpha = alpha
-        self.k = k
-        self.c = c          # None: every c in 1..B commutes
+
+class CommutatorProbe(Record):
+    """The first c whose conjugated axis translation fails to commute."""
+    __slots__ = ("c", "eps", "gamma", "gamma_word")
+
+    def __init__(self, c: int, eps: FactoredAuto, gamma: Endo,
+                 gamma_word: FactoredAuto):
+        self.c = c
         self.eps = eps      # eps_{k,c}, its expansion cached
         self.gamma = gamma  # the translation alpha eps_{k,c} alpha^{-1}
         self.gamma_word = gamma_word  # gamma as one translation factor
 
 
-def find_noncommuting_c(phi: Endo, alpha: FactoredAuto | None,
-                        k: int) -> CommutatorProbe:
+def find_noncommuting_c(phi: Endo, alpha: Endo | None,
+                        k: int) -> CommutatorProbe | None:
     """Search c = 1..B, B = max(largest per-variable degree of phi + 1, 2),
-    for a conjugated axis translation that fails to commute with phi;
-    soundness of the bound comes from the entries of the
-    commutator being polynomials of degree < B in c, so vanishing at B
-    points forces vanishing identically.
+    for a conjugated axis translation gamma = alpha eps_{k,c} alpha^{-1}
+    (eps_{k,c} itself when alpha is None) that fails to commute with phi:
+    the commutator's entries are polynomials of degree < B in c, so
+    vanishing at B points forces vanishing identically.
 
-    When every c commutes the probe comes back with c = None; then
-    `parabolic_witness` conjugates phi to a parabolic map.
-    """
-    field = phi.field
+    None when every c commutes; then `parabolic_witness` conjugates phi to
+    a parabolic map."""
+    field, n = phi.field, phi.nvars
     _require_char_zero(field)
-    n = phi.nvars
     B = max(max_var_degree(phi) + 1, 2)
-    alpha_val = alpha.expand() if alpha is not None else None
-    alpha_inv = alpha.inverse().expand() if alpha is not None else None
+    alpha_inv = invert_endo(alpha) if alpha is not None else None
     for c in range(1, B + 1):
         eps = elementary(field, n, k, field.from_int(c))
         gamma = eps.expand()
-        if alpha_val is not None:
-            gamma = reduce(compose, (alpha_val, gamma, alpha_inv))
+        if alpha is not None:
+            gamma = reduce(compose, (alpha, gamma, alpha_inv))
         if compose(gamma, phi) != compose(phi, gamma):
             word = translation(field, n, affine_parts(gamma)[1])
-            return CommutatorProbe(alpha, k, c=c, eps=eps, gamma=gamma,
-                                   gamma_word=word)
-    return CommutatorProbe(alpha, k)
+            return CommutatorProbe(c, eps, gamma, word)
+    return None
 
 
-def parabolic_witness(phi: Endo, probe: CommutatorProbe) -> FactoredAuto:
-    """For an exhausted probe, pi in SL_n with pi (alpha^{-1} phi alpha)
-    pi^{-1} parabolic: the signed swap pushing axis k to the last slot."""
+def parabolic_witness(phi: Endo, alpha: Endo | None, k: int) -> FactoredAuto:
+    """When every probe c on axis k commutes with phi, pi in SL_n with
+    pi (alpha^{-1} phi alpha) pi^{-1} parabolic: the signed swap pushing
+    axis k to the last slot."""
     field, n = phi.field, phi.nvars
-    psi = phi
-    if probe.alpha is not None:
-        psi = reduce(compose, (probe.alpha.inverse().expand(), phi,
-                               probe.alpha.expand()))
-    pi = _parabolic_normalizer(field, n, probe.k)
+    psi = phi if alpha is None else reduce(
+        compose, (invert_endo(alpha), phi, alpha))
+    pi = _parabolic_normalizer(field, n, k)
     conj_val = reduce(compose, (pi.expand(), psi, pi.inverse().expand()))
     if not is_parabolic(conj_val):
         raise InternalIdentityFailure(
@@ -105,13 +109,16 @@ def parabolic_witness(phi: Endo, probe: CommutatorProbe) -> FactoredAuto:
     return pi
 
 
-def parabolic_route(builder: CertBuilder, ref: str,
-                    probe: CommutatorProbe) -> str:
-    """The probe on `ref` is exhausted, so with pi its parabolic witness
-    phi = (alpha pi^{-1}) P (alpha pi^{-1})^{-1}; reduce P."""
-    pi = parabolic_witness(builder.value(ref), probe)
-    alpha = probe.alpha or FactoredAuto.identity(builder.field, builder.nvars)
-    return reduce_parabolic_ref(builder, ref, alpha * pi.inverse())
+def parabolic_route(builder: CertBuilder, ref: str, alpha: Endo | None,
+                    k: int) -> str:
+    """Every probe c on axis k commutes with the value of `ref`, so with pi
+    its parabolic witness phi = (alpha pi^{-1}) P (alpha pi^{-1})^{-1};
+    reduce P."""
+    pi = parabolic_witness(builder.value(ref), alpha, k)
+    if pi.factors:
+        pi_inv = pi.inverse().expand()
+        alpha = pi_inv if alpha is None else compose(alpha, pi_inv)
+    return reduce_parabolic_ref(builder, ref, alpha)
 
 
 def _parabolic_normalizer(field: Field, n: int, k: int) -> FactoredAuto:
@@ -230,7 +237,7 @@ def _axis_probe_translation(val: Endo) -> FactoredAuto:
     in order and an axis that commutes is skipped."""
     for k in range(1, val.nvars + 1):
         probe = find_noncommuting_c(val, None, k)
-        if probe.c is not None:
+        if probe is not None:
             return probe.eps
     raise InternalIdentityFailure(
         "no axis translation fails to commute with a non-affine triangular "
@@ -264,11 +271,11 @@ def reduce_triangular_ref(builder: CertBuilder, ref: str) -> str:
 
 
 def reduce_parabolic_ref(builder: CertBuilder, ref: str,
-                         alpha: FactoredAuto | None = None,
+                         alpha: Endo | None = None,
                          note: str = "parabolic") -> str:
     """The base value is alpha (phi) alpha^{-1} for a parabolic special phi
-    and a special linear alpha, which is refused otherwise; conjugate back
-    by alpha, recorded as one linear factor, and run the last-axis
+    and a special linear map alpha, which is refused otherwise; conjugate
+    back by alpha, recorded as one linear factor, and run the last-axis
     commutator reduction.  `note` opens the STEP note of the commutator."""
     val = builder.value(ref)
     _require_char_zero(val.field)
@@ -276,12 +283,10 @@ def reduce_parabolic_ref(builder: CertBuilder, ref: str,
     if val.is_identity():
         raise IdentityInput("parabolic input is the identity")
     cur = ref
-    if alpha is not None and alpha.factors:
-        parts = affine_parts(alpha.expand())
-        if parts is None or any(not b.is_zero() for b in parts[1]) \
-                or not alpha.det().is_one():
+    if alpha is not None:
+        linear = linear_word(alpha)
+        if linear is None:
             raise NotParabolic("conjugator must be special linear")
-        linear = FactoredAuto(field, n, [Linear(field, n, parts[0])])
         cur = builder.add_step([(linear, ref, 1)],
                                note="SL part of the conjugator")
     w = builder.value(cur)

@@ -21,9 +21,8 @@ from .errors import (DegenerateTarget, IdentityInput, IndexClash,
                      InternalIdentityFailure, NoSuchUnit, UnsupportedField,
                      ZeroScalar)
 from .fields import PRIME, RATIONALS, Field, FieldElement
-from .maps import KIND_SLIN, Certificate, Endo, elementary_parts
+from .maps import KIND_SLIN, Certificate, Endo, Record, elementary_parts
 from .poly import Polynomial, check_axis, check_exponents
-from .record import Record
 # translation_from_any is bound here only for perfbench/tracing.py
 # (ROADMAP direction 18)
 from .reduce_core import axis_shift, translation_from_any

@@ -139,6 +139,21 @@ def test_identities_subcommand(capsys):
     assert "char2-claim" in out and "commutator-formula" in out
 
 
+def test_identities_report_a_failed_identity_and_exit_1(capsys, monkeypatch):
+    from polyauto import identities
+    from polyauto.errors import InternalIdentityFailure
+
+    def broken(builder, i, j, a, b):
+        raise InternalIdentityFailure("the stated value does not hold")
+
+    monkeypatch.setattr(identities, "commutator_identity", broken)
+    rc, out, _ = run_cli(["identities", "--fields", "F4"], capsys)
+    assert rc == 1
+    assert "FAIL commutator-formula     F4/t^2+t+1   0/12" in out
+    assert "     failed: a=0 b=1\n" in out
+    assert "ok   char2-claim" in out and "identities: 26/38 passed" in out
+
+
 def test_identities_output_over_extended_fields_is_pinned(capsys):
     """The identity suite builds (a)-(c) with slin's constructions; its
     report over these fields is pinned."""

@@ -18,9 +18,10 @@ from polyauto.errors import (DegreeCapExceeded, IdentityInput,
                              NotSpecial, NotTriangular,
                              UnsupportedCharacteristic, UnsupportedM)
 from polyauto.fields import Field
-from polyauto.maps import KIND_COTAME, Endo, FactoredAuto, compose
+from polyauto.maps import KIND_COTAME, Endo, FactoredAuto, Linear, compose
 from polyauto.poly import Polynomial
-from polyauto.reduce_core import (find_noncommuting_c, parabolic_witness,
+from polyauto.reduce_core import (find_noncommuting_c, linear_word,
+                                  parabolic_route, parabolic_witness,
                                   reduce_parabolic_ref, reduce_triangular_ref)
 from polyauto.textio import parse_factored, serialize_certificate
 from polyauto.wordbuild import CertBuilder
@@ -320,21 +321,58 @@ def test_probe_finds_c_equal_one():
     assert len(probe.gamma_word.factors) == 1
 
 
-def assert_witness(phi, probe):
-    assert probe.c is None and probe.gamma is None
-    pi = parabolic_witness(phi, probe)
+def assert_witness(phi, k):
+    # every c commutes, so the probe finds none, and the witness
+    # conjugates phi to a parabolic map
+    assert find_noncommuting_c(phi, None, k) is None
+    pi = parabolic_witness(phi, None, k)
     conj = compose(compose(pi.expand(), phi), pi.inverse().expand())
     assert classify(conj).parabolic
 
 
 def test_probe_translation_gives_witness():
-    phi = translation(Q, 3, [1, 2, 3]).expand()
-    assert_witness(phi, find_noncommuting_c(phi, None, 2))
+    assert_witness(translation(Q, 3, [1, 2, 3]).expand(), 2)
 
 
 def test_probe_identity_gives_witness():
-    phi = Endo.identity(Q, 2)
-    assert_witness(phi, find_noncommuting_c(phi, None, 1))
+    assert_witness(Endo.identity(Q, 2), 1)
+
+
+@pytest.mark.parametrize("conjugated", [False, True])
+def test_parabolic_route_off_the_last_axis_conjugates_by_the_witness(
+        conjugated):
+    # a E_1 a^{-1} commutes with every a eps_{1,c} a^{-1}; the route
+    # records the conjugator a pi^{-1}, pi the witness's swap of x1 and x2
+    a = linear_elementary(Q, 2, 2, 1, 3)
+    word = elementary(Q, 2, 1, Polynomial.variable(Q, 2, 2) ** 2)
+    alpha = a.expand() if conjugated else None
+    if conjugated:
+        word = a * word * a.inverse()
+    assert find_noncommuting_c(word.expand(), alpha, 1) is None
+    builder, seed = seeded_builder(word)
+    cert = builder.to_certificate(parabolic_route(builder, seed, alpha, 1))
+    assert cert.steps[0].note == "SL part of the conjugator"
+    assert verify_certificate(cert).verdict == "PASS"
+
+
+def test_probe_through_a_linear_map_conjugates_the_translation():
+    phi = elementary(Q, 2, 1, Polynomial.variable(Q, 2, 2) ** 2).expand()
+    alpha = linear_elementary(Q, 2, 1, 2, 3).expand()
+    probe = find_noncommuting_c(phi, alpha, 2)
+    eps = probe.eps.expand()
+    assert probe.gamma == reduce(compose, (alpha, eps, invert_endo(alpha)))
+    assert probe.gamma_word.expand() == probe.gamma
+
+
+def test_linear_word_is_the_one_factor_word_of_a_special_linear_map():
+    alpha = linear_elementary(Q, 3, 1, 2, 3).expand()
+    word = linear_word(alpha)
+    assert [type(f) for f, _ in word.factors] == [Linear]
+    assert word.expand() == alpha and word.det().is_one()
+    x2 = Polynomial.variable(Q, 3, 2)
+    for other in (dilation(Q, 3, 1, 2), translation(Q, 3, [0, 1, 0]),
+                  elementary(Q, 3, 1, x2 ** 2)):
+        assert linear_word(other.expand()) is None
 
 
 def test_probe_positive_characteristic_rejected(F5):
@@ -492,7 +530,7 @@ def test_parabolic_reduction_refuses_a_conjugator_not_special_linear():
     builder, seed = seeded_builder(parse_factored("[Q,3] E(3; x1^2)"))
     for alpha in (dilation(Q, 3, 1, 2), translation(Q, 3, [0, 1, 0])):
         with pytest.raises(NotParabolic, match="special linear"):
-            reduce_parabolic_ref(builder, seed, alpha)
+            reduce_parabolic_ref(builder, seed, alpha.expand())
     assert builder.steps == []
 
 

@@ -116,6 +116,24 @@ def test_division_by_zero(F5):
         F5.zero.inv()
 
 
+def test_a_quotient_of_two_integers_over_q_is_one_canonical_payload(Q):
+    for a in range(-12, 13):
+        for b in range(-6, 7):
+            if not b:
+                with pytest.raises(DivisionByZero):
+                    Q._pdiv(a, b)
+                with pytest.raises(DivisionByZero):
+                    Q.from_int(a) / Q.zero
+                continue
+            got = Q._pdiv(a, b)
+            assert got == Fraction(a, b) and is_canonical_q(got)
+            assert (type(got) is int) == (a % b == 0)
+            assert (Q.from_int(a) / Q.from_int(b)).payload == got
+    # a Fraction operand, and the int payloads of F_p, take the product path
+    assert Q._pdiv(Fraction(3, 2), -3) == Fraction(-1, 2)
+    assert Field.prime(5)._pdiv(3, 2) == 4
+
+
 def test_a_fraction_is_coerced_as_a_quotient(F5, F4):
     # 1/3 = 2 in F5, and 3 = 1 in F4; a denominator p divides is no unit
     assert F5.elem(Fraction(1, 3)) == F5.from_int(2)

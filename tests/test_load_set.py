@@ -27,17 +27,17 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 VERIFY_MODULES = {
     "polyauto", "polyauto.certificates", "polyauto.cli", "polyauto.errors",
     "polyauto.fields", "polyauto.grammar", "polyauto.kernels", "polyauto.maps",
-    "polyauto.poly", "polyauto.record",
+    "polyauto.poly",
 }
-VERIFY_CEILING = 2528
+VERIFY_CEILING = 2522
 # `polyauto verify` on an F4 slin-membership file: the Q set and `finite`
-SLIN_VERIFY_CEILING = 2913
+SLIN_VERIFY_CEILING = 2907
 # `polyauto certify` on a Q word with no Exp factor
 CERTIFY_MODULES = VERIFY_MODULES - {"polyauto.certificates"} | {
     "polyauto.autos", "polyauto.cotame", "polyauto.reduce_core",
     "polyauto.textio", "polyauto.wordbuild",
 }
-CERTIFY_CEILING = 3512
+CERTIFY_CEILING = 3496
 CERTIFY_NEVER = ("polyauto.certificates", "polyauto.slin", "polyauto.lnd",
                  "polyauto.identities", "polyauto.finite", "polyauto.tools")
 

@@ -1,4 +1,4 @@
-"""Value semantics of the record classes (polyauto.record.Record): equality
+"""Value semantics of the record classes (polyauto.maps.Record): equality
 and hashing by field values, a repr that names the fields, the constructor
 defaults and keywords, and the checks their constructors make."""
 
@@ -8,9 +8,8 @@ from polyauto.autos import Classification
 from polyauto.certificates import CheckRecord, VerificationReport
 from polyauto.errors import IndexClash, InvalidFactor
 from polyauto.maps import (Certificate, Elementary, Endo, FactoredAuto, Linear,
-                           Seed, Step, Translation, WordItem)
+                           Record, Seed, Step, Translation, WordItem)
 from polyauto.poly import Polynomial
-from polyauto.record import Record
 from polyauto.reduce_core import CommutatorProbe
 from polyauto.slin import SlinContext
 
@@ -52,11 +51,11 @@ def test_defaults_and_keywords(Q):
     one.meta["path"] = "m1"
     assert two.meta == {} and one != two
     alpha = FactoredAuto.identity(Q, 2)
-    probe = CommutatorProbe(alpha, 1, c=2, eps=alpha, gamma=ident,
-                            gamma_word=alpha)
+    probe = CommutatorProbe(2, alpha, ident, alpha)
     assert (probe.c, probe.eps, probe.gamma, probe.gamma_word) == (
         2, alpha, ident, alpha)
-    assert CommutatorProbe(alpha, 1).gamma_word is None
+    assert probe == CommutatorProbe(c=2, eps=alpha, gamma=ident,
+                                    gamma_word=alpha)
     assert Seed("s1", alpha) == Seed(label="s1", word=alpha)
 
 

@@ -68,6 +68,13 @@ def test_transfer_inverse_case():
     assert len(b.steps) == 1 and len(b.steps[0].items) == 1
 
 
+def test_transfer_to_the_same_constant_returns_the_source():
+    b = builder()
+    src = b.add_seed(elementary(Q, 2, 1, 3), label="src")
+    assert translation_transfer(b, src, 1, Q.from_int(3)) == src
+    assert b.steps == []
+
+
 def test_transfer_axis_change():
     b = CertBuilder(Q, 2, "normal-cotame")
     src = b.add_seed(elementary(Q, 2, 1, 1), label="src")
