@@ -23,19 +23,21 @@ generation.
 from __future__ import annotations
 
 import re
-from operator import add
+from itertools import accumulate, takewhile
+from operator import add, mul
 
 from .errors import DegreeCapExceeded, InvalidFactor
 from .grammar import _LINE_TOKEN_RE, EOL, _name, _Parser
 from .maps import (FORMAT_VERSION, KIND_COTAME, KIND_SLIN, Certificate, Endo,
                    Record, Seed, Step, WordItem, affine_parts, compose,
                    elementary_parts, start_product)
-from .poly import DEFAULT_DEGREE_CAP, MAX_NVARS, cap_limit
+from .poly import DEFAULT_DEGREE_CAP, MAX_DEGREE, MAX_NVARS, cap_limit
 
 __all__ = [
     "CheckRecord", "VerificationReport", "verify_certificate",
     "parse_certificate", "serialize_certificate",
 ]
+_OUT = MAX_DEGREE + 1  # a degree above every cap: the item cannot go there
 
 
 def __getattr__(name: str):  # perfbench's name (ROADMAP direction 18)
@@ -79,8 +81,8 @@ def verify_certificate(cert: Certificate,
     Uses only word expansion and determinants, compose, affine_parts and
     elementary_parts on the stored data; the word engines that produced
     the certificate play no part here.  A step c_1*...*c_k = V is decided
-    as c_1*...*c_j = V*c_k^-1*...*c_{j+1}^-1 for the j that _split_point
-    picks (see docs/formats.md).
+    as c_{i+1}*...*c_j = c_i^-1*...*c_1^-1*V*c_k^-1*...*c_{j+1}^-1 for the
+    i < j that _plan picks (see docs/formats.md).
     """
     records: list[CheckRecord] = []
     indeterminate = False
@@ -148,19 +150,16 @@ def verify_certificate(cert: Certificate,
               "stated inverse is not an inverse")
         # per item: its entry, the side (0 value, 1 inverse) of its core, its
         # conjugator's inverse and expansion (None, None without one), and
-        # the degree bound d_1*...*d_i of the fold through it
-        items, left = [], 1
+        # the product of their degrees (1 without one)
+        items = []
         for idx, item in enumerate(step.items):
             entry = env.get(item.base)
             if entry is None:
                 check(label, f"item{idx}-base", False,
                       f"unknown or later base {item.base!r}")
                 break
-            side, conj = int(item.exponent != 1), item.conjugator
-            ginv = g = None
+            conj, ginv, g = item.conjugator, None, None
             try:
-                if side and entry[1] is None:
-                    entry[1] = entry[3].inverse().expand(cap=cap)
                 if conj is not None and conj.factors:
                     g = conj.expand(cap=cap)
                     if not check(label, f"item{idx}-conjugator-special",
@@ -168,28 +167,31 @@ def verify_certificate(cert: Certificate,
                                  "conjugator Jacobian determinant != 1"):
                         break
                     ginv = conj.inverse().expand(cap=cap)
-                left *= (entry[side].deg() if g is None
-                         else ginv.deg() * entry[side].deg() * g.deg())
-                items.append((entry, side, ginv, g, left))
+                items.append((entry, int(item.exponent != 1), ginv, g,
+                              1 if g is None else ginv.deg() * g.deg()))
             except DegreeCapExceeded as exc:
                 undecided(label, f"item{idx}-expansion", exc)
                 break
         else:  # every item was read
-            j, bound = (_split_point(items, step.value) if len(items) > 1
-                        else (len(items), 0))
-            if bound > limit:
-                j = len(items)  # the fold, which the cap stops as any fold
+            plan = _plan(*_degrees(items), step.value.deg(), limit)
             try:
+                if plan is None:
+                    # no plan within the cap moves each unread seed inverse
+                    for idx, (entry, side, *_) in enumerate(items):
+                        if side and entry[1] is None:
+                            entry[1] = entry[3].inverse().expand(cap=cap)
+                    plan = _plan(*_degrees(items), step.value.deg(), limit)
+                i, j, _ = plan or (0, len(items), 0)  # or the fold, capped
                 product = ident
-                for idx in range(j):
+                for idx in range(i, j):
                     piece = conjugate(items[idx], items[idx][1])
-                    product = (compose(product, piece, cap=cap) if idx
+                    product = (compose(product, piece, cap=cap) if idx > i
                                else start_product(piece, cap))
-                other = step.value
-                for idx in range(len(items) - 1, j - 1, -1):
-                    other = compose(
-                        other, conjugate(items[idx], 1 - items[idx][1]),
-                        cap=cap)
+                other = step.value  # the right end's moves, then the left's
+                for idx in [*range(len(items) - 1, j - 1, -1), *range(i)]:
+                    inverse = conjugate(items[idx], 1 - items[idx][1])
+                    other = (compose(other, inverse, cap=cap) if idx >= j
+                             else compose(inverse, other, cap=cap))
             except DegreeCapExceeded as exc:
                 undecided(label, f"item{idx}-expansion", exc)
                 continue
@@ -212,25 +214,37 @@ def verify_certificate(cert: Certificate,
     return VerificationReport(verdict, records)
 
 
-def _split_point(items, value: Endo) -> tuple[int, int]:
-    """(j, bound): the j >= 1 items kept on the left of a step of value V
-    that minimises max(d_1*...*d_j, deg V * d'_{j+1}*...*d'_k), d'_i being
-    d_i with the core's inverse, which only an exact inverse already read
-    lets move.  Ties keep the larger j, the fold being j = k."""
-    k, right = len(items), value.deg()
-    j, best = k, max(items[-1][4], right)
-    for i in range(k - 1, 0, -1):
-        entry, side, ginv, g, _ = items[i]
-        inverse = entry[1 - side]
-        if not entry[2] or inverse is None:
+def _degrees(items) -> tuple[list, list]:
+    """Per item, its degree bound d kept on the left and d' moved across, at
+    least 1; _OUT, over every cap, for an unread seed or inexact inverse."""
+    return ([max(c * e[s].deg(), 1) if e[s] else _OUT
+             for e, s, *_, c in items],
+            [max(c * e[1 - s].deg(), 1) if e[2] and e[1 - s] else _OUT
+             for e, s, *_, c in items])
+
+
+def _plan(kept, moved, value_deg: int, limit: int):
+    """(i, j, bound) of least bound max(d_{i+1}*...*d_j, d'_1*...*d'_i *
+    deg V * d'_{j+1}*...*d'_k), each factor at least 1, over 0 <= i < j <= k
+    with d_t = kept[t-1], d'_t = moved[t-1]: items i+1..j stay on the left,
+    the others move.  Ties keep the smaller i, then the larger j (the fold is
+    (0, k)); None when no bound is within `limit`, as none with _OUT is."""
+    k, left, best = len(kept), max(value_deg, 1), (0, 0, limit + 1)
+    within = limit.__ge__
+    # rights[k - j] = d'_{j+1}*...*d'_k, prods[j - i] = d_{i+1}*...*d_j
+    rights = [*takewhile(within, accumulate(reversed(moved), mul, initial=1))]
+    for i in range(k):
+        if not i or kept[i - 1] != 1:  # past d = 1 no bound is lower
+            prods = [*takewhile(within, accumulate(
+                map(kept.__getitem__, range(i, k)), mul, initial=1))]
+            for j in range(i + len(prods) - 1, max(i, k - len(rights)), -1):
+                bound = max(prods[j - i], left * rights[k - j])
+                if bound < best[2]:
+                    best = (i, j, bound)
+        if left * moved[i] >= best[2]:
             break
-        right *= (inverse.deg() if g is None
-                  else ginv.deg() * inverse.deg() * g.deg())
-        if right >= best:
-            break
-        if items[i - 1][4] < best:
-            j, best = i, max(items[i - 1][4], right)
-    return j, best
+        left *= moved[i]
+    return best if best[1] else None
 
 
 # -- parsing -----------------------------------------------------------------

@@ -197,7 +197,7 @@ def _engine_collapse(builder, cur, form: MTriangularForm) -> str:
         return reduce_triangular_ref(builder, cur)
     probe = find_noncommuting_c(val, form.alphas[0], n)
     if probe is None:
-        return parabolic_route(builder, cur, form.alphas[0], n)
+        return parabolic_route(builder, cur, form.alphas[0])
     # eps passes tau1 and the linear slots before tau_m (alpha1 when m = 2)
     # as a translation; the later taus (tau2 when m = 2) conjugate it to a
     # triangular map
@@ -271,7 +271,7 @@ def _engine_m3(builder, cur, form: MTriangularForm) -> str:
             return _drop_diagonal_pivot(builder, cur, form)
         probe = find_noncommuting_c(builder.value(cur), beta0, n)
         if probe is None:
-            return parabolic_route(builder, cur, beta0, n)
+            return parabolic_route(builder, cur, beta0)
         gamma2 = translation_pass(probe.eps.expand(), [
             (invert_endo(tau1), tau1), (alpha1_inv, alpha1)])
         tau2_new = reduce(compose, (invert_endo(tau2), gamma2, tau2))
@@ -299,7 +299,7 @@ def _engine_m4(builder, cur, form: MTriangularForm) -> str:
     alpha4_inv = invert_endo(alpha4)
     probe = find_noncommuting_c(builder.value(cur), alpha4_inv, n)
     if probe is None:
-        return parabolic_route(builder, cur, alpha4_inv, n)
+        return parabolic_route(builder, cur, alpha4_inv)
     tr3 = translation_pass(probe.eps.inverse().expand(), [
         (tau4, invert_endo(tau4)), (alpha3, invert_endo(alpha3))])
     tau3_new = reduce(compose, (tau3, tr3, invert_endo(tau3)))
@@ -337,7 +337,7 @@ def _engine_m4_symmetric(builder, cur, form: MTriangularForm) -> str:
             return _drop_diagonal_pivot(builder, cur, form)
         probe = find_noncommuting_c(builder.value(cur), beta1, n)
         if probe is None:
-            return parabolic_route(builder, cur, beta1, n)
+            return parabolic_route(builder, cur, beta1)
         tr = translation_pass(probe.eps.expand(), [
             (sigma2_inv, sigma2), (beta2_inv, beta2)])
         sigma3_new = reduce(compose, (sigma3, tr, invert_endo(sigma3)))

@@ -74,10 +74,10 @@ class Field:
         which adds k * a * b into `out` in the ring that substitution
         accumulates in: over Q, integer numerators.  mul_terms_obj is read
         per call, so a tracer that rebinds it sees every call."""
-        c = kernels.canonical
+        c, r = kernels.canonical, kernels.ratio  # r: one Fraction at most
         return (int, lambda a, b: c(a + b), neg, lambda a, b: c(a * b),
-                lambda a, e: c(a ** e if e >= 0 else Fraction(a) ** e), not_,
-                str, lambda a, b: kernels.mul_terms_obj(a, b),
+                lambda a, e: r(1, a ** -e) if e < 0 and type(a) is int else
+                c(a ** e), not_, str, lambda a, b: kernels.mul_terms_obj(a, b),
                 kernels.mul_terms_int)
 
     _eliminate = staticmethod(kernels.gauss_jordan_q)  # FiniteField overrides it

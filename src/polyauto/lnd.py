@@ -105,7 +105,7 @@ def reduce_triangular_exponential_ref(builder: CertBuilder, ref: str,
         return reduce_exponential_ref(builder, ref, F, D)
     probe = find_noncommuting_c(phi, None, n)
     if probe is None:
-        return parabolic_route(builder, ref, None, n)
+        return parabolic_route(builder, ref, None)
     exp_word_inv = FactoredAuto(field, n, [(ExpLND(field, n, F, D), -1)])
     c_el = field.from_int(probe.c)
     eps_c, eps_val = probe.eps, probe.gamma

@@ -19,8 +19,7 @@ from __future__ import annotations
 from functools import reduce
 
 from .autos import (elementary, invert_endo, is_parabolic, is_translation,
-                    signed_swap, translation, triangular_parts,
-                    vector_degree)
+                    translation, triangular_parts, vector_degree)
 from .errors import (IdentityInput, InternalIdentityFailure, NotAffine,
                      NotParabolic, NotTriangular, UnsupportedCharacteristic)
 from .fields import RATIONALS, Field, FieldElement
@@ -93,40 +92,23 @@ def find_noncommuting_c(phi: Endo, alpha: Endo | None,
     return None
 
 
-def parabolic_witness(phi: Endo, alpha: Endo | None, k: int) -> FactoredAuto:
-    """When every probe c on axis k commutes with phi, pi in SL_n with
-    pi (alpha^{-1} phi alpha) pi^{-1} parabolic: the signed swap pushing
-    axis k to the last slot."""
-    field, n = phi.field, phi.nvars
+def parabolic_witness(phi: Endo, alpha: Endo | None):
+    """When every probe c on the last axis commutes with phi, the commuting
+    conditions make alpha^{-1} phi alpha parabolic; raise when it is not."""
     psi = phi if alpha is None else reduce(
         compose, (invert_endo(alpha), phi, alpha))
-    pi = _parabolic_normalizer(field, n, k)
-    conj_val = reduce(compose, (pi.expand(), psi, pi.inverse().expand()))
-    if not is_parabolic(conj_val):
+    if not is_parabolic(psi):
         raise InternalIdentityFailure(
             "probe exhausted but the parabolic witness failed; "
             "the degree bound argument was violated")
-    return pi
 
 
-def parabolic_route(builder: CertBuilder, ref: str, alpha: Endo | None,
-                    k: int) -> str:
-    """Every probe c on axis k commutes with the value of `ref`, so with pi
-    its parabolic witness phi = (alpha pi^{-1}) P (alpha pi^{-1})^{-1};
-    reduce P."""
-    pi = parabolic_witness(builder.value(ref), alpha, k)
-    if pi.factors:
-        pi_inv = pi.inverse().expand()
-        alpha = pi_inv if alpha is None else compose(alpha, pi_inv)
+def parabolic_route(builder: CertBuilder, ref: str,
+                    alpha: Endo | None) -> str:
+    """Every probe c on the last axis commutes with the value phi of `ref`,
+    so phi = alpha P alpha^{-1} with P parabolic; reduce P."""
+    parabolic_witness(builder.value(ref), alpha)
     return reduce_parabolic_ref(builder, ref, alpha)
-
-
-def _parabolic_normalizer(field: Field, n: int, k: int) -> FactoredAuto:
-    """pi = (-x_1, x_2, ...) composed with the swap x_k <-> x_n; identity
-    when k = n (the commuting conditions already give the parabolic shape)."""
-    if k == n:
-        return FactoredAuto.identity(field, n)
-    return signed_swap(field, n, k, n, -field.one)
 
 
 def translation_pass(tr: Endo, slots) -> Endo:

@@ -3,20 +3,20 @@
 CertBuilder tracks the environment of derived values and their exact
 inverses, evaluates each emitted word immediately, and refuses to record a
 step whose value disagrees with the engine's prediction.  A prediction V of
-the items' product P = c_1*...*c_k is proved from its cheaper side, as the
-verifier decides a step (docs/formats.md): c_1*...*c_j = V*c_k^{-1}*...*
-c_{j+1}^{-1} at the j of least degree bound, with INV = invert_endo(V) and
-V * INV = id.  Where that bound is not below the one of the reversed product
-of the items' inverses, or V's shape is not read and inverted, INV is that
-product, the exact two-sided inverse of P, and V * INV = id proves V = V *
-INV * P = P with one compose.  Either way INV is V's unique inverse, so the
-bytes are the same.  P is folded only without a prediction, or when a
-degree bound of that fold or of the proof exceeds the cap; under both
-bounds no skipped compose could meet the cap.  Every value held is special:
-seeds are checked, and products and conjugates keep a constant determinant
-of 1, so the engines never ask again.  The independent verifier in
-polyauto.certificates re-checks everything from the serialized data; this
-module is the only place construction and evaluation meet.
+the items' product P = c_1*...*c_k is proved from its cheaper side by the
+builder's own right-end split (docs/formats.md): c_1*...*c_j = V*c_k^{-1}*
+...*c_{j+1}^{-1} at the j of least degree bound, with INV = invert_endo(V)
+and V * INV = id.  Where that bound is not below the one of the reversed
+product of the items' inverses, or V's shape is not read and inverted, INV
+is that product, the exact two-sided inverse of P, and V * INV = id proves
+V = V * INV * P = P with one compose.  Either way INV is V's unique
+inverse, so the bytes are the same.  P is folded only without a
+prediction, or when a degree bound of that fold or of the proof exceeds
+the cap; under both bounds no skipped compose could meet the cap.  Every
+value held is special: seeds are checked, and products and conjugates keep
+a constant determinant of 1, so the engines never ask again.  The
+independent verifier, polyauto.certificates, re-checks the serialized data
+by its own plan; only here do construction and evaluation meet.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class CertBuilder:
         deg base^e * deg g and d'_i, the same with base^{-e}.  With `expect`
         and d_1*...*d_k within the cap, the step is proved (see the module
         docs), unless deg expect * deg INV exceeds the cap: then, as without
-        `expect`, the items' product is folded in the verifier's order."""
+        `expect`, the items' product is folded left to right."""
         limit = self.limit
         fold = partial(compose, cap=limit)
         word_items, sides = [], []
@@ -145,7 +145,7 @@ class CertBuilder:
 
     def _split_proof(self, sides, degs, lefts, value: Endo):
         """(INV, whether c_1*...*c_j = value*c_k^{-1}*...*c_{j+1}^{-1} and
-        value * INV = id) for INV = invert_endo(value) and the verifier's j
+        value * INV = id) for INV = invert_endo(value) and the builder's j
         (docs/formats.md): j >= 1 of least bound max(d_1*...*d_j, deg value
         * d'_{j+1}*...*d'_k), ties keeping the larger j.  None when that
         bound is not below d'_1*...*d'_k or exceeds the cap, or when value's

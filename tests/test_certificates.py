@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyauto.autos import dilation, elementary, sl_dilation, translation
-from polyauto.certificates import (_split_point, parse_certificate,
+from polyauto.certificates import (_OUT, _degrees, _plan, parse_certificate,
                                    verify_certificate)
 from polyauto.errors import AlgebraError, DegreeCapExceeded, ParseError
 from polyauto.fields import Field
@@ -224,37 +224,158 @@ def test_found_collapse_step_verifies_within_a_second():
         ("terminal-elementary", False)]
 
 
+def test_found_collapse_step_is_decided_without_the_seed_inverse():
+    # item 0, g^-1 core^-1 g, moves to the left as g^-1 core g: the step is
+    # decided as core = g^-1 core g * V at a bound of 5, so a cap of 9, below
+    # the inverse's degree of 10, gives the records of a cap of 10
+    records = [[(r.label, r.check, r.ok, r.message) for r in
+                verify_certificate(found_collapse_step(), cap=cap).records]
+               for cap in (9, 10)]
+    assert records[0] == records[1]
+    assert ("t1", "word-equals-value", True, "") in records[0]
+
+
+# the seed u = (x1, x2 + x1^2, x3 + x2^3) has degree 3 and its inverse
+# degree 6; item 1 reads u's inverse between two items that cannot move,
+# the inverses of u and a not being at hand, so no plan moves it
+U_BETWEEN_FIXED = """NCT 1
+FIELD Q
+VARS 3
+KIND normal-cotame
+SEED a E(1; x3)
+SEED u T(1; 1, x1^2; 1, x2^3)
+STEP t1
+  ITEM BASE u EXP +1
+  ITEM BASE u EXP -1
+  ITEM BASE a EXP +1
+  VALUE (x1+x3, x2, x3)
+  INV (x1-x3, x2, x3)
+TERMINAL t1
+END
+"""
+
+
 def test_cap_hit_while_weighing_a_split_is_indeterminate():
-    # reading the seed's inverse (degree 10) for item 0 meets the cap of 9;
-    # at a cap of 10 the split's bound is met and the step is decided
-    rep = verify_certificate(found_collapse_step(), cap=9)
+    # the plan reads u's inverse, which meets a cap of 5 under item 1
+    cert = parse_certificate(U_BETWEEN_FIXED)
+    assert same_as_reference(cert).verdict == "PASS"
+    rep = verify_certificate(cert, cap=5)
     assert rep.verdict == "INDETERMINATE"
     assert [(r.label, r.check, r.message) for r in rep.records
-            if not r.ok][0] == (
-        "t1", "item0-expansion", "substitution term degree 10 exceeds cap 9")
-    rep = verify_certificate(found_collapse_step(), cap=10)
-    assert ("word-equals-value", True) in [(r.check, r.ok)
-                                           for r in rep.records]
+            if not r.ok] == [
+        ("t1", "item1-expansion", "expanded word degree 6 exceeds cap 5"),
+        ("t1", "terminal-exists", "terminal must reference a step")]
 
 
-def test_split_point_moves_items_only_for_a_smaller_bound():
-    def item(text, exact=True, left=1):
-        # (entry, side, g^-1, g, fold bound through the item), as listed by
-        # verify_certificate for an item with no conjugator
-        value = parse_endo(f"[Q,2] {text}")
-        return [value, value, exact, None], 0, None, None, left
+def test_a_tampered_value_after_an_unread_seed_inverse_fails():
+    # VALUE and INV both shifted in x3, so inverse-pair holds and the
+    # step's equation, decided with the seed inverse still unread, fails
+    text = (DATA / "found_collapse_step.nct").read_text()
+    text = text.replace("x3-28)", "x3-27)").replace("x3+28)", "x3+27)")
+    rep = same_as_reference(parse_certificate(text))
+    assert [(r.check, r.ok) for r in rep.records] == [
+        ("seed-special", True), ("inverse-pair", True),
+        ("item0-conjugator-special", True), ("word-equals-value", False),
+        ("terminal-elementary", False)]
+    assert rep.verdict == "FAIL"
 
-    value = parse_endo("[Q,2] (x1, x2)")
-    quartic, linear = "(x1, x2+x1^4)", "(x1+x2, x2)"
-    # fold bound 4 * 4 against max(4, 1 * 4): the second item moves
-    assert _split_point([item(quartic, left=4), item(quartic, left=16)],
-                        value) == (1, 4)
-    # fold bound 4 * 1 against max(4, 1 * 1): a tie keeps the fold
-    assert _split_point([item(quartic, left=4), item(linear, left=4)],
-                        value) == (2, 4)
-    # an inverse that failed inverse-pair does not move
-    assert _split_point([item(quartic, left=4),
-                         item(quartic, exact=False, left=16)], value) == (2, 16)
+
+def plan(kept, moved, value_deg, limit=1024):
+    """_plan with None for a degree that is _OUT: an unread seed inverse
+    kept, or an inverse that is not exact moved."""
+    return _plan(*([_OUT if d is None else d for d in ds]
+                   for ds in (kept, moved)), value_deg, limit)
+
+
+def test_plan_moves_items_off_either_end():
+    # kept degrees d, moved degrees d' (None: the item cannot go there),
+    # deg V; the plan is (i, j, bound) with items i+1..j kept
+    assert plan([4, 4], [None, 4], 1) == (0, 1, 4)  # a right move
+    assert plan([4, 4], [4, None], 1) == (1, 2, 4)  # a left move
+    # max(1, 2 * 1 * 2) against a fold bound of 64 and 8 for one end
+    assert plan([8, 1, 8], [2, 1, 2], 1) == (1, 2, 4)
+    # a larger deg V: one end moves, at max(8 * 1, 3 * 2)
+    assert plan([8, 1, 8], [2, 1, 2], 3) == (0, 2, 8)
+    # a single item is kept; a step with no items has no plan but the fold
+    assert plan([3], [3], 5) == (0, 1, 5)
+    assert plan([], [], 1) is None
+
+
+def test_plan_ties_keep_the_right_end_rule():
+    # (0, 1) and (1, 2) both bound 4: i = 0 is kept, as the right-end rule
+    # would pick; a tie with the fold keeps the fold
+    assert plan([4, 4], [4, 4], 1) == (0, 1, 4)
+    assert plan([4, 1], [4, 1], 1) == (0, 2, 4)
+    assert plan([1, 1, 1], [1, 1, 1], 1) == (0, 3, 1)
+    # items of degree 1 before a quadratic one: every plan bounds 2
+    assert plan([1] * 50 + [2], [1] * 50 + [2], 1) == (0, 51, 2)
+
+
+def test_plan_uses_no_bound_over_the_limit():
+    assert plan([4, 4], [4, 4], 1, limit=16) == (0, 1, 4)
+    assert plan([4, 4], [None, None], 1, limit=15) is None
+    # the fold bounds max(2 * 2, 8), a move 8 * 2
+    assert plan([2, 2], [2, 2], 8, limit=8) == (0, 2, 8)
+    assert plan([2, 2], [2, 2], 8, limit=7) is None
+
+
+def test_plan_moves_an_unread_seed_inverse_and_never_keeps_it():
+    # the found collapse step: item 0 reads the seed's inverse, not yet
+    # expanded, and moves as the seed's degree 5 value
+    assert plan([None, 5], [5, None], 1) == (1, 2, 5)
+    # it moves even where keeping it, were it read, would bound lower
+    assert plan([2, None], [None, 9], 1) == (0, 1, 9)
+    # between two items that cannot move, no plan is left
+    assert plan([1, None, 1], [None, 6, None], 1) is None
+
+
+def test_degrees_move_only_an_exact_inverse_at_hand():
+    quad, lin = parse_endo("[Q,2] (x1, x2+x1^2)"), parse_endo(
+        "[Q,2] (x1+x2, x2)")
+    seed, step, failed = [quad, None, True, None], [lin, quad, True, None], \
+        [lin, quad, False, None]
+    items = [(seed, 0, None, None, 1), (seed, 1, None, None, 3),
+             (step, 1, None, None, 1), (failed, 0, None, None, 1)]
+    # a seed's value moves only once its inverse is read, its unread
+    # inverse is never kept, and a step that failed inverse-pair never moves
+    assert _degrees(items) == ([2, _OUT, 2, 1], [_OUT, 6, 1, _OUT])
+    # the exact step's inverse moves off the left end, the failed one stays
+    assert _plan(*_degrees(items[2:]), 1, 1024) == (1, 2, 1)
+    # a constant map counts as degree 1, so it cancels no _OUT: the two
+    # unread seed inverses below can neither be moved nor be kept
+    zero = [parse_endo("[Q,2] (0, 0)"), None, False, None]
+    items = [(seed, 0, None, None, 1), (seed, 0, None, None, 1),
+             (zero, 0, None, None, 1), (seed, 1, None, None, 1)]
+    assert _degrees(items) == ([2, 2, 1, _OUT], [_OUT, _OUT, _OUT, 2])
+    assert _plan(*_degrees(items[:2]), 0, 1024) == (0, 2, 4)
+    assert _plan(*_degrees(items[2:]), 0, 1024) == (0, 1, 2)
+
+
+def test_plan_time_is_linear_in_the_items():
+    # a long step of affine items, every other one an unread seed inverse
+    # that must move, then two quadratic ones: each start i after an
+    # unread inverse scans only up to the next one
+    k = 40_000
+    kept = [None, 1] * (k // 2 - 1) + [2, 2]
+    moved = [1] * (k - 2) + [2, 2]
+    t0 = time.process_time()
+    assert plan(kept, moved, 1) == (k - 3, k - 1, 2)
+    assert plan([1] * k + [2], [1] * k + [2], 1) == (0, k + 1, 2)
+    assert time.process_time() - t0 < 1
+
+
+def test_verifying_the_corpus_expands_no_seed_inverse(monkeypatch):
+    certs = [parse_certificate(text) for text in corpus_texts()]
+    seeds = {id(seed.word) for cert in certs for seed in cert.seeds}
+    inverted, inverse = [], FactoredAuto.inverse
+
+    def spy(self):
+        inverted.append(id(self))
+        return inverse(self)
+
+    monkeypatch.setattr(FactoredAuto, "inverse", spy)
+    assert all(verify_certificate(c).verdict == "PASS" for c in certs)
+    assert inverted and not seeds & set(inverted)
 
 
 def test_first_piece_over_the_cap_is_indeterminate():

@@ -24,8 +24,8 @@ from test_acceptance import corpus_words, monomials_up_to
 from test_certificates import corpus_texts
 
 # (calls of compose, PreparedImages built)
-CERTIFY_COUNTS = (1213, 1307)
-VERIFY_COUNTS = (395, 447)
+CERTIFY_COUNTS = (1211, 1305)
+VERIFY_COUNTS = (380, 383)
 
 
 def certify_fixed_set(words):

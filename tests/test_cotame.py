@@ -321,38 +321,20 @@ def test_probe_finds_c_equal_one():
     assert len(probe.gamma_word.factors) == 1
 
 
-def assert_witness(phi, k):
-    # every c commutes, so the probe finds none, and the witness
-    # conjugates phi to a parabolic map
-    assert find_noncommuting_c(phi, None, k) is None
-    pi = parabolic_witness(phi, None, k)
-    conj = compose(compose(pi.expand(), phi), pi.inverse().expand())
-    assert classify(conj).parabolic
+def assert_witness(phi):
+    # every c on the last axis commutes, so the probe finds none, and the
+    # witness check passes on phi itself, parabolic
+    assert find_noncommuting_c(phi, None, phi.nvars) is None
+    parabolic_witness(phi, None)
+    assert classify(phi).parabolic
 
 
 def test_probe_translation_gives_witness():
-    assert_witness(translation(Q, 3, [1, 2, 3]).expand(), 2)
+    assert_witness(translation(Q, 3, [1, 2, 3]).expand())
 
 
 def test_probe_identity_gives_witness():
-    assert_witness(Endo.identity(Q, 2), 1)
-
-
-@pytest.mark.parametrize("conjugated", [False, True])
-def test_parabolic_route_off_the_last_axis_conjugates_by_the_witness(
-        conjugated):
-    # a E_1 a^{-1} commutes with every a eps_{1,c} a^{-1}; the route
-    # records the conjugator a pi^{-1}, pi the witness's swap of x1 and x2
-    a = linear_elementary(Q, 2, 2, 1, 3)
-    word = elementary(Q, 2, 1, Polynomial.variable(Q, 2, 2) ** 2)
-    alpha = a.expand() if conjugated else None
-    if conjugated:
-        word = a * word * a.inverse()
-    assert find_noncommuting_c(word.expand(), alpha, 1) is None
-    builder, seed = seeded_builder(word)
-    cert = builder.to_certificate(parabolic_route(builder, seed, alpha, 1))
-    assert cert.steps[0].note == "SL part of the conjugator"
-    assert verify_certificate(cert).verdict == "PASS"
+    assert_witness(Endo.identity(Q, 2))
 
 
 def test_probe_through_a_linear_map_conjugates_the_translation():

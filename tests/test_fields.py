@@ -134,6 +134,28 @@ def test_a_quotient_of_two_integers_over_q_is_one_canonical_payload(Q):
     assert Field.prime(5)._pdiv(3, 2) == 4
 
 
+def test_a_negative_power_over_q_is_one_canonical_payload(Q, monkeypatch):
+    # an int base builds its reciprocal with one kernels.ratio, so at most
+    # one Fraction; a Fraction base keeps the Fraction power
+    for a, e, want in ((1, -3, 1), (-1, -3, -1), (-1, -2, 1),
+                       (2, -1, Fraction(1, 2)), (-2, -3, Fraction(-1, 8)),
+                       (2, 0, 1), (-2, 3, -8), (Fraction(1, 2), -2, 4),
+                       (Fraction(-2, 3), -1, Fraction(-3, 2)),
+                       (Fraction(2, 3), 2, Fraction(4, 9))):
+        got = Q._power(a, e)
+        assert got == want and type(got) is type(want), (a, e, got)
+        assert is_canonical_q(got)
+    built, new, want = [], Fraction.__new__, Fraction(-1, 32)
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    assert Q._power(-2, -5) == want and len(built) == 1
+    assert Q.from_int(-1).inv().payload == -1 and len(built) == 1
+
+
 def test_a_fraction_is_coerced_as_a_quotient(F5, F4):
     # 1/3 = 2 in F5, and 3 = 1 in F4; a denominator p divides is no unit
     assert F5.elem(Fraction(1, 3)) == F5.from_int(2)

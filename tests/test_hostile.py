@@ -86,3 +86,13 @@ def test_a_repeated_label_fails_only_its_unique_label_check(name):
     report = verify_certificate(cert)
     assert [r.check for r in report.records if not r.ok] == ["unique-label"]
     assert report.records == reference_verify(cert).records
+
+
+@pytest.mark.parametrize("name", [
+    "constant_value_after_two_seed_items.nct",
+    "constant_value_step_as_a_base_before_a_seed_inverse.nct"])
+def test_a_constant_value_never_lets_an_unread_seed_inverse_be_used(name):
+    # a constant map's degree 0 must not cancel the bound of an item whose
+    # inverse is not at hand: the step is decided, not crashed
+    cert = parse_certificate((HOSTILE / name).read_text())
+    assert verify_certificate(cert).records == reference_verify(cert).records

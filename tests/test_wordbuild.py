@@ -1,11 +1,12 @@
 """CertBuilder.add_step proves a predicted value V from its cheaper side:
-by the verifier's split, c_1*...*c_j = V * c_k^{-1}*...*c_{j+1}^{-1}, with
-INV = invert_endo(V), when the split's degree bound is below the one of the
-INV fold, the reversed product of the items' inverses; otherwise (ties, or
-a V whose shape is not read and inverted) by V * INV = id with that fold.
-It folds the items' product instead whenever a degree bound of that fold or
-of the proof exceeds the cap.  Either way a wrong prediction is refused,
-and a capped step ends as the fold ends."""
+by the builder's own right-end split, c_1*...*c_j = V * c_k^{-1}*...*
+c_{j+1}^{-1}, with INV = invert_endo(V), when the split's degree bound is
+below the one of the INV fold, the reversed product of the items'
+inverses; otherwise (ties, or a V whose shape is not read and inverted) by
+V * INV = id with that fold.  It folds the items' product instead whenever
+a degree bound of that fold or of the proof exceeds the cap.  Either way a
+wrong prediction is refused, and a capped step ends as the fold ends.  The
+verifier weighs a plan of its own, which may move items off either end."""
 
 import hashlib
 from functools import partial, reduce
